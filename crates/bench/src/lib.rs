@@ -1,11 +1,12 @@
 //! # cs-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index) plus Criterion micro-benchmarks. This library holds the shared
-//! machinery: parameter-sweep execution (parallelised across runs with
-//! scoped std threads — each run is itself deterministic and
-//! single-threaded) and table formatting.
+//! index). This library holds the shared machinery: parameter-sweep
+//! execution (parallelised across runs through [`cs_sim::fork_join`] —
+//! each run is itself deterministic) and table formatting. Performance
+//! is measured by the benchmark of record in `benchmark/`, not here.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use continustreaming::scenario::{run_scenario, ScenarioOutcome, ScenarioSpec};
@@ -14,38 +15,32 @@ use cs_core::{RunReport, SystemConfig, SystemSim};
 pub mod fingerprint;
 pub mod sweep;
 
-/// Default seeds used when an experiment averages over repetitions.
-pub const REPETITION_SEEDS: [u64; 3] = [20080414, 19700101, 42];
-
 /// Run one full-system simulation.
 pub fn run_system(config: SystemConfig) -> RunReport {
     SystemSim::new(config).run()
 }
 
-/// Run many configurations in parallel (one OS thread per available core,
-/// work-stealing via an index counter). Results come back in input order.
-pub fn run_many(configs: Vec<SystemConfig>) -> Vec<RunReport> {
-    let n = configs.len();
-    let results: Mutex<Vec<Option<RunReport>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
+/// Run `run` over every input in parallel (one OS thread per available
+/// core, work-stealing via an index counter — runs differ wildly in
+/// cost, so static shards would idle). Each run is itself deterministic,
+/// and results come back in input order, so a sweep's output is
+/// byte-identical at any core count.
+fn run_indexed<T: Sync, R: Send>(inputs: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let n = inputs.len();
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-        .min(n.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let report = run_system(configs[i].clone());
-                results.lock().expect("results mutex poisoned")[i] = Some(report);
-            });
+        .min(n);
+    cs_sim::fork_join(0..threads, |_, _| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let result = run(&inputs[i]);
+        results.lock().expect("results mutex poisoned")[i] = Some(result);
     });
-
     results
         .into_inner()
         .expect("results mutex poisoned")
@@ -54,38 +49,14 @@ pub fn run_many(configs: Vec<SystemConfig>) -> Vec<RunReport> {
         .collect()
 }
 
-/// Run many scenario specs in parallel (the same work-stealing pattern
-/// as [`run_many`] — each run is itself deterministic and
-/// single-threaded). Results come back in input order, so a sweep's
-/// output is byte-identical at any core count.
+/// Run many configurations in parallel. Results come back in input order.
+pub fn run_many(configs: Vec<SystemConfig>) -> Vec<RunReport> {
+    run_indexed(&configs, |c| run_system(c.clone()))
+}
+
+/// Run many scenario specs in parallel. Results come back in input order.
 pub fn run_scenarios(specs: Vec<ScenarioSpec>) -> Vec<ScenarioOutcome> {
-    let n = specs.len();
-    let results: Mutex<Vec<Option<ScenarioOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let outcome = run_scenario(&specs[i]);
-                results.lock().expect("results mutex poisoned")[i] = Some(outcome);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("results mutex poisoned")
-        .into_iter()
-        .map(|r| r.expect("every index was filled"))
-        .collect()
+    run_indexed(&specs, run_scenario)
 }
 
 /// Render a simple aligned table to stdout.

@@ -77,18 +77,17 @@ pub struct SystemConfig {
     /// rarity order; stragglers that slip through are exactly what the
     /// urgent line + DHT retrieval exist to catch.
     pub rescue_budget_fraction: f64,
-    /// Worker-thread override for the `parallel` feature's phase fan-out.
+    /// Shard count for the round loop's three planning phases
+    /// (scheduling, supplier-service planning, pre-fetch planning), which
+    /// run through [`cs_sim::fork_join`].
     ///
-    /// * `None` (default) — use `CS_PARALLEL_THREADS` if set, otherwise
-    ///   the detected core count, and only fan out at ≥ 128 alive nodes
-    ///   (below that the spawn overhead dominates);
-    /// * `Some(1)` — force the serial path;
-    /// * `Some(n > 1)` — force an `n`-way fan-out regardless of overlay
-    ///   size (how the determinism suite exercises the parallel merge on
-    ///   small scenarios).
+    /// * `None` (default) or `Some(1)` — one shard, run inline on the
+    ///   caller's thread: the serial round loop, no thread is spawned;
+    /// * `Some(n > 1)` — `n` contiguous shards, the first on the caller's
+    ///   thread and the rest on scoped threads, at any overlay size.
     ///
-    /// Results are bit-identical for every value; without the `parallel`
-    /// feature the field is ignored.
+    /// Results are bit-identical for every value (the thread-matrix suite
+    /// in `tests/determinism.rs` pins 1/2/4/8).
     pub parallel_threads: Option<usize>,
     /// The continuity policy layer (see [`crate::policy`]). The default,
     /// [`PolicyKind::Legacy`], reproduces the pre-policy behaviour bit
@@ -181,35 +180,38 @@ impl SystemConfig {
         self
     }
 
-    /// Validate invariants; called by the simulator constructor.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 2, "need at least a source and one receiver");
-        assert!(self.rounds > 0, "need at least one round");
-        assert!(self.neighbors > 0, "need at least one neighbour");
-        assert!(
+    /// Check every invariant of the configuration, including the policy
+    /// knobs, the fault plan and the churn fractions — the one place
+    /// that decides whether a config can run. The scenario parser
+    /// reports the error; [`crate::SystemSim::new`] panics on it.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure!(self.nodes >= 2, "need at least a source and one receiver");
+        ensure!(self.rounds > 0, "need at least one round");
+        ensure!(self.neighbors > 0, "need at least one neighbour");
+        ensure!(
             self.neighbors < self.nodes,
             "M = {} must be below the node count {}",
             self.neighbors,
             self.nodes
         );
-        assert!(self.buffer_size > 0, "need a non-empty buffer");
-        assert!(self.playback_rate > 0, "playback rate must be positive");
-        assert!(self.period_secs > 0.0, "period must be positive");
-        assert!(self.segment_kbits > 0.0, "segment size must be positive");
-        assert!(self.id_space_slack >= 1, "ID space must fit all nodes");
-        assert!(
+        ensure!(self.buffer_size > 0, "need a non-empty buffer");
+        ensure!(self.playback_rate > 0, "playback rate must be positive");
+        ensure!(self.period_secs > 0.0, "period must be positive");
+        ensure!(self.segment_kbits > 0.0, "segment size must be positive");
+        ensure!(self.id_space_slack >= 1, "ID space must fit all nodes");
+        ensure!(
             (self.playback_rate as u64) < self.buffer_size,
             "buffer must hold more than one period of playback"
         );
-        assert!(
+        ensure!(
             self.parallel_threads != Some(0),
             "parallel_threads must be at least 1 when set"
         );
         if let PolicyKind::Adaptive(p) = &self.policy {
-            p.validate();
+            p.validate()?;
         }
-        self.faults.validate();
-        self.churn.validate();
+        self.faults.validate()?;
+        self.churn.validate()
     }
 
     /// Segments consumed per round (`p·τ`).
@@ -234,7 +236,7 @@ mod tests {
         assert_eq!(c.overheard, 20);
         assert_eq!(c.period_secs, 1.0);
         assert_eq!(c.demand_per_round(), 10);
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
@@ -253,7 +255,7 @@ mod tests {
     fn dynamic_preset_sets_churn() {
         let c = SystemConfig::continustreaming(100, 1).with_dynamic_churn();
         assert!(!c.churn.is_static());
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
@@ -264,7 +266,7 @@ mod tests {
             neighbors: 4,
             ..Default::default()
         };
-        c.validate();
+        c.validate().unwrap();
     }
 
     #[test]
@@ -274,6 +276,6 @@ mod tests {
             nodes: 1,
             ..Default::default()
         };
-        c.validate();
+        c.validate().unwrap();
     }
 }

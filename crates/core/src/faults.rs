@@ -72,23 +72,24 @@ impl FaultPlan {
             || self.delay_prob > 0.0
     }
 
-    /// Panic on nonsensical rates (called from `SystemConfig::validate`).
-    pub fn validate(&self) {
+    /// Reject nonsensical rates (called from `SystemConfig::validate`).
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("crash_rate", self.crash_rate),
             ("data_loss", self.data_loss),
             ("control_loss", self.control_loss),
             ("delay_prob", self.delay_prob),
         ] {
-            assert!(
+            ensure!(
                 (0.0..=1.0).contains(&p),
                 "fault {name} must be a probability in [0, 1], got {p}"
             );
         }
-        assert!(
+        ensure!(
             self.delay_ms >= 0.0 && self.delay_ms.is_finite(),
             "fault delay_ms must be finite and non-negative"
         );
+        Ok(())
     }
 }
 
@@ -187,7 +188,7 @@ mod tests {
     fn default_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(!plan.enabled());
-        plan.validate();
+        plan.validate().unwrap();
     }
 
     #[test]
@@ -212,7 +213,7 @@ mod tests {
             },
         ] {
             assert!(plan.enabled());
-            plan.validate();
+            plan.validate().unwrap();
         }
     }
 
@@ -223,7 +224,8 @@ mod tests {
             data_loss: 1.5,
             ..FaultPlan::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]

@@ -41,6 +41,18 @@
 //! assert!(report.summary.stable_continuity > 0.0);
 //! ```
 
+/// `assert!`-shaped validation step: return `Err(format!(…))` from the
+/// enclosing `validate` unless the condition holds. A NaN makes every
+/// float comparison false and so fails the step, like `assert!` would.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if $cond {
+        } else {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
 pub mod backup;
 pub mod buffer;
 pub mod config;

@@ -240,48 +240,49 @@ impl Default for AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Panic on nonsensical knob values (called from
+    /// Reject nonsensical knob values (called from
     /// `SystemConfig::validate`).
-    pub fn validate(&self) {
-        assert!(
+    pub fn validate(&self) -> Result<(), String> {
+        ensure!(
             self.target_runway_rounds > 0,
             "target_runway_rounds must be positive"
         );
-        assert!(
+        ensure!(
             self.deficit_per_extra_fetch > 0,
             "deficit_per_extra_fetch must be positive"
         );
-        assert!(self.rescue_cap_max >= 1, "rescue_cap_max must be ≥ 1");
-        assert!(
+        ensure!(self.rescue_cap_max >= 1, "rescue_cap_max must be ≥ 1");
+        ensure!(
             self.occupancy_floor > 0.0 && self.occupancy_floor <= 1.0,
             "occupancy_floor must be in (0, 1]"
         );
-        assert!(
+        ensure!(
             self.lookahead_factor >= 1.0 && self.lookahead_factor.is_finite(),
             "lookahead_factor must be ≥ 1"
         );
-        assert!(
+        ensure!(
             self.rarity_bias >= 0.0 && self.rarity_bias.is_finite(),
             "rarity_bias must be non-negative"
         );
-        assert!(
+        ensure!(
             self.inbound_slack >= 0.0 && self.inbound_slack.is_finite(),
             "inbound_slack must be non-negative"
         );
-        assert!(
+        ensure!(
             self.supplier_timeout_rounds >= 1,
             "supplier_timeout_rounds must be ≥ 1"
         );
-        assert!(
+        ensure!(
             self.backoff_base_rounds >= 1,
             "backoff_base_rounds must be ≥ 1"
         );
-        assert!(self.backoff_factor >= 1, "backoff_factor must be ≥ 1");
-        assert!(self.evict_rounds >= 1, "evict_rounds must be ≥ 1");
-        assert!(
+        ensure!(self.backoff_factor >= 1, "backoff_factor must be ≥ 1");
+        ensure!(self.evict_rounds >= 1, "evict_rounds must be ≥ 1");
+        ensure!(
             self.join_sponsors <= 64,
             "join_sponsors above 64 would dominate every neighbour view"
         );
+        Ok(())
     }
 
     /// True while a node admitted at `spawn_round` is inside its

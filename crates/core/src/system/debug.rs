@@ -1,0 +1,261 @@
+//! Test and diagnostic hooks: manual stepping, state dumps, the scratch
+//! invariant checker and the `CS_DEBUG_ROUNDS` report.
+
+use cs_sim::SimTime;
+
+use super::prefetch::rescue_params;
+use super::{NodeDebugState, SystemSim};
+use crate::urgent::PrefetchCheck;
+
+impl SystemSim {
+    /// Debug introspection: one [`NodeDebugState`] tuple per alive node.
+    #[doc(hidden)]
+    pub fn debug_states(&self) -> Vec<NodeDebugState> {
+        self.order_idx
+            .iter()
+            .map(|&idx| {
+                let n = self.nodes.node(idx);
+                let first = n.buffer.iter().next();
+                (
+                    n.id,
+                    n.next_play,
+                    n.buffer.len(),
+                    first,
+                    first.map(|f| n.buffer.contiguous_from(f)).unwrap_or(0),
+                    n.connected.len(),
+                    n.bandwidth
+                        .inbound_segments_per_sec(self.config.segment_kbits),
+                )
+            })
+            .collect()
+    }
+
+    /// Step the simulation one round manually (debug/benchmark hook).
+    #[doc(hidden)]
+    pub fn debug_step(&mut self, round: u32) {
+        let end = SimTime::from_secs_f64((round as f64 + 1.0) * self.config.period_secs);
+        let pending = self.round_prelude(round, end);
+        self.round_decide(pending, None);
+    }
+
+    /// Verify the persistent round-scratch invariants (test hook; panics
+    /// on violation). Stale state in the reused buffers must be
+    /// *invisible*: every lazily-cleared structure is only reachable
+    /// through a generation stamp, a touched-list entry or a per-round
+    /// count that was refreshed this round.
+    #[doc(hidden)]
+    pub fn debug_check_scratch(&self) {
+        let scratch = &self.scratch;
+        // Request arena: per-slot counts are nonzero only for touched
+        // slots, and they partition the flat request list exactly.
+        let mut touched_total = 0u64;
+        for &slot in &scratch.touched_suppliers {
+            let count = scratch.queue_count[slot as usize];
+            assert!(count > 0, "touched slot {slot} has an empty bucket");
+            touched_total += count as u64;
+        }
+        for (slot, &count) in scratch.queue_count.iter().enumerate() {
+            if !scratch.touched_suppliers.contains(&(slot as u32)) {
+                assert_eq!(
+                    count, 0,
+                    "slot {slot} holds a stale queue count without a touched entry \
+                     (it would never be cleared)"
+                );
+            }
+        }
+        assert_eq!(
+            touched_total,
+            scratch.requests.len() as u64,
+            "request counts out of sync with the flat arena"
+        );
+        for req in &scratch.requests {
+            assert!(
+                scratch.touched_suppliers.contains(&req.supplier_slot),
+                "request queued at slot {} which is not touched",
+                req.supplier_slot
+            );
+        }
+        // Buckets: contiguous, disjoint, in ascending slot order, and
+        // plans agree with bucket sizes (plan.issued counts every
+        // request in the bucket).
+        let mut expected_start = 0u32;
+        let mut sorted = scratch.touched_suppliers.clone();
+        sorted.sort_unstable();
+        for &slot in &sorted {
+            assert_eq!(
+                scratch.queue_start[slot as usize], expected_start,
+                "bucket for slot {slot} is not laid out contiguously"
+            );
+            expected_start += scratch.queue_count[slot as usize];
+            assert_eq!(
+                scratch.serve_plans[slot as usize].issued,
+                scratch.queue_count[slot as usize] as u64,
+                "slot {slot}: serve plan was not refreshed for this round's bucket"
+            );
+        }
+        // Outbound pre-fetch ledger: nonzero spend only on touched-spent
+        // slots (anything else would leak into later rounds' rate caps).
+        for (slot, &spent) in scratch.outbound_spent.iter().enumerate() {
+            if spent != 0.0 {
+                assert!(
+                    scratch.touched_spent.contains(&(slot as u32)),
+                    "slot {slot} carries untracked outbound spend {spent}"
+                );
+            }
+        }
+        // Buffer-map snapshots: every stamped-this-round snapshot must
+        // belong to a currently alive node lifetime, with its epoch
+        // trailing (never leading) the live buffer, and bitmap equality
+        // whenever the epochs match. A snapshot whose birth stamp does
+        // not match the slot's current occupant must not be stamped.
+        for (slot, snap) in scratch.maps.snaps.iter().enumerate() {
+            if snap.stamp != scratch.maps.stamp {
+                continue; // stale snapshot: invisible by construction
+            }
+            let node = self.nodes.slots[slot]
+                .as_ref()
+                .unwrap_or_else(|| panic!("slot {slot}: stamped snapshot of a dead node"));
+            assert_eq!(
+                snap.birth, node.birth,
+                "slot {slot}: stamped snapshot of a previous lifetime"
+            );
+            assert!(
+                snap.epoch <= node.buffer.epoch(),
+                "slot {slot}: snapshot epoch leads the live buffer"
+            );
+            if snap.epoch == node.buffer.epoch() {
+                assert_eq!(
+                    snap.map,
+                    node.buffer.to_map(),
+                    "slot {slot}: equal epochs but diverged bitmaps"
+                );
+            }
+        }
+        // Active-set lists: strictly ascending positions into the round's
+        // node order, never pointing past it, and the scheduling list
+        // never contains the source (the pre-fetch list's entries all
+        // plan to no-ops for it, so it is merely bounded).
+        for (name, list) in [
+            ("active_sched", &self.hot.active_sched),
+            ("active_prefetch", &self.hot.active_prefetch),
+        ] {
+            for w in list.windows(2) {
+                assert!(w[0] < w[1], "{name} is not strictly ascending");
+            }
+            if let Some(&last) = list.last() {
+                assert!(
+                    (last as usize) < self.order_idx.len(),
+                    "{name} points past the node order"
+                );
+            }
+        }
+        for &k in &self.hot.active_sched {
+            assert!(
+                !self.nodes.node(self.order_idx[k as usize]).is_source,
+                "the source is never scheduled"
+            );
+        }
+    }
+
+    /// Debug invariant (fault suite): every connected neighbour of every
+    /// alive node resolves to an alive node — crashed nodes were
+    /// detected and dropped by the end of the round, so nothing serves
+    /// from or schedules against a dark supplier.
+    #[doc(hidden)]
+    pub fn debug_neighbors_alive(&self) -> bool {
+        self.order_idx.iter().all(|&idx| {
+            self.nodes
+                .node(idx)
+                .connected
+                .ids()
+                .all(|r| self.nodes.resolve(r).is_some())
+        })
+    }
+
+    /// Debug: lost pulls currently under recovery watch.
+    #[doc(hidden)]
+    pub fn debug_pending_retries(&self) -> usize {
+        self.faults.pending.len()
+    }
+
+    /// The `CS_DEBUG_ROUNDS` diagnostic dump (development aid). Mirrors
+    /// the *active* policy's urgent-line parameters (deficit-scaled
+    /// cap/threshold/horizon under Adaptive), so the counters report the
+    /// decisions the round actually made.
+    pub(super) fn debug_round_report(&self, round: u32) {
+        let mut not_triggered = 0u32;
+        let mut too_many = 0u32;
+        let mut fetch = 0u32;
+        let mut no_anchor = 0u32;
+        let p = self.config.demand_per_round();
+        let mut missed = Vec::new();
+        for &idx in &self.order_idx {
+            let n = self.nodes.node(idx);
+            if n.is_source {
+                continue;
+            }
+            let Some(anchor) = n.next_play.or_else(|| n.buffer.iter().next()) else {
+                no_anchor += 1;
+                continue;
+            };
+            let (cap, threshold, horizon) =
+                rescue_params(&self.config, &n.buffer, anchor, p, round, n.spawn_round);
+            match n.urgent.decide_scaled_into(
+                &n.buffer,
+                anchor,
+                self.newest_emitted,
+                |_| false,
+                &mut missed,
+                cap,
+                threshold,
+                horizon,
+            ) {
+                PrefetchCheck::NotTriggered => not_triggered += 1,
+                PrefetchCheck::TooMany(_) => too_many += 1,
+                PrefetchCheck::Fetch => fetch += 1,
+            }
+        }
+        let mean_inflow: f64 = self
+            .order_idx
+            .iter()
+            .map(|&i| self.nodes.node(i).last_inflow as f64)
+            .sum::<f64>()
+            / self.order_idx.len().max(1) as f64;
+        let mut est_inflow = 0.0;
+        let mut est_n = 0u32;
+        let mut join_inflow = 0.0;
+        let mut join_n = 0u32;
+        let mut est_cands = 0.0;
+        let mut join_cands = 0.0;
+        for &idx in &self.order_idx {
+            let n = self.nodes.node(idx);
+            if n.is_source {
+                continue;
+            }
+            let missing_window = n
+                .next_play
+                .map(|np| {
+                    (np..(np + 100).min(self.newest_emitted + 1))
+                        .filter(|&sg| !n.buffer.contains(sg))
+                        .count() as f64
+                })
+                .unwrap_or(-1.0);
+            if round >= n.spawn_round + 6 {
+                est_inflow += n.last_inflow as f64;
+                est_cands += missing_window;
+                est_n += 1;
+            } else {
+                join_inflow += n.last_inflow as f64;
+                join_cands += missing_window;
+                join_n += 1;
+            }
+        }
+        eprintln!(
+            "DBG round {round}: notrig={not_triggered} toomany={too_many} fetch={fetch} noanchor={no_anchor} mean_inflow={mean_inflow:.1} est(n={est_n} in={:.1} miss={:.0}) join(n={join_n} in={:.1} miss={:.0})",
+            est_inflow / est_n.max(1) as f64,
+            est_cands / est_n.max(1) as f64,
+            join_inflow / join_n.max(1) as f64,
+            join_cands / join_n.max(1) as f64,
+        );
+    }
+}

@@ -1,0 +1,819 @@
+//! The full-system simulator: the paper's §5.2 methodology end to end.
+//!
+//! One run wires every piece together: a synthetic Clip2-style trace
+//! (edges augmented to `M` neighbours), per-node bandwidth from the §5.2
+//! distribution, the hybrid overlay (connected neighbours + loose DHT +
+//! overheard list), periodic buffer-map exchange, a pluggable data
+//! scheduler, the urgent line, Algorithm 2 pre-fetching over the DHT, VoD
+//! backup placement/handover, churn, and the §5.3 metrics.
+//!
+//! ## Timing model
+//!
+//! The simulation advances in scheduling periods (`τ`-rounds): round `r`
+//! ends at simulated time `(r + 1)·τ` exactly (integer microseconds).
+//! Within a round, transfer and routing times are computed analytically
+//! from trace latencies and bandwidth shares (Algorithm 1 already
+//! guarantees every accepted transfer completes inside the period).
+//! Segments delivered in round `r` become playable in round `r + 1`; the
+//! continuity check runs at the start of each round, exactly like the
+//! paper's per-round ratio.
+//!
+//! ## Data layout: the node arena
+//!
+//! Node state lives in a dense arena (`Vec<NodeSim>` + free list) indexed
+//! by `NodeIdx`; the single `DhtId → NodeIdx` map is consulted only at
+//! the DHT/overlay boundary (routing, joins, retrieval). Inside the round
+//! loop everything — neighbour tables, pull requests, supplier queues —
+//! carries `PeerRef` handles (`DhtId` identity + cached arena slot), so
+//! per-node access is an index load, not a hash probe. `PeerRef` equality
+//! and ordering are **by `DhtId`**, which keeps every tie-break identical
+//! to the id-keyed implementation this replaced (verified by pinned
+//! behavioural fingerprints in `tests/determinism.rs`).
+//!
+//! Per-round allocations are gone entirely: a persistent `RoundScratch`
+//! owns the buffer-map snapshots (refreshed only when a buffer's
+//! [`StreamBuffer::epoch`] moved — the generation-stamped exchange), the
+//! flat pull-request arena (one `Vec`, counting-scattered into
+//! per-supplier buckets), the per-shard schedule output, the
+//! service/pre-fetch plan tables, the pre-fetch outbound ledger and
+//! retrieval route buffers, and the scheduling scratch (including the
+//! schedulers' own `_into` working memory). A warmed-up steady-state
+//! round performs **zero heap allocations** across every phase — pinned
+//! by the counting-allocator suite in `tests/zero_alloc.rs`.
+//!
+//! ## One body per phase
+//!
+//! The read-only *planning* halves of three phases — scheduling (step 5,
+//! per-node plans), supplier service (step 6, queue sort + budget
+//! acceptance per supplier-slot shard) and pre-fetch (step 7, urgent-line
+//! checks per node shard) — each cut their work into
+//! [`SystemConfig::parallel_threads`] contiguous shards and hand them to
+//! [`cs_sim::fork_join`]. The default is one shard, which `fork_join`
+//! runs inline on the caller's thread: serial is the one-shard case of
+//! the same loop, not a second implementation. Every mutation is applied
+//! serially in deterministic node order — and the service merge
+//! revalidates any supplier whose buffer changed under earlier-ordered
+//! deliveries — so results are bit-identical at any shard count (the
+//! thread-matrix suite in `tests/determinism.rs` pins 1/2/4/8 shards
+//! against the pinned fingerprints; the Random scheduler, which draws
+//! from the shared RNG while scheduling, always plans step 5 as one
+//! shard, but steps 6 and 7 still fan out).
+//!
+//! ## Module map
+//!
+//! `state` holds the arena and scratch types; `round` the round driver
+//! (phases 1–4 and 8–9 inline, the rest dispatched); `schedule`,
+//! `service` and `prefetch` steps 5, 6 and 7; `membership` neighbour
+//! maintenance, joins, leaves and workload events; `recovery` the fault
+//! plane, the recovery plane and source seeding; `twin` the live-network
+//! twin's seam; `debug` the test/diagnostic hooks.
+
+use std::collections::HashMap;
+use std::time::Instant;
+
+use rand::Rng;
+
+use cs_dht::{DhtId, DhtNetwork, IdSpace};
+use cs_net::{BandwidthAssigner, MessageSizes, NodeBandwidth};
+use cs_obs::{ObsConfig, ObsRunReport, ObsState, Profiler, WorkerPhase};
+use cs_overlay::{ConnectedNeighbors, OverheardList, RpServer};
+use cs_sim::{RngTree, SimRng};
+use cs_trace::{augment_to_min_degree, derive_latency, TraceGenConfig, TraceGenerator};
+
+use crate::backup::VodBackupStore;
+use crate::buffer::StreamBuffer;
+use crate::config::SystemConfig;
+use crate::faults::FaultTrace;
+use crate::metrics::{summarize, RoundRecord, RunReport};
+use crate::policy::PolicyKind;
+use crate::rate::RateController;
+use crate::telemetry::Telemetry;
+use crate::urgent::UrgentLine;
+use crate::SegmentId;
+
+mod debug;
+mod membership;
+mod prefetch;
+mod recovery;
+mod round;
+mod schedule;
+mod service;
+mod state;
+mod twin;
+
+pub use twin::{TwinAnnounce, TwinPendingRound, TwinViews, TwinWireState};
+
+use recovery::FaultState;
+use state::{fresh_neighbor, HotState, NodeArena, NodeIdx, NodeSim, RoundScratch};
+
+/// A workload event applied between rounds — the hook API the
+/// `cs-scenario` engine (and any other external driver) uses to change
+/// the system mid-run. Events never consume the churn/scheduler/join RNG
+/// streams: everything they need to sample flows through a dedicated
+/// `"scenario"` child of the seed tree, so a run that applies no events
+/// is bit-identical to a plain [`SystemSim::run`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SystemEvent {
+    /// Admit one node through the §4.1 RP join protocol (the same path
+    /// churn joins take: close-ID ping, neighbour adoption, DHT join).
+    /// `None` fields are drawn from the joiner pools on the scenario
+    /// stream; `Some` fields express heterogeneous node classes
+    /// (capacity tiers, latency classes).
+    Join {
+        /// Override the joiner's ping time (latency class).
+        ping_ms: Option<f64>,
+        /// Override the joiner's capacity (upload tier).
+        bandwidth: Option<NodeBandwidth>,
+    },
+    /// Remove a node; `graceful` leaves hand their VoD backups to the
+    /// ring predecessor, abrupt failures just vanish.
+    Leave { id: DhtId, graceful: bool },
+    /// Crash a node (fault plane). Unlike [`SystemEvent::Leave`] with
+    /// `graceful: false` — which still tells the RP server and the DHT —
+    /// a crash is silent: backups are stranded, DHT routing entries go
+    /// stale until lazily repaired on contact, and neighbours only learn
+    /// on their next maintenance pass.
+    Crash { id: DhtId },
+    /// VCR: move a node's play anchor. The exchange window, the urgent
+    /// line and the pre-fetcher all re-derive from the new anchor on the
+    /// next round.
+    Seek { id: DhtId, target: SeekTarget },
+    /// VCR: freeze playback. The node keeps buffering, serving and
+    /// counting as alive, but its play point holds still and it is not
+    /// counted as playing until resumed.
+    Pause { id: DhtId },
+    /// VCR: resume a paused node at its frozen play point.
+    Resume { id: DhtId },
+    /// Change a node's capacity mid-run (tier upgrade or throttle).
+    SetBandwidth { id: DhtId, bandwidth: NodeBandwidth },
+}
+
+/// Where a [`SystemEvent::Seek`] moves the play anchor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeekTarget {
+    /// Jump `n` segments toward the live frontier (clamped to it).
+    Forward(u64),
+    /// Jump `n` segments back (clamped to the oldest segment the buffer
+    /// window can still address).
+    Backward(u64),
+    /// Jump to the live frontier minus the startup buffering window.
+    ToLive,
+}
+
+/// What applying a [`SystemEvent`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventOutcome {
+    /// A join succeeded; the new node got this id.
+    Joined(DhtId),
+    /// The event applied to its target.
+    Applied,
+    /// The event had no effect: dead or unsuitable target (e.g. the
+    /// source, or a seek on a node that has not started playback), or a
+    /// join that found no reachable contact.
+    Rejected,
+}
+
+/// The full-system simulator.
+pub struct SystemSim {
+    config: SystemConfig,
+    space: IdSpace,
+    rp: RpServer,
+    dht: DhtNetwork,
+    nodes: NodeArena,
+    /// Alive node ids in deterministic (sorted) order; rebuilt on churn.
+    order_ids: Vec<DhtId>,
+    /// Arena handles parallel to `order_ids`.
+    order_idx: Vec<NodeIdx>,
+    source: DhtId,
+    source_idx: NodeIdx,
+    sizes: MessageSizes,
+    bw_assigner: BandwidthAssigner,
+    /// Ping-time pool for joiners, drawn from the same distribution as
+    /// the initial trace.
+    joiner_pings: Vec<f64>,
+    newest_emitted: SegmentId,
+    records: Vec<RoundRecord>,
+    churn_rng: SimRng,
+    sched_rng: SimRng,
+    join_rng: SimRng,
+    /// Dedicated stream for [`SystemEvent`] internals (scenario joins'
+    /// ids, pings, capacities). Untouched streams above stay untouched:
+    /// a run that applies no events reproduces `run()` bit for bit.
+    scenario_rng: SimRng,
+    /// Next round index for the manual stepping API ([`Self::step`]).
+    next_round: u32,
+    /// Diagnostic collector; `None` (the default) costs one branch per
+    /// tap and allocates nothing.
+    telemetry: Option<Box<Telemetry>>,
+    /// Observability layer (profiler + distributions + event trace);
+    /// `None` (the default) costs one branch per tap. Like telemetry,
+    /// it is purely observational: it consumes no RNG and mutates no
+    /// protocol state, so arming it cannot move a behavioural
+    /// fingerprint (its wall-clock readings are Debug-hidden).
+    obs: Option<Box<ObsState>>,
+    /// Fault-injection / failure-recovery state; inert (one branch per
+    /// gate, no draws, no allocations) unless armed by the config plan
+    /// or a scripted fault event.
+    faults: FaultState,
+    scratch: RoundScratch,
+    /// Active-set hot state (SoA). Lives outside `scratch` because the
+    /// phase-1 churn/event hooks stamp it *before* the round takes
+    /// the scratch, and joins admitted mid-round must stamp persistent
+    /// storage.
+    hot: HotState,
+}
+
+/// Debug introspection record: `(id, next_play, buffer_len, first_id,
+/// contiguous_from_first, connected, inbound_rate)`.
+pub type NodeDebugState = (DhtId, Option<u64>, u64, Option<u64>, u64, usize, f64);
+
+/// The profiler that per-shard worker sub-spans are recorded into: only
+/// when it is armed *and* the phase really fans out. One shard is the
+/// serial case — its time is the phase span itself, so serial
+/// `--profile-json` output carries no worker rows.
+fn shard_profiler(obs: &Option<Box<ObsState>>, shards: usize) -> Option<&Profiler> {
+    obs.as_deref()
+        .filter(|o| shards > 1 && o.profiling())
+        .map(|o| &o.profiler)
+}
+
+/// Run one shard's body, recording its wall-clock as a `phase` worker
+/// sub-span when `prof` is armed (see [`shard_profiler`]).
+fn timed_shard(prof: Option<&Profiler>, phase: WorkerPhase, body: impl FnOnce()) {
+    let t0 = prof.map(|_| Instant::now());
+    body();
+    if let (Some(p), Some(t0)) = (prof, t0) {
+        p.record_worker(phase, t0.elapsed().as_nanos() as u64);
+    }
+}
+
+/// Split the absolute range `[start, end)` off the front of `rest`, whose
+/// first element sits at absolute position `*consumed`. Successive calls
+/// with ascending, non-overlapping ranges hand each fork-join shard a
+/// disjoint `&mut` run of one shared table.
+fn carve<'a, T>(
+    rest: &mut &'a mut [T],
+    consumed: &mut usize,
+    start: usize,
+    end: usize,
+) -> &'a mut [T] {
+    let (_, tail) = std::mem::take(rest).split_at_mut(start - *consumed);
+    let (run, tail) = tail.split_at_mut(end - start);
+    *rest = tail;
+    *consumed = end;
+    run
+}
+
+impl SystemSim {
+    /// Build a simulator (generates the trace, assigns bandwidth, wires
+    /// the overlay and DHT). Deterministic in `config.seed`.
+    pub fn new(config: SystemConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        let tree = RngTree::new(config.seed);
+
+        // 1. Trace: synthetic Clip2-style topology, augmented to M.
+        let mut trace_rng = tree.child("trace");
+        let topo_cfg = TraceGenConfig::with_nodes(config.nodes);
+        let mut topo = TraceGenerator::new(topo_cfg).generate(&mut trace_rng);
+        let mut aug_rng = tree.child("augment");
+        augment_to_min_degree(&mut topo, config.neighbors, &mut aug_rng);
+
+        // 2. IDs from the RP server.
+        let expected_joins =
+            (config.nodes as f64 * config.churn.join_fraction * config.rounds as f64).ceil() as u64;
+        let space = IdSpace::for_capacity(
+            (config.nodes as u64 + expected_joins) * config.id_space_slack as u64,
+        );
+        let mut rp = RpServer::new(space);
+        let mut rp_rng = tree.child("rp");
+        let ids: Vec<DhtId> = (0..config.nodes)
+            .map(|_| rp.assign_id(&mut rp_rng))
+            .collect();
+
+        // 3. Bandwidth.
+        let bw_assigner = BandwidthAssigner::paper(config.bandwidth);
+        let mut bw_rng = tree.child("bandwidth");
+
+        // 4. Node states in the arena. Index 0 of the trace is the source.
+        let sizes = MessageSizes::for_buffer(config.buffer_size);
+        let t_fetch = cs_analysis::t_fetch(config.nodes as u64, config.t_hop_secs);
+        let mut nodes = NodeArena::with_capacity(config.nodes);
+        let pings: Vec<f64> = topo.records().iter().map(|r| r.ping_ms).collect();
+        for (idx, &id) in ids.iter().enumerate() {
+            let is_source = idx == 0;
+            let bandwidth = if is_source {
+                bw_assigner.source_node(config.segment_kbits)
+            } else {
+                bw_assigner.sample_node(&mut bw_rng)
+            };
+            nodes.insert(Self::make_node(
+                &config, space, id, pings[idx], bandwidth, t_fetch, is_source,
+            ));
+        }
+        let source = ids[0];
+        let source_idx = nodes.lookup(source).expect("just inserted");
+
+        // 5. Connected neighbours from the augmented topology: up to M
+        //    lowest-latency adjacent nodes.
+        for (idx, &id) in ids.iter().enumerate() {
+            let mut adj: Vec<(f64, DhtId)> = topo
+                .neighbors(idx)
+                .iter()
+                .map(|&j| (derive_latency(pings[idx], pings[j]), ids[j]))
+                .collect();
+            adj.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let own = nodes.lookup(id).expect("node exists");
+            for (lat, nid) in adj {
+                let nref = nodes.make_ref(nid);
+                let node = nodes.node_mut(own);
+                if node.connected.is_full() {
+                    break;
+                }
+                node.connected.add(fresh_neighbor(nref, lat));
+            }
+            // Seed the overheard list with a few random members so
+            // neighbour repair has material from round one. The member's
+            // ping comes straight from the arena (it carries pings[k] for
+            // ids[k]), replacing the O(N) `position()` scan per seed that
+            // made this loop — and the whole constructor — O(N²).
+            let mut seed_rng = tree.child_indexed("overheard-seed", idx as u64);
+            for _ in 0..4 {
+                let other = ids[seed_rng.gen_range(0..ids.len())];
+                if other != id {
+                    let oref = nodes.make_ref(other);
+                    let oidx = nodes.resolve(oref).expect("member");
+                    let other_ping = nodes.node(oidx).ping_ms;
+                    nodes
+                        .node_mut(own)
+                        .overheard
+                        .record(oref, derive_latency(pings[idx], other_ping));
+                }
+            }
+        }
+
+        // 6. The DHT over the same membership, with latencies from the
+        //    pings held in the arena.
+        let dht = {
+            let latency = |a: DhtId, b: DhtId| nodes.latency(a, b);
+            let mut dht_rng = tree.child("dht");
+            DhtNetwork::build(space, &ids, &latency, &mut dht_rng)
+        };
+
+        // 7. A ping pool for joiners, same distribution as the trace.
+        let mut pool_rng = tree.child("joiner-pings");
+        let pool_gen = TraceGenerator::new(TraceGenConfig::with_nodes(
+            (expected_joins as usize + 16).max(16),
+        ));
+        let joiner_pings: Vec<f64> = pool_gen
+            .generate(&mut pool_rng)
+            .records()
+            .iter()
+            .map(|r| r.ping_ms)
+            .collect();
+
+        let mut sim = SystemSim {
+            space,
+            rp,
+            dht,
+            nodes,
+            order_ids: Vec::new(),
+            order_idx: Vec::new(),
+            source,
+            source_idx,
+            sizes,
+            bw_assigner,
+            joiner_pings,
+            newest_emitted: 0,
+            records: Vec::with_capacity(config.rounds as usize),
+            churn_rng: tree.child("churn"),
+            sched_rng: tree.child("scheduler"),
+            join_rng: tree.child("join"),
+            scenario_rng: tree.child("scenario"),
+            next_round: 0,
+            telemetry: None,
+            obs: None,
+            faults: FaultState::new(tree.child("faults"), config.faults),
+            scratch: RoundScratch::default(),
+            hot: HotState::default(),
+            config,
+        };
+        sim.rebuild_order();
+        sim
+    }
+
+    fn make_node(
+        config: &SystemConfig,
+        space: IdSpace,
+        id: DhtId,
+        ping_ms: f64,
+        bandwidth: NodeBandwidth,
+        t_fetch: f64,
+        is_source: bool,
+    ) -> NodeSim {
+        let prior = (bandwidth.inbound_segments_per_sec(config.segment_kbits)
+            / config.neighbors as f64)
+            .max(0.5);
+        NodeSim {
+            id,
+            birth: 0, // assigned by NodeArena::insert
+            ping_ms,
+            bandwidth,
+            connected: ConnectedNeighbors::new(config.neighbors),
+            overheard: OverheardList::new(config.overheard),
+            buffer: StreamBuffer::new(config.buffer_size),
+            backup: VodBackupStore::new(space, id, config.replicas).with_capacity_hint(
+                // ≈ 4× the expected share of the live stream window that
+                // hashes into this node's responsibility range, so
+                // steady-state `maybe_store` calls never grow the vector
+                // (the zero-alloc round-loop assertion pins this).
+                (((config.buffer_size as usize + 20 * config.playback_rate as usize)
+                    * config.replicas as usize
+                    * 4)
+                    / config.nodes.max(1))
+                .clamp(16, 512),
+            ),
+            rate: RateController::with_capacity(prior, config.neighbors + 3),
+            urgent: UrgentLine::new(
+                config.playback_rate as f64,
+                config.buffer_size,
+                config.period_secs,
+                t_fetch,
+                config.t_hop_secs,
+                config.prefetch_cap,
+            ),
+            next_play: None,
+            first_data_round: None,
+            spawn_round: 0,
+            // Sized so steady-state tag churn (insert on fetch, retain
+            // at the play point) never regrows the table: outstanding
+            // tags are bounded by the rescue probe depth, so size to
+            // twice the policy's horizon (the zero-alloc suite pins
+            // this; Legacy's α-window rescue keeps far fewer).
+            prefetch_tags: HashMap::with_capacity(match &config.policy {
+                PolicyKind::Legacy => 64,
+                PolicyKind::Adaptive(ap) => {
+                    64.max(2 * ap.rescue_horizon(config.demand_per_round().max(1)) as usize)
+                }
+            }),
+            last_inflow: 0,
+            round_inflow: 0,
+            outbound_carry: 0.0,
+            inbound_carry: 0.0,
+            paused: false,
+            is_source,
+        }
+    }
+
+    /// The configuration of this run.
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
+    }
+
+    /// Current number of alive nodes (including the source).
+    pub fn alive(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Run the configured number of rounds and produce the report.
+    ///
+    /// Equivalent to stepping every remaining round with [`Self::step`]
+    /// and calling [`Self::finish`] — external drivers (the `cs-scenario`
+    /// engine) interleave [`Self::apply_event`] calls between steps and
+    /// get bit-identical behaviour when they apply no events.
+    pub fn run(mut self) -> RunReport {
+        while self.step() {}
+        self.finish()
+    }
+
+    /// Execute the next scheduling round. Returns `false` (without doing
+    /// anything) once the configured number of rounds has run.
+    ///
+    /// Exactly [`Self::twin_begin_round`] followed by the decision half
+    /// with the exchange reading live node state — the live-network twin
+    /// differs only in moving that exchange over its transport first.
+    pub fn step(&mut self) -> bool {
+        let Some(pending) = self.twin_begin_round() else {
+            return false;
+        };
+        self.round_decide(pending, None);
+        self.next_round += 1;
+        true
+    }
+
+    /// Rounds executed so far — equivalently, the index of the round the
+    /// next [`Self::step`] will run.
+    pub fn rounds_run(&self) -> u32 {
+        self.next_round
+    }
+
+    /// Consume the simulator and produce the report over every round
+    /// stepped so far.
+    ///
+    /// # Panics
+    /// If no round has run yet (there is nothing to summarise).
+    pub fn finish(mut self) -> RunReport {
+        let mut summary = summarize(&self.records);
+        if let Some(o) = self.obs.as_deref_mut() {
+            if o.dist_enabled() {
+                summary.dist = Some(o.dist_summary());
+            }
+        }
+        RunReport {
+            rounds: self.records,
+            summary,
+        }
+    }
+
+    /// The per-round records accumulated so far (one per stepped round).
+    pub fn records(&self) -> &[RoundRecord] {
+        &self.records
+    }
+
+    /// Alive node ids in deterministic (ascending) order, including the
+    /// source. External drivers use this to resolve event targets.
+    pub fn alive_ids(&self) -> &[DhtId] {
+        &self.order_ids
+    }
+
+    /// The id of the source node (it never leaves and ignores VCR/leave
+    /// events).
+    pub fn source_id(&self) -> DhtId {
+        self.source
+    }
+
+    /// Newest segment the source has emitted so far.
+    pub fn newest_segment(&self) -> SegmentId {
+        self.newest_emitted
+    }
+
+    /// The play state of a node: `None` if the id is dead,
+    /// `Some((next_play, paused))` otherwise (`next_play` is `None`
+    /// while the node is still buffering toward its first play).
+    pub fn play_state(&self, id: DhtId) -> Option<(Option<SegmentId>, bool)> {
+        let idx = self.nodes.lookup(id)?;
+        let node = self.nodes.node(idx);
+        Some((node.next_play, node.paused))
+    }
+
+    /// Turn on the diagnostic telemetry collector (idempotent). Purely
+    /// observational: enabling it changes no RNG stream and no simulated
+    /// behaviour, only records more.
+    pub fn enable_telemetry(&mut self) {
+        if self.telemetry.is_none() {
+            self.telemetry = Some(Box::default());
+        }
+    }
+
+    /// The telemetry collected so far, if enabled.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_deref()
+    }
+
+    /// Take ownership of the collected telemetry (collection continues
+    /// into a fresh collector if more rounds are stepped).
+    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
+        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+    }
+
+    /// Arm the observability layer (idempotent; the first call's config
+    /// wins). Like telemetry, purely observational: it draws from no
+    /// RNG stream and mutates no protocol state, so every behavioural
+    /// fingerprint reproduces bit-for-bit whether obs is off, on, or
+    /// was never compiled in. Wall-clock readings live only in the
+    /// profiler, which no fingerprint hashes.
+    pub fn enable_obs(&mut self, cfg: ObsConfig) {
+        if self.obs.is_none() {
+            let mut o = Box::new(ObsState::new(&cfg, self.config.rounds));
+            if o.dist_enabled() {
+                o.node_cont.ensure(self.nodes.slot_count());
+            }
+            self.obs = Some(o);
+        }
+    }
+
+    /// The observability state, if armed.
+    pub fn obs(&self) -> Option<&ObsState> {
+        self.obs.as_deref()
+    }
+
+    /// Mutable observability state (e.g. to reset profiler timings
+    /// after a warm-up window).
+    pub fn obs_mut(&mut self) -> Option<&mut ObsState> {
+        self.obs.as_deref_mut()
+    }
+
+    /// Export the observability run report (trace JSONL, distribution
+    /// summary, phase breakdown). The distribution summary is finalised
+    /// and cached on first call, so a later [`Self::finish`] attaches
+    /// the identical `dist` block to the run summary.
+    pub fn take_obs_report(&mut self) -> Option<ObsRunReport> {
+        self.obs.as_deref_mut().map(|o| o.run_report())
+    }
+
+    /// The per-round fault/recovery trace. Empty while the fault plane
+    /// is inert; once armed it gains exactly one record per stepped
+    /// round, and its digest is the run's fault fingerprint (two runs
+    /// with the same seed and workload produce byte-identical traces).
+    pub fn fault_trace(&self) -> &FaultTrace {
+        &self.faults.trace
+    }
+
+    /// `(scheduling, pre-fetch)` active-set sizes of the last stepped
+    /// round (live-monitoring read; both equal the membership when the
+    /// active-set optimisation is off).
+    pub fn active_set_sizes(&self) -> (usize, usize) {
+        (self.hot.active_sched.len(), self.hot.active_prefetch.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SchedulerKind;
+    use crate::priority::PriorityPolicy;
+    use cs_net::TrafficClass;
+
+    fn tiny(scheduler: SchedulerKind, prefetch: bool, seed: u64) -> SystemConfig {
+        SystemConfig {
+            nodes: 40,
+            rounds: 18,
+            startup_segments: 30,
+            scheduler,
+            prefetch_enabled: prefetch,
+            seed,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn run_produces_one_record_per_round() {
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 1)).run();
+        assert_eq!(report.rounds.len(), 18);
+        for (i, r) in report.rounds.iter().enumerate() {
+            assert_eq!(r.round as usize, i);
+            assert!((r.time_secs - (i as f64 + 1.0)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn continuity_ramps_up() {
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 2)).run();
+        let first = report.rounds.first().unwrap().continuity;
+        let last = report.rounds.last().unwrap().continuity;
+        assert!(last > first, "continuity should rise: {first} → {last}");
+        assert!(
+            last > 0.5,
+            "a 40-node static net should mostly play: {last}"
+        );
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let a = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3)).run();
+        let b = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3)).run();
+        assert_eq!(a.rounds, b.rounds);
+        let c = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 4)).run();
+        assert_ne!(a.rounds, c.rounds);
+    }
+
+    #[test]
+    fn random_scheduler_is_deterministic_too() {
+        // The candidate sets are built in ascending segment order (not
+        // hash-map order), so even the shuffling scheduler reproduces.
+        let a = SystemSim::new(tiny(SchedulerKind::Random, false, 21)).run();
+        let b = SystemSim::new(tiny(SchedulerKind::Random, false, 21)).run();
+        assert_eq!(a.rounds, b.rounds);
+    }
+
+    #[test]
+    fn coolstreaming_never_prefetches() {
+        let report = SystemSim::new(tiny(SchedulerKind::CoolStreaming, false, 5)).run();
+        for r in &report.rounds {
+            assert_eq!(r.prefetch_attempts, 0);
+            assert_eq!(r.traffic.bits(TrafficClass::PrefetchData), 0);
+            assert_eq!(r.traffic.bits(TrafficClass::PrefetchRouting), 0);
+        }
+    }
+
+    #[test]
+    fn continustreaming_prefetches_something() {
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 6)).run();
+        let attempts: u32 = report.rounds.iter().map(|r| r.prefetch_attempts).sum();
+        assert!(attempts > 0, "some pre-fetch should trigger in 12 rounds");
+    }
+
+    #[test]
+    fn control_overhead_is_small_and_present() {
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 7)).run();
+        let oh = report.summary.control_overhead;
+        assert!(oh > 0.0, "buffer maps are exchanged");
+        assert!(oh < 0.1, "control overhead {oh} should be small");
+    }
+
+    #[test]
+    fn dynamic_churn_changes_membership() {
+        let cfg = tiny(SchedulerKind::ContinuStreaming, true, 8).with_dynamic_churn();
+        let report = SystemSim::new(cfg).run();
+        let joins: usize = report.rounds.iter().map(|r| r.joins).sum();
+        let leaves: usize = report.rounds.iter().map(|r| r.leaves).sum();
+        assert!(joins > 0, "some joins over 12 rounds of 5% churn");
+        assert!(leaves > 0, "some leaves over 12 rounds of 5% churn");
+    }
+
+    #[test]
+    fn alive_count_tracks_churn() {
+        let cfg = SystemConfig {
+            nodes: 60,
+            rounds: 10,
+            churn: cs_overlay::ChurnConfig {
+                leave_fraction: 0.2,
+                join_fraction: 0.0,
+                graceful_fraction: 0.5,
+            },
+            ..tiny(SchedulerKind::ContinuStreaming, true, 9)
+        };
+        let report = SystemSim::new(cfg).run();
+        let first = report.rounds.first().unwrap().alive;
+        let last = report.rounds.last().unwrap().alive;
+        assert!(last < first, "pure leaving must shrink the overlay");
+    }
+
+    #[test]
+    fn source_always_survives() {
+        let cfg = SystemConfig {
+            nodes: 30,
+            rounds: 15,
+            churn: cs_overlay::ChurnConfig {
+                leave_fraction: 0.3,
+                join_fraction: 0.0,
+                graceful_fraction: 0.0,
+            },
+            ..tiny(SchedulerKind::ContinuStreaming, true, 10)
+        };
+        let sim = SystemSim::new(cfg);
+        let source = sim.source;
+        let report = sim.run();
+        // The run completes every round — the source kept emitting.
+        assert_eq!(report.rounds.len(), 15);
+        let _ = source;
+    }
+
+    #[test]
+    fn greedy_policy_variants_run() {
+        for policy in [
+            PriorityPolicy::UrgencyOnly,
+            PriorityPolicy::RarityOnly,
+            PriorityPolicy::RarestFirst,
+        ] {
+            let cfg = tiny(SchedulerKind::GreedyWithPolicy(policy), true, 11);
+            let report = SystemSim::new(cfg).run();
+            assert_eq!(report.rounds.len(), 18);
+        }
+    }
+
+    #[test]
+    fn random_scheduler_runs_and_underperforms_eventually() {
+        let rand_report = SystemSim::new(tiny(SchedulerKind::Random, false, 12)).run();
+        let cont_report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 12)).run();
+        assert!(
+            cont_report.summary.stable_continuity >= rand_report.summary.stable_continuity,
+            "ContinuStreaming ({}) should not lose to random ({})",
+            cont_report.summary.stable_continuity,
+            rand_report.summary.stable_continuity
+        );
+    }
+
+    #[test]
+    fn arena_reuses_slots_without_aliasing() {
+        // Drive heavy churn and verify the slot-reuse invariants the hot
+        // path relies on: ids resolve to nodes carrying that id, and the
+        // arena's id map matches the occupied slots exactly.
+        let cfg = SystemConfig {
+            nodes: 50,
+            rounds: 25,
+            churn: cs_overlay::ChurnConfig {
+                leave_fraction: 0.15,
+                join_fraction: 0.15,
+                graceful_fraction: 0.5,
+            },
+            ..tiny(SchedulerKind::ContinuStreaming, true, 14)
+        };
+        let mut sim = SystemSim::new(cfg);
+        for round in 0..25 {
+            sim.debug_step(round);
+            let occupied: usize = sim.nodes.slots.iter().filter(|s| s.is_some()).count();
+            assert_eq!(occupied, sim.nodes.by_id.len(), "round {round}");
+            for (&id, &slot) in &sim.nodes.by_id {
+                let node = sim.nodes.slots[slot as usize]
+                    .as_ref()
+                    .expect("mapped slot occupied");
+                assert_eq!(node.id, id, "round {round}: slot/id mismatch");
+                let r = sim.nodes.make_ref(id);
+                assert_eq!(sim.nodes.resolve(r), Some(NodeIdx(slot)));
+            }
+            assert!(sim.nodes.lookup(sim.source).is_some(), "source immortal");
+        }
+    }
+}

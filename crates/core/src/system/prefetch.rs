@@ -1,0 +1,489 @@
+//! Step 7 — the urgent line and Algorithm 2: active-set classification,
+//! the read-only planning half (sharded by node) and the serial
+//! execution half that runs the DHT retrievals in node order.
+
+use cs_dht::DhtId;
+use cs_net::{TrafficClass, TrafficCounter};
+use cs_obs::WorkerPhase;
+use cs_trace::derive_latency;
+
+use super::recovery::ControlFault;
+use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch};
+use super::{carve, shard_profiler, timed_shard, SystemSim};
+use crate::buffer::StreamBuffer;
+use crate::config::SystemConfig;
+use crate::policy::PolicyKind;
+use crate::retrieval::{retrieve_one_into, RetrievalSummary};
+use crate::urgent::PrefetchCheck;
+use crate::SegmentId;
+
+/// The urgent-line parameters the active policy grants a node at this
+/// anchor: `(fetch_cap, suppression_threshold, min_horizon)`. Legacy is
+/// the paper's fixed `N_miss > l` cutoff (cap == threshold == `l`,
+/// horizon 0 — which makes `decide_scaled_into` exactly `decide_into`);
+/// Adaptive scales all three with the runway deficit, with the probe
+/// clamped to the buffer window — a probe past `head + capacity` would
+/// make every successful fetch slide the window and evict still-unplayed
+/// segments (reachable with an oversized runway-target knob, or right
+/// after a backward seek re-anchored playback near the buffer head).
+/// The single implementation behind the planning path and the
+/// `CS_DEBUG_ROUNDS` dump, so the dump always reports the decisions the
+/// round actually makes.
+///
+/// `round`/`spawn_round` feed the joiner grace window
+/// ([`AdaptivePolicy::join_grace_rounds`]): inside it the node gets the
+/// full rescue envelope — `rescue_cap_max`, no Case-3 suppression, the
+/// whole runway-target horizon — because a catching-up joiner's window
+/// is *supposed* to be all holes, and the deficit-scaled throttle would
+/// read that as the systemic overload it exists to suppress. With the
+/// knob at 0 (the default) the grace branch is unreachable.
+pub(super) fn rescue_params(
+    config: &SystemConfig,
+    buffer: &StreamBuffer,
+    anchor: SegmentId,
+    p: u64,
+    round: u32,
+    spawn_round: u32,
+) -> (usize, usize, u64) {
+    match &config.policy {
+        PolicyKind::Legacy => (config.prefetch_cap, config.prefetch_cap, 0),
+        PolicyKind::Adaptive(ap) => {
+            let window = (buffer.head() + buffer.capacity()).saturating_sub(anchor);
+            if ap.in_join_grace(round, spawn_round) {
+                // The cap stays inside the scratch pre-sizing bound
+                // (`rescue_cap_max.max(prefetch_cap)`), so grace never
+                // regrows a plan's miss list.
+                return (
+                    ap.rescue_cap_max.max(config.prefetch_cap),
+                    usize::MAX / 2,
+                    ap.rescue_horizon(p.max(1)).min(window),
+                );
+            }
+            let deficit = ap.runway_deficit(buffer.contiguous_from(anchor), p.max(1));
+            (
+                ap.rescue_cap(config.prefetch_cap, deficit),
+                ap.suppression_threshold(config.prefetch_cap, deficit),
+                ap.rescue_horizon(p.max(1)).min(window),
+            )
+        }
+    }
+}
+
+/// The decision half of pre-fetch for one node: the urgent-line check,
+/// the Case-2 repeated scan against the round's snapshots, and the
+/// inbound budget. Reads only the owning node's state plus round-stable
+/// facts, so [`SystemSim::plan_prefetch_phase`] shards it across nodes.
+fn plan_prefetch(
+    nodes: &NodeArena,
+    config: &SystemConfig,
+    maps: &MapStore,
+    newest_emitted: SegmentId,
+    round: u32,
+    idx: NodeIdx,
+    plan: &mut PrefetchPlan,
+) {
+    plan.suppressed = false;
+    plan.missed.clear();
+    plan.repeated = 0;
+    plan.max_fetches = 0;
+    plan.cap = 0;
+    let node = nodes.node(idx);
+    if node.is_source {
+        return;
+    }
+    // Playing nodes guard their play point; buffering nodes guard the
+    // contiguity they need to *start* (this is how the pre-fetch
+    // "accelerates the streaming system's entering its stable phase",
+    // §5.4.1).
+    let anchor = node.next_play.or_else(|| node.buffer.iter().next());
+    let Some(anchor) = anchor else {
+        return;
+    };
+    let started = node.next_play.is_some();
+    let p = config.demand_per_round();
+    // Deficit-scaled rescue (the policy layer): under Adaptive the
+    // fetch cap, the Case-3 cutoff and the probe horizon all grow with
+    // the node's runway deficit, so a stressed swarm's rescue
+    // *throttles* to the cap instead of switching off for everyone at
+    // once — and holes start getting healed while they are still many
+    // rounds from their deadline. See [`rescue_params`].
+    let (cap, threshold, horizon) =
+        rescue_params(config, &node.buffer, anchor, p, round, node.spawn_round);
+    plan.cap = cap;
+    let check = node.urgent.decide_scaled_into(
+        &node.buffer,
+        anchor,
+        newest_emitted,
+        |_| false, // deliveries already committed this round
+        &mut plan.missed,
+        cap,
+        threshold,
+        horizon,
+    );
+    match check {
+        PrefetchCheck::NotTriggered => return,
+        PrefetchCheck::TooMany(_) => {
+            plan.suppressed = true;
+            return;
+        }
+        PrefetchCheck::Fetch => {}
+    }
+
+    // §4.3 Case 2 (repeated data), pull-model form: a predicted-missed
+    // segment that a connected neighbour still advertises — with its
+    // deadline at least one period away — could "still be got by the
+    // data scheduling algorithm before its deadline". The paper
+    // fetches it anyway and uses the repetition as the α-down signal;
+    // we do the same (skipping the fetch and trusting gossip turned
+    // out to strand segments whose pulls kept losing the budget race).
+    for &seg in &plan.missed {
+        let deadline_far = !started || seg >= anchor + p;
+        let neighbour_has = deadline_far
+            && node.connected.ids().any(|nref| {
+                nodes
+                    .resolve(nref)
+                    .and_then(|ni| maps.get(ni))
+                    .is_some_and(|m| m.contains(seg))
+            });
+        if neighbour_has {
+            plan.repeated += 1;
+        }
+    }
+    // Pre-fetch shares the inbound rate with the scheduler (§4.3); the
+    // adaptive policy's slack over-provision applies here too.
+    let base_room = node
+        .bandwidth
+        .inbound_segments_per_sec(config.segment_kbits)
+        * config.period_secs;
+    let inbound_room = node.inbound_carry + config.policy.provisioned_inbound(base_room);
+    plan.max_fetches = plan
+        .missed
+        .len()
+        .min(inbound_room.floor().max(0.0) as usize);
+}
+
+impl SystemSim {
+    /// The active-set classification for step 7 (pre-fetch), run *after*
+    /// step 6 because deliveries move α (Case-2 repetitions shrink the
+    /// urgent probe). The skip proof is exact — it reproduces the
+    /// `NotTriggered` outcome of `decide_scaled_into` without walking
+    /// the miss window: no anchor, an empty probe, or a fully buffered
+    /// probe range means [`plan_prefetch`] plans nothing and
+    /// [`Self::execute_prefetch`] is a counter-free no-op. Touch-stamped
+    /// nodes are force-planned. Returns the round's rescue-cap peak
+    /// (the classifier derives every anchored node's [`rescue_params`]
+    /// anyway, which is exactly the set whose planned caps the legacy
+    /// loop maxed over); 0 when the list was materialised dense (toggle
+    /// off or hysteresis) — `hot.prefetch_classified` then tells the
+    /// caller to take the peak from the planned caps as before.
+    pub(super) fn classify_prefetch(&mut self, round: u32, telemetry_on: bool) -> usize {
+        let hot = &mut self.hot;
+        let nodes = &self.nodes;
+        let config = &self.config;
+        hot.active_prefetch.clear();
+        if !config.active_set || u64::from(round) < hot.prefetch_dense_until {
+            hot.prefetch_classified = false;
+            for k in 0..self.order_idx.len() {
+                hot.active_prefetch.push(k as u32);
+            }
+            return 0;
+        }
+        hot.prefetch_classified = true;
+        let newest = self.newest_emitted;
+        let p = config.demand_per_round();
+        let mut cap_peak = 0usize;
+        let mut candidates = 0usize;
+        for k in 0..self.order_idx.len() {
+            let idx = self.order_idx[k];
+            let node = nodes.node(idx);
+            if node.is_source {
+                continue;
+            }
+            candidates += 1;
+            let touched = hot.is_touched(idx, node.birth, round);
+            let Some(anchor) = node.next_play.or_else(|| node.buffer.iter().next()) else {
+                if touched {
+                    hot.forced += 1;
+                    hot.active_prefetch.push(k as u32);
+                }
+                continue;
+            };
+            let (cap, _threshold, horizon) =
+                rescue_params(config, &node.buffer, anchor, p, round, node.spawn_round);
+            if telemetry_on {
+                cap_peak = cap_peak.max(cap);
+            }
+            let urgent_end = node.urgent.probe_end(anchor, newest, horizon);
+            if touched {
+                hot.forced += 1;
+            } else if urgent_end <= anchor || node.buffer.has_range(anchor, urgent_end - anchor) {
+                continue;
+            }
+            hot.active_prefetch.push(k as u32);
+        }
+        if hot.active_prefetch.len() * 8 >= candidates * 7 {
+            hot.prefetch_dense_until = u64::from(round) + 8;
+        }
+        cap_peak
+    }
+
+    /// Step 7, decision half: plan every active node's urgent-line
+    /// outcome. The (ascending) active list is cut into
+    /// [`SystemConfig::parallel_threads`] contiguous runs for
+    /// [`cs_sim::fork_join`]; each run owns a disjoint subslice of the
+    /// k-indexed plan table — same discipline as
+    /// [`Self::plan_service_phase`]'s slot sharding.
+    pub(super) fn plan_prefetch_phase(&self, round: u32, scratch: &mut RoundScratch) {
+        let n = self.order_idx.len();
+        if scratch.prefetch_plans.len() < n {
+            // Pre-size each plan's miss list to the widest cap the
+            // policy can grant, so a node hitting a new deficit
+            // high-water mid-run never regrows it (zero-alloc pin).
+            let cap_max = match &self.config.policy {
+                PolicyKind::Legacy => self.config.prefetch_cap,
+                PolicyKind::Adaptive(ap) => ap.rescue_cap_max.max(self.config.prefetch_cap),
+            };
+            scratch.prefetch_plans.resize_with(n, || PrefetchPlan {
+                missed: Vec::with_capacity(cap_max),
+                ..PrefetchPlan::default()
+            });
+        }
+        // Only the active list is planned; a skipped node's stale plan
+        // is never read (the execute loop walks the same list).
+        let targets: &[u32] = &self.hot.active_prefetch;
+        let nodes = &self.nodes;
+        let config = &self.config;
+        let maps = &scratch.maps;
+        let newest = self.newest_emitted;
+        let order_idx = &self.order_idx;
+        let workers = config.parallel_threads.unwrap_or(1);
+        let chunk = targets.len().div_ceil(workers).max(1);
+        let prof = shard_profiler(&self.obs, targets.len().div_ceil(chunk));
+        let mut rest_plans: &mut [PrefetchPlan] = &mut scratch.prefetch_plans[..n];
+        let mut consumed = 0usize;
+        let shards = targets.chunks(chunk).map(|ks| {
+            let first = ks[0] as usize;
+            let last = ks[ks.len() - 1] as usize;
+            let plans = carve(&mut rest_plans, &mut consumed, first, last + 1);
+            (ks, plans, first)
+        });
+        cs_sim::fork_join(shards, |_, (ks, plans, first)| {
+            timed_shard(prof, WorkerPhase::PrefetchPlan, || {
+                for &k in ks {
+                    plan_prefetch(
+                        nodes,
+                        config,
+                        maps,
+                        newest,
+                        round,
+                        order_idx[k as usize],
+                        &mut plans[k as usize - first],
+                    );
+                }
+            })
+        });
+    }
+
+    /// One Algorithm 2 lookup: route `seg`'s replica positions over the
+    /// DHT on behalf of `requester_id` and pick a supplier among the
+    /// holders with outbound budget left this round. Accounts the
+    /// routing traffic and lazily repairs the DHT — routing just
+    /// contacted the located nodes, so any crashed one among them is
+    /// detected now and evicted from the routing tables. The located
+    /// list stays in `scratch.retrieval`. With `shun_evicted` (recovery
+    /// retries) a supplier under eviction is treated as having nothing
+    /// to give, so selection fails over to the next-best replica holder.
+    pub(super) fn dht_retrieve(
+        &mut self,
+        requester_id: DhtId,
+        seg: SegmentId,
+        shun_evicted: bool,
+        scratch: &mut RoundScratch,
+        traffic: &mut TrafficCounter,
+    ) -> RetrievalSummary {
+        // Split borrows: the DHT is mutated by routing; node state, the
+        // eviction list and the outbound ledger are read through
+        // disjoint fields.
+        let outcome = {
+            let nodes = &self.nodes;
+            let config = &self.config;
+            let faults = &self.faults;
+            let spent = &scratch.outbound_spent;
+            let latency = |a: DhtId, b: DhtId| nodes.latency(a, b);
+            let has_backup = |n: DhtId, s: SegmentId| {
+                nodes.lookup(n).is_some_and(|i| nodes.node(i).backup.has(s))
+            };
+            let available_rate = |n: DhtId| {
+                if shun_evicted && faults.evicted(n) {
+                    return 0.0;
+                }
+                nodes
+                    .lookup(n)
+                    .map(|i| {
+                        let cap = nodes
+                            .node(i)
+                            .bandwidth
+                            .outbound_segments_per_sec(config.segment_kbits);
+                        let used = spent.get(i.0 as usize).copied().unwrap_or(0.0);
+                        (cap - used).max(0.0)
+                    })
+                    .unwrap_or(0.0)
+            };
+            // UDP direct download at the supplier's outbound share.
+            let transfer_ms = config.segment_kbits / 450.0 * 1000.0;
+            retrieve_one_into(
+                &mut self.dht,
+                requester_id,
+                seg,
+                &latency,
+                &has_backup,
+                &available_rate,
+                config.replicas,
+                transfer_ms,
+                &mut scratch.retrieval,
+            )
+        };
+        traffic.add(
+            TrafficClass::PrefetchRouting,
+            outcome.routing_messages as u64 * self.sizes.routing_message_bits,
+        );
+        if self.faults.crashed_any {
+            self.repair_stale_routes(&scratch.retrieval.located);
+        }
+        outcome
+    }
+
+    /// Land `seg` at node `idx` outside the gossip service path (rescue
+    /// fetch, recovery retry, source push or seed): buffer it, count the
+    /// inflow, and offer it to the node's VoD backup store.
+    pub(super) fn receive_direct(&mut self, idx: NodeIdx, id: DhtId, seg: SegmentId) {
+        let successor = self.believed_successor(id);
+        let node = self.nodes.node_mut(idx);
+        node.buffer.insert(seg);
+        node.round_inflow += 1;
+        node.backup.maybe_store(seg, successor);
+    }
+
+    /// Step 7, execution half for one node: apply the planned α-down
+    /// signals, then run Algorithm 2 retrievals for the planned missed
+    /// segments. Mutates shared state (DHT tables, the outbound-spend
+    /// ledger, backups), so it always runs serially in node order.
+    /// Returns `(attempts, successes, overdue, suppressed, repeated,
+    /// routing_msgs)`.
+    pub(super) fn execute_prefetch(
+        &mut self,
+        idx: NodeIdx,
+        k: usize,
+        round: u32,
+        scratch: &mut RoundScratch,
+        traffic: &mut TrafficCounter,
+    ) -> (u32, u32, u32, u32, u32, u64) {
+        if scratch.prefetch_plans[k].suppressed {
+            return (0, 0, 0, 1, 0, 0);
+        }
+        let repeated = scratch.prefetch_plans[k].repeated;
+        let max_fetches = scratch.prefetch_plans[k].max_fetches;
+        for _ in 0..repeated {
+            self.nodes.node_mut(idx).urgent.on_repeated();
+        }
+        if scratch.prefetch_plans[k].missed.is_empty() {
+            return (0, 0, 0, 0, repeated, 0);
+        }
+        let (requester_id, anchor, started) = {
+            let node = self.nodes.node(idx);
+            // Unchanged since the plan was computed (only this node's own
+            // execution mutates them): same anchor the plan used.
+            let anchor = node
+                .next_play
+                .or_else(|| node.buffer.iter().next())
+                .expect("planned node had an anchor");
+            (node.id, anchor, node.next_play.is_some())
+        };
+        let p = self.config.demand_per_round();
+
+        let mut attempts = 0u32;
+        let mut successes = 0u32;
+        let mut overdue = 0u32;
+        let mut routing_msgs = 0u64;
+        let period_ms = self.config.period_secs * 1000.0;
+        let source_cap = self
+            .config
+            .policy
+            .as_adaptive()
+            .map_or(0, |pol| pol.source_rescue_cap);
+        let mut source_fallbacks = 0usize;
+
+        for mi in 0..max_fetches {
+            let seg = scratch.prefetch_plans[k].missed[mi];
+            attempts += 1;
+            let outcome = self.dht_retrieve(requester_id, seg, false, scratch, traffic);
+            routing_msgs += outcome.routing_messages as u64;
+            // The requester overhears every node its lookups reached
+            // (the located list stayed in the retrieval scratch).
+            {
+                let local_ping = self.nodes.node(idx).ping_ms;
+                for li in 0..scratch.retrieval.located.len() {
+                    let l = scratch.retrieval.located[li];
+                    if l != requester_id {
+                        let lref = self.nodes.make_ref(l);
+                        let lat = derive_latency(local_ping, self.nodes.ping_of(l));
+                        self.nodes.node_mut(idx).overheard.record(lref, lat);
+                    }
+                }
+            }
+            let fetch_ms = if let Some(supplier) = outcome.supplier {
+                // Fault plane: the rescue fetch rides the control path —
+                // it can be swallowed outright or delayed past its
+                // deadline.
+                let mut extra_delay_ms = 0.0;
+                if self.faults.active {
+                    match self.control_fetch_fault(round, requester_id, supplier) {
+                        ControlFault::Lost => {
+                            self.note_lost_pull(round, requester_id, seg, Some(supplier));
+                            continue;
+                        }
+                        ControlFault::Delayed(ms) => extra_delay_ms = ms,
+                        ControlFault::None => {}
+                    }
+                }
+                traffic.add(TrafficClass::PrefetchData, self.sizes.segment_bits);
+                if let Some(sup_idx) = self.nodes.lookup(supplier) {
+                    scratch.add_spent(sup_idx, 1.0 / self.config.period_secs);
+                }
+                self.receive_direct(idx, requester_id, seg);
+                outcome.fetch_latency_ms.unwrap_or(period_ms) + extra_delay_ms
+            } else if source_fallbacks < source_cap {
+                // No replica holds the segment at all. Origin fallback:
+                // re-seed the copy from the source so the gossip plane
+                // can re-amplify it (see [`Self::source_fetch`]).
+                source_fallbacks += 1;
+                routing_msgs += 1;
+                match self.source_fetch(round, idx, requester_id, seg, scratch, traffic) {
+                    Some(fetch_ms) => fetch_ms,
+                    None => continue,
+                }
+            } else {
+                continue;
+            };
+            successes += 1;
+            // Deadline: the start of the round in which `seg` plays.
+            // Buffering nodes have no deadline yet.
+            let deadline_ms = if !started {
+                f64::INFINITY
+            } else if seg < anchor + p {
+                0.0 // needed this very round: always late
+            } else {
+                ((seg - anchor) / p) as f64 * period_ms
+            };
+            let node = self.nodes.node_mut(idx);
+            node.prefetch_tags.insert(seg, round);
+            if fetch_ms > deadline_ms.max(f64::EPSILON) && deadline_ms < period_ms {
+                // Case 1: arrived after (or perilously at) its
+                // deadline round.
+                node.urgent.on_overdue();
+                overdue += 1;
+            }
+        }
+        (attempts, successes, overdue, 0, repeated, routing_msgs)
+    }
+}

@@ -1,0 +1,615 @@
+//! Step 5 — data scheduling: the exchange window, one node's pull plan
+//! (Algorithm 1 and the baselines over the snapshotted maps), the
+//! active-set classification, and the sharded plan / serial apply phase.
+
+use cs_obs::WorkerPhase;
+use cs_sim::SimRng;
+
+use super::state::{
+    HotState, MapStore, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
+    SchedScratch, SchedShard,
+};
+use super::{shard_profiler, timed_shard, SystemSim};
+use crate::buffer::StreamBuffer;
+use crate::config::{SchedulerKind, SystemConfig};
+use crate::policy::PolicyKind;
+use crate::priority::{PriorityPolicy, PriorityTerms};
+use crate::scheduler::{
+    schedule_coolstreaming_into, schedule_greedy_into, schedule_random_into, sort_candidates,
+    Assignment, ScheduleContext, SegmentCandidate,
+};
+use crate::SegmentId;
+
+/// Nodes one shard plans between two serial apply passes of step 5.
+/// Planning in blocks bounds each shard's plan arena — and keeps a plan
+/// cache-hot until it is applied — independently of the overlay size
+/// (at 100k nodes a whole round's assignments run to tens of MiB).
+const SCHED_BLOCK: usize = 512;
+
+/// The scheduler's exchange window at a given play anchor:
+/// `(window_end, occupancy)`. Pulls focus on segments within a couple of
+/// buffering delays of the play point — spending inbound budget on
+/// far-future segments starves near-deadline ones (the failure the §4.2
+/// urgency term exists to avoid; real CoolStreaming bounds its exchange
+/// window the same way). Under the adaptive policy the lookahead widens
+/// as window occupancy drops (see [`crate::policy`]); Legacy keeps the
+/// fixed window and reports occupancy 1.0.
+///
+/// The single implementation behind [`plan_node`] and the active-set
+/// classifier ([`SystemSim::classify_sched`]) — the window-complete skip
+/// proof is only sound while both read the same bounds.
+pub(super) fn exchange_window(
+    config: &SystemConfig,
+    buffer: &StreamBuffer,
+    play_anchor: SegmentId,
+    newest_emitted: SegmentId,
+) -> (SegmentId, f64) {
+    let p = config.demand_per_round();
+    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
+    let (lookahead, occupancy) = match &config.policy {
+        PolicyKind::Legacy => (legacy_lookahead, 1.0),
+        PolicyKind::Adaptive(ap) => {
+            let legacy_end = (newest_emitted + 1)
+                .min(play_anchor + legacy_lookahead)
+                .min(play_anchor + config.buffer_size);
+            let occ = if legacy_end > play_anchor {
+                let held = buffer.count_range(play_anchor, legacy_end);
+                held as f64 / (legacy_end - play_anchor) as f64
+            } else {
+                1.0
+            };
+            (ap.lookahead(legacy_lookahead, occ), occ)
+        }
+    };
+    let window_end = (newest_emitted + 1)
+        .min(play_anchor + lookahead)
+        .min(play_anchor + config.buffer_size);
+    (window_end, occupancy)
+}
+
+/// The requester's estimate of supplier `s`'s sending rate `R(j)`:
+/// the larger of the observed delivery EWMA and the supplier's
+/// advertised per-neighbour outbound share. Without the advertised
+/// component, a neighbour that was never asked decays to an estimated
+/// rate of zero and is then never asked — a death spiral the real
+/// Rate Controller avoids by knowing the peer's advertised bandwidth
+/// (Figure 2 carries it in the Peer Table).
+fn supplier_rate_estimate(
+    nodes: &NodeArena,
+    config: &SystemConfig,
+    requester: &NodeSim,
+    s: PeerRef,
+) -> f64 {
+    let observed = requester.rate.rate(s);
+    let outbound = nodes
+        .resolve(s)
+        .map(|ni| {
+            nodes
+                .node(ni)
+                .bandwidth
+                .outbound_segments_per_sec(config.segment_kbits)
+        })
+        .unwrap_or(0.0);
+    let advertised_share = outbound / config.neighbors as f64;
+    // The estimate can never exceed what the supplier could physically
+    // send even with no other requester; without this cap the
+    // multiplicative probe inflates until every pull piles onto one
+    // neighbour.
+    observed.max(advertised_share).min(outbound.max(0.01))
+}
+
+/// Compute one node's pull schedule from its neighbours' snapshotted
+/// maps. Pure read over the arena and the exchange snapshots (apart from
+/// `sched`, which is this pass's scratch, and the optional RNG for the
+/// Random scheduler) — which is what lets
+/// [`SystemSim::run_schedule_phase`] shard it across threads. Returns the node's new inbound carry; the
+/// assignments are left in `sched.assignments`.
+///
+/// `hot` is the active-set classifier's cache: when it proved this node
+/// active *this round* it already derived the anchor and exchange
+/// window, and the guarded reuse below skips re-deriving them. `None`
+/// recomputes everything locally.
+#[allow(clippy::too_many_arguments)]
+fn plan_node(
+    nodes: &NodeArena,
+    config: &SystemConfig,
+    maps: &MapStore,
+    newest_emitted: SegmentId,
+    idx: NodeIdx,
+    round: u32,
+    sched: &mut SchedScratch,
+    rng: Option<&mut SimRng>,
+    hot: Option<&HotState>,
+) -> f64 {
+    let p = config.demand_per_round();
+    let node = nodes.node(idx);
+    let node_id = node.id;
+    sched.assignments.clear();
+
+    let play_anchor = node
+        .next_play
+        .or_else(|| node.buffer.iter().next())
+        .unwrap_or_else(|| {
+            // Nothing buffered yet: aim at the oldest segment any
+            // neighbour still holds (bounded below by 1).
+            node.connected
+                .ids()
+                .filter_map(|nref| {
+                    nodes
+                        .resolve(nref)
+                        .and_then(|ni| maps.get(ni))
+                        .and_then(|m| m.iter().next())
+                })
+                .min()
+                .unwrap_or(1)
+        });
+    // The exchange window (see [`exchange_window`]); the occupancy
+    // feeds the adaptive policy's rarity bias below. When the
+    // active-set classifier already derived this node's anchor and
+    // window this round, reuse them — guarded by round stamp, arena
+    // birth and anchor equality, so a stale or fallback-anchor cache
+    // entry is simply recomputed.
+    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
+    let cached = hot.and_then(|h| {
+        let s = idx.0 as usize;
+        (s < h.stamp.len()
+            && h.stamp[s] == u64::from(round) + 1
+            && h.birth[s] == node.birth
+            && h.anchor[s] == play_anchor)
+            .then(|| (h.window_end[s], h.occupancy[s]))
+    });
+    let (window_end, occupancy) = cached
+        .unwrap_or_else(|| exchange_window(config, &node.buffer, play_anchor, newest_emitted));
+
+    // Gather fresh candidates from all connected neighbours into the
+    // window slots (per-offset supplier lists, lazily cleared via the
+    // generation counter).
+    sched.nbrs.clear();
+    sched.nbrs.extend(node.connected.ids());
+    sched.nbrs.sort_unstable();
+    sched.gen += 1;
+    let gen = sched.gen;
+    sched.touched.clear();
+    // Sized to the window's *cap*, not its current width: the width
+    // creeps toward the cap as the play gap drifts, and sizing to the
+    // cap up front keeps that creep from re-growing the scratch for
+    // hundreds of rounds. Each offset's supplier list is bounded by the
+    // connected-neighbour count, so pre-sizing it means first touches of
+    // deep offsets don't allocate either (the zero-alloc assertion pins
+    // both). Under the adaptive policy the cap is the *widest* window
+    // the policy can ask for, so occupancy-driven widening mid-run
+    // never re-grows the scratch.
+    let wcap = match &config.policy {
+        PolicyKind::Legacy => legacy_lookahead,
+        PolicyKind::Adaptive(ap) => ap.max_lookahead(legacy_lookahead),
+    }
+    .min(config.buffer_size) as usize;
+    if sched.window.len() < wcap {
+        let m = config.neighbors;
+        sched
+            .window
+            .resize_with(wcap, || (0, Vec::with_capacity(m)));
+    }
+    for ni in 0..sched.nbrs.len() {
+        let nref = sched.nbrs[ni];
+        let Some(nidx) = nodes.resolve(nref) else {
+            continue;
+        };
+        let Some(map) = maps.get(nidx) else { continue };
+        for seg in map.fresh_for(&node.buffer, play_anchor, window_end) {
+            let off = (seg - play_anchor) as usize;
+            let slot = &mut sched.window[off];
+            if slot.0 != gen {
+                slot.0 = gen;
+                slot.1.clear();
+                sched.touched.push(off as u32);
+            }
+            slot.1.push(nref);
+        }
+    }
+    if sched.touched.is_empty() {
+        // No fresh segment anywhere: like the pre-arena implementation,
+        // the inbound carry is left untouched for this round.
+        return node.inbound_carry;
+    }
+    sched.touched.sort_unstable();
+
+    // Per-neighbour rate estimates, computed once (they depend only on
+    // the supplier) and reused for every candidate below and for the
+    // scheduler context.
+    sched.rates.clear();
+    for ni in 0..sched.nbrs.len() {
+        let s = sched.nbrs[ni];
+        sched
+            .rates
+            .push((s, supplier_rate_estimate(nodes, config, node, s)));
+    }
+    let rate_of = |rates: &[(PeerRef, f64)], s: PeerRef| -> f64 {
+        rates
+            .iter()
+            .find(|(k, _)| *k == s)
+            .map(|(_, r)| *r)
+            .expect("candidate suppliers are connected neighbours")
+    };
+
+    // Priorities, in ascending segment order (deterministic regardless of
+    // neighbour iteration, which also makes the Random scheduler's
+    // shuffle reproducible across processes).
+    let policy = match config.scheduler {
+        SchedulerKind::ContinuStreaming => PriorityPolicy::UrgencyRarity,
+        SchedulerKind::CoolStreaming => PriorityPolicy::RarestFirst,
+        SchedulerKind::Random => PriorityPolicy::Uniform,
+        SchedulerKind::GreedyWithPolicy(p) => p,
+    };
+    for c in sched.candidates.drain(..) {
+        let mut v = c.suppliers;
+        v.clear();
+        sched.spare.push(v);
+    }
+    for ti in 0..sched.touched.len() {
+        let off = sched.touched[ti] as usize;
+        let seg = play_anchor + off as u64;
+        let (max_rate, rarity_product) = {
+            let suppliers = &sched.window[off].1;
+            let mut max_rate = 0.0f64;
+            let mut rarity_product = 1.0f64;
+            for &s in suppliers {
+                max_rate = max_rate.max(rate_of(&sched.rates, s));
+                let prob = nodes
+                    .resolve(s)
+                    .and_then(|ni| maps.get(ni))
+                    .expect("supplier advertised a map this round")
+                    .replacement_probability(seg);
+                rarity_product *= prob;
+            }
+            (max_rate, rarity_product)
+        };
+        let terms = PriorityTerms {
+            id: seg,
+            play_id: play_anchor,
+            playback_rate: p as f64,
+            max_rate,
+            rarity_product,
+            supplier_count: sched.window[off].1.len(),
+        };
+        // Per-(node, segment) deterministic jitter, sized to
+        // dominate the rarity band (0..1) but not genuine urgency
+        // (> 1 once a deadline is inside ~1 s): neighbours that
+        // compute identical priorities pull identical segments in
+        // identical order, holdings synchronise, and the
+        // intra-neighbourhood trading that makes swarming work
+        // dies. Within the non-urgent bulk the order is therefore
+        // diversified per node; near-deadline segments still beat
+        // everything. The A1 ablation bench quantifies this.
+        let jitter = 1.0
+            * (cs_sim::splitmix64(node_id ^ seg.wrapping_mul(0x9E37_79B9)) as f64
+                / u64::MAX as f64);
+        // Below the policy's occupancy floor the adaptive policy adds a
+        // bounded rarity bonus on top of the jitter: candidates few
+        // neighbours advertise are pulled preferentially, re-creating
+        // the holdings diversity that neighbourhood trading needs —
+        // while the per-node jitter keeps neighbouring pull orders
+        // decorrelated (replacing the jitter with a shared rarity rank
+        // synchronises them and accelerates the spiral).
+        let priority = match &config.policy {
+            PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
+            PolicyKind::Adaptive(ap) => {
+                policy.evaluate_terms(&terms)
+                    + jitter
+                    + ap.rarity_bonus(occupancy, terms.supplier_count)
+            }
+        };
+        let mut suppliers = sched.spare.pop().unwrap_or_default();
+        suppliers.clear();
+        suppliers.extend_from_slice(&sched.window[off].1);
+        sched.candidates.push(SegmentCandidate {
+            id: seg,
+            priority,
+            suppliers,
+        });
+    }
+
+    // Inbound budget with carry. The adaptive policy over-provisions
+    // the per-round allotment by the slack fraction (the steady-state
+    // slack knob: a budget exactly equal to demand lets every
+    // inefficiency compound into permanent holes).
+    let base_budget = node
+        .bandwidth
+        .inbound_segments_per_sec(config.segment_kbits)
+        * config.period_secs;
+    let budget_f = config.policy.provisioned_inbound(base_budget) + node.inbound_carry;
+    let budget = budget_f.floor().max(0.0) as u32;
+    let new_carry = (budget_f - budget as f64).clamp(0.0, 1.0);
+
+    let mut ctx = ScheduleContext {
+        inbound_budget: budget,
+        period_secs: config.period_secs,
+        supplier_rates: std::mem::take(&mut sched.rates),
+        deadline_cutoff: node.next_play.map(|np| np + 2 * p),
+    };
+    match config.scheduler {
+        SchedulerKind::CoolStreaming => schedule_coolstreaming_into(
+            &sched.candidates,
+            &ctx,
+            &mut sched.algo,
+            &mut sched.assignments,
+        ),
+        SchedulerKind::Random => schedule_random_into(
+            &sched.candidates,
+            &ctx,
+            rng.expect("Random scheduling always plans as one shard"),
+            &mut sched.algo,
+            &mut sched.assignments,
+        ),
+        SchedulerKind::ContinuStreaming => {
+            // Bounded-rescue ordering: urgent candidates (deadline
+            // pressure has pushed their priority above the rarity
+            // band) are capped at a fraction of the budget; the rest
+            // of the order is the diversified rarity ranking. See
+            // `SystemConfig::rescue_budget_fraction`.
+            sort_candidates(&mut sched.candidates);
+            // Catch-up grace: a node that just joined (or just started
+            // playing) is *supposed* to spend its whole budget near
+            // its play point; the rescue cap only binds in steady
+            // state. `join_grace_rounds` can lengthen the window (it
+            // never shortens below the 6 rounds the cliff fix
+            // hard-wired, so the knob at 0 is bit-identical).
+            let grace_rounds = config
+                .policy
+                .as_adaptive()
+                .map_or(6, |ap| ap.join_grace_rounds.max(6));
+            let in_grace = round < node.spawn_round + grace_rounds;
+            let rescue_cap = if in_grace {
+                budget as usize
+            } else {
+                ((budget as f64 * config.rescue_budget_fraction).floor() as usize).max(1)
+            };
+            let split = sched
+                .candidates
+                .iter()
+                .position(|c| c.priority <= 1.0)
+                .unwrap_or(sched.candidates.len());
+            if split > rescue_cap {
+                // Keep the `rescue_cap` most urgent, then the normal
+                // band; urgent overflow goes to the back of the line
+                // (it will usually miss — that is the pre-fetcher's
+                // problem, not worth starving dissemination for).
+                // [A|B|C] → [A|C|B] is a rotation of the tail.
+                sched.candidates[rescue_cap..].rotate_left(split - rescue_cap);
+            }
+            schedule_greedy_into(
+                &sched.candidates,
+                &ctx,
+                &mut sched.algo,
+                &mut sched.assignments,
+            )
+        }
+        SchedulerKind::GreedyWithPolicy(_) => {
+            sort_candidates(&mut sched.candidates);
+            schedule_greedy_into(
+                &sched.candidates,
+                &ctx,
+                &mut sched.algo,
+                &mut sched.assignments,
+            )
+        }
+    };
+    sched.rates = std::mem::take(&mut ctx.supplier_rates);
+    new_carry
+}
+
+impl SystemSim {
+    /// Dark-neighbourhood test: every connected neighbour is either dead
+    /// (resolves to nothing) or advertised an *empty* buffer map this
+    /// round. [`plan_node`]'s candidate gather then provably yields
+    /// nothing — dead refs are skipped and empty maps have no fresh
+    /// segments at any anchor — so the node early-returns with its carry
+    /// untouched. Anchor-independent, which is what lets it skip the
+    /// still-buffering startup wave at 100k nodes.
+    fn dark_neighbourhood(hot: &HotState, nodes: &NodeArena, node: &NodeSim) -> bool {
+        node.connected.ids().all(|nref| match nodes.resolve(nref) {
+            None => true,
+            Some(ni) => hot.map_empty[ni.0 as usize],
+        })
+    }
+
+    /// The active-set classification for step 5 (scheduling): one cheap
+    /// O(alive) sweep that proves which nodes' planning pass would be a
+    /// no-op and builds `hot.active_sched` from the rest. Two exact skip
+    /// proofs, both evaluated fresh against live state (nothing mutates
+    /// buffers between this sweep and step 5):
+    ///
+    /// * **window-complete** — the node's exchange window is empty or
+    ///   fully buffered, so the gather over `fresh_for` yields no
+    ///   candidate at any neighbour;
+    /// * **dark neighbourhood** — see [`Self::dark_neighbourhood`].
+    ///
+    /// A skipped node's `plan_node` would hit the no-candidate early
+    /// return (before any rate estimate, budget math or RNG draw — the
+    /// Random scheduler's stream is untouched) and its `apply_plan`
+    /// would rewrite an unchanged carry: bit-identical to not running
+    /// either. Touch-stamped nodes are force-planned regardless (pure
+    /// conservatism). Along the way the sweep caches each anchored
+    /// node's `(anchor, window_end, occupancy)` for [`plan_node`] to
+    /// reuse. With the toggle off — or while the dense-round hysteresis
+    /// holds (the last probe found almost nothing skippable) —
+    /// materialises every alive non-source node so the phase loops have
+    /// a single shape.
+    pub(super) fn classify_sched(&mut self, round: u32) {
+        self.hot.ensure(self.nodes.slot_count());
+        let hot = &mut self.hot;
+        let nodes = &self.nodes;
+        let config = &self.config;
+        hot.active_sched.clear();
+        hot.forced = 0;
+        if !config.active_set || u64::from(round) < hot.sched_dense_until {
+            for k in 0..self.order_idx.len() {
+                if !nodes.node(self.order_idx[k]).is_source {
+                    hot.active_sched.push(k as u32);
+                }
+            }
+            return;
+        }
+        let newest = self.newest_emitted;
+        let stamp = u64::from(round) + 1;
+        let mut candidates = 0usize;
+        for k in 0..self.order_idx.len() {
+            let idx = self.order_idx[k];
+            let node = nodes.node(idx);
+            if node.is_source {
+                continue;
+            }
+            candidates += 1;
+            let s = idx.0 as usize;
+            let touched = hot.is_touched(idx, node.birth, round);
+            if touched {
+                hot.forced += 1;
+            }
+            match node.next_play.or_else(|| node.buffer.iter().next()) {
+                Some(anchor) => {
+                    let (window_end, occupancy) =
+                        exchange_window(config, &node.buffer, anchor, newest);
+                    hot.stamp[s] = stamp;
+                    hot.birth[s] = node.birth;
+                    hot.anchor[s] = anchor;
+                    hot.window_end[s] = window_end;
+                    hot.occupancy[s] = occupancy;
+                    if !touched {
+                        let complete = window_end <= anchor
+                            || node.buffer.has_range(anchor, window_end - anchor);
+                        if complete || Self::dark_neighbourhood(hot, nodes, node) {
+                            continue;
+                        }
+                    }
+                }
+                None => {
+                    // No local anchor: the fallback anchor depends on
+                    // neighbour maps, so nothing is cached for reuse.
+                    hot.stamp[s] = stamp;
+                    hot.birth[s] = node.birth;
+                    hot.anchor[s] = u64::MAX;
+                    if !touched && Self::dark_neighbourhood(hot, nodes, node) {
+                        continue;
+                    }
+                }
+            }
+            hot.active_sched.push(k as u32);
+        }
+        // Probe verdict: under 1/8 skippable ⇒ the sweep isn't paying
+        // for itself; go dense and re-probe in eight rounds.
+        if hot.active_sched.len() * 8 >= candidates * 7 {
+            hot.sched_dense_until = u64::from(round) + 8;
+        }
+    }
+
+    /// Step 5: plan every active node's pulls against the snapshotted
+    /// maps, then apply (request accounting + queueing at suppliers).
+    /// Planning is a pure read, so each block of the (ascending) active
+    /// list is cut into [`SystemConfig::parallel_threads`] contiguous
+    /// shards for [`cs_sim::fork_join`], each planning into its own
+    /// persistent [`SchedShard`]; application is always serial, shard by
+    /// shard — i.e. in node order — so the result is the same at any
+    /// shard count.
+    pub(super) fn run_schedule_phase(&mut self, round: u32, scratch: &mut RoundScratch) {
+        // Both taken out for the phase (their slots hold empty Vecs
+        // meanwhile) so `apply_plan`'s `&mut self` / `&mut scratch` don't
+        // conflict; restored below for the telemetry read and next round.
+        let targets = std::mem::take(&mut self.hot.active_sched);
+        let mut shards = std::mem::take(&mut scratch.sched_shards);
+        // The Random scheduler draws from the shared RNG while planning,
+        // so it always plans as one shard (which gets the stream).
+        let is_random = matches!(self.config.scheduler, SchedulerKind::Random);
+        let workers = if is_random {
+            1
+        } else {
+            self.config.parallel_threads.unwrap_or(1)
+        };
+        if shards.len() < workers {
+            shards.resize_with(workers, SchedShard::default);
+        }
+        for block in targets.chunks(workers * SCHED_BLOCK) {
+            let chunk = block.len().div_ceil(workers);
+            {
+                let nodes = &self.nodes;
+                let config = &self.config;
+                let maps = &scratch.maps;
+                let newest = self.newest_emitted;
+                let order_idx = &self.order_idx;
+                let hot = &self.hot;
+                let prof = shard_profiler(&self.obs, block.len().div_ceil(chunk));
+                let mut rng = is_random.then_some(&mut self.sched_rng);
+                cs_sim::fork_join(
+                    shards
+                        .iter_mut()
+                        .zip(block.chunks(chunk))
+                        .map(|(shard, ks)| (shard, ks, rng.take())),
+                    |_, (shard, ks, mut rng)| {
+                        timed_shard(prof, WorkerPhase::Schedule, || {
+                            shard.assignments.clear();
+                            shard.plans.clear();
+                            for &k in ks {
+                                let carry = plan_node(
+                                    nodes,
+                                    config,
+                                    maps,
+                                    newest,
+                                    order_idx[k as usize],
+                                    round,
+                                    &mut shard.sched,
+                                    rng.as_deref_mut(),
+                                    Some(hot),
+                                );
+                                shard
+                                    .assignments
+                                    .extend_from_slice(&shard.sched.assignments);
+                                shard.plans.push((shard.assignments.len() as u32, carry));
+                            }
+                        })
+                    },
+                );
+            }
+            for (shard, ks) in shards.iter().zip(block.chunks(chunk)) {
+                let mut start = 0usize;
+                for (&k, &(end, carry)) in ks.iter().zip(&shard.plans) {
+                    let end = end as usize;
+                    let idx = self.order_idx[k as usize];
+                    self.apply_plan(idx, carry, &shard.assignments[start..end], scratch);
+                    start = end;
+                }
+            }
+        }
+        scratch.sched_shards = shards;
+        self.hot.active_sched = targets;
+    }
+
+    /// Apply one node's plan: update the inbound carry, account the
+    /// requests in the Rate Controller, queue them at the suppliers.
+    fn apply_plan(
+        &mut self,
+        idx: NodeIdx,
+        new_carry: f64,
+        assignments: &[Assignment<PeerRef>],
+        scratch: &mut RoundScratch,
+    ) {
+        let node_id = {
+            let node = self.nodes.node_mut(idx);
+            node.inbound_carry = new_carry;
+            node.id
+        };
+        for &a in assignments {
+            self.nodes.node_mut(idx).rate.record_request(a.supplier);
+            let sup_slot = self
+                .nodes
+                .resolve(a.supplier)
+                .expect("scheduled suppliers are alive this round");
+            scratch.push_request(PullRequest {
+                requester: idx,
+                requester_id: node_id,
+                segment: a.segment,
+                priority: a.priority,
+                supplier_slot: sup_slot.0,
+                accepted: false,
+            });
+        }
+    }
+}

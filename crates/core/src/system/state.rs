@@ -1,0 +1,652 @@
+//! The simulator's data layout: the dense node arena, the persistent
+//! per-round scratch, and the active-set hot state. Types only — every
+//! phase that reads or mutates them lives in a sibling module.
+
+use std::collections::HashMap;
+
+use cs_dht::DhtId;
+use cs_net::NodeBandwidth;
+use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
+use cs_trace::derive_latency;
+
+use crate::backup::VodBackupStore;
+use crate::buffer::{BufferMap, StreamBuffer};
+use crate::rate::RateController;
+use crate::retrieval::RetrievalScratch;
+use crate::scheduler::{Assignment, SchedulerScratch, SegmentCandidate};
+use crate::urgent::UrgentLine;
+use crate::SegmentId;
+
+/// Dense handle into the node arena. Plain slot index — the arena's
+/// free-list may reuse slots across churn, so a bare `NodeIdx` is only
+/// meaningful while the node it was created for is alive; longer-lived
+/// references use [`PeerRef`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(super) struct NodeIdx(pub(super) u32);
+
+pub(super) const INVALID_SLOT: u32 = u32::MAX;
+
+/// A peer handle: `DhtId` identity plus a cached arena slot.
+///
+/// Equality and ordering are **by id only** — the slot is a lookup
+/// accelerator that may go stale under churn (the arena re-resolves it
+/// through the id map when it does). This makes every comparison and
+/// tie-break behave exactly like the id-keyed tables this design
+/// replaced.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PeerRef {
+    pub(super) id: DhtId,
+    pub(super) slot: u32,
+}
+
+impl PartialEq for PeerRef {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+impl Eq for PeerRef {}
+impl PartialOrd for PeerRef {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for PeerRef {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.id.cmp(&other.id)
+    }
+}
+
+/// A partner-table entry for a peer that has supplied nothing yet.
+pub(super) fn fresh_neighbor(id: PeerRef, latency_ms: f64) -> NeighborEntry<PeerRef> {
+    NeighborEntry {
+        id,
+        latency_ms,
+        recent_supply_kbps: 0.0,
+    }
+}
+
+/// Per-node simulation state.
+pub(super) struct NodeSim {
+    /// The node's DHT identifier; also the generation check for arena
+    /// slot reuse (a stale `PeerRef` whose slot now holds a different id
+    /// falls back to the id map).
+    pub(super) id: DhtId,
+    /// Unique lifetime stamp assigned by the arena on insertion. Ids can
+    /// be reassigned (the RP server frees departed ids) and slots are
+    /// reused, so `(slot, id)` does not identify a node *lifetime* —
+    /// this does; the buffer-map exchange keys its snapshot reuse on it.
+    pub(super) birth: u64,
+    pub(super) ping_ms: f64,
+    pub(super) bandwidth: NodeBandwidth,
+    pub(super) connected: ConnectedNeighbors<PeerRef>,
+    pub(super) overheard: OverheardList<PeerRef>,
+    pub(super) buffer: StreamBuffer,
+    pub(super) backup: VodBackupStore,
+    pub(super) rate: RateController<PeerRef>,
+    pub(super) urgent: UrgentLine,
+    /// Next segment to play; `None` until playback starts.
+    pub(super) next_play: Option<SegmentId>,
+    /// Round at which the node first received any data; playback starts
+    /// a fixed buffering delay after this.
+    pub(super) first_data_round: Option<u32>,
+    /// Round the node entered the overlay (0 for initial members); fresh
+    /// nodes get a catch-up grace before the rescue cap applies.
+    pub(super) spawn_round: u32,
+    /// Segments obtained by pre-fetch, pending the §4.3 Case-2
+    /// (repeated-data) check. Value = the round they were fetched in.
+    pub(super) prefetch_tags: HashMap<SegmentId, u32>,
+    /// Segments received (gossip + pre-fetch) during the previous round;
+    /// drives the "supplied little data" neighbour-replacement rule.
+    pub(super) last_inflow: u32,
+    /// Segments received so far in the current round.
+    pub(super) round_inflow: u32,
+    /// Fractional left-over outbound budget carried between rounds.
+    pub(super) outbound_carry: f64,
+    /// Fractional left-over inbound budget carried between rounds.
+    pub(super) inbound_carry: f64,
+    /// VCR pause: playback is frozen (the play point holds still) but the
+    /// node keeps buffering and serving. Set only through
+    /// [`SystemEvent::Pause`]/[`SystemEvent::Resume`].
+    pub(super) paused: bool,
+    pub(super) is_source: bool,
+}
+
+/// The dense node store: occupied slots + free list + the single
+/// `DhtId → slot` boundary map.
+#[derive(Default)]
+pub(super) struct NodeArena {
+    pub(super) slots: Vec<Option<NodeSim>>,
+    pub(super) free: Vec<u32>,
+    pub(super) by_id: HashMap<DhtId, u32>,
+    /// Monotonic birth-stamp counter (see `NodeSim::birth`).
+    pub(super) next_birth: u64,
+}
+
+impl NodeArena {
+    pub(super) fn with_capacity(n: usize) -> Self {
+        NodeArena {
+            slots: Vec::with_capacity(n),
+            free: Vec::new(),
+            by_id: HashMap::with_capacity(n),
+            next_birth: 0,
+        }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    pub(super) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(super) fn insert(&mut self, mut node: NodeSim) -> NodeIdx {
+        let id = node.id;
+        node.birth = self.next_birth;
+        self.next_birth += 1;
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = Some(node);
+                s
+            }
+            None => {
+                self.slots.push(Some(node));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let prev = self.by_id.insert(id, slot);
+        debug_assert!(prev.is_none(), "duplicate node id {id}");
+        NodeIdx(slot)
+    }
+
+    pub(super) fn remove_id(&mut self, id: DhtId) -> Option<NodeSim> {
+        let slot = self.by_id.remove(&id)?;
+        let node = self.slots[slot as usize].take();
+        debug_assert!(node.is_some());
+        self.free.push(slot);
+        node
+    }
+
+    #[inline]
+    pub(super) fn lookup(&self, id: DhtId) -> Option<NodeIdx> {
+        self.by_id.get(&id).map(|&s| NodeIdx(s))
+    }
+
+    /// A `PeerRef` for a node that may or may not be alive; dead ids get
+    /// an invalid cached slot and resolve to `None` until (unless) the id
+    /// comes alive again.
+    #[inline]
+    pub(super) fn make_ref(&self, id: DhtId) -> PeerRef {
+        PeerRef {
+            id,
+            slot: self.by_id.get(&id).copied().unwrap_or(INVALID_SLOT),
+        }
+    }
+
+    /// Resolve a peer handle to its current arena slot: fast path checks
+    /// the cached slot's identity, slow path re-consults the id map (the
+    /// id may live in a different slot after leave + rejoin). `None`
+    /// means the id is not currently alive.
+    #[inline]
+    pub(super) fn resolve(&self, r: PeerRef) -> Option<NodeIdx> {
+        if let Some(Some(n)) = self.slots.get(r.slot as usize) {
+            if n.id == r.id {
+                return Some(NodeIdx(r.slot));
+            }
+        }
+        self.lookup(r.id)
+    }
+
+    #[inline]
+    pub(super) fn get(&self, idx: NodeIdx) -> Option<&NodeSim> {
+        self.slots.get(idx.0 as usize).and_then(|s| s.as_ref())
+    }
+
+    #[inline]
+    pub(super) fn node(&self, idx: NodeIdx) -> &NodeSim {
+        self.slots[idx.0 as usize]
+            .as_ref()
+            .expect("NodeIdx points at a live node")
+    }
+
+    #[inline]
+    pub(super) fn node_mut(&mut self, idx: NodeIdx) -> &mut NodeSim {
+        self.slots[idx.0 as usize]
+            .as_mut()
+            .expect("NodeIdx points at a live node")
+    }
+
+    /// Ping time of `id`; ids that are not (or no longer) alive default
+    /// to 50 ms, as in the id-keyed implementation.
+    #[inline]
+    pub(super) fn ping_of(&self, id: DhtId) -> f64 {
+        self.lookup(id).map_or(50.0, |i| self.node(i).ping_ms)
+    }
+
+    /// Latency between two ids at the DHT/overlay boundary.
+    pub(super) fn latency(&self, a: DhtId, b: DhtId) -> f64 {
+        derive_latency(self.ping_of(a), self.ping_of(b))
+    }
+
+    pub(super) fn iter_pairs(&self) -> impl Iterator<Item = (DhtId, NodeIdx)> + '_ {
+        self.by_id.iter().map(|(&id, &s)| (id, NodeIdx(s)))
+    }
+}
+
+/// One gossip pull request, queued at its supplier. Carries the dense
+/// requester handle for state access plus the requester's `DhtId` for the
+/// deterministic per-round tie-break hash (identical to the id-keyed
+/// implementation).
+///
+/// Requests live in one flat arena bucketed by supplier slot (see
+/// [`RoundScratch::requests`]); the supplier slot rides along for the
+/// bucketing scatter, and the service decision half marks acceptance
+/// in-place via `accepted` instead of building per-supplier index lists.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PullRequest {
+    pub(super) requester: NodeIdx,
+    pub(super) requester_id: DhtId,
+    pub(super) segment: SegmentId,
+    pub(super) priority: f64,
+    /// The supplier's arena slot this request is queued at.
+    pub(super) supplier_slot: u32,
+    /// Set by the step-6 decision half: this request fits the supplier's
+    /// outbound budget (and its held data) and will be served.
+    pub(super) accepted: bool,
+}
+
+/// A per-node buffer-map snapshot slot: the generation-stamped exchange.
+pub(super) struct MapSnap {
+    /// Birth stamp of the node lifetime the snapshot was taken from. Ids
+    /// and slots are both reusable; the birth stamp is not, so an equal
+    /// `(birth, epoch)` pair guarantees an identical bitmap.
+    pub(super) birth: u64,
+    /// The buffer's mutation epoch at snapshot time; equal epoch ⇒ the
+    /// bitmap is unchanged and need not be re-copied.
+    pub(super) epoch: u64,
+    /// Round stamp: snapshots not refreshed this round are invisible.
+    pub(super) stamp: u64,
+    pub(super) map: BufferMap,
+}
+
+/// The buffer-map exchange store, indexed by arena slot.
+#[derive(Default)]
+pub(super) struct MapStore {
+    pub(super) snaps: Vec<MapSnap>,
+    /// The stamp marking snapshots taken this round.
+    pub(super) stamp: u64,
+}
+
+impl MapStore {
+    pub(super) fn begin_round(&mut self, round: u32, slot_count: usize) {
+        self.stamp = round as u64 + 1;
+        while self.snaps.len() < slot_count {
+            self.snaps.push(MapSnap {
+                birth: u64::MAX,
+                epoch: u64::MAX,
+                stamp: 0,
+                map: BufferMap::placeholder(),
+            });
+        }
+    }
+
+    /// Refresh the snapshot of `idx` from `node`, copying bitmap words
+    /// only when the buffer actually changed since the last copy.
+    pub(super) fn snapshot(&mut self, idx: NodeIdx, node: &NodeSim) {
+        let snap = &mut self.snaps[idx.0 as usize];
+        if snap.birth != node.birth || snap.epoch != node.buffer.epoch() {
+            node.buffer.snapshot_into(&mut snap.map);
+            snap.birth = node.birth;
+            snap.epoch = node.buffer.epoch();
+        }
+        snap.stamp = self.stamp;
+    }
+
+    /// The advertised map of `idx`, if it was snapshotted this round.
+    #[inline]
+    pub(super) fn get(&self, idx: NodeIdx) -> Option<&BufferMap> {
+        self.snaps
+            .get(idx.0 as usize)
+            .filter(|s| s.stamp == self.stamp)
+            .map(|s| &s.map)
+    }
+}
+
+/// Reusable scratch for one node's scheduling pass.
+#[derive(Default)]
+pub(super) struct SchedScratch {
+    /// Generation counter for lazy clearing of `window`.
+    pub(super) gen: u64,
+    /// Per-offset supplier lists over the exchange window; `(gen, list)`
+    /// — a slot is live only when its gen matches the current pass.
+    pub(super) window: Vec<(u64, Vec<PeerRef>)>,
+    /// Offsets touched this pass (sorted before candidate construction so
+    /// candidates are built in ascending segment order).
+    pub(super) touched: Vec<u32>,
+    /// Recycled supplier vectors for candidates.
+    pub(super) spare: Vec<Vec<PeerRef>>,
+    pub(super) candidates: Vec<SegmentCandidate<PeerRef>>,
+    /// The node's connected neighbours, sorted ascending by id.
+    pub(super) nbrs: Vec<PeerRef>,
+    /// Supplier-rate table handed to the scheduler (moved in and out to
+    /// keep its allocation).
+    pub(super) rates: Vec<(PeerRef, f64)>,
+    /// The scheduling algorithms' own working memory (supplier queue,
+    /// ordering buffer, feasible list) for the `_into` entry points.
+    pub(super) algo: SchedulerScratch<PeerRef>,
+    /// The resulting assignments of the last pass.
+    pub(super) assignments: Vec<Assignment<PeerRef>>,
+}
+
+/// One fork-join shard of step 5: its planning scratch plus the plans it
+/// produced for the current block of nodes, flat, in node order.
+/// Persistent, so a warm round's planning allocates nothing at any shard
+/// count; the serial apply half walks the shards in order, which is node
+/// order.
+#[derive(Default)]
+pub(super) struct SchedShard {
+    pub(super) sched: SchedScratch,
+    /// The assignments of every node this shard planned, concatenated.
+    pub(super) assignments: Vec<Assignment<PeerRef>>,
+    /// Per planned node: `(end offset into assignments, new inbound
+    /// carry)`.
+    pub(super) plans: Vec<(u32, f64)>,
+}
+
+/// One supplier's planned service for the round: the outcome of the
+/// read-only decision half of step 6, applied (or revalidated) in
+/// deterministic order by the serial merge half.
+///
+/// The decision loop depends only on the supplier's own pre-service state
+/// (outbound carry, bandwidth, buffer) plus static facts (queue order,
+/// requester aliveness), so it can run for many suppliers concurrently.
+/// The one cross-supplier hazard is the supplier's *own buffer* changing
+/// because an earlier-ordered supplier delivered to it (a slide can evict
+/// a segment it was about to serve); `buffer_epoch` detects exactly that,
+/// and the merge recomputes the decisions serially for such suppliers —
+/// making plan + merge bit-identical to the fully serial loop.
+#[derive(Default, Clone, Copy)]
+pub(super) struct ServePlan {
+    /// The supplier's buffer epoch when the plan was computed.
+    pub(super) buffer_epoch: u64,
+    /// New outbound carry to commit at merge time.
+    pub(super) carry: f64,
+    /// Whole sends granted this round (before any were consumed).
+    pub(super) sends: i64,
+    /// Requests seen / requests refused for lack of budget.
+    pub(super) issued: u64,
+    pub(super) dropped: u64,
+}
+
+/// One node's planned pre-fetch for the round: the outcome of the
+/// read-only half of step 7 (urgent-line check, Case-2 repeated scan,
+/// inbound-room budget), executed serially in node order because the
+/// execution half mutates shared state (DHT tables via routing, the
+/// outbound-spend ledger, backup stores).
+///
+/// The plan reads only the owning node's state, the round's buffer-map
+/// snapshots and static membership, none of which the execution half of
+/// *other* nodes touches — so planning for all nodes concurrently is
+/// bit-identical to interleaving plan and execution node by node.
+#[derive(Default)]
+pub(super) struct PrefetchPlan {
+    /// Case 3: retrieval suppressed (`N_miss > l`, or past the policy's
+    /// deficit-scaled threshold).
+    pub(super) suppressed: bool,
+    /// The predicted-missed segments to fetch (empty ⇒ not triggered).
+    pub(super) missed: Vec<SegmentId>,
+    /// §4.3 Case-2 repeated-data count (α-down signals to apply).
+    pub(super) repeated: u32,
+    /// How many of `missed` fit the inbound budget.
+    pub(super) max_fetches: usize,
+    /// The effective per-round fetch cap the urgent-line check ran with
+    /// (`prefetch_cap` under Legacy, deficit-scaled under Adaptive; 0
+    /// when the node never reached the check). Telemetry only.
+    pub(super) cap: usize,
+}
+
+/// Step-6 outcome counters, accumulated by the serial merge half.
+#[derive(Default)]
+pub(super) struct ServiceCounters {
+    pub(super) deliveries: u64,
+    pub(super) issued: u64,
+    pub(super) dropped: u64,
+    /// §4.3 Case-2 repetitions detected on delivery of tagged segments.
+    pub(super) repeated: u32,
+    /// Suppliers that delivered ≥ 1 segment this round (telemetry).
+    pub(super) supplier_active: usize,
+    /// Largest delivery count by a single supplier this round (telemetry).
+    pub(super) supplier_peak: u64,
+}
+
+/// Persistent per-round working memory: everything the round loop used to
+/// allocate afresh every period now lives (and is reused) here.
+#[derive(Default)]
+pub(super) struct RoundScratch {
+    pub(super) maps: MapStore,
+    /// Step 5's per-shard planning scratch and output, one entry per
+    /// [`cs_sim::fork_join`] shard (one, by default).
+    pub(super) sched_shards: Vec<SchedShard>,
+    /// The round's pull requests, flat in scheduling order. One shared
+    /// arena instead of a `Vec` per supplier: per-slot queues re-grow
+    /// from zero capacity whenever a slot sees a new high-water mark,
+    /// which kept the service phase allocating for hundreds of rounds;
+    /// the flat arena's capacity converges to the total-requests
+    /// high-water after a handful of rounds.
+    pub(super) requests: Vec<PullRequest>,
+    /// `requests` scattered into contiguous per-supplier buckets laid
+    /// out in ascending slot order (counting sort, stable), then sorted
+    /// within each bucket by the service policy.
+    pub(super) requests_sorted: Vec<PullRequest>,
+    /// Per-slot bucket sizes; nonzero only for `touched_suppliers`.
+    pub(super) queue_count: Vec<u32>,
+    /// Per-slot bucket start offsets into `requests_sorted`.
+    pub(super) queue_start: Vec<u32>,
+    /// Per-slot scatter cursors (consumed during bucketing).
+    pub(super) queue_cursor: Vec<u32>,
+    /// Slots with pending requests this round.
+    pub(super) touched_suppliers: Vec<u32>,
+    /// Per-slot supplier-service plans (step 6's decision half); only the
+    /// slots in `touched_suppliers` are meaningful in any given round.
+    pub(super) serve_plans: Vec<ServePlan>,
+    /// Per-node pre-fetch plans (step 7's decision half), parallel to the
+    /// round's `order_idx`.
+    pub(super) prefetch_plans: Vec<PrefetchPlan>,
+    /// Outbound budget already spent on pre-fetch uploads, per slot.
+    pub(super) outbound_spent: Vec<f64>,
+    pub(super) touched_spent: Vec<u32>,
+    /// Route/locate buffers reused by every Algorithm 2 retrieval.
+    pub(super) retrieval: RetrievalScratch,
+    /// General-purpose peer-list scratch (neighbour maintenance).
+    pub(super) tmp_refs: Vec<PeerRef>,
+    pub(super) tmp_refs2: Vec<PeerRef>,
+    pub(super) tmp_pairs: Vec<(PeerRef, f64)>,
+}
+
+impl RoundScratch {
+    pub(super) fn begin_round(&mut self, round: u32, slot_count: usize) {
+        self.maps.begin_round(round, slot_count);
+        if self.queue_count.len() < slot_count {
+            self.queue_count.resize(slot_count, 0);
+            self.queue_start.resize(slot_count, 0);
+            self.queue_cursor.resize(slot_count, 0);
+        }
+        if self.serve_plans.len() < slot_count {
+            self.serve_plans.resize_with(slot_count, ServePlan::default);
+        }
+        for &s in &self.touched_suppliers {
+            self.queue_count[s as usize] = 0;
+        }
+        self.touched_suppliers.clear();
+        self.requests.clear();
+        if self.outbound_spent.len() < slot_count {
+            self.outbound_spent.resize(slot_count, 0.0);
+        }
+        for &s in &self.touched_spent {
+            self.outbound_spent[s as usize] = 0.0;
+        }
+        self.touched_spent.clear();
+    }
+
+    pub(super) fn push_request(&mut self, req: PullRequest) {
+        let count = &mut self.queue_count[req.supplier_slot as usize];
+        if *count == 0 {
+            self.touched_suppliers.push(req.supplier_slot);
+        }
+        *count += 1;
+        self.requests.push(req);
+    }
+
+    /// Scatter `requests` into contiguous per-slot buckets in
+    /// `requests_sorted` (ascending slot order, stable within a slot).
+    /// Returns nothing; bucket ranges are `queue_start[s] ..
+    /// queue_start[s] + queue_count[s]`.
+    pub(super) fn bucket_requests(&mut self) {
+        self.touched_suppliers.sort_unstable();
+        let mut start = 0u32;
+        for &s in &self.touched_suppliers {
+            self.queue_start[s as usize] = start;
+            self.queue_cursor[s as usize] = start;
+            start += self.queue_count[s as usize];
+        }
+        if self.requests_sorted.len() < self.requests.len() {
+            let dummy = PullRequest {
+                requester: NodeIdx(0),
+                requester_id: 0,
+                segment: 0,
+                priority: 0.0,
+                supplier_slot: 0,
+                accepted: false,
+            };
+            self.requests_sorted.resize(self.requests.len(), dummy);
+        }
+        for i in 0..self.requests.len() {
+            let req = self.requests[i];
+            let cursor = &mut self.queue_cursor[req.supplier_slot as usize];
+            self.requests_sorted[*cursor as usize] = req;
+            *cursor += 1;
+        }
+    }
+
+    pub(super) fn add_spent(&mut self, supplier: NodeIdx, amount: f64) {
+        let slot = &mut self.outbound_spent[supplier.0 as usize];
+        if *slot == 0.0 {
+            self.touched_spent.push(supplier.0);
+        }
+        *slot += amount;
+    }
+}
+
+/// Structure-of-arrays hot state for the active-set round loop: the
+/// per-node fields the classification pass and the planning phases read
+/// every round, packed into parallel slot-indexed vectors so the O(N)
+/// classification sweep walks dense memory instead of chasing
+/// `NodeSim`s through the arena.
+///
+/// Two families of data live here:
+///
+/// * **Touch stamps** (`touched` + `birth`): the conservative half of
+///   the active set. Any code path that changes a node's *inputs*
+///   (join, scenario event, neighbour-set change) stamps the slot with
+///   the round the change becomes visible; classification force-plans a
+///   stamped node regardless of what the skip proofs say. Stamps are
+///   guarded by the arena `birth` of the node that wrote them, so a
+///   slot reused by a same-round leave→join can never inherit (or be
+///   robbed of) a stale stamp.
+/// * **Classification caches** (`anchor`/`window_end`/`occupancy`,
+///   guarded by `stamp` + `birth`): facts the classifier proved this
+///   round that [`plan_node`] would otherwise re-derive per node.
+///
+/// The skip proofs themselves are *stateless* — re-evaluated from live
+/// buffers and maps every round — so the stamps are pure conservatism:
+/// losing one could only be a performance bug if the proofs were exact,
+/// and the determinism suite pins that they are.
+#[derive(Default)]
+pub(super) struct HotState {
+    /// Arena birth of the node whose data occupies each slot; guards
+    /// every other per-slot field against slot reuse.
+    pub(super) birth: Vec<u64>,
+    /// Force-active stamp: the slot must be planned in round
+    /// `touched[slot] - 1` (i.e. stamp = round + 1, 0 = never).
+    pub(super) touched: Vec<u64>,
+    /// Whether the slot's buffer map advertised this round was empty
+    /// (recorded in the phase-4 snapshot sweep; input to the dark-
+    /// neighbourhood skip proof).
+    pub(super) map_empty: Vec<bool>,
+    /// Classification freshness: `stamp[slot] == round + 1` means the
+    /// cache fields below were written by this round's classifier.
+    pub(super) stamp: Vec<u64>,
+    /// Cached play anchor (`u64::MAX` = node had no local anchor; the
+    /// cache fields are then not reused).
+    pub(super) anchor: Vec<u64>,
+    /// Cached exchange-window end for `anchor`.
+    pub(super) window_end: Vec<u64>,
+    /// Cached window occupancy for `anchor`.
+    pub(super) occupancy: Vec<f64>,
+    /// `order_idx` positions (ascending) the step-5 scheduling phase
+    /// must plan this round.
+    pub(super) active_sched: Vec<u32>,
+    /// `order_idx` positions (ascending) the step-7 pre-fetch phase
+    /// must plan this round.
+    pub(super) active_prefetch: Vec<u32>,
+    /// Nodes in either list because of a touch stamp rather than a
+    /// failed skip proof (telemetry).
+    pub(super) forced: u64,
+    /// Skip-probe hysteresis for the scheduling classifier: while
+    /// `round < sched_dense_until` the proofs are suspended and every
+    /// candidate is materialised (always bit-identical — skipping is an
+    /// optimisation, never a semantic). Set whenever a probe round finds
+    /// fewer than 1/8 of candidates skippable, so a workload the active
+    /// set cannot help (everyone starving, everyone active) pays the
+    /// classification overhead on at most one round in eight.
+    pub(super) sched_dense_until: u64,
+    /// Same hysteresis for the pre-fetch classifier.
+    pub(super) prefetch_dense_until: u64,
+    /// Whether this round's pre-fetch list came from the classifier
+    /// (fresh `rescue_params` caps, peak already computed) or was
+    /// materialised dense (the execute loop takes the peak from the
+    /// planned caps, which are all fresh).
+    pub(super) prefetch_classified: bool,
+}
+
+impl HotState {
+    /// Grow every per-slot array to cover `slot_count` slots and
+    /// reserve the active lists to full-overlay capacity (so the lists
+    /// never reallocate after warm-up — the zero-alloc suite watches).
+    pub(super) fn ensure(&mut self, slot_count: usize) {
+        if self.birth.len() < slot_count {
+            self.birth.resize(slot_count, u64::MAX);
+            self.touched.resize(slot_count, 0);
+            self.map_empty.resize(slot_count, true);
+            self.stamp.resize(slot_count, 0);
+            self.anchor.resize(slot_count, u64::MAX);
+            self.window_end.resize(slot_count, 0);
+            self.occupancy.resize(slot_count, 0.0);
+        }
+        let cap = slot_count.saturating_sub(self.active_sched.capacity());
+        self.active_sched.reserve(cap);
+        let cap = slot_count.saturating_sub(self.active_prefetch.capacity());
+        self.active_prefetch.reserve(cap);
+    }
+
+    /// Force-activate a slot for round `round` (stamp survives until
+    /// that round's classification). `birth` identifies the node the
+    /// stamp is *for*; a different occupant later finds the stamp
+    /// guarded away.
+    pub(super) fn touch(&mut self, slot: NodeIdx, birth: u64, round: u32) {
+        let s = slot.0 as usize;
+        self.ensure(s + 1);
+        self.touched[s] = u64::from(round) + 1;
+        self.birth[s] = birth;
+    }
+
+    /// Whether `slot` (occupied by the node with arena birth `birth`)
+    /// carries a live touch stamp for round `round`.
+    pub(super) fn is_touched(&self, slot: NodeIdx, birth: u64, round: u32) -> bool {
+        let s = slot.0 as usize;
+        s < self.touched.len() && self.touched[s] == u64::from(round) + 1 && self.birth[s] == birth
+    }
+}

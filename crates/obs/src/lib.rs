@@ -7,7 +7,8 @@
 //!
 //! 1. [`profiler`] — per-phase monotonic-clock spans of the round
 //!    loop into fixed-slot log₂ aggregates, allocation-free after
-//!    warm-up, with atomic per-thread sub-spans under `parallel`.
+//!    warm-up, with atomic per-thread sub-spans when the planning
+//!    phases fan out.
 //! 2. [`dist`] — deterministic fixed-bucket histograms over per-node
 //!    continuity / runway / startup delay / supplier load, surfacing
 //!    p50/p95/p99 (and exact min) for the `--min-p99-continuity`

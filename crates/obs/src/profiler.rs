@@ -1,12 +1,12 @@
 //! Per-phase round profiler.
 //!
-//! One [`Lap`] timer walks `step_round` and takes a single
+//! One [`Lap`] timer walks the round and takes a single
 //! `Instant::now()` at each phase boundary; the elapsed nanoseconds
 //! land in a fixed-slot [`Log2Hist`] per [`Phase`] (sum/min/max/count
 //! plus log₂ buckets), so recording is allocation-free and O(1).
 //!
-//! Under the `parallel` feature the planning halves fan out across
-//! worker threads; per-thread sub-spans are accumulated into atomic
+//! With `SystemConfig::parallel_threads > 1` the planning halves fan out
+//! across worker threads; per-thread sub-spans are accumulated into atomic
 //! [`WorkerPhase`] aggregates through a shared `&Profiler`, which is
 //! why those three slots are atomics rather than plain counters.
 //! Wall-clock timings are *never* part of a behavioural fingerprint —
@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use crate::hist::Log2Hist;
 
-/// Serial phases of `step_round`, in execution order. The numbering
-/// mirrors the `--- N.` markers in `system.rs`.
+/// Serial phases of a round, in execution order. The numbering
+/// mirrors the `--- N.` markers in `cs_core::system`'s round driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -92,7 +92,8 @@ impl Phase {
     }
 }
 
-/// Per-thread sub-spans inside the fan-out halves (`parallel` feature).
+/// Per-thread sub-spans inside the fan-out halves (recorded only when a
+/// phase runs more than one shard).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum WorkerPhase {

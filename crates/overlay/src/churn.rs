@@ -42,17 +42,17 @@ impl ChurnConfig {
     };
 
     /// Validate the fractions.
-    pub fn validate(&self) {
+    pub fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("leave_fraction", self.leave_fraction),
             ("join_fraction", self.join_fraction),
             ("graceful_fraction", self.graceful_fraction),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "{name} must be within [0, 1], got {v}"
-            );
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} must be within [0, 1], got {v}"));
+            }
         }
+        Ok(())
     }
 
     /// True when this config produces no membership changes.
@@ -88,7 +88,9 @@ pub fn plan_churn(
     protect: DhtId,
     rng: &mut SimRng,
 ) -> ChurnPlan {
-    config.validate();
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
     if config.is_static() || members.is_empty() {
         return ChurnPlan::default();
     }

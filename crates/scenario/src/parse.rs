@@ -45,9 +45,11 @@
 //! ```
 //!
 //! Every key is checked: unknown keys, unknown event kinds, missing
-//! values and *duplicate* keys are line-numbered parse errors, never
-//! silently ignored — a typo must not quietly change the workload
-//! being studied.
+//! values and *duplicate* keys (a configuration key set twice, or a
+//! `key=value` token repeated inside one statement) are line-numbered
+//! parse errors, never silently ignored — a typo must not quietly
+//! change the workload being studied. The assembled run configuration
+//! is validated too, so a spec that parses is a spec that runs.
 
 use cs_core::{FaultPlan, PolicyKind, SchedulerKind, SystemConfig};
 use cs_overlay::ChurnConfig;
@@ -125,6 +127,8 @@ fn reject_duplicate_keys(lineno: usize, tokens: &[&str]) -> Result<(), ParseErro
 /// Parse a scenario spec from its text form. The result is validated.
 pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, ParseError> {
     let mut spec = ScenarioSpec::null("unnamed", SystemConfig::default());
+    // Configuration keys seen so far, with the line that set each.
+    let mut seen: Vec<(&str, usize)> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = match raw.split_once('#') {
@@ -139,7 +143,7 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, ParseError> {
             "class" => parse_class(lineno, &tokens, &mut spec)?,
             "phase" => parse_phase(lineno, &tokens, &mut spec)?,
             "at" => parse_event(lineno, &tokens, &mut spec)?,
-            _ => parse_config_line(lineno, line, &mut spec)?,
+            _ => parse_config_line(lineno, line, &mut spec, &mut seen)?,
         }
     }
     spec.validate().map_err(|e| ParseError {
@@ -149,11 +153,25 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, ParseError> {
     Ok(spec)
 }
 
-fn parse_config_line(lineno: usize, line: &str, spec: &mut ScenarioSpec) -> Result<(), ParseError> {
+fn parse_config_line<'a>(
+    lineno: usize,
+    line: &'a str,
+    spec: &mut ScenarioSpec,
+    seen: &mut Vec<(&'a str, usize)>,
+) -> Result<(), ParseError> {
     let Some((key, value)) = line.split_once('=') else {
         return err(lineno, format!("expected `key = value`, got `{line}`"));
     };
     let (key, value) = (key.trim(), value.trim());
+    // Last-one-wins would let a stray second `nodes = …` further down a
+    // file silently change the run; name both lines instead.
+    if let Some(&(_, first)) = seen.iter().find(|(k, _)| *k == key) {
+        return err(
+            lineno,
+            format!("duplicate key `{key}` (already set on line {first})"),
+        );
+    }
+    seen.push((key, lineno));
     let c = &mut spec.config;
     match key {
         "name" => spec.name = value.to_string(),
@@ -861,6 +879,37 @@ at 30 capacity_shift fraction=0.3 class=dsl
         assert!(e.message.contains("duplicate"), "{}", e.message);
         let e = parse_scenario("at 5 crash_nodes count=3 correlated correlated\n").unwrap_err();
         assert!(e.message.contains("duplicate"), "{}", e.message);
+        // A configuration key set twice names both lines (last-one-wins
+        // would run 60 nodes here without a word); whitespace around the
+        // key does not hide the repeat.
+        let e = parse_scenario("nodes = 50\nrounds = 5\n  nodes=60\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(
+            e.message.contains("duplicate key `nodes`") && e.message.contains("line 1"),
+            "{}",
+            e.message
+        );
+    }
+
+    #[test]
+    fn invalid_run_configuration_fails_the_parse() {
+        // Every token parses, but the assembled configuration cannot
+        // run: an error here, not a panic inside `SystemSim::new`.
+        for (text, needle) in [
+            ("nodes = 1\n", "at least a source"),
+            ("nodes = 50\nneighbors = 60\n", "below the node count"),
+            ("rounds = 0\n", "at least one round"),
+            ("playback_rate = 0\n", "playback rate"),
+            ("policy = adaptive inbound_slack=NaN\n", "inbound_slack"),
+            (
+                "policy = adaptive retry_max=1 evict_rounds=0\n",
+                "evict_rounds",
+            ),
+            ("faults = 0.0 0.0 0.0 0.0 -5\n", "delay_ms"),
+        ] {
+            let e = parse_scenario(text).unwrap_err();
+            assert!(e.message.contains(needle), "`{text}`: {}", e.message);
+        }
     }
 
     #[test]

@@ -243,9 +243,10 @@ impl ScenarioSpec {
         self.classes.iter().find(|c| c.name == name)
     }
 
-    /// Check internal consistency (class references, ranges,
-    /// probabilities).
+    /// Check internal consistency (the run configuration, class
+    /// references, ranges, probabilities).
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.config.validate().map_err(SpecError)?;
         let check_class = |name: &String, whence: &str| {
             if self.class(name).is_none() {
                 return Err(SpecError(format!(

@@ -1,30 +1,24 @@
-//! # cs-sim — deterministic discrete-event simulation kernel
+//! # cs-sim — deterministic simulation substrate
 //!
 //! This crate is the lowest substrate of the ContinuStreaming reproduction.
 //! Every experiment in the paper is a simulation (the authors never deployed
 //! the system; PlanetLab was future work), so everything above this crate —
-//! the DHT, the overlay, the streaming schedulers — runs on top of this
-//! event engine.
+//! the DHT, the overlay, the streaming schedulers, the round loop in
+//! `cs-core` — builds on these three pieces:
 //!
-//! Design goals, in order:
-//!
-//! 1. **Bit-reproducible runs.** Same seed, same config ⇒ same result, on
-//!    every platform. Time is an integer number of microseconds, the event
-//!    queue breaks ties by insertion sequence, and all randomness flows from
-//!    a single [`RngTree`] so subsystems cannot perturb each other's streams.
-//! 2. **Cheap events.** The hot loop of an 8000-node run pushes and pops
-//!    millions of events; [`EventQueue`] is a plain binary heap over a
-//!    16-byte key.
-//! 3. **No framework lock-in.** The engine is generic over the event payload
-//!    and hands control back to a plain `FnMut` handler; higher crates keep
-//!    their own state and stay unit-testable without the engine.
+//! 1. **Bit-reproducible time.** [`SimTime`]/[`SimDuration`] are integer
+//!    microseconds, so round boundaries are exact on every platform.
+//! 2. **Bit-reproducible randomness.** All draws flow from a single
+//!    [`RngTree`], so subsystems cannot perturb each other's streams.
+//! 3. **Deterministic fork-join.** [`fork_join`] (and [`fan_out`] on top of
+//!    it) is the workspace's only thread fan-out: shard boundaries depend
+//!    on the input alone and results merge in shard order, so every
+//!    parallel step is positionally identical at any worker count.
 
-pub mod engine;
-pub mod event;
+pub mod executor;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Engine, EngineStats, Scheduler};
-pub use event::{EventEntry, EventQueue};
+pub use executor::{fan_out, fork_join};
 pub use rng::{splitmix64, RngTree, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -73,12 +73,6 @@ impl SimTime {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Whole seconds since the origin (truncating).
-    #[inline]
-    pub const fn as_secs(self) -> u64 {
-        self.0 / MICROS_PER_SEC
-    }
-
     /// The duration from `earlier` to `self`, saturating to zero if
     /// `earlier` is actually later.
     #[inline]

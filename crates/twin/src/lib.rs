@@ -10,9 +10,9 @@
 //!   loss and delay hooks; [`InProcTransport`] is the deterministic
 //!   in-process implementation (real sockets are a follow-up with the
 //!   same trait).
-//! * [`clock`] / [`executor`] — a [`VirtualClock`] (time moves only at
-//!   delivery instants and round barriers) and a hand-rolled scoped
-//!   fork-join executor whose shard-order merge makes every fan-out
+//! * [`clock`] — a [`VirtualClock`] (time moves only at delivery
+//!   instants and round barriers). The per-node emit/fold work fans out
+//!   through [`cs_sim::fan_out`], whose shard-order merge makes it
 //!   positionally deterministic at any worker count. Std-only; no
 //!   tokio.
 //! * [`runtime`] — the round-lockstep driver: each node announces its
@@ -51,12 +51,10 @@
 //! ```
 
 pub mod clock;
-pub mod executor;
 pub mod runtime;
 pub mod transport;
 
 pub use clock::VirtualClock;
-pub use executor::fan_out;
 pub use runtime::{
     drive_twin_over, run_twin, run_twin_observed, TwinConfig, TwinNodeStats, TwinOutcome,
     TwinRoundStats,

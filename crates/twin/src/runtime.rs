@@ -25,10 +25,9 @@ use cs_dht::DhtId;
 use cs_net::LinkCatalog;
 use cs_obs::ObsConfig;
 use cs_scenario::{MetricsLog, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
-use cs_sim::SimDuration;
+use cs_sim::{fan_out, SimDuration};
 
 use crate::clock::VirtualClock;
-use crate::executor::fan_out;
 use crate::transport::{InProcTransport, MsgBody, Transport, TransportStats, WireMsg};
 
 /// How the twin runs a scenario.
@@ -285,9 +284,7 @@ pub fn drive_twin_over<T: Transport>(
         // 5. Each node folds its inbox: the loopback copy becomes its
         // canonical view; every neighbour copy is verified
         // content-equal against what the sender actually emitted.
-        let ks: Vec<usize> = (0..nodes.len()).collect();
-        let folds: Vec<FoldOut> = fan_out(workers, &ks, |_, &k| {
-            let n = &nodes[k];
+        let folds: Vec<FoldOut> = fan_out(workers, &nodes, |k, n| {
             let mut canonical: Option<Arc<TwinAnnounce>> = None;
             let mut received = 0u64;
             let mut div = 0u64;

@@ -197,6 +197,11 @@ fn main() {
     if let Some(r) = args.rounds {
         spec.config.rounds = r;
     }
+    // The overrides above bypass the parser's validation.
+    if let Err(e) = spec.validate() {
+        eprintln!("{path}: {e}");
+        std::process::exit(2);
+    }
 
     eprintln!(
         "running `{}`: {} nodes x {} rounds, seed {}, spec 0x{:016x}",

@@ -186,6 +186,11 @@ fn main() {
     if let Some(r) = args.rounds {
         spec.config.rounds = r;
     }
+    // The overrides above bypass the parser's validation.
+    if let Err(e) = spec.validate() {
+        eprintln!("{path}: {e}");
+        std::process::exit(2);
+    }
 
     let latency = SimDuration::from_secs_f64(args.latency_ms.unwrap_or(50.0) / 1e3);
     let jitter = SimDuration::from_secs_f64(args.jitter_ms.unwrap_or(0.0) / 1e3);

@@ -47,20 +47,20 @@
 //! bitmap operations are word-level. The loose DHT uses the same layout
 //! (dense slots + `DhtIdx` handles, slot hints cached in peer entries, the
 //! id map consulted only at the boundary), so greedy routing is
-//! index-chasing rather than tree walking. `BENCH_hotpath.json` and
-//! `BENCH_dht_lookup.json` record the reference measurements,
-//! reproducible with:
+//! index-chasing rather than tree walking. The benchmark of record in
+//! `benchmark/` measures all of it — four workloads spec-in to
+//! report-out, every layer timed from outside:
 //!
 //! ```text
-//! cargo run -p cs-bench --release --bin bench_hotpath
-//! cargo run -p cs-bench --release --bin bench_dht_lookup
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload static_8k
 //! ```
 //!
-//! The optional `parallel` feature (`--features parallel`) fans the
-//! read-only planning halves of the scheduling, supplier-service and
-//! pre-fetch phases out across OS threads with bit-identical results at
-//! any thread count (the deterministic fingerprint suite in
-//! `tests/determinism.rs` pins this for 1, 2, 4 and 8 threads).
+//! The read-only planning halves of the scheduling, supplier-service and
+//! pre-fetch phases run as [`cs_core::SystemConfig::parallel_threads`]
+//! contiguous shards through [`cs_sim::fork_join`]: one shard (the default)
+//! runs inline, more fan out across OS threads with bit-identical
+//! results (the deterministic fingerprint suite in
+//! `tests/determinism.rs` pins this for 1, 2, 4 and 8 shards).
 
 pub use cs_analysis as analysis;
 pub use cs_core as core;

@@ -1,7 +1,7 @@
 //! Regression canary for the late-run continuity collapse at scale.
 //!
 //! ROADMAP ("Continuity at scale"): a 1,000-node static run (seed
-//! 20080414, the committed `BENCH_hotpath.json` configuration) holds
+//! 20080414, the configuration the former hot-path bench recorded) holds
 //! per-round continuity at 1.0 through ~125 rounds, starts degrading in
 //! the 130s–140s as play points outrun acquirable data, collapses
 //! between rounds ~150 and ~157, and flatlines at 0.0 from round ~158 —

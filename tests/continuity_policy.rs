@@ -14,8 +14,8 @@
 //!   claim, finally reproduced past round 160 — and beats Legacy's
 //!   stable continuity by pinned margins under the committed
 //!   `flash_crowd.scn` and `dynamic_churn.scn` workloads.
-//! * With the `parallel` feature, Adaptive runs are bit-identical to
-//!   serial at 2/4/8 threads (the policy decisions are pure functions
+//! * Adaptive runs are bit-identical to serial at 2/4/8 planning
+//!   shards (the policy decisions are pure functions
 //!   of per-round state, so the planning fan-outs stay deterministic).
 //!
 //! Measured reference values (release, x86_64 Linux, seed 20080414) are
@@ -308,11 +308,10 @@ fn dynamic_churn_spec_is_well_formed() {
     assert_eq!(spec.config.policy, PolicyKind::Legacy);
 }
 
-/// With the `parallel` feature: Adaptive runs are bit-identical to
-/// serial at every forced thread count. The policy decisions are pure
-/// functions of per-round node state, so the planning fan-outs (steps
-/// 5–7) must not be able to observe the difference.
-#[cfg(feature = "parallel")]
+/// Adaptive runs are bit-identical to serial at every forced thread
+/// count. The policy decisions are pure functions of per-round node
+/// state, so the planning fan-outs (steps 5–7) must not be able to
+/// observe the difference.
 #[test]
 fn adaptive_parallel_matrix_is_bit_identical_to_serial() {
     let config = |threads: Option<usize>| {

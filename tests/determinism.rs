@@ -87,8 +87,7 @@ const PINNED_RUN_HASHES: &[(&str, u64)] = &[
     ("coolstreaming_static", 0xd0f5f39d4b96dca7),
     ("greedy_rarest_first", 0xa2ed438909202a4f),
     ("continustreaming_homogeneous", 0x206ebf4109454640),
-    // Recorded post-refactor (the scenario exceeds the `parallel`
-    // feature's 128-node threshold); pins serial ≡ parallel.
+    // Recorded post-refactor; pins serial ≡ parallel.
     ("continustreaming_scale_200", 0xa5e310fb404f2576),
     ("coolstreaming_homogeneous_dynamic", 0x203ffbaa2f7af79d),
 ];
@@ -257,12 +256,11 @@ fn armed_obs_layer_causes_no_behavioural_drift() {
 }
 
 /// Layer 2e: a **large-overlay pin** — 8,000 nodes, five rounds — far
-/// above the legacy scenario sizes and the `parallel` feature's
-/// 128-node fan-out gate. Recorded from the visit-every-node round loop
+/// above the legacy scenario sizes. Recorded from the visit-every-node round loop
 /// immediately before the active-set refactor landed; the active-set
 /// loop (on by default) must reproduce both the round-0 state hash and
-/// the run hash bit for bit, and with the `parallel` feature the run
-/// hash must also hold at forced 1/2/4/8-way fan-outs.
+/// the run hash bit for bit, and the run hash must also hold at forced
+/// 1/2/4/8-way fan-outs.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn large_overlay_8k_pins_hold_at_every_thread_count() {
@@ -288,7 +286,6 @@ fn large_overlay_8k_pins_hold_at_every_thread_count() {
         hash, RUN_PIN,
         "8k run drift: 0x{hash:016x} != pinned 0x{RUN_PIN:016x}"
     );
-    #[cfg(feature = "parallel")]
     for threads in [1usize, 2, 4, 8] {
         let mut c = config.clone();
         c.parallel_threads = Some(threads);
@@ -346,15 +343,13 @@ fn twin_worker_matrix_reproduces_the_simulator_byte_for_byte() {
     }
 }
 
-/// Layer 3 (requires `--features parallel`): the phase fan-outs —
+/// Layer 3: the phase fan-outs —
 /// scheduling, supplier-service planning, pre-fetch planning — must be
 /// **bit-identical to serial at every thread count**. Each scenario runs
-/// with a forced 1-thread (serial path), 2-, 4- and 8-way fan-out;
-/// `parallel_threads` overrides the ≥128-node gate, so even the small
-/// scenarios genuinely exercise the sharded merge. On the reference
+/// with a forced one-shard (serial), 2-, 4- and 8-way fan-out, so even
+/// the small scenarios genuinely exercise the sharded merge. On the reference
 /// platform the hashes are also checked against the serial pins, so a
 /// parallel-mode drift can never hide behind a matching serial drift.
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_thread_matrix_reproduces_serial_fingerprints() {
     for (name, config) in scenarios() {

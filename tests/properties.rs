@@ -407,7 +407,7 @@ fn policy_rescue_cap_is_monotone_and_bounded() {
             suppress_slope: rng.gen_range(0usize..20),
             ..AdaptivePolicy::default()
         };
-        policy.validate();
+        policy.validate().unwrap();
         let base_cap = rng.gen_range(1usize..12);
         let mut last_cap = 0usize;
         let mut last_threshold = 0usize;
@@ -466,7 +466,7 @@ fn policy_window_never_narrower_than_legacy() {
             lookahead_factor: rng.gen_range(1.0f64..4.0),
             ..AdaptivePolicy::default()
         };
-        policy.validate();
+        policy.validate().unwrap();
         let legacy = rng.gen_range(1u64..600);
         let mut last = u64::MAX;
         for step in 0..=20u64 {
@@ -725,7 +725,6 @@ fn crashed_nodes_never_remain_connected_after_the_round() {
 
 /// The fault trace is bit-identical at every parallel fan-out width —
 /// all fault and recovery draws live in serial phases.
-#[cfg(feature = "parallel")]
 #[test]
 fn fault_trace_is_identical_at_any_worker_count() {
     let serial = {

@@ -79,3 +79,60 @@ fn scenario_runner_usage_error_exits_2() {
         .expect("spawn example");
     assert_eq!(out.status.code(), Some(2), "flag without value must exit 2");
 }
+
+/// A spec the parser accepts token by token but that cannot run must
+/// fail like every other validation error — exit 2 and a one-line
+/// message — not with a panic backtrace out of `SystemSim::new`.
+fn assert_bad_spec_exits_2(example: &str, tag: &str, spec: &str, needle: &str) {
+    let Some(bin) = example_bin(example) else {
+        eprintln!("skipping: {example} example binary not built");
+        return;
+    };
+    // Unique per (process, example, case): the harness runs tests on
+    // parallel threads.
+    let path = std::env::temp_dir().join(format!(
+        "cs_runner_cli_{}_{example}_{tag}.scn",
+        std::process::id()
+    ));
+    std::fs::write(&path, spec).expect("write spec");
+    let out = Command::new(&bin)
+        .arg(&path)
+        .output()
+        .expect("spawn example");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{example}: `{spec}` must exit 2, got {:?}\nstderr:\n{stderr}",
+        out.status.code()
+    );
+    assert!(
+        stderr.contains(needle) && !stderr.contains("panicked"),
+        "{example}: stderr must carry `{needle}` and no panic, got:\n{stderr}"
+    );
+}
+
+#[test]
+fn runners_reject_an_invalid_run_configuration_with_exit_2() {
+    for example in ["scenario_runner", "twin_runner"] {
+        assert_bad_spec_exits_2(
+            example,
+            "one_node",
+            "nodes = 1\n",
+            "need at least a source and one receiver",
+        );
+    }
+}
+
+#[test]
+fn runners_reject_a_duplicated_key_with_exit_2() {
+    for example in ["scenario_runner", "twin_runner"] {
+        assert_bad_spec_exits_2(
+            example,
+            "duplicate_key",
+            "nodes = 50\nrounds = 5\nnodes = 60\n",
+            "line 3: duplicate key `nodes` (already set on line 1)",
+        );
+    }
+}

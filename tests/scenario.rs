@@ -361,11 +361,10 @@ fn obs_trace_and_percentiles_reproduce_across_runs() {
     );
 }
 
-/// Obs layer 2 (requires `--features parallel`): the trace is also
+/// Obs layer 2: the trace is also
 /// **thread-count invariant** — every emission site lives in the
 /// serial deterministic section of the round, so forced 1/2/4/8-way
 /// fan-outs produce byte-identical traces and percentile exports.
-#[cfg(feature = "parallel")]
 #[test]
 fn obs_trace_is_thread_count_invariant() {
     let mut spec = lossy_obs_spec();

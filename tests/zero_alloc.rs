@@ -79,9 +79,8 @@ fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) ->
         rounds,
         scheduler,
         prefetch_enabled: prefetch,
-        // Force the serial path: the parallel fan-out spawns threads,
-        // which allocates by design (this file is also built by the CI
-        // `--features parallel` job).
+        // One shard, spelled out: a wider fan-out spawns threads, which
+        // allocates by design.
         parallel_threads: Some(1),
         seed: 20080414,
         // Faults-off invisibility canary: the explicit all-zero fault
