@@ -1,5 +1,6 @@
 //! Full-system configuration with the paper's §5.2 defaults.
 
+use cs_dht::IdSlotTable;
 use cs_net::BandwidthProfile;
 use cs_overlay::ChurnConfig;
 
@@ -200,6 +201,12 @@ impl SystemConfig {
         ensure!(self.segment_kbits > 0.0, "segment size must be positive");
         ensure!(self.id_space_slack >= 1, "ID space must fit all nodes");
         ensure!(
+            self.id_capacity() <= IdSlotTable::MAX_IDS,
+            "(nodes + expected joins) x id_space_slack asks for {} ids; the ID space holds at most {} (2^28)",
+            self.id_capacity(),
+            IdSlotTable::MAX_IDS
+        );
+        ensure!(
             (self.playback_rate as u64) < self.buffer_size,
             "buffer must hold more than one period of playback"
         );
@@ -212,6 +219,19 @@ impl SystemConfig {
         }
         self.faults.validate()?;
         self.churn.validate()
+    }
+
+    /// Joins the churn model is expected to admit over the whole run.
+    pub(crate) fn expected_joins(&self) -> u64 {
+        (self.nodes as f64 * self.churn.join_fraction * self.rounds as f64).ceil() as u64
+    }
+
+    /// How many ids the run's ID space is sized for: every initial node
+    /// and expected joiner, times the slack factor.
+    pub(crate) fn id_capacity(&self) -> u64 {
+        (self.nodes as u64)
+            .saturating_add(self.expected_joins())
+            .saturating_mul(self.id_space_slack as u64)
     }
 
     /// Segments consumed per round (`p·τ`).
@@ -267,6 +287,16 @@ mod tests {
             ..Default::default()
         };
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn oversized_id_space_rejected() {
+        let c = SystemConfig {
+            id_space_slack: u32::MAX,
+            ..Default::default()
+        };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("at most 268435456 (2^28)"), "{err}");
     }
 
     #[test]

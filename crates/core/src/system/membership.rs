@@ -165,17 +165,15 @@ impl SystemSim {
         let pb = self
             .nodes
             .resolve(to)
-            .map(|i| self.nodes.node(i).ping_ms)
-            .unwrap_or(50.0);
-        derive_latency(self.nodes.node(from).ping_ms, pb)
+            .map_or(50.0, |i| self.nodes.ping_at(i));
+        derive_latency(self.nodes.ping_at(from), pb)
     }
 
     pub(super) fn rebuild_order(&mut self) {
-        let mut pairs: Vec<(DhtId, NodeIdx)> = self.nodes.iter_pairs().collect();
-        pairs.sort_unstable_by_key(|p| p.0);
+        // The arena's id table enumerates in ascending id order.
         self.order_ids.clear();
         self.order_idx.clear();
-        for (id, idx) in pairs {
+        for (id, idx) in self.nodes.iter_pairs() {
             self.order_ids.push(id);
             self.order_idx.push(idx);
         }
@@ -408,15 +406,7 @@ impl SystemSim {
         scenario: bool,
     ) -> bool {
         let t_fetch = cs_analysis::t_fetch(self.nodes.len().max(2) as u64, self.config.t_hop_secs);
-        let mut node = Self::make_node(
-            &self.config,
-            self.space,
-            id,
-            ping,
-            bandwidth,
-            t_fetch,
-            false,
-        );
+        let mut node = Self::make_node(&self.config, self.space, id, bandwidth, t_fetch, false);
         node.spawn_round = round;
 
         // PING the close-ID list, adopt the nearest alive node's view.
@@ -443,7 +433,7 @@ impl SystemSim {
         // their overheard list either way. Without this, nobody ever
         // points at joiners, in-degree concentrates on long-lived nodes,
         // and the swarm's aggregate upload capacity decays under churn.
-        // (The joiner's ref resolves through the id map once inserted.)
+        // (The joiner's ref resolves through the id table once inserted.)
         let new_ref = PeerRef {
             id,
             slot: INVALID_SLOT,
@@ -562,7 +552,7 @@ impl SystemSim {
             }
         }
 
-        let new_idx = self.nodes.insert(node);
+        let new_idx = self.nodes.insert(node, ping);
         // Force the joiner active for its first round. The fresh arena
         // birth also overwrites whatever stamp a departed previous
         // occupant of this slot left behind — a same-round leave→join

@@ -21,11 +21,15 @@
 //! ## Data layout: the node arena
 //!
 //! Node state lives in a dense arena (`Vec<NodeSim>` + free list) indexed
-//! by `NodeIdx`; the single `DhtId → NodeIdx` map is consulted only at
-//! the DHT/overlay boundary (routing, joins, retrieval). Inside the round
-//! loop everything — neighbour tables, pull requests, supplier queues —
-//! carries `PeerRef` handles (`DhtId` identity + cached arena slot), so
-//! per-node access is an index load, not a hash probe. `PeerRef` equality
+//! by `NodeIdx`. Ids resolve to slots through a dense `DhtId → slot`
+//! table (`cs_dht::IdSlotTable`: one `u32` per id of the space, allocated
+//! once, enumerating in ascending id order), so the DHT/overlay boundary
+//! — routing, joins, retrieval, and above all the latency oracle the DHT
+//! calls for every overheard offer, some 80 times per retrieval — costs
+//! array loads: id → slot → the arena's slot-indexed ping array. Inside
+//! the round loop everything — neighbour tables, pull requests, supplier
+//! queues — carries `PeerRef` handles (`DhtId` identity + cached arena
+//! slot), so per-node access is an index load too. `PeerRef` equality
 //! and ordering are **by `DhtId`**, which keeps every tie-break identical
 //! to the id-keyed implementation this replaced (verified by pinned
 //! behavioural fingerprints in `tests/determinism.rs`).
@@ -281,11 +285,8 @@ impl SystemSim {
         augment_to_min_degree(&mut topo, config.neighbors, &mut aug_rng);
 
         // 2. IDs from the RP server.
-        let expected_joins =
-            (config.nodes as f64 * config.churn.join_fraction * config.rounds as f64).ceil() as u64;
-        let space = IdSpace::for_capacity(
-            (config.nodes as u64 + expected_joins) * config.id_space_slack as u64,
-        );
+        let expected_joins = config.expected_joins();
+        let space = IdSpace::for_capacity(config.id_capacity());
         let mut rp = RpServer::new(space);
         let mut rp_rng = tree.child("rp");
         let ids: Vec<DhtId> = (0..config.nodes)
@@ -299,7 +300,7 @@ impl SystemSim {
         // 4. Node states in the arena. Index 0 of the trace is the source.
         let sizes = MessageSizes::for_buffer(config.buffer_size);
         let t_fetch = cs_analysis::t_fetch(config.nodes as u64, config.t_hop_secs);
-        let mut nodes = NodeArena::with_capacity(config.nodes);
+        let mut nodes = NodeArena::new(space, config.nodes);
         let pings: Vec<f64> = topo.records().iter().map(|r| r.ping_ms).collect();
         for (idx, &id) in ids.iter().enumerate() {
             let is_source = idx == 0;
@@ -308,9 +309,10 @@ impl SystemSim {
             } else {
                 bw_assigner.sample_node(&mut bw_rng)
             };
-            nodes.insert(Self::make_node(
-                &config, space, id, pings[idx], bandwidth, t_fetch, is_source,
-            ));
+            nodes.insert(
+                Self::make_node(&config, space, id, bandwidth, t_fetch, is_source),
+                pings[idx],
+            );
         }
         let source = ids[0];
         let source_idx = nodes.lookup(source).expect("just inserted");
@@ -344,7 +346,7 @@ impl SystemSim {
                 if other != id {
                     let oref = nodes.make_ref(other);
                     let oidx = nodes.resolve(oref).expect("member");
-                    let other_ping = nodes.node(oidx).ping_ms;
+                    let other_ping = nodes.ping_at(oidx);
                     nodes
                         .node_mut(own)
                         .overheard
@@ -407,7 +409,6 @@ impl SystemSim {
         config: &SystemConfig,
         space: IdSpace,
         id: DhtId,
-        ping_ms: f64,
         bandwidth: NodeBandwidth,
         t_fetch: f64,
         is_source: bool,
@@ -418,7 +419,6 @@ impl SystemSim {
         NodeSim {
             id,
             birth: 0, // assigned by NodeArena::insert
-            ping_ms,
             bandwidth,
             connected: ConnectedNeighbors::new(config.neighbors),
             overheard: OverheardList::new(config.overheard),
@@ -789,7 +789,8 @@ mod tests {
     fn arena_reuses_slots_without_aliasing() {
         // Drive heavy churn and verify the slot-reuse invariants the hot
         // path relies on: ids resolve to nodes carrying that id, and the
-        // arena's id map matches the occupied slots exactly.
+        // arena's id table, its occupied slots, the round order and the
+        // DHT ring all describe the same membership.
         let cfg = SystemConfig {
             nodes: 50,
             rounds: 25,
@@ -805,14 +806,33 @@ mod tests {
             sim.debug_step(round);
             let occupied: usize = sim.nodes.slots.iter().filter(|s| s.is_some()).count();
             assert_eq!(occupied, sim.nodes.by_id.len(), "round {round}");
-            for (&id, &slot) in &sim.nodes.by_id {
-                let node = sim.nodes.slots[slot as usize]
-                    .as_ref()
-                    .expect("mapped slot occupied");
+            assert_eq!(occupied + sim.nodes.free.len(), sim.nodes.slot_count());
+            for &f in &sim.nodes.free {
+                assert!(
+                    sim.nodes.slots[f as usize].is_none(),
+                    "free slot {f} occupied"
+                );
+            }
+            for (id, idx) in sim.nodes.iter_pairs() {
+                let node = sim.nodes.get(idx).expect("mapped slot occupied");
                 assert_eq!(node.id, id, "round {round}: slot/id mismatch");
                 let r = sim.nodes.make_ref(id);
-                assert_eq!(sim.nodes.resolve(r), Some(NodeIdx(slot)));
+                assert_eq!(sim.nodes.resolve(r), Some(idx));
+                assert_eq!(sim.nodes.ping_of(id), sim.nodes.ping_at(idx));
             }
+            // The table enumerates in ascending id order: the round order
+            // is that enumeration, and (no crashes here) so is the ring.
+            assert!(sim.order_ids.windows(2).all(|w| w[0] < w[1]));
+            assert!(sim.nodes.iter_pairs().eq(sim
+                .order_ids
+                .iter()
+                .copied()
+                .zip(sim.order_idx.iter().copied())));
+            assert!(
+                sim.dht.ids().eq(sim.order_ids.iter().copied()),
+                "round {round}"
+            );
+            sim.dht.check_invariants().unwrap();
             assert!(sim.nodes.lookup(sim.source).is_some(), "source immortal");
         }
     }

@@ -421,7 +421,7 @@ impl SystemSim {
             // The requester overhears every node its lookups reached
             // (the located list stayed in the retrieval scratch).
             {
-                let local_ping = self.nodes.node(idx).ping_ms;
+                let local_ping = self.nodes.ping_at(idx);
                 for li in 0..scratch.retrieval.located.len() {
                     let l = scratch.retrieval.located[li];
                     if l != requester_id {

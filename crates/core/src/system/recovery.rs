@@ -709,8 +709,8 @@ impl SystemSim {
         traffic.add(TrafficClass::PrefetchData, self.sizes.segment_bits);
         scratch.add_spent(src_idx, 1.0 / self.config.period_secs);
         let rtt = {
-            let req_ping = self.nodes.node(idx).ping_ms;
-            let src_ping = self.nodes.node(src_idx).ping_ms;
+            let req_ping = self.nodes.ping_at(idx);
+            let src_ping = self.nodes.ping_at(src_idx);
             derive_latency(req_ping, src_ping) * 2.0
         };
         let transfer_ms = self.config.segment_kbits / 450.0 * 1000.0;

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use cs_dht::DhtId;
+use cs_dht::{DhtId, IdSlotTable, IdSpace};
 use cs_net::NodeBandwidth;
 use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
 use cs_trace::derive_latency;
@@ -30,7 +30,7 @@ pub(super) const INVALID_SLOT: u32 = u32::MAX;
 ///
 /// Equality and ordering are **by id only** — the slot is a lookup
 /// accelerator that may go stale under churn (the arena re-resolves it
-/// through the id map when it does). This makes every comparison and
+/// through the id table when it does). This makes every comparison and
 /// tie-break behave exactly like the id-keyed tables this design
 /// replaced.
 #[derive(Debug, Clone, Copy)]
@@ -72,14 +72,13 @@ pub(super) fn fresh_neighbor(id: PeerRef, latency_ms: f64) -> NeighborEntry<Peer
 pub(super) struct NodeSim {
     /// The node's DHT identifier; also the generation check for arena
     /// slot reuse (a stale `PeerRef` whose slot now holds a different id
-    /// falls back to the id map).
+    /// falls back to the id table).
     pub(super) id: DhtId,
     /// Unique lifetime stamp assigned by the arena on insertion. Ids can
     /// be reassigned (the RP server frees departed ids) and slots are
     /// reused, so `(slot, id)` does not identify a node *lifetime* —
     /// this does; the buffer-map exchange keys its snapshot reuse on it.
     pub(super) birth: u64,
-    pub(super) ping_ms: f64,
     pub(super) bandwidth: NodeBandwidth,
     pub(super) connected: ConnectedNeighbors<PeerRef>,
     pub(super) overheard: OverheardList<PeerRef>,
@@ -114,23 +113,33 @@ pub(super) struct NodeSim {
     pub(super) is_source: bool,
 }
 
-/// The dense node store: occupied slots + free list + the single
-/// `DhtId → slot` boundary map.
-#[derive(Default)]
+/// The dense node store: occupied slots + free list + the dense
+/// `DhtId → slot` table (one `u32` per id of the space, allocated once),
+/// plus the slot-indexed ping array behind the latency oracle.
+///
+/// The oracle ([`Self::latency`]) is what the DHT calls for every
+/// overheard offer — O(path²) times per route, some 80 calls per
+/// Algorithm 2 retrieval — so [`Self::ping_of`] is two array loads (id →
+/// slot → ping) and never touches a `NodeSim`.
 pub(super) struct NodeArena {
     pub(super) slots: Vec<Option<NodeSim>>,
     pub(super) free: Vec<u32>,
-    pub(super) by_id: HashMap<DhtId, u32>,
+    pub(super) by_id: IdSlotTable,
+    /// `pings[slot]` is the ping time of the slot's occupant; a vacant
+    /// slot keeps its last occupant's, which no id resolves to.
+    pings: Vec<f64>,
     /// Monotonic birth-stamp counter (see `NodeSim::birth`).
     pub(super) next_birth: u64,
 }
 
 impl NodeArena {
-    pub(super) fn with_capacity(n: usize) -> Self {
+    /// An empty arena for ids of `space`, with room for `n` nodes.
+    pub(super) fn new(space: IdSpace, n: usize) -> Self {
         NodeArena {
             slots: Vec::with_capacity(n),
             free: Vec::new(),
-            by_id: HashMap::with_capacity(n),
+            by_id: IdSlotTable::new(space),
+            pings: Vec::with_capacity(n),
             next_birth: 0,
         }
     }
@@ -143,17 +152,19 @@ impl NodeArena {
         self.slots.len()
     }
 
-    pub(super) fn insert(&mut self, mut node: NodeSim) -> NodeIdx {
+    pub(super) fn insert(&mut self, mut node: NodeSim, ping_ms: f64) -> NodeIdx {
         let id = node.id;
         node.birth = self.next_birth;
         self.next_birth += 1;
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(node);
+                self.pings[s as usize] = ping_ms;
                 s
             }
             None => {
                 self.slots.push(Some(node));
+                self.pings.push(ping_ms);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -163,7 +174,7 @@ impl NodeArena {
     }
 
     pub(super) fn remove_id(&mut self, id: DhtId) -> Option<NodeSim> {
-        let slot = self.by_id.remove(&id)?;
+        let slot = self.by_id.remove(id)?;
         let node = self.slots[slot as usize].take();
         debug_assert!(node.is_some());
         self.free.push(slot);
@@ -172,7 +183,7 @@ impl NodeArena {
 
     #[inline]
     pub(super) fn lookup(&self, id: DhtId) -> Option<NodeIdx> {
-        self.by_id.get(&id).map(|&s| NodeIdx(s))
+        self.by_id.get(id).map(NodeIdx)
     }
 
     /// A `PeerRef` for a node that may or may not be alive; dead ids get
@@ -182,12 +193,12 @@ impl NodeArena {
     pub(super) fn make_ref(&self, id: DhtId) -> PeerRef {
         PeerRef {
             id,
-            slot: self.by_id.get(&id).copied().unwrap_or(INVALID_SLOT),
+            slot: self.by_id.get(id).unwrap_or(INVALID_SLOT),
         }
     }
 
     /// Resolve a peer handle to its current arena slot: fast path checks
-    /// the cached slot's identity, slow path re-consults the id map (the
+    /// the cached slot's identity, slow path re-consults the id table (the
     /// id may live in a different slot after leave + rejoin). `None`
     /// means the id is not currently alive.
     #[inline]
@@ -219,20 +230,29 @@ impl NodeArena {
             .expect("NodeIdx points at a live node")
     }
 
+    /// Ping time of a live node.
+    #[inline]
+    pub(super) fn ping_at(&self, idx: NodeIdx) -> f64 {
+        debug_assert!(self.get(idx).is_some(), "NodeIdx points at a live node");
+        self.pings[idx.0 as usize]
+    }
+
     /// Ping time of `id`; ids that are not (or no longer) alive default
     /// to 50 ms, as in the id-keyed implementation.
     #[inline]
     pub(super) fn ping_of(&self, id: DhtId) -> f64 {
-        self.lookup(id).map_or(50.0, |i| self.node(i).ping_ms)
+        self.by_id.get(id).map_or(50.0, |s| self.pings[s as usize])
     }
 
     /// Latency between two ids at the DHT/overlay boundary.
+    #[inline]
     pub(super) fn latency(&self, a: DhtId, b: DhtId) -> f64 {
         derive_latency(self.ping_of(a), self.ping_of(b))
     }
 
+    /// The live `(id, handle)` pairs in ascending id order.
     pub(super) fn iter_pairs(&self) -> impl Iterator<Item = (DhtId, NodeIdx)> + '_ {
-        self.by_id.iter().map(|(&id, &s)| (id, NodeIdx(s)))
+        self.by_id.iter().map(|(id, s)| (id, NodeIdx(s)))
     }
 }
 

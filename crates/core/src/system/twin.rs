@@ -214,7 +214,7 @@ impl SystemSim {
                 words,
                 is_empty: node.buffer.is_empty(),
                 is_source: node.is_source,
-                ping_ms: node.ping_ms,
+                ping_ms: self.nodes.ping_at(idx),
                 neighbors: &neighbors,
             });
         }

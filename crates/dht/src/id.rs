@@ -103,9 +103,141 @@ impl IdSpace {
     }
 }
 
+/// A dense `DhtId → arena slot` table over a whole [`IdSpace`]: one `u32`
+/// per id, allocated once at `space.size()` entries and never grown, so a
+/// lookup is a bounds-checked array load and iteration is in ascending id
+/// order. Both node arenas (the DHT's and the full-system simulator's)
+/// resolve ids through one of these.
+///
+/// Ids are `< N` by construction (§4.1: `N` is "the maximum number of
+/// nodes the overlay can accommodate"), which is what makes a table
+/// indexed by id affordable; [`IdSlotTable::MAX_IDS`] bounds it.
+#[derive(Debug, Clone)]
+pub struct IdSlotTable {
+    /// `slots[id]` is the slot of live id `id`, `VACANT` otherwise.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl IdSlotTable {
+    /// The largest ID space a table may cover: 2^28 ids (1 GiB of slots).
+    pub const MAX_IDS: u64 = 1 << 28;
+
+    const VACANT: u32 = u32::MAX;
+
+    /// An empty table over `space`.
+    ///
+    /// # Panics
+    /// If the space holds more than [`IdSlotTable::MAX_IDS`] ids.
+    pub fn new(space: IdSpace) -> Self {
+        assert!(
+            space.size() <= Self::MAX_IDS,
+            "ID space of {} ids is too large for a dense id table (at most {} ids, 2^28)",
+            space.size(),
+            Self::MAX_IDS
+        );
+        IdSlotTable {
+            slots: vec![Self::VACANT; space.size() as usize],
+            len: 0,
+        }
+    }
+
+    /// Number of live ids.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no id is live.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slot of `id`; `None` for ids that are vacant or outside the
+    /// space.
+    #[inline]
+    pub fn get(&self, id: DhtId) -> Option<u32> {
+        match self.slots.get(id as usize) {
+            Some(&s) if s != Self::VACANT => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Map `id` to `slot`, returning the slot it was mapped to before.
+    ///
+    /// # Panics
+    /// If `id` lies outside the space or `slot` is `u32::MAX`.
+    pub fn insert(&mut self, id: DhtId, slot: u32) -> Option<u32> {
+        assert!(slot != Self::VACANT, "slot u32::MAX is reserved");
+        let prev = std::mem::replace(&mut self.slots[id as usize], slot);
+        if prev == Self::VACANT {
+            self.len += 1;
+            None
+        } else {
+            Some(prev)
+        }
+    }
+
+    /// Unmap `id`, returning the slot it was mapped to.
+    pub fn remove(&mut self, id: DhtId) -> Option<u32> {
+        let slot = self.get(id)?;
+        self.slots[id as usize] = Self::VACANT;
+        self.len -= 1;
+        Some(slot)
+    }
+
+    /// The live `(id, slot)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (DhtId, u32)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != Self::VACANT)
+            .map(|(id, &s)| (id as DhtId, s))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_sim::RngTree;
+    use rand::Rng;
+
+    #[test]
+    fn id_slot_table_matches_a_hash_map() {
+        // Model test: random insert / remove / re-insert of the same id
+        // under a different slot, against std's map.
+        let mut rng = RngTree::new(14).child("id-slot-table");
+        for case in 0..50 {
+            let space = IdSpace::new(rng.gen_range(1u32..9));
+            let mut table = IdSlotTable::new(space);
+            let mut model = std::collections::HashMap::new();
+            for step in 0..400 {
+                let id = rng.gen_range(0..space.size());
+                if rng.gen_bool(0.6) {
+                    let slot = rng.gen_range(0u32..1000);
+                    assert_eq!(table.insert(id, slot), model.insert(id, slot));
+                } else {
+                    assert_eq!(table.remove(id), model.remove(&id));
+                }
+                assert_eq!(table.len(), model.len(), "case {case} step {step}");
+                assert_eq!(table.is_empty(), model.is_empty());
+                let probe = rng.gen_range(0..space.size());
+                assert_eq!(table.get(probe), model.get(&probe).copied());
+            }
+            let listed: Vec<(DhtId, u32)> = table.iter().collect();
+            let mut expect: Vec<(DhtId, u32)> = model.into_iter().collect();
+            expect.sort_unstable();
+            assert_eq!(listed, expect, "case {case}: ascending id order");
+            // Ids beyond the space are simply absent.
+            assert_eq!(table.get(space.size()), None);
+            assert_eq!(table.remove(space.size() + 7), None);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for a dense id table (at most 268435456 ids")]
+    fn id_slot_table_rejects_an_oversized_space() {
+        let _ = IdSlotTable::new(IdSpace::new(29));
+    }
 
     #[test]
     fn size_and_wrap() {

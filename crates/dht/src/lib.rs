@@ -9,7 +9,8 @@
 //!
 //! This crate implements:
 //!
-//! * ID-space arithmetic over `N = 2^bits` ([`id`]);
+//! * ID-space arithmetic over `N = 2^bits` and the dense id → slot table
+//!   both node arenas resolve ids through ([`id`]);
 //! * the level-constrained peer table ([`peers`]);
 //! * greedy clockwise routing with hop accounting ([`routing`]) — the
 //!   appendix bound `log N / log(4/3)` is enforced as a property test;
@@ -25,7 +26,7 @@ pub mod peers;
 pub mod placement;
 pub mod routing;
 
-pub use id::{DhtId, IdSpace};
+pub use id::{DhtId, IdSlotTable, IdSpace};
 pub use network::{DhtIdx, DhtNetwork, DhtNodeState, JoinError};
 pub use peers::{DhtPeerEntry, DhtPeerTable};
 pub use placement::{

@@ -12,22 +12,27 @@
 //! list) addressed by [`DhtIdx`] slot handles, mirroring the node arena of
 //! the full-system simulator. Ring membership is a sorted `Vec<DhtId>`
 //! (binary-searched by `responsible_of`/`successor_of`/`predecessor_of`),
-//! and the single `DhtId → DhtIdx` map is consulted only at the overlay
-//! boundary — inside the routing loop every hop moves slot-to-slot through
-//! the slot hints cached in [`DhtPeerEntry`]. Every decision (greedy next
-//! hop, tie-breaks, table replacement, RNG consumption in `build`/`join`)
-//! is keyed on `DhtId` exactly as in the `BTreeMap`-keyed implementation
+//! and ids resolve to slots through a dense [`IdSlotTable`] — one `u32`
+//! per id of the space, allocated once in [`DhtNetwork::new`] and never
+//! grown, so `lookup`/`contains` and the stale-hint fallback of the
+//! routing loop are a single array load, not a hash probe. Inside the
+//! routing loop every hop moves slot-to-slot through the slot hints
+//! cached in [`DhtPeerEntry`], and the greedy next hop is read straight
+//! off the level the target's distance falls in (see
+//! [`DhtPeerTable::next_hop`]). Every decision (greedy next hop,
+//! tie-breaks, table replacement, RNG consumption in `build`/`join`) is
+//! keyed on `DhtId` exactly as in the `BTreeMap`-keyed implementation
 //! this replaced, so routes are bit-identical (pinned by
 //! `tests/dht_routing.rs`).
-
-use std::collections::HashMap;
+//!
+//! [`DhtPeerEntry`]: crate::peers::DhtPeerEntry
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use cs_sim::SimRng;
 
-use crate::id::{DhtId, IdSpace};
+use crate::id::{DhtId, IdSlotTable, IdSpace};
 use crate::peers::{DhtPeerTable, NO_SLOT};
 use crate::placement::ResponsibilityRange;
 
@@ -86,8 +91,8 @@ pub struct DhtNetwork {
     slots: Vec<Option<DhtNodeState>>,
     /// Vacant slot indices, reused LIFO by `join`.
     free: Vec<u32>,
-    /// The boundary map: live id → occupied slot.
-    by_id: HashMap<DhtId, u32>,
+    /// Live id → occupied slot.
+    by_id: IdSlotTable,
     /// Live ids in ring (ascending) order; binary-searched by the
     /// ring-geometry queries and indexed directly by `random_id`.
     ring: Vec<DhtId>,
@@ -95,12 +100,16 @@ pub struct DhtNetwork {
 
 impl DhtNetwork {
     /// An empty network over the given ID space.
+    ///
+    /// # Panics
+    /// If the space holds more than [`IdSlotTable::MAX_IDS`] (2^28) ids:
+    /// the id → slot table is dense over the whole space.
     pub fn new(space: IdSpace) -> Self {
         DhtNetwork {
             space,
             slots: Vec::new(),
             free: Vec::new(),
-            by_id: HashMap::new(),
+            by_id: IdSlotTable::new(space),
             ring: Vec::new(),
         }
     }
@@ -119,7 +128,6 @@ impl DhtNetwork {
     ) -> Self {
         let mut net = DhtNetwork::new(space);
         net.slots.reserve(ids.len());
-        net.by_id.reserve(ids.len());
         for &id in ids {
             assert!(space.contains(id), "id {id} outside the ID space");
             let slot = net.slots.len() as u32;
@@ -136,7 +144,7 @@ impl DhtNetwork {
         let sorted = net.ring.clone();
         for &id in &sorted {
             let table = net.build_table(id, &sorted, latency_ms, rng);
-            let slot = net.by_id[&id];
+            let slot = net.by_id.get(id).expect("just inserted");
             net.slots[slot as usize]
                 .as_mut()
                 .expect("just inserted")
@@ -191,7 +199,7 @@ impl DhtNetwork {
                     }
                 }
                 let cand = view.get(vj);
-                let hint = self.by_id.get(&cand).copied().unwrap_or(NO_SLOT);
+                let hint = self.by_id.get(cand).unwrap_or(NO_SLOT);
                 table.offer_hinted(cand, latency_ms(owner, cand), hint);
             }
         }
@@ -225,7 +233,7 @@ impl DhtNetwork {
 
     /// Whether `id` is a live node.
     pub fn contains(&self, id: DhtId) -> bool {
-        self.by_id.contains_key(&id)
+        self.by_id.get(id).is_some()
     }
 
     /// Iterate over live node IDs in ring order.
@@ -235,7 +243,7 @@ impl DhtNetwork {
 
     /// The arena handle of a live node (the boundary id → slot step).
     pub fn lookup(&self, id: DhtId) -> Option<DhtIdx> {
-        self.by_id.get(&id).map(|&s| DhtIdx(s))
+        self.by_id.get(id).map(DhtIdx)
     }
 
     /// The id occupying an arena slot, if it is live.
@@ -253,7 +261,7 @@ impl DhtNetwork {
 
     /// Borrow a node's state.
     pub fn node(&self, id: DhtId) -> Option<&DhtNodeState> {
-        self.by_id.get(&id).map(|&s| {
+        self.by_id.get(id).map(|s| {
             self.slots[s as usize]
                 .as_ref()
                 .expect("mapped slot occupied")
@@ -262,8 +270,8 @@ impl DhtNetwork {
 
     /// Mutably borrow a node's state.
     pub fn node_mut(&mut self, id: DhtId) -> Option<&mut DhtNodeState> {
-        match self.by_id.get(&id) {
-            Some(&s) => self.slots[s as usize].as_mut(),
+        match self.by_id.get(id) {
+            Some(s) => self.slots[s as usize].as_mut(),
             None => None,
         }
     }
@@ -285,7 +293,7 @@ impl DhtNetwork {
     }
 
     /// Resolve an id to its current slot: fast path verifies the cached
-    /// hint's occupant, slow path consults the boundary map (the id may
+    /// hint's occupant, slow path consults the id table (the id may
     /// occupy a different slot after leave + rejoin). `None` means the id
     /// is not currently alive.
     #[inline]
@@ -295,7 +303,7 @@ impl DhtNetwork {
                 return Some(hint);
             }
         }
-        self.by_id.get(&id).copied()
+        self.by_id.get(id)
     }
 
     /// Ground truth: the node *counter-clockwise closest* to `key` — the
@@ -361,25 +369,28 @@ impl DhtNetwork {
         if !self.space.contains(id) {
             return Err(JoinError::OutOfSpace(id));
         }
-        if self.by_id.contains_key(&id) {
+        if self.contains(id) {
             return Err(JoinError::IdTaken(id));
         }
-        // Pre-join membership: the table-building base and the
-        // announcement sample (same snapshot the id-keyed version took
-        // from its key set).
-        let sorted = self.ring.clone();
+        // Both the newcomer's table and the announcement sample are drawn
+        // from the pre-join membership, so they are taken before `id`
+        // enters the ring (table draws first, then the sample's).
+        let table = self.build_table(id, &self.ring, latency_ms, rng);
+        let sample: Vec<DhtId> = self
+            .ring
+            .choose_multiple(rng, 16.min(self.ring.len()))
+            .copied()
+            .collect();
+
+        let node = Some(DhtNodeState { peers: table });
         let slot = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.slots[s as usize].is_none(), "free slot occupied");
-                self.slots[s as usize] = Some(DhtNodeState {
-                    peers: DhtPeerTable::new(self.space, id),
-                });
+                self.slots[s as usize] = node;
                 s
             }
             None => {
-                self.slots.push(Some(DhtNodeState {
-                    peers: DhtPeerTable::new(self.space, id),
-                }));
+                self.slots.push(node);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -387,38 +398,20 @@ impl DhtNetwork {
         let at = self.ring.partition_point(|&x| x < id);
         self.ring.insert(at, id);
 
-        let table = self.build_table(id, &sorted, latency_ms, rng);
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("just inserted")
-            .peers = table;
-
         // The predecessor must learn its new closest-clockwise peer: that
         // peer bounds the predecessor's backup range [n, n₁).
         if let Some(pred) = self.predecessor_of(id) {
             let lat = latency_ms(pred, id);
-            if let Some(&ps) = self.by_id.get(&pred) {
-                self.slots[ps as usize]
-                    .as_mut()
-                    .expect("mapped slot occupied")
-                    .peers
-                    .offer_closer_hinted(id, lat, slot);
+            if let Some(state) = self.node_mut(pred) {
+                state.peers.offer_closer_hinted(id, lat, slot);
             }
         }
-        // Tell a sample of existing nodes about the newcomer; the rest
-        // will learn by overhearing routed messages.
-        let sample: Vec<DhtId> = sorted
-            .choose_multiple(rng, 16.min(sorted.len()))
-            .copied()
-            .collect();
+        // Tell the sample about the newcomer; the rest will learn by
+        // overhearing routed messages.
         for other in sample {
             let lat = latency_ms(other, id);
-            if let Some(&os) = self.by_id.get(&other) {
-                self.slots[os as usize]
-                    .as_mut()
-                    .expect("mapped slot occupied")
-                    .peers
-                    .offer_hinted(id, lat, slot);
+            if let Some(state) = self.node_mut(other) {
+                state.peers.offer_hinted(id, lat, slot);
             }
         }
         Ok(())
@@ -427,14 +420,17 @@ impl DhtNetwork {
     /// Remove a node. Dangling references in other tables are repaired
     /// lazily by the router. Returns `true` if the node was present.
     pub fn leave(&mut self, id: DhtId) -> bool {
-        let Some(slot) = self.by_id.remove(&id) else {
+        let Some(slot) = self.by_id.remove(id) else {
             return false;
         };
         let node = self.slots[slot as usize].take();
         debug_assert!(node.is_some(), "mapped slot occupied");
         self.free.push(slot);
         let at = self.ring.partition_point(|&x| x < id);
-        debug_assert!(self.ring.get(at) == Some(&id), "ring in sync with map");
+        debug_assert!(
+            self.ring.get(at) == Some(&id),
+            "ring in sync with the id table"
+        );
         self.ring.remove(at);
         true
     }
@@ -457,8 +453,8 @@ impl DhtNetwork {
     }
 
     /// Check every node's level invariant plus the arena's structural
-    /// invariants (map ↔ slots ↔ ring ↔ free list); `Err` describes the
-    /// first violation found.
+    /// invariants (id table ↔ slots ↔ ring ↔ free list); `Err` describes
+    /// the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         // Ring: strictly ascending, exactly the live membership.
         if let Some(w) = self.ring.windows(2).find(|w| w[0] >= w[1]) {
@@ -469,7 +465,7 @@ impl DhtNetwork {
         }
         if self.ring.len() != self.by_id.len() {
             return Err(format!(
-                "ring has {} ids but the map has {}",
+                "ring has {} ids but the id table has {}",
                 self.ring.len(),
                 self.by_id.len()
             ));
@@ -495,13 +491,14 @@ impl DhtNetwork {
                 return Err(format!("free-list slot {f} is not vacant"));
             }
         }
-        // Per-node: the map points at a slot owned by that id, and the
-        // level invariant holds (checked in ring order, like the id-keyed
-        // implementation walked its sorted key set).
-        for &id in &self.ring {
-            let Some(&slot) = self.by_id.get(&id) else {
-                return Err(format!("ring id {id} missing from the map"));
-            };
+        // Per-node, in ring order (like the id-keyed implementation walked
+        // its sorted key set): the table's own ascending enumeration is
+        // the ring, each id points at a slot owned by that id, and the
+        // level invariant holds.
+        for ((id, slot), &ring_id) in self.by_id.iter().zip(&self.ring) {
+            if id != ring_id {
+                return Err(format!("id table lists {id} where the ring has {ring_id}"));
+            }
             let Some(Some(state)) = self.slots.get(slot as usize) else {
                 return Err(format!("id {id} maps to vacant slot {slot}"));
             };
@@ -715,6 +712,12 @@ mod tests {
             net.join(64, &flat_latency, &mut rng),
             Err(JoinError::OutOfSpace(64))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for a dense id table (at most 268435456 ids, 2^28)")]
+    fn oversized_space_is_rejected_at_construction() {
+        let _ = DhtNetwork::new(IdSpace::new(29));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! column and the paper's neighbour-selection style. Entries are refreshed
 //! from overheard nodes, so a table fills up (and heals after churn)
 //! without any dedicated maintenance traffic.
+//!
+//! The levels are ordered, disjoint distance bands, and the table leans
+//! on that: the greedy next hop, the closest-clockwise peer and removal
+//! all go straight to the one level the distance in question falls in
+//! (plus a bitmask of filled levels) instead of scanning the table.
 
 use crate::id::{DhtId, IdSpace};
 
@@ -60,8 +65,12 @@ pub const STALE_AGE: u32 = 8;
 pub struct DhtPeerTable {
     space: IdSpace,
     owner: DhtId,
-    /// `levels[i - 1]` holds the level-`i` peer.
+    /// `levels[i - 1]` holds the level-`i` peer, at clockwise distance
+    /// in `[2^(i-1), 2^i)` from the owner.
     levels: Vec<Option<DhtPeerEntry>>,
+    /// Bit `i - 1` is set iff level `i` is filled (a space has at most
+    /// 63 levels).
+    filled: u64,
 }
 
 impl DhtPeerTable {
@@ -72,6 +81,7 @@ impl DhtPeerTable {
             space,
             owner,
             levels: vec![None; space.bits() as usize],
+            filled: 0,
         }
     }
 
@@ -92,7 +102,7 @@ impl DhtPeerTable {
 
     /// Number of filled levels.
     pub fn filled(&self) -> usize {
-        self.levels.iter().filter(|e| e.is_some()).count()
+        self.filled.count_ones() as usize
     }
 
     /// Iterate over all current peers.
@@ -145,6 +155,7 @@ impl DhtPeerTable {
                 age: 0,
                 slot: hint,
             });
+            self.filled |= 1 << level;
         }
         replace
     }
@@ -189,20 +200,27 @@ impl DhtPeerTable {
                 age: 0,
                 slot: slot_hint,
             });
+            self.filled |= 1 << level;
         }
         replace
     }
 
     /// Remove a peer known to have failed. Returns `true` if it was
-    /// present.
+    /// present. Only the level `id`'s distance falls in can hold it.
     pub fn remove(&mut self, id: DhtId) -> bool {
-        for slot in &mut self.levels {
-            if slot.map(|e| e.id) == Some(id) {
-                *slot = None;
-                return true;
-            }
+        if !self.space.contains(id) {
+            return false;
         }
-        false
+        let Some(level) = self.space.level_of(self.owner, id) else {
+            return false;
+        };
+        let level = level as usize - 1;
+        if self.levels[level].map(|e| e.id) != Some(id) {
+            return false;
+        }
+        self.levels[level] = None;
+        self.filled &= !(1 << level);
+        true
     }
 
     /// Age all entries by one maintenance period.
@@ -216,7 +234,45 @@ impl DhtPeerTable {
     /// distance exceeding the owner's own clockwise distance — the greedy
     /// next hop of §4.1. `None` when no peer is strictly closer than the
     /// owner (routing terminates at the owner).
+    ///
+    /// A peer gets closer exactly when it does not overshoot, i.e. its
+    /// distance from the owner is at most the target's, and the closest
+    /// such peer is the farthest one. Levels are ordered distance bands,
+    /// so that is the peer in the target's own band unless it overshoots,
+    /// and otherwise the highest filled level below — every lower band
+    /// lies wholly short of the target.
     pub fn next_hop(&self, target: DhtId) -> Option<DhtPeerEntry> {
+        let own_dist = self.space.clockwise_dist(self.owner, target);
+        if own_dist == 0 {
+            return None;
+        }
+        let band = (63 - own_dist.leading_zeros()) as usize;
+        if let Some(p) = self.levels[band] {
+            if self.space.clockwise_dist(self.owner, p.id) <= own_dist {
+                return Some(p);
+            }
+        }
+        let below = self.filled & ((1 << band) - 1);
+        if below == 0 {
+            return None;
+        }
+        self.levels[(63 - below.leading_zeros()) as usize]
+    }
+
+    /// The owner's *closest clockwise* DHT peer, i.e. the `n₁` of the
+    /// backup-responsibility interval `[n, n₁)` (§4.3): the peer of the
+    /// lowest filled level.
+    pub fn closest_clockwise(&self) -> Option<DhtPeerEntry> {
+        if self.filled == 0 {
+            return None;
+        }
+        self.levels[self.filled.trailing_zeros() as usize]
+    }
+
+    /// Reference model for [`next_hop`](Self::next_hop): score every peer
+    /// by its remaining clockwise distance and keep the minimum.
+    #[cfg(test)]
+    fn next_hop_scan(&self, target: DhtId) -> Option<DhtPeerEntry> {
         let own_dist = self.space.clockwise_dist(self.owner, target);
         // A peer p "gets closer" when clockwise_dist(p, target) < own
         // remaining clockwise distance; ties do not progress.
@@ -229,9 +285,9 @@ impl DhtPeerTable {
             .map(|(_, p)| p)
     }
 
-    /// The owner's *closest clockwise* DHT peer, i.e. the `n₁` of the
-    /// backup-responsibility interval `[n, n₁)` (§4.3).
-    pub fn closest_clockwise(&self) -> Option<DhtPeerEntry> {
+    /// Reference model for [`closest_clockwise`](Self::closest_clockwise).
+    #[cfg(test)]
+    fn closest_clockwise_scan(&self) -> Option<DhtPeerEntry> {
         self.peers().min_by(|a, b| {
             let da = self.space.clockwise_dist(self.owner, a.id);
             let db = self.space.clockwise_dist(self.owner, b.id);
@@ -239,10 +295,30 @@ impl DhtPeerTable {
         })
     }
 
+    /// Reference model for [`remove`](Self::remove): search every level.
+    #[cfg(test)]
+    fn remove_scan(&mut self, id: DhtId) -> bool {
+        for (level, slot) in self.levels.iter_mut().enumerate() {
+            if slot.map(|e| e.id) == Some(id) {
+                *slot = None;
+                self.filled &= !(1 << level);
+                return true;
+            }
+        }
+        false
+    }
+
     /// Verify the level invariant for every entry; used by tests and debug
     /// assertions in the network layer.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (idx, entry) in self.levels.iter().enumerate() {
+            if entry.is_some() != (self.filled >> idx & 1 == 1) {
+                return Err(format!(
+                    "level {} disagrees with the filled mask {:#b}",
+                    idx + 1,
+                    self.filled
+                ));
+            }
             if let Some(e) = entry {
                 let level = idx as u32 + 1;
                 let (from, to) = self.space.level_interval(self.owner, level);
@@ -261,6 +337,8 @@ impl DhtPeerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_sim::RngTree;
+    use rand::Rng;
 
     fn table() -> DhtPeerTable {
         DhtPeerTable::new(IdSpace::new(6), 10) // N = 64, owner 10
@@ -379,6 +457,67 @@ mod tests {
         assert_eq!(t.closest_clockwise().unwrap().id, 11);
         let empty = table();
         assert!(empty.closest_clockwise().is_none());
+    }
+
+    #[test]
+    fn level_index_matches_reference_scans() {
+        let mut rng = RngTree::new(21).child("peer-table");
+        for case in 0..600 {
+            let space = IdSpace::new(rng.gen_range(1u32..11));
+            let n = space.size();
+            // Every third owner sits at the top of the space, so its
+            // levels wrap through zero.
+            let owner = if case % 3 == 0 {
+                n - 1 - rng.gen_range(0..n.min(3))
+            } else {
+                rng.gen_range(0..n)
+            };
+            let mut t = DhtPeerTable::new(space, owner);
+            // Empty, sparse, half-offered and fully offered tables (the
+            // last fills every level that has an id at all).
+            let offers = match case % 4 {
+                0 => rng.gen_range(0u64..3),
+                1 => rng.gen_range(0..n),
+                2 => n / 2,
+                _ => 4 * n,
+            };
+            for _ in 0..offers {
+                t.offer(rng.gen_range(0..n), rng.gen_range(1.0..100.0));
+                if rng.gen_bool(0.1) {
+                    t.tick();
+                }
+            }
+            if case % 5 == 0 {
+                // The farthest possible peer: it overshoots every target
+                // but its own id.
+                t.offer_closer(space.wrap(owner + n - 1), 1.0);
+            }
+            t.check_invariants().unwrap();
+
+            // Every target, which covers target == owner and exact hits.
+            for target in 0..n {
+                assert_eq!(
+                    t.next_hop(target),
+                    t.next_hop_scan(target),
+                    "case {case}: owner {owner}, target {target}, table {t:?}"
+                );
+            }
+            assert_eq!(t.closest_clockwise(), t.closest_clockwise_scan());
+
+            // Removal: filed peers, absent ids, the owner, out-of-space.
+            let filed: Vec<DhtId> = t.peers().map(|p| p.id).collect();
+            let mut victims = filed;
+            victims.extend([owner, n, n + 5, rng.gen_range(0..n), rng.gen_range(0..n)]);
+            for id in victims {
+                let mut a = t.clone();
+                let mut b = t.clone();
+                assert_eq!(a.remove(id), b.remove_scan(id), "case {case}: remove {id}");
+                assert_eq!(a.levels, b.levels);
+                assert_eq!(a.filled, b.filled);
+                a.check_invariants().unwrap();
+                assert_eq!(a.closest_clockwise(), a.closest_clockwise_scan());
+            }
+        }
     }
 
     #[test]

@@ -94,11 +94,17 @@ pub struct RouteScratch {
 /// earlier path nodes to its DHT peer table — the paper's free maintenance.
 ///
 /// The loop moves slot-to-slot through the arena: the source id is
-/// resolved through the boundary map once, and every subsequent hop rides
-/// the slot hint cached in its peer entry (verified against the slot's
-/// occupant, with a map fallback when churn staled it). All decisions are
-/// keyed on ids, so routes are bit-identical to the id-keyed
+/// resolved through the network's dense id table once, and every
+/// subsequent hop rides the slot hint cached in its peer entry (verified
+/// against the slot's occupant, with a table load as the fallback when
+/// churn staled it). Each hop is picked in O(1) from the level the
+/// remaining distance falls in ([`DhtPeerTable::next_hop`]). With
+/// `overhear` set, `latency_ms` is called once per (hop, earlier path
+/// node) pair — O(path²) per route — so it must be cheap. All decisions
+/// are keyed on ids, so routes are bit-identical to the id-keyed
 /// implementation (pinned in `tests/dht_routing.rs`).
+///
+/// [`DhtPeerTable::next_hop`]: crate::peers::DhtPeerTable::next_hop
 pub fn route(
     net: &mut DhtNetwork,
     src: DhtId,

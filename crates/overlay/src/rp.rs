@@ -86,16 +86,63 @@ impl RpServer {
     /// The `count` members with IDs closest to `id` on the ring (by
     /// minimum of clockwise and counter-clockwise distance), excluding
     /// `id` itself — the "short list of several existing nodes which have
-    /// close IDs".
+    /// close IDs". Nearest first; equal distances in ascending id order.
+    ///
+    /// Walks the ordered membership outward from `id` in both directions
+    /// and merges the two walks, so the cost is `O(log n + count)` rather
+    /// than a sort of all members.
     pub fn close_list(&self, id: DhtId, count: usize) -> Vec<DhtId> {
+        let key = |m: DhtId| self.closeness(id, m);
+        // Clockwise: ids above `id`, then from zero up to it. Counter-
+        // clockwise: ids below `id`, then from the top down to it. Each
+        // walk lists every other member once, and its near half — the
+        // members closer on its side — in ascending key order.
+        let mut cw = (self.known.range(id + 1..))
+            .chain(self.known.range(..id))
+            .copied()
+            .peekable();
+        let mut ccw = (self.known.range(..id).rev())
+            .chain(self.known.range(id + 1..).rev())
+            .copied()
+            .peekable();
+        let others = self.known.len() - usize::from(self.known.contains(&id));
+        let take = count.min(others);
+        let mut out = Vec::with_capacity(take);
+        // A member leaves a walk only when it is listed, and a walk runs
+        // into its far half only once the other walk's near half is all
+        // that is left — so until everyone is listed both heads are
+        // unlisted and the closest unlisted member is one of them.
+        while out.len() < take {
+            let a = *cw.peek().expect("unlisted members remain");
+            let b = *ccw.peek().expect("unlisted members remain");
+            let next = if key(a) <= key(b) { a } else { b };
+            out.push(next);
+            if a == next {
+                cw.next();
+            }
+            if b == next {
+                ccw.next();
+            }
+        }
+        out
+    }
+
+    /// Reference model for [`close_list`](Self::close_list): sort the
+    /// whole membership by ring distance.
+    #[cfg(test)]
+    fn close_list_sorted(&self, id: DhtId, count: usize) -> Vec<DhtId> {
         let mut members: Vec<DhtId> = self.known.iter().copied().filter(|&m| m != id).collect();
-        members.sort_by_key(|&m| {
-            let cw = self.space.clockwise_dist(id, m);
-            let ccw = self.space.clockwise_dist(m, id);
-            (cw.min(ccw), m)
-        });
+        members.sort_by_key(|&m| self.closeness(id, m));
         members.truncate(count);
         members
+    }
+
+    /// The close-list sort key of member `m` as seen from `id`: ring
+    /// distance in the nearer direction, ties broken by id.
+    fn closeness(&self, id: DhtId, m: DhtId) -> (u64, DhtId) {
+        let cw = self.space.clockwise_dist(id, m);
+        let ccw = self.space.clockwise_dist(m, id);
+        (cw.min(ccw), m)
     }
 }
 
@@ -155,6 +202,39 @@ mod tests {
         assert!(rp.report_failure(7));
         assert!(!rp.report_failure(7));
         assert!(!rp.knows(7));
+    }
+
+    #[test]
+    fn close_list_walk_matches_the_sort() {
+        use rand::Rng;
+        let mut rng = RngTree::new(9).child("close-list");
+        for case in 0..400 {
+            let space = IdSpace::new(rng.gen_range(1u32..9));
+            let mut rp = RpServer::new(space);
+            // From empty through nearly full, so antipodes, equal-distance
+            // pairs and fewer-than-`count` memberships all occur.
+            let members = rng.gen_range(0..=space.size());
+            for _ in 0..members {
+                rp.known.insert(rng.gen_range(0..space.size()));
+            }
+            for _ in 0..20 {
+                // Members and non-members alike, the ring's ends included.
+                let id = match rng.gen_range(0u32..4) {
+                    0 => 0,
+                    1 => space.size() - 1,
+                    _ => rng.gen_range(0..space.size()),
+                };
+                let count = rng.gen_range(0usize..7);
+                assert_eq!(
+                    rp.close_list(id, count),
+                    rp.close_list_sorted(id, count),
+                    "case {case}: id {id}, count {count}, known {:?}",
+                    rp.known
+                );
+            }
+            let all = rp.close_list(0, usize::MAX);
+            assert_eq!(all, rp.close_list_sorted(0, usize::MAX));
+        }
     }
 
     #[test]
