@@ -87,6 +87,111 @@ fn grid(
     pts
 }
 
+/// The staged search: each stage sweeps one knob family on top of the
+/// previous stage's winner. Returns every evaluated point, in stage
+/// order.
+fn staged_search(
+    spec: &ScenarioSpec,
+    base_policy: &AdaptivePolicy,
+    origin: KnobPoint,
+    smoke: bool,
+) -> Vec<PointResult> {
+    let mut all: Vec<PointResult> = Vec::new();
+
+    // Stage 1 — recovery plane (PR-6 knobs) over the base policy.
+    let s1 = if smoke {
+        grid(
+            &[0, 6],
+            &[0, 8],
+            &[0],
+            &[0],
+            &[0],
+            &[origin.inbound_slack],
+            &[origin.target_runway_rounds],
+        )
+    } else {
+        grid(
+            &[0, 4, 6, 8],
+            &[0, 8],
+            &[origin.join_sponsors],
+            &[origin.join_seed],
+            &[origin.join_grace_rounds],
+            &[origin.inbound_slack],
+            &[origin.target_runway_rounds],
+        )
+    };
+    eprintln!("stage 1 (recovery): {} points", s1.len());
+    let r1 = evaluate_stage(spec, base_policy, &s1, "recovery");
+    let w1 = r1[best(&r1)].point;
+    eprintln!(
+        "  stage 1 winner: {} (mean {:.4})",
+        w1.label(),
+        r1[best(&r1)].mean_continuity
+    );
+    all.extend(r1);
+
+    // Stage 2 — joiner integration on top of the stage-1 winner. The
+    // rescue cap is re-swept here: join grace lifts the rescue ceiling
+    // for catch-up nodes, so the cap's best value shifts once the
+    // joiner knobs arm.
+    let s2 = if smoke {
+        grid(
+            &[w1.source_push],
+            &[w1.source_rescue_cap],
+            &[0, 4],
+            &[0, 16],
+            &[0, 8],
+            &[w1.inbound_slack],
+            &[w1.target_runway_rounds],
+        )
+    } else {
+        grid(
+            &[w1.source_push],
+            &[4, 8, 12],
+            &[0, 4, 8],
+            &[0, 16, 24],
+            &[0, 12, 20],
+            &[w1.inbound_slack],
+            &[w1.target_runway_rounds],
+        )
+    };
+    eprintln!("stage 2 (joiner): {} points", s2.len());
+    let r2 = evaluate_stage(spec, base_policy, &s2, "joiner");
+    let w2 = r2[best(&r2)].point;
+    eprintln!(
+        "  stage 2 winner: {} (mean {:.4})",
+        w2.label(),
+        r2[best(&r2)].mean_continuity
+    );
+    all.extend(r2);
+
+    // Stage 3 — steady-state refinement around the stage-2 winner.
+    let s3 = if smoke {
+        Vec::new()
+    } else {
+        grid(
+            &[w2.source_push],
+            &[w2.source_rescue_cap],
+            &[w2.join_sponsors],
+            &[w2.join_seed],
+            &[w2.join_grace_rounds],
+            &[0.15, 0.35, 0.45],
+            &[4, 8],
+        )
+    };
+    if !s3.is_empty() {
+        eprintln!("stage 3 (refine): {} points", s3.len());
+        let r3 = evaluate_stage(spec, base_policy, &s3, "refine");
+        eprintln!(
+            "  stage 3 winner: {} (mean {:.4})",
+            r3[best(&r3)].point.label(),
+            r3[best(&r3)].mean_continuity
+        );
+        all.extend(r3);
+    }
+    all
+}
+
 fn main() {
     let scenario = arg_value("--scenario").unwrap_or_else(|| "scenarios/dynamic_churn.scn".into());
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -140,100 +245,7 @@ fn main() {
         legacy.mean_continuity, adaptive_default.mean_continuity
     );
 
-    let mut all: Vec<PointResult> = Vec::new();
-
-    // Stage 1 — recovery plane (PR-6 knobs) over the base policy.
-    let s1 = if smoke {
-        grid(
-            &[0, 6],
-            &[0, 8],
-            &[0],
-            &[0],
-            &[0],
-            &[origin.inbound_slack],
-            &[origin.target_runway_rounds],
-        )
-    } else {
-        grid(
-            &[0, 4, 6, 8],
-            &[0, 8],
-            &[origin.join_sponsors],
-            &[origin.join_seed],
-            &[origin.join_grace_rounds],
-            &[origin.inbound_slack],
-            &[origin.target_runway_rounds],
-        )
-    };
-    eprintln!("stage 1 (recovery): {} points", s1.len());
-    let r1 = evaluate_stage(&spec, &base_policy, &s1, "recovery");
-    let w1 = r1[best(&r1)].point;
-    eprintln!(
-        "  stage 1 winner: {} (mean {:.4})",
-        w1.label(),
-        r1[best(&r1)].mean_continuity
-    );
-    all.extend(r1);
-
-    // Stage 2 — joiner integration on top of the stage-1 winner. The
-    // rescue cap is re-swept here: join grace lifts the rescue ceiling
-    // for catch-up nodes, so the cap's best value shifts once the
-    // joiner knobs arm.
-    let s2 = if smoke {
-        grid(
-            &[w1.source_push],
-            &[w1.source_rescue_cap],
-            &[0, 4],
-            &[0, 16],
-            &[0, 8],
-            &[w1.inbound_slack],
-            &[w1.target_runway_rounds],
-        )
-    } else {
-        grid(
-            &[w1.source_push],
-            &[4, 8, 12],
-            &[0, 4, 8],
-            &[0, 16, 24],
-            &[0, 12, 20],
-            &[w1.inbound_slack],
-            &[w1.target_runway_rounds],
-        )
-    };
-    eprintln!("stage 2 (joiner): {} points", s2.len());
-    let r2 = evaluate_stage(&spec, &base_policy, &s2, "joiner");
-    let w2 = r2[best(&r2)].point;
-    eprintln!(
-        "  stage 2 winner: {} (mean {:.4})",
-        w2.label(),
-        r2[best(&r2)].mean_continuity
-    );
-    all.extend(r2);
-
-    // Stage 3 — steady-state refinement around the stage-2 winner.
-    let s3 = if smoke {
-        Vec::new()
-    } else {
-        grid(
-            &[w2.source_push],
-            &[w2.source_rescue_cap],
-            &[w2.join_sponsors],
-            &[w2.join_seed],
-            &[w2.join_grace_rounds],
-            &[0.15, 0.35, 0.45],
-            &[4, 8],
-        )
-    };
-    if !s3.is_empty() {
-        eprintln!("stage 3 (refine): {} points", s3.len());
-        let r3 = evaluate_stage(&spec, &base_policy, &s3, "refine");
-        eprintln!(
-            "  stage 3 winner: {} (mean {:.4})",
-            r3[best(&r3)].point.label(),
-            r3[best(&r3)].mean_continuity
-        );
-        all.extend(r3);
-    }
-
+    let all = staged_search(&spec, &base_policy, origin, smoke);
     let winner = all[best(&all)].clone();
 
     // Optional: re-run the overall winner at the committed size.

@@ -299,10 +299,9 @@ impl StreamBuffer {
     }
 
     /// The advertised window as raw wire parts: `(head, capacity,
-    /// bitmap words)`. This is the byte-level payload the live-network
-    /// twin's `Announce` messages carry — installing these parts into a
-    /// [`BufferMap`] via [`BufferMap::install_wire`] reproduces
-    /// [`Self::snapshot_into`] exactly.
+    /// bitmap words)` — what the round's buffer-map exchange installs via
+    /// [`BufferMap::install_wire`], whether read in place (the simulator)
+    /// or carried by the live-network twin's `Announce` messages.
     pub fn wire_parts(&self) -> (SegmentId, u64, &[u64]) {
         (self.head, self.capacity, &self.words)
     }
@@ -316,13 +315,9 @@ impl StreamBuffer {
         }
     }
 
-    /// Refresh an existing snapshot in place, reusing its word buffer —
-    /// the allocation-free path the round loop's buffer-map exchange uses.
+    /// Refresh an existing snapshot in place, reusing its word buffer.
     pub fn snapshot_into(&self, out: &mut BufferMap) {
-        out.head = self.head;
-        out.capacity = self.capacity;
-        out.words.clear();
-        out.words.extend_from_slice(&self.words);
+        out.install_wire(self.head, self.capacity, &self.words);
     }
 }
 
@@ -387,11 +382,9 @@ impl BufferMap {
         self.head + self.capacity
     }
 
-    /// Overwrite this map from raw wire parts (a received `Announce`
-    /// payload), reusing the word allocation. The resulting map is
-    /// byte-identical to [`StreamBuffer::snapshot_into`] run against the
-    /// buffer the parts were read from — the equivalence the sim-vs-live
-    /// harness rests on.
+    /// Overwrite this map from raw wire parts
+    /// ([`StreamBuffer::wire_parts`]), reusing the word allocation — the
+    /// allocation-free path the round loop's buffer-map exchange uses.
     pub fn install_wire(&mut self, head: SegmentId, capacity: u64, words: &[u64]) {
         self.head = head;
         self.capacity = capacity;

@@ -77,14 +77,14 @@ pub use metrics::{stable_tail_start, RoundRecord, RunReport, RunSummary};
 pub use policy::{AdaptivePolicy, PolicyKind};
 pub use priority::{PriorityInput, PriorityPolicy, PriorityTerms};
 pub use rate::RateController;
-pub use retrieval::{RetrievalOutcome, RetrievalScratch, RetrievalSummary};
+pub use retrieval::{RetrievalScratch, RetrievalSummary};
 pub use scheduler::{Assignment, ScheduleContext, SchedulerScratch, SegmentCandidate};
 pub use system::{
-    EventOutcome, SeekTarget, SystemEvent, SystemSim, TwinAnnounce, TwinPendingRound, TwinViews,
-    TwinWireState,
+    EventOutcome, ExchangeViews, LocalExchange, SeekTarget, SystemEvent, SystemSim, TwinAnnounce,
+    TwinViews,
 };
 pub use telemetry::{StartupSample, Telemetry, TelemetryRound};
-pub use urgent::{PrefetchCheck, PrefetchDecision, UrgentLine};
+pub use urgent::{PrefetchCheck, UrgentLine};
 
 /// Identifier of a media data segment. The source numbers segments from 1
 /// (0 is reserved: the backup-placement hash `hash(id·i)` degenerates at

@@ -17,45 +17,21 @@ use cs_dht::{backup_target, route_into, DhtId, DhtNetwork, RouteScratch};
 
 use crate::SegmentId;
 
-/// The result of one segment's on-demand retrieval attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrievalOutcome {
+/// The result of one segment's on-demand retrieval attempt: a plain
+/// `Copy` summary (the located nodes stay in the [`RetrievalScratch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetrievalSummary {
     /// The segment that was requested.
     pub segment: SegmentId,
     /// The chosen backup supplier, if any replica both held the segment
     /// and had sending capacity.
     pub supplier: Option<DhtId>,
-    /// Every node where a lookup terminated (one per replica position,
-    /// deduplicated), for overhearing/maintenance accounting upstream.
-    pub located: Vec<DhtId>,
     /// Total DHT routing messages spent (forwarding hops + replies +
     /// the final request if a supplier was chosen).
     pub routing_messages: u32,
     /// Time until the segment is fully received, in milliseconds:
     /// `t_locate + t_reply + t_request + t_retrieve` (eq. 6). `None` when
     /// retrieval failed.
-    pub fetch_latency_ms: Option<f64>,
-}
-
-impl RetrievalOutcome {
-    /// Whether the segment was obtained.
-    pub fn succeeded(&self) -> bool {
-        self.supplier.is_some()
-    }
-}
-
-/// Everything [`retrieve_one_into`] reports besides the located list: a
-/// plain `Copy` summary for allocation-free callers (the located nodes
-/// stay in the scratch).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrievalSummary {
-    /// The segment that was requested.
-    pub segment: SegmentId,
-    /// The chosen backup supplier, if any.
-    pub supplier: Option<DhtId>,
-    /// Total DHT routing messages spent.
-    pub routing_messages: u32,
-    /// Eq. 6 fetch time in milliseconds; `None` when retrieval failed.
     pub fetch_latency_ms: Option<f64>,
 }
 
@@ -72,7 +48,9 @@ pub struct RetrievalScratch {
     pub located: Vec<DhtId>,
 }
 
-/// Run Algorithm 2 for one missed segment.
+/// Run Algorithm 2 for one missed segment. Allocation-free once the
+/// scratch has warmed; the located nodes are left in `scratch.located`
+/// for the caller's overhearing accounting.
 ///
 /// * `net` — the DHT (mutated: lazy repair and overhearing);
 /// * `requester` — the node needing the segment;
@@ -83,43 +61,6 @@ pub struct RetrievalScratch {
 ///   (0 = saturated, cannot serve);
 /// * `k` — replicas per segment;
 /// * `transfer_ms` — payload transfer time once granted (size/rate).
-#[allow(clippy::too_many_arguments)]
-pub fn retrieve_one(
-    net: &mut DhtNetwork,
-    requester: DhtId,
-    segment: SegmentId,
-    latency_ms: &impl Fn(DhtId, DhtId) -> f64,
-    has_backup: &impl Fn(DhtId, SegmentId) -> bool,
-    available_rate: &impl Fn(DhtId) -> f64,
-    k: u32,
-    transfer_ms: f64,
-) -> RetrievalOutcome {
-    let mut scratch = RetrievalScratch::default();
-    let summary = retrieve_one_into(
-        net,
-        requester,
-        segment,
-        latency_ms,
-        has_backup,
-        available_rate,
-        k,
-        transfer_ms,
-        &mut scratch,
-    );
-    RetrievalOutcome {
-        segment: summary.segment,
-        supplier: summary.supplier,
-        located: scratch.located,
-        routing_messages: summary.routing_messages,
-        fetch_latency_ms: summary.fetch_latency_ms,
-    }
-}
-
-/// [`retrieve_one`] with caller-owned working memory: allocation-free
-/// once the scratch has warmed, with the located nodes left in
-/// `scratch.located` for the caller's overhearing accounting. Routing,
-/// supplier choice and accounting are identical to [`retrieve_one`],
-/// which is a thin wrapper over this.
 #[allow(clippy::too_many_arguments)]
 pub fn retrieve_one_into(
     net: &mut DhtNetwork,
@@ -230,11 +171,12 @@ mod tests {
     #[test]
     fn fetches_from_backup_holder() {
         let mut net = build(300, 12, 1);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(1).child("pick");
         let requester = net.random_id(&mut rng).unwrap();
         let seg: SegmentId = 777;
         // Everyone holds every backup: retrieval must succeed.
-        let out = retrieve_one(
+        let out = retrieve_one_into(
             &mut net,
             requester,
             seg,
@@ -243,9 +185,10 @@ mod tests {
             &|_| 5.0,
             4,
             30.0,
+            &mut scratch,
         );
-        assert!(out.succeeded());
-        assert!(!out.located.is_empty());
+        assert!(out.supplier.is_some());
+        assert!(!scratch.located.is_empty());
         assert!(out.routing_messages > 0);
         let lat = out.fetch_latency_ms.unwrap();
         assert!(lat > 0.0, "latency {lat}");
@@ -254,9 +197,10 @@ mod tests {
     #[test]
     fn fails_when_no_replica_has_data() {
         let mut net = build(300, 12, 2);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(2).child("pick");
         let requester = net.random_id(&mut rng).unwrap();
-        let out = retrieve_one(
+        let out = retrieve_one_into(
             &mut net,
             requester,
             777,
@@ -265,8 +209,9 @@ mod tests {
             &|_| 5.0,
             4,
             30.0,
+            &mut scratch,
         );
-        assert!(!out.succeeded());
+        assert!(out.supplier.is_none());
         assert!(out.fetch_latency_ms.is_none());
         // Still paid for the lookups and replies.
         assert!(out.routing_messages >= 4);
@@ -275,9 +220,10 @@ mod tests {
     #[test]
     fn fails_when_holders_are_saturated() {
         let mut net = build(300, 12, 3);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(3).child("pick");
         let requester = net.random_id(&mut rng).unwrap();
-        let out = retrieve_one(
+        let out = retrieve_one_into(
             &mut net,
             requester,
             777,
@@ -286,19 +232,21 @@ mod tests {
             &|_| 0.0,
             4,
             30.0,
+            &mut scratch,
         );
-        assert!(!out.succeeded());
+        assert!(out.supplier.is_none());
     }
 
     #[test]
     fn picks_highest_rate_holder() {
         let mut net = build(400, 12, 4);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(4).child("pick");
         let requester = net.random_id(&mut rng).unwrap();
         let seg = 12345;
         // Rate = node id modulo: deterministic, distinct-ish.
         let rate = |n: DhtId| (n % 97) as f64 + 1.0;
-        let out = retrieve_one(
+        let out = retrieve_one_into(
             &mut net,
             requester,
             seg,
@@ -307,9 +255,10 @@ mod tests {
             &rate,
             4,
             30.0,
+            &mut scratch,
         );
         let sup = out.supplier.unwrap();
-        for &cand in &out.located {
+        for &cand in &scratch.located {
             if cand != requester {
                 assert!(
                     rate(sup) >= rate(cand),
@@ -325,12 +274,13 @@ mod tests {
     fn routing_message_count_is_near_paper_estimate() {
         // §5.3: about k·(log₂(n)/2 + 1) + 1 messages per pre-fetch.
         let mut net = build(1000, 13, 5);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(5).child("pick");
         let mut total = 0u32;
         let trials = 100;
         for t in 0..trials {
             let requester = net.random_id(&mut rng).unwrap();
-            let out = retrieve_one(
+            let out = retrieve_one_into(
                 &mut net,
                 requester,
                 1000 + t as u64,
@@ -339,6 +289,7 @@ mod tests {
                 &|_| 5.0,
                 4,
                 30.0,
+                &mut scratch,
             );
             total += out.routing_messages;
         }
@@ -354,9 +305,10 @@ mod tests {
     fn requester_never_chosen_as_supplier() {
         // Tiny ring: the requester often is a replica holder itself.
         let mut net = build(4, 6, 6);
+        let mut scratch = RetrievalScratch::default();
         let ids: Vec<DhtId> = net.ids().collect();
         for seg in 1..60u64 {
-            let out = retrieve_one(
+            let out = retrieve_one_into(
                 &mut net,
                 ids[0],
                 seg,
@@ -365,6 +317,7 @@ mod tests {
                 &|_| 5.0,
                 4,
                 30.0,
+                &mut scratch,
             );
             assert_ne!(out.supplier, Some(ids[0]));
         }
@@ -375,12 +328,13 @@ mod tests {
         // With flat 10 ms hops and ~log₂(n)/2 route hops, the fetch time
         // should be in the (log₂(n)/2 + 3)·t_hop ballpark.
         let mut net = build(1000, 13, 7);
+        let mut scratch = RetrievalScratch::default();
         let mut rng = RngTree::new(7).child("pick");
         let mut total = 0.0;
         let mut count = 0;
         for t in 0..100 {
             let requester = net.random_id(&mut rng).unwrap();
-            let out = retrieve_one(
+            let out = retrieve_one_into(
                 &mut net,
                 requester,
                 5000 + t,
@@ -389,6 +343,7 @@ mod tests {
                 &|_| 5.0,
                 4,
                 0.0, // exclude transfer so only hop latency is measured
+                &mut scratch,
             );
             if let Some(l) = out.fetch_latency_ms {
                 total += l;

@@ -6,15 +6,15 @@
 //! machine scheduling and is NP-hard (§4.2), so everything here is
 //! greedy:
 //!
-//! * [`schedule_greedy`] — **Algorithm 1**: walk candidates in descending
-//!   priority; for each, pick the supplier minimising expected receive
-//!   time `t_trans + τ(j)` subject to `t_trans + τ(j) < τ`, then charge
-//!   the chosen supplier's queue `τ(j) ← t_min`.
-//! * [`schedule_coolstreaming`] — the CoolStreaming/DONet baseline:
+//! * [`schedule_greedy_into`] — **Algorithm 1**: walk candidates in
+//!   descending priority; for each, pick the supplier minimising expected
+//!   receive time `t_trans + τ(j)` subject to `t_trans + τ(j) < τ`, then
+//!   charge the chosen supplier's queue `τ(j) ← t_min`.
+//! * [`schedule_coolstreaming_into`] — the CoolStreaming/DONet baseline:
 //!   rarest-first order (fewest suppliers first), supplier = highest
 //!   bandwidth with enough available time.
-//! * [`schedule_random`] — naive gossip: random order, random feasible
-//!   supplier; the lower bound any smart policy must beat.
+//! * [`schedule_random_into`] — naive gossip: random order, random
+//!   feasible supplier; the lower bound any smart policy must beat.
 //!
 //! All schedulers respect the same inbound budget `min(m, I·τ)` and the
 //! same per-supplier queue model, so measured differences are purely the
@@ -30,24 +30,18 @@
 //!
 //! ## The `_into` contract (zero-allocation scheduling)
 //!
-//! Each policy has two entry points: the allocating original
-//! (`schedule_greedy` → fresh `Vec<Assignment>`) and a `*_into` variant
-//! ([`schedule_greedy_into`], [`schedule_coolstreaming_into`],
-//! [`schedule_random_into`]) that writes into a **caller-owned** output
-//! buffer and draws all working memory (the supplier queue `τ(j)`, the
-//! ordering buffer, the feasible-supplier list) from a caller-owned
-//! [`SchedulerScratch`]. The contract:
+//! Every policy writes into a **caller-owned** output buffer and draws
+//! all working memory (the supplier queue `τ(j)`, the ordering buffer,
+//! the feasible-supplier list) from a caller-owned [`SchedulerScratch`].
+//! The contract:
 //!
 //! * `out` is cleared, then filled — previous contents never leak;
 //! * the scratch carries no information between calls (every buffer is
-//!   cleared before use), it only carries *capacity*;
-//! * outputs are **byte-identical** to the allocating originals, including
-//!   tie-breaks and — for [`schedule_random_into`] — the exact RNG draw
-//!   sequence (the shuffle permutes an index buffer of the same length, so
-//!   it consumes the same draws; the feasible list is rebuilt in the same
-//!   order). The allocating originals are in fact thin wrappers over the
-//!   `_into` variants, and `tests/scheduler_equivalence.rs` pins the
-//!   equivalence against seeded random workloads anyway;
+//!   cleared before use), it only carries *capacity*: a reused scratch
+//!   produces the same bytes — and, for [`schedule_random_into`], the
+//!   same RNG draw sequence — as a fresh one
+//!   (`tests/scheduler_equivalence.rs` pins this against seeded random
+//!   workloads);
 //! * steady-state calls perform **zero heap allocations** once the scratch
 //!   and `out` have grown to the workload's high-water mark.
 //!
@@ -177,22 +171,10 @@ fn queue_set<K: SupplierKey>(queue: &mut Vec<(K, f64)>, j: K, t: f64) {
     }
 }
 
-/// Algorithm 1. `candidates` must already be sorted in **descending
-/// priority** (ties broken by ascending id for determinism — use
-/// [`sort_candidates`]).
-pub fn schedule_greedy<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
-    ctx: &ScheduleContext<K>,
-) -> Vec<Assignment<K>> {
-    let mut scratch = SchedulerScratch::default();
-    let mut out = Vec::new();
-    schedule_greedy_into(candidates, ctx, &mut scratch, &mut out);
-    out
-}
-
-/// Algorithm 1, writing into caller-owned buffers (cleared first). Output
-/// is byte-identical to [`schedule_greedy`]; see the module docs for the
-/// `_into` contract.
+/// Algorithm 1, writing into caller-owned buffers (cleared first; see the
+/// module docs for the `_into` contract). `candidates` must already be
+/// sorted in **descending priority** (ties broken by ascending id for
+/// determinism — use [`sort_candidates`]).
 pub fn schedule_greedy_into<K: SupplierKey>(
     candidates: &[SegmentCandidate<K>],
     ctx: &ScheduleContext<K>,
@@ -236,22 +218,10 @@ pub fn schedule_greedy_into<K: SupplierKey>(
     }
 }
 
-/// The CoolStreaming baseline: candidates in rarest-first order (fewest
-/// suppliers first, ties by ascending id), supplier = highest-rate
-/// neighbour whose queue still fits the period.
-pub fn schedule_coolstreaming<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
-    ctx: &ScheduleContext<K>,
-) -> Vec<Assignment<K>> {
-    let mut scratch = SchedulerScratch::default();
-    let mut out = Vec::new();
-    schedule_coolstreaming_into(candidates, ctx, &mut scratch, &mut out);
-    out
-}
-
-/// CoolStreaming baseline, writing into caller-owned buffers (cleared
-/// first). Output is byte-identical to [`schedule_coolstreaming`]; see
-/// the module docs for the `_into` contract.
+/// The CoolStreaming baseline, writing into caller-owned buffers (cleared
+/// first; see the module docs for the `_into` contract): candidates in
+/// rarest-first order (fewest suppliers first, ties by ascending id),
+/// supplier = highest-rate neighbour whose queue still fits the period.
 pub fn schedule_coolstreaming_into<K: SupplierKey>(
     candidates: &[SegmentCandidate<K>],
     ctx: &ScheduleContext<K>,
@@ -320,29 +290,15 @@ pub fn schedule_coolstreaming_into<K: SupplierKey>(
     }
 }
 
-/// Naive gossip: shuffle the candidates, pick a random feasible supplier
-/// for each.
+/// Naive gossip, writing into caller-owned buffers (cleared first; see
+/// the module docs for the `_into` contract): shuffle the candidates,
+/// pick a random feasible supplier for each.
 ///
 /// Callers must hand over `candidates` in a deterministic order (the
-/// simulator builds them in ascending segment order) — the shuffle is
-/// then a pure function of the RNG state, so runs reproduce.
-pub fn schedule_random<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
-    ctx: &ScheduleContext<K>,
-    rng: &mut SimRng,
-) -> Vec<Assignment<K>> {
-    let mut scratch = SchedulerScratch::default();
-    let mut out = Vec::new();
-    schedule_random_into(candidates, ctx, rng, &mut scratch, &mut out);
-    out
-}
-
-/// Naive gossip, writing into caller-owned buffers (cleared first).
-/// Output — and the exact RNG draw sequence — is byte-identical to
-/// [`schedule_random`]: the shuffle permutes an index buffer of the same
-/// length and the feasible list is rebuilt in the same supplier order, so
-/// every draw consumes the same stream values. See the module docs for
-/// the `_into` contract.
+/// simulator builds them in ascending segment order) — the shuffle
+/// permutes an index buffer of that length and the feasible list is built
+/// in supplier order, so the result and the draws consumed are a pure
+/// function of the RNG state, and runs reproduce.
 pub fn schedule_random_into<K: SupplierKey>(
     candidates: &[SegmentCandidate<K>],
     ctx: &ScheduleContext<K>,
@@ -386,7 +342,7 @@ pub fn schedule_random_into<K: SupplierKey>(
     }
 }
 
-/// Sort candidates for [`schedule_greedy`]: descending priority, ties by
+/// Sort candidates for [`schedule_greedy_into`]: descending priority, ties by
 /// ascending segment id (deterministic). Unstable (allocation-free):
 /// candidates with distinct ids — which the simulator guarantees — sort
 /// exactly as a stable sort would.
@@ -416,11 +372,20 @@ mod tests {
         }
     }
 
+    /// Run one `_into` scheduler over a fresh scratch and output buffer.
+    fn fresh<K: SupplierKey>(
+        schedule: impl FnOnce(&mut SchedulerScratch<K>, &mut Vec<Assignment<K>>),
+    ) -> Vec<Assignment<K>> {
+        let mut out = Vec::new();
+        schedule(&mut SchedulerScratch::default(), &mut out);
+        out
+    }
+
     #[test]
     fn greedy_prefers_fastest_supplier() {
         let c = [cand(1, 1.0, &[10, 20])];
         let ctx = ctx(5, &[(10, 2.0), (20, 8.0)]);
-        let a = schedule_greedy(&c, &ctx);
+        let a = fresh(|s, o| schedule_greedy_into(&c, &ctx, s, o));
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].supplier, 20);
         assert!((a[0].expected_receive_secs - 0.125).abs() < 1e-12);
@@ -438,14 +403,14 @@ mod tests {
             cand(3, 1.0, &[10, 20]),
         ];
         let fast = ctx(5, &[(10, 2.0), (20, 8.0)]);
-        let a = schedule_greedy(&c, &fast);
+        let a = fresh(|s, o| schedule_greedy_into(&c, &fast, s, o));
         assert_eq!(a.len(), 3);
         assert_eq!(a[0].supplier, 20);
         assert_eq!(a[1].supplier, 20);
         assert_eq!(a[2].supplier, 20); // 0.375 still < 0.5
                                        // With a slower fast supplier the spill happens.
         let ctx2 = ctx(5, &[(10, 2.0), (20, 3.0)]);
-        let a2 = schedule_greedy(&c, &ctx2);
+        let a2 = fresh(|s, o| schedule_greedy_into(&c, &ctx2, s, o));
         assert_eq!(a2[0].supplier, 20); // 1/3 < 1/2
         assert_eq!(a2[1].supplier, 10); // 2/3 vs 1/2 → 10
     }
@@ -458,7 +423,7 @@ mod tests {
             cand(7, 1.0, &[10]),
         ];
         let ctx = ctx(2, &[(10, 100.0)]);
-        let a = schedule_greedy(&c, &ctx);
+        let a = fresh(|s, o| schedule_greedy_into(&c, &ctx, s, o));
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].segment, 5);
         assert_eq!(a[1].segment, 6, "lowest priority segment dropped");
@@ -469,7 +434,7 @@ mod tests {
         // Rate 0.5/s → 2 s per segment > τ = 1 s: infeasible.
         let c = [cand(1, 1.0, &[10])];
         let ctx = ctx(5, &[(10, 0.5)]);
-        assert!(schedule_greedy(&c, &ctx).is_empty());
+        assert!(fresh(|s, o| schedule_greedy_into(&c, &ctx, s, o)).is_empty());
     }
 
     #[test]
@@ -482,7 +447,7 @@ mod tests {
             cand(3, 1.0, &[10]),
         ];
         let ctx = ctx(5, &[(10, 3.0)]);
-        let a = schedule_greedy(&c, &ctx);
+        let a = fresh(|s, o| schedule_greedy_into(&c, &ctx, s, o));
         assert_eq!(a.len(), 2);
     }
 
@@ -490,7 +455,7 @@ mod tests {
     fn greedy_ignores_unknown_or_zero_rate_suppliers() {
         let c = [cand(1, 1.0, &[10, 99])];
         let ctx = ctx(5, &[(10, 4.0), (99, 0.0)]);
-        let a = schedule_greedy(&c, &ctx);
+        let a = fresh(|s, o| schedule_greedy_into(&c, &ctx, s, o));
         assert_eq!(a[0].supplier, 10);
     }
 
@@ -500,7 +465,7 @@ mod tests {
         // first and grabs the shared supplier's queue slot.
         let c = [cand(1, 0.0, &[10, 20]), cand(2, 0.0, &[20])];
         let ctx = ctx(5, &[(10, 1.5), (20, 1.5)]);
-        let a = schedule_coolstreaming(&c, &ctx);
+        let a = fresh(|s, o| schedule_coolstreaming_into(&c, &ctx, s, o));
         assert_eq!(a[0].segment, 2);
         assert_eq!(a[0].supplier, 20);
         assert_eq!(a[1].segment, 1);
@@ -511,7 +476,7 @@ mod tests {
     fn coolstreaming_prefers_bandwidth() {
         let c = [cand(1, 0.0, &[10, 20])];
         let ctx = ctx(5, &[(10, 9.0), (20, 2.0)]);
-        let a = schedule_coolstreaming(&c, &ctx);
+        let a = fresh(|s, o| schedule_coolstreaming_into(&c, &ctx, s, o));
         assert_eq!(a[0].supplier, 10);
     }
 
@@ -526,7 +491,7 @@ mod tests {
         // Supplier 20 can't deliver within the period at all.
         let ctx = ctx(5, &[(10, 50.0), (20, 0.9)]);
         for _ in 0..20 {
-            let a = schedule_random(&c, &ctx, &mut rng);
+            let a = fresh(|s, o| schedule_random_into(&c, &ctx, &mut rng, s, o));
             assert_eq!(a.len(), 3);
             assert!(a.iter().all(|x| x.supplier == 10));
         }
@@ -542,7 +507,7 @@ mod tests {
         let ctx = ctx(5, &[(10, 50.0), (20, 50.0)]);
         let run = |seed| {
             let mut rng = RngTree::new(seed).child("sched");
-            schedule_random(&c, &ctx, &mut rng)
+            fresh(|s, o| schedule_random_into(&c, &ctx, &mut rng, s, o))
         };
         assert_eq!(run(4), run(4));
     }
@@ -558,10 +523,10 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let ctx = ctx(5, &[]);
-        assert!(schedule_greedy(&[], &ctx).is_empty());
-        assert!(schedule_coolstreaming(&[], &ctx).is_empty());
+        assert!(fresh(|s, o| schedule_greedy_into(&[], &ctx, s, o)).is_empty());
+        assert!(fresh(|s, o| schedule_coolstreaming_into(&[], &ctx, s, o)).is_empty());
         let mut rng = RngTree::new(1).child("s");
-        assert!(schedule_random::<DhtId>(&[], &ctx, &mut rng).is_empty());
+        assert!(fresh(|s, o| schedule_random_into(&[], &ctx, &mut rng, s, o)).is_empty());
     }
 
     #[test]
@@ -591,8 +556,8 @@ mod tests {
             supplier_rates: vec![(Key(10), 2.0), (Key(20), 3.0)],
             deadline_cutoff: None,
         };
-        let a = schedule_greedy(&by_id, &ctx_id);
-        let b = schedule_greedy(&by_key, &ctx_key);
+        let a = fresh(|s, o| schedule_greedy_into(&by_id, &ctx_id, s, o));
+        let b = fresh(|s, o| schedule_greedy_into(&by_key, &ctx_key, s, o));
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.segment, y.segment);

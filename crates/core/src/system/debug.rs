@@ -1,11 +1,7 @@
-//! Test and diagnostic hooks: manual stepping, state dumps, the scratch
-//! invariant checker and the `CS_DEBUG_ROUNDS` report.
+//! Test hooks: per-node state dumps and the scratch / neighbour
+//! invariant checkers.
 
-use cs_sim::SimTime;
-
-use super::prefetch::rescue_params;
 use super::{NodeDebugState, SystemSim};
-use crate::urgent::PrefetchCheck;
 
 impl SystemSim {
     /// Debug introspection: one [`NodeDebugState`] tuple per alive node.
@@ -28,14 +24,6 @@ impl SystemSim {
                 )
             })
             .collect()
-    }
-
-    /// Step the simulation one round manually (debug/benchmark hook).
-    #[doc(hidden)]
-    pub fn debug_step(&mut self, round: u32) {
-        let end = SimTime::from_secs_f64((round as f64 + 1.0) * self.config.period_secs);
-        let pending = self.round_prelude(round, end);
-        self.round_decide(pending, None);
     }
 
     /// Verify the persistent round-scratch invariants (test hook; panics
@@ -176,86 +164,5 @@ impl SystemSim {
     #[doc(hidden)]
     pub fn debug_pending_retries(&self) -> usize {
         self.faults.pending.len()
-    }
-
-    /// The `CS_DEBUG_ROUNDS` diagnostic dump (development aid). Mirrors
-    /// the *active* policy's urgent-line parameters (deficit-scaled
-    /// cap/threshold/horizon under Adaptive), so the counters report the
-    /// decisions the round actually made.
-    pub(super) fn debug_round_report(&self, round: u32) {
-        let mut not_triggered = 0u32;
-        let mut too_many = 0u32;
-        let mut fetch = 0u32;
-        let mut no_anchor = 0u32;
-        let p = self.config.demand_per_round();
-        let mut missed = Vec::new();
-        for &idx in &self.order_idx {
-            let n = self.nodes.node(idx);
-            if n.is_source {
-                continue;
-            }
-            let Some(anchor) = n.next_play.or_else(|| n.buffer.iter().next()) else {
-                no_anchor += 1;
-                continue;
-            };
-            let (cap, threshold, horizon) =
-                rescue_params(&self.config, &n.buffer, anchor, p, round, n.spawn_round);
-            match n.urgent.decide_scaled_into(
-                &n.buffer,
-                anchor,
-                self.newest_emitted,
-                |_| false,
-                &mut missed,
-                cap,
-                threshold,
-                horizon,
-            ) {
-                PrefetchCheck::NotTriggered => not_triggered += 1,
-                PrefetchCheck::TooMany(_) => too_many += 1,
-                PrefetchCheck::Fetch => fetch += 1,
-            }
-        }
-        let mean_inflow: f64 = self
-            .order_idx
-            .iter()
-            .map(|&i| self.nodes.node(i).last_inflow as f64)
-            .sum::<f64>()
-            / self.order_idx.len().max(1) as f64;
-        let mut est_inflow = 0.0;
-        let mut est_n = 0u32;
-        let mut join_inflow = 0.0;
-        let mut join_n = 0u32;
-        let mut est_cands = 0.0;
-        let mut join_cands = 0.0;
-        for &idx in &self.order_idx {
-            let n = self.nodes.node(idx);
-            if n.is_source {
-                continue;
-            }
-            let missing_window = n
-                .next_play
-                .map(|np| {
-                    (np..(np + 100).min(self.newest_emitted + 1))
-                        .filter(|&sg| !n.buffer.contains(sg))
-                        .count() as f64
-                })
-                .unwrap_or(-1.0);
-            if round >= n.spawn_round + 6 {
-                est_inflow += n.last_inflow as f64;
-                est_cands += missing_window;
-                est_n += 1;
-            } else {
-                join_inflow += n.last_inflow as f64;
-                join_cands += missing_window;
-                join_n += 1;
-            }
-        }
-        eprintln!(
-            "DBG round {round}: notrig={not_triggered} toomany={too_many} fetch={fetch} noanchor={no_anchor} mean_inflow={mean_inflow:.1} est(n={est_n} in={:.1} miss={:.0}) join(n={join_n} in={:.1} miss={:.0})",
-            est_inflow / est_n.max(1) as f64,
-            est_cands / est_n.max(1) as f64,
-            join_inflow / join_n.max(1) as f64,
-            join_cands / join_n.max(1) as f64,
-        );
     }
 }

@@ -65,12 +65,14 @@
 //!
 //! ## Module map
 //!
-//! `state` holds the arena and scratch types; `round` the round driver
-//! (phases 1–4 and 8–9 inline, the rest dispatched); `schedule`,
-//! `service` and `prefetch` steps 5, 6 and 7; `membership` neighbour
-//! maintenance, joins, leaves and workload events; `recovery` the fault
-//! plane, the recovery plane and source seeding; `twin` the live-network
-//! twin's seam; `debug` the test/diagnostic hooks.
+//! `state` holds the arena, scratch and tally types; `round` the round
+//! driver ([`SystemSim::step_with`], the one round entry) and the phases
+//! it keeps to itself (churn, emission, exchange, playback, finalise);
+//! `schedule`, `service` and `prefetch` steps 5, 6 and 7; `membership`
+//! neighbour maintenance, joins, leaves and workload events; `recovery`
+//! the fault plane, the recovery plane and source seeding; `twin` the
+//! buffer-map exchange seam — the only place the simulator and the
+//! live-network twin differ; `debug` the test hooks.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -105,7 +107,7 @@ mod service;
 mod state;
 mod twin;
 
-pub use twin::{TwinAnnounce, TwinPendingRound, TwinViews, TwinWireState};
+pub use twin::{ExchangeViews, LocalExchange, TwinAnnounce, TwinViews};
 
 use recovery::FaultState;
 use state::{fresh_neighbor, HotState, NodeArena, NodeIdx, NodeSim, RoundScratch};
@@ -490,16 +492,11 @@ impl SystemSim {
     /// Execute the next scheduling round. Returns `false` (without doing
     /// anything) once the configured number of rounds has run.
     ///
-    /// Exactly [`Self::twin_begin_round`] followed by the decision half
-    /// with the exchange reading live node state — the live-network twin
-    /// differs only in moving that exchange over its transport first.
+    /// [`Self::step_with`] the [`LocalExchange`]: every node's view of a
+    /// neighbour is that neighbour's live buffer. The live-network twin
+    /// differs only in the exchange it passes.
     pub fn step(&mut self) -> bool {
-        let Some(pending) = self.twin_begin_round() else {
-            return false;
-        };
-        self.round_decide(pending, None);
-        self.next_round += 1;
-        true
+        self.step_with(|_, _, _| LocalExchange)
     }
 
     /// Rounds executed so far — equivalently, the index of the round the
@@ -803,7 +800,7 @@ mod tests {
         };
         let mut sim = SystemSim::new(cfg);
         for round in 0..25 {
-            sim.debug_step(round);
+            assert!(sim.step());
             let occupied: usize = sim.nodes.slots.iter().filter(|s| s.is_some()).count();
             assert_eq!(occupied, sim.nodes.by_id.len(), "round {round}");
             assert_eq!(occupied + sim.nodes.free.len(), sim.nodes.slot_count());

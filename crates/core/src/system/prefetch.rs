@@ -8,7 +8,7 @@ use cs_obs::WorkerPhase;
 use cs_trace::derive_latency;
 
 use super::recovery::ControlFault;
-use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch};
+use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch, RoundTally};
 use super::{carve, shard_profiler, timed_shard, SystemSim};
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
@@ -26,9 +26,8 @@ use crate::SegmentId;
 /// make every successful fetch slide the window and evict still-unplayed
 /// segments (reachable with an oversized runway-target knob, or right
 /// after a backward seek re-anchored playback near the buffer head).
-/// The single implementation behind the planning path and the
-/// `CS_DEBUG_ROUNDS` dump, so the dump always reports the decisions the
-/// round actually makes.
+/// The single implementation behind the classifier and the planner, so
+/// the skip proof and the plan can never disagree.
 ///
 /// `round`/`spawn_round` feed the joiner grace window
 /// ([`AdaptivePolicy::join_grace_rounds`]): inside it the node gets the
@@ -37,7 +36,7 @@ use crate::SegmentId;
 /// is *supposed* to be all holes, and the deficit-scaled throttle would
 /// read that as the systemic overload it exists to suppress. With the
 /// knob at 0 (the default) the grace branch is unreachable.
-pub(super) fn rescue_params(
+fn rescue_params(
     config: &SystemConfig,
     buffer: &StreamBuffer,
     anchor: SegmentId,
@@ -364,30 +363,53 @@ impl SystemSim {
         node.backup.maybe_store(seg, successor);
     }
 
+    /// Step 7, execution half: run every planned node's retrievals,
+    /// serially in node order. On dense rounds (classifier off or in
+    /// hysteresis) every plan is fresh and the telemetry cap peak comes
+    /// from the planned caps; on classified rounds the classifier
+    /// already computed it.
+    pub(super) fn execute_prefetch_phase(
+        &mut self,
+        round: u32,
+        scratch: &mut RoundScratch,
+        tally: &mut RoundTally,
+    ) {
+        let peak_from_plans = self.telemetry.is_some() && !self.hot.prefetch_classified;
+        let targets = std::mem::take(&mut self.hot.active_prefetch);
+        for &k in &targets {
+            let k = k as usize;
+            if peak_from_plans {
+                tally.rescue_cap_peak = tally.rescue_cap_peak.max(scratch.prefetch_plans[k].cap);
+            }
+            self.execute_prefetch(self.order_idx[k], k, round, scratch, tally);
+        }
+        self.hot.active_prefetch = targets;
+    }
+
     /// Step 7, execution half for one node: apply the planned α-down
     /// signals, then run Algorithm 2 retrievals for the planned missed
     /// segments. Mutates shared state (DHT tables, the outbound-spend
     /// ledger, backups), so it always runs serially in node order.
-    /// Returns `(attempts, successes, overdue, suppressed, repeated,
-    /// routing_msgs)`.
-    pub(super) fn execute_prefetch(
+    fn execute_prefetch(
         &mut self,
         idx: NodeIdx,
         k: usize,
         round: u32,
         scratch: &mut RoundScratch,
-        traffic: &mut TrafficCounter,
-    ) -> (u32, u32, u32, u32, u32, u64) {
+        tally: &mut RoundTally,
+    ) {
         if scratch.prefetch_plans[k].suppressed {
-            return (0, 0, 0, 1, 0, 0);
+            tally.prefetch_suppressed += 1;
+            return;
         }
         let repeated = scratch.prefetch_plans[k].repeated;
         let max_fetches = scratch.prefetch_plans[k].max_fetches;
         for _ in 0..repeated {
             self.nodes.node_mut(idx).urgent.on_repeated();
         }
+        tally.prefetch_repeated += repeated;
         if scratch.prefetch_plans[k].missed.is_empty() {
-            return (0, 0, 0, 0, repeated, 0);
+            return;
         }
         let (requester_id, anchor, started) = {
             let node = self.nodes.node(idx);
@@ -400,11 +422,6 @@ impl SystemSim {
             (node.id, anchor, node.next_play.is_some())
         };
         let p = self.config.demand_per_round();
-
-        let mut attempts = 0u32;
-        let mut successes = 0u32;
-        let mut overdue = 0u32;
-        let mut routing_msgs = 0u64;
         let period_ms = self.config.period_secs * 1000.0;
         let source_cap = self
             .config
@@ -415,9 +432,9 @@ impl SystemSim {
 
         for mi in 0..max_fetches {
             let seg = scratch.prefetch_plans[k].missed[mi];
-            attempts += 1;
-            let outcome = self.dht_retrieve(requester_id, seg, false, scratch, traffic);
-            routing_msgs += outcome.routing_messages as u64;
+            tally.prefetch_attempts += 1;
+            let outcome = self.dht_retrieve(requester_id, seg, false, scratch, &mut tally.traffic);
+            tally.prefetch_routing_msgs += outcome.routing_messages as u64;
             // The requester overhears every node its lookups reached
             // (the located list stayed in the retrieval scratch).
             {
@@ -446,7 +463,9 @@ impl SystemSim {
                         ControlFault::None => {}
                     }
                 }
-                traffic.add(TrafficClass::PrefetchData, self.sizes.segment_bits);
+                tally
+                    .traffic
+                    .add(TrafficClass::PrefetchData, self.sizes.segment_bits);
                 if let Some(sup_idx) = self.nodes.lookup(supplier) {
                     scratch.add_spent(sup_idx, 1.0 / self.config.period_secs);
                 }
@@ -457,7 +476,8 @@ impl SystemSim {
                 // re-seed the copy from the source so the gossip plane
                 // can re-amplify it (see [`Self::source_fetch`]).
                 source_fallbacks += 1;
-                routing_msgs += 1;
+                tally.prefetch_routing_msgs += 1;
+                let traffic = &mut tally.traffic;
                 match self.source_fetch(round, idx, requester_id, seg, scratch, traffic) {
                     Some(fetch_ms) => fetch_ms,
                     None => continue,
@@ -465,7 +485,7 @@ impl SystemSim {
             } else {
                 continue;
             };
-            successes += 1;
+            tally.prefetch_successes += 1;
             // Deadline: the start of the round in which `seg` plays.
             // Buffering nodes have no deadline yet.
             let deadline_ms = if !started {
@@ -481,9 +501,8 @@ impl SystemSim {
                 // Case 1: arrived after (or perilously at) its
                 // deadline round.
                 node.urgent.on_overdue();
-                overdue += 1;
+                tally.prefetch_overdue += 1;
             }
         }
-        (attempts, successes, overdue, 0, repeated, routing_msgs)
     }
 }

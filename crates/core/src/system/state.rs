@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use cs_dht::{DhtId, IdSlotTable, IdSpace};
-use cs_net::NodeBandwidth;
+use cs_net::{NodeBandwidth, TrafficCounter};
 use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
 use cs_trace::derive_latency;
 
@@ -16,6 +16,8 @@ use crate::retrieval::RetrievalScratch;
 use crate::scheduler::{Assignment, SchedulerScratch, SegmentCandidate};
 use crate::urgent::UrgentLine;
 use crate::SegmentId;
+
+use super::twin::TwinAnnounce;
 
 /// Dense handle into the node arena. Plain slot index — the arena's
 /// free-list may reuse slots across churn, so a bare `NodeIdx` is only
@@ -313,14 +315,17 @@ impl MapStore {
         }
     }
 
-    /// Refresh the snapshot of `idx` from `node`, copying bitmap words
-    /// only when the buffer actually changed since the last copy.
-    pub(super) fn snapshot(&mut self, idx: NodeIdx, node: &NodeSim) {
+    /// Install the view the exchange delivered for `idx` as its
+    /// snapshot, copying bitmap words only when the `(birth, epoch)` key
+    /// says the bitmap changed since the last copy — the delta shape a
+    /// real network would use, and what keeps the exchange of unchanged
+    /// buffers free.
+    pub(super) fn install(&mut self, idx: NodeIdx, view: &TwinAnnounce<&[u64]>) {
         let snap = &mut self.snaps[idx.0 as usize];
-        if snap.birth != node.birth || snap.epoch != node.buffer.epoch() {
-            node.buffer.snapshot_into(&mut snap.map);
-            snap.birth = node.birth;
-            snap.epoch = node.buffer.epoch();
+        if snap.birth != view.birth || snap.epoch != view.epoch {
+            snap.map.install_wire(view.head, view.capacity, view.words);
+            snap.birth = view.birth;
+            snap.epoch = view.epoch;
         }
         snap.stamp = self.stamp;
     }
@@ -440,6 +445,50 @@ pub(super) struct ServiceCounters {
     pub(super) supplier_active: usize,
     /// Largest delivery count by a single supplier this round (telemetry).
     pub(super) supplier_peak: u64,
+}
+
+/// Everything one round counts, from its first phase to its record: the
+/// traffic ledger, the [`RoundRecord`](crate::metrics::RoundRecord)
+/// fields and the telemetry accumulators (dead weight while telemetry is
+/// off: a handful of untouched fields). Starts at `default()` each round;
+/// the finalise phase turns it into the round's records.
+#[derive(Default)]
+pub(super) struct RoundTally {
+    pub(super) traffic: TrafficCounter,
+    /// Churn joins admitted / nodes that left (gracefully or not).
+    pub(super) joins: usize,
+    pub(super) leaves: usize,
+    /// First segment the source emitted this round.
+    pub(super) first_new: SegmentId,
+    /// Frontier-push and joiner-seed copies that arrived (they count as
+    /// gossip-plane deliveries).
+    pub(super) seeded: u64,
+    pub(super) svc: ServiceCounters,
+    pub(super) prefetch_attempts: u32,
+    pub(super) prefetch_successes: u32,
+    pub(super) prefetch_overdue: u32,
+    pub(super) prefetch_suppressed: u32,
+    /// §4.3 Case-2 repetitions seen by the pre-fetch planner (the record
+    /// adds the ones step 6 detected on delivery, `svc.repeated`).
+    pub(super) prefetch_repeated: u32,
+    pub(super) prefetch_routing_msgs: u64,
+    /// Telemetry: the largest effective per-node fetch cap this round
+    /// (watches the policy layer's deficit-scaled throttle ramp).
+    pub(super) rescue_cap_peak: usize,
+    pub(super) alive: usize,
+    pub(super) playing: usize,
+    pub(super) continuous: usize,
+    pub(super) paused: usize,
+    pub(super) alpha_sum: f64,
+    // Telemetry, summed over playing nodes.
+    pub(super) runway_sum: u64,
+    /// Meaningful only once a playing node was seen.
+    pub(super) min_runway: u64,
+    pub(super) gap_sum: u64,
+    pub(super) occupancy_sum: f64,
+    pub(super) slack_used: u64,
+    pub(super) backup_total: u64,
+    pub(super) gc_evictions: u64,
 }
 
 /// Persistent per-round working memory: everything the round loop used to

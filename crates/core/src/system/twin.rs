@@ -1,26 +1,29 @@
-//! The live-network twin's seam: the wire-level announcement types, the
-//! in-flight round token, and the begin/finish entry points `cs-twin`
-//! drives a round through.
+//! The buffer-map exchange seam — the one place the simulator and the
+//! live-network twin differ. [`SystemSim::step_with`] calls its exchange
+//! once per round, between neighbour maintenance and the exchange phase,
+//! and installs whatever [`ExchangeViews`] it returns: the simulator's
+//! [`LocalExchange`] hands every node its own announcement back (nothing
+//! moves), `cs-twin` sends the announcements of
+//! [`SystemSim::twin_announcements`] over a transport and returns the
+//! [`TwinViews`] that arrived.
+
+use std::sync::Arc;
 
 use cs_dht::DhtId;
-use cs_net::TrafficCounter;
-use cs_obs::Lap;
-use cs_sim::{SimDuration, SimTime};
 
-use super::state::{MapStore, NodeIdx, RoundScratch};
+use super::state::NodeSim;
 use super::SystemSim;
 use crate::SegmentId;
 
-/// One node's per-round buffer-map announcement as carried by the
-/// live-network twin's transport (`cs-twin`). This is the protocol's
-/// only continuous all-to-neighbours state flow: in the simulator the
-/// exchange phase reads every node's buffer directly; in the twin the
-/// same bytes travel as `Announce` messages and are installed back via
-/// [`SystemSim::twin_finish_round`]. `(birth, epoch)` carry the
-/// snapshot-reuse key so the install path can suppress redundant word
-/// copies exactly like the local exchange does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TwinAnnounce {
+/// One node's per-round buffer-map announcement — the protocol's only
+/// continuous all-to-neighbours state flow. Owned (`W = Vec<u64>`, the
+/// default) it is the payload of the twin's `Announce` messages;
+/// borrowed (`W = &[u64]`) it is a node's live buffer read in place,
+/// which is how the exchange phase sees it. `(birth, epoch)` is the
+/// snapshot-reuse key: an equal pair guarantees an identical bitmap, so
+/// the install path skips the word copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwinAnnounce<W = Vec<u64>> {
     /// Arena lifetime stamp of the announcing node (slot reuse guard).
     pub birth: u64,
     /// The announcing buffer's mutation epoch at emission time.
@@ -30,193 +33,204 @@ pub struct TwinAnnounce {
     /// Window size of the advertised bitmap.
     pub capacity: u64,
     /// The availability bitmap words.
-    pub words: Vec<u64>,
+    pub words: W,
     /// Whether the buffer was empty at emission (feeds the
     /// dark-neighbourhood skip proof, which otherwise would read live
     /// remote state).
     pub is_empty: bool,
 }
 
-/// The round's delivered exchange views, indexed by arena slot — what
-/// the twin hands back to [`SystemSim::twin_finish_round`] after the
-/// transport delivered every announcement. Views are assembled from
-/// *received messages*; if the transport drops, delays past the round
-/// deadline, or corrupts an announcement, the installed view differs
-/// from the live state and the decision log diverges from the
-/// simulator's — which is exactly what the sim-vs-live equivalence
-/// harness detects.
+impl<W> TwinAnnounce<W> {
+    /// The same header over another representation of the bitmap.
+    fn with_words<V>(&self, words: V) -> TwinAnnounce<V> {
+        TwinAnnounce {
+            birth: self.birth,
+            epoch: self.epoch,
+            head: self.head,
+            capacity: self.capacity,
+            words,
+            is_empty: self.is_empty,
+        }
+    }
+}
+
+impl NodeSim {
+    /// What this node announces right now, read in place.
+    pub(super) fn announce(&self) -> TwinAnnounce<&[u64]> {
+        let (head, capacity, words) = self.buffer.wire_parts();
+        TwinAnnounce {
+            birth: self.birth,
+            epoch: self.buffer.epoch(),
+            head,
+            capacity,
+            words,
+            is_empty: self.buffer.is_empty(),
+        }
+    }
+}
+
+/// What one round's buffer-map exchange delivered: per alive node, the
+/// announcement this round's scheduling and pre-fetch decisions read as
+/// that node's advertised map.
+pub trait ExchangeViews {
+    /// The view delivered for the node in arena `slot`, which would
+    /// itself announce `own` right now. `None` — nothing arrived for an
+    /// alive node — is a broken transport, not a protocol condition: a
+    /// faithful one always self-delivers (the loopback copy), so the
+    /// round panics on it, as it does on a view from another `birth`.
+    fn view<'a>(
+        &'a self,
+        slot: u32,
+        own: TwinAnnounce<&'a [u64]>,
+    ) -> Option<TwinAnnounce<&'a [u64]>>;
+}
+
+/// The simulator's exchange: nothing moves, so every node's view is
+/// what it holds.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalExchange;
+
+impl ExchangeViews for LocalExchange {
+    #[inline]
+    fn view<'a>(
+        &'a self,
+        _slot: u32,
+        own: TwinAnnounce<&'a [u64]>,
+    ) -> Option<TwinAnnounce<&'a [u64]>> {
+        Some(own)
+    }
+}
+
+/// Exchange views assembled from *received messages*, indexed by arena
+/// slot. If the transport drops, delays past the round deadline, or
+/// corrupts an announcement, the installed view differs from the live
+/// state and the decision log diverges from the simulator's — which is
+/// exactly what the sim-vs-live equivalence harness detects.
 #[derive(Debug, Default, Clone)]
 pub struct TwinViews {
-    by_slot: Vec<Option<std::sync::Arc<TwinAnnounce>>>,
+    by_slot: Vec<Option<Arc<TwinAnnounce>>>,
 }
 
 impl TwinViews {
-    /// Drop every view (start of a new round).
-    pub fn clear(&mut self) {
-        self.by_slot.clear();
-    }
-
     /// Install the delivered announcement for `slot`.
-    pub fn install(&mut self, slot: u32, announce: std::sync::Arc<TwinAnnounce>) {
+    pub fn install(&mut self, slot: u32, announce: Arc<TwinAnnounce>) {
         let slot = slot as usize;
         if self.by_slot.len() <= slot {
             self.by_slot.resize(slot + 1, None);
         }
         self.by_slot[slot] = Some(announce);
     }
-
-    /// The delivered announcement for `slot`, if any.
-    pub fn get(&self, slot: u32) -> Option<&TwinAnnounce> {
-        self.by_slot.get(slot as usize).and_then(|s| s.as_deref())
-    }
 }
 
-/// An in-flight round between [`SystemSim::twin_begin_round`] (phases
-/// 1–3: churn, emission, maintenance) and
-/// [`SystemSim::twin_finish_round`] (phase 4 onward: exchange through
-/// playback). Opaque: it carries the round's scratch state and
-/// profiler lap, and must be handed back to the same simulator.
-pub struct TwinPendingRound {
-    pub(super) round: u32,
-    pub(super) round_end: SimTime,
-    pub(super) first_new: SegmentId,
-    pub(super) scratch: RoundScratch,
-    pub(super) traffic: TrafficCounter,
-    pub(super) joins: usize,
-    pub(super) leaves: usize,
-    pub(super) olap: Lap,
-}
-
-impl TwinPendingRound {
-    /// The round index being executed.
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// The simulated time at which this round ends — the twin's
-    /// delivery deadline: announcements due after this instant miss
-    /// the round.
-    pub fn round_end(&self) -> SimTime {
-        self.round_end
-    }
-}
-
-/// One alive node's announcement-relevant state, lent to the visitor
-/// of [`SystemSim::twin_wire_states`]. Everything the twin needs to
-/// build this node's `Announce` payload ([`TwinAnnounce`]) and its
-/// outgoing link set, without cs-twin reaching into simulator
-/// internals.
-pub struct TwinWireState<'a> {
-    /// The node's DHT identifier (the wire-level address).
-    pub id: DhtId,
-    /// The node's arena slot — the key [`TwinViews`] is indexed by.
-    pub slot: u32,
-    /// Arena lifetime stamp (guards against same-round slot reuse).
-    pub birth: u64,
-    /// The buffer's mutation epoch (snapshot-reuse key).
-    pub epoch: u64,
-    /// Advertised window start.
-    pub head: SegmentId,
-    /// Advertised window size.
-    pub capacity: u64,
-    /// Availability bitmap words.
-    pub words: &'a [u64],
-    /// Whether the buffer is empty at emission time.
-    pub is_empty: bool,
-    /// Whether this node is the streaming source.
-    pub is_source: bool,
-    /// The node's ping latency in milliseconds (feeds per-link
-    /// latency in the twin's link catalogue).
-    pub ping_ms: f64,
-    /// Connected-neighbour ids in the overlay's deterministic order —
-    /// the announcement's recipient set.
-    pub neighbors: &'a [DhtId],
-}
-
-impl MapStore {
-    /// Install a *received* announcement into `idx`'s snapshot slot —
-    /// the live-network twin's replacement for [`Self::snapshot`]: the
-    /// bitmap comes off the wire instead of being read from the node's
-    /// live state. Mirrors the `(birth, epoch)` re-copy suppression, so
-    /// the install path has the same delta-encoding shape a real
-    /// network would use.
-    pub(super) fn install_wire(&mut self, idx: NodeIdx, a: &TwinAnnounce) {
-        let snap = &mut self.snaps[idx.0 as usize];
-        if snap.birth != a.birth || snap.epoch != a.epoch {
-            snap.map.install_wire(a.head, a.capacity, &a.words);
-            snap.birth = a.birth;
-            snap.epoch = a.epoch;
-        }
-        snap.stamp = self.stamp;
+impl ExchangeViews for TwinViews {
+    fn view<'a>(
+        &'a self,
+        slot: u32,
+        _own: TwinAnnounce<&'a [u64]>,
+    ) -> Option<TwinAnnounce<&'a [u64]>> {
+        let delivered = self.by_slot.get(slot as usize)?.as_deref()?;
+        Some(delivered.with_words(delivered.words.as_slice()))
     }
 }
 
 impl SystemSim {
-    /// Live-network twin entry point: run phases 1–3 of the next round
-    /// (churn, source emission, neighbour maintenance) and hand back
-    /// the in-flight round token, or `None` once the configured number
-    /// of rounds has run. Between this call and
-    /// [`Self::twin_finish_round`] the twin reads every node's
-    /// announcement state via [`Self::twin_wire_states`], moves it
-    /// between nodes over its transport, and assembles the delivered
-    /// [`TwinViews`]. [`Self::step`] is exactly
-    /// `twin_begin_round` + `twin_finish_round` with the exchange
-    /// short-circuited to local reads — the decision code is shared,
-    /// which is what makes sim-vs-live equivalence a meaningful test.
-    ///
-    /// Round `r` ends at simulated time `(r + 1)·τ` exactly — integer
-    /// microsecond arithmetic, so the twin's delivery deadline and the
-    /// record's timestamp agree on every platform.
-    pub fn twin_begin_round(&mut self) -> Option<TwinPendingRound> {
-        if self.next_round >= self.config.rounds {
-            return None;
-        }
-        let tau = SimDuration::from_secs_f64(self.config.period_secs);
-        let round = self.next_round;
-        let end = SimTime::ZERO + tau * (round as u64 + 1);
-        Some(self.round_prelude(round, end))
-    }
-
-    /// Finish a round begun with [`Self::twin_begin_round`]: run phase
-    /// 4 onward with the exchange reading the transport-delivered
-    /// `views` instead of live node state.
-    ///
-    /// # Panics
-    /// If `views` lacks an announcement for any alive node — a
-    /// faithful transport always self-delivers (the loopback copy),
-    /// so a hole is a runtime bug, not a protocol condition.
-    pub fn twin_finish_round(&mut self, pending: TwinPendingRound, views: &TwinViews) {
-        self.round_decide(pending, Some(views));
-        self.next_round += 1;
-    }
-
-    /// Visit every alive node's wire-level announcement state in the
-    /// deterministic ascending-id round order. Valid between
-    /// [`Self::twin_begin_round`] and [`Self::twin_finish_round`]:
-    /// phases 1–3 have run, so the states carry this round's emission
-    /// and the post-maintenance neighbour sets — exactly what the
-    /// simulator's own exchange phase would read.
-    pub fn twin_wire_states(&self, visit: &mut dyn FnMut(TwinWireState<'_>)) {
-        let mut neighbors: Vec<DhtId> = Vec::new();
-        for k in 0..self.order_idx.len() {
-            let idx = self.order_idx[k];
+    /// Visit every alive node's announcement in the deterministic
+    /// ascending-id round order: `(id, arena slot, announcement,
+    /// recipients)`, the recipients being the node's connected
+    /// neighbours in the overlay's order. Meant to be called from the
+    /// exchange of [`Self::step_with`]: phases 1–3 have run by then, so
+    /// the announcements carry this round's emission and the
+    /// post-maintenance neighbour sets — exactly what the
+    /// [`LocalExchange`] reads.
+    pub fn twin_announcements(&self, mut visit: impl FnMut(DhtId, u32, TwinAnnounce, &[DhtId])) {
+        let mut recipients: Vec<DhtId> = Vec::new();
+        for &idx in &self.order_idx {
             let node = self.nodes.node(idx);
-            neighbors.clear();
-            neighbors.extend(node.connected.ids().map(|p| p.id));
-            let (head, capacity, words) = node.buffer.wire_parts();
-            visit(TwinWireState {
-                id: node.id,
-                slot: idx.0,
-                birth: node.birth,
-                epoch: node.buffer.epoch(),
-                head,
-                capacity,
-                words,
-                is_empty: node.buffer.is_empty(),
-                is_source: node.is_source,
-                ping_ms: self.nodes.ping_at(idx),
-                neighbors: &neighbors,
-            });
+            recipients.clear();
+            recipients.extend(node.connected.ids().map(|p| p.id));
+            let own = node.announce();
+            visit(
+                node.id,
+                idx.0,
+                own.with_words(own.words.to_vec()),
+                &recipients,
+            );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use cs_sim::SimTime;
+
+    fn churny() -> SystemConfig {
+        SystemConfig {
+            nodes: 60,
+            rounds: 20,
+            startup_segments: 30,
+            seed: 0x5EA4,
+            ..SystemConfig::default()
+        }
+        .with_dynamic_churn()
+    }
+
+    /// The loopback exchange: this round's announcements, straight from
+    /// the visitor, handed back as the views — each through `tamper`
+    /// first, which may edit or withhold it.
+    fn loopback(
+        sim: &SystemSim,
+        mut tamper: impl FnMut(u32, TwinAnnounce) -> Option<TwinAnnounce>,
+    ) -> TwinViews {
+        let mut views = TwinViews::default();
+        sim.twin_announcements(|_, slot, announce, _| {
+            if let Some(a) = tamper(slot, announce) {
+                views.install(slot, Arc::new(a));
+            }
+        });
+        views
+    }
+
+    #[test]
+    fn loopback_exchange_equals_the_local_one_every_round() {
+        let mut local = SystemSim::new(churny());
+        let mut looped = SystemSim::new(churny());
+        for round in 0..20u32 {
+            assert!(local.step());
+            assert!(looped.step_with(|sim, r, deadline| {
+                assert_eq!(r, round);
+                assert_eq!(deadline, SimTime::from_secs(round as u64 + 1));
+                loopback(sim, |_, a| Some(a))
+            }));
+            assert_eq!(local.records(), looped.records(), "round {round}");
+            assert_eq!(local.debug_states(), looped.debug_states(), "round {round}");
+        }
+        let churned = |f: fn(&crate::RoundRecord) -> usize| local.records().iter().map(f).sum();
+        let (joins, leaves): (usize, usize) = (churned(|r| r.joins), churned(|r| r.leaves));
+        assert!(joins > 0 && leaves > 0, "slots must actually be reused");
+        assert!(
+            !looped.step_with(|_, _, _| LocalExchange),
+            "rounds are spent"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0: no delivered view for slot 7")]
+    fn withheld_view_panics() {
+        let mut sim = SystemSim::new(churny());
+        sim.step_with(|sim, _, _| loopback(sim, |slot, a| (slot != 7).then_some(a)));
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0: stale view for slot 7 (arena slot reuse)")]
+    fn view_from_another_node_lifetime_panics() {
+        let mut sim = SystemSim::new(churny());
+        sim.step_with(|sim, _, _| {
+            loopback(sim, |slot, mut a| {
+                a.birth += u64::from(slot == 7);
+                Some(a)
+            })
+        });
     }
 }

@@ -20,29 +20,18 @@ use crate::buffer::StreamBuffer;
 use crate::SegmentId;
 
 /// What the urgent-line check decided for this period (§4.3's three
-/// cases).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefetchDecision {
+/// cases); the missed ids of the `Fetch` case are written into the
+/// caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefetchCheck {
     /// Case 1: nothing predicted missed; on-demand retrieval not
     /// triggered.
     NotTriggered,
-    /// Case 2: `0 < N_miss ≤ l`; fetch all of these in parallel.
-    Fetch(Vec<SegmentId>),
+    /// Case 2: `0 < N_miss ≤ l`; fetch everything now in the caller's
+    /// buffer, in parallel.
+    Fetch,
     /// Case 3: `N_miss > l`; retrieval suppressed to avoid excessive
     /// pre-fetch traffic. Carries the observed `N_miss`.
-    TooMany(usize),
-}
-
-/// [`PrefetchDecision`] without the owned segment list — what
-/// [`UrgentLine::decide_into`] returns, the missed ids having been
-/// written into the caller's buffer instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchCheck {
-    /// Nothing predicted missed.
-    NotTriggered,
-    /// `0 < N_miss ≤ l`: fetch everything now in the caller's buffer.
-    Fetch,
-    /// `N_miss > l`: retrieval suppressed. Carries the observed `N_miss`.
     TooMany(usize),
 }
 
@@ -122,30 +111,14 @@ impl UrgentLine {
     }
 
     /// Predict the missed segments and decide whether to trigger
-    /// on-demand retrieval (§4.3's three cases).
+    /// on-demand retrieval (§4.3's three cases), with the paper's fixed
+    /// cap `l`.
     ///
     /// A segment in `[play_from, urgent_id)` is predicted missed when it
     /// is neither in the buffer nor excluded by `expected` (segments the
-    /// scheduler already arranged to receive this period).
-    pub fn decide(
-        &self,
-        buffer: &StreamBuffer,
-        play_from: SegmentId,
-        newest_available: SegmentId,
-        expected: impl Fn(SegmentId) -> bool,
-    ) -> PrefetchDecision {
-        let mut missed = Vec::new();
-        match self.decide_into(buffer, play_from, newest_available, expected, &mut missed) {
-            PrefetchCheck::NotTriggered => PrefetchDecision::NotTriggered,
-            PrefetchCheck::Fetch => PrefetchDecision::Fetch(missed),
-            PrefetchCheck::TooMany(n) => PrefetchDecision::TooMany(n),
-        }
-    }
-
-    /// [`Self::decide`] writing the missed ids into a caller-owned buffer
-    /// (cleared first; populated only in the `Fetch` case) — the
-    /// allocation-free path the round loop's pre-fetch planning uses.
-    /// [`Self::decide`] is a thin wrapper over this.
+    /// scheduler already arranged to receive this period). The missed ids
+    /// go into the caller-owned `missed` (cleared first; populated only
+    /// in the `Fetch` case), so the check allocates nothing.
     pub fn decide_into(
         &self,
         buffer: &StreamBuffer,
@@ -241,6 +214,18 @@ mod tests {
         UrgentLine::new(10.0, 600, 1.0, 0.4, 0.05, 5)
     }
 
+    /// `decide_into` over a fresh buffer: the check and what it wrote.
+    fn decide(
+        l: &UrgentLine,
+        buf: &StreamBuffer,
+        newest: SegmentId,
+        expected: impl Fn(SegmentId) -> bool,
+    ) -> (PrefetchCheck, Vec<SegmentId>) {
+        let mut missed = Vec::new();
+        let check = l.decide_into(buf, 100, newest, expected, &mut missed);
+        (check, missed)
+    }
+
     #[test]
     fn initial_alpha_is_paper_value() {
         let l = line();
@@ -264,8 +249,8 @@ mod tests {
             buf.insert(id);
         }
         assert_eq!(
-            l.decide(&buf, 100, 1000, |_| false),
-            PrefetchDecision::NotTriggered
+            decide(&l, &buf, 1000, |_| false),
+            (PrefetchCheck::NotTriggered, vec![])
         );
     }
 
@@ -279,8 +264,8 @@ mod tests {
             }
         }
         assert_eq!(
-            l.decide(&buf, 100, 1000, |_| false),
-            PrefetchDecision::Fetch(vec![103, 107])
+            decide(&l, &buf, 1000, |_| false),
+            (PrefetchCheck::Fetch, vec![103, 107])
         );
     }
 
@@ -295,8 +280,8 @@ mod tests {
         }
         // 103 is already scheduled for this period: only 107 is missed.
         assert_eq!(
-            l.decide(&buf, 100, 1000, |id| id == 103),
-            PrefetchDecision::Fetch(vec![107])
+            decide(&l, &buf, 1000, |id| id == 103),
+            (PrefetchCheck::Fetch, vec![107])
         );
     }
 
@@ -305,10 +290,10 @@ mod tests {
         let l = line();
         let buf = StreamBuffer::with_head(600, 100); // nothing present
                                                      // All 10 in-window segments missing; l = 5 → suppressed.
-        match l.decide(&buf, 100, 1000, |_| false) {
-            PrefetchDecision::TooMany(n) => assert_eq!(n, 10),
-            other => panic!("expected TooMany, got {other:?}"),
-        }
+        assert_eq!(
+            decide(&l, &buf, 1000, |_| false),
+            (PrefetchCheck::TooMany(10), vec![])
+        );
     }
 
     #[test]
@@ -318,8 +303,8 @@ mod tests {
         let l = line();
         let buf = StreamBuffer::with_head(600, 100);
         assert_eq!(
-            l.decide(&buf, 100, 104, |_| false),
-            PrefetchDecision::Fetch(vec![100, 101, 102, 103, 104])
+            decide(&l, &buf, 104, |_| false),
+            (PrefetchCheck::Fetch, vec![100, 101, 102, 103, 104])
         );
     }
 
@@ -387,8 +372,8 @@ mod tests {
         while l.urgent_id(100) < 120 {
             l.on_overdue();
         }
-        match l.decide(&buf, 100, 1000, |_| false) {
-            PrefetchDecision::TooMany(n) => assert!(n >= 20),
+        match decide(&l, &buf, 1000, |_| false).0 {
+            PrefetchCheck::TooMany(n) => assert!(n >= 20),
             other => panic!("expected TooMany, got {other:?}"),
         }
     }

@@ -85,7 +85,7 @@ pub struct ScenarioOutcome {
 /// # Panics
 /// If the spec does not [`validate`](ScenarioSpec::validate).
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
-    drive(spec, None, |_| {})
+    drive(spec, None, SystemSim::step)
 }
 
 /// [`run_scenario`] with the observability layer armed: the simulator
@@ -99,15 +99,32 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     obs_cfg: ObsConfig,
-    on_round: impl FnMut(&SystemSim),
+    mut on_round: impl FnMut(&SystemSim),
 ) -> ScenarioOutcome {
-    drive(spec, Some(obs_cfg), on_round)
+    drive(spec, Some(obs_cfg), |sim| {
+        let stepped = sim.step();
+        if stepped {
+            on_round(sim);
+        }
+        stepped
+    })
 }
 
-fn drive(
+/// The scenario driver — the workspace's only one: build the simulator
+/// from the spec's config with telemetry (and, with `obs_cfg`, the
+/// observability layer) on, let the [`ScenarioEngine`] apply each
+/// round's events, run the round with `step`, and assemble the outcome.
+/// `step` is "how to step a round": [`SystemSim::step`] for the
+/// simulator, a `SystemSim::step_with` over a transport for the
+/// live-network twin (`cs-twin`), either wrapped with whatever should
+/// happen after each round. It returns whether a round ran.
+///
+/// # Panics
+/// If the spec does not [`validate`](ScenarioSpec::validate).
+pub fn drive(
     spec: &ScenarioSpec,
     obs_cfg: Option<ObsConfig>,
-    mut on_round: impl FnMut(&SystemSim),
+    mut step: impl FnMut(&mut SystemSim) -> bool,
 ) -> ScenarioOutcome {
     let mut sim = SystemSim::new(spec.config.clone());
     sim.enable_telemetry();
@@ -121,10 +138,9 @@ fn drive(
     // simulated round would ever observe them.
     while sim.rounds_run() < spec.config.rounds {
         engine.drive_round(&mut sim);
-        if !sim.step() {
+        if !step(&mut sim) {
             break;
         }
-        on_round(&sim);
     }
     let telemetry = sim.take_telemetry().unwrap_or_default();
     let fault_trace = sim.fault_trace().clone();

@@ -3,7 +3,10 @@
 //! The ROADMAP's path off the simulator clock: run the ContinuStreaming
 //! protocol as message-exchanging node tasks over a transport, while
 //! the deterministic `cs-core` round logic stays the single source of
-//! protocol truth. Three pieces:
+//! protocol truth. The protocol is round-synchronous — exchange buffer
+//! maps, then decide over what arrived — so the exchange is the only
+//! seam: the twin is `cs_scenario`'s driver stepping every round with
+//! `SystemSim::step_with` and an exchange of its own. Three pieces:
 //!
 //! * [`transport`] — typed protocol messages ([`WireMsg`] /
 //!   [`Envelope`]) behind a [`Transport`] trait with per-link latency,
@@ -11,15 +14,14 @@
 //!   in-process implementation (real sockets are a follow-up with the
 //!   same trait).
 //! * [`clock`] — a [`VirtualClock`] (time moves only at delivery
-//!   instants and round barriers). The per-node emit/fold work fans out
-//!   through [`cs_sim::fan_out`], whose shard-order merge makes it
-//!   positionally deterministic at any worker count. Std-only; no
-//!   tokio.
-//! * [`runtime`] — the round-lockstep driver: each node announces its
-//!   buffer map to itself (loopback) and its neighbours, the transport
-//!   delivers in a unique total `(due, round, src, seq)` order, and
-//!   the simulator core decides the round over the *delivered* views
-//!   via `SystemSim::twin_begin_round` / `twin_finish_round`.
+//!   instants and round barriers). Std-only; no tokio.
+//! * [`runtime`] — the transport-backed exchange: each node announces
+//!   its buffer map to itself (loopback) and its neighbours, the
+//!   transport delivers in a unique total `(due, round, src, seq)`
+//!   order up to the round's deadline, and each node's inbox folds into
+//!   the view the simulator core decides the round over. The fold fans
+//!   out through [`cs_sim::fan_out`], whose shard-order merge makes it
+//!   positionally deterministic at any worker count.
 //!
 //! ## The equivalence contract
 //!

@@ -1,14 +1,16 @@
-//! The round-lockstep twin runtime.
+//! The twin runtime: a transport-backed buffer-map exchange.
 //!
-//! Each round, every node is a task: it announces its buffer map to
-//! itself (loopback) and to every connected neighbour over the
-//! [`Transport`](crate::transport::Transport); the runtime drains the
+//! Each round, every node announces its buffer map to itself
+//! (loopback) and to every connected neighbour over the
+//! [`Transport`]; the exchange drains the
 //! transport up to the round's deadline, assembles each node's
-//! delivered view, and hands the views back to the simulator core —
+//! delivered view, and returns the views to the simulator core —
 //! which makes every protocol decision (scheduling, pre-fetch,
 //! rescue, failover) exactly as it would have standalone. The sim
 //! core stays the single source of protocol truth; the twin only
-//! changes *how state moves between nodes*.
+//! changes *how state moves between nodes*. Everything around the
+//! exchange — events, telemetry, the outcome — is `cs_scenario`'s
+//! driver, unchanged.
 //!
 //! Because a node's canonical round view is its own loopback delivery
 //! and the transport delivers in a unique total order, a faithful
@@ -17,15 +19,15 @@
 //! *unfaithful* transport (loss, late delivery, corruption) surfaces
 //! as divergence counters here and as decision-log drift there.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use cs_core::{SegmentId, SystemSim, TwinAnnounce, TwinViews};
+use cs_core::{SystemSim, TwinAnnounce, TwinViews};
 use cs_dht::DhtId;
 use cs_net::LinkCatalog;
 use cs_obs::ObsConfig;
-use cs_scenario::{MetricsLog, ScenarioEngine, ScenarioOutcome, ScenarioSpec};
-use cs_sim::{fan_out, SimDuration};
+use cs_scenario::{drive, ScenarioOutcome, ScenarioSpec};
+use cs_sim::{fan_out, SimDuration, SimTime};
 
 use crate::clock::VirtualClock;
 use crate::transport::{InProcTransport, MsgBody, Transport, TransportStats, WireMsg};
@@ -33,9 +35,9 @@ use crate::transport::{InProcTransport, MsgBody, Transport, TransportStats, Wire
 /// How the twin runs a scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct TwinConfig {
-    /// Executor workers for the per-node fan-out phases. Results are
-    /// bit-identical at any value ≥ 1 (pinned in the determinism
-    /// suite).
+    /// Executor workers for the per-node inbox fold (0 means 1).
+    /// Results are bit-identical at any value (pinned in the
+    /// determinism suite).
     pub workers: usize,
     /// Per-link wire characteristics. The equivalence profile is
     /// [`LinkCatalog::uniform`] with any latency below the round
@@ -108,25 +110,147 @@ pub struct TwinOutcome {
     pub node_stats: Vec<TwinNodeStats>,
 }
 
-/// One node's owned wire state for the round, copied out of the
-/// simulator so the emit fan-out borrows no simulator internals.
-struct NodeWire {
+/// One alive node's side of the round's exchange: what it announced and
+/// to how many recipients (loopback included).
+struct Announcer {
     id: DhtId,
     slot: u32,
-    birth: u64,
-    epoch: u64,
-    head: SegmentId,
-    capacity: u64,
-    words: Vec<u64>,
-    is_empty: bool,
-    neighbors: Vec<DhtId>,
+    announce: Arc<TwinAnnounce>,
+    sent: u64,
 }
 
 struct FoldOut {
-    slot: u32,
     canonical: Option<Arc<TwinAnnounce>>,
     received: u64,
     divergences: u64,
+}
+
+/// The transport-backed buffer-map exchange — everything the twin adds
+/// to a simulator round. [`Self::run`] is the exchange
+/// `SystemSim::step_with` calls: announce, deliver up to the round's
+/// deadline, fold each node's inbox into its view.
+struct TwinExchange<T> {
+    transport: T,
+    clock: VirtualClock,
+    workers: usize,
+    late: u64,
+    stale_dropped: u64,
+    divergences: u64,
+    /// `BTreeMap`: the rows come out ascending by id without a sort.
+    totals: BTreeMap<DhtId, TwinNodeStats>,
+}
+
+impl<T: Transport> TwinExchange<T> {
+    fn run(&mut self, sim: &SystemSim, round: u32, round_end: SimTime) -> TwinViews {
+        // 1. Every alive node announces its buffer map to itself
+        // (loopback) and to every connected neighbour. Serial, in the
+        // simulator's ascending-id order: the transport's RNG stream
+        // position is part of the wire contract, so send order must not
+        // depend on worker scheduling.
+        let now = self.clock.now();
+        let mut nodes: Vec<Announcer> = Vec::new();
+        sim.twin_announcements(|id, slot, announce, recipients| {
+            let announce = Arc::new(announce);
+            for &dst in std::iter::once(&id).chain(recipients) {
+                self.transport.send(
+                    now,
+                    WireMsg {
+                        src: id,
+                        dst,
+                        round,
+                        body: MsgBody::Announce(Arc::clone(&announce)),
+                    },
+                );
+            }
+            nodes.push(Announcer {
+                id,
+                slot,
+                announce,
+                sent: 1 + recipients.len() as u64,
+            });
+        });
+        let index_of: HashMap<DhtId, usize> =
+            nodes.iter().enumerate().map(|(k, n)| (n.id, k)).collect();
+
+        // 2. Drain deliveries due by the round deadline, in the
+        // transport's total (due, round, src, seq) order, advancing
+        // the virtual clock to each delivery instant.
+        let mut inboxes: Vec<Vec<(DhtId, Arc<TwinAnnounce>)>> = Vec::new();
+        inboxes.resize_with(nodes.len(), Vec::new);
+        let mut late_by_node: Vec<u64> = vec![0; nodes.len()];
+        while let Some(env) = self.transport.poll(round_end) {
+            self.clock.advance_to(env.due);
+            let MsgBody::Announce(a) = env.msg.body;
+            if env.round != round {
+                // Leftover from an earlier round: its decisions were
+                // already made without it.
+                self.late += 1;
+                if let Some(&k) = index_of.get(&env.msg.dst) {
+                    late_by_node[k] += 1;
+                }
+                continue;
+            }
+            match index_of.get(&env.msg.dst) {
+                Some(&k) => inboxes[k].push((env.msg.src, a)),
+                None => self.stale_dropped += 1,
+            }
+        }
+        // The round barrier: the protocol's synchronous clock edge.
+        self.clock.advance_to(round_end);
+
+        // 3. Each node folds its inbox: the loopback copy becomes its
+        // canonical view; every neighbour copy is verified
+        // content-equal against what the sender actually emitted.
+        // Data-parallel; order restored by the executor's merge.
+        let folds: Vec<FoldOut> = fan_out(self.workers, &nodes, |k, n| {
+            let mut canonical: Option<Arc<TwinAnnounce>> = None;
+            let mut div = 0u64;
+            for (src, a) in &inboxes[k] {
+                if *src == n.id {
+                    canonical = Some(Arc::clone(a));
+                } else {
+                    match index_of.get(src) {
+                        Some(&sk) => {
+                            if **a != *nodes[sk].announce {
+                                div += 1;
+                            }
+                        }
+                        // A sender id we never emitted for: forged.
+                        None => div += 1,
+                    }
+                }
+            }
+            // The canonical copy itself must match what was emitted —
+            // a transport that corrupts loopback corrupts decisions.
+            if let Some(c) = &canonical {
+                if **c != *n.announce {
+                    div += 1;
+                }
+            }
+            FoldOut {
+                canonical,
+                received: inboxes[k].len() as u64,
+                divergences: div,
+            }
+        });
+
+        // 4. Merge (already in node order): the views the simulator
+        // core decides the round over, and the accounting.
+        let mut views = TwinViews::default();
+        for (k, (n, f)) in nodes.iter().zip(folds).enumerate() {
+            if let Some(c) = f.canonical {
+                views.install(n.slot, c);
+            }
+            self.divergences += f.divergences;
+            let t = self.totals.entry(n.id).or_default();
+            t.id = n.id;
+            t.sent += n.sent;
+            t.received += f.received;
+            t.late += late_by_node[k];
+            t.divergences += f.divergences;
+        }
+        views
+    }
 }
 
 /// Run `spec` through the twin. Deterministic in `(spec, cfg.links)`:
@@ -157,218 +281,49 @@ fn drive_twin(
     drive_twin_over(spec, cfg, transport, obs_cfg, &mut on_round)
 }
 
-/// The generic driver: any [`Transport`] implementation. Public so
-/// the equivalence harness can run a deliberately unfaithful
-/// transport and prove the harness is not vacuous.
+/// The generic driver: `cs_scenario`'s, stepping each round through a
+/// [`Transport`]-backed exchange — any implementation. Public so the
+/// equivalence harness can run a deliberately unfaithful transport and
+/// prove the harness is not vacuous. Every field of the outcome is
+/// byte-comparable against a sim run's; `on_round` fires only when
+/// `obs_cfg` arms the run.
 pub fn drive_twin_over<T: Transport>(
     spec: &ScenarioSpec,
     cfg: &TwinConfig,
-    mut transport: T,
+    transport: T,
     obs_cfg: Option<ObsConfig>,
     on_round: &mut dyn FnMut(&SystemSim, &TwinRoundStats),
 ) -> TwinOutcome {
-    let mut sim = SystemSim::new(spec.config.clone());
-    sim.enable_telemetry();
     let observed = obs_cfg.is_some();
-    if let Some(c) = obs_cfg {
-        sim.enable_obs(c);
-    }
-    let mut engine = ScenarioEngine::new(spec.clone());
-    let workers = cfg.workers.max(1);
-    let mut clock = VirtualClock::new();
-    let mut views = TwinViews::default();
-    let mut late = 0u64;
-    let mut stale_dropped = 0u64;
-    let mut divergences = 0u64;
-    // BTreeMap: `node_stats` comes out ascending by id without a sort.
-    let mut totals: std::collections::BTreeMap<DhtId, TwinNodeStats> =
-        std::collections::BTreeMap::new();
-
-    // Same loop contract as `cs_scenario`'s driver: scenario events
-    // land before the round they target, and the engine's stats feed
-    // the metrics log. The only difference is *how the round runs*.
-    while sim.rounds_run() < spec.config.rounds {
-        engine.drive_round(&mut sim);
-        let Some(pending) = sim.twin_begin_round() else {
-            break;
-        };
-        let round = pending.round();
-        let round_end = pending.round_end();
-
-        // 1. Read every alive node's wire state (serial; the only
-        // phase that borrows the simulator).
-        let mut nodes: Vec<NodeWire> = Vec::new();
-        sim.twin_wire_states(&mut |w| {
-            nodes.push(NodeWire {
-                id: w.id,
-                slot: w.slot,
-                birth: w.birth,
-                epoch: w.epoch,
-                head: w.head,
-                capacity: w.capacity,
-                words: w.words.to_vec(),
-                is_empty: w.is_empty,
-                neighbors: w.neighbors.to_vec(),
-            });
-        });
-        let index_of: HashMap<DhtId, usize> =
-            nodes.iter().enumerate().map(|(k, n)| (n.id, k)).collect();
-
-        // 2. Each node task builds its announcement and addresses it
-        // to itself (loopback) and every connected neighbour.
-        // Data-parallel; order restored by the executor's merge.
-        let emitted: Vec<(Arc<TwinAnnounce>, Vec<WireMsg>)> = fan_out(workers, &nodes, |_, n| {
-            let a = Arc::new(TwinAnnounce {
-                birth: n.birth,
-                epoch: n.epoch,
-                head: n.head,
-                capacity: n.capacity,
-                words: n.words.clone(),
-                is_empty: n.is_empty,
-            });
-            let mut out = Vec::with_capacity(1 + n.neighbors.len());
-            out.push(WireMsg {
-                src: n.id,
-                dst: n.id,
-                round,
-                body: MsgBody::Announce(Arc::clone(&a)),
-            });
-            for &nb in &n.neighbors {
-                out.push(WireMsg {
-                    src: n.id,
-                    dst: nb,
-                    round,
-                    body: MsgBody::Announce(Arc::clone(&a)),
-                });
-            }
-            (a, out)
-        });
-
-        // 3. Hand everything to the transport serially in merged
-        // (ascending-id) order — the transport's RNG stream position
-        // is part of the wire contract, so send order must not depend
-        // on worker scheduling.
-        let now = clock.now();
-        for (_, out) in &emitted {
-            for m in out {
-                transport.send(now, m.clone());
-            }
-        }
-
-        // 4. Drain deliveries due by the round deadline, in the
-        // transport's total (due, round, src, seq) order, advancing
-        // the virtual clock to each delivery instant.
-        let mut inboxes: Vec<Vec<(DhtId, Arc<TwinAnnounce>)>> = Vec::new();
-        inboxes.resize_with(nodes.len(), Vec::new);
-        let mut late_by_node: Vec<u64> = vec![0; nodes.len()];
-        while let Some(env) = transport.poll(round_end) {
-            clock.advance_to(env.due);
-            let MsgBody::Announce(a) = env.msg.body;
-            if env.round != round {
-                // Leftover from an earlier round: its decisions were
-                // already made without it.
-                late += 1;
-                if let Some(&k) = index_of.get(&env.msg.dst) {
-                    late_by_node[k] += 1;
-                }
-                continue;
-            }
-            match index_of.get(&env.msg.dst) {
-                Some(&k) => inboxes[k].push((env.msg.src, a)),
-                None => stale_dropped += 1,
-            }
-        }
-        // The round barrier: the protocol's synchronous clock edge.
-        clock.advance_to(round_end);
-
-        // 5. Each node folds its inbox: the loopback copy becomes its
-        // canonical view; every neighbour copy is verified
-        // content-equal against what the sender actually emitted.
-        let folds: Vec<FoldOut> = fan_out(workers, &nodes, |k, n| {
-            let mut canonical: Option<Arc<TwinAnnounce>> = None;
-            let mut received = 0u64;
-            let mut div = 0u64;
-            for (src, a) in &inboxes[k] {
-                received += 1;
-                if *src == n.id {
-                    canonical = Some(Arc::clone(a));
-                } else {
-                    match index_of.get(src) {
-                        Some(&sk) => {
-                            if **a != *emitted[sk].0 {
-                                div += 1;
-                            }
-                        }
-                        // A sender id we never emitted for: forged.
-                        None => div += 1,
-                    }
-                }
-            }
-            // The canonical copy itself must match what was emitted —
-            // a transport that corrupts loopback corrupts decisions.
-            if let Some(c) = &canonical {
-                if **c != *emitted[k].0 {
-                    div += 1;
-                }
-            }
-            FoldOut {
-                slot: n.slot,
-                canonical,
-                received,
-                divergences: div,
-            }
-        });
-
-        // 6. Merge (already in node order), install views, account.
-        views.clear();
-        for (k, f) in folds.iter().enumerate() {
-            if let Some(c) = &f.canonical {
-                views.install(f.slot, Arc::clone(c));
-            }
-            divergences += f.divergences;
-            let t = totals.entry(nodes[k].id).or_default();
-            t.id = nodes[k].id;
-            t.sent += emitted[k].1.len() as u64;
-            t.received += f.received;
-            t.late += late_by_node[k];
-            t.divergences += f.divergences;
-        }
-
-        // 7. The simulator core decides the round over the delivered
-        // views.
-        sim.twin_finish_round(pending, &views);
-
-        if observed {
+    let mut exchange = TwinExchange {
+        transport,
+        clock: VirtualClock::new(),
+        workers: cfg.workers.max(1),
+        late: 0,
+        stale_dropped: 0,
+        divergences: 0,
+        totals: BTreeMap::new(),
+    };
+    let outcome = drive(spec, obs_cfg, |sim| {
+        let stepped = sim.step_with(|sim, round, round_end| exchange.run(sim, round, round_end));
+        if stepped && observed {
             let stats = TwinRoundStats {
-                round,
-                transport: transport.stats(),
-                late,
-                divergences,
-                nodes: totals.values().copied().collect(),
+                round: sim.rounds_run() - 1,
+                transport: exchange.transport.stats(),
+                late: exchange.late,
+                divergences: exchange.divergences,
+                nodes: exchange.totals.values().copied().collect(),
             };
-            on_round(&sim, &stats);
+            on_round(sim, &stats);
         }
-    }
-
-    // Epilogue identical to `cs_scenario`'s driver, so every field of
-    // the outcome is byte-comparable against a sim run.
-    let telemetry = sim.take_telemetry().unwrap_or_default();
-    let fault_trace = sim.fault_trace().clone();
-    let obs = observed.then(|| sim.take_obs_report()).flatten();
-    let report = sim.finish();
-    let log = MetricsLog::new(spec, &report, &telemetry, engine.stats());
+        stepped
+    });
     TwinOutcome {
-        outcome: ScenarioOutcome {
-            report,
-            telemetry,
-            log,
-            fault_trace,
-            obs,
-        },
-        transport: transport.stats(),
-        late,
-        stale_dropped,
-        divergences,
-        node_stats: totals.into_values().collect(),
+        outcome,
+        transport: exchange.transport.stats(),
+        late: exchange.late,
+        stale_dropped: exchange.stale_dropped,
+        divergences: exchange.divergences,
+        node_stats: exchange.totals.into_values().collect(),
     }
 }

@@ -17,7 +17,7 @@
 //! | [`core`] | `cs-core` | buffers, schedulers, urgent line, Algorithm 2, full-system simulator |
 //! | [`scenario`] | `cs-scenario` | declarative workloads, telemetry export, CI gates |
 //! | [`obs`] | `cs-obs` | phase profiler, distributions, event trace, monitor endpoint |
-//! | [`twin`] | `cs-twin` | live-network twin: transport trait, virtual clock, sim-vs-live equivalence runtime |
+//! | [`twin`] | `cs-twin` | live-network twin: the buffer-map exchange of `SystemSim::step_with` moved over a transport (trait, virtual clock, sim-vs-live equivalence) |
 //! | [`analysis`] | `cs-analysis` | the paper's closed-form models |
 //!
 //! ## Quick start

@@ -285,8 +285,8 @@ fn round_scratch_reuse_leaves_no_stale_state() {
             ..SystemConfig::default()
         };
         let mut sim = SystemSim::new(config);
-        for round in 0..30 {
-            sim.debug_step(round);
+        for _ in 0..30 {
+            assert!(sim.step());
             sim.debug_check_scratch();
         }
     }
@@ -307,8 +307,8 @@ fn round_scratch_reuse_is_clean_under_churn() {
         }
         .with_dynamic_churn();
         let mut sim = SystemSim::new(config);
-        for round in 0..25 {
-            sim.debug_step(round);
+        for _ in 0..25 {
+            assert!(sim.step());
             sim.debug_check_scratch();
         }
     }
@@ -510,8 +510,8 @@ fn adaptive_policy_state_resets_with_scratch_reuse() {
     }
     .with_dynamic_churn();
     let mut sim = SystemSim::new(config.clone());
-    for round in 0..30 {
-        sim.debug_step(round);
+    for _ in 0..30 {
+        assert!(sim.step());
         sim.debug_check_scratch();
     }
     let a = SystemSim::new(config.clone()).run();
@@ -569,7 +569,7 @@ fn active_set_plans_joiners_reusing_a_slot_same_round() {
                         reused += 1;
                     }
                 }
-                sim.debug_step(round);
+                assert!(sim.step());
                 sim.debug_check_scratch();
             }
             assert!(
@@ -647,16 +647,16 @@ fn chaos_config(seed: u64) -> SystemConfig {
 fn fault_trace_is_byte_identical_across_runs() {
     let mut a = SystemSim::new(chaos_config(11));
     let mut b = SystemSim::new(chaos_config(11));
-    for round in 0..40 {
-        a.debug_step(round);
-        b.debug_step(round);
+    for _ in 0..40 {
+        assert!(a.step());
+        assert!(b.step());
     }
     assert!(!a.fault_trace().is_empty(), "the armed plane must record");
     assert_eq!(a.fault_trace(), b.fault_trace());
     assert_eq!(a.fault_trace().digest(), b.fault_trace().digest());
     let mut c = SystemSim::new(chaos_config(12));
-    for round in 0..40 {
-        c.debug_step(round);
+    for _ in 0..40 {
+        assert!(c.step());
     }
     assert_ne!(
         a.fault_trace().digest(),
@@ -674,8 +674,8 @@ fn recovery_counters_respect_causal_bounds() {
     let config = chaos_config(5);
     let retry_max = config.policy.as_adaptive().unwrap().retry_max as u64;
     let mut sim = SystemSim::new(config);
-    for round in 0..40 {
-        sim.debug_step(round);
+    for _ in 0..40 {
+        assert!(sim.step());
     }
     let trace = sim.fault_trace();
     assert_eq!(trace.rounds.len(), 40, "one record per stepped round");
@@ -713,7 +713,7 @@ fn recovery_counters_respect_causal_bounds() {
 fn crashed_nodes_never_remain_connected_after_the_round() {
     let mut sim = SystemSim::new(chaos_config(21));
     for round in 0..40 {
-        sim.debug_step(round);
+        assert!(sim.step());
         assert!(
             sim.debug_neighbors_alive(),
             "round {round}: a dark supplier stayed connected"
@@ -731,8 +731,8 @@ fn fault_trace_is_identical_at_any_worker_count() {
         let mut c = chaos_config(31);
         c.parallel_threads = Some(1);
         let mut sim = SystemSim::new(c);
-        for round in 0..40 {
-            sim.debug_step(round);
+        for _ in 0..40 {
+            assert!(sim.step());
         }
         sim.fault_trace().clone()
     };
@@ -741,8 +741,8 @@ fn fault_trace_is_identical_at_any_worker_count() {
         let mut c = chaos_config(31);
         c.parallel_threads = Some(threads);
         let mut sim = SystemSim::new(c);
-        for round in 0..40 {
-            sim.debug_step(round);
+        for _ in 0..40 {
+            assert!(sim.step());
         }
         assert_eq!(
             &serial,

@@ -1,27 +1,62 @@
-//! CLI contract regression tests for the example runners.
+//! CLI contract regression tests for the example runner.
 //!
-//! The runners are the operational surface of the repo; their failure
-//! modes must be loud and well-coded. In particular, an unbindable
+//! `scenario_runner` is the operational surface of the repo — simulator
+//! and (`--twin`) live-network twin behind one binary; its failure modes
+//! must be loud and well-coded. In particular, an unbindable
 //! `--monitor-addr` must abort the run with exit code 2 and a clear
 //! error *before* any rounds execute — silently continuing without the
 //! monitor once shipped a run whose operator watched an endpoint that
-//! was never going to exist.
+//! was never going to exist — and no input may end in a panic.
 //!
-//! `cargo test` builds examples alongside the test binaries; if an
+//! `cargo test` builds examples alongside the test binaries; if the
 //! example binary is genuinely absent (e.g. a filtered build), the
-//! test skips rather than fails.
+//! tests skip rather than fail.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// `target/<profile>/examples/<name>`, resolved relative to this test
-/// binary (which lives in `target/<profile>/deps/`).
-fn example_bin(name: &str) -> Option<PathBuf> {
+/// `target/<profile>/examples/scenario_runner`, resolved relative to
+/// this test binary (which lives in `target/<profile>/deps/`).
+fn runner_bin() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let deps = exe.parent()?;
     let profile = deps.parent()?;
-    let path = profile.join("examples").join(name);
+    let path = profile.join("examples").join("scenario_runner");
+    if !path.exists() {
+        eprintln!("skipping: scenario_runner example binary not built");
+    }
     path.exists().then_some(path)
+}
+
+/// Run the runner with `args`; `None` when it is not built.
+fn runner(args: &[&str]) -> Option<Output> {
+    let out = Command::new(runner_bin()?)
+        .args(args)
+        .output()
+        .expect("spawn example");
+    Some(out)
+}
+
+/// The run must have failed as a usage/spec error: exit 2, `needle` on
+/// stderr, no panic, and nothing on stdout — every such check happens
+/// before the first round.
+fn assert_exit_2(out: &Output, what: &str, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{what}: must exit 2, got {:?}\nstderr:\n{stderr}",
+        out.status.code()
+    );
+    assert!(
+        stderr.contains(needle) && !stderr.contains("panicked"),
+        "{what}: stderr must carry `{needle}` and no panic, got:\n{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.is_empty(),
+        "{what}: must fail before producing run output, got:\n{stdout}"
+    );
 }
 
 /// 203.0.113.0/24 is TEST-NET-3 (RFC 5737): never assigned to a local
@@ -29,110 +64,137 @@ fn example_bin(name: &str) -> Option<PathBuf> {
 /// the network.
 const UNBINDABLE: &str = "203.0.113.7:9464";
 
-fn assert_monitor_bind_failure_is_fatal(example: &str) {
-    let Some(bin) = example_bin(example) else {
-        eprintln!("skipping: {example} example binary not built");
-        return;
-    };
-    let out = Command::new(&bin)
-        .args(["scenarios/static.scn", "--monitor-addr", UNBINDABLE])
-        .output()
-        .expect("spawn example");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{example}: unbindable --monitor-addr must exit 2, got {:?}\nstderr:\n{stderr}",
-        out.status.code()
-    );
-    assert!(
-        stderr.contains("cannot bind monitor on 203.0.113.7:9464"),
-        "{example}: stderr must name the monitor bind failure, got:\n{stderr}"
-    );
-    // The bind is checked before the run starts: no summary output.
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.is_empty(),
-        "{example}: must fail before producing run output, got:\n{stdout}"
-    );
-}
-
 #[test]
 fn scenario_runner_rejects_unbindable_monitor_addr() {
-    assert_monitor_bind_failure_is_fatal("scenario_runner");
-}
-
-#[test]
-fn twin_runner_rejects_unbindable_monitor_addr() {
-    assert_monitor_bind_failure_is_fatal("twin_runner");
+    let args = ["scenarios/static.scn", "--monitor-addr", UNBINDABLE];
+    let Some(out) = runner(&args) else { return };
+    assert_exit_2(
+        &out,
+        "unbindable --monitor-addr",
+        "cannot bind monitor on 203.0.113.7:9464",
+    );
 }
 
 #[test]
 fn scenario_runner_usage_error_exits_2() {
-    let Some(bin) = example_bin("scenario_runner") else {
-        eprintln!("skipping: scenario_runner example binary not built");
+    let Some(out) = runner(&["scenarios/static.scn", "--monitor-addr"]) else {
         return;
     };
-    let out = Command::new(&bin)
-        .args(["scenarios/static.scn", "--monitor-addr"])
-        .output()
-        .expect("spawn example");
-    assert_eq!(out.status.code(), Some(2), "flag without value must exit 2");
+    assert_exit_2(
+        &out,
+        "flag without value",
+        "--monitor-addr requires a value",
+    );
+    // The twin's flags mean nothing to the simulator: refused, not
+    // silently ignored.
+    let Some(out) = runner(&["scenarios/static.scn", "--workers", "4"]) else {
+        return;
+    };
+    assert_exit_2(
+        &out,
+        "twin flag without --twin",
+        "--workers requires --twin",
+    );
+}
+
+/// The link flags reach `SimDuration` arithmetic that panics on what a
+/// command line can carry — negative, non-finite, or too large for the
+/// simulated clock. The runner must refuse each with one line and exit
+/// 2; `--workers 0` is not an error (it means 1).
+#[test]
+fn scenario_runner_rejects_unusable_link_flags_with_exit_2() {
+    let finite = "must be finite and non-negative";
+    for (flag, value, needle) in [
+        ("--latency-ms", "-5", finite),
+        ("--latency-ms", "nan", finite),
+        ("--latency-ms", "inf", finite),
+        ("--jitter-ms", "-1", finite),
+        ("--latency-ms", "1e300", "does not fit a SimDuration"),
+        ("--jitter-ms", "1e300", "does not fit a SimDuration"),
+    ] {
+        let args = ["scenarios/static.scn", "--twin", flag, value];
+        let Some(out) = runner(&args) else { return };
+        assert_exit_2(&out, &format!("{flag} {value}"), needle);
+    }
+    let args = [
+        "scenarios/static.scn",
+        "--twin",
+        "--nodes",
+        "40",
+        "--rounds",
+        "3",
+        "--workers",
+        "0",
+    ];
+    let Some(out) = runner(&args) else { return };
+    assert_eq!(out.status.code(), Some(0), "--workers 0 runs as 1 worker");
 }
 
 /// A spec the parser accepts token by token but that cannot run must
 /// fail like every other validation error — exit 2 and a one-line
 /// message — not with a panic backtrace out of `SystemSim::new`.
-fn assert_bad_spec_exits_2(example: &str, tag: &str, spec: &str, needle: &str) {
-    let Some(bin) = example_bin(example) else {
-        eprintln!("skipping: {example} example binary not built");
-        return;
-    };
-    // Unique per (process, example, case): the harness runs tests on
-    // parallel threads.
-    let path = std::env::temp_dir().join(format!(
-        "cs_runner_cli_{}_{example}_{tag}.scn",
-        std::process::id()
-    ));
+fn assert_bad_spec_exits_2(tag: &str, spec: &str, needle: &str) {
+    // Unique per (process, case): the harness runs tests on parallel
+    // threads.
+    let path = std::env::temp_dir().join(format!("cs_runner_cli_{}_{tag}.scn", std::process::id()));
     std::fs::write(&path, spec).expect("write spec");
-    let out = Command::new(&bin)
-        .arg(&path)
-        .output()
-        .expect("spawn example");
+    let out = runner(&[path.to_str().expect("utf-8 temp path")]);
     std::fs::remove_file(&path).ok();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{example}: `{spec}` must exit 2, got {:?}\nstderr:\n{stderr}",
-        out.status.code()
-    );
-    assert!(
-        stderr.contains(needle) && !stderr.contains("panicked"),
-        "{example}: stderr must carry `{needle}` and no panic, got:\n{stderr}"
-    );
+    let Some(out) = out else { return };
+    assert_exit_2(&out, &format!("`{spec}`"), needle);
 }
 
 #[test]
 fn runners_reject_an_invalid_run_configuration_with_exit_2() {
-    for example in ["scenario_runner", "twin_runner"] {
-        assert_bad_spec_exits_2(
-            example,
-            "one_node",
-            "nodes = 1\n",
-            "need at least a source and one receiver",
-        );
-    }
+    assert_bad_spec_exits_2(
+        "one_node",
+        "nodes = 1\n",
+        "need at least a source and one receiver",
+    );
 }
 
 #[test]
 fn runners_reject_a_duplicated_key_with_exit_2() {
-    for example in ["scenario_runner", "twin_runner"] {
-        assert_bad_spec_exits_2(
-            example,
-            "duplicate_key",
-            "nodes = 50\nrounds = 5\nnodes = 60\n",
-            "line 3: duplicate key `nodes` (already set on line 1)",
+    assert_bad_spec_exits_2(
+        "duplicate_key",
+        "nodes = 50\nrounds = 5\nnodes = 60\n",
+        "line 3: duplicate key `nodes` (already set on line 1)",
+    );
+}
+
+/// The equivalence contract from the command line: the twin and the
+/// simulator, run by the one runner in one invocation, agree on every
+/// deterministic export.
+#[test]
+fn scenario_runner_twin_compare_sim_reports_six_identical_exports() {
+    let args = [
+        "scenarios/static.scn",
+        "--twin",
+        "--compare-sim",
+        "--nodes",
+        "100",
+        "--rounds",
+        "10",
+    ];
+    let Some(out) = runner(&args) else { return };
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    for what in [
+        "decision log (event trace)",
+        "fault trace",
+        "fault digest",
+        "round report",
+        "metrics csv",
+        "metrics json",
+    ] {
+        assert!(
+            stderr.contains(&format!("compare-sim: {what} identical")),
+            "missing `{what} identical` line in:\n{stderr}"
         );
     }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("twin transport:") && stdout.contains("0 divergences"),
+        "the twin's wire accounting belongs under the summary:\n{stdout}"
+    );
 }

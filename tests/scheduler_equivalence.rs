@@ -1,20 +1,19 @@
-//! Cross-mode scheduler equivalence: the `_into` variants must produce
-//! **byte-identical** assignments to the allocating originals, for every
-//! policy, across seeded random workloads — including tie-break order
-//! and, for `schedule_random`, the exact RNG draw sequence.
+//! Scheduler scratch reuse: one [`SchedulerScratch`] and one output
+//! buffer carried across hundreds of seeded random workloads — the way
+//! the simulator carries them across nodes and rounds — must produce
+//! **byte-identical** assignments to a fresh scratch and buffer per call,
+//! for every policy, including tie-break order and, for
+//! `schedule_random_into`, the exact RNG draw sequence.
 //!
-//! The allocating entry points are thin wrappers over the `_into`
-//! variants, so trivial equality would hold even if both were wrong
-//! together; these tests therefore also pin a couple of *independent*
-//! facts (budget respected, feasibility respected, RNG stream position
-//! after the call) so a regression in the shared implementation is loud
-//! too. Scratch reuse across calls — the property the simulator depends
-//! on — is exercised by running many workloads through one scratch.
+//! Both sides run the same function, so equality would hold even if the
+//! algorithm were wrong; these tests therefore also pin a couple of
+//! *independent* facts (budget respected, feasibility respected, RNG
+//! stream position after the call) so a regression in the shared
+//! implementation is loud too.
 
 use continustreaming::core::scheduler::{
-    schedule_coolstreaming, schedule_coolstreaming_into, schedule_greedy, schedule_greedy_into,
-    schedule_random, schedule_random_into, sort_candidates, Assignment, ScheduleContext,
-    SchedulerScratch, SegmentCandidate,
+    schedule_coolstreaming_into, schedule_greedy_into, schedule_random_into, sort_candidates,
+    Assignment, ScheduleContext, SchedulerScratch, SegmentCandidate,
 };
 use continustreaming::prelude::*;
 use rand::Rng as _;
@@ -68,6 +67,16 @@ fn workload(case: u64) -> (Vec<Cand>, Ctx) {
     (candidates, ctx)
 }
 
+/// What `schedule` produces over a scratch and an output buffer nothing
+/// has touched before — the reference a reused scratch is held to.
+fn fresh(
+    schedule: impl FnOnce(&mut SchedulerScratch, &mut Vec<Assignment<DhtId>>),
+) -> Vec<Assignment<DhtId>> {
+    let mut out = Vec::new();
+    schedule(&mut SchedulerScratch::default(), &mut out);
+    out
+}
+
 fn assert_assignments_eq(a: &[Assignment<DhtId>], b: &[Assignment<DhtId>], what: &str, case: u64) {
     assert_eq!(a.len(), b.len(), "case {case}: {what} length");
     for (x, y) in a.iter().zip(b) {
@@ -87,13 +96,13 @@ fn assert_assignments_eq(a: &[Assignment<DhtId>], b: &[Assignment<DhtId>], what:
 }
 
 #[test]
-fn greedy_into_matches_allocating_original() {
+fn greedy_reused_scratch_matches_fresh() {
     let mut scratch = SchedulerScratch::default();
     let mut out = Vec::new();
     for case in 0..200 {
         let (mut candidates, ctx) = workload(case);
         sort_candidates(&mut candidates);
-        let reference = schedule_greedy(&candidates, &ctx);
+        let reference = fresh(|s, o| schedule_greedy_into(&candidates, &ctx, s, o));
         schedule_greedy_into(&candidates, &ctx, &mut scratch, &mut out);
         assert_assignments_eq(&reference, &out, "greedy", case);
         // Independent sanity: budget and feasibility.
@@ -111,12 +120,12 @@ fn greedy_into_matches_allocating_original() {
 }
 
 #[test]
-fn coolstreaming_into_matches_allocating_original() {
+fn coolstreaming_reused_scratch_matches_fresh() {
     let mut scratch = SchedulerScratch::default();
     let mut out = Vec::new();
     for case in 0..200 {
         let (candidates, ctx) = workload(case);
-        let reference = schedule_coolstreaming(&candidates, &ctx);
+        let reference = fresh(|s, o| schedule_coolstreaming_into(&candidates, &ctx, s, o));
         schedule_coolstreaming_into(&candidates, &ctx, &mut scratch, &mut out);
         assert_assignments_eq(&reference, &out, "coolstreaming", case);
         assert!(
@@ -126,20 +135,21 @@ fn coolstreaming_into_matches_allocating_original() {
     }
 }
 
-/// The Random policy must consume the RNG stream identically in both
-/// modes: same shuffle draws, same per-candidate feasible-pick draws.
-/// Two fresh RNGs seeded alike are stepped through both entry points;
-/// the outputs must match *and* the RNG states must remain in lockstep
-/// (pinned by comparing their next draws).
+/// The Random policy must consume the RNG stream identically whatever
+/// the scratch held before: same shuffle draws, same per-candidate
+/// feasible-pick draws. Two RNGs seeded alike are stepped through a
+/// fresh and the reused scratch; the outputs must match *and* the RNG
+/// states must remain in lockstep (pinned by comparing their next
+/// draws).
 #[test]
-fn random_into_matches_allocating_original_and_rng_stream() {
+fn random_reused_scratch_matches_fresh_and_rng_stream() {
     let mut scratch = SchedulerScratch::default();
     let mut out = Vec::new();
     for case in 0..200 {
         let (candidates, ctx) = workload(case);
         let mut rng_a = RngTree::new(case).child("sched-random");
         let mut rng_b = RngTree::new(case).child("sched-random");
-        let reference = schedule_random(&candidates, &ctx, &mut rng_a);
+        let reference = fresh(|s, o| schedule_random_into(&candidates, &ctx, &mut rng_a, s, o));
         schedule_random_into(&candidates, &ctx, &mut rng_b, &mut scratch, &mut out);
         assert_assignments_eq(&reference, &out, "random", case);
         // RNG-draw order: both streams must sit at the same position.
@@ -163,20 +173,21 @@ fn scratch_reuse_across_policies_is_clean() {
             0 => {
                 sort_candidates(&mut candidates);
                 schedule_greedy_into(&candidates, &ctx, &mut scratch, &mut out);
-                let fresh = schedule_greedy(&candidates, &ctx);
-                assert_assignments_eq(&fresh, &out, "greedy reuse", case);
+                let reference = fresh(|s, o| schedule_greedy_into(&candidates, &ctx, s, o));
+                assert_assignments_eq(&reference, &out, "greedy reuse", case);
             }
             1 => {
                 schedule_coolstreaming_into(&candidates, &ctx, &mut scratch, &mut out);
-                let fresh = schedule_coolstreaming(&candidates, &ctx);
-                assert_assignments_eq(&fresh, &out, "coolstreaming reuse", case);
+                let reference = fresh(|s, o| schedule_coolstreaming_into(&candidates, &ctx, s, o));
+                assert_assignments_eq(&reference, &out, "coolstreaming reuse", case);
             }
             _ => {
                 let mut rng_a = RngTree::new(case).child("reuse");
                 let mut rng_b = RngTree::new(case).child("reuse");
                 schedule_random_into(&candidates, &ctx, &mut rng_a, &mut scratch, &mut out);
-                let fresh = schedule_random(&candidates, &ctx, &mut rng_b);
-                assert_assignments_eq(&fresh, &out, "random reuse", case);
+                let reference =
+                    fresh(|s, o| schedule_random_into(&candidates, &ctx, &mut rng_b, s, o));
+                assert_assignments_eq(&reference, &out, "random reuse", case);
             }
         }
     }

@@ -107,11 +107,11 @@ fn steady_state_rounds_allocate_nothing() {
     // Warm up past startup buffering and past every buffer/queue/scratch
     // high-water mark (the first rounds grow capacities; growth stops
     // once the workload shape repeats).
-    for round in 0..60 {
-        sim.debug_step(round);
+    for _ in 0..60 {
+        assert!(sim.step());
     }
     for round in 60..95 {
-        let n = count_allocs(|| sim.debug_step(round));
+        let n = count_allocs(|| assert!(sim.step()));
         assert_eq!(
             n, 0,
             "round {round}: steady-state round loop must not allocate ({n} allocations)"
@@ -129,11 +129,11 @@ fn coolstreaming_steady_state_allocates_nothing() {
         false,
         100,
     ));
-    for round in 0..60 {
-        sim.debug_step(round);
+    for _ in 0..60 {
+        assert!(sim.step());
     }
     for round in 60..80 {
-        let n = count_allocs(|| sim.debug_step(round));
+        let n = count_allocs(|| assert!(sim.step()));
         assert_eq!(n, 0, "round {round}: CoolStreaming must not allocate");
     }
 }
@@ -144,11 +144,11 @@ fn coolstreaming_steady_state_allocates_nothing() {
 fn random_scheduler_steady_state_allocates_nothing() {
     let _guard = MEASURE_LOCK.lock().unwrap();
     let mut sim = SystemSim::new(steady_state_config(SchedulerKind::Random, false, 100));
-    for round in 0..60 {
-        sim.debug_step(round);
+    for _ in 0..60 {
+        assert!(sim.step());
     }
     for round in 60..80 {
-        let n = count_allocs(|| sim.debug_step(round));
+        let n = count_allocs(|| assert!(sim.step()));
         assert_eq!(n, 0, "round {round}: Random scheduler must not allocate");
     }
 }
@@ -166,11 +166,11 @@ fn adaptive_policy_steady_state_allocates_nothing() {
         policy: PolicyKind::adaptive(),
         ..steady_state_config(SchedulerKind::ContinuStreaming, true, 100)
     });
-    for round in 0..60 {
-        sim.debug_step(round);
+    for _ in 0..60 {
+        assert!(sim.step());
     }
     for round in 60..95 {
-        let n = count_allocs(|| sim.debug_step(round));
+        let n = count_allocs(|| assert!(sim.step()));
         assert_eq!(
             n, 0,
             "round {round}: a warmed-up Adaptive round must not allocate ({n})"
@@ -195,8 +195,8 @@ fn obs_armed_steady_state_allocates_nothing() {
         100,
     ));
     sim.enable_obs(ObsConfig::default());
-    for round in 0..70 {
-        sim.debug_step(round);
+    for _ in 0..70 {
+        assert!(sim.step());
     }
     // With 100 rounds the window opens at 100 - ceil(100/3) = 66: the
     // measured rounds below all run with distribution recording live.
@@ -205,7 +205,7 @@ fn obs_armed_steady_state_allocates_nothing() {
         "distribution window must be open before measurement starts"
     );
     for round in 70..95 {
-        let n = count_allocs(|| sim.debug_step(round));
+        let n = count_allocs(|| assert!(sim.step()));
         assert_eq!(
             n, 0,
             "round {round}: armed obs layer must not allocate ({n} allocations)"
