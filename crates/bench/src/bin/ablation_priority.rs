@@ -5,7 +5,8 @@
 //! greedy runs driven by each raw policy, plus the CoolStreaming and
 //! random baselines. This is the experiment that documents *why* the
 //! bounded-rescue ordering exists: raw urgency-first ordering collapses
-//! the swarm (see DESIGN.md §7 and EXPERIMENTS.md).
+//! the swarm (the bound itself is `RESCUE_BUDGET_FRACTION` in
+//! `cs-core`'s `system/schedule.rs`, which carries the reasoning).
 //!
 //! ```text
 //! cargo run -p cs-bench --release --bin ablation_priority

@@ -108,7 +108,6 @@ fn timed_run(config: &SystemConfig, pause: Option<PausePlan>) -> TimedRun {
         profile: true,
         dist: false,
         trace: false,
-        ..ObsConfig::default()
     });
     let mut round_ms = Vec::with_capacity(config.rounds as usize);
     let mut paused = 0usize;

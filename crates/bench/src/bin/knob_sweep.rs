@@ -25,7 +25,7 @@
 //! smoke diffs two generations.
 
 use continustreaming::prelude::*;
-use cs_bench::sweep::{best, evaluate_stage, KnobPoint, PointResult};
+use cs_bench::sweep::{best, evaluate_stage, label, scn_fragment, PointResult};
 use cs_bench::{f4, print_table};
 
 fn arg_value(name: &str) -> Option<String> {
@@ -59,7 +59,7 @@ fn grid(
     graces: &[u32],
     slacks: &[f64],
     runways: &[u64],
-) -> Vec<KnobPoint> {
+) -> Vec<AdaptivePolicy> {
     let mut pts = Vec::new();
     for &source_push in pushes {
         for &source_rescue_cap in caps {
@@ -68,7 +68,7 @@ fn grid(
                     for &join_grace_rounds in graces {
                         for &inbound_slack in slacks {
                             for &target_runway_rounds in runways {
-                                pts.push(KnobPoint {
+                                pts.push(AdaptivePolicy {
                                     source_push,
                                     source_rescue_cap,
                                     join_sponsors,
@@ -90,15 +90,10 @@ fn grid(
 /// The staged search: each stage sweeps one knob family on top of the
 /// previous stage's winner. Returns every evaluated point, in stage
 /// order.
-fn staged_search(
-    spec: &ScenarioSpec,
-    base_policy: &AdaptivePolicy,
-    origin: KnobPoint,
-    smoke: bool,
-) -> Vec<PointResult> {
+fn staged_search(spec: &ScenarioSpec, origin: AdaptivePolicy, smoke: bool) -> Vec<PointResult> {
     let mut all: Vec<PointResult> = Vec::new();
 
-    // Stage 1 — recovery plane (PR-6 knobs) over the base policy.
+    // Stage 1 — recovery plane (PR-6 knobs) over the spec's own point.
     let s1 = if smoke {
         grid(
             &[0, 6],
@@ -121,11 +116,11 @@ fn staged_search(
         )
     };
     eprintln!("stage 1 (recovery): {} points", s1.len());
-    let r1 = evaluate_stage(spec, base_policy, &s1, "recovery");
+    let r1 = evaluate_stage(spec, &s1, "recovery");
     let w1 = r1[best(&r1)].point;
     eprintln!(
         "  stage 1 winner: {} (mean {:.4})",
-        w1.label(),
+        label(&w1),
         r1[best(&r1)].mean_continuity
     );
     all.extend(r1);
@@ -156,11 +151,11 @@ fn staged_search(
         )
     };
     eprintln!("stage 2 (joiner): {} points", s2.len());
-    let r2 = evaluate_stage(spec, base_policy, &s2, "joiner");
+    let r2 = evaluate_stage(spec, &s2, "joiner");
     let w2 = r2[best(&r2)].point;
     eprintln!(
         "  stage 2 winner: {} (mean {:.4})",
-        w2.label(),
+        label(&w2),
         r2[best(&r2)].mean_continuity
     );
     all.extend(r2);
@@ -181,10 +176,10 @@ fn staged_search(
     };
     if !s3.is_empty() {
         eprintln!("stage 3 (refine): {} points", s3.len());
-        let r3 = evaluate_stage(spec, base_policy, &s3, "refine");
+        let r3 = evaluate_stage(spec, &s3, "refine");
         eprintln!(
             "  stage 3 winner: {} (mean {:.4})",
-            r3[best(&r3)].point.label(),
+            label(&r3[best(&r3)].point),
             r3[best(&r3)].mean_continuity
         );
         all.extend(r3);
@@ -220,15 +215,14 @@ fn main() {
     let mut spec = full_spec.clone();
     shrink(&mut spec, nodes, rounds);
 
-    let base_policy = match &full_spec.config.policy {
+    let origin = match &full_spec.config.policy {
         PolicyKind::Adaptive(ap) => *ap,
         PolicyKind::Legacy => AdaptivePolicy::default(),
     };
-    let origin = KnobPoint::from_policy(&base_policy);
     eprintln!(
         "sweeping `{}` at {nodes}x{rounds} (committed {full_nodes}x{full_rounds}), base {}",
         spec.name,
-        origin.label()
+        label(&origin)
     );
 
     // Reference points: the spec's Legacy run and the bare Adaptive
@@ -245,14 +239,14 @@ fn main() {
         legacy.mean_continuity, adaptive_default.mean_continuity
     );
 
-    let all = staged_search(&spec, &base_policy, origin, smoke);
+    let all = staged_search(&spec, origin, smoke);
     let winner = all[best(&all)].clone();
 
     // Optional: re-run the overall winner at the committed size.
     let full_check = if full_size {
         eprintln!("re-running winner at committed size {full_nodes}x{full_rounds} …");
         let mut s = full_spec;
-        s.config.policy = PolicyKind::Adaptive(winner.point.apply(&base_policy));
+        s.config.policy = PolicyKind::Adaptive(winner.point);
         let summary = run_scenario(&s).report.summary;
         eprintln!(
             "  full-size: mean {:.4}, stable {:.4}",
@@ -284,7 +278,7 @@ fn main() {
                     "".into()
                 },
                 r.stage.to_string(),
-                r.point.label(),
+                label(&r.point),
                 f4(r.mean_continuity),
                 f4(r.stable_continuity),
                 f4(r.overhead()),
@@ -298,12 +292,12 @@ fn main() {
     );
     println!(
         "\nwinner: {}  mean {:.4}  (legacy {:.4}, adaptive-default {:.4})",
-        winner.point.label(),
+        label(&winner.point),
         winner.mean_continuity,
         legacy.mean_continuity,
         adaptive_default.mean_continuity
     );
-    println!("spec policy line: {}", winner.point.scn_fragment());
+    println!("spec policy line: {}", scn_fragment(&winner.point));
 
     if let Some(json_path) = arg_value("--json") {
         let json = cs_bench::sweep::sweep_json(

@@ -1,7 +1,7 @@
 //! # cs-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). This library holds the shared machinery: parameter-sweep
+//! One binary per table/figure of the paper (`src/bin/`; each binary's
+//! module docs name its figure and command line). This library holds the shared machinery: parameter-sweep
 //! execution (parallelised across runs through [`cs_sim::fork_join`] —
 //! each run is itself deterministic) and table formatting. Performance
 //! is measured by the benchmark of record in `benchmark/`, not here.

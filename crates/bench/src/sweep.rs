@@ -2,7 +2,8 @@
 //!
 //! Every Adaptive and recovery knob before PR 7 was hand-picked; this
 //! module turns the tuning into an experiment: evaluate a deterministic
-//! grid of knob points against a committed scenario, stage by stage
+//! grid of knob points (each a whole [`AdaptivePolicy`] — its seven
+//! fields are the swept knobs) against a committed scenario, stage by stage
 //! (recovery plane → joiner integration → steady-state refinement),
 //! emit a per-point continuity/overhead record for each, and reduce the
 //! whole evaluated set to its Pareto frontier (no point on the frontier
@@ -18,92 +19,41 @@ use continustreaming::prelude::{PolicyKind, RunSummary};
 use continustreaming::scenario::ScenarioSpec;
 use cs_core::AdaptivePolicy;
 
-/// The swept subset of [`AdaptivePolicy`]: the PR-6 recovery knobs, the
-/// PR-7 joiner-integration knobs, and the two steady-state knobs the
-/// refinement stage touches. Everything else keeps the base policy's
-/// value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KnobPoint {
-    /// Recovery plane: ring-spread copies of each fresh segment.
-    pub source_push: usize,
-    /// Recovery plane: per-node origin-fallback fetch ceiling.
-    pub source_rescue_cap: usize,
-    /// Joiner integration: ring-spread sponsors adopted at admission.
-    pub join_sponsors: usize,
-    /// Joiner integration: runway segments seeded to each joiner.
-    pub join_seed: usize,
-    /// Joiner integration: rounds of rescue-cap grace after admission.
-    pub join_grace_rounds: u32,
-    /// Steady state: fractional inbound over-provision.
-    pub inbound_slack: f64,
-    /// Steady state: runway target in rounds of demand.
-    pub target_runway_rounds: u64,
+/// A compact human label for a knob point (table rows, logs).
+pub fn label(p: &AdaptivePolicy) -> String {
+    format!(
+        "push={} cap={} sponsors={} seed={} grace={} slack={:.2} runway={}",
+        p.source_push,
+        p.source_rescue_cap,
+        p.join_sponsors,
+        p.join_seed,
+        p.join_grace_rounds,
+        p.inbound_slack,
+        p.target_runway_rounds
+    )
 }
 
-impl KnobPoint {
-    /// The point matching an existing policy's swept knobs.
-    pub fn from_policy(p: &AdaptivePolicy) -> Self {
-        KnobPoint {
-            source_push: p.source_push,
-            source_rescue_cap: p.source_rescue_cap,
-            join_sponsors: p.join_sponsors,
-            join_seed: p.join_seed,
-            join_grace_rounds: p.join_grace_rounds,
-            inbound_slack: p.inbound_slack,
-            target_runway_rounds: p.target_runway_rounds,
-        }
-    }
-
-    /// The base policy with this point's knobs applied.
-    pub fn apply(&self, base: &AdaptivePolicy) -> AdaptivePolicy {
-        AdaptivePolicy {
-            source_push: self.source_push,
-            source_rescue_cap: self.source_rescue_cap,
-            join_sponsors: self.join_sponsors,
-            join_seed: self.join_seed,
-            join_grace_rounds: self.join_grace_rounds,
-            inbound_slack: self.inbound_slack,
-            target_runway_rounds: self.target_runway_rounds,
-            ..*base
-        }
-    }
-
-    /// A compact human label (table rows, logs).
-    pub fn label(&self) -> String {
-        format!(
-            "push={} cap={} sponsors={} seed={} grace={} slack={:.2} runway={}",
-            self.source_push,
-            self.source_rescue_cap,
-            self.join_sponsors,
-            self.join_seed,
-            self.join_grace_rounds,
-            self.inbound_slack,
-            self.target_runway_rounds
-        )
-    }
-
-    /// The `.scn` policy-line fragment for this point over `base` — how
-    /// a winning point is committed back into a scenario spec.
-    pub fn scn_fragment(&self) -> String {
-        format!(
-            "policy = adaptive source_push={} source_rescue_cap={} join_sponsors={} \
-             join_seed={} join_grace_rounds={} inbound_slack={} target_runway_rounds={}",
-            self.source_push,
-            self.source_rescue_cap,
-            self.join_sponsors,
-            self.join_seed,
-            self.join_grace_rounds,
-            self.inbound_slack,
-            self.target_runway_rounds
-        )
-    }
+/// The `.scn` policy line that sets exactly this point — how a winning
+/// point is committed back into a scenario spec.
+pub fn scn_fragment(p: &AdaptivePolicy) -> String {
+    format!(
+        "policy = adaptive source_push={} source_rescue_cap={} join_sponsors={} \
+         join_seed={} join_grace_rounds={} inbound_slack={} target_runway_rounds={}",
+        p.source_push,
+        p.source_rescue_cap,
+        p.join_sponsors,
+        p.join_seed,
+        p.join_grace_rounds,
+        p.inbound_slack,
+        p.target_runway_rounds
+    )
 }
 
 /// The measured outcome at one knob point.
 #[derive(Debug, Clone)]
 pub struct PointResult {
     /// The evaluated point.
-    pub point: KnobPoint,
+    pub point: AdaptivePolicy,
     /// Which search stage evaluated it.
     pub stage: &'static str,
     /// Mean continuity over the whole run (the CI gate's number).
@@ -119,7 +69,7 @@ pub struct PointResult {
 }
 
 impl PointResult {
-    fn from_summary(point: KnobPoint, stage: &'static str, s: &RunSummary) -> Self {
+    fn from_summary(point: AdaptivePolicy, stage: &'static str, s: &RunSummary) -> Self {
         PointResult {
             point,
             stage,
@@ -150,15 +100,14 @@ impl PointResult {
 /// the policy knobs vary.
 pub fn evaluate_stage(
     spec: &ScenarioSpec,
-    base: &AdaptivePolicy,
-    points: &[KnobPoint],
+    points: &[AdaptivePolicy],
     stage: &'static str,
 ) -> Vec<PointResult> {
     let specs: Vec<ScenarioSpec> = points
         .iter()
-        .map(|pt| {
+        .map(|&pt| {
             let mut s = spec.clone();
-            s.config.policy = PolicyKind::Adaptive(pt.apply(base));
+            s.config.policy = PolicyKind::Adaptive(pt);
             s
         })
         .collect();
@@ -301,7 +250,7 @@ pub fn sweep_json(
     out.push_str(&format!("  \"winner\": {},\n", json_point(winner)));
     out.push_str(&format!(
         "  \"winner_scn_policy_line\": \"{}\",\n",
-        winner.point.scn_fragment()
+        scn_fragment(&winner.point)
     ));
     match full_size {
         Some(r) => out.push_str(&format!("  \"full_size_check\": {}\n", json_point(r))),
@@ -317,7 +266,7 @@ mod tests {
 
     fn point(mean: f64, over: f64) -> PointResult {
         PointResult {
-            point: KnobPoint::from_policy(&AdaptivePolicy::default()),
+            point: AdaptivePolicy::default(),
             stage: "t",
             mean_continuity: mean,
             stable_continuity: mean,
@@ -328,9 +277,8 @@ mod tests {
     }
 
     #[test]
-    fn apply_round_trips_through_policy() {
-        let base = AdaptivePolicy::default();
-        let pt = KnobPoint {
+    fn scn_fragment_round_trips_through_the_parser() {
+        let pt = AdaptivePolicy {
             source_push: 8,
             source_rescue_cap: 4,
             join_sponsors: 4,
@@ -339,11 +287,9 @@ mod tests {
             inbound_slack: 0.25,
             target_runway_rounds: 6,
         };
-        let applied = pt.apply(&base);
-        assert_eq!(KnobPoint::from_policy(&applied), pt);
-        // Unswept knobs keep the base values.
-        assert_eq!(applied.rescue_cap_max, base.rescue_cap_max);
-        assert_eq!(applied.occupancy_floor, base.occupancy_floor);
+        let spec = continustreaming::scenario::parse_scenario(&scn_fragment(&pt))
+            .expect("a sweep's policy line is a valid spec");
+        assert_eq!(spec.config.policy, PolicyKind::Adaptive(pt));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum SchedulerKind {
 }
 
 /// Full-system simulation parameters. Defaults are the paper's §5.2
-/// values; see DESIGN.md §4 for the table.
+/// values, each noted on its field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of overlay nodes, excluding nothing — the source is one of
@@ -69,15 +69,6 @@ pub struct SystemConfig {
     /// Expected one-hop latency `t_hop` in seconds used to parameterise
     /// the urgent line (the realised latency comes from the trace).
     pub t_hop_secs: f64,
-    /// Fraction of the inbound budget the ContinuStreaming scheduler may
-    /// spend on *urgent* candidates (deadline within ~1 s). Deadline
-    /// rescue must be bounded: a scheduler that always serves the nearest
-    /// deadline first stops acquiring fresh segments, the neighbourhood
-    /// has nothing to trade, and the swarm collapses (ablation A1 shows
-    /// this). The remainder of the budget follows the diversified
-    /// rarity order; stragglers that slip through are exactly what the
-    /// urgent line + DHT retrieval exist to catch.
-    pub rescue_budget_fraction: f64,
     /// Shard count for the round loop's three planning phases
     /// (scheduling, supplier-service planning, pre-fetch planning), which
     /// run through [`cs_sim::fork_join`].
@@ -135,7 +126,6 @@ impl Default for SystemConfig {
             startup_segments: 100,
             id_space_slack: 2,
             t_hop_secs: 0.05,
-            rescue_budget_fraction: 0.2,
             parallel_threads: None,
             policy: PolicyKind::Legacy,
             faults: FaultPlan::default(),
@@ -216,6 +206,18 @@ impl SystemConfig {
         );
         if let PolicyKind::Adaptive(p) = &self.policy {
             p.validate()?;
+            // A runway the buffer cannot hold is a target no node can
+            // ever meet — and the rescue probe depth, which per-node
+            // tables are pre-sized from, grows with it without bound.
+            ensure!(
+                p.target_runway_rounds
+                    .checked_mul(self.demand_per_round())
+                    .is_some_and(|runway| runway <= self.buffer_size),
+                "target_runway_rounds = {} asks for more runway than the {}-segment buffer holds at {} segments per round",
+                p.target_runway_rounds,
+                self.buffer_size,
+                self.demand_per_round()
+            );
         }
         self.faults.validate()?;
         self.churn.validate()
@@ -297,6 +299,26 @@ mod tests {
         };
         let err = c.validate().unwrap_err();
         assert!(err.contains("at most 268435456 (2^28)"), "{err}");
+    }
+
+    #[test]
+    fn runway_target_must_fit_the_buffer() {
+        let with_runway = |rounds| SystemConfig {
+            policy: PolicyKind::Adaptive(crate::policy::AdaptivePolicy {
+                target_runway_rounds: rounds,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        // B = 600 at p·τ = 10: sixty rounds is the whole buffer.
+        with_runway(60).validate().unwrap();
+        for rounds in [61, 1_000_000_000_000, u64::MAX] {
+            let err = with_runway(rounds).validate().unwrap_err();
+            assert!(
+                err.contains("more runway than the 600-segment buffer"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

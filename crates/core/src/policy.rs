@@ -21,23 +21,33 @@
 //! [`PolicyKind::Legacy`], changes *nothing*: every pinned behavioural
 //! fingerprint (`tests/determinism.rs`), the zero-alloc guarantee and
 //! the cliff canary (`tests/continuity_cliff.rs`) reproduce bit for bit.
-//! [`PolicyKind::Adaptive`] enables three knobs, one per mechanism:
+//! [`PolicyKind::Adaptive`] enables three countermeasures, one per
+//! mechanism:
 //!
 //! * **steady-state slack** ([`AdaptivePolicy::inbound_slack`]) —
 //!   over-provision the inbound delivery budget by a small fraction so
 //!   nodes can heal holes faster than playback consumes runway;
 //! * **occupancy-adaptive exchange window**
-//!   ([`AdaptivePolicy::occupancy_floor`],
-//!   [`AdaptivePolicy::lookahead_factor`],
-//!   [`AdaptivePolicy::rarity_bias`]) — when a node's window occupancy
+//!   ([`AdaptivePolicy::OCCUPANCY_FLOOR`],
+//!   [`AdaptivePolicy::LOOKAHEAD_FACTOR`],
+//!   [`AdaptivePolicy::RARITY_BIAS`]) — when a node's window occupancy
 //!   falls below the floor, widen the scheduling lookahead (never below
 //!   the legacy window) and bias its pull order toward segments few of
 //!   its neighbours hold, breaking the holdings-synchronisation spiral;
 //! * **deficit-scaled rescue** ([`AdaptivePolicy::rescue_cap`],
 //!   [`AdaptivePolicy::suppression_threshold`]) — scale the per-round
 //!   pre-fetch cap and the Case-3 suppression threshold with the
-//!   measured runway deficit, so the DHT rescue *throttles* under load
-//!   instead of shutting off.
+//!   measured runway deficit
+//!   ([`AdaptivePolicy::target_runway_rounds`]), so the DHT rescue
+//!   *throttles* under load instead of shutting off.
+//!
+//! The surface follows the traffic: [`AdaptivePolicy`] holds the seven
+//! knobs some committed spec, bench bin or benchmark workload actually
+//! sets. Every other value of the layer is an associated constant of
+//! [`AdaptivePolicy`], next to the formula that reads it — nothing
+//! outside three randomised property tests ever moved them, and each
+//! independently settable value doubles what the tests and benchmarks
+//! would have to cover.
 //!
 //! All decisions are **pure functions** of per-round state (no retained
 //! policy state, no RNG draws), so they run identically on the serial
@@ -94,65 +104,23 @@ impl PolicyKind {
     }
 }
 
-/// Knobs of the adaptive policy. All decision methods are pure and
-/// allocation-free; see the module docs for what each knob counters.
+/// The knobs of the adaptive policy: the seven values some committed
+/// spec, bench bin or benchmark workload sets (the `.scn` policy line's
+/// whole vocabulary). The rest of the layer is the associated constants
+/// below. All decision functions are pure and allocation-free; see the
+/// module docs for what each counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePolicy {
     /// Runway target in **rounds of demand**: a node whose contiguous
     /// run ahead of the play anchor covers fewer than
     /// `target_runway_rounds · p·τ` segments is in deficit, and the
     /// rescue cap / suppression threshold scale with that deficit.
+    /// `SystemConfig::validate` rejects a target the buffer can never
+    /// hold (`target_runway_rounds · p·τ > B`).
     pub target_runway_rounds: u64,
-    /// Segments of runway deficit that buy one extra pre-fetch slot on
-    /// top of the configured `prefetch_cap`.
-    pub deficit_per_extra_fetch: u64,
-    /// Hard ceiling on the per-node, per-round pre-fetch cap — the
-    /// throttle that keeps a systemic deficit from reproducing the
-    /// 65k-msgs/round DHT explosion node by node.
-    pub rescue_cap_max: usize,
-    /// Extra predicted-miss head room per segment of deficit before
-    /// Case-3 suppression re-engages (`threshold = prefetch_cap +
-    /// suppress_slope · deficit`, and never below the effective cap).
-    pub suppress_slope: usize,
-    /// Exchange-window occupancy below which the lookahead widens and
-    /// the rarity bias engages.
-    pub occupancy_floor: f64,
-    /// Maximum widening of the scheduling lookahead (at occupancy 0 the
-    /// window is `lookahead_factor ×` the legacy width; at the floor it
-    /// is exactly the legacy width).
-    pub lookahead_factor: f64,
-    /// Scale of the additive priority bonus for locally-rare segments
-    /// when occupancy is below the floor: a candidate `nᵢ` neighbours
-    /// advertise gets `rarity_bias · (floor − occ)/floor / nᵢ` on top
-    /// of its legacy priority. Added *on top of* the diversification
-    /// jitter (replacing the jitter with a rarity rank synchronises
-    /// pull orders across neighbours and makes the spiral worse — the
-    /// A1-style sweep in this PR measured it), so per-node diversity is
-    /// preserved while rare segments rise within — and, under real
-    /// stress, slightly above — the non-urgent band.
-    pub rarity_bias: f64,
     /// Fractional over-provision of the inbound delivery budget
     /// (`I·τ·(1 + inbound_slack)`), the steady-state slack knob.
     pub inbound_slack: f64,
-    /// Recovery plane: rounds a lost pull may stay unanswered before the
-    /// recovery scan declares a supplier timeout.
-    pub supplier_timeout_rounds: u32,
-    /// Recovery plane: maximum backed-off re-issues per lost pull.
-    pub retry_max: u32,
-    /// Recovery plane: base of the exponential retry backoff, in rounds
-    /// (the delay before retry `a` is `base · factor^(a-1)` plus
-    /// jitter).
-    pub backoff_base_rounds: u32,
-    /// Recovery plane: multiplicative growth of the retry backoff.
-    pub backoff_factor: u32,
-    /// Recovery plane: maximum uniform jitter (in rounds) added to each
-    /// backoff delay, drawn from the `"faults"` RNG stream so retry
-    /// storms de-synchronise deterministically.
-    pub backoff_jitter_rounds: u32,
-    /// Recovery plane: rounds a timed-out supplier stays evicted from
-    /// its requester's neighbour set (the failover window — neighbour
-    /// maintenance refills the slot from the overheard list).
-    pub evict_rounds: u32,
     /// Recovery plane: per-node, per-round ceiling on origin-fallback
     /// fetches — when every §4.3 replica lookup comes up empty (the
     /// holders crashed, or the epidemic wave broke and *nobody* has the
@@ -202,14 +170,14 @@ pub struct AdaptivePolicy {
     pub join_seed: usize,
     /// Joiner integration: rounds of rescue-cap grace after admission.
     /// While a node is inside its grace window the urgent-line rescue
-    /// runs unthrottled — full `rescue_cap_max`, no Case-3 suppression,
-    /// the full runway-target probe horizon — and the scheduler's
-    /// rescue-budget grace (hard-wired at 6 rounds since the cliff fix)
-    /// extends to this many rounds. Catch-up is exactly when the
-    /// deficit-scaled throttle misfires: a joiner's window is *supposed*
-    /// to be all holes, and suppressing its rescue for looking
-    /// desperate strands it. `0` (the default) disables the grace and
-    /// reproduces the pre-knob behaviour bit for bit.
+    /// runs unthrottled — the full [`Self::RESCUE_CAP_MAX`], no Case-3
+    /// suppression, the full runway-target probe horizon — and the
+    /// scheduler's rescue-budget grace (hard-wired at 6 rounds since
+    /// the cliff fix) extends to this many rounds. Catch-up is exactly
+    /// when the deficit-scaled throttle misfires: a joiner's window is
+    /// *supposed* to be all holes, and suppressing its rescue for
+    /// looking desperate strands it. `0` (the default) disables the
+    /// grace and reproduces the pre-knob behaviour bit for bit.
     pub join_grace_rounds: u32,
 }
 
@@ -217,19 +185,7 @@ impl Default for AdaptivePolicy {
     fn default() -> Self {
         AdaptivePolicy {
             target_runway_rounds: 4,
-            deficit_per_extra_fetch: 4,
-            rescue_cap_max: 16,
-            suppress_slope: 8,
-            occupancy_floor: 0.85,
-            lookahead_factor: 2.0,
-            rarity_bias: 0.5,
             inbound_slack: 0.15,
-            supplier_timeout_rounds: 2,
-            retry_max: 3,
-            backoff_base_rounds: 1,
-            backoff_factor: 2,
-            backoff_jitter_rounds: 1,
-            evict_rounds: 8,
             source_rescue_cap: 0,
             source_push: 0,
             join_sponsors: 0,
@@ -241,43 +197,17 @@ impl Default for AdaptivePolicy {
 
 impl AdaptivePolicy {
     /// Reject nonsensical knob values (called from
-    /// `SystemConfig::validate`).
+    /// `SystemConfig::validate`, which also bounds the runway target by
+    /// the buffer — it knows `p` and `B`).
     pub fn validate(&self) -> Result<(), String> {
         ensure!(
             self.target_runway_rounds > 0,
             "target_runway_rounds must be positive"
         );
         ensure!(
-            self.deficit_per_extra_fetch > 0,
-            "deficit_per_extra_fetch must be positive"
-        );
-        ensure!(self.rescue_cap_max >= 1, "rescue_cap_max must be ≥ 1");
-        ensure!(
-            self.occupancy_floor > 0.0 && self.occupancy_floor <= 1.0,
-            "occupancy_floor must be in (0, 1]"
-        );
-        ensure!(
-            self.lookahead_factor >= 1.0 && self.lookahead_factor.is_finite(),
-            "lookahead_factor must be ≥ 1"
-        );
-        ensure!(
-            self.rarity_bias >= 0.0 && self.rarity_bias.is_finite(),
-            "rarity_bias must be non-negative"
-        );
-        ensure!(
             self.inbound_slack >= 0.0 && self.inbound_slack.is_finite(),
             "inbound_slack must be non-negative"
         );
-        ensure!(
-            self.supplier_timeout_rounds >= 1,
-            "supplier_timeout_rounds must be ≥ 1"
-        );
-        ensure!(
-            self.backoff_base_rounds >= 1,
-            "backoff_base_rounds must be ≥ 1"
-        );
-        ensure!(self.backoff_factor >= 1, "backoff_factor must be ≥ 1");
-        ensure!(self.evict_rounds >= 1, "evict_rounds must be ≥ 1");
         ensure!(
             self.join_sponsors <= 64,
             "join_sponsors above 64 would dominate every neighbour view"
@@ -302,20 +232,34 @@ impl AdaptivePolicy {
         (self.target_runway_rounds * demand_per_round).saturating_sub(runway)
     }
 
+    /// Segments of runway deficit that buy one extra pre-fetch slot on
+    /// top of the configured `prefetch_cap`.
+    pub const DEFICIT_PER_EXTRA_FETCH: u64 = 4;
+
+    /// Hard ceiling on the per-node, per-round pre-fetch cap — the
+    /// throttle that keeps a systemic deficit from reproducing the
+    /// 65k-msgs/round DHT explosion node by node.
+    pub const RESCUE_CAP_MAX: usize = 16;
+
     /// The effective per-round pre-fetch cap for a node with the given
     /// runway deficit. Monotone non-decreasing in `deficit`, exactly
     /// `base_cap` at zero deficit (the legacy value — Adaptive never
     /// rescues *less* than Legacy, even when `base_cap` exceeds
-    /// [`Self::rescue_cap_max`]), never below 1, and never above
-    /// `rescue_cap_max.max(base_cap)`.
+    /// [`Self::RESCUE_CAP_MAX`]), never below 1, and never above
+    /// `RESCUE_CAP_MAX.max(base_cap)`.
     #[inline]
-    pub fn rescue_cap(&self, base_cap: usize, deficit: u64) -> usize {
-        let extra = (deficit / self.deficit_per_extra_fetch) as usize;
+    pub fn rescue_cap(base_cap: usize, deficit: u64) -> usize {
+        let extra = (deficit / Self::DEFICIT_PER_EXTRA_FETCH) as usize;
         base_cap
             .saturating_add(extra)
-            .min(self.rescue_cap_max.max(base_cap))
+            .min(Self::RESCUE_CAP_MAX.max(base_cap))
             .max(1)
     }
+
+    /// Extra predicted-miss head room per segment of deficit before
+    /// Case-3 suppression re-engages (`threshold = prefetch_cap +
+    /// SUPPRESS_SLOPE · deficit`, and never below the effective cap).
+    pub const SUPPRESS_SLOPE: usize = 8;
 
     /// The Case-3 suppression threshold for a node with the given
     /// runway deficit: retrieval is suppressed only when the predicted
@@ -323,9 +267,9 @@ impl AdaptivePolicy {
     /// equal to `base_cap` at zero deficit (the legacy cutoff), and
     /// never below the effective [`Self::rescue_cap`].
     #[inline]
-    pub fn suppression_threshold(&self, base_cap: usize, deficit: u64) -> usize {
-        let scaled = base_cap.saturating_add(self.suppress_slope.saturating_mul(deficit as usize));
-        scaled.max(self.rescue_cap(base_cap, deficit))
+    pub fn suppression_threshold(base_cap: usize, deficit: u64) -> usize {
+        let scaled = base_cap.saturating_add(Self::SUPPRESS_SLOPE.saturating_mul(deficit as usize));
+        scaled.max(Self::rescue_cap(base_cap, deficit))
     }
 
     /// The minimum probe horizon of the deficit-scaled rescue, in
@@ -340,41 +284,63 @@ impl AdaptivePolicy {
         self.target_runway_rounds * demand_per_round
     }
 
+    /// Exchange-window occupancy below which the lookahead widens and
+    /// the rarity bias engages.
+    pub const OCCUPANCY_FLOOR: f64 = 0.85;
+
+    /// Maximum widening of the scheduling lookahead (at occupancy 0 the
+    /// window is `LOOKAHEAD_FACTOR ×` the legacy width; at the floor it
+    /// is exactly the legacy width).
+    pub const LOOKAHEAD_FACTOR: f64 = 2.0;
+
     /// The scheduling lookahead for a node at the given window
     /// occupancy: the legacy width at or above the floor, widening
-    /// linearly to `lookahead_factor ×` as occupancy falls to zero.
-    /// Never narrower than `legacy`, never wider than
+    /// linearly to [`Self::LOOKAHEAD_FACTOR`] `×` as occupancy falls to
+    /// zero. Never narrower than `legacy`, never wider than
     /// [`Self::max_lookahead`].
     #[inline]
-    pub fn lookahead(&self, legacy: u64, occupancy: f64) -> u64 {
-        if occupancy >= self.occupancy_floor {
+    pub fn lookahead(legacy: u64, occupancy: f64) -> u64 {
+        if occupancy >= Self::OCCUPANCY_FLOOR {
             return legacy;
         }
-        let shortfall = ((self.occupancy_floor - occupancy) / self.occupancy_floor).clamp(0.0, 1.0);
-        let widened = legacy as f64 * (1.0 + (self.lookahead_factor - 1.0) * shortfall);
-        (widened.floor() as u64).clamp(legacy, self.max_lookahead(legacy))
+        let shortfall =
+            ((Self::OCCUPANCY_FLOOR - occupancy) / Self::OCCUPANCY_FLOOR).clamp(0.0, 1.0);
+        let widened = legacy as f64 * (1.0 + (Self::LOOKAHEAD_FACTOR - 1.0) * shortfall);
+        (widened.floor() as u64).clamp(legacy, Self::max_lookahead(legacy))
     }
 
     /// The widest lookahead [`Self::lookahead`] can return for a given
     /// legacy width — what the round scratch pre-sizes its window
     /// buffers to, so adaptive widening mid-run never allocates.
     #[inline]
-    pub fn max_lookahead(&self, legacy: u64) -> u64 {
-        ((legacy as f64 * self.lookahead_factor).floor() as u64).max(legacy)
+    pub fn max_lookahead(legacy: u64) -> u64 {
+        ((legacy as f64 * Self::LOOKAHEAD_FACTOR).floor() as u64).max(legacy)
     }
+
+    /// Scale of the additive priority bonus for locally-rare segments
+    /// when occupancy is below the floor: a candidate `nᵢ` neighbours
+    /// advertise gets `RARITY_BIAS · (floor − occ)/floor / nᵢ` on top
+    /// of its legacy priority. Added *on top of* the diversification
+    /// jitter (replacing the jitter with a rarity rank synchronises
+    /// pull orders across neighbours and makes the spiral worse — the
+    /// A1-style sweep of PR 5 measured it), so per-node diversity is
+    /// preserved while rare segments rise within — and, under real
+    /// stress, slightly above — the non-urgent band.
+    pub const RARITY_BIAS: f64 = 0.5;
 
     /// The additive priority bonus for a candidate `supplier_count`
     /// neighbours advertise at the given window occupancy. Zero at or
     /// above the floor (the legacy order); below it, decreasing in both
     /// occupancy and supplier count — locally-rare segments get pulled
-    /// preferentially — and bounded by [`Self::rarity_bias`].
+    /// preferentially — and bounded by [`Self::RARITY_BIAS`].
     #[inline]
-    pub fn rarity_bonus(&self, occupancy: f64, supplier_count: usize) -> f64 {
-        if occupancy >= self.occupancy_floor {
+    pub fn rarity_bonus(occupancy: f64, supplier_count: usize) -> f64 {
+        if occupancy >= Self::OCCUPANCY_FLOOR {
             return 0.0;
         }
-        let shortfall = ((self.occupancy_floor - occupancy) / self.occupancy_floor).clamp(0.0, 1.0);
-        self.rarity_bias * shortfall / supplier_count.max(1) as f64
+        let shortfall =
+            ((Self::OCCUPANCY_FLOOR - occupancy) / Self::OCCUPANCY_FLOOR).clamp(0.0, 1.0);
+        Self::RARITY_BIAS * shortfall / supplier_count.max(1) as f64
     }
 
     /// The over-provisioned inbound delivery budget (the steady-state
@@ -384,18 +350,64 @@ impl AdaptivePolicy {
         base * (1.0 + self.inbound_slack)
     }
 
+    /// Recovery plane: rounds a lost pull may stay unanswered before the
+    /// recovery scan declares a supplier timeout.
+    pub const SUPPLIER_TIMEOUT_ROUNDS: u32 = 2;
+
+    /// Recovery plane: maximum backed-off re-issues per lost pull.
+    pub const RETRY_MAX: u32 = 3;
+
+    /// Recovery plane: base of the exponential retry backoff, in rounds
+    /// (the delay before retry `a` is `base · factor^(a-1)` plus
+    /// jitter).
+    pub const BACKOFF_BASE_ROUNDS: u32 = 1;
+
+    /// Recovery plane: multiplicative growth of the retry backoff.
+    pub const BACKOFF_FACTOR: u32 = 2;
+
+    /// Recovery plane: maximum uniform jitter (in rounds) added to each
+    /// backoff delay, drawn from the `"faults"` RNG stream so retry
+    /// storms de-synchronise deterministically.
+    pub const BACKOFF_JITTER_ROUNDS: u32 = 1;
+
+    /// Recovery plane: rounds a timed-out supplier stays evicted from
+    /// its requester's neighbour set (the failover window — neighbour
+    /// maintenance refills the slot from the overheard list).
+    pub const EVICT_ROUNDS: u32 = 8;
+
     /// The deterministic (jitter-free) backoff delay before retry
     /// `attempt` (1-based), in rounds: `base · factor^(attempt-1)`,
     /// saturating. Monotone non-decreasing in `attempt` and never below
-    /// `backoff_base_rounds` — pinned by the recovery-invariant suite.
+    /// [`Self::BACKOFF_BASE_ROUNDS`] — pinned by the recovery-invariant
+    /// suite.
     #[inline]
-    pub fn backoff_rounds(&self, attempt: u32) -> u32 {
+    pub fn backoff_rounds(attempt: u32) -> u32 {
         let exp = attempt.saturating_sub(1).min(16);
-        (self.backoff_base_rounds as u64)
-            .saturating_mul((self.backoff_factor as u64).saturating_pow(exp))
+        (Self::BACKOFF_BASE_ROUNDS as u64)
+            .saturating_mul((Self::BACKOFF_FACTOR as u64).saturating_pow(exp))
             .min(u32::MAX as u64) as u32
     }
 }
+
+// What `validate` enforced while these constants were fields, now held
+// at compile time: a floor outside (0, 1] divides by zero or never
+// engages, a lookahead factor below 1 narrows the window under the
+// legacy width, a negative bias *demotes* rare segments, and a zero
+// timeout / backoff / eviction / cap ceiling degenerates the recovery
+// plane into a same-round retry loop.
+const _: () = {
+    assert!(AdaptivePolicy::DEFICIT_PER_EXTRA_FETCH > 0);
+    assert!(AdaptivePolicy::RESCUE_CAP_MAX >= 1);
+    assert!(AdaptivePolicy::OCCUPANCY_FLOOR > 0.0 && AdaptivePolicy::OCCUPANCY_FLOOR <= 1.0);
+    assert!(
+        AdaptivePolicy::LOOKAHEAD_FACTOR >= 1.0 && AdaptivePolicy::LOOKAHEAD_FACTOR.is_finite()
+    );
+    assert!(AdaptivePolicy::RARITY_BIAS >= 0.0 && AdaptivePolicy::RARITY_BIAS.is_finite());
+    assert!(AdaptivePolicy::SUPPLIER_TIMEOUT_ROUNDS >= 1);
+    assert!(AdaptivePolicy::BACKOFF_BASE_ROUNDS >= 1);
+    assert!(AdaptivePolicy::BACKOFF_FACTOR >= 1);
+    assert!(AdaptivePolicy::EVICT_ROUNDS >= 1);
+};
 
 #[cfg(test)]
 mod tests {
@@ -410,60 +422,62 @@ mod tests {
 
     #[test]
     fn zero_deficit_reproduces_legacy_cutoff() {
-        let p = AdaptivePolicy::default();
-        assert_eq!(p.rescue_cap(5, 0), 5);
-        assert_eq!(p.suppression_threshold(5, 0), 5);
+        assert_eq!(AdaptivePolicy::rescue_cap(5, 0), 5);
+        assert_eq!(AdaptivePolicy::suppression_threshold(5, 0), 5);
     }
 
     #[test]
     fn cap_grows_with_deficit_and_saturates() {
-        let p = AdaptivePolicy::default();
         let mut last = 0;
         for d in 0..200 {
-            let cap = p.rescue_cap(5, d);
+            let cap = AdaptivePolicy::rescue_cap(5, d);
             assert!(cap >= last, "monotone");
-            assert!(cap <= p.rescue_cap_max);
+            assert!(cap <= AdaptivePolicy::RESCUE_CAP_MAX);
             last = cap;
         }
-        assert_eq!(p.rescue_cap(5, 10_000), p.rescue_cap_max);
+        assert_eq!(
+            AdaptivePolicy::rescue_cap(5, 10_000),
+            AdaptivePolicy::RESCUE_CAP_MAX
+        );
     }
 
     #[test]
     fn threshold_never_below_cap() {
-        let p = AdaptivePolicy::default();
         for d in 0..200 {
-            assert!(p.suppression_threshold(5, d) >= p.rescue_cap(5, d));
+            assert!(
+                AdaptivePolicy::suppression_threshold(5, d) >= AdaptivePolicy::rescue_cap(5, d)
+            );
         }
     }
 
     #[test]
     fn healthy_occupancy_keeps_legacy_window() {
-        let p = AdaptivePolicy::default();
-        assert_eq!(p.lookahead(200, 0.9), 200);
-        assert_eq!(p.lookahead(200, p.occupancy_floor), 200);
-        assert_eq!(p.rarity_bonus(0.9, 3), 0.0);
+        assert_eq!(AdaptivePolicy::lookahead(200, 0.9), 200);
+        assert_eq!(
+            AdaptivePolicy::lookahead(200, AdaptivePolicy::OCCUPANCY_FLOOR),
+            200
+        );
+        assert_eq!(AdaptivePolicy::rarity_bonus(0.9, 3), 0.0);
     }
 
     #[test]
     fn starved_window_widens_but_never_narrows() {
-        let p = AdaptivePolicy::default();
-        assert_eq!(p.lookahead(200, 0.0), 400);
+        assert_eq!(AdaptivePolicy::lookahead(200, 0.0), 400);
         for occ in [0.0, 0.1, 0.3, 0.5, 0.69, 0.7, 0.9, 1.0] {
-            assert!(p.lookahead(200, occ) >= 200);
-            assert!(p.lookahead(200, occ) <= p.max_lookahead(200));
+            assert!(AdaptivePolicy::lookahead(200, occ) >= 200);
+            assert!(AdaptivePolicy::lookahead(200, occ) <= AdaptivePolicy::max_lookahead(200));
         }
     }
 
     #[test]
     fn rarity_bonus_prefers_rare_segments_under_stress() {
-        let p = AdaptivePolicy::default();
-        let rare = p.rarity_bonus(0.3, 1);
-        let common = p.rarity_bonus(0.3, 5);
+        let rare = AdaptivePolicy::rarity_bonus(0.3, 1);
+        let common = AdaptivePolicy::rarity_bonus(0.3, 5);
         assert!(rare > common && common > 0.0);
-        assert!(rare <= p.rarity_bias);
+        assert!(rare <= AdaptivePolicy::RARITY_BIAS);
         let mut last = -1.0;
         for occ in [0.9, 0.8, 0.6, 0.4, 0.2, 0.0] {
-            let b = p.rarity_bonus(occ, 2);
+            let b = AdaptivePolicy::rarity_bonus(occ, 2);
             assert!(b >= last, "bonus must not fall as occupancy falls");
             last = b;
         }

@@ -719,6 +719,27 @@ mod tests {
         assert!(leaves > 0, "some leaves over 12 rounds of 5% churn");
     }
 
+    /// The joiner knobs are bare integers: at their extremes the round
+    /// arithmetic they feed (`spawn_round + grace` in the scheduler,
+    /// `anchor + seed` in joiner seeding) must saturate, not overflow —
+    /// that was a debug-build panic and, in release, a wrapped grace
+    /// window that disagreed with `AdaptivePolicy::in_join_grace`.
+    #[test]
+    fn maximal_joiner_knobs_do_not_overflow_the_round() {
+        let cfg = SystemConfig {
+            policy: PolicyKind::Adaptive(crate::policy::AdaptivePolicy {
+                join_grace_rounds: u32::MAX,
+                join_seed: usize::MAX,
+                ..Default::default()
+            }),
+            ..tiny(SchedulerKind::ContinuStreaming, true, 8).with_dynamic_churn()
+        };
+        let report = SystemSim::new(cfg).run();
+        assert_eq!(report.rounds.len(), 18);
+        let joins: usize = report.rounds.iter().map(|r| r.joins).sum();
+        assert!(joins > 0, "both sums are only reached by a mid-run joiner");
+    }
+
     #[test]
     fn alive_count_tracks_churn() {
         let cfg = SystemConfig {

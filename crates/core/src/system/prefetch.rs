@@ -12,7 +12,7 @@ use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch, Rou
 use super::{carve, shard_profiler, timed_shard, SystemSim};
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
-use crate::policy::PolicyKind;
+use crate::policy::{AdaptivePolicy, PolicyKind};
 use crate::retrieval::{retrieve_one_into, RetrievalSummary};
 use crate::urgent::PrefetchCheck;
 use crate::SegmentId;
@@ -31,7 +31,7 @@ use crate::SegmentId;
 ///
 /// `round`/`spawn_round` feed the joiner grace window
 /// ([`AdaptivePolicy::join_grace_rounds`]): inside it the node gets the
-/// full rescue envelope — `rescue_cap_max`, no Case-3 suppression, the
+/// full rescue envelope — `RESCUE_CAP_MAX`, no Case-3 suppression, the
 /// whole runway-target horizon — because a catching-up joiner's window
 /// is *supposed* to be all holes, and the deficit-scaled throttle would
 /// read that as the systemic overload it exists to suppress. With the
@@ -50,18 +50,18 @@ fn rescue_params(
             let window = (buffer.head() + buffer.capacity()).saturating_sub(anchor);
             if ap.in_join_grace(round, spawn_round) {
                 // The cap stays inside the scratch pre-sizing bound
-                // (`rescue_cap_max.max(prefetch_cap)`), so grace never
+                // (`RESCUE_CAP_MAX.max(prefetch_cap)`), so grace never
                 // regrows a plan's miss list.
                 return (
-                    ap.rescue_cap_max.max(config.prefetch_cap),
+                    AdaptivePolicy::RESCUE_CAP_MAX.max(config.prefetch_cap),
                     usize::MAX / 2,
                     ap.rescue_horizon(p.max(1)).min(window),
                 );
             }
             let deficit = ap.runway_deficit(buffer.contiguous_from(anchor), p.max(1));
             (
-                ap.rescue_cap(config.prefetch_cap, deficit),
-                ap.suppression_threshold(config.prefetch_cap, deficit),
+                AdaptivePolicy::rescue_cap(config.prefetch_cap, deficit),
+                AdaptivePolicy::suppression_threshold(config.prefetch_cap, deficit),
                 ap.rescue_horizon(p.max(1)).min(window),
             )
         }
@@ -240,7 +240,9 @@ impl SystemSim {
             // high-water mid-run never regrows it (zero-alloc pin).
             let cap_max = match &self.config.policy {
                 PolicyKind::Legacy => self.config.prefetch_cap,
-                PolicyKind::Adaptive(ap) => ap.rescue_cap_max.max(self.config.prefetch_cap),
+                PolicyKind::Adaptive(_) => {
+                    AdaptivePolicy::RESCUE_CAP_MAX.max(self.config.prefetch_cap)
+                }
             };
             scratch.prefetch_plans.resize_with(n, || PrefetchPlan {
                 missed: Vec::with_capacity(cap_max),

@@ -14,6 +14,7 @@ use cs_trace::derive_latency;
 use super::state::{NodeIdx, RoundScratch};
 use super::SystemSim;
 use crate::faults::{FaultPlan, FaultRoundRecord, FaultTrace};
+use crate::policy::AdaptivePolicy;
 use crate::SegmentId;
 
 /// A pull whose delivery was lost to the fault plane and is being
@@ -29,7 +30,8 @@ pub(super) struct PendingRetry {
     pub(super) supplier: Option<DhtId>,
     /// Round the original pull was lost (time-to-recover baseline).
     pub(super) lost_round: u32,
-    /// Backed-off retries issued so far (bounded by `retry_max`).
+    /// Backed-off retries issued so far (bounded by
+    /// [`AdaptivePolicy::RETRY_MAX`]).
     pub(super) attempts: u32,
     /// Round at which the timeout/backoff timer next fires.
     pub(super) next_check: u32,
@@ -335,16 +337,16 @@ impl SystemSim {
         segment: SegmentId,
         supplier: Option<DhtId>,
     ) {
-        let Some(policy) = self.config.policy.as_adaptive() else {
+        if self.config.policy.as_adaptive().is_none() {
             return;
-        };
+        }
         self.faults.pending.push(PendingRetry {
             requester,
             segment,
             supplier,
             lost_round: round,
             attempts: 0,
-            next_check: round + policy.supplier_timeout_rounds,
+            next_check: round + AdaptivePolicy::SUPPLIER_TIMEOUT_ROUNDS,
             suspected: false,
         });
     }
@@ -354,7 +356,8 @@ impl SystemSim {
     /// any worker count): segments that arrived by other means are
     /// recovered; expired timeouts suspect and evict the dark supplier
     /// (failover) and re-issue the pull as a DHT rescue fetch with
-    /// exponential backoff + jitter, bounded by `retry_max`.
+    /// exponential backoff + jitter, bounded by
+    /// [`AdaptivePolicy::RETRY_MAX`].
     pub(super) fn run_recovery_phase(
         &mut self,
         round: u32,
@@ -366,10 +369,10 @@ impl SystemSim {
         if self.faults.pending.is_empty() {
             return;
         }
-        let Some(policy) = self.config.policy.as_adaptive().copied() else {
+        if self.config.policy.as_adaptive().is_none() {
             self.faults.pending.clear();
             return;
-        };
+        }
         let mut kept = 0usize;
         for i in 0..self.faults.pending.len() {
             let mut e = self.faults.pending[i];
@@ -407,7 +410,7 @@ impl SystemSim {
                         // alive one answers unless the probe itself is
                         // lost on the control path. Without the probe a
                         // loss burst mass-evicts the *alive* supply side
-                        // for `evict_rounds` — the recovery plane then
+                        // for `EVICT_ROUNDS` — the recovery plane then
                         // amplifies the burst into a supply collapse
                         // instead of damping it.
                         let dead = self.nodes.lookup(sup).is_none() || {
@@ -418,7 +421,7 @@ impl SystemSim {
                             if !self.faults.evicted(sup) {
                                 self.faults
                                     .dead_until
-                                    .push((sup, round + policy.evict_rounds));
+                                    .push((sup, round + AdaptivePolicy::EVICT_ROUNDS));
                             }
                             self.faults.counters.failovers += 1;
                             self.obs_emit(
@@ -431,7 +434,7 @@ impl SystemSim {
                         }
                     }
                 }
-                if e.attempts >= policy.retry_max {
+                if e.attempts >= AdaptivePolicy::RETRY_MAX {
                     // Retry budget exhausted: give up, gossip may still
                     // heal the hole.
                     break 'decide true;
@@ -457,14 +460,13 @@ impl SystemSim {
                     );
                     break 'decide true;
                 }
-                let jitter = if policy.backoff_jitter_rounds > 0 {
-                    self.faults.rng.gen_range(0..=policy.backoff_jitter_rounds)
-                } else {
-                    0
-                };
+                let jitter = self
+                    .faults
+                    .rng
+                    .gen_range(0..=AdaptivePolicy::BACKOFF_JITTER_ROUNDS);
                 e.next_check = round
-                    + policy.supplier_timeout_rounds
-                    + policy.backoff_rounds(e.attempts)
+                    + AdaptivePolicy::SUPPLIER_TIMEOUT_ROUNDS
+                    + AdaptivePolicy::backoff_rounds(e.attempts)
                     + jitter;
                 false
             };
@@ -649,7 +651,7 @@ impl SystemSim {
                 };
                 (node.id, anchor)
             };
-            for seg in anchor..(anchor + seed).min(self.newest_emitted + 1) {
+            for seg in anchor..anchor.saturating_add(seed).min(self.newest_emitted + 1) {
                 if self.source_uplink_spent(scratch) {
                     // The origin's uplink is spent: seeding yields to
                     // the pull traffic it shares the ledger with.

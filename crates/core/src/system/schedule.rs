@@ -12,7 +12,7 @@ use super::state::{
 use super::{shard_profiler, timed_shard, SystemSim};
 use crate::buffer::StreamBuffer;
 use crate::config::{SchedulerKind, SystemConfig};
-use crate::policy::PolicyKind;
+use crate::policy::{AdaptivePolicy, PolicyKind};
 use crate::priority::{PriorityPolicy, PriorityTerms};
 use crate::scheduler::{
     schedule_coolstreaming_into, schedule_greedy_into, schedule_random_into, sort_candidates,
@@ -48,7 +48,7 @@ pub(super) fn exchange_window(
     let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
     let (lookahead, occupancy) = match &config.policy {
         PolicyKind::Legacy => (legacy_lookahead, 1.0),
-        PolicyKind::Adaptive(ap) => {
+        PolicyKind::Adaptive(_) => {
             let legacy_end = (newest_emitted + 1)
                 .min(play_anchor + legacy_lookahead)
                 .min(play_anchor + config.buffer_size);
@@ -58,7 +58,7 @@ pub(super) fn exchange_window(
             } else {
                 1.0
             };
-            (ap.lookahead(legacy_lookahead, occ), occ)
+            (AdaptivePolicy::lookahead(legacy_lookahead, occ), occ)
         }
     };
     let window_end = (newest_emitted + 1)
@@ -97,6 +97,16 @@ fn supplier_rate_estimate(
     // neighbour.
     observed.max(advertised_share).min(outbound.max(0.01))
 }
+
+/// Fraction of the inbound budget the ContinuStreaming scheduler may
+/// spend on *urgent* candidates (deadline within ~1 s). Deadline
+/// rescue must be bounded: a scheduler that always serves the nearest
+/// deadline first stops acquiring fresh segments, the neighbourhood
+/// has nothing to trade, and the swarm collapses (ablation A1 shows
+/// this). The remainder of the budget follows the diversified
+/// rarity order; stragglers that slip through are exactly what the
+/// urgent line + DHT retrieval exist to catch.
+const RESCUE_BUDGET_FRACTION: f64 = 0.2;
 
 /// Compute one node's pull schedule from its neighbours' snapshotted
 /// maps. Pure read over the arena and the exchange snapshots (apart from
@@ -183,7 +193,7 @@ fn plan_node(
     // never re-grows the scratch.
     let wcap = match &config.policy {
         PolicyKind::Legacy => legacy_lookahead,
-        PolicyKind::Adaptive(ap) => ap.max_lookahead(legacy_lookahead),
+        PolicyKind::Adaptive(_) => AdaptivePolicy::max_lookahead(legacy_lookahead),
     }
     .min(config.buffer_size) as usize;
     if sched.window.len() < wcap {
@@ -295,10 +305,10 @@ fn plan_node(
         // synchronises them and accelerates the spiral).
         let priority = match &config.policy {
             PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
-            PolicyKind::Adaptive(ap) => {
+            PolicyKind::Adaptive(_) => {
                 policy.evaluate_terms(&terms)
                     + jitter
-                    + ap.rarity_bonus(occupancy, terms.supplier_count)
+                    + AdaptivePolicy::rarity_bonus(occupancy, terms.supplier_count)
             }
         };
         let mut suppliers = sched.spare.pop().unwrap_or_default();
@@ -348,7 +358,7 @@ fn plan_node(
             // pressure has pushed their priority above the rarity
             // band) are capped at a fraction of the budget; the rest
             // of the order is the diversified rarity ranking. See
-            // `SystemConfig::rescue_budget_fraction`.
+            // [`RESCUE_BUDGET_FRACTION`].
             sort_candidates(&mut sched.candidates);
             // Catch-up grace: a node that just joined (or just started
             // playing) is *supposed* to spend its whole budget near
@@ -360,11 +370,11 @@ fn plan_node(
                 .policy
                 .as_adaptive()
                 .map_or(6, |ap| ap.join_grace_rounds.max(6));
-            let in_grace = round < node.spawn_round + grace_rounds;
+            let in_grace = round < node.spawn_round.saturating_add(grace_rounds);
             let rescue_cap = if in_grace {
                 budget as usize
             } else {
-                ((budget as f64 * config.rescue_budget_fraction).floor() as usize).max(1)
+                ((budget as f64 * RESCUE_BUDGET_FRACTION).floor() as usize).max(1)
             };
             let split = sched
                 .candidates

@@ -43,22 +43,16 @@ pub use profiler::{Lap, Phase, PhaseRow, Profiler, WorkerPhase};
 pub struct ObsConfig {
     /// Arm the per-phase round profiler.
     pub profile: bool,
-    /// Arm the per-node distribution metrics.
+    /// Arm the per-node distribution metrics (measured over the run's
+    /// stable tail, see [`ObsState::new`]).
     pub dist: bool,
-    /// Arm the structured event trace.
+    /// Arm the structured event trace (a ring of 65 536 events).
     pub trace: bool,
-    /// Event-ring capacity (overwrite-oldest once full).
-    pub trace_capacity: usize,
-    /// First round of the distribution measurement window. `None`
-    /// derives the stable tail (last third of the run, matching the
-    /// summary's stable-phase window), so warm-up buffering does not
-    /// drag per-node continuity.
-    pub dist_start_round: Option<u32>,
-    /// Minimum playing rounds inside the window for a node's
-    /// continuity to enter the histogram. `None` derives half the
-    /// window, excluding joiners that barely sampled it.
-    pub dist_min_rounds: Option<u32>,
 }
+
+/// Event-ring capacity (overwrite-oldest once full; the run report
+/// counts what was dropped).
+const TRACE_RING_EVENTS: usize = 65_536;
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -66,9 +60,6 @@ impl Default for ObsConfig {
             profile: true,
             dist: true,
             trace: true,
-            trace_capacity: 65_536,
-            dist_start_round: None,
-            dist_min_rounds: None,
         }
     }
 }
@@ -92,7 +83,6 @@ pub struct ObsState {
     dist_on: bool,
     trace_on: bool,
     dist_start: u32,
-    dist_min_rounds: u32,
     pub profiler: Profiler,
     pub events: EventRing,
     pub node_cont: NodeContinuity,
@@ -103,25 +93,23 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Build from config; `total_rounds` resolves the window
-    /// defaults.
+    /// Build from config; `total_rounds` fixes the distribution
+    /// window. It mirrors the summary's stable-tail window — the last
+    /// ceil(n/3) rounds (at least one) — so warm-up buffering does not
+    /// drag per-node continuity, and a node's continuity enters the
+    /// histogram only if it was playing for at least half the window,
+    /// excluding joiners that barely sampled it.
     pub fn new(cfg: &ObsConfig, total_rounds: u32) -> Self {
-        // Mirror the summary's stable-tail window: the last ceil(n/3)
-        // rounds (at least one).
         let tail = ((total_rounds as f64 / 3.0).ceil() as u32).clamp(1, total_rounds.max(1));
-        let dist_start = cfg
-            .dist_start_round
-            .unwrap_or(total_rounds.saturating_sub(tail));
-        let window = total_rounds.saturating_sub(dist_start).max(1);
-        let min_rounds = cfg.dist_min_rounds.unwrap_or((window / 2).max(1));
+        let dist_start = total_rounds.saturating_sub(tail);
+        let min_rounds = (tail / 2).max(1);
         Self {
             profile_on: cfg.profile,
             dist_on: cfg.dist,
             trace_on: cfg.trace,
             dist_start,
-            dist_min_rounds: min_rounds,
             profiler: Profiler::new(),
-            events: EventRing::new(cfg.trace_capacity),
+            events: EventRing::new(TRACE_RING_EVENTS),
             node_cont: NodeContinuity::new(min_rounds),
             runway: Log2Hist::new(),
             startup_delay: Log2Hist::new(),
@@ -149,10 +137,6 @@ impl ObsState {
     #[inline]
     pub fn dist_active(&self, round: u32) -> bool {
         self.dist_on && round >= self.dist_start
-    }
-
-    pub fn dist_start_round(&self) -> u32 {
-        self.dist_start
     }
 
     /// Push a protocol event (no-op when tracing is off).
@@ -184,7 +168,7 @@ impl ObsState {
                 nodes_measured: self.node_cont.hist().count(),
                 nodes_excluded_short: self.node_cont.excluded_short(),
                 window_start_round: self.dist_start,
-                min_rounds: self.dist_min_rounds,
+                min_rounds: self.node_cont.min_rounds(),
             });
         }
         self.dist_cache.clone().expect("just cached")
@@ -202,7 +186,7 @@ impl ObsState {
             nodes_measured: snap.count(),
             nodes_excluded_short: self.node_cont.excluded_short(),
             window_start_round: self.dist_start,
-            min_rounds: self.dist_min_rounds,
+            min_rounds: self.node_cont.min_rounds(),
         }
     }
 
@@ -234,13 +218,13 @@ mod tests {
         // 200 rounds -> tail ceil(200/3)=67 -> window starts at 133,
         // min_rounds = 67/2 = 33.
         let o = ObsState::new(&ObsConfig::default(), 200);
-        assert_eq!(o.dist_start_round(), 133);
+        assert_eq!(o.dist_start, 133);
         assert_eq!(o.node_cont.min_rounds(), 33);
         assert!(!o.dist_active(132));
         assert!(o.dist_active(133));
         // Tiny runs stay sane.
         let o = ObsState::new(&ObsConfig::default(), 1);
-        assert_eq!(o.dist_start_round(), 0);
+        assert_eq!(o.dist_start, 0);
         assert_eq!(o.node_cont.min_rounds(), 1);
     }
 

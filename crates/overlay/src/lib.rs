@@ -1,32 +1,33 @@
 //! # cs-overlay — hybrid P2P overlay management (paper §4.1)
 //!
 //! Every ContinuStreaming node keeps a *Peer Table* with three parts
-//! (Figure 2):
+//! (Figure 2). This crate provides the two gossip-side parts; the
+//! simulator's node state holds them next to the node's DHT peers:
 //!
-//! 1. **Connected Neighbors** — `M` gossip partners over TCP, with
-//!    latency and recent-supply-rate columns; weak or failed neighbours
-//!    are replaced by the lowest-latency overheard node.
-//! 2. **DHT Peers** — `log N` level-constrained peers (implemented in
-//!    [`cs_dht`], re-exported through the table here).
-//! 3. **Overheard Nodes** — the `H = 20` most recently overheard nodes;
-//!    the renewal source for both other parts, maintained at zero
-//!    communication cost.
+//! 1. **Connected Neighbors** ([`ConnectedNeighbors`]) — `M` gossip
+//!    partners over TCP, with latency and recent-supply-rate columns;
+//!    weak or failed neighbours are replaced by the lowest-latency
+//!    overheard node.
+//! 2. **DHT Peers** — `log N` level-constrained peers, implemented in
+//!    [`cs_dht`] (arena-backed, not part of this crate).
+//! 3. **Overheard Nodes** ([`OverheardList`]) — the `H = 20` most
+//!    recently overheard nodes; the renewal source for both other
+//!    parts, maintained at zero communication cost.
 //!
-//! The crate also implements the RP (rendezvous point) server and the join
-//! protocol — ID assignment, close-ID candidate list, PING probing, Peer
-//! Table adoption — and the churn driver used by the paper's dynamic
-//! environments (5 % leaves + 5 % joins per scheduling period).
+//! It also implements the RP (rendezvous point) server ([`RpServer`]:
+//! ID assignment, the close-ID candidate list, failure reports) and the
+//! churn driver used by the paper's dynamic environments (5 % leaves +
+//! 5 % joins per scheduling period). The join protocol itself — PING
+//! the RP's candidates, notify them, adopt a neighbour view, enter the
+//! DHT — runs where the node arena lives, in `cs-core`'s membership
+//! phase.
 
 pub mod churn;
-pub mod join;
 pub mod neighbors;
 pub mod overheard;
-pub mod peer_table;
 pub mod rp;
 
 pub use churn::{plan_churn, ChurnConfig, ChurnPlan};
-pub use join::{simulate_join, JoinOutcome, JoinProtocolError};
 pub use neighbors::{ConnectedNeighbors, NeighborEntry};
 pub use overheard::{OverheardEntry, OverheardList};
-pub use peer_table::PeerTable;
 pub use rp::RpServer;

@@ -130,12 +130,9 @@ mod tests {
 
     #[test]
     fn p99_gate_fails_closed_on_an_empty_window() {
-        // Start the window *after* the last round: nothing qualifies.
-        let cfg = ObsConfig {
-            dist_start_round: Some(1000),
-            ..ObsConfig::default()
-        };
-        let outcome = run_scenario_observed(&tiny(12), cfg, |_| {});
+        // One round: everyone is still buffering toward first play, so
+        // nobody samples the window and nothing qualifies.
+        let outcome = run_scenario_observed(&tiny(1), ObsConfig::default(), |_| {});
         let err = p99_continuity_gate(&outcome.report.summary).unwrap_err();
         assert!(err.contains("failing closed"), "got: {err}");
     }

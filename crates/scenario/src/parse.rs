@@ -17,12 +17,9 @@
 //! faults = 0.005 0.01 0.01 0.0 0.0    # crash data_loss control_loss delay_prob delay_ms
 //! policy = adaptive inbound_slack=0.2 # legacy (default) | adaptive [knob=value…]
 //!                                     # knobs: target_runway_rounds,
-//!                                     # deficit_per_extra_fetch, rescue_cap_max,
-//!                                     # suppress_slope, occupancy_floor,
-//!                                     # lookahead_factor, rarity_bias, inbound_slack,
-//!                                     # supplier_timeout_rounds, retry_max,
-//!                                     # backoff_base_rounds, backoff_factor,
-//!                                     # backoff_jitter_rounds, evict_rounds
+//!                                     # inbound_slack, source_rescue_cap,
+//!                                     # source_push, join_sponsors, join_seed,
+//!                                     # join_grace_rounds
 //!
 //! # node classes (capacity tiers / latency classes)
 //! class dsl inbound=600 outbound=300 weight=3
@@ -206,27 +203,7 @@ fn parse_config_line<'a>(
                             "target_runway_rounds" => {
                                 p.target_runway_rounds = parse_num(lineno, k, v)?
                             }
-                            "deficit_per_extra_fetch" => {
-                                p.deficit_per_extra_fetch = parse_num(lineno, k, v)?
-                            }
-                            "rescue_cap_max" => p.rescue_cap_max = parse_num(lineno, k, v)?,
-                            "suppress_slope" => p.suppress_slope = parse_num(lineno, k, v)?,
-                            "occupancy_floor" => p.occupancy_floor = parse_num(lineno, k, v)?,
-                            "lookahead_factor" => p.lookahead_factor = parse_num(lineno, k, v)?,
-                            "rarity_bias" => p.rarity_bias = parse_num(lineno, k, v)?,
                             "inbound_slack" => p.inbound_slack = parse_num(lineno, k, v)?,
-                            "supplier_timeout_rounds" => {
-                                p.supplier_timeout_rounds = parse_num(lineno, k, v)?
-                            }
-                            "retry_max" => p.retry_max = parse_num(lineno, k, v)?,
-                            "backoff_base_rounds" => {
-                                p.backoff_base_rounds = parse_num(lineno, k, v)?
-                            }
-                            "backoff_factor" => p.backoff_factor = parse_num(lineno, k, v)?,
-                            "backoff_jitter_rounds" => {
-                                p.backoff_jitter_rounds = parse_num(lineno, k, v)?
-                            }
-                            "evict_rounds" => p.evict_rounds = parse_num(lineno, k, v)?,
                             "source_rescue_cap" => p.source_rescue_cap = parse_num(lineno, k, v)?,
                             "source_push" => p.source_push = parse_num(lineno, k, v)?,
                             "join_sponsors" => p.join_sponsors = parse_num(lineno, k, v)?,
@@ -671,14 +648,14 @@ at 30 capacity_shift fraction=0.3 class=dsl
         let spec = parse_scenario("policy = adaptive\n").unwrap();
         assert_eq!(spec.config.policy, PolicyKind::adaptive());
         let spec =
-            parse_scenario("policy = adaptive inbound_slack=0.2 rescue_cap_max=8\n").unwrap();
+            parse_scenario("policy = adaptive inbound_slack=0.2 target_runway_rounds=8\n").unwrap();
         let knobs = spec.config.policy.as_adaptive().unwrap();
         assert_eq!(knobs.inbound_slack, 0.2);
-        assert_eq!(knobs.rescue_cap_max, 8);
+        assert_eq!(knobs.target_runway_rounds, 8);
         // Unaltered knobs keep their defaults.
         assert_eq!(
-            knobs.occupancy_floor,
-            cs_core::AdaptivePolicy::default().occupancy_floor
+            knobs.source_push,
+            cs_core::AdaptivePolicy::default().source_push
         );
         let e = parse_scenario("policy = adaptive bogus=1\n").unwrap_err();
         assert!(e.message.contains("unknown policy knob"), "{}", e.message);
@@ -750,16 +727,49 @@ at 30 capacity_shift fraction=0.3 class=dsl
     }
 
     #[test]
-    fn recovery_knobs_parse_on_the_policy_line() {
-        let spec = parse_scenario(
-            "policy = adaptive supplier_timeout_rounds=3 retry_max=5 backoff_factor=3 evict_rounds=12\n",
-        )
-        .unwrap();
-        let knobs = spec.config.policy.as_adaptive().unwrap();
-        assert_eq!(knobs.supplier_timeout_rounds, 3);
-        assert_eq!(knobs.retry_max, 5);
-        assert_eq!(knobs.backoff_factor, 3);
-        assert_eq!(knobs.evict_rounds, 12);
+    fn policy_line_vocabulary_is_the_seven_knobs() {
+        use cs_core::AdaptivePolicy;
+        // Each kept name lands in its own field and nowhere else.
+        type Set = fn(&mut AdaptivePolicy);
+        let kept: [(&str, Set); 7] = [
+            ("target_runway_rounds=9", |p| p.target_runway_rounds = 9),
+            ("inbound_slack=0.5", |p| p.inbound_slack = 0.5),
+            ("source_rescue_cap=9", |p| p.source_rescue_cap = 9),
+            ("source_push=9", |p| p.source_push = 9),
+            ("join_sponsors=9", |p| p.join_sponsors = 9),
+            ("join_seed=9", |p| p.join_seed = 9),
+            ("join_grace_rounds=9", |p| p.join_grace_rounds = 9),
+        ];
+        for (token, set) in kept {
+            let mut want = AdaptivePolicy::default();
+            set(&mut want);
+            let spec = parse_scenario(&format!("policy = adaptive {token}\n")).unwrap();
+            assert_eq!(spec.config.policy.as_adaptive(), Some(&want), "{token}");
+        }
+        // The twelve names that became constants of the policy layer
+        // are outside input now: a spec that still sets one names a run
+        // that no longer exists, so it fails at its line — even with a
+        // value the old field would have accepted.
+        for (name, old_default) in [
+            ("deficit_per_extra_fetch", "4"),
+            ("rescue_cap_max", "16"),
+            ("suppress_slope", "8"),
+            ("occupancy_floor", "0.85"),
+            ("lookahead_factor", "2.0"),
+            ("rarity_bias", "0.5"),
+            ("supplier_timeout_rounds", "2"),
+            ("retry_max", "3"),
+            ("backoff_base_rounds", "1"),
+            ("backoff_factor", "2"),
+            ("backoff_jitter_rounds", "1"),
+            ("evict_rounds", "8"),
+        ] {
+            let text =
+                format!("nodes = 50\npolicy = adaptive inbound_slack=0.2 {name}={old_default}\n");
+            let e = parse_scenario(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{name}");
+            assert_eq!(e.message, format!("unknown policy knob `{name}`"));
+        }
     }
 
     #[test]
@@ -877,7 +887,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         assert!(e.message.contains("duplicate"), "{}", e.message);
         let e = parse_scenario("class dsl inbound=600 inbound=700\n").unwrap_err();
         assert!(e.message.contains("duplicate"), "{}", e.message);
-        let e = parse_scenario("policy = adaptive retry_max=2 retry_max=3\n").unwrap_err();
+        let e = parse_scenario("policy = adaptive join_seed=2 join_seed=3\n").unwrap_err();
         assert!(e.message.contains("duplicate"), "{}", e.message);
         let e = parse_scenario("at 5 crash_nodes count=3 correlated correlated\n").unwrap_err();
         assert!(e.message.contains("duplicate"), "{}", e.message);
@@ -904,8 +914,19 @@ at 30 capacity_shift fraction=0.3 class=dsl
             ("playback_rate = 0\n", "playback rate"),
             ("policy = adaptive inbound_slack=NaN\n", "inbound_slack"),
             (
-                "policy = adaptive retry_max=1 evict_rounds=0\n",
-                "evict_rounds",
+                "policy = adaptive join_seed=1 target_runway_rounds=0\n",
+                "target_runway_rounds",
+            ),
+            // A runway the 600-segment buffer can never hold — and the
+            // depth per-node rescue tables are pre-sized from: these
+            // two used to panic / abort in `SystemSim::new`.
+            (
+                "policy = adaptive target_runway_rounds=18446744073709551615\n",
+                "more runway than the 600-segment buffer",
+            ),
+            (
+                "policy = adaptive target_runway_rounds=1000000000000\n",
+                "more runway than the 600-segment buffer",
             ),
             ("faults = 0.0 0.0 0.0 0.0 -5\n", "delay_ms"),
         ] {

@@ -20,7 +20,7 @@ use crate::topology::Topology;
 /// spread evenly instead of piling onto hubs.
 ///
 /// All queries the partner search needs run against a flat degree array
-/// and a flat [`EdgeSet`] (seeded from the topology in one linear pass),
+/// and a flat `EdgeSet` (seeded from the topology in one linear pass),
 /// and the new edges land in the topology in a single bulk append — the
 /// same draws, the same graph, but none of the per-probe pointer chasing
 /// into per-node adjacency allocations that made augmentation visibly

@@ -1,7 +1,7 @@
 //! Synthetic Clip2-style trace generation.
 //!
 //! Reproduces the marginals the paper's simulator reads from the real
-//! crawls (DESIGN.md §2):
+//! crawls (the crate docs say why that is all the simulator needs):
 //!
 //! * **Scale**: 100–10 000 nodes (any size works).
 //! * **Sparse degree**: edges are laid down by a preferential-attachment

@@ -6,10 +6,6 @@
 //! A small floor keeps co-located nodes (identical ping times) from
 //! appearing to communicate instantaneously.
 
-use cs_sim::SimDuration;
-
-use crate::topology::Topology;
-
 /// The minimum pair latency, in milliseconds. Two nodes with identical
 /// crawler ping times are still at least a LAN round-trip apart.
 pub const LATENCY_FLOOR_MS: f64 = 1.0;
@@ -19,80 +15,9 @@ pub fn derive_latency(ping_a_ms: f64, ping_b_ms: f64) -> f64 {
     (ping_a_ms - ping_b_ms).abs().max(LATENCY_FLOOR_MS)
 }
 
-/// Pairwise latency oracle over a topology. Latencies are derived on the
-/// fly from the two ping times — storing an n×n matrix for n = 10 000
-/// would cost 800 MB for no benefit.
-#[derive(Debug, Clone)]
-pub struct LatencyModel {
-    ping_ms: Vec<f64>,
-}
-
-impl LatencyModel {
-    /// Build the model from a topology's records.
-    pub fn from_topology(topo: &Topology) -> Self {
-        LatencyModel {
-            ping_ms: topo.records().iter().map(|r| r.ping_ms).collect(),
-        }
-    }
-
-    /// Build directly from ping times (for tests and synthetic setups).
-    pub fn from_pings(ping_ms: Vec<f64>) -> Self {
-        LatencyModel { ping_ms }
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.ping_ms.len()
-    }
-
-    /// True if the model covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.ping_ms.is_empty()
-    }
-
-    /// Latency between dense node indices `a` and `b` in milliseconds.
-    pub fn latency_ms(&self, a: usize, b: usize) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        derive_latency(self.ping_ms[a], self.ping_ms[b])
-    }
-
-    /// Latency as a [`SimDuration`] (rounded to microseconds).
-    pub fn latency(&self, a: usize, b: usize) -> SimDuration {
-        SimDuration::from_secs_f64(self.latency_ms(a, b) / 1000.0)
-    }
-
-    /// Mean latency over all distinct pairs, sampled on a stride for large
-    /// n. This is the empirical `t_hop` of a topology.
-    pub fn mean_latency_ms(&self) -> f64 {
-        let n = self.ping_ms.len();
-        if n < 2 {
-            return 0.0;
-        }
-        // Sample at most ~200k pairs.
-        let stride = ((n * (n - 1) / 2) / 200_000).max(1);
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        let mut k = 0usize;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if k.is_multiple_of(stride) {
-                    sum += self.latency_ms(a, b);
-                    count += 1;
-                }
-                k += 1;
-            }
-        }
-        sum / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{TraceGenConfig, TraceGenerator};
-    use cs_sim::RngTree;
 
     #[test]
     fn rule_is_absolute_difference() {
@@ -104,41 +29,6 @@ mod tests {
     fn floor_applies() {
         assert_eq!(derive_latency(50.0, 50.0), LATENCY_FLOOR_MS);
         assert_eq!(derive_latency(50.0, 50.5), LATENCY_FLOOR_MS);
-    }
-
-    #[test]
-    fn self_latency_is_zero() {
-        let m = LatencyModel::from_pings(vec![10.0, 20.0]);
-        assert_eq!(m.latency_ms(0, 0), 0.0);
-        assert_eq!(m.latency_ms(0, 1), 10.0);
-    }
-
-    #[test]
-    fn latency_is_symmetric() {
-        let m = LatencyModel::from_pings(vec![10.0, 75.0, 42.0]);
-        for a in 0..3 {
-            for b in 0..3 {
-                assert_eq!(m.latency_ms(a, b), m.latency_ms(b, a));
-            }
-        }
-    }
-
-    #[test]
-    fn duration_conversion() {
-        let m = LatencyModel::from_pings(vec![0.0, 50.0]);
-        assert_eq!(m.latency(0, 1).as_millis(), 50);
-    }
-
-    #[test]
-    fn generated_topology_mean_near_paper_thop() {
-        let mut rng = RngTree::new(11).child("gen");
-        let topo = TraceGenerator::new(TraceGenConfig::with_nodes(1500)).generate(&mut rng);
-        let m = LatencyModel::from_topology(&topo);
-        let mean = m.mean_latency_ms();
-        assert!(
-            (35.0..65.0).contains(&mean),
-            "mean latency {mean} ms should be near the paper's t_hop ≈ 50 ms"
-        );
     }
 
     #[test]

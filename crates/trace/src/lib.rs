@@ -13,25 +13,25 @@
 //!   averages ≈ 50 ms, matching the paper's `t_hop`;
 //! * the paper's own preprocessing step: "we add random edges into the
 //!   overlay to let every node hold M = 5 connected neighbours";
-//! * a plain-text serialisation round-trip so trace files can be shipped
-//!   with the repository and re-read;
 //! * the latency rule of §5.2: the latency between two overlay nodes is
 //!   the difference between their ping times from the central node.
 //!
-//! See DESIGN.md §2 for why this substitution preserves the behaviour the
-//! simulator depends on.
+//! The substitution preserves what the simulator depends on: it reads a
+//! trace only for each node's ping time (pair latencies) and for an
+//! initial sparse neighbour graph, which the augmentation step then
+//! tops up to `M` exactly as the paper does with the real crawls.
+//! Topologies are generated from the run's seed; there is no trace file
+//! format, because no entry point takes a trace from outside.
 
 pub mod augment;
 mod edgeset;
-pub mod format;
 pub mod generate;
 pub mod latency;
 pub mod record;
 pub mod topology;
 
 pub use augment::augment_to_min_degree;
-pub use format::{parse_trace, write_trace, TraceParseError};
 pub use generate::{TraceGenConfig, TraceGenerator};
-pub use latency::{derive_latency, LatencyModel};
+pub use latency::derive_latency;
 pub use record::{NodeRecord, SpeedClass};
 pub use topology::{Topology, TopologyError};

@@ -10,10 +10,10 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`sim`] | `cs-sim` | deterministic discrete-event kernel |
-//! | [`trace`] | `cs-trace` | Clip2-style overlay traces |
+//! | [`trace`] | `cs-trace` | Clip2-style overlay traces (generated, never loaded) |
 //! | [`net`] | `cs-net` | bandwidth, message sizes, traffic accounting |
 //! | [`dht`] | `cs-dht` | the loose DHT: peers, routing, placement |
-//! | [`overlay`] | `cs-overlay` | peer tables, RP server, join, churn |
+//! | [`overlay`] | `cs-overlay` | neighbour and overheard tables, RP server, churn driver |
 //! | [`core`] | `cs-core` | buffers, schedulers, urgent line, Algorithm 2, full-system simulator |
 //! | [`scenario`] | `cs-scenario` | declarative workloads, telemetry export, CI gates |
 //! | [`obs`] | `cs-obs` | phase profiler, distributions, event trace, monitor endpoint |

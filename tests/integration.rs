@@ -135,18 +135,3 @@ fn prefetch_disabled_means_no_dht_traffic() {
     assert_eq!(total.bits(TrafficClass::PrefetchRouting), 0);
     assert_eq!(total.bits(TrafficClass::PrefetchData), 0);
 }
-
-#[test]
-fn trace_roundtrip_feeds_experiments() {
-    // Generating, serialising, parsing and re-deriving latencies must
-    // compose (the path experiment configs take when traces are cached).
-    let mut rng = RngTree::new(77).child("gen");
-    let mut topo = TraceGenerator::new(TraceGenConfig::with_nodes(200)).generate(&mut rng);
-    let mut arng = RngTree::new(77).child("aug");
-    continustreaming::trace::augment_to_min_degree(&mut topo, 5, &mut arng);
-    let text = continustreaming::trace::write_trace(&topo);
-    let back = continustreaming::trace::parse_trace(&text).expect("roundtrip");
-    assert_eq!(back.len(), topo.len());
-    assert_eq!(back.edge_count(), topo.edge_count());
-    assert!(back.min_degree() >= 5);
-}

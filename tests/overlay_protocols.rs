@@ -1,75 +1,14 @@
-//! Integration tests of the §4.1 membership machinery across crates: RP
-//! joins with Peer Table adoption, overhearing-driven renewal, and churn
-//! plans feeding the DHT's handover path.
-
-use std::collections::HashMap;
+//! Integration tests of the §4.1 membership machinery across crates:
+//! churn plans feeding the DHT's handover path, and the churn driver's
+//! long-run rates. (The join protocol runs inside the simulator's
+//! membership phase and is covered by the churn and scenario suites.)
 
 use continustreaming::dht::DhtId;
-use continustreaming::overlay::{plan_churn, simulate_join, ChurnConfig, PeerTable, RpServer};
+use continustreaming::overlay::{plan_churn, ChurnConfig};
 use continustreaming::prelude::*;
 
 fn latency(a: DhtId, b: DhtId) -> f64 {
     1.0 + ((a ^ b) % 89) as f64
-}
-
-/// Grow an overlay from one bootstrap node to 150 members purely through
-/// the paper's join protocol, then check structural health.
-#[test]
-fn overlay_grows_by_joins_alone() {
-    let space = IdSpace::new(12);
-    let mut rp = RpServer::new(space);
-    let mut rng = RngTree::new(404).child("joins");
-    let mut tables: HashMap<DhtId, PeerTable> = HashMap::new();
-
-    // Bootstrap member.
-    let first = rp.assign_id(&mut rng);
-    tables.insert(first, PeerTable::new(space, first, 5, 20));
-
-    let mut adopted_bases = 0;
-    while tables.len() < 150 {
-        let result = simulate_join(
-            &mut rp,
-            &mut rng,
-            5,
-            20,
-            |c| tables.contains_key(&c),
-            latency,
-            |c| tables[&c].clone(),
-        );
-        let (id, table, outcome) = result.expect("network is non-empty");
-        assert_eq!(outcome.base, {
-            // base must be the nearest alive candidate
-            let mut best = outcome.notified.clone();
-            best.sort_by(|&a, &b| latency(id, a).total_cmp(&latency(id, b)).then(a.cmp(&b)));
-            best[0]
-        });
-        adopted_bases += 1;
-        tables.insert(id, table);
-    }
-    assert_eq!(adopted_bases, 149);
-
-    // Every member (except possibly the bootstrap) has neighbours, and
-    // all referenced neighbours exist or existed (ids from the RP space).
-    let connected_count = tables.values().filter(|t| !t.connected.is_empty()).count();
-    assert!(
-        connected_count >= 149,
-        "{connected_count}/150 members should have neighbours"
-    );
-}
-
-/// Overhearing renews both the overheard list and the DHT levels without
-/// any dedicated maintenance traffic.
-#[test]
-fn overhearing_renews_peer_table() {
-    let space = IdSpace::new(10);
-    let mut table = PeerTable::new(space, 100, 5, 20);
-    for id in [200u64, 300, 400, 500, 600, 700] {
-        table.overhear(id, latency(100, id));
-    }
-    assert!(table.overheard.len() == 6);
-    assert!(table.dht.filled() > 0, "overhearing fills DHT levels");
-    let added = table.fill_neighbors();
-    assert_eq!(added.len(), 5, "connected set fills from overheard");
 }
 
 /// Churn plans compose with graceful DHT handover: every graceful leaver

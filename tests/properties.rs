@@ -391,35 +391,37 @@ fn routing_bound_holds_over_many_networks() {
     }
 }
 
-/// Policy-layer invariants over randomised deficits and knob settings:
-/// the effective rescue cap is monotone non-decreasing in the runway
-/// deficit, never below 1 while the deficit is positive, never above
-/// the configured ceiling, and exactly the legacy `prefetch_cap` at
-/// zero deficit.
+/// Policy-layer invariants over randomised runway targets, demands and
+/// base caps: as a node's runway drains from the full target to
+/// nothing, the effective rescue cap is monotone non-decreasing in the
+/// runway deficit, never below 1 while the deficit is positive, never
+/// above the ceiling, and exactly the legacy `prefetch_cap` at zero
+/// deficit.
 #[test]
 fn policy_rescue_cap_is_monotone_and_bounded() {
     for case in 0..CASES {
         let mut rng = RngTree::new(0xADA9).child_indexed("rescue-cap", case);
         let policy = AdaptivePolicy {
             target_runway_rounds: rng.gen_range(1u64..12),
-            deficit_per_extra_fetch: rng.gen_range(1u64..10),
-            rescue_cap_max: rng.gen_range(1usize..40),
-            suppress_slope: rng.gen_range(0usize..20),
             ..AdaptivePolicy::default()
         };
         policy.validate().unwrap();
+        let demand = rng.gen_range(1u64..30);
         let base_cap = rng.gen_range(1usize..12);
         let mut last_cap = 0usize;
         let mut last_threshold = 0usize;
-        for deficit in 0..300u64 {
-            let cap = policy.rescue_cap(base_cap, deficit);
-            let threshold = policy.suppression_threshold(base_cap, deficit);
+        let full = policy.rescue_horizon(demand);
+        for runway in (0..=full).rev() {
+            let deficit = policy.runway_deficit(runway, demand);
+            assert_eq!(deficit, full - runway, "case {case}");
+            let cap = AdaptivePolicy::rescue_cap(base_cap, deficit);
+            let threshold = AdaptivePolicy::suppression_threshold(base_cap, deficit);
             assert!(
                 cap >= 1,
                 "case {case}: cap {cap} below 1 at deficit {deficit}"
             );
             assert!(
-                cap <= policy.rescue_cap_max.max(base_cap),
+                cap <= AdaptivePolicy::RESCUE_CAP_MAX.max(base_cap),
                 "case {case}: cap {cap} above ceiling at deficit {deficit}"
             );
             assert!(
@@ -461,22 +463,16 @@ fn policy_rescue_cap_is_monotone_and_bounded() {
 fn policy_window_never_narrower_than_legacy() {
     for case in 0..CASES {
         let mut rng = RngTree::new(0x71D0).child_indexed("window", case);
-        let policy = AdaptivePolicy {
-            occupancy_floor: rng.gen_range(0.05f64..1.0),
-            lookahead_factor: rng.gen_range(1.0f64..4.0),
-            ..AdaptivePolicy::default()
-        };
-        policy.validate().unwrap();
         let legacy = rng.gen_range(1u64..600);
         let mut last = u64::MAX;
         for step in 0..=20u64 {
             let occ = step as f64 / 20.0;
-            let w = policy.lookahead(legacy, occ);
+            let w = AdaptivePolicy::lookahead(legacy, occ);
             assert!(
                 w >= legacy,
                 "case {case}: window {w} narrower than legacy {legacy} at occ {occ}"
             );
-            assert!(w <= policy.max_lookahead(legacy), "case {case}");
+            assert!(w <= AdaptivePolicy::max_lookahead(legacy), "case {case}");
             assert!(
                 w <= last,
                 "case {case}: window must not widen as occupancy rises"
@@ -484,11 +480,15 @@ fn policy_window_never_narrower_than_legacy() {
             last = w;
         }
         assert_eq!(
-            policy.lookahead(legacy, policy.occupancy_floor),
+            AdaptivePolicy::lookahead(legacy, AdaptivePolicy::OCCUPANCY_FLOOR),
             legacy,
             "case {case}: at the floor the window is exactly legacy"
         );
-        assert_eq!(policy.lookahead(legacy, 1.0), legacy, "case {case}");
+        assert_eq!(
+            AdaptivePolicy::lookahead(legacy, 1.0),
+            legacy,
+            "case {case}"
+        );
     }
 }
 
@@ -597,23 +597,29 @@ fn active_set_plans_joiners_reusing_a_slot_same_round() {
 
 /// Recovery plane: the deterministic (jitter-free) retry backoff is
 /// monotone non-decreasing in the attempt number and never below the
-/// configured base, for arbitrary knob draws.
+/// base — over the attempts a run can reach and, since the counter is
+/// a bare `u32`, over arbitrary ones (the delay saturates, it never
+/// wraps back under an earlier attempt's).
 #[test]
 fn recovery_backoff_is_monotone_and_bounded_below() {
+    let base = AdaptivePolicy::BACKOFF_BASE_ROUNDS;
+    let mut last = 0u32;
+    for attempt in 1..40u32 {
+        let d = AdaptivePolicy::backoff_rounds(attempt);
+        assert!(d >= base, "attempt {attempt}: delay below base");
+        assert!(d >= last, "attempt {attempt}: backoff not monotone");
+        last = d;
+    }
     for case in 0..CASES {
         let mut rng = RngTree::new(0xFA017).child_indexed("backoff", case);
-        let p = AdaptivePolicy {
-            backoff_base_rounds: rng.gen_range(1u32..6),
-            backoff_factor: rng.gen_range(1u32..5),
-            ..AdaptivePolicy::default()
-        };
-        let mut last = 0u32;
-        for attempt in 1..40u32 {
-            let d = p.backoff_rounds(attempt);
-            assert!(d >= p.backoff_base_rounds, "case {case}: delay below base");
-            assert!(d >= last, "case {case}: backoff not monotone");
-            last = d;
-        }
+        let (a, b): (u32, u32) = (rng.gen(), rng.gen());
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (d_lo, d_hi) = (
+            AdaptivePolicy::backoff_rounds(lo),
+            AdaptivePolicy::backoff_rounds(hi),
+        );
+        assert!(d_lo >= base, "case {case}: delay below base");
+        assert!(d_lo <= d_hi, "case {case}: backoff not monotone");
     }
 }
 
@@ -667,12 +673,12 @@ fn fault_trace_is_byte_identical_across_runs() {
 
 /// Causal bounds on the recovery counters, per round and globally: a
 /// retry only ever follows a timeout firing, the per-loss retry budget
-/// is `retry_max`, and time-to-recover deltas never exceed the round
-/// index they were measured at.
+/// is [`AdaptivePolicy::RETRY_MAX`], and time-to-recover deltas never
+/// exceed the round index they were measured at.
 #[test]
 fn recovery_counters_respect_causal_bounds() {
     let config = chaos_config(5);
-    let retry_max = config.policy.as_adaptive().unwrap().retry_max as u64;
+    let per_loss = AdaptivePolicy::RETRY_MAX as u64;
     let mut sim = SystemSim::new(config);
     for _ in 0..40 {
         assert!(sim.step());
@@ -699,8 +705,8 @@ fn recovery_counters_respect_causal_bounds() {
     }
     assert!(losses > 0, "the 5% loss rates must inject something");
     assert!(
-        retries <= retry_max * losses,
-        "{retries} retries exceed the {retry_max}-per-loss budget on {losses} losses"
+        retries <= per_loss * losses,
+        "{retries} retries exceed the {per_loss}-per-loss budget on {losses} losses"
     );
 }
 

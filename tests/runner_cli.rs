@@ -142,6 +142,12 @@ fn assert_bad_spec_exits_2(tag: &str, spec: &str, needle: &str) {
     std::fs::remove_file(&path).ok();
     let Some(out) = out else { return };
     assert_exit_2(&out, &format!("`{spec}`"), needle);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.lines().count(),
+        1,
+        "`{spec}`: one line, got:\n{stderr}"
+    );
 }
 
 #[test]
@@ -151,6 +157,22 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
         "nodes = 1\n",
         "need at least a source and one receiver",
     );
+    // A runway target the buffer can never hold used to reach the
+    // per-node table pre-sizing: a capacity-overflow panic (exit 101)
+    // at u64::MAX, a failed 598 TB allocation (abort, exit 134) at 1e12.
+    for (tag, rounds) in [
+        ("runway_max", "18446744073709551615"),
+        ("runway_huge", "1000000000000"),
+    ] {
+        assert_bad_spec_exits_2(
+            tag,
+            &format!(
+                "nodes = 100\nrounds = 10\nchurn = 0.05 0.05\n\
+                 policy = adaptive target_runway_rounds={rounds}\n"
+            ),
+            "more runway than the 600-segment buffer holds",
+        );
+    }
 }
 
 #[test]
