@@ -103,6 +103,14 @@ impl StreamBuffer {
         }
     }
 
+    /// The 64 presence bits of segments `start .. start + 64` (bit `i` =
+    /// segment `start + i`), zero outside the window — `start` need not
+    /// be word-aligned or inside the window.
+    #[inline]
+    pub(crate) fn window_word(&self, start: SegmentId) -> u64 {
+        window_word(self.head, self.capacity, &self.words, start)
+    }
+
     /// Insert segment `id`. IDs older than the window are rejected
     /// (`false`); IDs past the window slide it forward first, evicting the
     /// oldest segments FIFO-style. Returns `true` if the segment was newly
@@ -330,8 +338,50 @@ impl PartialEq for StreamBuffer {
 }
 impl Eq for StreamBuffer {}
 
+/// The 64 availability bits of segments `start .. start + 64` read from a
+/// head-aligned bitmap (bit `i` of `words` = segment `head + i`), zero
+/// outside the window `[head, head + capacity)` — the word primitive under
+/// [`StreamBuffer::window_word`] and [`BufferMap::window_word`]. Bits at
+/// or past `capacity` in the top word are masked here rather than trusted
+/// to be zero: a map's words come off the wire.
+#[inline]
+fn window_word(head: SegmentId, capacity: u64, words: &[u64], start: SegmentId) -> u64 {
+    // `valid`: how many low bits of the result lie below the window end.
+    let (word, valid) = if start >= head {
+        let off = start - head;
+        if off >= capacity {
+            return 0;
+        }
+        let (wi, b) = ((off / 64) as usize, (off % 64) as u32);
+        let mut word = words[wi] >> b;
+        if b > 0 {
+            if let Some(&next) = words.get(wi + 1) {
+                word |= next << (64 - b);
+            }
+        }
+        (word, capacity - off)
+    } else {
+        let below = head - start;
+        if below >= 64 || capacity == 0 {
+            return 0;
+        }
+        (words[0] << below, below + capacity)
+    };
+    word & low_bits(valid)
+}
+
+/// A mask of the low `n` bits; all 64 from `n = 64` up.
+#[inline]
+pub(crate) fn low_bits(n: u64) -> u64 {
+    if n < 64 {
+        (1u64 << n) - 1
+    } else {
+        !0
+    }
+}
+
 /// Iterator over set bits of one word.
-struct BitIter(u64);
+pub(crate) struct BitIter(pub(crate) u64);
 
 impl Iterator for BitIter {
     type Item = u32;
@@ -429,12 +479,21 @@ impl BufferMap {
         (self.end() - id) as f64 / self.capacity as f64
     }
 
+    /// The 64 availability bits of segments `start .. start + 64` (bit
+    /// `i` = segment `start + i`), zero outside the advertised window.
+    #[inline]
+    pub(crate) fn window_word(&self, start: SegmentId) -> u64 {
+        window_word(self.head, self.capacity, &self.words, start)
+    }
+
     /// IDs present in this map but absent from `buffer`, within
-    /// `[lo, hi)` — the "fresh to the local node" candidate set of §4.2.
+    /// `[lo, hi)` — the "fresh to the local node" candidate set of §4.2,
+    /// in increasing order.
     ///
-    /// Borrows both sides (no clones) and only visits the words of this
-    /// map that overlap the clamped window, so a narrow exchange window
-    /// over a wide buffer skips most of the bitmap.
+    /// Borrows both sides (no clones) and works a word at a time:
+    /// `theirs & !mine` over 64-segment steps from `lo`, clamped to this
+    /// map's window, so a narrow exchange window over a wide buffer skips
+    /// most of the bitmap.
     pub fn fresh_for<'a>(
         &'a self,
         buffer: &'a StreamBuffer,
@@ -443,30 +502,11 @@ impl BufferMap {
     ) -> impl Iterator<Item = SegmentId> + 'a {
         let lo = lo.max(self.head);
         let hi = hi.min(self.end());
-        let (w0, w1) = if lo >= hi {
-            (0, 0) // empty
-        } else {
-            (
-                ((lo - self.head) / 64) as usize,
-                ((hi - 1 - self.head) / 64) as usize + 1,
-            )
-        };
-        let head = self.head;
-        (w0..w1)
-            .flat_map(move |wi| {
-                let mut word = self.words[wi];
-                let base = head + wi as u64 * 64;
-                // Mask out bits below `lo` / at-or-above `hi` in edge words.
-                if base < lo {
-                    word &= !0u64 << (lo - base);
-                }
-                if base + 64 > hi {
-                    let keep = hi - base; // in (0, 64)
-                    word &= (1u64 << keep) - 1;
-                }
-                BitIter(word).map(move |b| base + b as u64)
-            })
-            .filter(move |&id| !buffer.contains(id))
+        // An empty or inverted range is zero steps.
+        (lo..hi).step_by(64).flat_map(move |base| {
+            let word = self.window_word(base) & !buffer.window_word(base) & low_bits(hi - base);
+            BitIter(word).map(move |b| base + b as u64)
+        })
     }
 }
 
@@ -712,6 +752,31 @@ mod tests {
         n
     }
 
+    /// `fresh_for` by its definition, one `contains` pair per id.
+    fn fresh_for_ref(
+        map: &BufferMap,
+        buffer: &StreamBuffer,
+        lo: SegmentId,
+        hi: SegmentId,
+    ) -> Vec<SegmentId> {
+        (lo..hi)
+            .filter(|&id| map.contains(id) && !buffer.contains(id))
+            .collect()
+    }
+
+    /// A buffer of the given shape, about two thirds full.
+    fn seeded_buffer(capacity: u64, head: SegmentId, salt: u64) -> StreamBuffer {
+        let mut b = StreamBuffer::with_head(capacity, head);
+        let mut x = capacity.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ head ^ salt;
+        for off in 0..capacity {
+            x = cs_sim::splitmix64(x);
+            if !x.is_multiple_of(3) {
+                b.insert(head + off);
+            }
+        }
+        b
+    }
+
     #[test]
     fn word_level_ops_match_per_bit_reference() {
         // A deterministic pseudo-random fill over several window shapes,
@@ -726,14 +791,7 @@ mod tests {
             (600, 1000),
             (130, 7),
         ] {
-            let mut b = StreamBuffer::with_head(capacity, head);
-            let mut x = capacity.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ head;
-            for off in 0..capacity {
-                x = cs_sim::splitmix64(x);
-                if x % 3 != 0 {
-                    b.insert(head + off);
-                }
-            }
+            let b = seeded_buffer(capacity, head, 0);
             // Probe every in-window offset plus both out-of-window edges.
             for from in (head.saturating_sub(2))..(head + capacity + 2) {
                 assert_eq!(
@@ -749,6 +807,78 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn window_word_matches_per_bit_reference() {
+        // Capacities on and off word boundaries; every start from well
+        // below `head` (including the 64 bits that only graze it) to past
+        // `end` (including the 64 bits that straddle it).
+        for (capacity, head) in [
+            (1u64, 1u64),
+            (10, 1),
+            (63, 90),
+            (64, 90),
+            (65, 90),
+            (130, 7),
+            (200, 1000),
+            (600, 1),
+            (600, 1000),
+        ] {
+            let b = seeded_buffer(capacity, head, 1);
+            let m = b.to_map();
+            for start in head.saturating_sub(70)..head + capacity + 70 {
+                let expect = (0..64).fold(0u64, |w, i| w | u64::from(b.contains(start + i)) << i);
+                assert_eq!(
+                    b.window_word(start),
+                    expect,
+                    "buffer word at {start}, cap={capacity} head={head}"
+                );
+                assert_eq!(
+                    m.window_word(start),
+                    expect,
+                    "map word at {start}, cap={capacity} head={head}"
+                );
+            }
+        }
+        // Wire words may carry set bits past `capacity`; `contains` does
+        // not see them and neither may the word.
+        let mut m = BufferMap::placeholder();
+        assert_eq!(m.window_word(0), 0, "the placeholder advertises nothing");
+        m.install_wire(100, 70, &[!0, !0]);
+        assert_eq!(m.window_word(164), 0b11_1111);
+        assert_eq!(m.window_word(90), !0u64 << 10);
+        assert_eq!(m.window_word(170), 0);
+    }
+
+    #[test]
+    fn fresh_for_matches_per_bit_reference() {
+        // Seeded random cases: the two sides differ in capacity and
+        // head, so the range (the scheduler's anchor-aligned window)
+        // starts below, inside and past either window, and one case in
+        // five is empty or inverted.
+        let mut x = 0xF2E5u64;
+        let mut next = move || {
+            x = cs_sim::splitmix64(x);
+            x >> 8
+        };
+        for case in 0..400 {
+            let (cap_t, cap_m) = (1 + next() % 300, 1 + next() % 300);
+            let (head_t, head_m) = (1 + next() % 400, 1 + next() % 400);
+            let theirs = seeded_buffer(cap_t, head_t, case).to_map();
+            let mine = seeded_buffer(cap_m, head_m, !case);
+            let lo = next() % 800;
+            let hi = if next() % 5 == 0 {
+                lo.saturating_sub(next() % 3)
+            } else {
+                lo + next() % 400
+            };
+            assert_eq!(
+                theirs.fresh_for(&mine, lo, hi).collect::<Vec<_>>(),
+                fresh_for_ref(&theirs, &mine, lo, hi),
+                "case {case}: theirs [{head_t}, +{cap_t}), mine [{head_m}, +{cap_m}), range {lo}..{hi}"
+            );
         }
     }
 

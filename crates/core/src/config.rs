@@ -185,6 +185,12 @@ impl SystemConfig {
             self.neighbors,
             self.nodes
         );
+        // The scheduler carries a node's supplier set as a `u64` mask.
+        ensure!(
+            self.neighbors <= 64,
+            "M = {}: a node has at most 64 neighbours",
+            self.neighbors
+        );
         ensure!(self.buffer_size > 0, "need a non-empty buffer");
         ensure!(self.playback_rate > 0, "playback rate must be positive");
         ensure!(self.period_secs > 0.0, "period must be positive");
@@ -289,6 +295,20 @@ mod tests {
             ..Default::default()
         };
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn more_than_64_neighbors_rejected() {
+        let with_m = |neighbors| SystemConfig {
+            neighbors,
+            ..Default::default()
+        };
+        with_m(64).validate().unwrap();
+        let err = with_m(65).validate().unwrap_err();
+        assert!(
+            err.contains("M = 65") && err.contains("at most 64"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub use policy::{AdaptivePolicy, PolicyKind};
 pub use priority::{PriorityInput, PriorityPolicy, PriorityTerms};
 pub use rate::RateController;
 pub use retrieval::{RetrievalScratch, RetrievalSummary};
-pub use scheduler::{Assignment, ScheduleContext, SchedulerScratch, SegmentCandidate};
+pub use scheduler::{
+    Assignment, MaskCandidate, ScheduleContext, SchedulerScratch, SegmentCandidate,
+};
 pub use system::{
     EventOutcome, ExchangeViews, LocalExchange, SeekTarget, SystemEvent, SystemSim, TwinAnnounce,
     TwinViews,

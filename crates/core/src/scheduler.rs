@@ -20,6 +20,16 @@
 //! same per-supplier queue model, so measured differences are purely the
 //! policy.
 //!
+//! Algorithm 1 also comes in **mask form**,
+//! [`schedule_greedy_masks_into`] over [`MaskCandidate`]s: a candidate's
+//! supplier set is a bitmask over the context's supplier table instead of
+//! a `Vec` of keys, and `τ(j)` / `1/R(j)` are read by supplier index
+//! instead of found by key. It is what the simulator's round loop runs
+//! (a node has `M ≤ 64` neighbours, so its suppliers fit one word); the
+//! keyed [`schedule_greedy_into`] is the same algorithm for stand-alone
+//! callers and the oracle the mask form is tested against
+//! (`tests/scheduler_equivalence.rs`).
+//!
 //! Everything is generic over the supplier key `K` (default [`DhtId`]) so
 //! the full-system simulator can schedule against its dense node-arena
 //! handles without translating to DHT identifiers; stand-alone users and
@@ -55,6 +65,7 @@ use rand::Rng;
 use cs_dht::DhtId;
 use cs_sim::SimRng;
 
+use crate::buffer::BitIter;
 use crate::SegmentId;
 
 /// Key types a scheduler can address suppliers by.
@@ -77,6 +88,20 @@ pub struct SegmentCandidate<K = DhtId> {
     /// Connected neighbours advertising this segment, in ascending-key
     /// order (callers must keep this deterministic).
     pub suppliers: Vec<K>,
+}
+
+/// One candidate segment in mask form: the supplier set is a bitmask over
+/// the supplier table of the [`ScheduleContext`] it is scheduled against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaskCandidate {
+    /// The wanted segment.
+    pub id: SegmentId,
+    /// Scheduling priority (larger = sooner), as in [`SegmentCandidate`].
+    pub priority: f64,
+    /// Bit `k` set ⇔ the supplier at `supplier_rates[k]` advertises the
+    /// segment. The table must be in ascending-key order for the "lower
+    /// id wins" tie-break to match the keyed form.
+    pub suppliers: u64,
 }
 
 /// Inputs shared by all scheduling policies.
@@ -141,6 +166,9 @@ pub struct SchedulerScratch<K = DhtId> {
     /// Feasible-supplier buffer for the Random policy's per-candidate
     /// draw.
     feasible: Vec<(K, f64)>,
+    /// The mask form's per-supplier lanes `(1/R(j), τ(j))`, indexed like
+    /// the context's supplier table.
+    lanes: Vec<(f64, f64)>,
 }
 
 // Manual impl: the derive would needlessly demand `K: Default`.
@@ -150,6 +178,7 @@ impl<K> Default for SchedulerScratch<K> {
             queue: Vec::new(),
             order: Vec::new(),
             feasible: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 }
@@ -211,6 +240,64 @@ pub fn schedule_greedy_into<K: SupplierKey>(
             out.push(Assignment {
                 segment: cand.id,
                 supplier: j,
+                expected_receive_secs: t_min,
+                priority: cand.priority,
+            });
+        }
+    }
+}
+
+/// Algorithm 1 in mask form (see the module docs): the same walk, choice
+/// and tie-breaks as [`schedule_greedy_into`] — bit-identical assignments
+/// — with bit `k` of a candidate's mask standing for
+/// `ctx.supplier_rates[k]`. Suppliers are tried by ascending bit, so the
+/// table must be in ascending-key order, and must hold at most 64 entries
+/// covering every set bit. `candidates` must already be in scheduling
+/// order ([`sort_mask_candidates`]).
+pub fn schedule_greedy_masks_into<K: SupplierKey>(
+    candidates: &[MaskCandidate],
+    ctx: &ScheduleContext<K>,
+    scratch: &mut SchedulerScratch<K>,
+    out: &mut Vec<Assignment<K>>,
+) {
+    assert!(
+        ctx.supplier_rates.len() <= 64,
+        "a supplier mask addresses at most 64 suppliers"
+    );
+    let budget = (candidates.len() as u32).min(ctx.inbound_budget) as usize;
+    // An unusable rate becomes an infinite transfer time, which no
+    // `eta < t_min` test passes: the keyed form's `rate <= 0` skip.
+    scratch.lanes.clear();
+    scratch
+        .lanes
+        .extend(ctx.supplier_rates.iter().map(|&(_, rate)| {
+            let t_trans = if rate > 0.0 {
+                1.0 / rate
+            } else {
+                f64::INFINITY
+            };
+            (t_trans, 0.0)
+        }));
+    out.clear();
+    for cand in candidates {
+        if out.len() >= budget {
+            break;
+        }
+        let mut t_min = f64::INFINITY;
+        let mut chosen = None;
+        for k in BitIter(cand.suppliers) {
+            let (t_trans, tau_j) = scratch.lanes[k as usize];
+            let eta = t_trans + tau_j;
+            if eta < t_min && eta < ctx.period_secs {
+                t_min = eta;
+                chosen = Some(k as usize);
+            }
+        }
+        if let Some(k) = chosen {
+            scratch.lanes[k].1 = t_min;
+            out.push(Assignment {
+                segment: cand.id,
+                supplier: ctx.supplier_rates[k].0,
                 expected_receive_secs: t_min,
                 priority: cand.priority,
             });
@@ -347,7 +434,19 @@ pub fn schedule_random_into<K: SupplierKey>(
 /// candidates with distinct ids — which the simulator guarantees — sort
 /// exactly as a stable sort would.
 pub fn sort_candidates<K>(candidates: &mut [SegmentCandidate<K>]) {
-    candidates.sort_unstable_by(|a, b| b.priority.total_cmp(&a.priority).then(a.id.cmp(&b.id)));
+    candidates.sort_unstable_by(|a, b| scheduling_order((a.priority, a.id), (b.priority, b.id)));
+}
+
+/// [`sort_candidates`] for the mask form: the same total order.
+pub fn sort_mask_candidates(candidates: &mut [MaskCandidate]) {
+    candidates.sort_unstable_by(|a, b| scheduling_order((a.priority, a.id), (b.priority, b.id)));
+}
+
+/// Algorithm 1's walk order over `(priority, id)`: descending priority,
+/// ties by ascending segment id.
+#[inline]
+fn scheduling_order(a: (f64, SegmentId), b: (f64, SegmentId)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
 #[cfg(test)]

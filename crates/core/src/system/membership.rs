@@ -235,9 +235,11 @@ impl SystemSim {
             if let Some((pick, lat)) = heard {
                 self.nodes.node_mut(idx).overheard.record(pick, lat);
             }
-            // Refill to M from the overheard list.
-            scratch.tmp_pairs.clear();
-            {
+            // Refill to M from the overheard list — only a node below M
+            // has anything to refill, and it is the common case that none
+            // is: resolving H overheard entries is H arena touches.
+            if !self.nodes.node(idx).connected.is_full() {
+                scratch.tmp_pairs.clear();
                 let node = self.nodes.node(idx);
                 for e in node.overheard.entries() {
                     if e.id.id != self_id
@@ -248,16 +250,13 @@ impl SystemSim {
                         scratch.tmp_pairs.push((e.id, e.latency_ms));
                     }
                 }
-            }
-            // Unstable (allocation-free) sort: overheard entries have
-            // unique ids, so the id tie-break makes the comparator total.
-            scratch
-                .tmp_pairs
-                .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            {
+                // Unstable (allocation-free) sort: overheard entries have
+                // unique ids, so the id tie-break makes the comparator total.
+                scratch
+                    .tmp_pairs
+                    .sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                 let node = self.nodes.node_mut(idx);
-                for pi in 0..scratch.tmp_pairs.len() {
-                    let (cref, lat) = scratch.tmp_pairs[pi];
+                for &(cref, lat) in &scratch.tmp_pairs {
                     if node.connected.is_full() {
                         break;
                     }

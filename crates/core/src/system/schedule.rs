@@ -6,17 +6,17 @@ use cs_obs::WorkerPhase;
 use cs_sim::SimRng;
 
 use super::state::{
-    HotState, MapStore, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
+    HotState, MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
     SchedScratch, SchedShard,
 };
 use super::{shard_profiler, timed_shard, SystemSim};
-use crate::buffer::StreamBuffer;
+use crate::buffer::{low_bits, BitIter, StreamBuffer};
 use crate::config::{SchedulerKind, SystemConfig};
 use crate::policy::{AdaptivePolicy, PolicyKind};
 use crate::priority::{PriorityPolicy, PriorityTerms};
 use crate::scheduler::{
-    schedule_coolstreaming_into, schedule_greedy_into, schedule_random_into, sort_candidates,
-    Assignment, ScheduleContext, SegmentCandidate,
+    schedule_coolstreaming_into, schedule_greedy_masks_into, schedule_random_into,
+    sort_mask_candidates, Assignment, MaskCandidate, ScheduleContext, SegmentCandidate,
 };
 use crate::SegmentId;
 
@@ -78,18 +78,13 @@ fn supplier_rate_estimate(
     nodes: &NodeArena,
     config: &SystemConfig,
     requester: &NodeSim,
-    s: PeerRef,
+    s: &NbrView,
 ) -> f64 {
-    let observed = requester.rate.rate(s);
+    let observed = requester.rate.rate(s.peer);
     let outbound = nodes
-        .resolve(s)
-        .map(|ni| {
-            nodes
-                .node(ni)
-                .bandwidth
-                .outbound_segments_per_sec(config.segment_kbits)
-        })
-        .unwrap_or(0.0);
+        .node(s.slot)
+        .bandwidth
+        .outbound_segments_per_sec(config.segment_kbits);
     let advertised_share = outbound / config.neighbors as f64;
     // The estimate can never exceed what the supplier could physically
     // send even with no other requester; without this cap the
@@ -112,16 +107,22 @@ const RESCUE_BUDGET_FRACTION: f64 = 0.2;
 /// maps. Pure read over the arena and the exchange snapshots (apart from
 /// `sched`, which is this pass's scratch, and the optional RNG for the
 /// Random scheduler) — which is what lets
-/// [`SystemSim::run_schedule_phase`] shard it across threads. Returns the node's new inbound carry; the
-/// assignments are left in `sched.assignments`.
+/// [`SystemSim::run_schedule_phase`] shard it across threads. Returns the
+/// node's new inbound carry; the assignments are left in
+/// `sched.assignments`.
+///
+/// The pass works on the shape its input has — a handful of neighbours
+/// times a window of a few hundred bits: [`resolve_view`] looks each
+/// neighbour up once, [`gather_fresh`] computes `theirs & !mine` a word
+/// at a time, [`prioritise`] turns the set bits into candidates whose
+/// supplier set is a bitmask over the view, and [`order_and_assign`]
+/// runs the configured scheduler over them.
 ///
 /// `hot` is the active-set classifier's cache: when it proved this node
 /// active *this round* it already derived the anchor and exchange
 /// window, and the guarded reuse below skips re-deriving them. `None`
 /// recomputes everything locally.
 #[allow(clippy::too_many_arguments)]
-// One pass over one node; the ROADMAP's `schedule` perf item rewrites it.
-#[allow(clippy::too_many_lines)]
 fn plan_node(
     nodes: &NodeArena,
     config: &SystemConfig,
@@ -135,8 +136,8 @@ fn plan_node(
 ) -> f64 {
     let p = config.demand_per_round();
     let node = nodes.node(idx);
-    let node_id = node.id;
     sched.assignments.clear();
+    resolve_view(nodes, maps, node, sched);
 
     let play_anchor = node
         .next_play
@@ -144,14 +145,10 @@ fn plan_node(
         .unwrap_or_else(|| {
             // Nothing buffered yet: aim at the oldest segment any
             // neighbour still holds (bounded below by 1).
-            node.connected
-                .ids()
-                .filter_map(|nref| {
-                    nodes
-                        .resolve(nref)
-                        .and_then(|ni| maps.get(ni))
-                        .and_then(|m| m.iter().next())
-                })
+            sched
+                .view
+                .iter()
+                .filter_map(|v| maps.map_at(v.slot).iter().next())
                 .min()
                 .unwrap_or(1)
         });
@@ -161,7 +158,6 @@ fn plan_node(
     // window this round, reuse them — guarded by round stamp, arena
     // birth and anchor equality, so a stale or fallback-anchor cache
     // entry is simply recomputed.
-    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
     let cached = hot.and_then(|h| {
         let s = idx.0 as usize;
         (s < h.stamp.len()
@@ -173,153 +169,41 @@ fn plan_node(
     let (window_end, occupancy) = cached
         .unwrap_or_else(|| exchange_window(config, &node.buffer, play_anchor, newest_emitted));
 
-    // Gather fresh candidates from all connected neighbours into the
-    // window slots (per-offset supplier lists, lazily cleared via the
-    // generation counter).
-    sched.nbrs.clear();
-    sched.nbrs.extend(node.connected.ids());
-    sched.nbrs.sort_unstable();
-    sched.gen += 1;
-    let gen = sched.gen;
-    sched.touched.clear();
-    // Sized to the window's *cap*, not its current width: the width
-    // creeps toward the cap as the play gap drifts, and sizing to the
-    // cap up front keeps that creep from re-growing the scratch for
-    // hundreds of rounds. Each offset's supplier list is bounded by the
-    // connected-neighbour count, so pre-sizing it means first touches of
-    // deep offsets don't allocate either (the zero-alloc assertion pins
-    // both). Under the adaptive policy the cap is the *widest* window
-    // the policy can ask for, so occupancy-driven widening mid-run
-    // never re-grows the scratch.
+    // The scratch is sized to the window's *cap*, not its current width:
+    // the width creeps toward the cap as the play gap drifts, and under
+    // the adaptive policy occupancy-driven widening moves it mid-run.
+    // Sizing to the widest window the policy can ask for up front keeps
+    // either from re-growing the scratch hundreds of rounds in (the
+    // zero-alloc assertion pins it).
+    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
     let wcap = match &config.policy {
         PolicyKind::Legacy => legacy_lookahead,
         PolicyKind::Adaptive(_) => AdaptivePolicy::max_lookahead(legacy_lookahead),
     }
     .min(config.buffer_size) as usize;
-    if sched.window.len() < wcap {
-        let m = config.neighbors;
-        sched
-            .window
-            .resize_with(wcap, || (0, Vec::with_capacity(m)));
+    let words_cap = wcap.div_ceil(64);
+    if sched.wanted.len() < words_cap {
+        sched.wanted.resize(words_cap, 0);
+        sched.fresh.resize(words_cap * config.neighbors, 0);
+        sched.candidates.reserve(wcap);
     }
-    for ni in 0..sched.nbrs.len() {
-        let nref = sched.nbrs[ni];
-        let Some(nidx) = nodes.resolve(nref) else {
-            continue;
-        };
-        let Some(map) = maps.get(nidx) else { continue };
-        for seg in map.fresh_for(&node.buffer, play_anchor, window_end) {
-            let off = (seg - play_anchor) as usize;
-            let slot = &mut sched.window[off];
-            if slot.0 != gen {
-                slot.0 = gen;
-                slot.1.clear();
-                sched.touched.push(off as u32);
-            }
-            slot.1.push(nref);
-        }
-    }
-    if sched.touched.is_empty() {
+
+    let words = window_end.saturating_sub(play_anchor).div_ceil(64) as usize;
+    if !gather_fresh(maps, &node.buffer, play_anchor, window_end, words, sched) {
         // No fresh segment anywhere: like the pre-arena implementation,
         // the inbound carry is left untouched for this round.
         return node.inbound_carry;
     }
-    sched.touched.sort_unstable();
-
-    // Per-neighbour rate estimates, computed once (they depend only on
-    // the supplier) and reused for every candidate below and for the
-    // scheduler context.
-    sched.rates.clear();
-    for ni in 0..sched.nbrs.len() {
-        let s = sched.nbrs[ni];
-        sched
-            .rates
-            .push((s, supplier_rate_estimate(nodes, config, node, s)));
-    }
-    let rate_of = |rates: &[(PeerRef, f64)], s: PeerRef| -> f64 {
-        rates
-            .iter()
-            .find(|(k, _)| *k == s)
-            .map(|(_, r)| *r)
-            .expect("candidate suppliers are connected neighbours")
-    };
-
-    // Priorities, in ascending segment order (deterministic regardless of
-    // neighbour iteration, which also makes the Random scheduler's
-    // shuffle reproducible across processes).
-    let policy = match config.scheduler {
-        SchedulerKind::ContinuStreaming => PriorityPolicy::UrgencyRarity,
-        SchedulerKind::CoolStreaming => PriorityPolicy::RarestFirst,
-        SchedulerKind::Random => PriorityPolicy::Uniform,
-        SchedulerKind::GreedyWithPolicy(p) => p,
-    };
-    for c in sched.candidates.drain(..) {
-        let mut v = c.suppliers;
-        v.clear();
-        sched.spare.push(v);
-    }
-    for ti in 0..sched.touched.len() {
-        let off = sched.touched[ti] as usize;
-        let seg = play_anchor + off as u64;
-        let (max_rate, rarity_product) = {
-            let suppliers = &sched.window[off].1;
-            let mut max_rate = 0.0f64;
-            let mut rarity_product = 1.0f64;
-            for &s in suppliers {
-                max_rate = max_rate.max(rate_of(&sched.rates, s));
-                let prob = nodes
-                    .resolve(s)
-                    .and_then(|ni| maps.get(ni))
-                    .expect("supplier advertised a map this round")
-                    .replacement_probability(seg);
-                rarity_product *= prob;
-            }
-            (max_rate, rarity_product)
-        };
-        let terms = PriorityTerms {
-            id: seg,
-            play_id: play_anchor,
-            playback_rate: p as f64,
-            max_rate,
-            rarity_product,
-            supplier_count: sched.window[off].1.len(),
-        };
-        // Per-(node, segment) deterministic jitter, sized to
-        // dominate the rarity band (0..1) but not genuine urgency
-        // (> 1 once a deadline is inside ~1 s): neighbours that
-        // compute identical priorities pull identical segments in
-        // identical order, holdings synchronise, and the
-        // intra-neighbourhood trading that makes swarming work
-        // dies. Within the non-urgent bulk the order is therefore
-        // diversified per node; near-deadline segments still beat
-        // everything. The A1 ablation bench quantifies this.
-        let jitter = 1.0
-            * (cs_sim::splitmix64(node_id ^ seg.wrapping_mul(0x9E37_79B9)) as f64
-                / u64::MAX as f64);
-        // Below the policy's occupancy floor the adaptive policy adds a
-        // bounded rarity bonus on top of the jitter: candidates few
-        // neighbours advertise are pulled preferentially, re-creating
-        // the holdings diversity that neighbourhood trading needs —
-        // while the per-node jitter keeps neighbouring pull orders
-        // decorrelated (replacing the jitter with a shared rarity rank
-        // synchronises them and accelerates the spiral).
-        let priority = match &config.policy {
-            PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
-            PolicyKind::Adaptive(_) => {
-                policy.evaluate_terms(&terms)
-                    + jitter
-                    + AdaptivePolicy::rarity_bonus(occupancy, terms.supplier_count)
-            }
-        };
-        let mut suppliers = sched.spare.pop().unwrap_or_default();
-        suppliers.clear();
-        suppliers.extend_from_slice(&sched.window[off].1);
-        sched.candidates.push(SegmentCandidate {
-            id: seg,
-            priority,
-            suppliers,
-        });
-    }
+    prioritise(
+        nodes,
+        config,
+        maps,
+        node,
+        play_anchor,
+        occupancy,
+        words,
+        sched,
+    );
 
     // Inbound budget with carry. The adaptive policy over-provisions
     // the per-round allotment by the slack fraction (the steady-state
@@ -331,35 +215,195 @@ fn plan_node(
         * config.period_secs;
     let budget_f = config.policy.provisioned_inbound(base_budget) + node.inbound_carry;
     let budget = budget_f.floor().max(0.0) as u32;
-    let new_carry = (budget_f - budget as f64).clamp(0.0, 1.0);
+    order_and_assign(config, node, round, budget, sched, rng);
+    (budget_f - budget as f64).clamp(0.0, 1.0)
+}
 
+/// Resolve the node's connected neighbours once into `sched.view`: the
+/// ones alive and advertising a map this round — dead refs and
+/// unsnapshotted slots can supply nothing — in ascending-id order, which
+/// every supplier tie-break and float fold downstream follows.
+fn resolve_view(nodes: &NodeArena, maps: &MapStore, node: &NodeSim, sched: &mut SchedScratch) {
+    sched.view.clear();
+    for peer in node.connected.ids() {
+        if let Some(slot) = nodes.resolve(peer).filter(|&ni| maps.get(ni).is_some()) {
+            sched.view.push(NbrView { peer, slot });
+        }
+    }
+    sched.view.sort_unstable_by_key(|v| v.peer);
+}
+
+/// The candidate gather, a word (64 segments from the play anchor) at a
+/// time: `fresh = theirs & !mine & window` per neighbour into
+/// `sched.fresh`, their union — the candidate set, already in segment
+/// order — into `sched.wanted`. Returns whether there is any candidate.
+fn gather_fresh(
+    maps: &MapStore,
+    buffer: &StreamBuffer,
+    play_anchor: SegmentId,
+    window_end: SegmentId,
+    words: usize,
+    sched: &mut SchedScratch,
+) -> bool {
+    let nv = sched.view.len();
+    let mut any = 0u64;
+    for w in 0..words {
+        let base = play_anchor + 64 * w as u64;
+        let lacking = !buffer.window_word(base) & low_bits(window_end - base);
+        let mut advertised = 0u64;
+        // A word the node fully holds needs no look at the neighbours
+        // (its `fresh` row is then never read).
+        if lacking != 0 {
+            let row = &mut sched.fresh[w * nv..(w + 1) * nv];
+            for (fresh, v) in row.iter_mut().zip(&sched.view) {
+                *fresh = maps.map_at(v.slot).window_word(base) & lacking;
+                advertised |= *fresh;
+            }
+        }
+        sched.wanted[w] = advertised;
+        any |= advertised;
+    }
+    any != 0
+}
+
+/// Turn the gathered bits into `sched.candidates`, in ascending segment
+/// order (deterministic regardless of neighbour iteration, which also
+/// makes the Random scheduler's shuffle reproducible across processes):
+/// each with its supplier mask over `sched.view` and its §4.2 priority.
+/// Suppliers fold in ascending-id order, so `max_rate` and the rarity
+/// product are the same floats a walk over a sorted supplier list gives.
+#[allow(clippy::too_many_arguments)]
+fn prioritise(
+    nodes: &NodeArena,
+    config: &SystemConfig,
+    maps: &MapStore,
+    node: &NodeSim,
+    play_anchor: SegmentId,
+    occupancy: f64,
+    words: usize,
+    sched: &mut SchedScratch,
+) {
+    // Per-neighbour rate estimates, computed once (they depend only on
+    // the supplier) and reused for every candidate below and for the
+    // scheduler context.
+    sched.rates.clear();
+    for v in &sched.view {
+        sched
+            .rates
+            .push((v.peer, supplier_rate_estimate(nodes, config, node, v)));
+    }
+    let policy = match config.scheduler {
+        SchedulerKind::ContinuStreaming => PriorityPolicy::UrgencyRarity,
+        SchedulerKind::CoolStreaming => PriorityPolicy::RarestFirst,
+        SchedulerKind::Random => PriorityPolicy::Uniform,
+        SchedulerKind::GreedyWithPolicy(p) => p,
+    };
+    let playback_rate = config.demand_per_round() as f64;
+    let nv = sched.view.len();
+    sched.candidates.clear();
+    for w in 0..words {
+        let row = &sched.fresh[w * nv..(w + 1) * nv];
+        for b in BitIter(sched.wanted[w]) {
+            let seg = play_anchor + 64 * w as u64 + u64::from(b);
+            let mut suppliers = 0u64;
+            let mut max_rate = 0.0f64;
+            let mut rarity_product = 1.0f64;
+            for (k, fresh) in row.iter().enumerate() {
+                if fresh >> b & 1 == 1 {
+                    suppliers |= 1 << k;
+                    max_rate = max_rate.max(sched.rates[k].1);
+                    rarity_product *= maps.map_at(sched.view[k].slot).replacement_probability(seg);
+                }
+            }
+            let terms = PriorityTerms {
+                id: seg,
+                play_id: play_anchor,
+                playback_rate,
+                max_rate,
+                rarity_product,
+                supplier_count: suppliers.count_ones() as usize,
+            };
+            // Per-(node, segment) deterministic jitter, sized to
+            // dominate the rarity band (0..1) but not genuine urgency
+            // (> 1 once a deadline is inside ~1 s): neighbours that
+            // compute identical priorities pull identical segments in
+            // identical order, holdings synchronise, and the
+            // intra-neighbourhood trading that makes swarming work
+            // dies. Within the non-urgent bulk the order is therefore
+            // diversified per node; near-deadline segments still beat
+            // everything. The A1 ablation bench quantifies this.
+            let jitter = 1.0
+                * (cs_sim::splitmix64(node.id ^ seg.wrapping_mul(0x9E37_79B9)) as f64
+                    / u64::MAX as f64);
+            // Below the policy's occupancy floor the adaptive policy adds a
+            // bounded rarity bonus on top of the jitter: candidates few
+            // neighbours advertise are pulled preferentially, re-creating
+            // the holdings diversity that neighbourhood trading needs —
+            // while the per-node jitter keeps neighbouring pull orders
+            // decorrelated (replacing the jitter with a shared rarity rank
+            // synchronises them and accelerates the spiral).
+            let priority = match &config.policy {
+                PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
+                PolicyKind::Adaptive(_) => {
+                    policy.evaluate_terms(&terms)
+                        + jitter
+                        + AdaptivePolicy::rarity_bonus(occupancy, terms.supplier_count)
+                }
+            };
+            sched.candidates.push(MaskCandidate {
+                id: seg,
+                priority,
+                suppliers,
+            });
+        }
+    }
+}
+
+/// Order `sched.candidates` for the configured scheduler and assign
+/// suppliers into `sched.assignments`. The Algorithm 1 arms run the mask
+/// form; the two baselines expand the masks and run their keyed
+/// implementations.
+fn order_and_assign(
+    config: &SystemConfig,
+    node: &NodeSim,
+    round: u32,
+    budget: u32,
+    sched: &mut SchedScratch,
+    rng: Option<&mut SimRng>,
+) {
     let mut ctx = ScheduleContext {
         inbound_budget: budget,
         period_secs: config.period_secs,
         supplier_rates: std::mem::take(&mut sched.rates),
-        deadline_cutoff: node.next_play.map(|np| np + 2 * p),
+        deadline_cutoff: node.next_play.map(|np| np + 2 * config.demand_per_round()),
     };
     match config.scheduler {
-        SchedulerKind::CoolStreaming => schedule_coolstreaming_into(
-            &sched.candidates,
-            &ctx,
-            &mut sched.algo,
-            &mut sched.assignments,
-        ),
-        SchedulerKind::Random => schedule_random_into(
-            &sched.candidates,
-            &ctx,
-            rng.expect("Random scheduling always plans as one shard"),
-            &mut sched.algo,
-            &mut sched.assignments,
-        ),
+        SchedulerKind::CoolStreaming => {
+            expand_masks(config, sched);
+            schedule_coolstreaming_into(
+                &sched.keyed,
+                &ctx,
+                &mut sched.algo,
+                &mut sched.assignments,
+            );
+        }
+        SchedulerKind::Random => {
+            expand_masks(config, sched);
+            schedule_random_into(
+                &sched.keyed,
+                &ctx,
+                rng.expect("Random scheduling always plans as one shard"),
+                &mut sched.algo,
+                &mut sched.assignments,
+            );
+        }
         SchedulerKind::ContinuStreaming => {
             // Bounded-rescue ordering: urgent candidates (deadline
             // pressure has pushed their priority above the rarity
             // band) are capped at a fraction of the budget; the rest
             // of the order is the diversified rarity ranking. See
             // [`RESCUE_BUDGET_FRACTION`].
-            sort_candidates(&mut sched.candidates);
+            sort_mask_candidates(&mut sched.candidates);
             // Catch-up grace: a node that just joined (or just started
             // playing) is *supposed* to spend its whole budget near
             // its play point; the rescue cap only binds in steady
@@ -389,25 +433,47 @@ fn plan_node(
                 // [A|B|C] → [A|C|B] is a rotation of the tail.
                 sched.candidates[rescue_cap..].rotate_left(split - rescue_cap);
             }
-            schedule_greedy_into(
+            schedule_greedy_masks_into(
                 &sched.candidates,
                 &ctx,
                 &mut sched.algo,
                 &mut sched.assignments,
-            )
+            );
         }
         SchedulerKind::GreedyWithPolicy(_) => {
-            sort_candidates(&mut sched.candidates);
-            schedule_greedy_into(
+            sort_mask_candidates(&mut sched.candidates);
+            schedule_greedy_masks_into(
                 &sched.candidates,
                 &ctx,
                 &mut sched.algo,
                 &mut sched.assignments,
-            )
+            );
         }
-    };
+    }
     sched.rates = std::mem::take(&mut ctx.supplier_rates);
-    new_carry
+}
+
+/// Expand `sched.candidates` into `sched.keyed`: the same candidates with
+/// supplier lists (ascending id, as the masks' bits are) for the keyed
+/// baseline schedulers, recycling the lists through `sched.spare`.
+fn expand_masks(config: &SystemConfig, sched: &mut SchedScratch) {
+    for c in sched.keyed.drain(..) {
+        sched.spare.push(c.suppliers);
+    }
+    sched.keyed.reserve(sched.candidates.capacity());
+    for c in &sched.candidates {
+        let mut suppliers = sched
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(config.neighbors));
+        suppliers.clear();
+        suppliers.extend(BitIter(c.suppliers).map(|k| sched.view[k as usize].peer));
+        sched.keyed.push(SegmentCandidate {
+            id: c.id,
+            priority: c.priority,
+            suppliers,
+        });
+    }
 }
 
 impl SystemSim {
@@ -432,8 +498,8 @@ impl SystemSim {
     /// buffers between this sweep and step 5):
     ///
     /// * **window-complete** — the node's exchange window is empty or
-    ///   fully buffered, so the gather over `fresh_for` yields no
-    ///   candidate at any neighbour;
+    ///   fully buffered, so the gather (`theirs & !mine` over the
+    ///   window) yields no candidate at any neighbour;
     /// * **dark neighbourhood** — see [`Self::dark_neighbourhood`].
     ///
     /// A skipped node's `plan_node` would hit the no-candidate early

@@ -13,7 +13,7 @@ use crate::backup::VodBackupStore;
 use crate::buffer::{BufferMap, StreamBuffer};
 use crate::rate::RateController;
 use crate::retrieval::RetrievalScratch;
-use crate::scheduler::{Assignment, SchedulerScratch, SegmentCandidate};
+use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch, SegmentCandidate};
 use crate::urgent::UrgentLine;
 use crate::SegmentId;
 
@@ -330,6 +330,13 @@ impl MapStore {
         snap.stamp = self.stamp;
     }
 
+    /// The map in `idx`'s slot, whatever round it is from — for a slot
+    /// [`Self::get`] already vouched for this round.
+    #[inline]
+    pub(super) fn map_at(&self, idx: NodeIdx) -> &BufferMap {
+        &self.snaps[idx.0 as usize].map
+    }
+
     /// The advertised map of `idx`, if it was snapshotted this round.
     #[inline]
     pub(super) fn get(&self, idx: NodeIdx) -> Option<&BufferMap> {
@@ -340,25 +347,38 @@ impl MapStore {
     }
 }
 
+/// One connected neighbour as a planning pass sees it: resolved once, and
+/// only if it advertised a map this round.
+#[derive(Clone, Copy)]
+pub(super) struct NbrView {
+    pub(super) peer: PeerRef,
+    /// The arena slot `peer` resolved to — also its [`MapStore`] slot.
+    pub(super) slot: NodeIdx,
+}
+
 /// Reusable scratch for one node's scheduling pass.
 #[derive(Default)]
 pub(super) struct SchedScratch {
-    /// Generation counter for lazy clearing of `window`.
-    pub(super) gen: u64,
-    /// Per-offset supplier lists over the exchange window; `(gen, list)`
-    /// — a slot is live only when its gen matches the current pass.
-    pub(super) window: Vec<(u64, Vec<PeerRef>)>,
-    /// Offsets touched this pass (sorted before candidate construction so
-    /// candidates are built in ascending segment order).
-    pub(super) touched: Vec<u32>,
-    /// Recycled supplier vectors for candidates.
-    pub(super) spare: Vec<Vec<PeerRef>>,
-    pub(super) candidates: Vec<SegmentCandidate<PeerRef>>,
-    /// The node's connected neighbours, sorted ascending by id.
-    pub(super) nbrs: Vec<PeerRef>,
-    /// Supplier-rate table handed to the scheduler (moved in and out to
-    /// keep its allocation).
+    /// This pass's possible suppliers, ascending by id: bit `k` of every
+    /// supplier mask, and row `k` of `fresh`, is `view[k]`.
+    pub(super) view: Vec<NbrView>,
+    /// `(supplier, R(j))` in `view` order — the scheduler context's rate
+    /// table (moved in and out to keep its allocation).
     pub(super) rates: Vec<(PeerRef, f64)>,
+    /// Per window word (64 segments from the play anchor): the segments
+    /// the node lacks that some neighbour advertises — the candidates,
+    /// in segment order.
+    pub(super) wanted: Vec<u64>,
+    /// `fresh[w * view.len() + k]`: word `w` of `view[k]`'s
+    /// `theirs & !mine` over the window.
+    pub(super) fresh: Vec<u64>,
+    /// The pass's candidates, built in ascending segment order.
+    pub(super) candidates: Vec<MaskCandidate>,
+    /// The same candidates with their masks expanded into supplier
+    /// lists, for the baselines' keyed schedulers; `spare` recycles the
+    /// lists between passes.
+    pub(super) keyed: Vec<SegmentCandidate<PeerRef>>,
+    pub(super) spare: Vec<Vec<PeerRef>>,
     /// The scheduling algorithms' own working memory (supplier queue,
     /// ordering buffer, feasible list) for the `_into` entry points.
     pub(super) algo: SchedulerScratch<PeerRef>,

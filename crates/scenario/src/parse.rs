@@ -910,6 +910,8 @@ at 30 capacity_shift fraction=0.3 class=dsl
         for (text, needle) in [
             ("nodes = 1\n", "at least a source"),
             ("nodes = 50\nneighbors = 60\n", "below the node count"),
+            // The scheduler carries a node's suppliers as a 64-bit mask.
+            ("nodes = 100\nneighbors = 65\n", "at most 64 neighbours"),
             ("rounds = 0\n", "at least one round"),
             ("playback_rate = 0\n", "playback rate"),
             ("policy = adaptive inbound_slack=NaN\n", "inbound_slack"),

@@ -157,6 +157,12 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
         "nodes = 1\n",
         "need at least a source and one receiver",
     );
+    // The scheduler's supplier masks are one word wide.
+    assert_bad_spec_exits_2(
+        "wide_m",
+        "nodes = 100\nneighbors = 65\n",
+        "M = 65: a node has at most 64 neighbours",
+    );
     // A runway target the buffer can never hold used to reach the
     // per-node table pre-sizing: a capacity-overflow panic (exit 101)
     // at u64::MAX, a failed 598 TB allocation (abort, exit 134) at 1e12.

@@ -12,8 +12,9 @@
 //! implementation is loud too.
 
 use continustreaming::core::scheduler::{
-    schedule_coolstreaming_into, schedule_greedy_into, schedule_random_into, sort_candidates,
-    Assignment, ScheduleContext, SchedulerScratch, SegmentCandidate,
+    schedule_coolstreaming_into, schedule_greedy_into, schedule_greedy_masks_into,
+    schedule_random_into, sort_candidates, sort_mask_candidates, Assignment, MaskCandidate,
+    ScheduleContext, SchedulerScratch, SegmentCandidate,
 };
 use continustreaming::prelude::*;
 use rand::Rng as _;
@@ -117,6 +118,62 @@ fn greedy_reused_scratch_matches_fresh() {
             );
         }
     }
+}
+
+/// The mask form of Algorithm 1 — what the simulator's round loop runs —
+/// against the keyed form as its oracle: the same workloads with each
+/// supplier list folded into a bitmask over the context's (ascending)
+/// rate table must yield identical segments, suppliers, eta bits and
+/// priorities, through one reused scratch, with the sorts agreeing too.
+#[test]
+fn greedy_mask_form_matches_keyed_form() {
+    let mut scratch = SchedulerScratch::default();
+    let mut out = Vec::new();
+    let (mut zero_rate_seen, mut budget_bound_seen) = (false, false);
+    for case in 0..200 {
+        let (mut candidates, mut ctx) = workload(case);
+        // Random rates almost never tie; every fourth workload levels
+        // the usable ones, so equal etas are common and the strict-`<`
+        // "lower id wins" tie-break decides.
+        if case % 4 == 0 {
+            for (_, rate) in ctx.supplier_rates.iter_mut().filter(|(_, r)| *r > 0.0) {
+                *rate = 5.0;
+            }
+        }
+        let mut masks: Vec<MaskCandidate> = candidates
+            .iter()
+            .map(|c| MaskCandidate {
+                id: c.id,
+                priority: c.priority,
+                suppliers: c.suppliers.iter().fold(0, |mask, s| {
+                    let k = ctx.supplier_rates.iter().position(|(key, _)| key == s);
+                    mask | 1 << k.expect("workload suppliers are all in the rate table")
+                }),
+            })
+            .collect();
+        sort_candidates(&mut candidates);
+        sort_mask_candidates(&mut masks);
+        assert!(
+            candidates
+                .iter()
+                .map(|c| c.id)
+                .eq(masks.iter().map(|c| c.id)),
+            "case {case}: the two sorts must agree, ties included"
+        );
+        let reference = fresh(|s, o| schedule_greedy_into(&candidates, &ctx, s, o));
+        schedule_greedy_masks_into(&masks, &ctx, &mut scratch, &mut out);
+        assert_assignments_eq(&reference, &out, "greedy mask form", case);
+        // The workloads must reach the two paths most likely to differ.
+        zero_rate_seen |= candidates.iter().any(|c| {
+            c.suppliers
+                .iter()
+                .any(|s| ctx.supplier_rates.contains(&(*s, 0.0)))
+        });
+        budget_bound_seen |= reference.len() == ctx.inbound_budget as usize
+            && (ctx.inbound_budget as usize) < candidates.len();
+    }
+    assert!(zero_rate_seen, "no workload offered a zero-rate supplier");
+    assert!(budget_bound_seen, "no workload was cut off by its budget");
 }
 
 #[test]

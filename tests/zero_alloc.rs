@@ -18,7 +18,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use continustreaming::prelude::*;
 
@@ -30,6 +30,13 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Serialises measured sections: the counter is process-global and the
 /// harness runs the tests below on separate threads.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`MEASURE_LOCK`], poisoned or not: the mutex guards no data, and
+/// a test that failed while holding it must not turn every later test
+/// into a `PoisonError` that hides which assertion was the real one.
+fn measure_lock() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -98,7 +105,7 @@ fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) ->
 /// pre-fetch checks, playback — allocates nothing, round after round.
 #[test]
 fn steady_state_rounds_allocate_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(steady_state_config(
         SchedulerKind::ContinuStreaming,
         true,
@@ -123,7 +130,7 @@ fn steady_state_rounds_allocate_nothing() {
 /// `schedule_coolstreaming_into` ordering buffer instead of greedy's).
 #[test]
 fn coolstreaming_steady_state_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(steady_state_config(
         SchedulerKind::CoolStreaming,
         false,
@@ -142,7 +149,7 @@ fn coolstreaming_steady_state_allocates_nothing() {
 /// shuffle/feasible buffers plus its RNG draws).
 #[test]
 fn random_scheduler_steady_state_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(steady_state_config(SchedulerKind::Random, false, 100));
     for _ in 0..60 {
         assert!(sim.step());
@@ -161,7 +168,7 @@ fn random_scheduler_steady_state_allocates_nothing() {
 /// with it the per-node `missed` buffers — to their high-water marks.
 #[test]
 fn adaptive_policy_steady_state_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(SystemConfig {
         policy: PolicyKind::adaptive(),
         ..steady_state_config(SchedulerKind::ContinuStreaming, true, 100)
@@ -188,7 +195,7 @@ fn adaptive_policy_steady_state_allocates_nothing() {
 /// samples through the armed path.
 #[test]
 fn obs_armed_steady_state_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(steady_state_config(
         SchedulerKind::ContinuStreaming,
         true,
@@ -217,7 +224,7 @@ fn obs_armed_steady_state_allocates_nothing() {
 /// obviously allocates.
 #[test]
 fn counter_detects_allocations() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let n = count_allocs(|| {
         let sim = SystemSim::new(steady_state_config(
             SchedulerKind::ContinuStreaming,
@@ -235,7 +242,7 @@ fn counter_detects_allocations() {
 /// diagnostics costs nothing.
 #[test]
 fn public_step_api_allocates_nothing_when_warm() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut sim = SystemSim::new(steady_state_config(
         SchedulerKind::ContinuStreaming,
         true,
