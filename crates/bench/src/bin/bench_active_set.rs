@@ -1,38 +1,33 @@
-//! Wall-clock + occupancy benchmark of the active-set round loop,
-//! emitting a `BENCH_active_set.json` record.
+//! Wall-clock + occupancy recorder for the round loop at large N,
+//! emitting a `BENCH_active_set.json`-shaped record.
 //!
-//! Two claims are measured on the same box, same seed:
-//!
-//! 1. **Bit identity** — the run with `SystemConfig::active_set` on
-//!    reproduces the visit-every-node run's `RunReport` fingerprint
-//!    exactly (the skip proofs are exact, not heuristic).
-//! 2. **Scaling** — steady-state round cost tracks the *active-set
-//!    size* (nodes whose inputs changed), not the overlay size `N`.
-//!
-//! Two workloads bracket the claim:
+//! A node with nothing to pull and nothing to pre-fetch costs the round
+//! a few word loads — the planners' own first step proves it (see
+//! `cs_core::system`) — so steady-state round cost should track the
+//! nodes that have work, not the overlay size `N`. Two workloads bracket
+//! that:
 //!
 //! * **all-playing** — every node's play anchor advances every round,
-//!   so every node has fresh input every round and the active set *is*
-//!   `N`. This is the worst case for the classifier: it measures the
-//!   overhead bound (the dense-round hysteresis caps it), not a win.
+//!   so every node has fresh input every round and nearly all of `N` is
+//!   active: the dense case.
 //! * **steady-paused** — after warm-up a large fraction of viewers
 //!   pause (`--pause-frac`, applied before round `--pause-round`).
-//!   A paused node's window freezes; once buffered it is provably
-//!   skippable every round. This is the steady-state audience the
-//!   active set exists for, and where round cost detaches from `N`.
+//!   A paused node's window freezes; once buffered it has nothing to
+//!   do, and round cost detaches from `N`.
 //!
-//! The per-round tables (time, scheduling / pre-fetch active counts,
-//! touch-forced count) make the scaling visible in data rather than as
-//! a single averaged claim.
+//! The per-round tables (time, nodes that scheduled / pre-fetched) make
+//! the scaling visible in data rather than as a single averaged claim;
+//! each workload's `RunReport` fingerprint is printed and recorded, which
+//! is what CI's bench-smoke job pins.
 //!
 //! ```text
 //! cargo run -p cs-bench --release --bin bench_active_set
 //! cargo run -p cs-bench --release --bin bench_active_set -- \
 //!     --nodes 100000 --rounds 200 --json BENCH_active_set.json
 //! # CI smoke: deterministic output (no timings), byte-diffable across
-//! # re-runs, A/B skipped to stay inside the wall-clock budget:
+//! # re-runs:
 //! cargo run -p cs-bench --release --bin bench_active_set -- \
-//!     --nodes 100000 --rounds 20 --skip-off --deterministic --json smoke.json
+//!     --nodes 100000 --rounds 20 --deterministic --json smoke.json
 //! ```
 
 use std::time::Instant;
@@ -82,7 +77,7 @@ fn has_flag(name: &str) -> bool {
 
 /// A steady-state audience: before round `round`, pause every alive
 /// non-source viewer except each `keep_every`-th (deterministic in the
-/// arena id order, so both A/B legs pause the same nodes).
+/// arena id order).
 #[derive(Clone, Copy)]
 struct PausePlan {
     round: u32,
@@ -101,9 +96,8 @@ struct TimedRun {
 fn timed_run(config: &SystemConfig, pause: Option<PausePlan>) -> TimedRun {
     let mut sim = SystemSim::new(config.clone());
     sim.enable_telemetry();
-    // Profiler only: the phase breakdown rides along on both legs (so
-    // the A/B timing comparison stays fair) without arming the
-    // distribution or trace pillars this bench doesn't report.
+    // Profiler only: the phase breakdown rides along without arming
+    // the distribution or trace pillars this bench doesn't report.
     sim.enable_obs(ObsConfig {
         profile: true,
         dist: false,
@@ -172,73 +166,38 @@ fn steady_mean(values: &[f64]) -> f64 {
 
 struct Workload {
     name: &'static str,
-    on: TimedRun,
-    off: Option<TimedRun>,
+    run: TimedRun,
 }
 
-fn run_workload(
-    name: &'static str,
-    config: &SystemConfig,
-    pause: Option<PausePlan>,
-    skip_off: bool,
-) -> Workload {
-    let nodes = config.nodes;
-    let rounds = config.rounds;
-    eprintln!("bench_active_set [{name}]: {nodes} nodes x {rounds} rounds (active_set on)");
-    let on = timed_run(config, pause);
-    eprintln!(
-        "  on:  {:.1} ms total, fingerprint 0x{:016x}",
-        on.total_ms, on.fingerprint
-    );
-    let off = if skip_off {
-        None
-    } else {
-        let mut c = config.clone();
-        c.active_set = false;
-        eprintln!("bench_active_set [{name}]: {nodes} nodes x {rounds} rounds (active_set off)");
-        let off = timed_run(&c, pause);
-        eprintln!(
-            "  off: {:.1} ms total, fingerprint 0x{:016x}",
-            off.total_ms, off.fingerprint
-        );
-        assert_eq!(
-            on.fingerprint, off.fingerprint,
-            "active-set toggle changed behaviour — the skip proofs are broken"
-        );
-        Some(off)
-    };
-
-    let steady_on = steady_mean(&on.round_ms);
-    let active: Vec<f64> = on
-        .telemetry
+/// Scheduling active-set size per round, for [`steady_mean`].
+fn active_sched(run: &TimedRun) -> Vec<f64> {
+    run.telemetry
         .rounds
         .iter()
         .map(|r| r.active_sched as f64)
-        .collect();
+        .collect()
+}
+
+fn run_workload(name: &'static str, config: &SystemConfig, pause: Option<PausePlan>) -> Workload {
+    let nodes = config.nodes;
+    let rounds = config.rounds;
+    eprintln!("bench_active_set [{name}]: {nodes} nodes x {rounds} rounds");
+    let run = timed_run(config, pause);
     println!(
-        "[{name}] active_set on: total {:.1} ms, steady round {:.2} ms, steady active {:.0}/{} nodes",
-        on.total_ms,
-        steady_on,
-        steady_mean(&active),
-        nodes
+        "[{name}] total {:.1} ms, steady round {:.2} ms, steady active {:.0}/{} nodes, fingerprint 0x{:016x}",
+        run.total_ms,
+        steady_mean(&run.round_ms),
+        steady_mean(&active_sched(&run)),
+        nodes,
+        run.fingerprint
     );
-    if let Some(off) = &off {
-        let steady_off = steady_mean(&off.round_ms);
-        println!(
-            "[{name}] active_set off: total {:.1} ms, steady round {:.2} ms  ({:.2}x steady speedup)",
-            off.total_ms,
-            steady_off,
-            steady_off / steady_on.max(1e-9)
-        );
-    }
-    Workload { name, on, off }
+    Workload { name, run }
 }
 
 fn main() {
     let nodes = arg_u64("--nodes", 100_000) as usize;
     let rounds = arg_u64("--rounds", 200) as u32;
     let json_path = arg_str("--json");
-    let skip_off = has_flag("--skip-off");
     let skip_dense = has_flag("--skip-dense");
     let deterministic = has_flag("--deterministic");
     let pause_frac = arg_f64("--pause-frac", 0.8);
@@ -250,7 +209,6 @@ fn main() {
         scheduler: SchedulerKind::ContinuStreaming,
         prefetch_enabled: true,
         seed: 20080414,
-        active_set: true,
         ..SystemConfig::default()
     };
 
@@ -264,17 +222,12 @@ fn main() {
     let dense = if skip_dense {
         None
     } else {
-        Some(run_workload("all-playing", &config, None, skip_off))
+        Some(run_workload("all-playing", &config, None))
     };
     // `--pause-frac 0` drops the steady-audience workload (the CI
     // large-N smoke measures the startup wave only, under a budget).
     let steady = if pause_frac > 0.0 {
-        Some(run_workload(
-            "steady-paused",
-            &config,
-            Some(pause),
-            skip_off,
-        ))
+        Some(run_workload("steady-paused", &config, Some(pause)))
     } else {
         None
     };
@@ -289,21 +242,6 @@ fn main() {
         } else {
             format!("{v:.2}")
         }
-    };
-    let leg_block = |run: &TimedRun| {
-        let active: Vec<f64> = run
-            .telemetry
-            .rounds
-            .iter()
-            .map(|r| r.active_sched as f64)
-            .collect();
-        format!(
-            "{{ \"total_ms\": {}, \"steady_round_ms\": {}, \"steady_active_sched\": {:.1}, \"fingerprint\": \"0x{:016x}\" }}",
-            ms(run.total_ms),
-            ms(steady_mean(&run.round_ms)),
-            steady_mean(&active),
-            run.fingerprint
-        )
     };
     // Phase timings are wall-clock, so `--deterministic` zeroes them
     // like every other timing field; the counts are deterministic
@@ -333,36 +271,33 @@ fn main() {
             .join(",\n")
     };
     let workload_block = |w: &Workload| {
-        let round_rows = w
-            .on
+        let run = &w.run;
+        let round_rows = run
             .telemetry
             .rounds
             .iter()
             .map(|r| {
-                let t = w.on.round_ms.get(r.round as usize).copied().unwrap_or(0.0);
+                let t = run.round_ms.get(r.round as usize).copied().unwrap_or(0.0);
                 format!(
-                    "      {{ \"round\": {}, \"ms\": {}, \"playing\": {}, \"active_sched\": {}, \"active_prefetch\": {}, \"touched_active\": {} }}",
+                    "      {{ \"round\": {}, \"ms\": {}, \"playing\": {}, \"active_sched\": {}, \"active_prefetch\": {} }}",
                     r.round,
                     ms(t),
                     r.playing,
                     r.active_sched,
-                    r.active_prefetch,
-                    r.touched_active
+                    r.active_prefetch
                 )
             })
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
-            "{{\n    \"name\": \"{}\",\n    \"paused\": {},\n    \"on\": {},\n    \"off\": {},\n    \"fingerprints_match\": {},\n    \"phase_breakdown\": [\n{}\n    ],\n    \"rounds\": [\n{}\n    ]\n  }}",
+            "{{\n    \"name\": \"{}\",\n    \"paused\": {},\n    \"total_ms\": {},\n    \"steady_round_ms\": {},\n    \"steady_active_sched\": {:.1},\n    \"fingerprint\": \"0x{:016x}\",\n    \"phase_breakdown\": [\n{}\n    ],\n    \"rounds\": [\n{}\n    ]\n  }}",
             w.name,
-            w.on.paused,
-            leg_block(&w.on),
-            w.off.as_ref().map_or("null".to_string(), leg_block),
-            w.off
-                .as_ref()
-                .map_or("null".to_string(), |o| (o.fingerprint == w.on.fingerprint)
-                    .to_string()),
-            phase_rows(&w.on),
+            run.paused,
+            ms(run.total_ms),
+            ms(steady_mean(&run.round_ms)),
+            steady_mean(&active_sched(run)),
+            run.fingerprint,
+            phase_rows(run),
             round_rows,
         )
     };
@@ -373,7 +308,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n  ");
     let json = format!(
-        "{{\n  \"bench\": \"active_set\",\n  \"config\": {{ \"nodes\": {nodes}, \"rounds\": {rounds}, \"scheduler\": \"ContinuStreaming\", \"prefetch\": true, \"churn\": \"default-static\", \"policy\": \"legacy\", \"faults\": \"inert\", \"seed\": 20080414, \"pause_frac\": {pause_frac}, \"pause_round\": {pause_round} }},\n  \"workloads\": [\n  {}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"bench_active_set\",\n  \"config\": {{ \"nodes\": {nodes}, \"rounds\": {rounds}, \"scheduler\": \"ContinuStreaming\", \"prefetch\": true, \"churn\": \"default-static\", \"policy\": \"legacy\", \"faults\": \"inert\", \"seed\": 20080414, \"pause_frac\": {pause_frac}, \"pause_round\": {pause_round} }},\n  \"workloads\": [\n  {}\n  ]\n}}\n",
         workloads,
     );
     std::fs::write(&path, json).expect("write json record");

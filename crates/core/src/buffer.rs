@@ -322,11 +322,6 @@ impl StreamBuffer {
             words: self.words.clone(),
         }
     }
-
-    /// Refresh an existing snapshot in place, reusing its word buffer.
-    pub fn snapshot_into(&self, out: &mut BufferMap) {
-        out.install_wire(self.head, self.capacity, &self.words);
-    }
 }
 
 // Logical equality: two buffers are equal when they cover the same window
@@ -407,8 +402,7 @@ pub struct BufferMap {
 
 impl BufferMap {
     /// An empty placeholder map (window `[1, 1)`), for pre-allocating
-    /// snapshot slots that are later filled by
-    /// [`StreamBuffer::snapshot_into`].
+    /// snapshot slots that are later filled by [`Self::install_wire`].
     pub fn placeholder() -> Self {
         BufferMap {
             head: 1,
@@ -949,17 +943,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_matches_to_map() {
+    fn install_wire_matches_to_map() {
         let mut b = StreamBuffer::new(600);
         for id in (1..=600u64).filter(|i| i % 5 == 0) {
             b.insert(id);
         }
+        let install = |b: &StreamBuffer, map: &mut BufferMap| {
+            let (head, capacity, words) = b.wire_parts();
+            map.install_wire(head, capacity, words);
+        };
         let mut reused = BufferMap::placeholder();
-        b.snapshot_into(&mut reused);
+        install(&b, &mut reused);
         assert_eq!(reused, b.to_map());
         // Refreshing after mutations keeps it in sync.
         b.insert(1200);
-        b.snapshot_into(&mut reused);
+        install(&b, &mut reused);
         assert_eq!(reused, b.to_map());
     }
 

@@ -92,16 +92,6 @@ pub struct SystemConfig {
     /// allocations, bit-identical behaviour — same gating discipline as
     /// the policy layer.
     pub faults: FaultPlan,
-    /// The active-set round loop (default on). Each round a cheap O(N)
-    /// classification pass proves which nodes can produce no scheduling
-    /// candidates (exchange window already held, or every neighbour dark)
-    /// and no urgent-line trigger, and the expensive per-node planning
-    /// phases then run only over the remaining *active set*. The skip
-    /// proofs are exact — a skipped node's phase is a provable no-op — so
-    /// results are bit-identical with the toggle on or off at any size
-    /// and thread count (pinned by the determinism suite); `false` forces
-    /// the legacy visit-every-node loops, kept for A/B benchmarking.
-    pub active_set: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -129,7 +119,6 @@ impl Default for SystemConfig {
             parallel_threads: None,
             policy: PolicyKind::Legacy,
             faults: FaultPlan::default(),
-            active_set: true,
             seed: 20080414, // IPDPS 2008 in Miami started on April 14.
         }
     }

@@ -75,7 +75,7 @@ pub use cs_obs::{DistSummary, ObsConfig, ObsRunReport, ObsState, PhaseRow, Quant
 pub use faults::{FaultPlan, FaultRoundRecord, FaultTrace};
 pub use metrics::{stable_tail_start, RoundRecord, RunReport, RunSummary};
 pub use policy::{AdaptivePolicy, PolicyKind};
-pub use priority::{PriorityInput, PriorityPolicy, PriorityTerms};
+pub use priority::{PriorityPolicy, PriorityTerms};
 pub use rate::RateController;
 pub use retrieval::{RetrievalScratch, RetrievalSummary};
 pub use scheduler::{

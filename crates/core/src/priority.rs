@@ -22,75 +22,11 @@ use crate::SegmentId;
 /// dominate every finite priority.
 pub const URGENCY_SATURATION: f64 = 1e9;
 
-/// Everything the priority formulas need to know about one candidate
-/// segment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PriorityInput {
-    /// The candidate segment.
-    pub id: SegmentId,
-    /// The segment currently being played at the requesting node
-    /// (`id_play`).
-    pub play_id: SegmentId,
-    /// Playback rate `p`, segments per second.
-    pub playback_rate: f64,
-    /// The maximum estimated receiving rate over this segment's
-    /// suppliers, segments per second (`R_i = max_j R_ij`).
-    pub max_rate: f64,
-    /// `p_ij / B` for each supplier `j` that advertises the segment
-    /// (values in `[0, 1]`).
-    pub replacement_probs: Vec<f64>,
-}
-
-impl PriorityInput {
-    /// Fold this input into scalar [`PriorityTerms`]. The product runs
-    /// over `replacement_probs` in order, so the result is bit-identical
-    /// to multiplying them one by one while scanning suppliers.
-    pub fn terms(&self) -> PriorityTerms {
-        PriorityTerms {
-            id: self.id,
-            play_id: self.play_id,
-            playback_rate: self.playback_rate,
-            max_rate: self.max_rate,
-            rarity_product: self.replacement_probs.iter().product(),
-            supplier_count: self.replacement_probs.len(),
-        }
-    }
-
-    /// Equation (1): expected deadline slack `t_i` in seconds.
-    pub fn deadline_slack(&self) -> f64 {
-        self.terms().deadline_slack()
-    }
-
-    /// Equation (1): `urgency = 1/t_i`, saturated when `t_i ≤ 0`. Within
-    /// the saturated band, closer deadlines still rank higher (graded by
-    /// how little lead the segment has), so a supplier under contention
-    /// serves the most-overdue request first.
-    pub fn urgency(&self) -> f64 {
-        self.terms().urgency()
-    }
-
-    /// Equation (2): `rarity = Π_j (p_ij / B)`.
-    pub fn rarity(&self) -> f64 {
-        self.terms().rarity()
-    }
-
-    /// The traditional rarest-first metric `1/n_i` the paper compares
-    /// against (CoolStreaming's policy).
-    pub fn rarest_first(&self) -> f64 {
-        self.terms().rarest_first()
-    }
-
-    /// Equation (3): `priority = max(urgency, rarity)`.
-    pub fn priority(&self) -> f64 {
-        self.terms().priority()
-    }
-}
-
-/// The same §4.2 terms as [`PriorityInput`] with the per-supplier
-/// replacement probabilities pre-folded into their product — the
-/// allocation-free form the simulator's round loop computes while
-/// scanning a candidate's suppliers. All formulas live here;
-/// `PriorityInput` delegates, so the two can never drift apart.
+/// Everything the §4.2 formulas need to know about one candidate
+/// segment, with the per-supplier replacement probabilities `p_ij / B`
+/// folded into their product — what the simulator's round loop computes
+/// while scanning a candidate's suppliers, so evaluating a priority
+/// allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityTerms {
     /// The candidate segment.
@@ -121,7 +57,10 @@ impl PriorityTerms {
         lead - transfer
     }
 
-    /// Equation (1): `urgency = 1/t_i`, saturated when `t_i ≤ 0`.
+    /// Equation (1): `urgency = 1/t_i`, saturated when `t_i ≤ 0`. Within
+    /// the saturated band, closer deadlines still rank higher (graded by
+    /// how little lead the segment has), so a supplier under contention
+    /// serves the most-overdue request first.
     pub fn urgency(&self) -> f64 {
         let t = self.deadline_slack();
         if t <= 0.0 {
@@ -137,7 +76,8 @@ impl PriorityTerms {
         self.rarity_product
     }
 
-    /// The traditional rarest-first metric `1/n_i`.
+    /// The traditional rarest-first metric `1/n_i` the paper compares
+    /// against (CoolStreaming's policy).
     pub fn rarest_first(&self) -> f64 {
         if self.supplier_count == 0 {
             URGENCY_SATURATION // no supplier at all: maximally rare
@@ -170,12 +110,6 @@ pub enum PriorityPolicy {
 
 impl PriorityPolicy {
     /// Evaluate the policy on one candidate.
-    pub fn evaluate(&self, input: &PriorityInput) -> f64 {
-        self.evaluate_terms(&input.terms())
-    }
-
-    /// Evaluate the policy on pre-folded terms (the simulator's
-    /// allocation-free path).
     pub fn evaluate_terms(&self, terms: &PriorityTerms) -> f64 {
         match self {
             PriorityPolicy::UrgencyRarity => terms.priority(),
@@ -191,13 +125,16 @@ impl PriorityPolicy {
 mod tests {
     use super::*;
 
-    fn input(id: SegmentId, play: SegmentId, max_rate: f64, probs: &[f64]) -> PriorityInput {
-        PriorityInput {
+    /// The terms of a candidate whose suppliers hold it at the given
+    /// `p_ij / B`, at `p = 10`.
+    fn input(id: SegmentId, play: SegmentId, max_rate: f64, probs: &[f64]) -> PriorityTerms {
+        PriorityTerms {
             id,
             play_id: play,
             playback_rate: 10.0,
             max_rate,
-            replacement_probs: probs.to_vec(),
+            rarity_product: probs.iter().product(),
+            supplier_count: probs.len(),
         }
     }
 
@@ -278,10 +215,13 @@ mod tests {
     #[test]
     fn policies_dispatch() {
         let i = input(120, 100, 5.0, &[0.5, 0.5]);
-        assert_eq!(PriorityPolicy::UrgencyRarity.evaluate(&i), i.priority());
-        assert_eq!(PriorityPolicy::UrgencyOnly.evaluate(&i), i.urgency());
-        assert_eq!(PriorityPolicy::RarityOnly.evaluate(&i), i.rarity());
-        assert_eq!(PriorityPolicy::RarestFirst.evaluate(&i), 0.5);
-        assert_eq!(PriorityPolicy::Uniform.evaluate(&i), 0.0);
+        assert_eq!(
+            PriorityPolicy::UrgencyRarity.evaluate_terms(&i),
+            i.priority()
+        );
+        assert_eq!(PriorityPolicy::UrgencyOnly.evaluate_terms(&i), i.urgency());
+        assert_eq!(PriorityPolicy::RarityOnly.evaluate_terms(&i), i.rarity());
+        assert_eq!(PriorityPolicy::RarestFirst.evaluate_terms(&i), 0.5);
+        assert_eq!(PriorityPolicy::Uniform.evaluate_terms(&i), 0.0);
     }
 }

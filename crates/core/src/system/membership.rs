@@ -21,10 +21,10 @@ impl SystemSim {
     pub fn apply_event(&mut self, event: SystemEvent) -> EventOutcome {
         match event {
             SystemEvent::Join { ping_ms, bandwidth } => {
-                // A bootstrap outage rejects the join before any
-                // scenario-stream draw: a rejected join consumes zero
-                // randomness, exactly like every other rejection path.
-                if self.next_round < self.faults.rp_outage_until {
+                // Rejected before any scenario-stream draw: a rejected
+                // join consumes zero randomness, exactly like every
+                // other rejection path.
+                if self.rp_turns_away(self.next_round) {
                     return EventOutcome::Rejected;
                 }
                 let id = self.rp.assign_id(&mut self.scenario_rng);
@@ -78,12 +78,7 @@ impl SystemSim {
                 let Some(idx) = self.nodes.lookup(id) else {
                     return EventOutcome::Rejected;
                 };
-                let node = self.nodes.node_mut(idx);
-                node.bandwidth = bandwidth;
-                let birth = node.birth;
-                // A capacity change moves budgets and rate estimates:
-                // force the node active next round.
-                self.hot.touch(idx, birth, self.next_round);
+                self.nodes.node_mut(idx).bandwidth = bandwidth;
                 EventOutcome::Applied
             }
         }
@@ -112,8 +107,6 @@ impl SystemSim {
                 let anchor = newest.saturating_sub(startup).max(1);
                 node.buffer.slide_to(anchor);
                 node.prefetch_tags.retain(|&seg, _| seg >= anchor);
-                let birth = node.birth;
-                self.hot.touch(idx, birth, self.next_round);
                 return EventOutcome::Applied;
             }
             return EventOutcome::Rejected;
@@ -135,10 +128,6 @@ impl SystemSim {
         }
         node.next_play = Some(dest);
         node.prefetch_tags.retain(|&seg, _| seg >= dest);
-        let birth = node.birth;
-        // The anchor moved: every skip proof's inputs changed — force
-        // the node active for the round about to run.
-        self.hot.touch(idx, birth, self.next_round);
         EventOutcome::Applied
     }
 
@@ -154,8 +143,6 @@ impl SystemSim {
             return EventOutcome::Rejected;
         }
         node.paused = paused;
-        let birth = node.birth;
-        self.hot.touch(idx, birth, self.next_round);
         EventOutcome::Applied
     }
 
@@ -194,9 +181,6 @@ impl SystemSim {
                     scratch.tmp_refs.push(nref);
                 }
             }
-            // Conservative touch: any change to the connected set below
-            // force-activates the node for this round's classification.
-            let mut partners_changed = !scratch.tmp_refs.is_empty();
             for di in 0..scratch.tmp_refs.len() {
                 let d = scratch.tmp_refs[di];
                 let node = self.nodes.node_mut(idx);
@@ -261,7 +245,6 @@ impl SystemSim {
                         break;
                     }
                     node.connected.add(fresh_neighbor(cref, lat));
-                    partners_changed = true;
                 }
             }
             // Replace a weak neighbour ("supplied little data") with an
@@ -273,8 +256,7 @@ impl SystemSim {
             // sated node (window fully buffered — e.g. a paused viewer)
             // pulls nothing by choice; treating its idle inflow as
             // starvation made it rewire every third round forever,
-            // thrashing the overlay and touch-forcing it back into the
-            // active set each time. Rate-limited: a node reconsiders its
+            // thrashing the overlay. Rate-limited: a node reconsiders its
             // weakest partnership at most every third round. Rewiring
             // every round under system stress destroys the supply
             // relationships it is trying to fix (every replacement resets
@@ -329,7 +311,6 @@ impl SystemSim {
                         let node = self.nodes.node_mut(idx);
                         node.connected.replace(w, fresh_neighbor(rref, lat));
                         node.rate.forget(w);
-                        partners_changed = true;
                         if starving {
                             self.obs_emit(
                                 round,
@@ -341,10 +322,6 @@ impl SystemSim {
                         }
                     }
                 }
-            }
-            if partners_changed {
-                let birth = self.nodes.node(idx).birth;
-                self.hot.touch(idx, birth, round);
             }
         }
     }
@@ -376,11 +353,16 @@ impl SystemSim {
         self.obs_emit(self.next_round, EventKind::Leave, id, 0, "abrupt");
     }
 
+    /// Whether the RP server — the only way in — admits nobody in
+    /// `round`: a bootstrap outage, or no id of the space left to give.
+    fn rp_turns_away(&self, round: u32) -> bool {
+        round < self.faults.rp_outage_until || self.rp.is_full()
+    }
+
     /// One churn join via the RP server (§4.1 protocol).
     pub(super) fn join_one(&mut self, round: u32) -> bool {
-        // A bootstrap outage turns arrivals away before any `"join"`
-        // draw (the RP is the only way in).
-        if round < self.faults.rp_outage_until {
+        // Turned away before any `"join"` draw.
+        if self.rp_turns_away(round) {
             return false;
         }
         let id = self.rp.assign_id(&mut self.join_rng);
@@ -444,9 +426,6 @@ impl SystemSim {
                 if !peer.connected.is_full() {
                     peer.connected.add(fresh_neighbor(new_ref, lat));
                 }
-                let birth = peer.birth;
-                // Conservative touch: the contact's partner view changed.
-                self.hot.touch(cidx, birth, round);
             }
         }
 
@@ -497,14 +476,10 @@ impl SystemSim {
                     continue;
                 };
                 let lat = self.nodes.latency(id, sid);
-                {
-                    let sponsor = self.nodes.node_mut(sidx);
-                    sponsor.overheard.record(new_ref, lat);
-                    if !sponsor.connected.is_full() {
-                        sponsor.connected.add(fresh_neighbor(new_ref, lat));
-                    }
-                    let birth = sponsor.birth;
-                    self.hot.touch(sidx, birth, round);
+                let sponsor = self.nodes.node_mut(sidx);
+                sponsor.overheard.record(new_ref, lat);
+                if !sponsor.connected.is_full() {
+                    sponsor.connected.add(fresh_neighbor(new_ref, lat));
                 }
                 let sref = self.nodes.make_ref(sid);
                 if !node.connected.is_full() {
@@ -551,14 +526,7 @@ impl SystemSim {
             }
         }
 
-        let new_idx = self.nodes.insert(node, ping);
-        // Force the joiner active for its first round. The fresh arena
-        // birth also overwrites whatever stamp a departed previous
-        // occupant of this slot left behind — a same-round leave→join
-        // can neither inherit nor be robbed of a touch (the birth guard
-        // pins this; see the slot-reuse property test).
-        let new_birth = self.nodes.node(new_idx).birth;
-        self.hot.touch(new_idx, new_birth, round);
+        self.nodes.insert(node, ping);
         // The DHT join closure sees the joiner's real ping (it is in the
         // arena now), like the `pings` snapshot the id-keyed version
         // chained the joiner into.

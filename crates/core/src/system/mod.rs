@@ -63,6 +63,16 @@
 //! from the shared RNG while scheduling, always plans step 5 as one
 //! shard, but steps 6 and 7 still fan out).
 //!
+//! Steps 5 and 7 visit every node, and a node with nothing to do costs
+//! them a few word loads: the scheduler's candidate gather returns when
+//! the node lacks nothing in its exchange window (before it resolves a
+//! single neighbour) or when no neighbour advertises what it lacks, and
+//! the urgent-line check is a word-level hole scan that ends in
+//! `NotTriggered`. "Nothing to do" is decided by the algorithm that
+//! would do it, never by a second test beside it; telemetry's
+//! `active_sched` / `active_prefetch` count the nodes that got past
+//! those exits.
+//!
 //! ## Module map
 //!
 //! `state` holds the arena, scratch and tally types; `round` the round
@@ -110,7 +120,7 @@ mod twin;
 pub use twin::{ExchangeViews, LocalExchange, TwinAnnounce, TwinViews};
 
 use recovery::FaultState;
-use state::{fresh_neighbor, HotState, NodeArena, NodeIdx, NodeSim, RoundScratch};
+use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, RoundScratch};
 
 /// A workload event applied between rounds — the hook API the
 /// `cs-scenario` engine (and any other external driver) uses to change
@@ -222,11 +232,10 @@ pub struct SystemSim {
     /// or a scripted fault event.
     faults: FaultState,
     scratch: RoundScratch,
-    /// Active-set hot state (SoA). Lives outside `scratch` because the
-    /// phase-1 churn/event hooks stamp it *before* the round takes
-    /// the scratch, and joins admitted mid-round must stamp persistent
-    /// storage.
-    hot: HotState,
+    /// `(scheduling, pre-fetch)` nodes of the last stepped round that had
+    /// something to do, counted by the two planners themselves (see
+    /// [`Self::active_set_sizes`]).
+    active: (usize, usize),
 }
 
 /// Debug introspection record: `(id, next_play, buffer_len, first_id,
@@ -400,7 +409,7 @@ impl SystemSim {
             obs: None,
             faults: FaultState::new(tree.child("faults"), config.faults),
             scratch: RoundScratch::default(),
-            hot: HotState::default(),
+            active: (0, 0),
             config,
         };
         sim.rebuild_order();
@@ -443,7 +452,6 @@ impl SystemSim {
                 config.period_secs,
                 t_fetch,
                 config.t_hop_secs,
-                config.prefetch_cap,
             ),
             next_play: None,
             first_data_round: None,
@@ -618,10 +626,12 @@ impl SystemSim {
     }
 
     /// `(scheduling, pre-fetch)` active-set sizes of the last stepped
-    /// round (live-monitoring read; both equal the membership when the
-    /// active-set optimisation is off).
+    /// round (live-monitoring read): the nodes whose candidate gather
+    /// found something to pull, and the nodes whose urgent-line check
+    /// triggered — the `active_sched` / `active_prefetch` of
+    /// [`TelemetryRound`](crate::telemetry::TelemetryRound).
     pub fn active_set_sizes(&self) -> (usize, usize) {
-        (self.hot.active_sched.len(), self.hot.active_prefetch.len())
+        self.active
     }
 }
 
@@ -738,6 +748,54 @@ mod tests {
         assert_eq!(report.rounds.len(), 18);
         let joins: usize = report.rounds.iter().map(|r| r.joins).sum();
         assert!(joins > 0, "both sums are only reached by a mid-run joiner");
+    }
+
+    /// A join that finds every id of the space taken is turned away —
+    /// `Rejected` for a scripted join, `false` for a churn join — before
+    /// any RNG draw, like an RP outage; it is not a panic out of
+    /// `RpServer::assign_id`.
+    #[test]
+    fn a_full_id_space_rejects_joins_without_drawing() {
+        let cfg = SystemConfig {
+            nodes: 6,
+            neighbors: 3,
+            id_space_slack: 1,
+            ..tiny(SchedulerKind::ContinuStreaming, true, 15)
+        };
+        let join = SystemEvent::Join {
+            ping_ms: None,
+            bandwidth: None,
+        };
+        // Six ids in a space of eight: two joins fit, the rest do not.
+        let fill = |sim: &mut SystemSim| {
+            for _ in 0..2 {
+                assert!(matches!(sim.apply_event(join), EventOutcome::Joined(_)));
+            }
+            assert_eq!(sim.alive() as u64, sim.space.size());
+        };
+        let mut sim = SystemSim::new(cfg.clone());
+        let mut quiet = SystemSim::new(cfg);
+        fill(&mut sim);
+        fill(&mut quiet);
+        for _ in 0..3 {
+            assert_eq!(sim.apply_event(join), EventOutcome::Rejected);
+            assert!(!sim.join_one(0));
+        }
+        assert_eq!(sim.alive() as u64, sim.space.size());
+        // The rejections drew nothing: once an id is free again, both
+        // simulators admit the same joiner, and step alike.
+        let victim = *sim.order_ids.iter().find(|&&id| id != sim.source).unwrap();
+        for s in [&mut sim, &mut quiet] {
+            let leave = SystemEvent::Leave {
+                id: victim,
+                graceful: false,
+            };
+            assert_eq!(s.apply_event(leave), EventOutcome::Applied);
+        }
+        assert_eq!(sim.apply_event(join), quiet.apply_event(join));
+        assert!(sim.step() && quiet.step());
+        assert_eq!(sim.records(), quiet.records());
+        assert_eq!(sim.debug_states(), quiet.debug_states());
     }
 
     #[test]

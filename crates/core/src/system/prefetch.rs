@@ -1,6 +1,7 @@
-//! Step 7 — the urgent line and Algorithm 2: active-set classification,
-//! the read-only planning half (sharded by node) and the serial
-//! execution half that runs the DHT retrievals in node order.
+//! Step 7 — the urgent line and Algorithm 2: the read-only planning half
+//! (sharded by node; the urgent-line check is also the proof that a node
+//! has nothing to fetch) and the serial execution half that runs the DHT
+//! retrievals in node order.
 
 use cs_dht::DhtId;
 use cs_net::{TrafficClass, TrafficCounter};
@@ -9,7 +10,7 @@ use cs_trace::derive_latency;
 
 use super::recovery::ControlFault;
 use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch, RoundTally};
-use super::{carve, shard_profiler, timed_shard, SystemSim};
+use super::{shard_profiler, timed_shard, SystemSim};
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
 use crate::policy::{AdaptivePolicy, PolicyKind};
@@ -20,14 +21,12 @@ use crate::SegmentId;
 /// The urgent-line parameters the active policy grants a node at this
 /// anchor: `(fetch_cap, suppression_threshold, min_horizon)`. Legacy is
 /// the paper's fixed `N_miss > l` cutoff (cap == threshold == `l`,
-/// horizon 0 — which makes `decide_scaled_into` exactly `decide_into`);
-/// Adaptive scales all three with the runway deficit, with the probe
-/// clamped to the buffer window — a probe past `head + capacity` would
-/// make every successful fetch slide the window and evict still-unplayed
-/// segments (reachable with an oversized runway-target knob, or right
-/// after a backward seek re-anchored playback near the buffer head).
-/// The single implementation behind the classifier and the planner, so
-/// the skip proof and the plan can never disagree.
+/// horizon 0); Adaptive scales all three with the runway deficit, with
+/// the probe clamped to the buffer window — a probe past `head +
+/// capacity` would make every successful fetch slide the window and
+/// evict still-unplayed segments (reachable with an oversized
+/// runway-target knob, or right after a backward seek re-anchored
+/// playback near the buffer head).
 ///
 /// `round`/`spawn_round` feed the joiner grace window
 /// ([`AdaptivePolicy::join_grace_rounds`]): inside it the node gets the
@@ -162,76 +161,14 @@ fn plan_prefetch(
 }
 
 impl SystemSim {
-    /// The active-set classification for step 7 (pre-fetch), run *after*
-    /// step 6 because deliveries move α (Case-2 repetitions shrink the
-    /// urgent probe). The skip proof is exact — it reproduces the
-    /// `NotTriggered` outcome of `decide_scaled_into` without walking
-    /// the miss window: no anchor, an empty probe, or a fully buffered
-    /// probe range means [`plan_prefetch`] plans nothing and
-    /// [`Self::execute_prefetch`] is a counter-free no-op. Touch-stamped
-    /// nodes are force-planned. Returns the round's rescue-cap peak
-    /// (the classifier derives every anchored node's [`rescue_params`]
-    /// anyway, which is exactly the set whose planned caps the legacy
-    /// loop maxed over); 0 when the list was materialised dense (toggle
-    /// off or hysteresis) — `hot.prefetch_classified` then tells the
-    /// caller to take the peak from the planned caps as before.
-    pub(super) fn classify_prefetch(&mut self, round: u32, telemetry_on: bool) -> usize {
-        let hot = &mut self.hot;
-        let nodes = &self.nodes;
-        let config = &self.config;
-        hot.active_prefetch.clear();
-        if !config.active_set || u64::from(round) < hot.prefetch_dense_until {
-            hot.prefetch_classified = false;
-            for k in 0..self.order_idx.len() {
-                hot.active_prefetch.push(k as u32);
-            }
-            return 0;
-        }
-        hot.prefetch_classified = true;
-        let newest = self.newest_emitted;
-        let p = config.demand_per_round();
-        let mut cap_peak = 0usize;
-        let mut candidates = 0usize;
-        for k in 0..self.order_idx.len() {
-            let idx = self.order_idx[k];
-            let node = nodes.node(idx);
-            if node.is_source {
-                continue;
-            }
-            candidates += 1;
-            let touched = hot.is_touched(idx, node.birth, round);
-            let Some(anchor) = node.next_play.or_else(|| node.buffer.iter().next()) else {
-                if touched {
-                    hot.forced += 1;
-                    hot.active_prefetch.push(k as u32);
-                }
-                continue;
-            };
-            let (cap, _threshold, horizon) =
-                rescue_params(config, &node.buffer, anchor, p, round, node.spawn_round);
-            if telemetry_on {
-                cap_peak = cap_peak.max(cap);
-            }
-            let urgent_end = node.urgent.probe_end(anchor, newest, horizon);
-            if touched {
-                hot.forced += 1;
-            } else if urgent_end <= anchor || node.buffer.has_range(anchor, urgent_end - anchor) {
-                continue;
-            }
-            hot.active_prefetch.push(k as u32);
-        }
-        if hot.active_prefetch.len() * 8 >= candidates * 7 {
-            hot.prefetch_dense_until = u64::from(round) + 8;
-        }
-        cap_peak
-    }
-
-    /// Step 7, decision half: plan every active node's urgent-line
-    /// outcome. The (ascending) active list is cut into
+    /// Step 7, decision half: plan every node's urgent-line outcome, run
+    /// *after* step 6 because deliveries move α (Case-2 repetitions
+    /// shrink the urgent probe). The node order is cut into
     /// [`SystemConfig::parallel_threads`] contiguous runs for
-    /// [`cs_sim::fork_join`]; each run owns a disjoint subslice of the
-    /// k-indexed plan table — same discipline as
-    /// [`Self::plan_service_phase`]'s slot sharding.
+    /// [`cs_sim::fork_join`], each with the matching run of the plan
+    /// table. Most nodes have a full probe; their check is a few word
+    /// loads ending in `NotTriggered` (see
+    /// [`UrgentLine::decide_scaled_into`](crate::urgent::UrgentLine::decide_scaled_into)).
     pub(super) fn plan_prefetch_phase(&self, round: u32, scratch: &mut RoundScratch) {
         let n = self.order_idx.len();
         if scratch.prefetch_plans.len() < n {
@@ -249,37 +186,21 @@ impl SystemSim {
                 ..PrefetchPlan::default()
             });
         }
-        // Only the active list is planned; a skipped node's stale plan
-        // is never read (the execute loop walks the same list).
-        let targets: &[u32] = &self.hot.active_prefetch;
         let nodes = &self.nodes;
         let config = &self.config;
         let maps = &scratch.maps;
         let newest = self.newest_emitted;
-        let order_idx = &self.order_idx;
         let workers = config.parallel_threads.unwrap_or(1);
-        let chunk = targets.len().div_ceil(workers).max(1);
-        let prof = shard_profiler(&self.obs, targets.len().div_ceil(chunk));
-        let mut rest_plans: &mut [PrefetchPlan] = &mut scratch.prefetch_plans[..n];
-        let mut consumed = 0usize;
-        let shards = targets.chunks(chunk).map(|ks| {
-            let first = ks[0] as usize;
-            let last = ks[ks.len() - 1] as usize;
-            let plans = carve(&mut rest_plans, &mut consumed, first, last + 1);
-            (ks, plans, first)
-        });
-        cs_sim::fork_join(shards, |_, (ks, plans, first)| {
+        let chunk = n.div_ceil(workers).max(1);
+        let prof = shard_profiler(&self.obs, n.div_ceil(chunk));
+        let shards = self
+            .order_idx
+            .chunks(chunk)
+            .zip(scratch.prefetch_plans[..n].chunks_mut(chunk));
+        cs_sim::fork_join(shards, |_, (idxs, plans)| {
             timed_shard(prof, WorkerPhase::PrefetchPlan, || {
-                for &k in ks {
-                    plan_prefetch(
-                        nodes,
-                        config,
-                        maps,
-                        newest,
-                        round,
-                        order_idx[k as usize],
-                        &mut plans[k as usize - first],
-                    );
+                for (&idx, plan) in idxs.iter().zip(plans) {
+                    plan_prefetch(nodes, config, maps, newest, round, idx, plan);
                 }
             })
         });
@@ -366,26 +287,25 @@ impl SystemSim {
     }
 
     /// Step 7, execution half: run every planned node's retrievals,
-    /// serially in node order. On dense rounds (classifier off or in
-    /// hysteresis) every plan is fresh and the telemetry cap peak comes
-    /// from the planned caps; on classified rounds the classifier
-    /// already computed it.
+    /// serially in node order. Along the way it takes the round's
+    /// rescue-cap peak from the planned caps and counts the nodes whose
+    /// check triggered (fetch or Case 3) — the round's `active_prefetch`.
     pub(super) fn execute_prefetch_phase(
         &mut self,
         round: u32,
         scratch: &mut RoundScratch,
         tally: &mut RoundTally,
     ) {
-        let peak_from_plans = self.telemetry.is_some() && !self.hot.prefetch_classified;
-        let targets = std::mem::take(&mut self.hot.active_prefetch);
-        for &k in &targets {
-            let k = k as usize;
-            if peak_from_plans {
-                tally.rescue_cap_peak = tally.rescue_cap_peak.max(scratch.prefetch_plans[k].cap);
+        for k in 0..self.order_idx.len() {
+            let plan = &scratch.prefetch_plans[k];
+            tally.rescue_cap_peak = tally.rescue_cap_peak.max(plan.cap);
+            // A fetch always lists something: a cap of 0 only occurs
+            // with a cutoff of 0, which suppresses instead.
+            if plan.suppressed || !plan.missed.is_empty() {
+                self.active.1 += 1;
+                self.execute_prefetch(self.order_idx[k], k, round, scratch, tally);
             }
-            self.execute_prefetch(self.order_idx[k], k, round, scratch, tally);
         }
-        self.hot.active_prefetch = targets;
     }
 
     /// Step 7, execution half for one node: apply the planned α-down

@@ -49,6 +49,7 @@ impl SystemSim {
         let round_end = SimTime::ZERO + tau * (round as u64 + 1);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut tally = RoundTally::default();
+        self.active = (0, 0);
         // Profiler lap: one `Instant::now()` per phase boundary when
         // armed, one `Option` check per boundary otherwise. Wall-clock
         // never feeds back into simulation state.
@@ -67,13 +68,6 @@ impl SystemSim {
         let views = exchange(self, round, round_end);
         self.exchange_phase(round, &views, &mut scratch, &mut tally);
         self.obs_phase(ObsPhase::Exchange, &mut lap);
-
-        // --- 4d. active-set classification (scheduling) -----------------
-        // After the last buffer mutation before planning (the 4b/4c
-        // seeding), so the skip proofs read exactly the state step 5
-        // will read.
-        self.classify_sched(round);
-        self.obs_phase(ObsPhase::ClassifySched, &mut lap);
 
         // --- 5. scheduling ----------------------------------------------
         self.run_schedule_phase(round, &mut scratch);
@@ -97,12 +91,6 @@ impl SystemSim {
         // tables, the outbound-spend ledger, backups) and stay serial in
         // node order (see [`PrefetchPlan`]).
         if self.config.prefetch_enabled {
-            // The pre-fetch classification runs here, not with the
-            // scheduling pass: step-6 deliveries move α (Case-2
-            // repetitions shrink the probe), so the urgent line is only
-            // now stable for the round.
-            tally.rescue_cap_peak = self.classify_prefetch(round, self.telemetry.is_some());
-            self.obs_phase(ObsPhase::ClassifyPrefetch, &mut lap);
             self.plan_prefetch_phase(round, &mut scratch);
             self.obs_phase(ObsPhase::PrefetchPlan, &mut lap);
             self.execute_prefetch_phase(round, &mut scratch, &mut tally);
@@ -183,11 +171,10 @@ impl SystemSim {
         tally: &mut RoundTally,
     ) {
         scratch.begin_round(round, self.nodes.slot_count());
-        self.hot.ensure(self.nodes.slot_count());
         if let Some(o) = self.obs.as_deref_mut() {
             if o.dist_enabled() {
-                // Same amortised-growth contract as `hot.ensure`: a no-op
-                // once the arena is at steady size.
+                // Amortised growth, like the scratch: a no-op once the
+                // arena is at steady size.
                 o.node_cont.ensure(self.nodes.slot_count());
             }
         }
@@ -203,10 +190,6 @@ impl SystemSim {
                 idx.0
             );
             scratch.maps.install(idx, &view);
-            // Recorded alongside the snapshot so the dark-neighbourhood
-            // skip proof reads what this round *advertises*, not a later
-            // buffer state.
-            self.hot.map_empty[idx.0 as usize] = view.is_empty;
             if !node.is_source {
                 tally.traffic.add(
                     TrafficClass::Control,
@@ -442,9 +425,8 @@ impl SystemSim {
                 } else {
                     0.0
                 },
-                active_sched: self.hot.active_sched.len() as u64,
-                active_prefetch: self.hot.active_prefetch.len() as u64,
-                touched_active: self.hot.forced,
+                active_sched: self.active.0 as u64,
+                active_prefetch: self.active.1 as u64,
             });
         }
     }

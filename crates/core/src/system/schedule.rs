@@ -1,12 +1,13 @@
 //! Step 5 — data scheduling: the exchange window, one node's pull plan
-//! (Algorithm 1 and the baselines over the snapshotted maps), the
-//! active-set classification, and the sharded plan / serial apply phase.
+//! (Algorithm 1 and the baselines over the snapshotted maps; its gather
+//! is also the proof that a node has nothing to pull), and the sharded
+//! plan / serial apply phase.
 
 use cs_obs::WorkerPhase;
 use cs_sim::SimRng;
 
 use super::state::{
-    HotState, MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
+    MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
     SchedScratch, SchedShard,
 };
 use super::{shard_profiler, timed_shard, SystemSim};
@@ -34,10 +35,6 @@ const SCHED_BLOCK: usize = 512;
 /// window the same way). Under the adaptive policy the lookahead widens
 /// as window occupancy drops (see [`crate::policy`]); Legacy keeps the
 /// fixed window and reports occupancy 1.0.
-///
-/// The single implementation behind [`plan_node`] and the active-set
-/// classifier ([`SystemSim::classify_sched`]) — the window-complete skip
-/// proof is only sound while both read the same bounds.
 pub(super) fn exchange_window(
     config: &SystemConfig,
     buffer: &StreamBuffer,
@@ -108,20 +105,24 @@ const RESCUE_BUDGET_FRACTION: f64 = 0.2;
 /// `sched`, which is this pass's scratch, and the optional RNG for the
 /// Random scheduler) — which is what lets
 /// [`SystemSim::run_schedule_phase`] shard it across threads. Returns the
-/// node's new inbound carry; the assignments are left in
-/// `sched.assignments`.
+/// node's new inbound carry, with the assignments left in
+/// `sched.assignments` — or `None` when there is nothing to pull: the
+/// source, or a node for which the gather finds no candidate. Such a
+/// node keeps its carry, and nothing after the gather runs for it: no
+/// rate estimate, no budget arithmetic, no RNG draw.
 ///
 /// The pass works on the shape its input has — a handful of neighbours
-/// times a window of a few hundred bits: [`resolve_view`] looks each
-/// neighbour up once, [`gather_fresh`] computes `theirs & !mine` a word
-/// at a time, [`prioritise`] turns the set bits into candidates whose
-/// supplier set is a bitmask over the view, and [`order_and_assign`]
-/// runs the configured scheduler over them.
-///
-/// `hot` is the active-set classifier's cache: when it proved this node
-/// active *this round* it already derived the anchor and exchange
-/// window, and the guarded reuse below skips re-deriving them. `None`
-/// recomputes everything locally.
+/// times a window of a few hundred bits — and the gather runs in two
+/// passes so that "nothing to do" (§4.2: no fresh segment) costs what
+/// proving it costs. [`gather_lacking`] reads only the node's own
+/// buffer: a node that holds its whole exchange window — a sated paused
+/// viewer — returns after ⌈window/64⌉ loads, before any neighbour is
+/// looked at. [`resolve_view`] then looks each neighbour up once and
+/// [`gather_fresh`] ANDs their maps into the lacking words: a node whose
+/// neighbours advertise none of what it lacks — a dark neighbourhood in
+/// the startup wave — returns there. Only then [`prioritise`] turns the
+/// set bits into candidates whose supplier set is a bitmask over the
+/// view, and [`order_and_assign`] runs the configured scheduler.
 #[allow(clippy::too_many_arguments)]
 fn plan_node(
     nodes: &NodeArena,
@@ -132,42 +133,29 @@ fn plan_node(
     round: u32,
     sched: &mut SchedScratch,
     rng: Option<&mut SimRng>,
-    hot: Option<&HotState>,
-) -> f64 {
+) -> Option<f64> {
     let p = config.demand_per_round();
     let node = nodes.node(idx);
-    sched.assignments.clear();
-    resolve_view(nodes, maps, node, sched);
-
-    let play_anchor = node
-        .next_play
-        .or_else(|| node.buffer.iter().next())
-        .unwrap_or_else(|| {
-            // Nothing buffered yet: aim at the oldest segment any
-            // neighbour still holds (bounded below by 1).
-            sched
-                .view
-                .iter()
-                .filter_map(|v| maps.map_at(v.slot).iter().next())
-                .min()
-                .unwrap_or(1)
-        });
-    // The exchange window (see [`exchange_window`]); the occupancy
-    // feeds the adaptive policy's rarity bias below. When the
-    // active-set classifier already derived this node's anchor and
-    // window this round, reuse them — guarded by round stamp, arena
-    // birth and anchor equality, so a stale or fallback-anchor cache
-    // entry is simply recomputed.
-    let cached = hot.and_then(|h| {
-        let s = idx.0 as usize;
-        (s < h.stamp.len()
-            && h.stamp[s] == u64::from(round) + 1
-            && h.birth[s] == node.birth
-            && h.anchor[s] == play_anchor)
-            .then(|| (h.window_end[s], h.occupancy[s]))
+    if node.is_source {
+        return None;
+    }
+    let local_anchor = node.next_play.or_else(|| node.buffer.iter().next());
+    let play_anchor = local_anchor.unwrap_or_else(|| {
+        // Nothing buffered yet: aim at the oldest segment any
+        // neighbour still holds (bounded below by 1) — the one anchor
+        // that needs the view before the window exists.
+        resolve_view(nodes, maps, node, sched);
+        sched
+            .view
+            .iter()
+            .filter_map(|v| maps.map_at(v.slot).iter().next())
+            .min()
+            .unwrap_or(1)
     });
-    let (window_end, occupancy) = cached
-        .unwrap_or_else(|| exchange_window(config, &node.buffer, play_anchor, newest_emitted));
+    // The exchange window (see [`exchange_window`]); the occupancy
+    // feeds the adaptive policy's rarity bias below.
+    let (window_end, occupancy) =
+        exchange_window(config, &node.buffer, play_anchor, newest_emitted);
 
     // The scratch is sized to the window's *cap*, not its current width:
     // the width creeps toward the cap as the play gap drifts, and under
@@ -189,10 +177,14 @@ fn plan_node(
     }
 
     let words = window_end.saturating_sub(play_anchor).div_ceil(64) as usize;
-    if !gather_fresh(maps, &node.buffer, play_anchor, window_end, words, sched) {
-        // No fresh segment anywhere: like the pre-arena implementation,
-        // the inbound carry is left untouched for this round.
-        return node.inbound_carry;
+    if !gather_lacking(&node.buffer, play_anchor, window_end, words, sched) {
+        return None;
+    }
+    if local_anchor.is_some() {
+        resolve_view(nodes, maps, node, sched);
+    }
+    if !gather_fresh(maps, play_anchor, words, sched) {
+        return None;
     }
     prioritise(
         nodes,
@@ -216,7 +208,7 @@ fn plan_node(
     let budget_f = config.policy.provisioned_inbound(base_budget) + node.inbound_carry;
     let budget = budget_f.floor().max(0.0) as u32;
     order_and_assign(config, node, round, budget, sched, rng);
-    (budget_f - budget as f64).clamp(0.0, 1.0)
+    Some((budget_f - budget as f64).clamp(0.0, 1.0))
 }
 
 /// Resolve the node's connected neighbours once into `sched.view`: the
@@ -233,32 +225,53 @@ fn resolve_view(nodes: &NodeArena, maps: &MapStore, node: &NodeSim, sched: &mut 
     sched.view.sort_unstable_by_key(|v| v.peer);
 }
 
-/// The candidate gather, a word (64 segments from the play anchor) at a
-/// time: `fresh = theirs & !mine & window` per neighbour into
-/// `sched.fresh`, their union — the candidate set, already in segment
-/// order — into `sched.wanted`. Returns whether there is any candidate.
-fn gather_fresh(
-    maps: &MapStore,
+/// The gather's first pass, over the node's own buffer only, a word (64
+/// segments from the play anchor) at a time: `lacking = !mine & window`
+/// into `sched.wanted`. Returns whether the node lacks anything — `false`
+/// is the window-complete proof (an empty window included), by
+/// computation rather than by a check kept beside it.
+fn gather_lacking(
     buffer: &StreamBuffer,
     play_anchor: SegmentId,
     window_end: SegmentId,
     words: usize,
     sched: &mut SchedScratch,
 ) -> bool {
-    let nv = sched.view.len();
     let mut any = 0u64;
     for w in 0..words {
         let base = play_anchor + 64 * w as u64;
         let lacking = !buffer.window_word(base) & low_bits(window_end - base);
+        sched.wanted[w] = lacking;
+        any |= lacking;
+    }
+    any != 0
+}
+
+/// The gather's second pass: `fresh = theirs & lacking` per neighbour of
+/// `sched.view` into `sched.fresh`, their union — the candidate set,
+/// already in segment order — back into `sched.wanted`. A word the node
+/// fully holds needs no look at the neighbours (its `fresh` row is then
+/// never read). Returns whether there is any candidate — `false` covers
+/// the empty view and the neighbourhood that advertises nothing wanted.
+fn gather_fresh(
+    maps: &MapStore,
+    play_anchor: SegmentId,
+    words: usize,
+    sched: &mut SchedScratch,
+) -> bool {
+    let nv = sched.view.len();
+    let mut any = 0u64;
+    for w in 0..words {
+        let lacking = sched.wanted[w];
+        if lacking == 0 {
+            continue;
+        }
+        let base = play_anchor + 64 * w as u64;
         let mut advertised = 0u64;
-        // A word the node fully holds needs no look at the neighbours
-        // (its `fresh` row is then never read).
-        if lacking != 0 {
-            let row = &mut sched.fresh[w * nv..(w + 1) * nv];
-            for (fresh, v) in row.iter_mut().zip(&sched.view) {
-                *fresh = maps.map_at(v.slot).window_word(base) & lacking;
-                advertised |= *fresh;
-            }
+        let row = &mut sched.fresh[w * nv..(w + 1) * nv];
+        for (fresh, v) in row.iter_mut().zip(&sched.view) {
+            *fresh = maps.map_at(v.slot).window_word(base) & lacking;
+            advertised |= *fresh;
         }
         sched.wanted[w] = advertised;
         any |= advertised;
@@ -477,122 +490,20 @@ fn expand_masks(config: &SystemConfig, sched: &mut SchedScratch) {
 }
 
 impl SystemSim {
-    /// Dark-neighbourhood test: every connected neighbour is either dead
-    /// (resolves to nothing) or advertised an *empty* buffer map this
-    /// round. [`plan_node`]'s candidate gather then provably yields
-    /// nothing — dead refs are skipped and empty maps have no fresh
-    /// segments at any anchor — so the node early-returns with its carry
-    /// untouched. Anchor-independent, which is what lets it skip the
-    /// still-buffering startup wave at 100k nodes.
-    fn dark_neighbourhood(hot: &HotState, nodes: &NodeArena, node: &NodeSim) -> bool {
-        node.connected.ids().all(|nref| match nodes.resolve(nref) {
-            None => true,
-            Some(ni) => hot.map_empty[ni.0 as usize],
-        })
-    }
-
-    /// The active-set classification for step 5 (scheduling): one cheap
-    /// O(alive) sweep that proves which nodes' planning pass would be a
-    /// no-op and builds `hot.active_sched` from the rest. Two exact skip
-    /// proofs, both evaluated fresh against live state (nothing mutates
-    /// buffers between this sweep and step 5):
-    ///
-    /// * **window-complete** — the node's exchange window is empty or
-    ///   fully buffered, so the gather (`theirs & !mine` over the
-    ///   window) yields no candidate at any neighbour;
-    /// * **dark neighbourhood** — see [`Self::dark_neighbourhood`].
-    ///
-    /// A skipped node's `plan_node` would hit the no-candidate early
-    /// return (before any rate estimate, budget math or RNG draw — the
-    /// Random scheduler's stream is untouched) and its `apply_plan`
-    /// would rewrite an unchanged carry: bit-identical to not running
-    /// either. Touch-stamped nodes are force-planned regardless (pure
-    /// conservatism). Along the way the sweep caches each anchored
-    /// node's `(anchor, window_end, occupancy)` for [`plan_node`] to
-    /// reuse. With the toggle off — or while the dense-round hysteresis
-    /// holds (the last probe found almost nothing skippable) —
-    /// materialises every alive non-source node so the phase loops have
-    /// a single shape.
-    pub(super) fn classify_sched(&mut self, round: u32) {
-        self.hot.ensure(self.nodes.slot_count());
-        let hot = &mut self.hot;
-        let nodes = &self.nodes;
-        let config = &self.config;
-        hot.active_sched.clear();
-        hot.forced = 0;
-        if !config.active_set || u64::from(round) < hot.sched_dense_until {
-            for k in 0..self.order_idx.len() {
-                if !nodes.node(self.order_idx[k]).is_source {
-                    hot.active_sched.push(k as u32);
-                }
-            }
-            return;
-        }
-        let newest = self.newest_emitted;
-        let stamp = u64::from(round) + 1;
-        let mut candidates = 0usize;
-        for k in 0..self.order_idx.len() {
-            let idx = self.order_idx[k];
-            let node = nodes.node(idx);
-            if node.is_source {
-                continue;
-            }
-            candidates += 1;
-            let s = idx.0 as usize;
-            let touched = hot.is_touched(idx, node.birth, round);
-            if touched {
-                hot.forced += 1;
-            }
-            match node.next_play.or_else(|| node.buffer.iter().next()) {
-                Some(anchor) => {
-                    let (window_end, occupancy) =
-                        exchange_window(config, &node.buffer, anchor, newest);
-                    hot.stamp[s] = stamp;
-                    hot.birth[s] = node.birth;
-                    hot.anchor[s] = anchor;
-                    hot.window_end[s] = window_end;
-                    hot.occupancy[s] = occupancy;
-                    if !touched {
-                        let complete = window_end <= anchor
-                            || node.buffer.has_range(anchor, window_end - anchor);
-                        if complete || Self::dark_neighbourhood(hot, nodes, node) {
-                            continue;
-                        }
-                    }
-                }
-                None => {
-                    // No local anchor: the fallback anchor depends on
-                    // neighbour maps, so nothing is cached for reuse.
-                    hot.stamp[s] = stamp;
-                    hot.birth[s] = node.birth;
-                    hot.anchor[s] = u64::MAX;
-                    if !touched && Self::dark_neighbourhood(hot, nodes, node) {
-                        continue;
-                    }
-                }
-            }
-            hot.active_sched.push(k as u32);
-        }
-        // Probe verdict: under 1/8 skippable ⇒ the sweep isn't paying
-        // for itself; go dense and re-probe in eight rounds.
-        if hot.active_sched.len() * 8 >= candidates * 7 {
-            hot.sched_dense_until = u64::from(round) + 8;
-        }
-    }
-
-    /// Step 5: plan every active node's pulls against the snapshotted
-    /// maps, then apply (request accounting + queueing at suppliers).
-    /// Planning is a pure read, so each block of the (ascending) active
-    /// list is cut into [`SystemConfig::parallel_threads`] contiguous
-    /// shards for [`cs_sim::fork_join`], each planning into its own
-    /// persistent [`SchedShard`]; application is always serial, shard by
-    /// shard — i.e. in node order — so the result is the same at any
-    /// shard count.
+    /// Step 5: plan every node's pulls against the snapshotted maps, then
+    /// apply (request accounting + queueing at suppliers). Planning is a
+    /// pure read, so each block of the (ascending) node order is cut into
+    /// [`SystemConfig::parallel_threads`] contiguous shards for
+    /// [`cs_sim::fork_join`], each planning into its own persistent
+    /// [`SchedShard`]; application is always serial, shard by shard —
+    /// i.e. in node order — so the result is the same at any shard
+    /// count. A node [`plan_node`] found nothing to pull for has no plan
+    /// to apply; the ones that have are the round's `active_sched`.
     pub(super) fn run_schedule_phase(&mut self, round: u32, scratch: &mut RoundScratch) {
         // Both taken out for the phase (their slots hold empty Vecs
         // meanwhile) so `apply_plan`'s `&mut self` / `&mut scratch` don't
-        // conflict; restored below for the telemetry read and next round.
-        let targets = std::mem::take(&mut self.hot.active_sched);
+        // conflict; restored below.
+        let order = std::mem::take(&mut self.order_idx);
         let mut shards = std::mem::take(&mut scratch.sched_shards);
         // The Random scheduler draws from the shared RNG while planning,
         // so it always plans as one shard (which gets the stream).
@@ -605,59 +516,58 @@ impl SystemSim {
         if shards.len() < workers {
             shards.resize_with(workers, SchedShard::default);
         }
-        for block in targets.chunks(workers * SCHED_BLOCK) {
+        for block in order.chunks(workers * SCHED_BLOCK) {
             let chunk = block.len().div_ceil(workers);
             {
                 let nodes = &self.nodes;
                 let config = &self.config;
                 let maps = &scratch.maps;
                 let newest = self.newest_emitted;
-                let order_idx = &self.order_idx;
-                let hot = &self.hot;
                 let prof = shard_profiler(&self.obs, block.len().div_ceil(chunk));
                 let mut rng = is_random.then_some(&mut self.sched_rng);
                 cs_sim::fork_join(
                     shards
                         .iter_mut()
                         .zip(block.chunks(chunk))
-                        .map(|(shard, ks)| (shard, ks, rng.take())),
-                    |_, (shard, ks, mut rng)| {
+                        .map(|(shard, idxs)| (shard, idxs, rng.take())),
+                    |_, (shard, idxs, mut rng)| {
                         timed_shard(prof, WorkerPhase::Schedule, || {
                             shard.assignments.clear();
                             shard.plans.clear();
-                            for &k in ks {
-                                let carry = plan_node(
+                            for &idx in idxs {
+                                if let Some(carry) = plan_node(
                                     nodes,
                                     config,
                                     maps,
                                     newest,
-                                    order_idx[k as usize],
+                                    idx,
                                     round,
                                     &mut shard.sched,
                                     rng.as_deref_mut(),
-                                    Some(hot),
-                                );
-                                shard
-                                    .assignments
-                                    .extend_from_slice(&shard.sched.assignments);
-                                shard.plans.push((shard.assignments.len() as u32, carry));
+                                ) {
+                                    shard
+                                        .assignments
+                                        .extend_from_slice(&shard.sched.assignments);
+                                    let end = shard.assignments.len() as u32;
+                                    shard.plans.push((idx, end, carry));
+                                }
                             }
                         })
                     },
                 );
             }
-            for (shard, ks) in shards.iter().zip(block.chunks(chunk)) {
+            for (shard, _) in shards.iter().zip(block.chunks(chunk)) {
+                self.active.0 += shard.plans.len();
                 let mut start = 0usize;
-                for (&k, &(end, carry)) in ks.iter().zip(&shard.plans) {
+                for &(idx, end, carry) in &shard.plans {
                     let end = end as usize;
-                    let idx = self.order_idx[k as usize];
                     self.apply_plan(idx, carry, &shard.assignments[start..end], scratch);
                     start = end;
                 }
             }
         }
         scratch.sched_shards = shards;
-        self.hot.active_sched = targets;
+        self.order_idx = order;
     }
 
     /// Apply one node's plan: update the inbound carry, account the

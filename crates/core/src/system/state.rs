@@ -1,6 +1,6 @@
-//! The simulator's data layout: the dense node arena, the persistent
-//! per-round scratch, and the active-set hot state. Types only — every
-//! phase that reads or mutates them lives in a sibling module.
+//! The simulator's data layout: the dense node arena and the persistent
+//! per-round scratch. Types only — every phase that reads or mutates
+//! them lives in a sibling module.
 
 use std::collections::HashMap;
 
@@ -365,9 +365,10 @@ pub(super) struct SchedScratch {
     /// `(supplier, R(j))` in `view` order — the scheduler context's rate
     /// table (moved in and out to keep its allocation).
     pub(super) rates: Vec<(PeerRef, f64)>,
-    /// Per window word (64 segments from the play anchor): the segments
-    /// the node lacks that some neighbour advertises — the candidates,
-    /// in segment order.
+    /// Per window word (64 segments from the play anchor): after the
+    /// gather's first pass the segments the node lacks, after its second
+    /// those of them some neighbour advertises — the candidates, in
+    /// segment order.
     pub(super) wanted: Vec<u64>,
     /// `fresh[w * view.len() + k]`: word `w` of `view[k]`'s
     /// `theirs & !mine` over the window.
@@ -387,7 +388,8 @@ pub(super) struct SchedScratch {
 }
 
 /// One fork-join shard of step 5: its planning scratch plus the plans it
-/// produced for the current block of nodes, flat, in node order.
+/// produced for the current block of nodes, flat, in node order — one per
+/// node whose gather found a candidate; the others leave no trace.
 /// Persistent, so a warm round's planning allocates nothing at any shard
 /// count; the serial apply half walks the shards in order, which is node
 /// order.
@@ -396,9 +398,9 @@ pub(super) struct SchedShard {
     pub(super) sched: SchedScratch,
     /// The assignments of every node this shard planned, concatenated.
     pub(super) assignments: Vec<Assignment<PeerRef>>,
-    /// Per planned node: `(end offset into assignments, new inbound
-    /// carry)`.
-    pub(super) plans: Vec<(u32, f64)>,
+    /// Per planned node: `(node, end offset into assignments, new
+    /// inbound carry)`.
+    pub(super) plans: Vec<(NodeIdx, u32, f64)>,
 }
 
 /// One supplier's planned service for the round: the outcome of the
@@ -626,116 +628,5 @@ impl RoundScratch {
             self.touched_spent.push(supplier.0);
         }
         *slot += amount;
-    }
-}
-
-/// Structure-of-arrays hot state for the active-set round loop: the
-/// per-node fields the classification pass and the planning phases read
-/// every round, packed into parallel slot-indexed vectors so the O(N)
-/// classification sweep walks dense memory instead of chasing
-/// `NodeSim`s through the arena.
-///
-/// Two families of data live here:
-///
-/// * **Touch stamps** (`touched` + `birth`): the conservative half of
-///   the active set. Any code path that changes a node's *inputs*
-///   (join, scenario event, neighbour-set change) stamps the slot with
-///   the round the change becomes visible; classification force-plans a
-///   stamped node regardless of what the skip proofs say. Stamps are
-///   guarded by the arena `birth` of the node that wrote them, so a
-///   slot reused by a same-round leave→join can never inherit (or be
-///   robbed of) a stale stamp.
-/// * **Classification caches** (`anchor`/`window_end`/`occupancy`,
-///   guarded by `stamp` + `birth`): facts the classifier proved this
-///   round that [`plan_node`] would otherwise re-derive per node.
-///
-/// The skip proofs themselves are *stateless* — re-evaluated from live
-/// buffers and maps every round — so the stamps are pure conservatism:
-/// losing one could only be a performance bug if the proofs were exact,
-/// and the determinism suite pins that they are.
-#[derive(Default)]
-pub(super) struct HotState {
-    /// Arena birth of the node whose data occupies each slot; guards
-    /// every other per-slot field against slot reuse.
-    pub(super) birth: Vec<u64>,
-    /// Force-active stamp: the slot must be planned in round
-    /// `touched[slot] - 1` (i.e. stamp = round + 1, 0 = never).
-    pub(super) touched: Vec<u64>,
-    /// Whether the slot's buffer map advertised this round was empty
-    /// (recorded in the phase-4 snapshot sweep; input to the dark-
-    /// neighbourhood skip proof).
-    pub(super) map_empty: Vec<bool>,
-    /// Classification freshness: `stamp[slot] == round + 1` means the
-    /// cache fields below were written by this round's classifier.
-    pub(super) stamp: Vec<u64>,
-    /// Cached play anchor (`u64::MAX` = node had no local anchor; the
-    /// cache fields are then not reused).
-    pub(super) anchor: Vec<u64>,
-    /// Cached exchange-window end for `anchor`.
-    pub(super) window_end: Vec<u64>,
-    /// Cached window occupancy for `anchor`.
-    pub(super) occupancy: Vec<f64>,
-    /// `order_idx` positions (ascending) the step-5 scheduling phase
-    /// must plan this round.
-    pub(super) active_sched: Vec<u32>,
-    /// `order_idx` positions (ascending) the step-7 pre-fetch phase
-    /// must plan this round.
-    pub(super) active_prefetch: Vec<u32>,
-    /// Nodes in either list because of a touch stamp rather than a
-    /// failed skip proof (telemetry).
-    pub(super) forced: u64,
-    /// Skip-probe hysteresis for the scheduling classifier: while
-    /// `round < sched_dense_until` the proofs are suspended and every
-    /// candidate is materialised (always bit-identical — skipping is an
-    /// optimisation, never a semantic). Set whenever a probe round finds
-    /// fewer than 1/8 of candidates skippable, so a workload the active
-    /// set cannot help (everyone starving, everyone active) pays the
-    /// classification overhead on at most one round in eight.
-    pub(super) sched_dense_until: u64,
-    /// Same hysteresis for the pre-fetch classifier.
-    pub(super) prefetch_dense_until: u64,
-    /// Whether this round's pre-fetch list came from the classifier
-    /// (fresh `rescue_params` caps, peak already computed) or was
-    /// materialised dense (the execute loop takes the peak from the
-    /// planned caps, which are all fresh).
-    pub(super) prefetch_classified: bool,
-}
-
-impl HotState {
-    /// Grow every per-slot array to cover `slot_count` slots and
-    /// reserve the active lists to full-overlay capacity (so the lists
-    /// never reallocate after warm-up — the zero-alloc suite watches).
-    pub(super) fn ensure(&mut self, slot_count: usize) {
-        if self.birth.len() < slot_count {
-            self.birth.resize(slot_count, u64::MAX);
-            self.touched.resize(slot_count, 0);
-            self.map_empty.resize(slot_count, true);
-            self.stamp.resize(slot_count, 0);
-            self.anchor.resize(slot_count, u64::MAX);
-            self.window_end.resize(slot_count, 0);
-            self.occupancy.resize(slot_count, 0.0);
-        }
-        let cap = slot_count.saturating_sub(self.active_sched.capacity());
-        self.active_sched.reserve(cap);
-        let cap = slot_count.saturating_sub(self.active_prefetch.capacity());
-        self.active_prefetch.reserve(cap);
-    }
-
-    /// Force-activate a slot for round `round` (stamp survives until
-    /// that round's classification). `birth` identifies the node the
-    /// stamp is *for*; a different occupant later finds the stamp
-    /// guarded away.
-    pub(super) fn touch(&mut self, slot: NodeIdx, birth: u64, round: u32) {
-        let s = slot.0 as usize;
-        self.ensure(s + 1);
-        self.touched[s] = u64::from(round) + 1;
-        self.birth[s] = birth;
-    }
-
-    /// Whether `slot` (occupied by the node with arena birth `birth`)
-    /// carries a live touch stamp for round `round`.
-    pub(super) fn is_touched(&self, slot: NodeIdx, birth: u64, round: u32) -> bool {
-        let s = slot.0 as usize;
-        s < self.touched.len() && self.touched[s] == u64::from(round) + 1 && self.birth[s] == birth
     }
 }

@@ -34,9 +34,11 @@ pub struct TwinAnnounce<W = Vec<u64>> {
     pub capacity: u64,
     /// The availability bitmap words.
     pub words: W,
-    /// Whether the buffer was empty at emission (feeds the
-    /// dark-neighbourhood skip proof, which otherwise would read live
-    /// remote state).
+    /// Whether the buffer was empty at emission. Nothing in the round
+    /// reads it any more (the scheduler's gather sees an empty map as
+    /// zero words); the field stays because the frozen benchmark kernel
+    /// builds this struct field by field — it goes with the next
+    /// `[benchmark]` PR.
     pub is_empty: bool,
 }
 

@@ -89,18 +89,17 @@ pub struct TelemetryRound {
     /// Mean rounds from loss to recovery over segments recovered this
     /// round (0 when none recovered).
     pub mean_time_to_recover: f64,
-    /// Nodes the step-5 scheduling phase actually planned this round —
-    /// the scheduling active set. With `SystemConfig::active_set` off
-    /// this is every alive non-source node.
+    /// Nodes whose step-5 candidate gather found something to pull this
+    /// round — a segment they lack that a neighbour advertises. A node
+    /// that holds its whole exchange window (a sated paused viewer) or
+    /// whose neighbourhood advertises nothing it lacks is not counted,
+    /// and neither is the source; every node that issued a request is.
     pub active_sched: u64,
-    /// Nodes the step-7 pre-fetch phase planned/executed this round —
-    /// the pre-fetch active set (every node, source included, with the
-    /// toggle off; 0 when pre-fetch is disabled).
+    /// Nodes whose step-7 urgent-line check triggered this round — it
+    /// fetched (§4.3 Case 2) or was suppressed (Case 3); 0 when
+    /// pre-fetch is disabled. Both counts are summed serially in node
+    /// order, so they are the same at any shard count.
     pub active_prefetch: u64,
-    /// Nodes force-activated by a touch stamp (join, scenario event,
-    /// neighbour-set change) rather than by a failed skip proof — the
-    /// conservative half of the active set.
-    pub touched_active: u64,
 }
 
 /// One node's startup trajectory: from overlay admission to playback.

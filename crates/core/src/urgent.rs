@@ -16,7 +16,7 @@
 //! α never drops below the eq. 9 lower bound
 //! `(p/B)·max(τ, t_fetch)`, which is also its initial value.
 
-use crate::buffer::StreamBuffer;
+use crate::buffer::{low_bits, BitIter, StreamBuffer};
 use crate::SegmentId;
 
 /// What the urgent-line check decided for this period (§4.3's three
@@ -42,7 +42,6 @@ pub struct UrgentLine {
     alpha_floor: f64,
     step: f64,
     buffer_size: u64,
-    max_per_period: usize,
 }
 
 impl UrgentLine {
@@ -52,15 +51,16 @@ impl UrgentLine {
     /// * `buffer_size` — `B`;
     /// * `period_secs` — `τ`;
     /// * `t_fetch_secs` — expected pre-fetch time (eq. 7);
-    /// * `t_hop_secs` — expected one-hop time (sets the adaptation step);
-    /// * `max_per_period` — `l`, the pre-fetch cap.
+    /// * `t_hop_secs` — expected one-hop time (sets the adaptation step).
+    ///
+    /// The pre-fetch cap `l` is not the line's: the caller passes it to
+    /// each [`Self::decide_scaled_into`].
     pub fn new(
         playback_rate: f64,
         buffer_size: u64,
         period_secs: f64,
         t_fetch_secs: f64,
         t_hop_secs: f64,
-        max_per_period: usize,
     ) -> Self {
         let floor =
             cs_analysis::alpha_lower_bound(playback_rate, buffer_size, period_secs, t_fetch_secs);
@@ -69,7 +69,6 @@ impl UrgentLine {
             alpha_floor: floor,
             step: cs_analysis::prefetch::alpha_step(playback_rate, buffer_size, t_hop_secs),
             buffer_size,
-            max_per_period,
         }
     }
 
@@ -93,13 +92,9 @@ impl UrgentLine {
         head + (self.alpha * self.buffer_size as f64).ceil() as u64
     }
 
-    /// The exclusive end of the probe window [`Self::decide_scaled_into`]
-    /// scans: the urgent line widened to `min_horizon` and clamped to the
-    /// emitted stream. Exposed so the active-set classifier can test
-    /// "would the probe find anything?" (`buffer.has_range(play_from,
-    /// probe_end - play_from)` ⇔ `NotTriggered`) without walking the
-    /// window id by id — the two must stay the same expression.
-    pub fn probe_end(
+    /// The exclusive end of the probe window: the urgent line widened to
+    /// `min_horizon` and clamped to the emitted stream.
+    fn probe_end(
         &self,
         play_from: SegmentId,
         newest_available: SegmentId,
@@ -111,51 +106,31 @@ impl UrgentLine {
     }
 
     /// Predict the missed segments and decide whether to trigger
-    /// on-demand retrieval (§4.3's three cases), with the paper's fixed
-    /// cap `l`.
-    ///
-    /// A segment in `[play_from, urgent_id)` is predicted missed when it
-    /// is neither in the buffer nor excluded by `expected` (segments the
-    /// scheduler already arranged to receive this period). The missed ids
-    /// go into the caller-owned `missed` (cleared first; populated only
-    /// in the `Fetch` case), so the check allocates nothing.
-    pub fn decide_into(
-        &self,
-        buffer: &StreamBuffer,
-        play_from: SegmentId,
-        newest_available: SegmentId,
-        expected: impl Fn(SegmentId) -> bool,
-        missed: &mut Vec<SegmentId>,
-    ) -> PrefetchCheck {
-        self.decide_scaled_into(
-            buffer,
-            play_from,
-            newest_available,
-            expected,
-            missed,
-            self.max_per_period,
-            self.max_per_period,
-            0,
-        )
-    }
-
-    /// [`Self::decide_into`] with the fetch cap, the Case-3 suppression
-    /// cutoff and a minimum probe horizon supplied by the caller — the
-    /// entry point of the adaptive policy layer (see [`crate::policy`]),
-    /// which scales all three with the measured runway deficit instead
-    /// of using the fixed `l` and the bare α-window.
+    /// on-demand retrieval (§4.3's three cases). The fetch cap, the
+    /// Case-3 suppression cutoff and a minimum probe horizon come from
+    /// the caller: the paper's fixed check is `(l, l, 0)`; the adaptive
+    /// policy layer (see [`crate::policy`]) scales all three with the
+    /// measured runway deficit.
     ///
     /// The probe covers `[play_from, max(urgent_id, play_from +
-    /// min_horizon))`: the adaptive rescue watches the whole runway
-    /// target, not just the α-window, so it starts healing holes long
-    /// before they become deadline-critical. Up to `fetch_cap` missed
-    /// ids (the most urgent first — the scan runs in ascending id order
-    /// from the play point) are written into `missed`; retrieval is
-    /// suppressed only when the *total* predicted miss count exceeds
-    /// `suppress_above`, so a deficit between the two throttles the
-    /// rescue to the cap rather than switching it off. With `fetch_cap
-    /// == suppress_above == l` and `min_horizon == 0` this is exactly
-    /// the legacy [`Self::decide_into`] (which delegates here).
+    /// min_horizon))`, clamped to the emitted stream: the adaptive rescue
+    /// watches the whole runway target, not just the α-window, so it
+    /// starts healing holes long before they become deadline-critical. A
+    /// segment in it is predicted missed when it is neither in the buffer
+    /// nor excluded by `expected` (segments the scheduler already
+    /// arranged to receive this period). Up to `fetch_cap` missed ids
+    /// (the most urgent first — ascending from the play point) are
+    /// written into the caller-owned `missed` (cleared first; populated
+    /// only in the `Fetch` case), so the check allocates nothing;
+    /// retrieval is suppressed only when the *total* predicted miss count
+    /// exceeds `suppress_above`, so a deficit between the two throttles
+    /// the rescue to the cap rather than switching it off.
+    ///
+    /// The scan is a word at a time — `holes = !buffer & window`, a
+    /// popcount for `N_miss`, `expected` asked about hole bits only — so
+    /// a node with a full probe, which is most of them, costs
+    /// ⌈len/64⌉ loads and gets its `NotTriggered` from the check itself:
+    /// the pre-fetch phase needs no separate "anything to do?" test.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_scaled_into(
         &self,
@@ -171,13 +146,18 @@ impl UrgentLine {
         missed.clear();
         let urgent_end = self.probe_end(play_from, newest_available, min_horizon);
         let mut count = 0usize;
-        for id in play_from..urgent_end {
-            if !buffer.contains(id) && !expected(id) {
-                count += 1;
-                if count <= fetch_cap {
-                    missed.push(id);
+        let mut base = play_from;
+        while base < urgent_end {
+            let mut holes = !buffer.window_word(base) & low_bits(urgent_end - base);
+            for b in BitIter(holes) {
+                if expected(base + u64::from(b)) {
+                    holes ^= 1 << b;
                 }
             }
+            let room = fetch_cap.saturating_sub(count);
+            missed.extend(BitIter(holes).take(room).map(|b| base + u64::from(b)));
+            count += holes.count_ones() as usize;
+            base += 64;
         }
         if count == 0 {
             PrefetchCheck::NotTriggered
@@ -207,14 +187,17 @@ impl UrgentLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cs_sim::RngTree;
+    use rand::Rng;
 
     fn line() -> UrgentLine {
         // Paper defaults: p = 10, B = 600, τ = 1 s, t_fetch = 0.4 s,
-        // t_hop = 0.05 s, l = 5.
-        UrgentLine::new(10.0, 600, 1.0, 0.4, 0.05, 5)
+        // t_hop = 0.05 s.
+        UrgentLine::new(10.0, 600, 1.0, 0.4, 0.05)
     }
 
-    /// `decide_into` over a fresh buffer: the check and what it wrote.
+    /// The paper's fixed check (`l = 5`: cap and cutoff both `l`, no
+    /// extra horizon) from play point 100: the outcome and what it wrote.
     fn decide(
         l: &UrgentLine,
         buf: &StreamBuffer,
@@ -222,8 +205,35 @@ mod tests {
         expected: impl Fn(SegmentId) -> bool,
     ) -> (PrefetchCheck, Vec<SegmentId>) {
         let mut missed = Vec::new();
-        let check = l.decide_into(buf, 100, newest, expected, &mut missed);
+        let check = l.decide_scaled_into(buf, 100, newest, expected, &mut missed, 5, 5, 0);
         (check, missed)
+    }
+
+    /// The check by its definition, one `contains` and one `expected`
+    /// per id of the probe window — the oracle of the word-level scan.
+    #[allow(clippy::too_many_arguments)]
+    fn decide_per_id(
+        l: &UrgentLine,
+        buffer: &StreamBuffer,
+        play_from: SegmentId,
+        newest_available: SegmentId,
+        expected: impl Fn(SegmentId) -> bool,
+        fetch_cap: usize,
+        suppress_above: usize,
+        min_horizon: u64,
+    ) -> (PrefetchCheck, Vec<SegmentId>) {
+        let end = l.probe_end(play_from, newest_available, min_horizon);
+        let holes: Vec<SegmentId> = (play_from..end)
+            .filter(|&id| !buffer.contains(id) && !expected(id))
+            .collect();
+        if holes.is_empty() {
+            (PrefetchCheck::NotTriggered, holes)
+        } else if holes.len() <= suppress_above {
+            let fetch = holes.len().min(fetch_cap);
+            (PrefetchCheck::Fetch, holes[..fetch].to_vec())
+        } else {
+            (PrefetchCheck::TooMany(holes.len()), Vec::new())
+        }
     }
 
     #[test]
@@ -316,16 +326,86 @@ mod tests {
         // Horizon widens it; the emitted frontier clamps it.
         assert_eq!(l.probe_end(100, 1000, 40), 140);
         assert_eq!(l.probe_end(100, 104, 40), 105);
-        // has_range over [play_from, probe_end) ⇔ NotTriggered.
+        // Holding all of [play_from, probe_end) ⇔ NotTriggered: one hole
+        // at either edge of the probe triggers, one just past it does not.
         let mut buf = StreamBuffer::with_head(600, 100);
-        for id in 100..140 {
+        for id in 101..139 {
             buf.insert(id);
         }
-        let end = l.probe_end(100, 1000, 40);
-        assert!(buf.has_range(100, end - 100));
-        assert_eq!(
-            l.decide_scaled_into(&buf, 100, 1000, |_| false, &mut Vec::new(), 5, 5, 40),
-            PrefetchCheck::NotTriggered
+        let check = |buf: &StreamBuffer| {
+            l.decide_scaled_into(buf, 100, 1000, |_| false, &mut Vec::new(), 5, 5, 40)
+        };
+        assert_eq!(check(&buf), PrefetchCheck::Fetch);
+        buf.insert(100);
+        assert_eq!(check(&buf), PrefetchCheck::Fetch);
+        buf.insert(139);
+        assert!(buf.has_range(100, 40) && !buf.contains(140));
+        assert_eq!(check(&buf), PrefetchCheck::NotTriggered);
+    }
+
+    /// Seeded random buffers, α, horizons, caps and `expected` sets: the
+    /// word-level scan and the per-id loop agree on the outcome and on
+    /// every missed id — over windows that straddle a word, start below
+    /// the buffer's head, end past the emitted stream (so the frontier
+    /// clamps them, sometimes to nothing), and reach past the buffer.
+    #[test]
+    fn word_level_scan_matches_per_id_loop() {
+        let mut outcomes = [0usize; 3];
+        for case in 0..4000u64 {
+            let mut rng = RngTree::new(0x0A1F).child_indexed("urgent-scan", case);
+            let capacity = rng.gen_range(40..700u64);
+            let head = rng.gen_range(1..400u64);
+            let fill = [0.0, 0.5, 0.9, 0.99, 1.0][rng.gen_range(0..5usize)];
+            let mut buf = StreamBuffer::with_head(capacity, head);
+            for id in head..head + capacity {
+                if rng.gen_bool(fill) {
+                    buf.insert(id);
+                }
+            }
+            let mut l = UrgentLine::new(10.0, capacity, 1.0, 0.4, 0.05);
+            for _ in 0..rng.gen_range(0..400u32) {
+                l.on_overdue();
+            }
+            // From 70 below the head to 70 past the buffer's end; the
+            // stream ends anywhere from before the play point on.
+            let play_from = (head + rng.gen_range(0..capacity + 140)).saturating_sub(70);
+            let newest = (play_from + rng.gen_range(0..300u64)).saturating_sub(20);
+            let horizon = [0, 1, 63, 64, 65, rng.gen_range(0..400u64)][rng.gen_range(0..6usize)];
+            let cap = rng.gen_range(0..40usize);
+            let above = cap + rng.gen_range(0..80usize);
+            let salt: u64 = rng.gen();
+            let every = [0u64, 2, 7][rng.gen_range(0..3usize)];
+            let expected =
+                |id: SegmentId| every != 0 && cs_sim::splitmix64(id ^ salt).is_multiple_of(every);
+
+            let mut missed = vec![u64::MAX; 3]; // stale content must go
+            let check = l.decide_scaled_into(
+                &buf,
+                play_from,
+                newest,
+                expected,
+                &mut missed,
+                cap,
+                above,
+                horizon,
+            );
+            let oracle = decide_per_id(&l, &buf, play_from, newest, expected, cap, above, horizon);
+            assert_eq!(
+                (check, missed),
+                oracle,
+                "case {case}: B={capacity} head={head} fill={fill} α={} from={play_from} \
+                 newest={newest} horizon={horizon} cap={cap} above={above} every={every}",
+                l.alpha()
+            );
+            outcomes[match check {
+                PrefetchCheck::NotTriggered => 0,
+                PrefetchCheck::Fetch => 1,
+                PrefetchCheck::TooMany(_) => 2,
+            }] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n >= 200),
+            "the cases must exercise all three outcomes: {outcomes:?}"
         );
     }
 

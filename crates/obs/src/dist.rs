@@ -11,12 +11,12 @@
 //! * **supplier load** — segments a supplier delivered in one round.
 //!
 //! Per-node continuity state lives in SoA arrays indexed by arena
-//! slot, birth-guarded against slot reuse (same discipline as
-//! `HotState`): when a slot's recorded birth changes, the previous
-//! occupant is finalised into the histogram first. The fold is
-//! commutative counts, so the derived quantiles are independent of
-//! finalisation order — deterministic across re-runs and thread
-//! counts.
+//! slot, birth-guarded against slot reuse (same discipline as the
+//! simulator's buffer-map snapshots): when a slot's recorded birth
+//! changes, the previous occupant is finalised into the histogram
+//! first. The fold is commutative counts, so the derived quantiles are
+//! independent of finalisation order — deterministic across re-runs
+//! and thread counts.
 
 use crate::hist::{Log2Hist, UnitHist};
 

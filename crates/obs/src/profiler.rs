@@ -19,6 +19,9 @@ use crate::hist::Log2Hist;
 
 /// Serial phases of a round, in execution order. The numbering
 /// mirrors the `--- N.` markers in `cs_core::system`'s round driver.
+/// Twelve, and none for deciding which nodes have work: each planner
+/// finds that out in its own first step, so the time is inside
+/// `Schedule` / `PrefetchPlan`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -30,16 +33,12 @@ pub enum Phase {
     Maintain,
     /// Phases 4/4b/4c: buffer-map snapshot exchange, frontier push, joiner seeding.
     Exchange,
-    /// Phase 4d: scheduling active-set classification.
-    ClassifySched,
     /// Phase 5: segment scheduling (serial or fan-out + serial merge).
     Schedule,
     /// Phase 6 (decision half): supplier service planning.
     ServicePlan,
     /// Phase 6 (mutating half): supplier service apply/merge.
     ServiceApply,
-    /// Phase 7: pre-fetch active-set classification.
-    ClassifyPrefetch,
     /// Phase 7: pre-fetch planning.
     PrefetchPlan,
     /// Phase 7: pre-fetch DHT execution.
@@ -52,7 +51,7 @@ pub enum Phase {
     Finalize,
 }
 
-pub const PHASE_COUNT: usize = 14;
+pub const PHASE_COUNT: usize = 12;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -60,11 +59,9 @@ impl Phase {
         Phase::SourceEmit,
         Phase::Maintain,
         Phase::Exchange,
-        Phase::ClassifySched,
         Phase::Schedule,
         Phase::ServicePlan,
         Phase::ServiceApply,
-        Phase::ClassifyPrefetch,
         Phase::PrefetchPlan,
         Phase::PrefetchExec,
         Phase::Recovery,
@@ -78,11 +75,9 @@ impl Phase {
             Phase::SourceEmit => "source_emit",
             Phase::Maintain => "maintain",
             Phase::Exchange => "exchange",
-            Phase::ClassifySched => "classify_sched",
             Phase::Schedule => "schedule",
             Phase::ServicePlan => "service_plan",
             Phase::ServiceApply => "service_apply",
-            Phase::ClassifyPrefetch => "classify_prefetch",
             Phase::PrefetchPlan => "prefetch_plan",
             Phase::PrefetchExec => "prefetch_exec",
             Phase::Recovery => "recovery",

@@ -128,21 +128,6 @@ impl<I: Copy + PartialEq + Ord> ConnectedNeighbors<I> {
         self.entries.push(new);
         true
     }
-
-    /// Drop every neighbour not satisfying `alive`, returning the ids
-    /// dropped — the failure-detection sweep run each period.
-    pub fn retain_alive(&mut self, alive: impl Fn(I) -> bool) -> Vec<I> {
-        let mut dropped = Vec::new();
-        self.entries.retain(|e| {
-            if alive(e.id) {
-                true
-            } else {
-                dropped.push(e.id);
-                false
-            }
-        });
-        dropped
-    }
 }
 
 #[cfg(test)]
@@ -220,15 +205,18 @@ mod tests {
         assert!(!n.replace(2, entry(3, 2.0, 0.0)));
     }
 
+    /// The failure-detection sweep as the round loop runs it: collect
+    /// the dead ids, then remove each.
     #[test]
-    fn retain_alive_reports_dropped() {
+    fn dead_ids_swept_by_ids_then_remove() {
         let mut n = ConnectedNeighbors::new(4);
         for id in 1..=4 {
             n.add(entry(id, 5.0, 0.0));
         }
-        let dropped = n.retain_alive(|id| id % 2 == 0);
-        assert_eq!(dropped, vec![1, 3]);
-        assert_eq!(n.len(), 2);
+        let dead: Vec<DhtId> = n.ids().filter(|id| id % 2 == 1).collect();
+        assert_eq!(dead, vec![1, 3]);
+        assert!(dead.iter().all(|&id| n.remove(id)));
+        assert_eq!(n.ids().collect::<Vec<_>>(), vec![2, 4]);
     }
 
     #[test]

@@ -51,13 +51,20 @@ impl RpServer {
         self.known.contains(&id)
     }
 
+    /// Whether every ID of the space is taken: the server can admit
+    /// nobody until a member leaves.
+    pub fn is_full(&self) -> bool {
+        self.known.len() as u64 >= self.space.size()
+    }
+
     /// Assign a fresh unique ID, register it, and return it.
     ///
     /// # Panics
-    /// If the ID space is completely full.
+    /// If the ID space is completely full ([`Self::is_full`]) — callers
+    /// that can meet a full server turn the arrival away first.
     pub fn assign_id(&mut self, rng: &mut SimRng) -> DhtId {
         assert!(
-            (self.known.len() as u64) < self.space.size(),
+            !self.is_full(),
             "ID space exhausted: {} nodes in a space of {}",
             self.known.len(),
             self.space.size()

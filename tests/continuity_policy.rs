@@ -237,7 +237,12 @@ fn tuned_knobs_hold_dynamic_churn_at_reduced_size() {
 /// fingerprint is shown unchanged (active-set PR: report hash
 /// 0xee60762fffd96a8f held with the toggle on and off; PR 18, which
 /// took 13 fields out of the spec's `Debug`: the same report hash and
-/// the same CSV bytes from a parent and a change build).
+/// the same CSV bytes from a parent and a change build; PR 20, which
+/// took the classifier toggle out of the spec and the touch-forced
+/// count out of the telemetry rows, and made `active_sched` /
+/// `active_prefetch` count the nodes that found work: again report hash
+/// 0xee60762fffd96a8f and the same 15 885 CSV bytes from a parent and a
+/// change release build).
 #[test]
 fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -252,7 +257,7 @@ fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let log = run_scenario(&spec).log;
     assert_eq!(
         log.fingerprint(),
-        0xf218_93e5_dc45_5742,
+        0x946e_0dd4_c022_71c2,
         "bare-Adaptive reduced dynamic-churn run drifted — the joiner \
          knobs must be invisible at their 0 defaults"
     );

@@ -256,11 +256,11 @@ fn armed_obs_layer_causes_no_behavioural_drift() {
 }
 
 /// Layer 2e: a **large-overlay pin** — 8,000 nodes, five rounds — far
-/// above the legacy scenario sizes. Recorded from the visit-every-node round loop
-/// immediately before the active-set refactor landed; the active-set
-/// loop (on by default) must reproduce both the round-0 state hash and
-/// the run hash bit for bit, and the run hash must also hold at forced
-/// 1/2/4/8-way fan-outs.
+/// above the legacy scenario sizes. Recorded from a round loop that ran
+/// every planning step for every node; the loop whose planners return
+/// at their first "nothing to do" must reproduce both the round-0 state
+/// hash and the run hash bit for bit, and the run hash must also hold at
+/// forced 1/2/4/8-way fan-outs.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn large_overlay_8k_pins_hold_at_every_thread_count() {

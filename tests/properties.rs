@@ -520,77 +520,120 @@ fn adaptive_policy_state_resets_with_scratch_reuse() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
-/// Same-round slot reuse must not dodge the active set: an abrupt
+/// Same-round slot reuse must not leak the previous occupant: an abrupt
 /// `Leave` frees the departed node's arena slot and an immediately
-/// following `Join` hands that slot to the newcomer, so every per-slot
-/// epoch stamp in the hot state (touch marks, classification caches,
-/// map-empty flags) still describes the *previous* occupant. The touch
-/// guard keys stamps on the slot's birth counter, so the joiner must be
-/// force-planned rather than skipped — pinned here by running the same
-/// scripted leave→join sequence with the active-set toggle on and off
-/// and requiring bit-identical round records and per-node end states,
-/// with the scratch invariants checked after every round.
+/// following `Join` hands that slot to the newcomer (LIFO free list), so
+/// everything the scratch keeps per slot — above all the buffer-map
+/// snapshot, whose epoch belongs to the *previous* buffer — still
+/// describes the node that left. The exchange keys snapshot reuse on the
+/// arena birth stamp, not the slot, so the joiner must be advertised by
+/// its own (empty) map: `debug_check_scratch` after every round requires
+/// each visible snapshot to carry its occupant's birth, an epoch that
+/// never leads the live buffer, and the live bitmap whenever the epochs
+/// match.
 #[test]
-fn active_set_plans_joiners_reusing_a_slot_same_round() {
+fn same_round_slot_reuse_keeps_snapshots_keyed_by_birth() {
     for case in 0..12u64 {
-        let script = |active_set: bool| {
-            let config = SystemConfig {
-                nodes: 60,
-                rounds: 30,
-                startup_segments: 30,
-                seed: 0x510 + case,
-                active_set,
-                ..SystemConfig::default()
-            };
-            let mut sim = SystemSim::new(config);
-            let source = sim.source_id();
-            let mut reused = 0usize;
-            for round in 0..30 {
-                if round >= 5 && round % 3 == 2 {
-                    // Deterministically pick a non-source victim; its slot
-                    // is freed and the join below reuses it in the same
-                    // round (LIFO free list).
-                    let victims: Vec<_> = sim
-                        .alive_ids()
-                        .iter()
-                        .copied()
-                        .filter(|&id| id != source)
-                        .collect();
-                    let victim = victims[(case as usize + round as usize) % victims.len()];
-                    let left = sim.apply_event(SystemEvent::Leave {
-                        id: victim,
-                        graceful: false,
-                    });
-                    let joined = sim.apply_event(SystemEvent::Join {
-                        ping_ms: None,
-                        bandwidth: None,
-                    });
-                    if left == EventOutcome::Applied && matches!(joined, EventOutcome::Joined(_)) {
-                        reused += 1;
+        let config = SystemConfig {
+            nodes: 60,
+            rounds: 30,
+            startup_segments: 30,
+            seed: 0x510 + case,
+            ..SystemConfig::default()
+        };
+        let mut sim = SystemSim::new(config);
+        let source = sim.source_id();
+        let mut reused = 0usize;
+        for round in 0..30 {
+            if round >= 5 && round % 3 == 2 {
+                // Deterministically pick a non-source victim; its slot
+                // is freed and the join below reuses it in the same
+                // round.
+                let victims: Vec<_> = sim
+                    .alive_ids()
+                    .iter()
+                    .copied()
+                    .filter(|&id| id != source)
+                    .collect();
+                let victim = victims[(case as usize + round as usize) % victims.len()];
+                let left = sim.apply_event(SystemEvent::Leave {
+                    id: victim,
+                    graceful: false,
+                });
+                let joined = sim.apply_event(SystemEvent::Join {
+                    ping_ms: None,
+                    bandwidth: None,
+                });
+                if left == EventOutcome::Applied && matches!(joined, EventOutcome::Joined(_)) {
+                    reused += 1;
+                }
+            }
+            assert!(sim.step());
+            sim.debug_check_scratch();
+        }
+        assert!(
+            reused >= 5,
+            "case {case}: the script must actually churn slots (got {reused})"
+        );
+    }
+}
+
+/// "Nothing to do" is the planners' own finding, so the nodes they count
+/// as active are the nodes with work: once 80 % of a 300-node audience
+/// pauses and the frozen windows fill, only playing viewers still find a
+/// candidate — round after round, rewire rounds included (a partner
+/// change gives a sated node nothing to pull). The count covers every
+/// node that issued a request (`debug_check_scratch`), and like the run
+/// itself it is the same at any shard count.
+#[test]
+fn paused_majority_leaves_only_playing_viewers_scheduling() {
+    let run = |parallel_threads: Option<usize>| {
+        let mut sim = SystemSim::new(SystemConfig {
+            nodes: 300,
+            rounds: 120,
+            parallel_threads,
+            ..SystemConfig::default()
+        });
+        sim.enable_telemetry();
+        for round in 0..120 {
+            if round == 30 {
+                let source = sim.source_id();
+                let viewers: Vec<_> = sim.alive_ids().to_vec();
+                for (i, id) in viewers.into_iter().filter(|&id| id != source).enumerate() {
+                    if i % 5 != 0 {
+                        assert_eq!(
+                            sim.apply_event(SystemEvent::Pause { id }),
+                            EventOutcome::Applied
+                        );
                     }
                 }
-                assert!(sim.step());
-                sim.debug_check_scratch();
             }
-            assert!(
-                reused >= 5,
-                "case {case}: the script must actually churn slots (got {reused})"
-            );
-            (
-                format!("{:?}", sim.records()),
-                format!("{:?}", sim.debug_states()),
-            )
-        };
-        let on = script(true);
-        let off = script(false);
-        assert_eq!(
-            on.0, off.0,
-            "case {case}: active-set run diverged on round records after \
-             same-round leave→join slot reuse"
+            assert!(sim.step());
+            sim.debug_check_scratch();
+        }
+        let telemetry = sim.take_telemetry().expect("telemetry enabled");
+        (sim.finish(), telemetry)
+    };
+    let (report, telemetry) = run(None);
+    for (t, r) in telemetry.rounds.iter().zip(&report.rounds).skip(100) {
+        assert_eq!((r.alive, r.playing), (299, 60), "round {}", r.round);
+        assert!(
+            t.active_sched <= r.playing as u64 && t.active_sched * 2 < r.alive as u64,
+            "round {}: {} nodes scheduled, {} play",
+            r.round,
+            t.active_sched,
+            r.playing
         );
-        assert_eq!(
-            on.1, off.1,
-            "case {case}: active-set run left different per-node end state"
+        assert!(
+            t.active_sched > 0 && r.requests_issued > 0,
+            "round {}: the playing viewers keep pulling",
+            r.round
+        );
+    }
+    for threads in [2, 4] {
+        assert!(
+            run(Some(threads)) == (report.clone(), telemetry.clone()),
+            "{threads} shards: report or telemetry diverged"
         );
     }
 }

@@ -190,6 +190,34 @@ fn runners_reject_a_duplicated_key_with_exit_2() {
     );
 }
 
+/// A committed spec under the runner's documented size overrides:
+/// `flash_crowd.scn` shrunk to 8 nodes scripts more joins than its ID
+/// space (8 × slack 8 = 64) has ids. A join that finds the RP full is a
+/// rejection the engine counts, not a panic (this exited 101).
+#[test]
+fn scenario_runner_counts_joins_that_find_the_id_space_full() {
+    let args = [
+        "scenarios/flash_crowd.scn",
+        "--nodes",
+        "8",
+        "--rounds",
+        "30",
+    ];
+    let Some(out) = runner(&args) else { return };
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rejected: u64 = stdout
+        .split_once("joins (+")
+        .and_then(|(_, rest)| rest.split_once(" rejected)"))
+        .and_then(|(n, _)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no `joins (+N rejected)` in:\n{stdout}"));
+    assert!(
+        rejected > 0,
+        "the script must outrun the ID space:\n{stdout}"
+    );
+}
+
 /// The equivalence contract from the command line: the twin and the
 /// simulator, run by the one runner in one invocation, agree on every
 /// deterministic export.
