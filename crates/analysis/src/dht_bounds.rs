@@ -23,20 +23,9 @@ pub fn expected_routing_hops(n: u64) -> f64 {
     (n as f64).log2() / 2.0
 }
 
-/// The multiplicative constant of the bound, `1 / log₂(4/3) ≈ 2.4094`.
-pub fn bound_constant() -> f64 {
-    1.0 / (4.0f64 / 3.0).log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_is_about_2_41() {
-        let c = bound_constant();
-        assert!((c - 2.4094).abs() < 1e-3, "constant = {c}");
-    }
 
     #[test]
     fn bound_for_8192_id_space() {

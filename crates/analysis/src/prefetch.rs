@@ -37,11 +37,6 @@ pub fn alpha_lower_bound(playback_rate: f64, buffer_size: u64, period: f64, t_fe
     (playback_rate / buffer_size as f64) * period.max(t_fetch)
 }
 
-/// The paper's initial α: exactly the lower bound of eq. 9.
-pub fn alpha_initial(playback_rate: f64, buffer_size: u64, period: f64, t_fetch: f64) -> f64 {
-    alpha_lower_bound(playback_rate, buffer_size, period, t_fetch)
-}
-
 /// The adaptation step for α (paper §4.3, cases 1 and 2): `p·t_hop / B`.
 pub fn alpha_step(playback_rate: f64, buffer_size: u64, t_hop_secs: f64) -> f64 {
     assert!(buffer_size > 0);
@@ -74,7 +69,7 @@ mod tests {
     #[test]
     fn paper_alpha_example() {
         // §5.2: α = (10/600)·max(1 s, 0.4 s) = 1/60.
-        let a = alpha_initial(10.0, 600, 1.0, 0.4);
+        let a = alpha_lower_bound(10.0, 600, 1.0, 0.4);
         assert!(close(a, 1.0 / 60.0, 1e-12), "α = {a}");
     }
 
@@ -98,7 +93,7 @@ mod tests {
         // §4.3: the step p·t_hop/B must be small relative to α itself so α
         // "changes smoothly" — with paper defaults step/α = 1/20.
         let step = alpha_step(10.0, 600, 0.05);
-        let alpha = alpha_initial(10.0, 600, 1.0, 0.4);
+        let alpha = alpha_lower_bound(10.0, 600, 1.0, 0.4);
         assert!(step < alpha / 10.0, "step {step} vs α {alpha}");
     }
 

@@ -1,10 +1,12 @@
 //! # cs-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (`src/bin/`; each binary's
-//! module docs name its figure and command line). This library holds the shared machinery: parameter-sweep
-//! execution (parallelised across runs through [`cs_sim::fork_join`] —
-//! each run is itself deterministic) and table formatting. Performance
-//! is measured by the benchmark of record in `benchmark/`, not here.
+//! [`repro`] is the reproduction scorecard: every claim of the paper
+//! this tree tests as one table of predicates, evaluated by the `repro`
+//! binary into the committed `REPRODUCTION.md` / `REPRODUCTION.json`.
+//! [`sweep`] is the knob sweep, [`fingerprint`] the drift hashes; this
+//! module holds what they share — many runs in parallel through
+//! [`cs_sim::fork_join`] (each run is itself deterministic) and table
+//! formatting. Performance is measured in `benchmark/`, not here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -13,6 +15,7 @@ use continustreaming::scenario::{run_scenario, ScenarioOutcome, ScenarioSpec};
 use cs_core::{RunReport, SystemConfig, SystemSim};
 
 pub mod fingerprint;
+pub mod repro;
 pub mod sweep;
 
 /// Run one full-system simulation.
@@ -59,23 +62,23 @@ pub fn run_scenarios(specs: Vec<ScenarioSpec>) -> Vec<ScenarioOutcome> {
     run_indexed(&specs, run_scenario)
 }
 
-/// Render a simple aligned table to stdout.
+/// Render an aligned markdown table, under its own heading, to stdout.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    println!("\n## {title}\n");
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count().max(3)).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
     let line = |cells: Vec<String>| {
-        let mut out = String::new();
+        let mut out = String::from("|");
         for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:>width$}  ", c, width = widths[i]));
+            out.push_str(&format!(" {:<width$} |", c, width = widths[i]));
         }
-        println!("{}", out.trim_end());
+        println!("{out}");
     };
     line(header.iter().map(|s| s.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
@@ -92,42 +95,6 @@ pub fn f3(x: f64) -> String {
 /// Format a float to 4 decimals for table cells.
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")
-}
-
-/// Parse `--nodes 100,500,1000`-style CLI overrides; returns `default`
-/// when the flag is absent.
-pub fn arg_sizes(default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--sizes" && i + 1 < args.len() {
-            return args[i + 1]
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .expect("--sizes takes comma-separated node counts")
-                })
-                .collect();
-        }
-    }
-    default.to_vec()
-}
-
-/// True if a bare argument (e.g. `static` / `dynamic` / `track`) is
-/// present on the CLI.
-pub fn has_arg(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Parse `--rounds N`; returns `default` when absent.
-pub fn arg_rounds(default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--rounds" && i + 1 < args.len() {
-            return args[i + 1].parse().expect("--rounds takes an integer");
-        }
-    }
-    default
 }
 
 #[cfg(test)]

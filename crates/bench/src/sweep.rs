@@ -165,7 +165,8 @@ pub fn pareto_frontier(all: &[PointResult]) -> Vec<usize> {
     frontier
 }
 
-fn json_f64(x: f64) -> String {
+/// JSON-safe float at the records' fixed precision; non-finite is `null`.
+pub(crate) fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.6}")
     } else {

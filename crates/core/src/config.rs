@@ -17,7 +17,7 @@ pub enum SchedulerKind {
     CoolStreaming,
     /// Naive gossip: random order, random supplier.
     Random,
-    /// Algorithm 1 driven by an alternative priority policy (ablation A1).
+    /// Algorithm 1 driven by an alternative priority policy (ablation).
     GreedyWithPolicy(PriorityPolicy),
 }
 

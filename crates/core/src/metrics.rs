@@ -144,9 +144,10 @@ const STABILIZATION_BAND: f64 = 0.95;
 /// First index of the stable-phase window for an `n`-round run: the
 /// last `ceil(n/3)` rounds. Shared with the observability layer's
 /// distribution window and the scenario gate helpers so all three
-/// agree on what "stable phase" means.
+/// agree on what "stable phase" means. An empty run has an empty tail
+/// starting at 0.
 pub fn stable_tail_start(n: usize) -> usize {
-    n - ((n as f64 * STABLE_TAIL_FRACTION).ceil() as usize).clamp(1, n.max(1))
+    n - ((n as f64 * STABLE_TAIL_FRACTION).ceil() as usize).clamp(n.min(1), n)
 }
 
 /// Build a [`RunSummary`] from per-round records.
@@ -260,6 +261,14 @@ mod tests {
             s.stable_continuity
         );
         assert!(s.mean_continuity < s.stable_continuity);
+    }
+
+    #[test]
+    fn stable_tail_of_an_empty_run_is_empty() {
+        assert_eq!(
+            [0, 1, 2, 3, 4, 30].map(stable_tail_start),
+            [0, 0, 1, 2, 2, 20]
+        );
     }
 
     #[test]

@@ -94,8 +94,8 @@ fn supplier_rate_estimate(
 /// spend on *urgent* candidates (deadline within ~1 s). Deadline
 /// rescue must be bounded: a scheduler that always serves the nearest
 /// deadline first stops acquiring fresh segments, the neighbourhood
-/// has nothing to trade, and the swarm collapses (ablation A1 shows
-/// this). The remainder of the budget follows the diversified
+/// has nothing to trade, and the swarm collapses (the scorecard's
+/// `ablation-priority` rows test it). The remainder follows the diversified
 /// rarity order; stragglers that slip through are exactly what the
 /// urgent line + DHT retrieval exist to catch.
 const RESCUE_BUDGET_FRACTION: f64 = 0.2;

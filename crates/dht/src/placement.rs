@@ -6,8 +6,8 @@
 //! replica (`n₁` is the node's closest clockwise DHT peer). The paper uses
 //! `id·i` rather than `id+i` precisely to *scatter* replicas: with `id+i`,
 //! consecutive segments would pile their replicas onto the same node. The
-//! ablation experiment A5 compares both, so the additive variant is also
-//! provided.
+//! scorecard's placement ablation compares both, so the additive variant
+//! is also provided.
 
 use cs_sim::splitmix64;
 
@@ -37,7 +37,7 @@ pub fn backup_targets(space: IdSpace, segment_id: u64, k: u32) -> Vec<DhtId> {
 }
 
 /// The load-unbalanced alternative the paper warns about: `hash(id+i)`.
-/// Kept for the placement ablation (A5).
+/// Kept for the placement ablation (`ablation-placement/jain`).
 pub fn backup_targets_additive(space: IdSpace, segment_id: u64, k: u32) -> Vec<DhtId> {
     (1..=k as u64)
         .map(|i| space.wrap(common_hash(segment_id.wrapping_add(i))))

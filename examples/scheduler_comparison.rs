@@ -1,5 +1,6 @@
-//! Compare every scheduling policy on the same overlay — the library-level
-//! view of ablation A1, small enough to run in seconds.
+//! Compare every scheduling policy on the same overlay — a library-level
+//! view, small enough to run in seconds, of what the scorecard's
+//! `ablation-priority/*` rows (`REPRODUCTION.md`) gate at n = 1000.
 //!
 //! ```text
 //! cargo run --release --example scheduler_comparison

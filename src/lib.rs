@@ -37,8 +37,8 @@
 //! # assert!(report.summary.stable_continuity > 0.0);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the per-figure experiment harness.
+//! See `examples/` for runnable scenarios and `cs_bench::repro` (the
+//! `repro` binary, `REPRODUCTION.md`) for the paper's claims as a scorecard.
 //!
 //! ## Performance
 //!
