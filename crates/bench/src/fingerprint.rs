@@ -104,9 +104,7 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
             },
         ),
         (
-            // Above the `parallel` feature's 128-node fan-out threshold,
-            // so serial and parallel builds are compared on the same
-            // hash (they must match bit for bit).
+            // The largest of the pinned overlays.
             "continustreaming_scale_200",
             SystemConfig {
                 nodes: 200,

@@ -87,11 +87,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Format a float to 3 decimals for table cells.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// Format a float to 4 decimals for table cells.
 pub fn f4(x: f64) -> String {
     format!("{x:.4}")
@@ -131,7 +126,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(f3(0.12345), "0.123");
         assert_eq!(f4(0.12345), "0.1235");
     }
 }

@@ -69,18 +69,6 @@ pub struct SystemConfig {
     /// Expected one-hop latency `t_hop` in seconds used to parameterise
     /// the urgent line (the realised latency comes from the trace).
     pub t_hop_secs: f64,
-    /// Shard count for the round loop's three planning phases
-    /// (scheduling, supplier-service planning, pre-fetch planning), which
-    /// run through [`cs_sim::fork_join`].
-    ///
-    /// * `None` (default) or `Some(1)` — one shard, run inline on the
-    ///   caller's thread: the serial round loop, no thread is spawned;
-    /// * `Some(n > 1)` — `n` contiguous shards, the first on the caller's
-    ///   thread and the rest on scoped threads, at any overlay size.
-    ///
-    /// Results are bit-identical for every value (the thread-matrix suite
-    /// in `tests/determinism.rs` pins 1/2/4/8).
-    pub parallel_threads: Option<usize>,
     /// The continuity policy layer (see [`crate::policy`]). The default,
     /// [`PolicyKind::Legacy`], reproduces the pre-policy behaviour bit
     /// for bit — every pinned fingerprint holds; [`PolicyKind::Adaptive`]
@@ -116,7 +104,6 @@ impl Default for SystemConfig {
             startup_segments: 100,
             id_space_slack: 2,
             t_hop_secs: 0.05,
-            parallel_threads: None,
             policy: PolicyKind::Legacy,
             faults: FaultPlan::default(),
             seed: 20080414, // IPDPS 2008 in Miami started on April 14.
@@ -150,13 +137,6 @@ impl SystemConfig {
     /// Switch to the paper's dynamic environment (5 % + 5 % churn).
     pub fn with_dynamic_churn(mut self) -> Self {
         self.churn = ChurnConfig::DYNAMIC;
-        self
-    }
-
-    /// Switch on the adaptive rescue / window-diversity policy layer
-    /// with its default knobs (see [`crate::policy`]).
-    pub fn with_adaptive_policy(mut self) -> Self {
-        self.policy = PolicyKind::adaptive();
         self
     }
 
@@ -195,9 +175,11 @@ impl SystemConfig {
             (self.playback_rate as u64) < self.buffer_size,
             "buffer must hold more than one period of playback"
         );
+        // Every stored segment walks its `k` replica positions.
         ensure!(
-            self.parallel_threads != Some(0),
-            "parallel_threads must be at least 1 when set"
+            (1..=64).contains(&self.replicas),
+            "replicas = {}: a segment has between 1 and 64 replicas",
+            self.replicas
         );
         if let PolicyKind::Adaptive(p) = &self.policy {
             p.validate()?;
@@ -298,6 +280,23 @@ mod tests {
             err.contains("M = 65") && err.contains("at most 64"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn replicas_outside_1_to_64_rejected() {
+        let with_k = |replicas| SystemConfig {
+            replicas,
+            ..Default::default()
+        };
+        with_k(1).validate().unwrap();
+        with_k(64).validate().unwrap();
+        for k in [0, 65, 4_000_000_000] {
+            let err = with_k(k).validate().unwrap_err();
+            assert!(
+                err.contains(&format!("replicas = {k}")) && err.contains("between 1 and 64"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! Every injected fault and every recovery action is appended to a
 //! [`FaultTrace`]: a per-round record stream plus a chained digest, so
 //! "same seed ⇒ byte-identical fault history" is a checkable (and
-//! pinned) property at any parallel fan-out width.
+//! pinned) property.
 
 /// Steady-state fault rates, part of `SystemConfig`. The default is
 /// all-zero and **inert**: no RNG draws, no allocations, no behaviour
@@ -132,9 +132,9 @@ impl FaultRoundRecord {
 }
 
 /// The deterministic fault history of one run: per-round records plus a
-/// chained digest over every record. Two runs with the same seed (at
-/// any parallel fan-out width) produce byte-identical traces — pinned
-/// by the recovery-invariant suite.
+/// chained digest over every record. Two runs with the same seed
+/// produce byte-identical traces — pinned by the recovery-invariant
+/// suite.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultTrace {
     /// One record per round in which the fault plane was active.

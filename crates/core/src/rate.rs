@@ -158,18 +158,6 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
         self.requested.retain(|(k, _)| *k != id);
         self.delivered.retain(|(k, _)| *k != id);
     }
-
-    /// The recent supply rate of `id` in the unit the Peer Table shows
-    /// (Kbps), given the segment size. Unprobed neighbours report 0 —
-    /// "recent supply" is an observation, not an estimate.
-    pub fn supply_kbps(&self, id: K, segment_kbits: f64) -> f64 {
-        self.rates
-            .iter()
-            .find(|(k, _)| *k == id)
-            .map(|(_, r)| *r)
-            .unwrap_or(0.0)
-            * segment_kbits
-    }
 }
 
 #[cfg(test)]
@@ -294,18 +282,6 @@ mod tests {
         rc.end_period(1.0);
         rc.forget(1);
         assert_eq!(rc.rate(1), 3.0, "back to the prior");
-    }
-
-    #[test]
-    fn supply_kbps_reports_observations_only() {
-        let mut rc = RateController::new(3.0);
-        assert_eq!(rc.supply_kbps(9, 30.0), 0.0, "never probed → no supply");
-        for _ in 0..4 {
-            rc.record_request(1);
-            rc.record_delivery(1);
-        }
-        rc.end_period(1.0);
-        assert!(rc.supply_kbps(1, 30.0) > 0.0);
     }
 
     #[test]

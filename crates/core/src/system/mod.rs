@@ -38,8 +38,7 @@
 //! owns the buffer-map snapshots (refreshed only when a buffer's
 //! [`StreamBuffer::epoch`] moved — the generation-stamped exchange), the
 //! flat pull-request arena (one `Vec`, counting-scattered into
-//! per-supplier buckets), the per-shard schedule output, the
-//! service/pre-fetch plan tables, the pre-fetch outbound ledger and
+//! per-supplier buckets), the pre-fetch miss list, outbound ledger and
 //! retrieval route buffers, and the scheduling scratch (including the
 //! schedulers' own `_into` working memory). A warmed-up steady-state
 //! round performs **zero heap allocations** across every phase — pinned
@@ -47,21 +46,18 @@
 //!
 //! ## One body per phase
 //!
-//! The read-only *planning* halves of three phases — scheduling (step 5,
-//! per-node plans), supplier service (step 6, queue sort + budget
-//! acceptance per supplier-slot shard) and pre-fetch (step 7, urgent-line
-//! checks per node shard) — each cut their work into
-//! [`SystemConfig::parallel_threads`] contiguous shards and hand them to
-//! [`cs_sim::fork_join`]. The default is one shard, which `fork_join`
-//! runs inline on the caller's thread: serial is the one-shard case of
-//! the same loop, not a second implementation. Every mutation is applied
-//! serially in deterministic node order — and the service merge
-//! revalidates any supplier whose buffer changed under earlier-ordered
-//! deliveries — so results are bit-identical at any shard count (the
-//! thread-matrix suite in `tests/determinism.rs` pins 1/2/4/8 shards
-//! against the pinned fingerprints; the Random scheduler, which draws
-//! from the shared RNG while scheduling, always plans step 5 as one
-//! shard, but steps 6 and 7 still fan out).
+//! A round is one thread walking the phases in order, and steps 5, 6 and
+//! 7 are each one loop in ascending node order: scheduling plans a node
+//! and queues its requests before it looks at the next node; supplier
+//! service sorts a supplier's queue and then decides and delivers request
+//! by request against its live buffer (so a supplier whose window slid
+//! under an earlier supplier's delivery serves only what it still
+//! holds); pre-fetch checks a node's urgent line and runs its retrievals
+//! before the next node's check. The per-node algorithms are the paper's
+//! (§4.2 Algorithm 1, §4.3 Algorithm 2); there is no plan table between a
+//! decision and its effect. Parallelism lives outside the round: across
+//! runs ([`cs_sim::fork_join`] under `cs_bench::run_many`) and across the
+//! twin's per-node wire fan-out.
 //!
 //! Steps 5 and 7 visit every node, and a node with nothing to do costs
 //! them a few word loads: the scheduler's candidate gather returns when
@@ -85,13 +81,12 @@
 //! live-network twin differ; `debug` the test hooks.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use rand::Rng;
 
 use cs_dht::{DhtId, DhtNetwork, IdSpace};
 use cs_net::{BandwidthAssigner, MessageSizes, NodeBandwidth};
-use cs_obs::{ObsConfig, ObsRunReport, ObsState, Profiler, WorkerPhase};
+use cs_obs::{ObsConfig, ObsRunReport, ObsState};
 use cs_overlay::{ConnectedNeighbors, OverheardList, RpServer};
 use cs_sim::{RngTree, SimRng};
 use cs_trace::{augment_to_min_degree, derive_latency, TraceGenConfig, TraceGenerator};
@@ -241,43 +236,6 @@ pub struct SystemSim {
 /// Debug introspection record: `(id, next_play, buffer_len, first_id,
 /// contiguous_from_first, connected, inbound_rate)`.
 pub type NodeDebugState = (DhtId, Option<u64>, u64, Option<u64>, u64, usize, f64);
-
-/// The profiler that per-shard worker sub-spans are recorded into: only
-/// when it is armed *and* the phase really fans out. One shard is the
-/// serial case — its time is the phase span itself, so serial
-/// `--profile-json` output carries no worker rows.
-fn shard_profiler(obs: &Option<Box<ObsState>>, shards: usize) -> Option<&Profiler> {
-    obs.as_deref()
-        .filter(|o| shards > 1 && o.profiling())
-        .map(|o| &o.profiler)
-}
-
-/// Run one shard's body, recording its wall-clock as a `phase` worker
-/// sub-span when `prof` is armed (see [`shard_profiler`]).
-fn timed_shard(prof: Option<&Profiler>, phase: WorkerPhase, body: impl FnOnce()) {
-    let t0 = prof.map(|_| Instant::now());
-    body();
-    if let (Some(p), Some(t0)) = (prof, t0) {
-        p.record_worker(phase, t0.elapsed().as_nanos() as u64);
-    }
-}
-
-/// Split the absolute range `[start, end)` off the front of `rest`, whose
-/// first element sits at absolute position `*consumed`. Successive calls
-/// with ascending, non-overlapping ranges hand each fork-join shard a
-/// disjoint `&mut` run of one shared table.
-fn carve<'a, T>(
-    rest: &mut &'a mut [T],
-    consumed: &mut usize,
-    start: usize,
-    end: usize,
-) -> &'a mut [T] {
-    let (_, tail) = std::mem::take(rest).split_at_mut(start - *consumed);
-    let (run, tail) = tail.split_at_mut(end - start);
-    *rest = tail;
-    *consumed = end;
-    run
-}
 
 impl SystemSim {
     /// Build a simulator (generates the trace, assigns bandwidth, wires

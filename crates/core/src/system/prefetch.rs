@@ -1,16 +1,14 @@
-//! Step 7 — the urgent line and Algorithm 2: the read-only planning half
-//! (sharded by node; the urgent-line check is also the proof that a node
-//! has nothing to fetch) and the serial execution half that runs the DHT
-//! retrievals in node order.
+//! Step 7 — the urgent line and Algorithm 2: one loop in node order that
+//! runs a node's urgent-line check (which is also the proof that it has
+//! nothing to fetch) and then its DHT retrievals, before the next node's.
 
 use cs_dht::DhtId;
 use cs_net::{TrafficClass, TrafficCounter};
-use cs_obs::WorkerPhase;
 use cs_trace::derive_latency;
 
 use super::recovery::ControlFault;
-use super::state::{MapStore, NodeArena, NodeIdx, PrefetchPlan, RoundScratch, RoundTally};
-use super::{shard_profiler, timed_shard, SystemSim};
+use super::state::{MapStore, NodeArena, NodeIdx, RoundScratch, RoundTally};
+use super::SystemSim;
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
 use crate::policy::{AdaptivePolicy, PolicyKind};
@@ -50,7 +48,7 @@ fn rescue_params(
             if ap.in_join_grace(round, spawn_round) {
                 // The cap stays inside the scratch pre-sizing bound
                 // (`RESCUE_CAP_MAX.max(prefetch_cap)`), so grace never
-                // regrows a plan's miss list.
+                // regrows the miss list.
                 return (
                     AdaptivePolicy::RESCUE_CAP_MAX.max(config.prefetch_cap),
                     usize::MAX / 2,
@@ -67,27 +65,38 @@ fn rescue_params(
     }
 }
 
-/// The decision half of pre-fetch for one node: the urgent-line check,
-/// the Case-2 repeated scan against the round's snapshots, and the
-/// inbound budget. Reads only the owning node's state plus round-stable
-/// facts, so [`SystemSim::plan_prefetch_phase`] shards it across nodes.
-fn plan_prefetch(
+/// What one node's urgent-line check asks step 7 to do.
+enum Rescue {
+    /// Nothing to fetch: the source, a node with no anchor yet, or a full
+    /// probe window.
+    Idle,
+    /// §4.3 Case 3: retrieval suppressed (`N_miss > l`, or past the
+    /// policy's deficit-scaled threshold).
+    Suppressed,
+    /// Fetch the first `max_fetches` — what fits the inbound budget — of
+    /// the miss list, after `repeated` §4.3 Case-2 α-down signals.
+    Fetch { repeated: u32, max_fetches: usize },
+}
+
+/// One node's urgent-line check, the Case-2 repeated scan against the
+/// round's snapshots, and the inbound budget. Reads only the owning
+/// node's state plus round-stable facts. Leaves the predicted-missed
+/// segments in `missed` and returns, with the outcome, the effective
+/// fetch cap the check ran with (`prefetch_cap` under Legacy,
+/// deficit-scaled under Adaptive; 0 when the node never reached the
+/// check) for telemetry.
+fn check_node(
     nodes: &NodeArena,
     config: &SystemConfig,
     maps: &MapStore,
     newest_emitted: SegmentId,
     round: u32,
     idx: NodeIdx,
-    plan: &mut PrefetchPlan,
-) {
-    plan.suppressed = false;
-    plan.missed.clear();
-    plan.repeated = 0;
-    plan.max_fetches = 0;
-    plan.cap = 0;
+    missed: &mut Vec<SegmentId>,
+) -> (usize, Rescue) {
     let node = nodes.node(idx);
     if node.is_source {
-        return;
+        return (0, Rescue::Idle);
     }
     // Playing nodes guard their play point; buffering nodes guard the
     // contiguity they need to *start* (this is how the pre-fetch
@@ -95,7 +104,7 @@ fn plan_prefetch(
     // §5.4.1).
     let anchor = node.next_play.or_else(|| node.buffer.iter().next());
     let Some(anchor) = anchor else {
-        return;
+        return (0, Rescue::Idle);
     };
     let started = node.next_play.is_some();
     let p = config.demand_per_round();
@@ -107,23 +116,21 @@ fn plan_prefetch(
     // rounds from their deadline. See [`rescue_params`].
     let (cap, threshold, horizon) =
         rescue_params(config, &node.buffer, anchor, p, round, node.spawn_round);
-    plan.cap = cap;
     let check = node.urgent.decide_scaled_into(
         &node.buffer,
         anchor,
         newest_emitted,
         |_| false, // deliveries already committed this round
-        &mut plan.missed,
+        missed,
         cap,
         threshold,
         horizon,
     );
     match check {
-        PrefetchCheck::NotTriggered => return,
-        PrefetchCheck::TooMany(_) => {
-            plan.suppressed = true;
-            return;
-        }
+        PrefetchCheck::NotTriggered => return (cap, Rescue::Idle),
+        PrefetchCheck::TooMany(_) => return (cap, Rescue::Suppressed),
+        // A fetch always lists something: a cap of 0 only occurs with a
+        // cutoff of 0, which suppresses instead.
         PrefetchCheck::Fetch => {}
     }
 
@@ -134,7 +141,8 @@ fn plan_prefetch(
     // fetches it anyway and uses the repetition as the α-down signal;
     // we do the same (skipping the fetch and trusting gossip turned
     // out to strand segments whose pulls kept losing the budget race).
-    for &seg in &plan.missed {
+    let mut repeated = 0;
+    for &seg in missed.iter() {
         let deadline_far = !started || seg >= anchor + p;
         let neighbour_has = deadline_far
             && node.connected.ids().any(|nref| {
@@ -144,7 +152,7 @@ fn plan_prefetch(
                     .is_some_and(|m| m.contains(seg))
             });
         if neighbour_has {
-            plan.repeated += 1;
+            repeated += 1;
         }
     }
     // Pre-fetch shares the inbound rate with the scheduler (§4.3); the
@@ -154,56 +162,75 @@ fn plan_prefetch(
         .inbound_segments_per_sec(config.segment_kbits)
         * config.period_secs;
     let inbound_room = node.inbound_carry + config.policy.provisioned_inbound(base_room);
-    plan.max_fetches = plan
-        .missed
-        .len()
-        .min(inbound_room.floor().max(0.0) as usize);
+    let max_fetches = missed.len().min(inbound_room.floor().max(0.0) as usize);
+    (
+        cap,
+        Rescue::Fetch {
+            repeated,
+            max_fetches,
+        },
+    )
 }
 
 impl SystemSim {
-    /// Step 7, decision half: plan every node's urgent-line outcome, run
+    /// Step 7: in node order, check each node's urgent line and run the
+    /// retrievals it asks for before moving to the next node. Runs
     /// *after* step 6 because deliveries move α (Case-2 repetitions
-    /// shrink the urgent probe). The node order is cut into
-    /// [`SystemConfig::parallel_threads`] contiguous runs for
-    /// [`cs_sim::fork_join`], each with the matching run of the plan
-    /// table. Most nodes have a full probe; their check is a few word
-    /// loads ending in `NotTriggered` (see
+    /// shrink the urgent probe). Most nodes have a full probe; their
+    /// check is a few word loads ending in `NotTriggered` (see
     /// [`UrgentLine::decide_scaled_into`](crate::urgent::UrgentLine::decide_scaled_into)).
-    pub(super) fn plan_prefetch_phase(&self, round: u32, scratch: &mut RoundScratch) {
-        let n = self.order_idx.len();
-        if scratch.prefetch_plans.len() < n {
-            // Pre-size each plan's miss list to the widest cap the
-            // policy can grant, so a node hitting a new deficit
-            // high-water mid-run never regrows it (zero-alloc pin).
-            let cap_max = match &self.config.policy {
-                PolicyKind::Legacy => self.config.prefetch_cap,
-                PolicyKind::Adaptive(_) => {
-                    AdaptivePolicy::RESCUE_CAP_MAX.max(self.config.prefetch_cap)
+    /// Along the way it takes the round's rescue-cap peak and counts the
+    /// nodes whose check triggered (fetch or Case 3) — the round's
+    /// `active_prefetch`.
+    pub(super) fn prefetch_phase(
+        &mut self,
+        round: u32,
+        scratch: &mut RoundScratch,
+        tally: &mut RoundTally,
+    ) {
+        // Taken out for the phase (the retrievals borrow the rest of the
+        // scratch), and sized once to the widest cap the policy can
+        // grant, so a node hitting a new deficit high-water mid-run
+        // never regrows it (zero-alloc pin).
+        let mut missed = std::mem::take(&mut scratch.missed);
+        let cap_max = match &self.config.policy {
+            PolicyKind::Legacy => self.config.prefetch_cap,
+            PolicyKind::Adaptive(_) => AdaptivePolicy::RESCUE_CAP_MAX.max(self.config.prefetch_cap),
+        };
+        missed.clear();
+        missed.reserve(cap_max);
+        for k in 0..self.order_idx.len() {
+            let idx = self.order_idx[k];
+            let (cap, rescue) = check_node(
+                &self.nodes,
+                &self.config,
+                &scratch.maps,
+                self.newest_emitted,
+                round,
+                idx,
+                &mut missed,
+            );
+            tally.rescue_cap_peak = tally.rescue_cap_peak.max(cap);
+            match rescue {
+                Rescue::Idle => {}
+                Rescue::Suppressed => {
+                    self.active.1 += 1;
+                    tally.prefetch_suppressed += 1;
                 }
-            };
-            scratch.prefetch_plans.resize_with(n, || PrefetchPlan {
-                missed: Vec::with_capacity(cap_max),
-                ..PrefetchPlan::default()
-            });
+                Rescue::Fetch {
+                    repeated,
+                    max_fetches,
+                } => {
+                    self.active.1 += 1;
+                    for _ in 0..repeated {
+                        self.nodes.node_mut(idx).urgent.on_repeated();
+                    }
+                    tally.prefetch_repeated += repeated;
+                    self.fetch_missed(idx, &missed[..max_fetches], round, scratch, tally);
+                }
+            }
         }
-        let nodes = &self.nodes;
-        let config = &self.config;
-        let maps = &scratch.maps;
-        let newest = self.newest_emitted;
-        let workers = config.parallel_threads.unwrap_or(1);
-        let chunk = n.div_ceil(workers).max(1);
-        let prof = shard_profiler(&self.obs, n.div_ceil(chunk));
-        let shards = self
-            .order_idx
-            .chunks(chunk)
-            .zip(scratch.prefetch_plans[..n].chunks_mut(chunk));
-        cs_sim::fork_join(shards, |_, (idxs, plans)| {
-            timed_shard(prof, WorkerPhase::PrefetchPlan, || {
-                for (&idx, plan) in idxs.iter().zip(plans) {
-                    plan_prefetch(nodes, config, maps, newest, round, idx, plan);
-                }
-            })
-        });
+        scratch.missed = missed;
     }
 
     /// One Algorithm 2 lookup: route `seg`'s replica positions over the
@@ -286,61 +313,24 @@ impl SystemSim {
         node.backup.maybe_store(seg, successor);
     }
 
-    /// Step 7, execution half: run every planned node's retrievals,
-    /// serially in node order. Along the way it takes the round's
-    /// rescue-cap peak from the planned caps and counts the nodes whose
-    /// check triggered (fetch or Case 3) — the round's `active_prefetch`.
-    pub(super) fn execute_prefetch_phase(
-        &mut self,
-        round: u32,
-        scratch: &mut RoundScratch,
-        tally: &mut RoundTally,
-    ) {
-        for k in 0..self.order_idx.len() {
-            let plan = &scratch.prefetch_plans[k];
-            tally.rescue_cap_peak = tally.rescue_cap_peak.max(plan.cap);
-            // A fetch always lists something: a cap of 0 only occurs
-            // with a cutoff of 0, which suppresses instead.
-            if plan.suppressed || !plan.missed.is_empty() {
-                self.active.1 += 1;
-                self.execute_prefetch(self.order_idx[k], k, round, scratch, tally);
-            }
-        }
-    }
-
-    /// Step 7, execution half for one node: apply the planned α-down
-    /// signals, then run Algorithm 2 retrievals for the planned missed
-    /// segments. Mutates shared state (DHT tables, the outbound-spend
-    /// ledger, backups), so it always runs serially in node order.
-    fn execute_prefetch(
+    /// Algorithm 2 for one node: retrieve `missed` over the DHT, most
+    /// urgent first. Mutates shared state (DHT tables, the outbound-spend
+    /// ledger, backups), which later nodes' retrievals see.
+    fn fetch_missed(
         &mut self,
         idx: NodeIdx,
-        k: usize,
+        missed: &[SegmentId],
         round: u32,
         scratch: &mut RoundScratch,
         tally: &mut RoundTally,
     ) {
-        if scratch.prefetch_plans[k].suppressed {
-            tally.prefetch_suppressed += 1;
-            return;
-        }
-        let repeated = scratch.prefetch_plans[k].repeated;
-        let max_fetches = scratch.prefetch_plans[k].max_fetches;
-        for _ in 0..repeated {
-            self.nodes.node_mut(idx).urgent.on_repeated();
-        }
-        tally.prefetch_repeated += repeated;
-        if scratch.prefetch_plans[k].missed.is_empty() {
-            return;
-        }
         let (requester_id, anchor, started) = {
             let node = self.nodes.node(idx);
-            // Unchanged since the plan was computed (only this node's own
-            // execution mutates them): same anchor the plan used.
+            // The anchor the check used: nothing has moved it since.
             let anchor = node
                 .next_play
                 .or_else(|| node.buffer.iter().next())
-                .expect("planned node had an anchor");
+                .expect("checked node had an anchor");
             (node.id, anchor, node.next_play.is_some())
         };
         let p = self.config.demand_per_round();
@@ -352,8 +342,7 @@ impl SystemSim {
             .map_or(0, |pol| pol.source_rescue_cap);
         let mut source_fallbacks = 0usize;
 
-        for mi in 0..max_fetches {
-            let seg = scratch.prefetch_plans[k].missed[mi];
+        for &seg in missed {
             tally.prefetch_attempts += 1;
             let outcome = self.dht_retrieve(requester_id, seg, false, scratch, &mut tally.traffic);
             tally.prefetch_routing_msgs += outcome.routing_messages as u64;

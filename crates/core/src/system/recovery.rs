@@ -352,8 +352,7 @@ impl SystemSim {
     }
 
     /// Step 7b: the recovery plane. Scans the pending lost pulls in
-    /// arrival order (serial, so the `"faults"` draws are identical at
-    /// any worker count): segments that arrived by other means are
+    /// arrival order: segments that arrived by other means are
     /// recovered; expired timeouts suspect and evict the dark supplier
     /// (failover) and re-issue the pull as a DHT rescue fetch with
     /// exponential backoff + jitter, bounded by
@@ -569,9 +568,8 @@ impl SystemSim {
     /// position-hashing idea as the §4.2 backup placement). Charged to
     /// the source's shared outbound ledger and subject to data-path
     /// loss, like any other data transfer. Returns the copies that
-    /// arrived (they count as gossip-plane deliveries). Serial and
-    /// RNG-free, so it is bit-identical at any worker count; with the
-    /// knob at 0 (the default) it is a single branch.
+    /// arrived (they count as gossip-plane deliveries). RNG-free; with
+    /// the knob at 0 (the default) it is a single branch.
     pub(super) fn push_frontier(
         &mut self,
         round: u32,

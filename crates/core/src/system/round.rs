@@ -74,26 +74,12 @@ impl SystemSim {
         self.obs_phase(ObsPhase::Schedule, &mut lap);
 
         // --- 6. supplier service ----------------------------------------
-        // Split into a read-only decision half (parallelisable per
-        // supplier slot) and a serial merge half that applies deliveries
-        // in ascending-id supplier order — bit-identical to the old
-        // single serial loop (see [`ServePlan`]).
-        let salt = cs_sim::splitmix64(round as u64 ^ self.config.seed);
-        self.plan_service_phase(salt, &mut scratch);
-        self.obs_phase(ObsPhase::ServicePlan, &mut lap);
-        self.apply_service_phase(round, &mut scratch, &mut tally.traffic, &mut tally.svc);
+        self.service_phase(round, &mut scratch, &mut tally.traffic, &mut tally.svc);
         self.obs_phase(ObsPhase::ServiceApply, &mut lap);
 
         // --- 7. on-demand pre-fetch (Algorithm 2) -----------------------
-        // Same split: the urgent-line checks and Case-2 scans are pure
-        // reads over per-node state and the round's snapshots, so they
-        // fan out; the DHT retrievals mutate shared state (routing
-        // tables, the outbound-spend ledger, backups) and stay serial in
-        // node order (see [`PrefetchPlan`]).
         if self.config.prefetch_enabled {
-            self.plan_prefetch_phase(round, &mut scratch);
-            self.obs_phase(ObsPhase::PrefetchPlan, &mut lap);
-            self.execute_prefetch_phase(round, &mut scratch, &mut tally);
+            self.prefetch_phase(round, &mut scratch, &mut tally);
         }
         self.obs_phase(ObsPhase::PrefetchExec, &mut lap);
 
@@ -443,9 +429,8 @@ impl SystemSim {
     }
 
     /// Push a typed protocol event into the trace ring (no-op when
-    /// tracing is unarmed). Every call site is serial, deterministic
-    /// round code — which is what makes traces byte-identical across
-    /// re-runs and thread counts.
+    /// tracing is unarmed). Every call site is deterministic round code
+    /// — which is what makes traces byte-identical across re-runs.
     #[inline]
     pub(super) fn obs_emit(
         &mut self,

@@ -1,16 +1,15 @@
 //! Step 5 — data scheduling: the exchange window, one node's pull plan
 //! (Algorithm 1 and the baselines over the snapshotted maps; its gather
-//! is also the proof that a node has nothing to pull), and the sharded
-//! plan / serial apply phase.
+//! is also the proof that a node has nothing to pull), and the phase —
+//! one loop in node order that plans a node and queues its requests.
 
-use cs_obs::WorkerPhase;
 use cs_sim::SimRng;
 
 use super::state::{
     MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
-    SchedScratch, SchedShard,
+    SchedScratch,
 };
-use super::{shard_profiler, timed_shard, SystemSim};
+use super::SystemSim;
 use crate::buffer::{low_bits, BitIter, StreamBuffer};
 use crate::config::{SchedulerKind, SystemConfig};
 use crate::policy::{AdaptivePolicy, PolicyKind};
@@ -20,12 +19,6 @@ use crate::scheduler::{
     sort_mask_candidates, Assignment, MaskCandidate, ScheduleContext, SegmentCandidate,
 };
 use crate::SegmentId;
-
-/// Nodes one shard plans between two serial apply passes of step 5.
-/// Planning in blocks bounds each shard's plan arena — and keeps a plan
-/// cache-hot until it is applied — independently of the overlay size
-/// (at 100k nodes a whole round's assignments run to tens of MiB).
-const SCHED_BLOCK: usize = 512;
 
 /// The scheduler's exchange window at a given play anchor:
 /// `(window_end, occupancy)`. Pulls focus on segments within a couple of
@@ -102,9 +95,8 @@ const RESCUE_BUDGET_FRACTION: f64 = 0.2;
 
 /// Compute one node's pull schedule from its neighbours' snapshotted
 /// maps. Pure read over the arena and the exchange snapshots (apart from
-/// `sched`, which is this pass's scratch, and the optional RNG for the
-/// Random scheduler) — which is what lets
-/// [`SystemSim::run_schedule_phase`] shard it across threads. Returns the
+/// `sched`, which is this pass's scratch, and the scheduler RNG, which
+/// only the Random scheduler draws from). Returns the
 /// node's new inbound carry, with the assignments left in
 /// `sched.assignments` — or `None` when there is nothing to pull: the
 /// source, or a node for which the gather finds no candidate. Such a
@@ -132,7 +124,7 @@ fn plan_node(
     idx: NodeIdx,
     round: u32,
     sched: &mut SchedScratch,
-    rng: Option<&mut SimRng>,
+    rng: &mut SimRng,
 ) -> Option<f64> {
     let p = config.demand_per_round();
     let node = nodes.node(idx);
@@ -382,7 +374,7 @@ fn order_and_assign(
     round: u32,
     budget: u32,
     sched: &mut SchedScratch,
-    rng: Option<&mut SimRng>,
+    rng: &mut SimRng,
 ) {
     let mut ctx = ScheduleContext {
         inbound_budget: budget,
@@ -405,7 +397,7 @@ fn order_and_assign(
             schedule_random_into(
                 &sched.keyed,
                 &ctx,
-                rng.expect("Random scheduling always plans as one shard"),
+                rng,
                 &mut sched.algo,
                 &mut sched.assignments,
             );
@@ -490,84 +482,32 @@ fn expand_masks(config: &SystemConfig, sched: &mut SchedScratch) {
 }
 
 impl SystemSim {
-    /// Step 5: plan every node's pulls against the snapshotted maps, then
-    /// apply (request accounting + queueing at suppliers). Planning is a
-    /// pure read, so each block of the (ascending) node order is cut into
-    /// [`SystemConfig::parallel_threads`] contiguous shards for
-    /// [`cs_sim::fork_join`], each planning into its own persistent
-    /// [`SchedShard`]; application is always serial, shard by shard —
-    /// i.e. in node order — so the result is the same at any shard
-    /// count. A node [`plan_node`] found nothing to pull for has no plan
-    /// to apply; the ones that have are the round's `active_sched`.
+    /// Step 5: in (ascending) node order, plan each node's pulls against
+    /// the snapshotted maps and apply the plan — inbound carry, request
+    /// accounting, queueing at the suppliers. A node [`plan_node`] found
+    /// nothing to pull for has no plan to apply; the ones that have are
+    /// the round's `active_sched`.
     pub(super) fn run_schedule_phase(&mut self, round: u32, scratch: &mut RoundScratch) {
-        // Both taken out for the phase (their slots hold empty Vecs
-        // meanwhile) so `apply_plan`'s `&mut self` / `&mut scratch` don't
-        // conflict; restored below.
-        let order = std::mem::take(&mut self.order_idx);
-        let mut shards = std::mem::take(&mut scratch.sched_shards);
-        // The Random scheduler draws from the shared RNG while planning,
-        // so it always plans as one shard (which gets the stream).
-        let is_random = matches!(self.config.scheduler, SchedulerKind::Random);
-        let workers = if is_random {
-            1
-        } else {
-            self.config.parallel_threads.unwrap_or(1)
-        };
-        if shards.len() < workers {
-            shards.resize_with(workers, SchedShard::default);
-        }
-        for block in order.chunks(workers * SCHED_BLOCK) {
-            let chunk = block.len().div_ceil(workers);
-            {
-                let nodes = &self.nodes;
-                let config = &self.config;
-                let maps = &scratch.maps;
-                let newest = self.newest_emitted;
-                let prof = shard_profiler(&self.obs, block.len().div_ceil(chunk));
-                let mut rng = is_random.then_some(&mut self.sched_rng);
-                cs_sim::fork_join(
-                    shards
-                        .iter_mut()
-                        .zip(block.chunks(chunk))
-                        .map(|(shard, idxs)| (shard, idxs, rng.take())),
-                    |_, (shard, idxs, mut rng)| {
-                        timed_shard(prof, WorkerPhase::Schedule, || {
-                            shard.assignments.clear();
-                            shard.plans.clear();
-                            for &idx in idxs {
-                                if let Some(carry) = plan_node(
-                                    nodes,
-                                    config,
-                                    maps,
-                                    newest,
-                                    idx,
-                                    round,
-                                    &mut shard.sched,
-                                    rng.as_deref_mut(),
-                                ) {
-                                    shard
-                                        .assignments
-                                        .extend_from_slice(&shard.sched.assignments);
-                                    let end = shard.assignments.len() as u32;
-                                    shard.plans.push((idx, end, carry));
-                                }
-                            }
-                        })
-                    },
-                );
-            }
-            for (shard, _) in shards.iter().zip(block.chunks(chunk)) {
-                self.active.0 += shard.plans.len();
-                let mut start = 0usize;
-                for &(idx, end, carry) in &shard.plans {
-                    let end = end as usize;
-                    self.apply_plan(idx, carry, &shard.assignments[start..end], scratch);
-                    start = end;
-                }
+        // Taken out for the phase so `apply_plan` can read the plan while
+        // it pushes into the scratch's request arena.
+        let mut sched = std::mem::take(&mut scratch.sched);
+        for k in 0..self.order_idx.len() {
+            let idx = self.order_idx[k];
+            if let Some(carry) = plan_node(
+                &self.nodes,
+                &self.config,
+                &scratch.maps,
+                self.newest_emitted,
+                idx,
+                round,
+                &mut sched,
+                &mut self.sched_rng,
+            ) {
+                self.active.0 += 1;
+                self.apply_plan(idx, carry, &sched.assignments, scratch);
             }
         }
-        scratch.sched_shards = shards;
-        self.order_idx = order;
+        scratch.sched = sched;
     }
 
     /// Apply one node's plan: update the inbound carry, account the
@@ -596,7 +536,6 @@ impl SystemSim {
                 segment: a.segment,
                 priority: a.priority,
                 supplier_slot: sup_slot.0,
-                accepted: false,
             });
         }
     }

@@ -265,8 +265,7 @@ impl NodeArena {
 ///
 /// Requests live in one flat arena bucketed by supplier slot (see
 /// [`RoundScratch::requests`]); the supplier slot rides along for the
-/// bucketing scatter, and the service decision half marks acceptance
-/// in-place via `accepted` instead of building per-supplier index lists.
+/// bucketing scatter.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct PullRequest {
     pub(super) requester: NodeIdx,
@@ -275,9 +274,6 @@ pub(super) struct PullRequest {
     pub(super) priority: f64,
     /// The supplier's arena slot this request is queued at.
     pub(super) supplier_slot: u32,
-    /// Set by the step-6 decision half: this request fits the supplier's
-    /// outbound budget (and its held data) and will be served.
-    pub(super) accepted: bool,
 }
 
 /// A per-node buffer-map snapshot slot: the generation-stamped exchange.
@@ -387,75 +383,7 @@ pub(super) struct SchedScratch {
     pub(super) assignments: Vec<Assignment<PeerRef>>,
 }
 
-/// One fork-join shard of step 5: its planning scratch plus the plans it
-/// produced for the current block of nodes, flat, in node order — one per
-/// node whose gather found a candidate; the others leave no trace.
-/// Persistent, so a warm round's planning allocates nothing at any shard
-/// count; the serial apply half walks the shards in order, which is node
-/// order.
-#[derive(Default)]
-pub(super) struct SchedShard {
-    pub(super) sched: SchedScratch,
-    /// The assignments of every node this shard planned, concatenated.
-    pub(super) assignments: Vec<Assignment<PeerRef>>,
-    /// Per planned node: `(node, end offset into assignments, new
-    /// inbound carry)`.
-    pub(super) plans: Vec<(NodeIdx, u32, f64)>,
-}
-
-/// One supplier's planned service for the round: the outcome of the
-/// read-only decision half of step 6, applied (or revalidated) in
-/// deterministic order by the serial merge half.
-///
-/// The decision loop depends only on the supplier's own pre-service state
-/// (outbound carry, bandwidth, buffer) plus static facts (queue order,
-/// requester aliveness), so it can run for many suppliers concurrently.
-/// The one cross-supplier hazard is the supplier's *own buffer* changing
-/// because an earlier-ordered supplier delivered to it (a slide can evict
-/// a segment it was about to serve); `buffer_epoch` detects exactly that,
-/// and the merge recomputes the decisions serially for such suppliers —
-/// making plan + merge bit-identical to the fully serial loop.
-#[derive(Default, Clone, Copy)]
-pub(super) struct ServePlan {
-    /// The supplier's buffer epoch when the plan was computed.
-    pub(super) buffer_epoch: u64,
-    /// New outbound carry to commit at merge time.
-    pub(super) carry: f64,
-    /// Whole sends granted this round (before any were consumed).
-    pub(super) sends: i64,
-    /// Requests seen / requests refused for lack of budget.
-    pub(super) issued: u64,
-    pub(super) dropped: u64,
-}
-
-/// One node's planned pre-fetch for the round: the outcome of the
-/// read-only half of step 7 (urgent-line check, Case-2 repeated scan,
-/// inbound-room budget), executed serially in node order because the
-/// execution half mutates shared state (DHT tables via routing, the
-/// outbound-spend ledger, backup stores).
-///
-/// The plan reads only the owning node's state, the round's buffer-map
-/// snapshots and static membership, none of which the execution half of
-/// *other* nodes touches — so planning for all nodes concurrently is
-/// bit-identical to interleaving plan and execution node by node.
-#[derive(Default)]
-pub(super) struct PrefetchPlan {
-    /// Case 3: retrieval suppressed (`N_miss > l`, or past the policy's
-    /// deficit-scaled threshold).
-    pub(super) suppressed: bool,
-    /// The predicted-missed segments to fetch (empty ⇒ not triggered).
-    pub(super) missed: Vec<SegmentId>,
-    /// §4.3 Case-2 repeated-data count (α-down signals to apply).
-    pub(super) repeated: u32,
-    /// How many of `missed` fit the inbound budget.
-    pub(super) max_fetches: usize,
-    /// The effective per-round fetch cap the urgent-line check ran with
-    /// (`prefetch_cap` under Legacy, deficit-scaled under Adaptive; 0
-    /// when the node never reached the check). Telemetry only.
-    pub(super) cap: usize,
-}
-
-/// Step-6 outcome counters, accumulated by the serial merge half.
+/// Step-6 outcome counters.
 #[derive(Default)]
 pub(super) struct ServiceCounters {
     pub(super) deliveries: u64,
@@ -518,9 +446,8 @@ pub(super) struct RoundTally {
 #[derive(Default)]
 pub(super) struct RoundScratch {
     pub(super) maps: MapStore,
-    /// Step 5's per-shard planning scratch and output, one entry per
-    /// [`cs_sim::fork_join`] shard (one, by default).
-    pub(super) sched_shards: Vec<SchedShard>,
+    /// Step 5's planning scratch: one node's pass at a time.
+    pub(super) sched: SchedScratch,
     /// The round's pull requests, flat in scheduling order. One shared
     /// arena instead of a `Vec` per supplier: per-slot queues re-grow
     /// from zero capacity whenever a slot sees a new high-water mark,
@@ -540,12 +467,9 @@ pub(super) struct RoundScratch {
     pub(super) queue_cursor: Vec<u32>,
     /// Slots with pending requests this round.
     pub(super) touched_suppliers: Vec<u32>,
-    /// Per-slot supplier-service plans (step 6's decision half); only the
-    /// slots in `touched_suppliers` are meaningful in any given round.
-    pub(super) serve_plans: Vec<ServePlan>,
-    /// Per-node pre-fetch plans (step 7's decision half), parallel to the
-    /// round's `order_idx`.
-    pub(super) prefetch_plans: Vec<PrefetchPlan>,
+    /// Step 7's miss list: the predicted-missed segments of the node
+    /// whose urgent-line check ran last.
+    pub(super) missed: Vec<SegmentId>,
     /// Outbound budget already spent on pre-fetch uploads, per slot.
     pub(super) outbound_spent: Vec<f64>,
     pub(super) touched_spent: Vec<u32>,
@@ -564,9 +488,6 @@ impl RoundScratch {
             self.queue_count.resize(slot_count, 0);
             self.queue_start.resize(slot_count, 0);
             self.queue_cursor.resize(slot_count, 0);
-        }
-        if self.serve_plans.len() < slot_count {
-            self.serve_plans.resize_with(slot_count, ServePlan::default);
         }
         for &s in &self.touched_suppliers {
             self.queue_count[s as usize] = 0;
@@ -610,7 +531,6 @@ impl RoundScratch {
                 segment: 0,
                 priority: 0.0,
                 supplier_slot: 0,
-                accepted: false,
             };
             self.requests_sorted.resize(self.requests.len(), dummy);
         }

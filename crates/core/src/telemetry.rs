@@ -97,8 +97,7 @@ pub struct TelemetryRound {
     pub active_sched: u64,
     /// Nodes whose step-7 urgent-line check triggered this round — it
     /// fetched (§4.3 Case 2) or was suppressed (Case 3); 0 when
-    /// pre-fetch is disabled. Both counts are summed serially in node
-    /// order, so they are the same at any shard count.
+    /// pre-fetch is disabled.
     pub active_prefetch: u64,
 }
 

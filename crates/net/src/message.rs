@@ -64,14 +64,6 @@ impl MessageSizes {
         k as f64 * ((n as f64).log2() / 2.0 + 1.0) + 1.0
     }
 
-    /// Total expected bits to pre-fetch one segment: routing messages plus
-    /// the payload. With paper defaults (k = 4, n ≤ 8000) this is the
-    /// "≈ 33 000 bits" of §5.4.3.
-    pub fn prefetch_total_bits(&self, k: u32, n: u64) -> f64 {
-        self.prefetch_routing_messages(k, n) * self.routing_message_bits as f64
-            + self.segment_bits as f64
-    }
-
     /// The paper's closed-form control overhead for perfect playback:
     /// `(bufmap · M) / (segment · p)` ≈ `M/495` with the defaults
     /// (§5.4.2).
@@ -100,18 +92,6 @@ mod tests {
         let per_day: u64 = 3600 * 10 * 24;
         assert!(per_day > 1 << 19 && per_day < 1 << 20);
         assert_eq!(MessageSizes::default().bufmap_head_bits, 20);
-    }
-
-    #[test]
-    fn paper_prefetch_cost_estimate() {
-        // §5.4.3: k=4, n ≤ 8000 → (4·(log₂n/2 + 1) + 1)·80 + 30·1024
-        // ≈ 33 000 bits.
-        let s = MessageSizes::default();
-        let bits = s.prefetch_total_bits(4, 8000);
-        assert!(
-            (32_000.0..34_000.0).contains(&bits),
-            "prefetch cost {bits} should be ≈ 33 000 bits"
-        );
     }
 
     #[test]

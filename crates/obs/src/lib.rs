@@ -7,8 +7,7 @@
 //!
 //! 1. [`profiler`] — per-phase monotonic-clock spans of the round
 //!    loop into fixed-slot log₂ aggregates, allocation-free after
-//!    warm-up, with atomic per-thread sub-spans when the planning
-//!    phases fan out.
+//!    warm-up.
 //! 2. [`dist`] — deterministic fixed-bucket histograms over per-node
 //!    continuity / runway / startup delay / supplier load, surfacing
 //!    p50/p95/p99 (and exact min) for the `--min-p99-continuity`
@@ -34,7 +33,7 @@ pub use hist::{Log2Hist, UnitHist};
 pub use monitor::{
     render_prometheus, render_twin_nodes, serve, MonitorHandle, MonitorSample, TwinNodeRow,
 };
-pub use profiler::{Lap, Phase, PhaseRow, Profiler, WorkerPhase};
+pub use profiler::{Lap, Phase, PhaseRow, Profiler};
 
 /// Configuration for [`ObsState`]. `Default` arms all three in-core
 /// pillars (the monitor is external — it is driven by a publisher,

@@ -3,25 +3,21 @@
 //! One [`Lap`] timer walks the round and takes a single
 //! `Instant::now()` at each phase boundary; the elapsed nanoseconds
 //! land in a fixed-slot [`Log2Hist`] per [`Phase`] (sum/min/max/count
-//! plus log₂ buckets), so recording is allocation-free and O(1).
-//!
-//! With `SystemConfig::parallel_threads > 1` the planning halves fan out
-//! across worker threads; per-thread sub-spans are accumulated into atomic
-//! [`WorkerPhase`] aggregates through a shared `&Profiler`, which is
-//! why those three slots are atomics rather than plain counters.
+//! plus log₂ buckets), so recording is allocation-free and O(1). The
+//! round is one thread, so the phases tile it: one lap each per round.
 //! Wall-clock timings are *never* part of a behavioural fingerprint —
 //! they exist only here.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::hist::Log2Hist;
 
-/// Serial phases of a round, in execution order. The numbering
-/// mirrors the `--- N.` markers in `cs_core::system`'s round driver.
-/// Twelve, and none for deciding which nodes have work: each planner
-/// finds that out in its own first step, so the time is inside
-/// `Schedule` / `PrefetchPlan`.
+/// The phases of a round, in execution order. The numbering mirrors
+/// the `--- N.` markers in `cs_core::system`'s round driver. Ten: steps
+/// 6 and 7 are one loop each and keep the exported names of the halves
+/// that moved state (`service_apply`, `prefetch_exec`), and none is for
+/// deciding which nodes have work — each step finds that out node by
+/// node, so the time is inside `Schedule` / `PrefetchExec`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
@@ -33,15 +29,11 @@ pub enum Phase {
     Maintain,
     /// Phases 4/4b/4c: buffer-map snapshot exchange, frontier push, joiner seeding.
     Exchange,
-    /// Phase 5: segment scheduling (serial or fan-out + serial merge).
+    /// Phase 5: segment scheduling (plan a node, queue its requests).
     Schedule,
-    /// Phase 6 (decision half): supplier service planning.
-    ServicePlan,
-    /// Phase 6 (mutating half): supplier service apply/merge.
+    /// Phase 6: supplier service (queue sort, decisions, deliveries).
     ServiceApply,
-    /// Phase 7: pre-fetch planning.
-    PrefetchPlan,
-    /// Phase 7: pre-fetch DHT execution.
+    /// Phase 7: pre-fetch (urgent-line checks and DHT retrievals).
     PrefetchExec,
     /// Phase 7b: fault recovery (timeout scan, failover, retries).
     Recovery,
@@ -51,7 +43,7 @@ pub enum Phase {
     Finalize,
 }
 
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 10;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -60,9 +52,7 @@ impl Phase {
         Phase::Maintain,
         Phase::Exchange,
         Phase::Schedule,
-        Phase::ServicePlan,
         Phase::ServiceApply,
-        Phase::PrefetchPlan,
         Phase::PrefetchExec,
         Phase::Recovery,
         Phase::Playback,
@@ -76,65 +66,12 @@ impl Phase {
             Phase::Maintain => "maintain",
             Phase::Exchange => "exchange",
             Phase::Schedule => "schedule",
-            Phase::ServicePlan => "service_plan",
             Phase::ServiceApply => "service_apply",
-            Phase::PrefetchPlan => "prefetch_plan",
             Phase::PrefetchExec => "prefetch_exec",
             Phase::Recovery => "recovery",
             Phase::Playback => "playback",
             Phase::Finalize => "finalize",
         }
-    }
-}
-
-/// Per-thread sub-spans inside the fan-out halves (recorded only when a
-/// phase runs more than one shard).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum WorkerPhase {
-    Schedule,
-    ServicePlan,
-    PrefetchPlan,
-}
-
-pub const WORKER_PHASE_COUNT: usize = 3;
-
-impl WorkerPhase {
-    pub const ALL: [WorkerPhase; WORKER_PHASE_COUNT] = [
-        WorkerPhase::Schedule,
-        WorkerPhase::ServicePlan,
-        WorkerPhase::PrefetchPlan,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkerPhase::Schedule => "schedule_worker",
-            WorkerPhase::ServicePlan => "service_plan_worker",
-            WorkerPhase::PrefetchPlan => "prefetch_plan_worker",
-        }
-    }
-}
-
-/// Atomic aggregate for worker sub-spans: recorded through `&self`
-/// from inside scoped worker threads.
-#[derive(Default)]
-pub struct WorkerAgg {
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl WorkerAgg {
-    fn record(&self, ns: u64) {
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 
@@ -154,7 +91,6 @@ pub struct PhaseRow {
 /// construction; recording never allocates.
 pub struct Profiler {
     agg: [Log2Hist; PHASE_COUNT],
-    worker: [WorkerAgg; WORKER_PHASE_COUNT],
 }
 
 impl Default for Profiler {
@@ -167,7 +103,6 @@ impl Profiler {
     pub fn new() -> Self {
         Self {
             agg: std::array::from_fn(|_| Log2Hist::new()),
-            worker: std::array::from_fn(|_| WorkerAgg::default()),
         }
     }
 
@@ -176,41 +111,15 @@ impl Profiler {
         self.agg[phase as usize].record(ns);
     }
 
-    /// Record a worker sub-span; callable from worker threads through
-    /// a shared reference.
-    #[inline]
-    pub fn record_worker(&self, phase: WorkerPhase, ns: u64) {
-        self.worker[phase as usize].record(ns);
-    }
-
-    pub fn phase(&self, phase: Phase) -> &Log2Hist {
-        &self.agg[phase as usize]
-    }
-
     /// Zero all timing aggregates (e.g. after warm-up, so exported
     /// means cover only the steady window).
     pub fn reset(&mut self) {
         for h in &mut self.agg {
             h.reset();
         }
-        for w in &self.worker {
-            w.reset();
-        }
     }
 
-    /// Mean ns per recorded lap for one phase.
-    pub fn mean_ns(&self, phase: Phase) -> f64 {
-        self.agg[phase as usize].mean()
-    }
-
-    /// Total mean round cost: sum of per-phase means (phases tile the
-    /// round exactly, one lap each per round).
-    pub fn mean_round_ns(&self) -> f64 {
-        Phase::ALL.iter().map(|&p| self.mean_ns(p)).sum()
-    }
-
-    /// Export one row per phase with at least one sample, serial
-    /// phases first, then worker sub-spans.
+    /// Export one row per phase with at least one sample.
     pub fn rows(&self) -> Vec<PhaseRow> {
         let mut out = Vec::new();
         for &p in Phase::ALL.iter() {
@@ -225,22 +134,6 @@ impl Profiler {
                 min_ns: h.min(),
                 max_ns: h.max(),
                 p99_ns: h.quantile(0.99),
-            });
-        }
-        for &w in WorkerPhase::ALL.iter() {
-            let a = &self.worker[w as usize];
-            let count = a.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let sum = a.sum_ns.load(Ordering::Relaxed);
-            out.push(PhaseRow {
-                name: w.name(),
-                count,
-                mean_ns: sum as f64 / count as f64,
-                min_ns: 0,
-                max_ns: a.max_ns.load(Ordering::Relaxed),
-                p99_ns: 0,
             });
         }
         out
@@ -288,16 +181,13 @@ mod tests {
         p.record(Phase::Schedule, 100);
         p.record(Phase::Schedule, 300);
         p.record(Phase::Playback, 50);
-        p.record_worker(WorkerPhase::Schedule, 40);
         let rows = p.rows();
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         let sched = rows.iter().find(|r| r.name == "schedule").unwrap();
         assert_eq!(sched.count, 2);
         assert_eq!(sched.mean_ns, 200.0);
         assert_eq!(sched.min_ns, 100);
         assert_eq!(sched.max_ns, 300);
-        let worker = rows.iter().find(|r| r.name == "schedule_worker").unwrap();
-        assert_eq!(worker.count, 1);
         p.reset();
         assert!(p.rows().is_empty());
     }

@@ -11,6 +11,7 @@
 //! experiment: same spec, same metrics, byte for byte.
 
 use cs_core::SystemConfig;
+use cs_dht::IdSlotTable;
 use cs_net::{NodeBandwidth, PAPER_MEAN_KBPS};
 
 /// Round index within a scenario (0-based scheduling periods).
@@ -48,6 +49,31 @@ impl NodeClass {
             ping_ms: None,
             weight: 1.0,
         }
+    }
+
+    /// Check the class's own values: they feed the arrival sampler, the
+    /// latency oracle and `NodeBandwidth` as given.
+    fn validate(&self) -> Result<(), SpecError> {
+        let name = &self.name;
+        if self.weight <= 0.0 || self.weight.is_nan() {
+            return Err(SpecError(format!("class `{name}` needs a positive weight")));
+        }
+        if let Some(ping) = self.ping_ms.filter(|p| !p.is_finite() || *p <= 0.0) {
+            return Err(SpecError(format!(
+                "class `{name}` needs a finite positive ping, got {ping}"
+            )));
+        }
+        for (key, kbps) in [
+            ("inbound", self.inbound_kbps),
+            ("outbound", self.outbound_kbps),
+        ] {
+            if let Some(kbps) = kbps.filter(|k| !k.is_finite() || *k < 0.0) {
+                return Err(SpecError(format!(
+                    "class `{name}` needs a finite non-negative {key}, got {kbps}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// The capacity override this class implies, if it pins both rates.
@@ -256,12 +282,7 @@ impl ScenarioSpec {
             Ok(())
         };
         for class in &self.classes {
-            if class.weight <= 0.0 || class.weight.is_nan() {
-                return Err(SpecError(format!(
-                    "class `{}` needs a positive weight",
-                    class.name
-                )));
-            }
+            class.validate()?;
         }
         for (i, phase) in self.phases.iter().enumerate() {
             if phase.start >= phase.end {
@@ -288,9 +309,12 @@ impl ScenarioSpec {
                 return Err(SpecError(format!("phase {i} seeks with seek_max = 0")));
             }
             let rate = phase.arrivals.poisson_rate;
-            if !rate.is_finite() || rate < 0.0 {
+            // The engine attempts every sampled arrival, and a round
+            // cannot admit more nodes than the largest ID space holds.
+            if !(0.0..=IdSlotTable::MAX_IDS as f64).contains(&rate) {
                 return Err(SpecError(format!(
-                    "phase {i} needs a finite non-negative arrival rate, got {rate}"
+                    "phase {i} needs arrivals=poisson:<rate> between 0 and {} (the ids an ID space holds at most), got {rate:e}",
+                    IdSlotTable::MAX_IDS
                 )));
             }
             // Degenerate session distributions must fail loudly, not

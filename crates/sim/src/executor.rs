@@ -1,8 +1,8 @@
 //! The workspace's one fork-join primitive.
 //!
-//! Every data-parallel step in the reproduction — the round loop's three
-//! planning phases, the twin's per-node emit/fold, the experiment
-//! harness's run sweeps — has the same shape: cut the work into shards
+//! Every data-parallel step in the reproduction — the twin's per-node
+//! emit/fold, the experiment harness's run sweeps (a simulated round
+//! itself is one thread) — has the same shape: cut the work into shards
 //! whose *boundaries depend only on the input*, run the shards
 //! concurrently, merge in shard order. [`fork_join`] is that shape and
 //! the only thread fan-out in the workspace; determinism is the

@@ -89,14 +89,6 @@ impl RngTree {
             splitmix64(self.seed ^ fnv1a(label.as_bytes())).wrapping_add(index),
         ))
     }
-
-    /// A sub-tree: useful when a subsystem wants to hand out its own
-    /// labelled children without seeing the parent's other labels.
-    pub fn subtree(&self, label: &str) -> RngTree {
-        RngTree {
-            seed: splitmix64(self.seed ^ fnv1a(label.as_bytes())),
-        }
-    }
 }
 
 /// Sample an exponentially distributed duration with the given mean, via
@@ -184,13 +176,6 @@ mod tests {
         let a: u64 = tree.child_indexed("node", 0).gen();
         let b: u64 = tree.child_indexed("node", 1).gen();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn subtree_is_deterministic() {
-        let t1 = RngTree::new(99).subtree("overlay");
-        let t2 = RngTree::new(99).subtree("overlay");
-        assert_eq!(t1.child("x").gen::<u64>(), t2.child("x").gen::<u64>());
     }
 
     #[test]

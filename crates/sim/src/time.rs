@@ -73,13 +73,6 @@ impl SimTime {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// The duration from `earlier` to `self`, saturating to zero if
-    /// `earlier` is actually later.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// `self + d`, saturating at [`SimTime::MAX`].
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
@@ -307,8 +300,6 @@ mod tests {
 
     #[test]
     fn saturating_ops() {
-        let t = SimTime::from_secs(1);
-        assert_eq!(t.saturating_since(SimTime::from_secs(5)), SimDuration::ZERO);
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

@@ -74,12 +74,6 @@ pub struct NodeRecord {
 }
 
 impl NodeRecord {
-    /// The latency estimate the paper uses for the crawler→node path:
-    /// half the round-trip time.
-    pub fn one_way_ms(&self) -> f64 {
-        self.ping_ms / 2.0
-    }
-
     /// The node's speed class.
     pub fn speed_class(&self) -> SpeedClass {
         SpeedClass::from_kbps(self.speed_kbps)
@@ -111,18 +105,6 @@ mod tests {
         assert_eq!(SpeedClass::from_kbps(201), SpeedClass::Broadband);
         assert_eq!(SpeedClass::from_kbps(5_000), SpeedClass::Broadband);
         assert_eq!(SpeedClass::from_kbps(5_001), SpeedClass::Lan);
-    }
-
-    #[test]
-    fn one_way_is_half_rtt() {
-        let r = NodeRecord {
-            id: 1,
-            ip: Ipv4Addr::new(10, 0, 0, 1),
-            port: 6346,
-            ping_ms: 80.0,
-            speed_kbps: 1000,
-        };
-        assert_eq!(r.one_way_ms(), 40.0);
     }
 
     #[test]

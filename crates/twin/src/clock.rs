@@ -8,7 +8,7 @@
 //! runtime later drives real sockets by swapping this clock for a
 //! wall-clock sleeper).
 
-use cs_sim::{SimDuration, SimTime};
+use cs_sim::SimTime;
 
 /// A monotone virtual clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,11 +41,6 @@ impl VirtualClock {
         );
         self.now = t;
     }
-
-    /// Advance by `d`.
-    pub fn advance_by(&mut self, d: SimDuration) {
-        self.now += d;
-    }
 }
 
 #[cfg(test)]
@@ -58,11 +53,9 @@ mod tests {
         assert_eq!(c.now(), SimTime::ZERO);
         c.advance_to(SimTime::from_millis(50));
         assert_eq!(c.now(), SimTime::from_millis(50));
-        c.advance_by(SimDuration::from_millis(25));
-        assert_eq!(c.now(), SimTime::from_millis(75));
         // Advancing to the current instant is a no-op, not a regression.
-        c.advance_to(SimTime::from_millis(75));
-        assert_eq!(c.now(), SimTime::from_millis(75));
+        c.advance_to(SimTime::from_millis(50));
+        assert_eq!(c.now(), SimTime::from_millis(50));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * `--trace FILE` — write the structured event trace — the decision
 //!   log — as JSON lines (join/leave/crash/failover/retry/rescue/rewire
 //!   events with round, node and cause). Byte-identical across re-runs,
-//!   thread counts, and between the simulator and the twin.
+//!   the twin's worker counts, and between the simulator and the twin.
 //! * `--profile-json FILE` — write the per-phase round profiler
 //!   breakdown (mean/min/max/p99 ns per phase).
 //! * `--monitor-addr ADDR` — serve live Prometheus-style text

