@@ -3,15 +3,16 @@
 //! A fixed scenario set, each reduced to an FNV-1a hash of its
 //! `RunReport` debug serialisation. Used to prove that performance
 //! refactors of the round loop cause **no behavioural drift**: the hashes
-//! must be identical before and after a change (`tests/determinism.rs`
-//! in the facade crate pins the values this module produced before the
-//! node-arena refactor, which the refactored loop still reproduces).
+//! must be identical before and after a change. [`PINS`] holds the
+//! expected values; `tests/determinism.rs` and the `fingerprint` binary
+//! (CI's release-mode gate) both check against it.
 //!
-//! The Random scheduler is deliberately absent: its candidate order
-//! historically flowed through `HashMap` iteration order, which std
-//! randomises per process, so pre-refactor builds could not reproduce it
-//! across runs at all. (The arena refactor fixed that as a side effect —
-//! candidates are now built in ascending segment order.)
+//! `random_static` pins the Random scheduler: its candidates are built in
+//! ascending segment order and its shuffle and supplier draws come from
+//! the simulator's seeded scheduler stream, so its runs reproduce like
+//! every other scheduler's. (Pre-arena builds ordered its candidates by
+//! `HashMap` iteration, which std randomises per process, so the first
+//! pin set could not include it.)
 
 use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemSim};
 use cs_net::BandwidthProfile;
@@ -33,6 +34,36 @@ pub fn fingerprint(report: &RunReport) -> u64 {
 /// even if a compensating round-loop change hid it from the run hashes.
 pub fn round0_fingerprint(sim: &SystemSim) -> u64 {
     fnv1a(format!("{:?}", sim.debug_states()).as_bytes())
+}
+
+/// The pinned drift-gate values, one row per [`scenarios`] entry (run
+/// hash, round-0 hash) and per [`dht::fingerprints`] batch (routes hash,
+/// tables hash), in that order. The system hashes involve libm
+/// transcendentals, so they are asserted only on x86_64 Linux.
+///
+/// The first seven system rows were recorded from the pre-arena (id-keyed
+/// `HashMap`) round loop and init path — the last two of them
+/// post-refactor — and `random_static` from the build before the
+/// baselines moved to mask form. The DHT rows were recorded from the
+/// pre-arena (`BTreeMap`-keyed) routing layer.
+#[rustfmt::skip]
+pub const PINS: &[(&str, u64, u64)] = &[
+    ("continustreaming_static", 0xe477cc07219c469e, 0x670ce83d36f0ef91),
+    ("continustreaming_dynamic", 0x8025028004085acc, 0xb43fb599fa4cb7ee),
+    ("coolstreaming_static", 0xd0f5f39d4b96dca7, 0x88fd280dda0e20b0),
+    ("greedy_rarest_first", 0xa2ed438909202a4f, 0x6cda3f0049ea1ab2),
+    ("continustreaming_homogeneous", 0x206ebf4109454640, 0x4439246729ef6d76),
+    ("continustreaming_scale_200", 0xa5e310fb404f2576, 0x190a129375c87e9b),
+    ("coolstreaming_homogeneous_dynamic", 0x203ffbaa2f7af79d, 0xba49ea2819feeebf),
+    ("random_static", 0x8396107cedf8114e, 0xd8ecdd42cfcea659),
+    ("dht_greedy_600", 0xa3d3f8871b0fae4e, 0x7883805ec6c3da99),
+    ("dht_overhear_400", 0xf96cd39fae554ffd, 0x8f45647ab3fc68d4),
+    ("dht_overhear_800", 0x11f6772d78683832, 0x08a33e3bd7af7b9d),
+];
+
+/// The pinned pair of the named scenario or DHT batch (see [`PINS`]).
+pub fn pinned(name: &str) -> Option<(u64, u64)> {
+    PINS.iter().find(|p| p.0 == name).map(|p| (p.1, p.2))
 }
 
 /// The pinned scenario set. Includes a homogeneous-bandwidth case on
@@ -131,6 +162,18 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
             }
             .with_dynamic_churn(),
         ),
+        (
+            "random_static",
+            SystemConfig {
+                nodes: 80,
+                rounds: 20,
+                startup_segments: 30,
+                scheduler: SchedulerKind::Random,
+                prefetch_enabled: false,
+                seed: 21,
+                ..SystemConfig::default()
+            },
+        ),
     ]
 }
 
@@ -206,9 +249,9 @@ pub mod dht {
     }
 
     /// The drift-gate summary: `(name, routes_hash, tables_hash)` per
-    /// scenario, printed by the `fingerprint` binary alongside the
-    /// system-level hashes (CI diffs serial vs parallel output, so these
-    /// ride the same gate).
+    /// batch, printed by the `fingerprint` binary alongside the
+    /// system-level hashes and held to the same [`PINS`](super::PINS)
+    /// table.
     pub fn fingerprints() -> Vec<(&'static str, u64, u64)> {
         let mut out = Vec::new();
         for &(name, n, bits, seed) in &[

@@ -6,11 +6,11 @@
 //!    `RunReport`s across two runs in the same process, for every
 //!    scheduler (including Random, whose candidate order is built in
 //!    ascending segment order precisely so this holds).
-//! 2. **Pinned fingerprints** — the exact `RunReport` hashes of a fixed
-//!    scenario set, recorded from the pre-arena (id-keyed `HashMap`)
-//!    implementation of the round loop. The arena/scratch refactor must
-//!    reproduce them bit for bit: any drift in scheduling order,
-//!    tie-breaks, or RNG consumption shows up here.
+//! 2. **Pinned fingerprints** — the exact `RunReport` and round-0 hashes
+//!    of a fixed scenario set, and the DHT batch hashes, held to
+//!    `cs_bench::fingerprint::PINS` (the table the `fingerprint` binary
+//!    gates on in CI). Any drift in scheduling order, tie-breaks, or RNG
+//!    consumption shows up here.
 //!
 //! The pinned values involve `f64` transcendentals (`ln`, `exp`, `cos`)
 //! whose last-bit behaviour depends on the platform libm, so the exact
@@ -20,7 +20,7 @@
 use continustreaming::prelude::*;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use cs_bench::fingerprint::round0_fingerprint;
-use cs_bench::fingerprint::{fingerprint, scenarios};
+use cs_bench::fingerprint::{dht, fingerprint, pinned, scenarios, PINS};
 
 /// Layer 1: same seed ⇒ identical report, different seed ⇒ different.
 #[test]
@@ -77,42 +77,30 @@ fn same_seed_reports_identical_under_churn() {
     assert_eq!(a.summary, b.summary);
 }
 
-/// The pinned run-report hashes of the scenario set, recorded from the
-/// pre-arena (id-keyed `HashMap`) round loop. Shared by the drift gate
-/// and the obs-armed invisibility test below.
+/// The pinned `(run, round-0)` hashes of a scenario, from
+/// `cs_bench::fingerprint::PINS` — the one table the `fingerprint`
+/// binary gates on too.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-const PINNED_RUN_HASHES: &[(&str, u64)] = &[
-    ("continustreaming_static", 0xe477cc07219c469e),
-    ("continustreaming_dynamic", 0x8025028004085acc),
-    ("coolstreaming_static", 0xd0f5f39d4b96dca7),
-    ("greedy_rarest_first", 0xa2ed438909202a4f),
-    ("continustreaming_homogeneous", 0x206ebf4109454640),
-    // Recorded post-refactor.
-    ("continustreaming_scale_200", 0xa5e310fb404f2576),
-    ("coolstreaming_homogeneous_dynamic", 0x203ffbaa2f7af79d),
-];
+fn pin(name: &str) -> (u64, u64) {
+    pinned(name).unwrap_or_else(|| panic!("`{name}` has no row in PINS"))
+}
 
 /// Layer 2: pinned fingerprints from the pre-refactor round loop.
 ///
-/// These seven hashes were recorded from the implementation that kept
-/// `HashMap<DhtId, NodeSim>` state and re-snapshotted every buffer map
-/// each round, immediately before the node-arena / `RoundScratch`
-/// refactor landed. The refactored loop reproduces every one, proving
-/// the data-layout change altered no simulated behaviour.
+/// The first five run hashes were recorded from the implementation that
+/// kept `HashMap<DhtId, NodeSim>` state and re-snapshotted every buffer
+/// map each round, immediately before the node-arena / `RoundScratch`
+/// refactor landed; the refactored loop reproduces every one, proving
+/// the data-layout change altered no simulated behaviour. The next two
+/// were recorded post-refactor, and `random_static` before the baselines
+/// moved to the mask-form schedulers.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn arena_refactor_causes_no_behavioural_drift() {
-    let pinned = PINNED_RUN_HASHES;
-    let computed = scenarios();
-    assert_eq!(
-        computed.len(),
-        pinned.len(),
-        "scenario set and pin list out of sync"
-    );
-    for ((name, config), &(pin_name, pin_hash)) in computed.into_iter().zip(pinned) {
-        assert_eq!(name, pin_name, "scenario order changed");
+    for (name, config) in scenarios() {
         let report = SystemSim::new(config).run();
         let hash = fingerprint(&report);
+        let pin_hash = pin(name).0;
         assert_eq!(
             hash, pin_hash,
             "behavioural drift in scenario `{name}`: 0x{hash:016x} != pinned 0x{pin_hash:016x}"
@@ -123,7 +111,7 @@ fn arena_refactor_causes_no_behavioural_drift() {
 /// Layer 2b: pinned *round-0* fingerprints — the per-node state right
 /// after `SystemSim::new`, before any round runs.
 ///
-/// These seven hashes were recorded from the pre-arena init path (the
+/// The first seven were recorded from the pre-arena init path (the
 /// O(N²) `position()` scan seeding overheard lists and the throwaway
 /// `DhtId → ping` HashMap feeding the DHT latency closure). The
 /// arena-built init must reproduce them byte for byte: any drift in trace
@@ -132,28 +120,42 @@ fn arena_refactor_causes_no_behavioural_drift() {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn init_path_causes_no_round0_drift() {
-    let pinned: &[(&str, u64)] = &[
-        ("continustreaming_static", 0x670ce83d36f0ef91),
-        ("continustreaming_dynamic", 0xb43fb599fa4cb7ee),
-        ("coolstreaming_static", 0x88fd280dda0e20b0),
-        ("greedy_rarest_first", 0x6cda3f0049ea1ab2),
-        ("continustreaming_homogeneous", 0x4439246729ef6d76),
-        ("continustreaming_scale_200", 0x190a129375c87e9b),
-        ("coolstreaming_homogeneous_dynamic", 0xba49ea2819feeebf),
-    ];
-    let computed = scenarios();
-    assert_eq!(
-        computed.len(),
-        pinned.len(),
-        "scenario set and pin list out of sync"
-    );
-    for ((name, config), &(pin_name, pin_hash)) in computed.into_iter().zip(pinned) {
-        assert_eq!(name, pin_name, "scenario order changed");
+    for (name, config) in scenarios() {
         let sim = SystemSim::new(config);
         let hash = round0_fingerprint(&sim);
+        let pin_hash = pin(name).1;
         assert_eq!(
             hash, pin_hash,
             "round-0 drift in scenario `{name}`: 0x{hash:016x} != pinned 0x{pin_hash:016x}"
+        );
+    }
+}
+
+/// The pin table holds exactly one row per system scenario and per DHT
+/// batch, in the order the `fingerprint` binary prints them — no
+/// scenario goes unpinned and no pin goes unchecked.
+#[test]
+fn pin_table_matches_the_fingerprint_set() {
+    let names: Vec<&str> = scenarios()
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(dht::fingerprints().iter().map(|(name, ..)| *name))
+        .collect();
+    let pin_names: Vec<&str> = PINS.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(names, pin_names);
+}
+
+/// Layer 2g: the DHT batches the `fingerprint` binary prints (the
+/// 400-lookup overhearing batches are pinned nowhere else;
+/// `tests/dht_routing.rs` pins 500-lookup ones). Integer latencies, no
+/// libm: held on every platform.
+#[test]
+fn dht_fingerprints_match_pins() {
+    for (name, routes, tables) in dht::fingerprints() {
+        assert_eq!(
+            pinned(name),
+            Some((routes, tables)),
+            "DHT drift in `{name}`: routes 0x{routes:016x} tables 0x{tables:016x}"
         );
     }
 }
@@ -167,11 +169,8 @@ fn init_path_causes_no_round0_drift() {
 #[test]
 fn null_scenario_reproduces_pinned_fingerprints() {
     use cs_scenario::{run_scenario, ScenarioSpec};
-    let pinned = PINNED_RUN_HASHES;
-    let computed = scenarios();
-    assert_eq!(computed.len(), pinned.len());
-    for ((name, config), &(pin_name, pin_hash)) in computed.into_iter().zip(pinned) {
-        assert_eq!(name, pin_name, "scenario order changed");
+    for (name, config) in scenarios() {
+        let pin_hash = pin(name).0;
         let outcome = run_scenario(&ScenarioSpec::null(name, config));
         let hash = fingerprint(&outcome.report);
         assert_eq!(
@@ -190,11 +189,8 @@ fn null_scenario_reproduces_pinned_fingerprints() {
 #[test]
 fn default_fault_plan_is_invisible() {
     use cs_scenario::{run_scenario, ScenarioSpec};
-    let pinned = PINNED_RUN_HASHES;
-    let computed = scenarios();
-    assert_eq!(computed.len(), pinned.len());
-    for ((name, mut config), &(pin_name, pin_hash)) in computed.into_iter().zip(pinned) {
-        assert_eq!(name, pin_name, "scenario order changed");
+    for (name, mut config) in scenarios() {
+        let pin_hash = pin(name).0;
         config.faults = FaultPlan::default();
         let outcome = run_scenario(&ScenarioSpec::null(name, config));
         let hash = fingerprint(&outcome.report);
@@ -242,14 +238,10 @@ fn armed_obs_layer_causes_no_behavioural_drift() {
         );
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         {
-            let pin = PINNED_RUN_HASHES
-                .iter()
-                .find(|(n, _)| *n == name)
-                .expect("every scenario is pinned")
-                .1;
+            let pin_hash = pin(name).0;
             assert_eq!(
-                hash, pin,
-                "obs-armed drift in `{name}`: 0x{hash:016x} != pinned 0x{pin:016x}"
+                hash, pin_hash,
+                "obs-armed drift in `{name}`: 0x{hash:016x} != pinned 0x{pin_hash:016x}"
             );
         }
     }
