@@ -1,17 +1,22 @@
 //! Print the behavioural fingerprint of every pinned scenario (see
 //! `cs_bench::fingerprint`), followed by the DHT routing fingerprints
-//! (hop sequences + table states of fixed lookup batches), and hold each
-//! to its row of `PINS`. Exit 1 on any mismatch (named on stderr); the
-//! system hashes involve libm transcendentals, so they are held only on
-//! x86_64 Linux, like `tests/determinism.rs` holds them.
+//! (hop sequences + table states of fixed lookup batches), and exit 1 if
+//! any differs from its row of `PINS` — on x86_64 Linux only, like
+//! `tests/determinism.rs` (the system hashes involve libm).
 
 use std::process::ExitCode;
 
-use cs_bench::fingerprint::{dht, fingerprint, pinned, round0_fingerprint, scenarios, PINS};
+use cs_bench::fingerprint::{dht, fingerprint, round0_fingerprint, scenarios, PINS};
 use cs_core::SystemSim;
 
 fn main() -> ExitCode {
-    let mut lines = Vec::new();
+    let mut drift = false;
+    let mut check = |name: &str, a: u64, b: u64| {
+        if cfg!(all(target_os = "linux", target_arch = "x86_64")) && !PINS.contains(&(name, a, b)) {
+            eprintln!("drift in `{name}`: 0x{a:016x} 0x{b:016x} is not its row of PINS");
+            drift = true;
+        }
+    };
     for (name, config) in scenarios() {
         let sim = SystemSim::new(config);
         let round0 = round0_fingerprint(&sim);
@@ -21,33 +26,11 @@ fn main() -> ExitCode {
             "{name}: 0x{run:016x}  round0 0x{round0:016x}  (stable continuity {:.4})",
             report.summary.stable_continuity
         );
-        lines.push((name, run, round0));
+        check(name, run, round0);
     }
     for (name, routes, tables) in dht::fingerprints() {
         println!("{name}: routes 0x{routes:016x}  tables 0x{tables:016x}");
-        lines.push((name, routes, tables));
-    }
-    if !cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        return ExitCode::SUCCESS;
-    }
-    let mut drift = lines.len() != PINS.len();
-    if drift {
-        eprintln!("{} fingerprints for {} pins", lines.len(), PINS.len());
-    }
-    for (name, a, b) in lines {
-        match pinned(name) {
-            Some(pin) if pin == (a, b) => {}
-            Some((pa, pb)) => {
-                eprintln!(
-                    "drift in `{name}`: 0x{a:016x} 0x{b:016x} != pinned 0x{pa:016x} 0x{pb:016x}"
-                );
-                drift = true;
-            }
-            None => {
-                eprintln!("`{name}` has no row in PINS");
-                drift = true;
-            }
-        }
+        check(name, routes, tables);
     }
     if drift {
         ExitCode::FAILURE

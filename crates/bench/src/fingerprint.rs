@@ -7,12 +7,10 @@
 //! expected values; `tests/determinism.rs` and the `fingerprint` binary
 //! (CI's release-mode gate) both check against it.
 //!
-//! `random_static` pins the Random scheduler: its candidates are built in
-//! ascending segment order and its shuffle and supplier draws come from
-//! the simulator's seeded scheduler stream, so its runs reproduce like
-//! every other scheduler's. (Pre-arena builds ordered its candidates by
-//! `HashMap` iteration, which std randomises per process, so the first
-//! pin set could not include it.)
+//! `random_static` pins the Random scheduler, whose candidates are built
+//! in ascending segment order and whose draws come from the seeded
+//! scheduler stream. (It was absent while candidate order flowed through
+//! per-process-randomised `HashMap` iteration, before the arena refactor.)
 
 use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemSim};
 use cs_net::BandwidthProfile;
@@ -36,16 +34,10 @@ pub fn round0_fingerprint(sim: &SystemSim) -> u64 {
     fnv1a(format!("{:?}", sim.debug_states()).as_bytes())
 }
 
-/// The pinned drift-gate values, one row per [`scenarios`] entry (run
-/// hash, round-0 hash) and per [`dht::fingerprints`] batch (routes hash,
-/// tables hash), in that order. The system hashes involve libm
-/// transcendentals, so they are asserted only on x86_64 Linux.
-///
-/// The first seven system rows were recorded from the pre-arena (id-keyed
-/// `HashMap`) round loop and init path — the last two of them
-/// post-refactor — and `random_static` from the build before the
-/// baselines moved to mask form. The DHT rows were recorded from the
-/// pre-arena (`BTreeMap`-keyed) routing layer.
+/// The pinned drift-gate values: per [`scenarios`] entry its run and
+/// round-0 hash, per [`dht::fingerprints`] batch its routes and tables
+/// hash, in that order. The system hashes involve libm, so they are held
+/// only on x86_64 Linux.
 #[rustfmt::skip]
 pub const PINS: &[(&str, u64, u64)] = &[
     ("continustreaming_static", 0xe477cc07219c469e, 0x670ce83d36f0ef91),
@@ -60,11 +52,6 @@ pub const PINS: &[(&str, u64, u64)] = &[
     ("dht_overhear_400", 0xf96cd39fae554ffd, 0x8f45647ab3fc68d4),
     ("dht_overhear_800", 0x11f6772d78683832, 0x08a33e3bd7af7b9d),
 ];
-
-/// The pinned pair of the named scenario or DHT batch (see [`PINS`]).
-pub fn pinned(name: &str) -> Option<(u64, u64)> {
-    PINS.iter().find(|p| p.0 == name).map(|p| (p.1, p.2))
-}
 
 /// The pinned scenario set. Includes a homogeneous-bandwidth case on
 /// purpose: with every rate equal, scheduler tie-breaks are exercised

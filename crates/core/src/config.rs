@@ -161,6 +161,25 @@ impl SystemConfig {
             self.neighbors
         );
         ensure!(self.buffer_size > 0, "need a non-empty buffer");
+        // Buffers and maps are allocated at `B` bits per node, and the
+        // §5.4.2 buffer map's 20-bit head id names 2^20 segments.
+        ensure!(
+            self.buffer_size <= 1 << 20,
+            "buffer_size = {}: a buffer holds at most 1048576 (2^20) segments",
+            self.buffer_size
+        );
+        // The exchange window and the pre-fetch miss list are sized from
+        // these; neither can use more than the buffer holds.
+        for (key, v) in [
+            ("startup_segments", self.startup_segments),
+            ("prefetch_cap", self.prefetch_cap as u64),
+        ] {
+            ensure!(
+                v <= self.buffer_size,
+                "{key} = {v} exceeds the {}-segment buffer",
+                self.buffer_size
+            );
+        }
         ensure!(self.playback_rate > 0, "playback rate must be positive");
         ensure!(self.period_secs > 0.0, "period must be positive");
         ensure!(self.segment_kbits > 0.0, "segment size must be positive");
@@ -296,6 +315,37 @@ mod tests {
                 err.contains(&format!("replicas = {k}")) && err.contains("between 1 and 64"),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn buffer_bounds_rejected() {
+        let with = |buffer_size, startup_segments, prefetch_cap| SystemConfig {
+            buffer_size,
+            startup_segments,
+            prefetch_cap,
+            ..Default::default()
+        };
+        with(1 << 20, 1 << 20, 1 << 20).validate().unwrap();
+        with(600, 600, 600).validate().unwrap();
+        for (config, needle) in [
+            (
+                with(100_000_000_000, 100, 5),
+                "buffer_size = 100000000000: a buffer holds at most 1048576 (2^20) segments",
+            ),
+            (
+                with(600, 1 << 63, 5),
+                "startup_segments = 9223372036854775808 exceeds the 600-segment buffer",
+            ),
+            (
+                with(600, 100, 1_000_000_000_000),
+                "prefetch_cap = 1000000000000 exceeds the 600-segment buffer",
+            ),
+            (with(600, 601, 5), "startup_segments = 601 exceeds"),
+            (with(600, 100, 601), "prefetch_cap = 601 exceeds"),
+        ] {
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(needle), "{err}");
         }
     }
 

@@ -13,8 +13,10 @@
 //! * **priority** (eq. 3): `max(urgency, rarity)`.
 //!
 //! The ablation experiment A1 compares the paper's policy against
-//! urgency-only, rarity-only, the traditional rarest-first `1/n_i`, and a
-//! random policy; all are implemented here as [`PriorityPolicy`] variants.
+//! urgency-only, rarity-only and the traditional rarest-first `1/n_i`;
+//! all are implemented here as [`PriorityPolicy`] variants. (The random
+//! baseline is a scheduler, not a priority: it shuffles, so it ranks by
+//! nothing and no priority is computed for it.)
 
 use crate::SegmentId;
 
@@ -103,9 +105,6 @@ pub enum PriorityPolicy {
     RarityOnly,
     /// CoolStreaming's `1/n_i`.
     RarestFirst,
-    /// No ordering signal (priority 0 for everything); combined with a
-    /// shuffling scheduler this is the naive-gossip ablation.
-    Uniform,
 }
 
 impl PriorityPolicy {
@@ -116,7 +115,6 @@ impl PriorityPolicy {
             PriorityPolicy::UrgencyOnly => terms.urgency(),
             PriorityPolicy::RarityOnly => terms.rarity(),
             PriorityPolicy::RarestFirst => terms.rarest_first(),
-            PriorityPolicy::Uniform => 0.0,
         }
     }
 }
@@ -222,6 +220,5 @@ mod tests {
         assert_eq!(PriorityPolicy::UrgencyOnly.evaluate_terms(&i), i.urgency());
         assert_eq!(PriorityPolicy::RarityOnly.evaluate_terms(&i), i.rarity());
         assert_eq!(PriorityPolicy::RarestFirst.evaluate_terms(&i), 0.5);
-        assert_eq!(PriorityPolicy::Uniform.evaluate_terms(&i), 0.0);
     }
 }

@@ -6,58 +6,53 @@
 //! machine scheduling and is NP-hard (§4.2), so everything here is
 //! greedy:
 //!
-//! * [`schedule_greedy_into`] — **Algorithm 1**: walk candidates in
+//! * [`schedule_greedy_masks_into`] — **Algorithm 1**: walk candidates in
 //!   descending priority; for each, pick the supplier minimising expected
 //!   receive time `t_trans + τ(j)` subject to `t_trans + τ(j) < τ`, then
 //!   charge the chosen supplier's queue `τ(j) ← t_min`.
-//! * [`schedule_coolstreaming_into`] — the CoolStreaming/DONet baseline:
-//!   rarest-first order (fewest suppliers first), supplier = highest
-//!   bandwidth with enough available time.
-//! * [`schedule_random_into`] — naive gossip: random order, random
+//! * [`schedule_coolstreaming_masks_into`] — the CoolStreaming/DONet
+//!   baseline: rarest-first order (fewest suppliers first), supplier =
+//!   highest bandwidth with enough available time.
+//! * [`schedule_random_masks_into`] — naive gossip: random order, random
 //!   feasible supplier; the lower bound any smart policy must beat.
 //!
 //! All schedulers respect the same inbound budget `min(m, I·τ)` and the
 //! same per-supplier queue model, so measured differences are purely the
 //! policy.
 //!
-//! Algorithm 1 also comes in **mask form**,
-//! [`schedule_greedy_masks_into`] over [`MaskCandidate`]s: a candidate's
-//! supplier set is a bitmask over the context's supplier table instead of
-//! a `Vec` of keys, and `τ(j)` / `1/R(j)` are read by supplier index
-//! instead of found by key. It is what the simulator's round loop runs
-//! (a node has `M ≤ 64` neighbours, so its suppliers fit one word); the
-//! keyed [`schedule_greedy_into`] is the same algorithm for stand-alone
-//! callers and the oracle the mask form is tested against
-//! (`tests/scheduler_equivalence.rs`).
+//! Each algorithm is written once, in **mask form**: a [`MaskCandidate`]'s
+//! supplier set is a bitmask over the context's supplier table, read
+//! through per-supplier lanes `(1/R(j), τ(j))` by table index — what the
+//! round loop runs for every scheduler (`M ≤ 64` suppliers fit a word).
+//! The keyed `schedule_*_into` over [`SegmentCandidate`]s fold each list
+//! into a mask and forward; the frozen benchmark kernels call them.
 //!
-//! Everything is generic over the supplier key `K` (default [`DhtId`]) so
-//! the full-system simulator can schedule against its dense node-arena
-//! handles without translating to DHT identifiers; stand-alone users and
-//! the benches keep using plain ids. With at most `M` (≈ 5) suppliers in
-//! play per node, the per-supplier queue and rate tables are flat vectors
-//! with linear probes — measurably faster than hashing at these sizes and
-//! free of per-call allocation when reused.
+//! The supplier key `K` (default [`DhtId`]) lets the simulator schedule
+//! against its arena handles. Keys are copied out of the table, never
+//! compared: a supplier tie-break ("lower id wins") goes to the lower
+//! table index, so callers keep the table in ascending-key order.
 //!
 //! ## The `_into` contract (zero-allocation scheduling)
 //!
 //! Every policy writes into a **caller-owned** output buffer and draws
-//! all working memory (the supplier queue `τ(j)`, the ordering buffer,
-//! the feasible-supplier list) from a caller-owned [`SchedulerScratch`].
+//! all working memory (the supplier lanes, the ordering buffer, the
+//! feasible-supplier list) from a caller-owned [`SchedulerScratch`].
 //! The contract:
 //!
 //! * `out` is cleared, then filled — previous contents never leak;
 //! * the scratch carries no information between calls (every buffer is
 //!   cleared before use), it only carries *capacity*: a reused scratch
-//!   produces the same bytes — and, for [`schedule_random_into`], the
-//!   same RNG draw sequence — as a fresh one
-//!   (`tests/scheduler_equivalence.rs` pins this against seeded random
-//!   workloads);
+//!   produces the same bytes — and, for Random, the same RNG draw
+//!   sequence — as a fresh one (`tests/scheduler_equivalence.rs` pins
+//!   this against seeded random workloads);
 //! * steady-state calls perform **zero heap allocations** once the scratch
 //!   and `out` have grown to the workload's high-water mark.
 //!
 //! Candidate ids must be distinct (the simulator builds them in ascending
 //! segment order, so they are): every internal sort is unstable, relying
 //! on the id tie-break to make the comparator a total order.
+
+use std::marker::PhantomData;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -68,25 +63,16 @@ use cs_sim::SimRng;
 use crate::buffer::BitIter;
 use crate::SegmentId;
 
-/// Key types a scheduler can address suppliers by.
-///
-/// `Ord` matters: every tie-break in the algorithms ("lower id wins")
-/// uses it, so the key's order must be deterministic and stable across
-/// runs. Implemented by `DhtId` and by the simulator's arena handles
-/// (which order by the underlying `DhtId` for exactly this reason).
-pub trait SupplierKey: Copy + PartialEq + Ord + std::fmt::Debug {}
-impl<T: Copy + PartialEq + Ord + std::fmt::Debug> SupplierKey for T {}
-
-/// One candidate segment, with its suppliers and computed priority.
+/// One candidate segment with its suppliers listed by key: the input of
+/// the keyed adapters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentCandidate<K = DhtId> {
     /// The wanted segment.
     pub id: SegmentId,
-    /// Scheduling priority (larger = sooner); semantics depend on the
-    /// [`crate::priority::PriorityPolicy`] that produced it.
+    /// Scheduling priority, as in [`MaskCandidate`].
     pub priority: f64,
-    /// Connected neighbours advertising this segment, in ascending-key
-    /// order (callers must keep this deterministic).
+    /// Connected neighbours advertising this segment, each present in the
+    /// context's supplier table.
     pub suppliers: Vec<K>,
 }
 
@@ -96,11 +82,12 @@ pub struct SegmentCandidate<K = DhtId> {
 pub struct MaskCandidate {
     /// The wanted segment.
     pub id: SegmentId,
-    /// Scheduling priority (larger = sooner), as in [`SegmentCandidate`].
+    /// Scheduling priority (larger = sooner). Only Algorithm 1 reads it
+    /// (its walk order, forwarded into the assignment); the baselines
+    /// order by rarity or at random and ignore it.
     pub priority: f64,
     /// Bit `k` set ⇔ the supplier at `supplier_rates[k]` advertises the
-    /// segment. The table must be in ascending-key order for the "lower
-    /// id wins" tie-break to match the keyed form.
+    /// segment.
     pub suppliers: u64,
 }
 
@@ -112,25 +99,16 @@ pub struct ScheduleContext<K = DhtId> {
     pub inbound_budget: u32,
     /// The scheduling period `τ` in seconds.
     pub period_secs: f64,
-    /// Estimated sending rate `R(j)` of each supplier, segments/s. A flat
-    /// list (one entry per connected neighbour, so ≤ M entries): linear
-    /// probes beat hashing at this size and the buffer is reusable.
+    /// The supplier table: estimated sending rate `R(j)` of each supplier,
+    /// segments/s, one entry per connected neighbour (so at most 64).
+    /// Bit `k` of a [`MaskCandidate`] names entry `k`; supplier ties go to
+    /// the lower index, so keep the table in ascending-key order.
     pub supplier_rates: Vec<(K, f64)>,
     /// Segments below this id are deadline-critical (DONet schedules
     /// within deadline constraints before applying rarest-first; without
     /// this a freshly joined node pulls the rare frontier forever while
     /// its play point starves). `None` disables the split.
     pub deadline_cutoff: Option<SegmentId>,
-}
-
-impl<K: SupplierKey> ScheduleContext<K> {
-    fn rate(&self, j: K) -> f64 {
-        self.supplier_rates
-            .iter()
-            .find(|(k, _)| *k == j)
-            .map(|(_, r)| *r)
-            .unwrap_or(0.0)
-    }
 }
 
 /// One scheduled request.
@@ -148,139 +126,82 @@ pub struct Assignment<K = DhtId> {
 }
 
 /// Reusable working memory for the `_into` scheduling entry points (see
-/// the module docs for the full contract). One instance per planning
-/// thread; the simulator keeps one inside its per-round scratch so
-/// steady-state scheduling allocates nothing.
+/// the module docs for the full contract). The simulator keeps one
+/// inside its per-round scratch so steady-state scheduling allocates
+/// nothing.
 ///
 /// The scratch carries **capacity only** — every buffer is cleared before
 /// use, so a scratch can be shared freely across nodes, policies and
 /// rounds without any cross-talk.
+///
+/// Nothing in it depends on the supplier key: `K` remains only because
+/// the frozen benchmark kernels name `SchedulerScratch<u64>`.
 #[derive(Debug)]
 pub struct SchedulerScratch<K = DhtId> {
-    /// The per-supplier committed-time queue `τ(j)` of Algorithm 1, as a
-    /// flat list (at most one entry per supplier in play).
-    queue: Vec<(K, f64)>,
+    /// Per-supplier lanes `(1/R(j), τ(j))`, indexed like the context's
+    /// supplier table: the transfer time and Algorithm 1's committed-time
+    /// queue.
+    lanes: Vec<(f64, f64)>,
     /// Candidate-index ordering buffer (CoolStreaming's rarest-first sort,
     /// Random's shuffle).
     order: Vec<u32>,
-    /// Feasible-supplier buffer for the Random policy's per-candidate
-    /// draw.
-    feasible: Vec<(K, f64)>,
-    /// The mask form's per-supplier lanes `(1/R(j), τ(j))`, indexed like
-    /// the context's supplier table.
-    lanes: Vec<(f64, f64)>,
+    /// Random's feasible suppliers of one candidate, as table indices.
+    feasible: Vec<u32>,
+    /// The keyed adapters' candidates in mask form (see [`masks_of`]).
+    masks: Vec<MaskCandidate>,
+    key: PhantomData<K>,
 }
 
 // Manual impl: the derive would needlessly demand `K: Default`.
 impl<K> Default for SchedulerScratch<K> {
     fn default() -> Self {
         SchedulerScratch {
-            queue: Vec::new(),
+            lanes: Vec::new(),
             order: Vec::new(),
             feasible: Vec::new(),
-            lanes: Vec::new(),
+            masks: Vec::new(),
+            key: PhantomData,
         }
     }
 }
 
-#[inline]
-fn queue_get<K: SupplierKey>(queue: &[(K, f64)], j: K) -> f64 {
-    queue
-        .iter()
-        .find(|(k, _)| *k == j)
-        .map(|(_, t)| *t)
-        .unwrap_or(0.0)
-}
-
-#[inline]
-fn queue_set<K: SupplierKey>(queue: &mut Vec<(K, f64)>, j: K, t: f64) {
-    match queue.iter_mut().find(|(k, _)| *k == j) {
-        Some(slot) => slot.1 = t,
-        None => queue.push((j, t)),
-    }
+/// Reset `lanes` to `(1/R(j), 0)` per entry of `ctx`'s supplier table.
+/// An unusable rate (≤ 0 or NaN) becomes an infinite transfer time, which
+/// no feasibility test (`eta < τ`) passes.
+fn reset_lanes<K>(ctx: &ScheduleContext<K>, lanes: &mut Vec<(f64, f64)>) {
+    assert!(
+        ctx.supplier_rates.len() <= 64,
+        "a supplier mask addresses at most 64 suppliers"
+    );
+    lanes.clear();
+    lanes.extend(ctx.supplier_rates.iter().map(|&(_, rate)| {
+        let t_trans = if rate > 0.0 {
+            1.0 / rate
+        } else {
+            f64::INFINITY
+        };
+        (t_trans, 0.0)
+    }));
 }
 
 /// Algorithm 1, writing into caller-owned buffers (cleared first; see the
-/// module docs for the `_into` contract). `candidates` must already be
-/// sorted in **descending priority** (ties broken by ascending id for
-/// determinism — use [`sort_candidates`]).
-pub fn schedule_greedy_into<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
-    ctx: &ScheduleContext<K>,
-    scratch: &mut SchedulerScratch<K>,
-    out: &mut Vec<Assignment<K>>,
-) {
-    let budget = (candidates.len() as u32).min(ctx.inbound_budget) as usize;
-    scratch.queue.clear();
-    out.clear();
-    // The loop bound min(m, I·τ) caps *scheduled segments*: a candidate
-    // with no feasible supplier does not consume an inbound slot, the
-    // scheduler simply moves on to the next-priority segment.
-    for cand in candidates.iter() {
-        if out.len() >= budget {
-            break;
-        }
-        let mut t_min = f64::INFINITY;
-        let mut chosen: Option<K> = None;
-        for &j in &cand.suppliers {
-            let rate = ctx.rate(j);
-            if rate <= 0.0 {
-                continue;
-            }
-            let t_trans = 1.0 / rate;
-            let tau_j = queue_get(&scratch.queue, j);
-            let eta = t_trans + tau_j;
-            if eta < t_min && eta < ctx.period_secs {
-                t_min = eta;
-                chosen = Some(j);
-            }
-        }
-        if let Some(j) = chosen {
-            queue_set(&mut scratch.queue, j, t_min);
-            out.push(Assignment {
-                segment: cand.id,
-                supplier: j,
-                expected_receive_secs: t_min,
-                priority: cand.priority,
-            });
-        }
-    }
-}
-
-/// Algorithm 1 in mask form (see the module docs): the same walk, choice
-/// and tie-breaks as [`schedule_greedy_into`] — bit-identical assignments
-/// — with bit `k` of a candidate's mask standing for
-/// `ctx.supplier_rates[k]`. Suppliers are tried by ascending bit, so the
-/// table must be in ascending-key order, and must hold at most 64 entries
-/// covering every set bit. `candidates` must already be in scheduling
-/// order ([`sort_mask_candidates`]).
-pub fn schedule_greedy_masks_into<K: SupplierKey>(
+/// module docs for the `_into` contract). Suppliers are tried by
+/// ascending bit, so on equal receive times the lower table index wins.
+/// `candidates` must already be in scheduling order — descending
+/// priority, ties by ascending id ([`sort_mask_candidates`]).
+pub fn schedule_greedy_masks_into<K: Copy>(
     candidates: &[MaskCandidate],
     ctx: &ScheduleContext<K>,
     scratch: &mut SchedulerScratch<K>,
     out: &mut Vec<Assignment<K>>,
 ) {
-    assert!(
-        ctx.supplier_rates.len() <= 64,
-        "a supplier mask addresses at most 64 suppliers"
-    );
-    let budget = (candidates.len() as u32).min(ctx.inbound_budget) as usize;
-    // An unusable rate becomes an infinite transfer time, which no
-    // `eta < t_min` test passes: the keyed form's `rate <= 0` skip.
-    scratch.lanes.clear();
-    scratch
-        .lanes
-        .extend(ctx.supplier_rates.iter().map(|&(_, rate)| {
-            let t_trans = if rate > 0.0 {
-                1.0 / rate
-            } else {
-                f64::INFINITY
-            };
-            (t_trans, 0.0)
-        }));
+    reset_lanes(ctx, &mut scratch.lanes);
     out.clear();
+    // The loop bound min(m, I·τ) caps *scheduled segments*: a candidate
+    // with no feasible supplier does not consume an inbound slot, the
+    // scheduler simply moves on to the next-priority segment.
     for cand in candidates {
-        if out.len() >= budget {
+        if out.len() >= ctx.inbound_budget as usize {
             break;
         }
         let mut t_min = f64::INFINITY;
@@ -306,72 +227,64 @@ pub fn schedule_greedy_masks_into<K: SupplierKey>(
 }
 
 /// The CoolStreaming baseline, writing into caller-owned buffers (cleared
-/// first; see the module docs for the `_into` contract): candidates in
-/// rarest-first order (fewest suppliers first, ties by ascending id),
-/// supplier = highest-rate neighbour whose queue still fits the period.
-pub fn schedule_coolstreaming_into<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
+/// first; see the module docs for the `_into` contract): deadline-critical
+/// candidates first by id, then the rest rarest-first (fewest suppliers,
+/// ties by ascending id); supplier = highest-rate one whose queue still
+/// fits the period, ties to the lower table index. Candidate priorities
+/// are not read.
+pub fn schedule_coolstreaming_masks_into<K: Copy>(
+    candidates: &[MaskCandidate],
     ctx: &ScheduleContext<K>,
     scratch: &mut SchedulerScratch<K>,
     out: &mut Vec<Assignment<K>>,
 ) {
     scratch.order.clear();
     scratch.order.extend(0..candidates.len() as u32);
-    let critical = |c: &SegmentCandidate<K>| ctx.deadline_cutoff.is_some_and(|cut| c.id < cut);
-    // Unstable sort: the id tie-break makes the comparator total over
-    // distinct-id candidates, so the result matches a stable sort.
-    scratch.order.sort_unstable_by(|&ia, &ib| {
-        let (a, b) = (&candidates[ia as usize], &candidates[ib as usize]);
-        // Deadline-critical segments first (earliest deadline first),
-        // rarest-first among the rest.
-        critical(b).cmp(&critical(a)).then_with(|| {
-            if critical(a) && critical(b) {
-                a.id.cmp(&b.id)
-            } else {
-                a.suppliers
-                    .len()
-                    .cmp(&b.suppliers.len())
-                    .then(a.id.cmp(&b.id))
-            }
-        })
+    // Deadline-critical segments first (earliest deadline first),
+    // rarest-first among the rest. Unstable sort: the id makes the key
+    // unique over distinct-id candidates, so the result matches a stable
+    // sort.
+    scratch.order.sort_unstable_by_key(|&i| {
+        let c = &candidates[i as usize];
+        let critical = ctx.deadline_cutoff.is_some_and(|cut| c.id < cut);
+        let count = if critical {
+            0
+        } else {
+            c.suppliers.count_ones()
+        };
+        (!critical, count, c.id)
     });
-    let budget = (candidates.len() as u32).min(ctx.inbound_budget) as usize;
-    scratch.queue.clear();
+    reset_lanes(ctx, &mut scratch.lanes);
     out.clear();
-    for oi in 0..scratch.order.len() {
-        let cand = &candidates[scratch.order[oi] as usize];
-        if out.len() >= budget {
+    for &i in &scratch.order {
+        if out.len() >= ctx.inbound_budget as usize {
             break;
         }
-        let mut best: Option<(f64, K, f64)> = None; // (rate, key, eta)
-        for &j in &cand.suppliers {
-            let rate = ctx.rate(j);
-            if rate <= 0.0 {
-                continue;
-            }
-            let eta = 1.0 / rate + queue_get(&scratch.queue, j);
+        let cand = &candidates[i as usize];
+        let mut best: Option<(f64, usize, f64)> = None; // (rate, index, eta)
+        for k in BitIter(cand.suppliers) {
+            let k = k as usize;
+            let (t_trans, tau_j) = scratch.lanes[k];
+            let eta = t_trans + tau_j;
             if eta >= ctx.period_secs {
                 continue;
             }
-            let better = match best {
-                None => true,
-                Some((r, id, _)) => rate > r || (rate == r && j < id),
-            };
-            if better {
-                best = Some((rate, j, eta));
+            let rate = ctx.supplier_rates[k].1;
+            if best.is_none_or(|(r, ..)| rate > r) {
+                best = Some((rate, k, eta));
             }
         }
-        if let Some((_, j, eta)) = best {
-            queue_set(&mut scratch.queue, j, eta);
+        if let Some((_, k, eta)) = best {
+            scratch.lanes[k].1 = eta;
             out.push(Assignment {
                 segment: cand.id,
-                supplier: j,
+                supplier: ctx.supplier_rates[k].0,
                 expected_receive_secs: eta,
                 // CoolStreaming's wire protocol carries no urgency; the
                 // supplier serves rarest-first order by arrival. We use
                 // the inverse supplier count so contention resolution
                 // stays rarest-first at the supplier too.
-                priority: 1.0 / cand.suppliers.len().max(1) as f64,
+                priority: 1.0 / cand.suppliers.count_ones().max(1) as f64,
             });
         }
     }
@@ -379,15 +292,16 @@ pub fn schedule_coolstreaming_into<K: SupplierKey>(
 
 /// Naive gossip, writing into caller-owned buffers (cleared first; see
 /// the module docs for the `_into` contract): shuffle the candidates,
-/// pick a random feasible supplier for each.
+/// pick a random feasible supplier for each. Candidate priorities are not
+/// read.
 ///
 /// Callers must hand over `candidates` in a deterministic order (the
 /// simulator builds them in ascending segment order) — the shuffle
 /// permutes an index buffer of that length and the feasible list is built
-/// in supplier order, so the result and the draws consumed are a pure
+/// in table order, so the result and the draws consumed are a pure
 /// function of the RNG state, and runs reproduce.
-pub fn schedule_random_into<K: SupplierKey>(
-    candidates: &[SegmentCandidate<K>],
+pub fn schedule_random_masks_into<K: Copy>(
+    candidates: &[MaskCandidate],
     ctx: &ScheduleContext<K>,
     rng: &mut SimRng,
     scratch: &mut SchedulerScratch<K>,
@@ -396,37 +310,97 @@ pub fn schedule_random_into<K: SupplierKey>(
     scratch.order.clear();
     scratch.order.extend(0..candidates.len() as u32);
     scratch.order.shuffle(rng);
-    let budget = (candidates.len() as u32).min(ctx.inbound_budget) as usize;
-    scratch.queue.clear();
+    reset_lanes(ctx, &mut scratch.lanes);
     out.clear();
-    for oi in 0..scratch.order.len() {
-        let cand = &candidates[scratch.order[oi] as usize];
-        if out.len() >= budget {
+    for &i in &scratch.order {
+        if out.len() >= ctx.inbound_budget as usize {
             break;
         }
+        let cand = &candidates[i as usize];
         scratch.feasible.clear();
-        for &j in &cand.suppliers {
-            let rate = ctx.rate(j);
-            if rate <= 0.0 {
-                continue;
-            }
-            let eta = 1.0 / rate + queue_get(&scratch.queue, j);
-            if eta < ctx.period_secs {
-                scratch.feasible.push((j, eta));
+        for k in BitIter(cand.suppliers) {
+            let (t_trans, tau_j) = scratch.lanes[k as usize];
+            if t_trans + tau_j < ctx.period_secs {
+                scratch.feasible.push(k);
             }
         }
         if scratch.feasible.is_empty() {
             continue;
         }
-        let (j, eta) = scratch.feasible[rng.gen_range(0..scratch.feasible.len())];
-        queue_set(&mut scratch.queue, j, eta);
+        let k = scratch.feasible[rng.gen_range(0..scratch.feasible.len())] as usize;
+        let (t_trans, tau_j) = scratch.lanes[k];
+        let eta = t_trans + tau_j;
+        scratch.lanes[k].1 = eta;
         out.push(Assignment {
             segment: cand.id,
-            supplier: j,
+            supplier: ctx.supplier_rates[k].0,
             expected_receive_secs: eta,
             priority: 0.0,
         });
     }
+}
+
+/// The keyed adapters' one conversion: fold each candidate's supplier
+/// list into a mask over `ctx`'s table (into the scratch's mask buffer)
+/// and hand the masks to `schedule`. Every listed supplier must be in the
+/// table.
+fn masks_of<K: Copy + PartialEq>(
+    candidates: &[SegmentCandidate<K>],
+    ctx: &ScheduleContext<K>,
+    scratch: &mut SchedulerScratch<K>,
+    schedule: impl FnOnce(&[MaskCandidate], &mut SchedulerScratch<K>),
+) {
+    let mut masks = std::mem::take(&mut scratch.masks);
+    masks.clear();
+    masks.extend(candidates.iter().map(|c| MaskCandidate {
+        id: c.id,
+        priority: c.priority,
+        suppliers: c.suppliers.iter().fold(0, |mask, j| {
+            let k = ctx.supplier_rates.iter().position(|(key, _)| key == j);
+            mask | 1 << k.expect("every listed supplier is in the context's table")
+        }),
+    }));
+    schedule(&masks, scratch);
+    scratch.masks = masks;
+}
+
+/// [`schedule_greedy_masks_into`] over keyed candidates (see
+/// [`SegmentCandidate`]); `candidates` must already be in scheduling
+/// order ([`sort_candidates`]).
+pub fn schedule_greedy_into<K: Copy + PartialEq>(
+    candidates: &[SegmentCandidate<K>],
+    ctx: &ScheduleContext<K>,
+    scratch: &mut SchedulerScratch<K>,
+    out: &mut Vec<Assignment<K>>,
+) {
+    masks_of(candidates, ctx, scratch, |masks, scratch| {
+        schedule_greedy_masks_into(masks, ctx, scratch, out)
+    });
+}
+
+/// [`schedule_coolstreaming_masks_into`] over keyed candidates.
+pub fn schedule_coolstreaming_into<K: Copy + PartialEq>(
+    candidates: &[SegmentCandidate<K>],
+    ctx: &ScheduleContext<K>,
+    scratch: &mut SchedulerScratch<K>,
+    out: &mut Vec<Assignment<K>>,
+) {
+    masks_of(candidates, ctx, scratch, |masks, scratch| {
+        schedule_coolstreaming_masks_into(masks, ctx, scratch, out)
+    });
+}
+
+/// [`schedule_random_masks_into`] over keyed candidates.
+pub fn schedule_random_into<K: Copy + PartialEq>(
+    candidates: &[SegmentCandidate<K>],
+    ctx: &ScheduleContext<K>,
+    rng: &mut SimRng,
+    scratch: &mut SchedulerScratch<K>,
+    out: &mut Vec<Assignment<K>>,
+) {
+    masks_of(candidates, ctx, scratch, |masks, scratch| {
+        schedule_random_masks_into(masks, ctx, rng, scratch, out)
+    });
 }
 
 /// Sort candidates for [`schedule_greedy_into`]: descending priority, ties by
@@ -472,7 +446,7 @@ mod tests {
     }
 
     /// Run one `_into` scheduler over a fresh scratch and output buffer.
-    fn fresh<K: SupplierKey>(
+    fn fresh<K>(
         schedule: impl FnOnce(&mut SchedulerScratch<K>, &mut Vec<Assignment<K>>),
     ) -> Vec<Assignment<K>> {
         let mut out = Vec::new();

@@ -15,8 +15,8 @@ use crate::config::{SchedulerKind, SystemConfig};
 use crate::policy::{AdaptivePolicy, PolicyKind};
 use crate::priority::{PriorityPolicy, PriorityTerms};
 use crate::scheduler::{
-    schedule_coolstreaming_into, schedule_greedy_masks_into, schedule_random_into,
-    sort_mask_candidates, Assignment, MaskCandidate, ScheduleContext, SegmentCandidate,
+    schedule_coolstreaming_masks_into, schedule_greedy_masks_into, schedule_random_masks_into,
+    sort_mask_candidates, Assignment, MaskCandidate, ScheduleContext,
 };
 use crate::SegmentId;
 
@@ -114,7 +114,9 @@ const RESCUE_BUDGET_FRACTION: f64 = 0.2;
 /// neighbours advertise none of what it lacks — a dark neighbourhood in
 /// the startup wave — returns there. Only then [`prioritise`] turns the
 /// set bits into candidates whose supplier set is a bitmask over the
-/// view, and [`order_and_assign`] runs the configured scheduler.
+/// view (ranked by §4.2 priority only for the Algorithm 1 arms), and
+/// [`order_and_assign`] runs the configured scheduler's mask form: one
+/// path for every [`SchedulerKind`].
 #[allow(clippy::too_many_arguments)]
 fn plan_node(
     nodes: &NodeArena,
@@ -274,9 +276,11 @@ fn gather_fresh(
 /// Turn the gathered bits into `sched.candidates`, in ascending segment
 /// order (deterministic regardless of neighbour iteration, which also
 /// makes the Random scheduler's shuffle reproducible across processes):
-/// each with its supplier mask over `sched.view` and its §4.2 priority.
-/// Suppliers fold in ascending-id order, so `max_rate` and the rarity
-/// product are the same floats a walk over a sorted supplier list gives.
+/// each with its supplier mask over `sched.view` and — for the arms that
+/// rank by it, Algorithm 1's — its §4.2 priority; the baselines'
+/// candidates carry 0.0, which their schedulers never read. Suppliers
+/// fold in ascending-id order, so `max_rate` and the rarity product are
+/// the same floats a walk over a sorted supplier list gives.
 #[allow(clippy::too_many_arguments)]
 fn prioritise(
     nodes: &NodeArena,
@@ -298,66 +302,66 @@ fn prioritise(
             .push((v.peer, supplier_rate_estimate(nodes, config, node, v)));
     }
     let policy = match config.scheduler {
-        SchedulerKind::ContinuStreaming => PriorityPolicy::UrgencyRarity,
-        SchedulerKind::CoolStreaming => PriorityPolicy::RarestFirst,
-        SchedulerKind::Random => PriorityPolicy::Uniform,
-        SchedulerKind::GreedyWithPolicy(p) => p,
+        SchedulerKind::ContinuStreaming => Some(PriorityPolicy::UrgencyRarity),
+        SchedulerKind::GreedyWithPolicy(p) => Some(p),
+        SchedulerKind::CoolStreaming | SchedulerKind::Random => None,
     };
     let playback_rate = config.demand_per_round() as f64;
-    let nv = sched.view.len();
+    let (view, rates) = (&sched.view, &sched.rates);
+    let priority = |policy: PriorityPolicy, seg: SegmentId, suppliers: u64| {
+        let mut max_rate = 0.0f64;
+        let mut rarity_product = 1.0f64;
+        for k in BitIter(suppliers) {
+            let k = k as usize;
+            max_rate = max_rate.max(rates[k].1);
+            rarity_product *= maps.map_at(view[k].slot).replacement_probability(seg);
+        }
+        let terms = PriorityTerms {
+            id: seg,
+            play_id: play_anchor,
+            playback_rate,
+            max_rate,
+            rarity_product,
+            supplier_count: suppliers.count_ones() as usize,
+        };
+        // Per-(node, segment) deterministic jitter, sized to dominate
+        // the rarity band (0..1) but not genuine urgency (> 1 once a
+        // deadline is inside ~1 s): neighbours that compute identical
+        // priorities pull identical segments in identical order,
+        // holdings synchronise, and the intra-neighbourhood trading that
+        // makes swarming work dies. Within the non-urgent bulk the order
+        // is therefore diversified per node; near-deadline segments
+        // still beat everything. The A1 ablation bench quantifies this.
+        let jitter = 1.0
+            * (cs_sim::splitmix64(node.id ^ seg.wrapping_mul(0x9E37_79B9)) as f64
+                / u64::MAX as f64);
+        // Below the policy's occupancy floor the adaptive policy adds a
+        // bounded rarity bonus on top of the jitter: candidates few
+        // neighbours advertise are pulled preferentially, re-creating the
+        // holdings diversity that neighbourhood trading needs — while the
+        // per-node jitter keeps neighbouring pull orders decorrelated
+        // (replacing the jitter with a shared rarity rank synchronises
+        // them and accelerates the spiral).
+        match &config.policy {
+            PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
+            PolicyKind::Adaptive(_) => {
+                policy.evaluate_terms(&terms)
+                    + jitter
+                    + AdaptivePolicy::rarity_bonus(occupancy, terms.supplier_count)
+            }
+        }
+    };
+    let nv = view.len();
     sched.candidates.clear();
     for w in 0..words {
         let row = &sched.fresh[w * nv..(w + 1) * nv];
         for b in BitIter(sched.wanted[w]) {
             let seg = play_anchor + 64 * w as u64 + u64::from(b);
-            let mut suppliers = 0u64;
-            let mut max_rate = 0.0f64;
-            let mut rarity_product = 1.0f64;
-            for (k, fresh) in row.iter().enumerate() {
-                if fresh >> b & 1 == 1 {
-                    suppliers |= 1 << k;
-                    max_rate = max_rate.max(sched.rates[k].1);
-                    rarity_product *= maps.map_at(sched.view[k].slot).replacement_probability(seg);
-                }
-            }
-            let terms = PriorityTerms {
-                id: seg,
-                play_id: play_anchor,
-                playback_rate,
-                max_rate,
-                rarity_product,
-                supplier_count: suppliers.count_ones() as usize,
-            };
-            // Per-(node, segment) deterministic jitter, sized to
-            // dominate the rarity band (0..1) but not genuine urgency
-            // (> 1 once a deadline is inside ~1 s): neighbours that
-            // compute identical priorities pull identical segments in
-            // identical order, holdings synchronise, and the
-            // intra-neighbourhood trading that makes swarming work
-            // dies. Within the non-urgent bulk the order is therefore
-            // diversified per node; near-deadline segments still beat
-            // everything. The A1 ablation bench quantifies this.
-            let jitter = 1.0
-                * (cs_sim::splitmix64(node.id ^ seg.wrapping_mul(0x9E37_79B9)) as f64
-                    / u64::MAX as f64);
-            // Below the policy's occupancy floor the adaptive policy adds a
-            // bounded rarity bonus on top of the jitter: candidates few
-            // neighbours advertise are pulled preferentially, re-creating
-            // the holdings diversity that neighbourhood trading needs —
-            // while the per-node jitter keeps neighbouring pull orders
-            // decorrelated (replacing the jitter with a shared rarity rank
-            // synchronises them and accelerates the spiral).
-            let priority = match &config.policy {
-                PolicyKind::Legacy => policy.evaluate_terms(&terms) + jitter,
-                PolicyKind::Adaptive(_) => {
-                    policy.evaluate_terms(&terms)
-                        + jitter
-                        + AdaptivePolicy::rarity_bonus(occupancy, terms.supplier_count)
-                }
-            };
+            let suppliers = (row.iter().enumerate())
+                .fold(0u64, |mask, (k, fresh)| mask | (fresh >> b & 1) << k);
             sched.candidates.push(MaskCandidate {
                 id: seg,
-                priority,
+                priority: policy.map_or(0.0, |policy| priority(policy, seg, suppliers)),
                 suppliers,
             });
         }
@@ -365,9 +369,9 @@ fn prioritise(
 }
 
 /// Order `sched.candidates` for the configured scheduler and assign
-/// suppliers into `sched.assignments`. The Algorithm 1 arms run the mask
-/// form; the two baselines expand the masks and run their keyed
-/// implementations.
+/// suppliers into `sched.assignments`. Every arm runs a mask-form
+/// scheduler over the same candidates: the two baselines order them
+/// themselves, the Algorithm 1 arms sort them by priority first.
 fn order_and_assign(
     config: &SystemConfig,
     node: &NodeSim,
@@ -382,33 +386,23 @@ fn order_and_assign(
         supplier_rates: std::mem::take(&mut sched.rates),
         deadline_cutoff: node.next_play.map(|np| np + 2 * config.demand_per_round()),
     };
+    let (candidates, algo, out) = (
+        &mut sched.candidates,
+        &mut sched.algo,
+        &mut sched.assignments,
+    );
     match config.scheduler {
         SchedulerKind::CoolStreaming => {
-            expand_masks(config, sched);
-            schedule_coolstreaming_into(
-                &sched.keyed,
-                &ctx,
-                &mut sched.algo,
-                &mut sched.assignments,
-            );
+            schedule_coolstreaming_masks_into(candidates, &ctx, algo, out)
         }
-        SchedulerKind::Random => {
-            expand_masks(config, sched);
-            schedule_random_into(
-                &sched.keyed,
-                &ctx,
-                rng,
-                &mut sched.algo,
-                &mut sched.assignments,
-            );
-        }
+        SchedulerKind::Random => schedule_random_masks_into(candidates, &ctx, rng, algo, out),
         SchedulerKind::ContinuStreaming => {
             // Bounded-rescue ordering: urgent candidates (deadline
             // pressure has pushed their priority above the rarity
             // band) are capped at a fraction of the budget; the rest
             // of the order is the diversified rarity ranking. See
             // [`RESCUE_BUDGET_FRACTION`].
-            sort_mask_candidates(&mut sched.candidates);
+            sort_mask_candidates(candidates);
             // Catch-up grace: a node that just joined (or just started
             // playing) is *supposed* to spend its whole budget near
             // its play point; the rescue cap only binds in steady
@@ -425,60 +419,26 @@ fn order_and_assign(
             } else {
                 ((budget as f64 * RESCUE_BUDGET_FRACTION).floor() as usize).max(1)
             };
-            let split = sched
-                .candidates
+            let split = candidates
                 .iter()
                 .position(|c| c.priority <= 1.0)
-                .unwrap_or(sched.candidates.len());
+                .unwrap_or(candidates.len());
             if split > rescue_cap {
                 // Keep the `rescue_cap` most urgent, then the normal
                 // band; urgent overflow goes to the back of the line
                 // (it will usually miss — that is the pre-fetcher's
                 // problem, not worth starving dissemination for).
                 // [A|B|C] → [A|C|B] is a rotation of the tail.
-                sched.candidates[rescue_cap..].rotate_left(split - rescue_cap);
+                candidates[rescue_cap..].rotate_left(split - rescue_cap);
             }
-            schedule_greedy_masks_into(
-                &sched.candidates,
-                &ctx,
-                &mut sched.algo,
-                &mut sched.assignments,
-            );
+            schedule_greedy_masks_into(candidates, &ctx, algo, out);
         }
         SchedulerKind::GreedyWithPolicy(_) => {
-            sort_mask_candidates(&mut sched.candidates);
-            schedule_greedy_masks_into(
-                &sched.candidates,
-                &ctx,
-                &mut sched.algo,
-                &mut sched.assignments,
-            );
+            sort_mask_candidates(candidates);
+            schedule_greedy_masks_into(candidates, &ctx, algo, out);
         }
     }
     sched.rates = std::mem::take(&mut ctx.supplier_rates);
-}
-
-/// Expand `sched.candidates` into `sched.keyed`: the same candidates with
-/// supplier lists (ascending id, as the masks' bits are) for the keyed
-/// baseline schedulers, recycling the lists through `sched.spare`.
-fn expand_masks(config: &SystemConfig, sched: &mut SchedScratch) {
-    for c in sched.keyed.drain(..) {
-        sched.spare.push(c.suppliers);
-    }
-    sched.keyed.reserve(sched.candidates.capacity());
-    for c in &sched.candidates {
-        let mut suppliers = sched
-            .spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(config.neighbors));
-        suppliers.clear();
-        suppliers.extend(BitIter(c.suppliers).map(|k| sched.view[k as usize].peer));
-        sched.keyed.push(SegmentCandidate {
-            id: c.id,
-            priority: c.priority,
-            suppliers,
-        });
-    }
 }
 
 impl SystemSim {

@@ -13,7 +13,7 @@ use crate::backup::VodBackupStore;
 use crate::buffer::{BufferMap, StreamBuffer};
 use crate::rate::RateController;
 use crate::retrieval::RetrievalScratch;
-use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch, SegmentCandidate};
+use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch};
 use crate::urgent::UrgentLine;
 use crate::SegmentId;
 
@@ -369,15 +369,11 @@ pub(super) struct SchedScratch {
     /// `fresh[w * view.len() + k]`: word `w` of `view[k]`'s
     /// `theirs & !mine` over the window.
     pub(super) fresh: Vec<u64>,
-    /// The pass's candidates, built in ascending segment order.
+    /// The pass's candidates, built in ascending segment order; every
+    /// scheduler runs on them in mask form.
     pub(super) candidates: Vec<MaskCandidate>,
-    /// The same candidates with their masks expanded into supplier
-    /// lists, for the baselines' keyed schedulers; `spare` recycles the
-    /// lists between passes.
-    pub(super) keyed: Vec<SegmentCandidate<PeerRef>>,
-    pub(super) spare: Vec<Vec<PeerRef>>,
-    /// The scheduling algorithms' own working memory (supplier queue,
-    /// ordering buffer, feasible list) for the `_into` entry points.
+    /// The scheduling algorithms' own working memory (supplier lanes,
+    /// ordering buffer, feasible list) for the mask-form entry points.
     pub(super) algo: SchedulerScratch<PeerRef>,
     /// The resulting assignments of the last pass.
     pub(super) assignments: Vec<Assignment<PeerRef>>,

@@ -20,7 +20,7 @@
 use continustreaming::prelude::*;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use cs_bench::fingerprint::round0_fingerprint;
-use cs_bench::fingerprint::{dht, fingerprint, pinned, scenarios, PINS};
+use cs_bench::fingerprint::{dht, fingerprint, scenarios, PINS};
 
 /// Layer 1: same seed ⇒ identical report, different seed ⇒ different.
 #[test]
@@ -82,7 +82,9 @@ fn same_seed_reports_identical_under_churn() {
 /// binary gates on too.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn pin(name: &str) -> (u64, u64) {
-    pinned(name).unwrap_or_else(|| panic!("`{name}` has no row in PINS"))
+    let row = PINS.iter().find(|row| row.0 == name);
+    let &(_, run, round0) = row.expect("every scenario has a row in PINS");
+    (run, round0)
 }
 
 /// Layer 2: pinned fingerprints from the pre-refactor round loop.
@@ -152,9 +154,8 @@ fn pin_table_matches_the_fingerprint_set() {
 #[test]
 fn dht_fingerprints_match_pins() {
     for (name, routes, tables) in dht::fingerprints() {
-        assert_eq!(
-            pinned(name),
-            Some((routes, tables)),
+        assert!(
+            PINS.contains(&(name, routes, tables)),
             "DHT drift in `{name}`: routes 0x{routes:016x} tables 0x{tables:016x}"
         );
     }
