@@ -7,10 +7,9 @@
 //! expected values; `tests/determinism.rs` and the `fingerprint` binary
 //! (CI's release-mode gate) both check against it.
 //!
-//! `random_static` pins the Random scheduler, whose candidates are built
-//! in ascending segment order and whose draws come from the seeded
-//! scheduler stream. (It was absent while candidate order flowed through
-//! per-process-randomised `HashMap` iteration, before the arena refactor.)
+//! `random_static` pins the Random scheduler: its candidates are built in
+//! ascending segment order and its draws come from the seeded scheduler
+//! stream, so it reproduces like the others.
 
 use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemSim};
 use cs_net::BandwidthProfile;

@@ -357,7 +357,9 @@ fn prioritise(
         let row = &sched.fresh[w * nv..(w + 1) * nv];
         for b in BitIter(sched.wanted[w]) {
             let seg = play_anchor + 64 * w as u64 + u64::from(b);
-            let suppliers = (row.iter().enumerate())
+            let suppliers = row
+                .iter()
+                .enumerate()
                 .fold(0u64, |mask, (k, fresh)| mask | (fresh >> b & 1) << k);
             sched.candidates.push(MaskCandidate {
                 id: seg,

@@ -124,7 +124,7 @@ fn steady_state_rounds_allocate_nothing() {
 }
 
 /// Same guarantee for the CoolStreaming baseline (exercises the
-/// `schedule_coolstreaming_into` ordering buffer instead of greedy's).
+/// `schedule_coolstreaming_masks_into` ordering buffer instead of greedy's).
 #[test]
 fn coolstreaming_steady_state_allocates_nothing() {
     let _guard = measure_lock();
@@ -142,7 +142,7 @@ fn coolstreaming_steady_state_allocates_nothing() {
     }
 }
 
-/// And for the Random scheduler (exercises `schedule_random_into`'s
+/// And for the Random scheduler (exercises `schedule_random_masks_into`'s
 /// shuffle/feasible buffers plus its RNG draws).
 #[test]
 fn random_scheduler_steady_state_allocates_nothing() {
