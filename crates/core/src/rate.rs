@@ -15,6 +15,10 @@
 //! everything asked of it, the estimate multiplicatively probes upward
 //! (the neighbour may have head-room); when it under-delivered, the
 //! estimate averages down toward the observed rate.
+//!
+//! The state is one table: a row per neighbour holding its estimate and
+//! the current period's request and delivery counts. A row starts at the
+//! prior, so an absent neighbour and an unprobed one read the same rate.
 
 use cs_dht::DhtId;
 
@@ -36,27 +40,27 @@ const MAX_RATE: f64 = 500.0;
 ///
 /// Generic over the neighbour key `K` (default [`DhtId`]); the simulator
 /// uses its dense arena handles. A node tracks at most `M` (≈ 5)
-/// neighbours, so the three tables are flat vectors with linear probes —
-/// no hashing on the round loop's hottest read path
+/// neighbours, so the controller is one flat table of rows with
+/// linear probes — no hashing on the round loop's hottest read path
 /// (`rate()` is called once per candidate-supplier pair per round).
 #[derive(Debug, Clone)]
 pub struct RateController<K = DhtId> {
     /// Estimate used for neighbours never probed, segments/s.
     prior: f64,
-    /// Current estimates.
-    rates: Vec<(K, f64)>,
-    /// Segments requested from each neighbour this period.
-    requested: Vec<(K, u32)>,
-    /// Segments delivered by each neighbour this period.
-    delivered: Vec<(K, u32)>,
+    /// One row per neighbour seen since it was last forgotten.
+    rows: Vec<RateRow<K>>,
 }
 
-#[inline]
-fn bump<K: Copy + PartialEq>(table: &mut Vec<(K, u32)>, key: K) {
-    match table.iter_mut().find(|(k, _)| *k == key) {
-        Some(slot) => slot.1 += 1,
-        None => table.push((key, 1)),
-    }
+/// One neighbour's row: its estimate and this period's counts.
+#[derive(Debug, Clone, Copy)]
+struct RateRow<K> {
+    key: K,
+    /// Current estimate, segments/s; `prior` until the first probe.
+    estimate: f64,
+    /// Segments requested from the neighbour this period.
+    asked: u32,
+    /// Segments the neighbour delivered this period.
+    got: u32,
 }
 
 impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
@@ -68,28 +72,44 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
     }
 
     /// Like [`Self::new`], pre-reserving table capacity for `suppliers`
-    /// neighbours. Every table is bounded by the connected-neighbour
-    /// count (departures are `forget`-ed), so a hint of `M` plus a little
-    /// slack means the hot-path bumps never reallocate — the round
-    /// loop's zero-allocation assertion relies on this.
+    /// neighbours. The table is bounded by the connected-neighbour count
+    /// (departures are `forget`-ed), so a hint of `M` plus a little slack
+    /// means the hot-path records never reallocate — the round loop's
+    /// zero-allocation assertion relies on this.
     pub fn with_capacity(prior: f64, suppliers: usize) -> Self {
         assert!(prior > 0.0, "rate prior must be positive");
         RateController {
             prior,
-            rates: Vec::with_capacity(suppliers),
-            requested: Vec::with_capacity(suppliers),
-            delivered: Vec::with_capacity(suppliers),
+            rows: Vec::with_capacity(suppliers),
         }
+    }
+
+    /// The row of `key`, appended at the prior if absent.
+    #[inline]
+    fn row(&mut self, key: K) -> &mut RateRow<K> {
+        let i = match self.rows.iter().position(|r| r.key == key) {
+            Some(i) => i,
+            None => {
+                self.rows.push(RateRow {
+                    key,
+                    estimate: self.prior,
+                    asked: 0,
+                    got: 0,
+                });
+                self.rows.len() - 1
+            }
+        };
+        &mut self.rows[i]
     }
 
     /// Record one segment requested from `from` during this period.
     pub fn record_request(&mut self, from: K) {
-        bump(&mut self.requested, from);
+        self.row(from).asked += 1;
     }
 
     /// Record one segment delivered by `from` during this period.
     pub fn record_delivery(&mut self, from: K) {
-        bump(&mut self.delivered, from);
+        self.row(from).got += 1;
     }
 
     /// Close the current period of `period_secs` seconds. Only neighbours
@@ -98,65 +118,41 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
     /// under-served ones pull it down toward the observed rate.
     pub fn end_period(&mut self, period_secs: f64) {
         assert!(period_secs > 0.0);
-        for i in 0..self.requested.len() {
-            let (id, asked) = self.requested[i];
-            if asked == 0 {
-                continue;
-            }
-            let got = self
-                .delivered
-                .iter()
-                .find(|(k, _)| *k == id)
-                .map(|(_, g)| *g)
-                .unwrap_or(0);
-            let observed = got as f64 / period_secs;
-            let current = self.rate_or_prior(id);
-            let next = if got >= asked {
-                if observed >= 0.5 * current {
-                    // The estimate was genuinely exercised: probe upward.
-                    (current.max(observed) * PROBE_UP).min(MAX_RATE)
+        for row in &mut self.rows {
+            if row.asked > 0 {
+                let observed = row.got as f64 / period_secs;
+                let current = row.estimate;
+                let next = if row.got >= row.asked {
+                    if observed >= 0.5 * current {
+                        // The estimate was genuinely exercised: probe upward.
+                        (current.max(observed) * PROBE_UP).min(MAX_RATE)
+                    } else {
+                        // Served in full, but we barely asked: no evidence
+                        // either way — hold the estimate.
+                        current
+                    }
                 } else {
-                    // Served in full, but we barely asked: no evidence
-                    // either way — hold the estimate.
-                    current
-                }
-            } else {
-                (1.0 - DOWN_ALPHA) * current + DOWN_ALPHA * observed
-            };
-            self.set_rate(id, next.max(0.01));
-        }
-        self.requested.clear();
-        self.delivered.clear();
-    }
-
-    #[inline]
-    fn rate_or_prior(&self, id: K) -> f64 {
-        self.rates
-            .iter()
-            .find(|(k, _)| *k == id)
-            .map(|(_, r)| *r)
-            .unwrap_or(self.prior)
-    }
-
-    #[inline]
-    fn set_rate(&mut self, id: K, rate: f64) {
-        match self.rates.iter_mut().find(|(k, _)| *k == id) {
-            Some(slot) => slot.1 = rate,
-            None => self.rates.push((id, rate)),
+                    (1.0 - DOWN_ALPHA) * current + DOWN_ALPHA * observed
+                };
+                row.estimate = next.max(0.01);
+            }
+            row.asked = 0;
+            row.got = 0;
         }
     }
 
     /// The estimated receiving rate from `id`, segments/s (`R_ij`).
     #[inline]
     pub fn rate(&self, id: K) -> f64 {
-        self.rate_or_prior(id)
+        self.rows
+            .iter()
+            .find(|r| r.key == id)
+            .map_or(self.prior, |r| r.estimate)
     }
 
     /// Forget a departed neighbour.
     pub fn forget(&mut self, id: K) {
-        self.rates.retain(|(k, _)| *k != id);
-        self.requested.retain(|(k, _)| *k != id);
-        self.delivered.retain(|(k, _)| *k != id);
+        self.rows.retain(|r| r.key != id);
     }
 }
 

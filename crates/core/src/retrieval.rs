@@ -13,7 +13,7 @@
 //! forwarding hop, one reply per located backup node, one request to the
 //! chosen supplier, plus the segment payload.
 
-use cs_dht::{backup_target, route_into, DhtId, DhtNetwork, RouteScratch};
+use cs_dht::{backup_target, walk_into, DhtId, DhtNetwork, RouteScratch};
 
 use crate::SegmentId;
 
@@ -80,7 +80,10 @@ pub fn retrieve_one_into(
     // "send k routing messages targeted at k nodes in parallel"
     for i in 1..=k {
         let target = backup_target(net.space(), segment, i);
-        let summary = route_into(
+        // Where the lookup ended is what counts: the terminal node
+        // answers for its own backup, so the route's verdict against the
+        // ring's true owner is never computed.
+        let route_ms = walk_into(
             net,
             requester,
             target,
@@ -88,14 +91,15 @@ pub fn retrieve_one_into(
             true,
             &mut scratch.route,
             &mut scratch.path,
-        );
+        )
+        .map_or(0.0, |(ms, _)| ms);
         let hops = scratch.path.len().saturating_sub(1) as u32;
         routing_messages += hops;
         // Lookups run in parallel: locate time is the slowest route plus
         // its reply back to the requester.
         let terminal = *scratch.path.last().expect("path contains the source");
         let reply = latency_ms(terminal, requester);
-        locate_latency = locate_latency.max(summary.latency_ms + reply);
+        locate_latency = locate_latency.max(route_ms + reply);
         routing_messages += 1; // the reply message
         if !scratch.located.contains(&terminal) {
             scratch.located.push(terminal);

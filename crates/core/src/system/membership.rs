@@ -106,7 +106,7 @@ impl SystemSim {
             if matches!(target, SeekTarget::ToLive) {
                 let anchor = newest.saturating_sub(startup).max(1);
                 node.buffer.slide_to(anchor);
-                node.prefetch_tags.retain(|&seg, _| seg >= anchor);
+                node.prefetch_tags.prune_below(anchor);
                 return EventOutcome::Applied;
             }
             return EventOutcome::Rejected;
@@ -127,7 +127,7 @@ impl SystemSim {
             node.buffer.slide_to(dest);
         }
         node.next_play = Some(dest);
-        node.prefetch_tags.retain(|&seg, _| seg >= dest);
+        node.prefetch_tags.prune_below(dest);
         EventOutcome::Applied
     }
 
@@ -391,8 +391,8 @@ impl SystemSim {
         node.spawn_round = round;
 
         // PING the close-ID list, adopt the nearest alive node's view.
-        // (Latency to the joiner uses the 50 ms default until the node is
-        // inserted — identical to the id-keyed implementation.)
+        // (Latency to the joiner reads the 50 ms default ping: the arena
+        // does not hold the joiner until it is inserted below.)
         let candidates = self.rp.close_list(id, 4);
         let mut alive: Vec<(f64, DhtId)> = Vec::new();
         for c in candidates {
@@ -527,9 +527,8 @@ impl SystemSim {
         }
 
         self.nodes.insert(node, ping);
-        // The DHT join closure sees the joiner's real ping (it is in the
-        // arena now), like the `pings` snapshot the id-keyed version
-        // chained the joiner into.
+        // The DHT join closure sees the joiner's real ping: it is in the
+        // arena now.
         let rng = if scenario {
             &mut self.scenario_rng
         } else {

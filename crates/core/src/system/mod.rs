@@ -30,9 +30,10 @@
 //! the round loop everything — neighbour tables, pull requests, supplier
 //! queues — carries `PeerRef` handles (`DhtId` identity + cached arena
 //! slot), so per-node access is an index load too. `PeerRef` equality
-//! and ordering are **by `DhtId`**, which keeps every tie-break identical
-//! to the id-keyed implementation this replaced (verified by pinned
-//! behavioural fingerprints in `tests/determinism.rs`).
+//! and ordering are **by `DhtId`**: every tie-break is a function of ids
+//! alone, so the arena's slot reuse under churn never reorders a
+//! decision (pinned by the behavioural fingerprints in
+//! `tests/determinism.rs`).
 //!
 //! Per-round allocations are gone entirely: a persistent `RoundScratch`
 //! owns the buffer-map snapshots (refreshed only when a buffer's
@@ -80,8 +81,6 @@
 //! buffer-map exchange seam — the only place the simulator and the
 //! live-network twin differ; `debug` the test hooks.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use cs_dht::{DhtId, DhtNetwork, IdSpace};
@@ -115,7 +114,7 @@ mod twin;
 pub use twin::{ExchangeViews, LocalExchange, TwinAnnounce, TwinViews};
 
 use recovery::FaultState;
-use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, RoundScratch};
+use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, PrefetchTags, RoundScratch};
 
 /// A workload event applied between rounds — the hook API the
 /// `cs-scenario` engine (and any other external driver) uses to change
@@ -414,13 +413,16 @@ impl SystemSim {
             next_play: None,
             first_data_round: None,
             spawn_round: 0,
-            // Sized so steady-state tag churn (insert on fetch, retain
-            // at the play point) never regrows the table: outstanding
-            // tags are bounded by the rescue probe depth, so size to
-            // twice the policy's horizon (the zero-alloc suite pins
-            // this; Legacy's α-window rescue keeps far fewer).
-            prefetch_tags: HashMap::with_capacity(match &config.policy {
-                PolicyKind::Legacy => 64,
+            // Sized so steady-state tag churn (insert on fetch, prune at
+            // the play point) never regrows the table (the zero-alloc
+            // suite pins this). Legacy fetches at most `l` a round into
+            // the α-window just past the play point, so a tag lives a
+            // round or two: the committed Legacy runs peak at 7–9 tags
+            // with l = 5, and 3·l leaves a round of head-room. Adaptive
+            // tags are bounded by the rescue probe depth: twice the
+            // policy's horizon.
+            prefetch_tags: PrefetchTags::with_capacity(match &config.policy {
+                PolicyKind::Legacy => 3 * config.prefetch_cap,
                 PolicyKind::Adaptive(ap) => {
                     64.max(2 * ap.rescue_horizon(config.demand_per_round().max(1)) as usize)
                 }

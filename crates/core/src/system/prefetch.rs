@@ -407,7 +407,7 @@ impl SystemSim {
                 ((seg - anchor) / p) as f64 * period_ms
             };
             let node = self.nodes.node_mut(idx);
-            node.prefetch_tags.insert(seg, round);
+            node.prefetch_tags.insert(seg);
             if fetch_ms > deadline_ms.max(f64::EPSILON) && deadline_ms < period_ms {
                 // Case 1: arrived after (or perilously at) its
                 // deadline round.

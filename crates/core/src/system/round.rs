@@ -301,7 +301,7 @@ impl SystemSim {
                     // segments stay (serving lagging neighbours) until
                     // fresh segments slide the window past them. Only the
                     // pre-fetch tags expire at the play point.
-                    node.prefetch_tags.retain(|&seg, _| seg >= next);
+                    node.prefetch_tags.prune_below(next);
                 }
             }
             node.rate.end_period(self.config.period_secs);

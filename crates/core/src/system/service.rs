@@ -128,7 +128,7 @@ impl SystemSim {
             // Already present: if it carries a pre-fetch tag and its
             // deadline has not passed, this is §4.3 Case 2.
             let receiver = self.nodes.node_mut(req.requester);
-            if receiver.prefetch_tags.remove(&req.segment).is_some()
+            if receiver.prefetch_tags.take(req.segment)
                 && receiver.next_play.is_none_or(|np| req.segment >= np)
             {
                 receiver.urgent.on_repeated();

@@ -2,8 +2,6 @@
 //! per-round scratch. Types only — every phase that reads or mutates
 //! them lives in a sibling module.
 
-use std::collections::HashMap;
-
 use cs_dht::{DhtId, IdSlotTable, IdSpace};
 use cs_net::{NodeBandwidth, TrafficCounter};
 use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
@@ -32,9 +30,8 @@ pub(super) const INVALID_SLOT: u32 = u32::MAX;
 ///
 /// Equality and ordering are **by id only** — the slot is a lookup
 /// accelerator that may go stale under churn (the arena re-resolves it
-/// through the id table when it does). This makes every comparison and
-/// tie-break behave exactly like the id-keyed tables this design
-/// replaced.
+/// through the id table when it does). So every comparison and
+/// tie-break is a function of ids, whichever slot a node occupies.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct PeerRef {
     pub(super) id: DhtId,
@@ -97,8 +94,8 @@ pub(super) struct NodeSim {
     /// nodes get a catch-up grace before the rescue cap applies.
     pub(super) spawn_round: u32,
     /// Segments obtained by pre-fetch, pending the §4.3 Case-2
-    /// (repeated-data) check. Value = the round they were fetched in.
-    pub(super) prefetch_tags: HashMap<SegmentId, u32>,
+    /// (repeated-data) check until the play point passes them.
+    pub(super) prefetch_tags: PrefetchTags,
     /// Segments received (gossip + pre-fetch) during the previous round;
     /// drives the "supplied little data" neighbour-replacement rule.
     pub(super) last_inflow: u32,
@@ -113,6 +110,43 @@ pub(super) struct NodeSim {
     /// [`SystemEvent::Pause`]/[`SystemEvent::Resume`].
     pub(super) paused: bool,
     pub(super) is_source: bool,
+}
+
+/// A node's pre-fetch tags: a sorted, duplicate-free `Vec` (the
+/// [`VodBackupStore`] pattern). A node holds a handful of tags at a time
+/// — the round's fetches until the play point passes them — so binary
+/// search plus shift beats hashing, and nothing allocates while the tags
+/// fit the capacity the node was built with.
+pub(super) struct PrefetchTags(Vec<SegmentId>);
+
+impl PrefetchTags {
+    pub(super) fn with_capacity(tags: usize) -> Self {
+        PrefetchTags(Vec::with_capacity(tags))
+    }
+
+    /// Tag `seg` (a no-op when it is already tagged).
+    pub(super) fn insert(&mut self, seg: SegmentId) {
+        if let Err(pos) = self.0.binary_search(&seg) {
+            self.0.insert(pos, seg);
+        }
+    }
+
+    /// Untag `seg`; whether it was tagged.
+    pub(super) fn take(&mut self, seg: SegmentId) -> bool {
+        match self.0.binary_search(&seg) {
+            Ok(pos) => {
+                self.0.remove(pos);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Drop every tag below `floor`.
+    pub(super) fn prune_below(&mut self, floor: SegmentId) {
+        let k = self.0.partition_point(|&s| s < floor);
+        self.0.drain(..k);
+    }
 }
 
 /// The dense node store: occupied slots + free list + the dense
@@ -239,8 +273,8 @@ impl NodeArena {
         self.pings[idx.0 as usize]
     }
 
-    /// Ping time of `id`; ids that are not (or no longer) alive default
-    /// to 50 ms, as in the id-keyed implementation.
+    /// Ping time of `id`; ids that are not (or no longer) alive read a
+    /// 50 ms default.
     #[inline]
     pub(super) fn ping_of(&self, id: DhtId) -> f64 {
         self.by_id.get(id).map_or(50.0, |s| self.pings[s as usize])
@@ -260,8 +294,8 @@ impl NodeArena {
 
 /// One gossip pull request, queued at its supplier. Carries the dense
 /// requester handle for state access plus the requester's `DhtId` for the
-/// deterministic per-round tie-break hash (identical to the id-keyed
-/// implementation).
+/// deterministic per-round tie-break hash (keyed on the id, so a reused
+/// slot never changes the service order).
 ///
 /// Requests live in one flat arena bucketed by supplier slot (see
 /// [`RoundScratch::requests`]); the supplier slot rides along for the
@@ -544,5 +578,53 @@ impl RoundScratch {
             self.touched_spent.push(supplier.0);
         }
         *slot += amount;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cs_sim::RngTree;
+    use rand::Rng;
+    use std::collections::HashMap;
+
+    /// The sorted tag set against the `HashMap<SegmentId, round>` it
+    /// replaced, under the simulator's three operations: tag on fetch,
+    /// untag on a repeated delivery (§4.3 Case 2), prune at the play
+    /// point. The set must hold exactly the map's keys after every step.
+    #[test]
+    fn tag_set_matches_hash_map_model() {
+        for case in 0..1000u64 {
+            let mut rng = RngTree::new(0x7A65).child_indexed("prefetch-tags", case);
+            let mut tags = PrefetchTags::with_capacity(rng.gen_range(0usize..16));
+            let mut model: HashMap<SegmentId, u32> = HashMap::new();
+            let mut play = rng.gen_range(1u64..1000);
+            for round in 0..rng.gen_range(0u32..120) {
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let seg = play + rng.gen_range(0u64..40);
+                        tags.insert(seg);
+                        model.insert(seg, round);
+                    }
+                    5..=7 => {
+                        // Deliveries land behind the play point too.
+                        let seg = (play + rng.gen_range(0u64..45)).saturating_sub(5);
+                        assert_eq!(
+                            tags.take(seg),
+                            model.remove(&seg).is_some(),
+                            "case {case}: take {seg}"
+                        );
+                    }
+                    _ => {
+                        play += rng.gen_range(0u64..15);
+                        tags.prune_below(play);
+                        model.retain(|&seg, _| seg >= play);
+                    }
+                }
+                let mut keys: Vec<SegmentId> = model.keys().copied().collect();
+                keys.sort_unstable();
+                assert_eq!(tags.0, keys, "case {case}, round {round}");
+            }
+        }
     }
 }

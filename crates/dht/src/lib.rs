@@ -32,4 +32,6 @@ pub use peers::{DhtPeerEntry, DhtPeerTable};
 pub use placement::{
     backup_target, backup_targets, common_hash, responsible_for, ResponsibilityRange,
 };
-pub use routing::{route, route_into, RouteOutcome, RouteScratch, RouteStatus, RouteSummary};
+pub use routing::{
+    route, route_into, walk_into, RouteOutcome, RouteScratch, RouteStatus, RouteSummary,
+};

@@ -60,17 +60,40 @@ impl std::fmt::Debug for DhtPeerEntry {
 /// candidate for its level regardless of latency.
 pub const STALE_AGE: u32 = 8;
 
+/// What an unfilled level's slot holds: never read through the mask.
+const VACANT: DhtPeerEntry = DhtPeerEntry {
+    id: 0,
+    latency_ms: 0.0,
+    age: 0,
+    slot: NO_SLOT,
+};
+
 /// The level-indexed DHT peer table of a single node.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DhtPeerTable {
     space: IdSpace,
     owner: DhtId,
     /// `levels[i - 1]` holds the level-`i` peer, at clockwise distance
-    /// in `[2^(i-1), 2^i)` from the owner.
-    levels: Vec<Option<DhtPeerEntry>>,
+    /// in `[2^(i-1), 2^i)` from the owner — when bit `i - 1` of `filled`
+    /// says so. A slot whose bit is clear holds a stale or vacant entry
+    /// that nothing reads.
+    levels: Vec<DhtPeerEntry>,
     /// Bit `i - 1` is set iff level `i` is filled (a space has at most
-    /// 63 levels).
+    /// 63 levels): the only record of which levels are set.
     filled: u64,
+}
+
+impl std::fmt::Debug for DhtPeerTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let levels: Vec<Option<DhtPeerEntry>> =
+            (0..self.levels.len()).map(|idx| self.at(idx)).collect();
+        f.debug_struct("DhtPeerTable")
+            .field("space", &self.space)
+            .field("owner", &self.owner)
+            .field("levels", &levels)
+            .field("filled", &self.filled)
+            .finish()
+    }
 }
 
 impl DhtPeerTable {
@@ -80,7 +103,7 @@ impl DhtPeerTable {
         DhtPeerTable {
             space,
             owner,
-            levels: vec![None; space.bits() as usize],
+            levels: vec![VACANT; space.bits() as usize],
             filled: 0,
         }
     }
@@ -95,9 +118,17 @@ impl DhtPeerTable {
         self.space
     }
 
+    /// The peer at 0-based level index `idx`, if the mask says it is
+    /// filled.
+    #[inline]
+    fn at(&self, idx: usize) -> Option<DhtPeerEntry> {
+        let entry = self.levels[idx];
+        (self.filled >> idx & 1 == 1).then_some(entry)
+    }
+
     /// The current level-`i` peer (1-based), if any.
     pub fn level(&self, i: u32) -> Option<DhtPeerEntry> {
-        self.levels[(i - 1) as usize]
+        self.at((i - 1) as usize)
     }
 
     /// Number of filled levels.
@@ -107,7 +138,7 @@ impl DhtPeerTable {
 
     /// Iterate over all current peers.
     pub fn peers(&self) -> impl Iterator<Item = DhtPeerEntry> + '_ {
-        self.levels.iter().filter_map(|e| *e)
+        (0..self.levels.len()).filter_map(|idx| self.at(idx))
     }
 
     /// Offer a candidate (typically an overheard node). Files it at its
@@ -130,8 +161,8 @@ impl DhtPeerTable {
             .level_of(self.owner, id)
             .expect("non-owner id always has a level") as usize
             - 1;
-        let slot = &mut self.levels[level];
-        let replace = match slot {
+        let incumbent = self.at(level);
+        let replace = match incumbent {
             None => true,
             Some(cur) => {
                 cur.id == id // refresh of the same peer: always take it
@@ -144,17 +175,17 @@ impl DhtPeerTable {
                 slot_hint
             } else {
                 // A same-peer refresh without a hint keeps the old one.
-                match slot {
+                match incumbent {
                     Some(cur) if cur.id == id => cur.slot,
                     _ => NO_SLOT,
                 }
             };
-            *slot = Some(DhtPeerEntry {
+            self.levels[level] = DhtPeerEntry {
                 id,
                 latency_ms,
                 age: 0,
                 slot: hint,
-            });
+            };
             self.filled |= 1 << level;
         }
         replace
@@ -185,8 +216,7 @@ impl DhtPeerTable {
             .level_of(self.owner, id)
             .expect("non-owner id always has a level") as usize
             - 1;
-        let slot = &mut self.levels[level];
-        let replace = match slot {
+        let replace = match self.at(level) {
             None => true,
             Some(cur) => {
                 self.space.clockwise_dist(self.owner, id)
@@ -194,12 +224,12 @@ impl DhtPeerTable {
             }
         };
         if replace {
-            *slot = Some(DhtPeerEntry {
+            self.levels[level] = DhtPeerEntry {
                 id,
                 latency_ms,
                 age: 0,
                 slot: slot_hint,
-            });
+            };
             self.filled |= 1 << level;
         }
         replace
@@ -215,17 +245,17 @@ impl DhtPeerTable {
             return false;
         };
         let level = level as usize - 1;
-        if self.levels[level].map(|e| e.id) != Some(id) {
+        if self.at(level).map(|e| e.id) != Some(id) {
             return false;
         }
-        self.levels[level] = None;
         self.filled &= !(1 << level);
         true
     }
 
-    /// Age all entries by one maintenance period.
+    /// Age all entries by one maintenance period. Unfilled slots age too:
+    /// nothing reads them, and a refill resets the age.
     pub fn tick(&mut self) {
-        for slot in self.levels.iter_mut().flatten() {
+        for slot in &mut self.levels {
             slot.age = slot.age.saturating_add(1);
         }
     }
@@ -247,7 +277,7 @@ impl DhtPeerTable {
             return None;
         }
         let band = (63 - own_dist.leading_zeros()) as usize;
-        if let Some(p) = self.levels[band] {
+        if let Some(p) = self.at(band) {
             if self.space.clockwise_dist(self.owner, p.id) <= own_dist {
                 return Some(p);
             }
@@ -256,7 +286,7 @@ impl DhtPeerTable {
         if below == 0 {
             return None;
         }
-        self.levels[(63 - below.leading_zeros()) as usize]
+        Some(self.levels[(63 - below.leading_zeros()) as usize])
     }
 
     /// The owner's *closest clockwise* DHT peer, i.e. the `n₁` of the
@@ -266,7 +296,7 @@ impl DhtPeerTable {
         if self.filled == 0 {
             return None;
         }
-        self.levels[self.filled.trailing_zeros() as usize]
+        Some(self.levels[self.filled.trailing_zeros() as usize])
     }
 
     /// Reference model for [`next_hop`](Self::next_hop): score every peer
@@ -298,10 +328,9 @@ impl DhtPeerTable {
     /// Reference model for [`remove`](Self::remove): search every level.
     #[cfg(test)]
     fn remove_scan(&mut self, id: DhtId) -> bool {
-        for (level, slot) in self.levels.iter_mut().enumerate() {
-            if slot.map(|e| e.id) == Some(id) {
-                *slot = None;
-                self.filled &= !(1 << level);
+        for idx in 0..self.levels.len() {
+            if self.at(idx).map(|e| e.id) == Some(id) {
+                self.filled &= !(1 << idx);
                 return true;
             }
         }
@@ -311,16 +340,8 @@ impl DhtPeerTable {
     /// Verify the level invariant for every entry; used by tests and debug
     /// assertions in the network layer.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (idx, entry) in self.levels.iter().enumerate() {
-            if entry.is_some() != (self.filled >> idx & 1 == 1) {
-                return Err(format!(
-                    "level {} disagrees with the filled mask {:#b}",
-                    idx + 1,
-                    self.filled
-                ));
-            }
-            if let Some(e) = entry {
-                let level = idx as u32 + 1;
+        for level in 1..=self.levels.len() as u32 {
+            if let Some(e) = self.level(level) {
                 let (from, to) = self.space.level_interval(self.owner, level);
                 if !self.space.in_interval(e.id, from, to) {
                     return Err(format!(
@@ -342,6 +363,11 @@ mod tests {
 
     fn table() -> DhtPeerTable {
         DhtPeerTable::new(IdSpace::new(6), 10) // N = 64, owner 10
+    }
+
+    /// Every level as the mask exposes it: what the table means.
+    fn view(t: &DhtPeerTable) -> Vec<Option<DhtPeerEntry>> {
+        (1..=t.space.bits()).map(|i| t.level(i)).collect()
     }
 
     #[test]
@@ -482,7 +508,10 @@ mod tests {
                 _ => 4 * n,
             };
             for _ in 0..offers {
-                t.offer(rng.gen_range(0..n), rng.gen_range(1.0..100.0));
+                // Hinted like the network layer's offers, so a stale
+                // entry behind a cleared bit has a slot hint to leak.
+                let id = rng.gen_range(0..n);
+                t.offer_hinted(id, rng.gen_range(1.0..100.0), id as u32);
                 if rng.gen_bool(0.1) {
                     t.tick();
                 }
@@ -511,11 +540,53 @@ mod tests {
             for id in victims {
                 let mut a = t.clone();
                 let mut b = t.clone();
-                assert_eq!(a.remove(id), b.remove_scan(id), "case {case}: remove {id}");
-                assert_eq!(a.levels, b.levels);
+                let removed = a.remove(id);
+                assert_eq!(removed, b.remove_scan(id), "case {case}: remove {id}");
+                assert_eq!(view(&a), view(&b));
                 assert_eq!(a.filled, b.filled);
                 a.check_invariants().unwrap();
                 assert_eq!(a.closest_clockwise(), a.closest_clockwise_scan());
+                if !removed {
+                    continue;
+                }
+
+                // The removed entry still sits behind its cleared bit; it
+                // must stay invisible to every reader, and ageing must
+                // not touch it.
+                let level = space.level_of(owner, id).unwrap();
+                let old = t.level(level).unwrap();
+                a.tick();
+                assert_eq!(a.level(level), None, "case {case}: stale level {level}");
+                assert!(a.peers().all(|p| p.id != id));
+                for target in 0..n {
+                    assert_eq!(a.next_hop(target), a.next_hop_scan(target), "case {case}");
+                }
+                assert_eq!(a.closest_clockwise(), a.closest_clockwise_scan());
+
+                // Re-offer at the same level, at a latency the stale
+                // entry would have beaten: the level is empty, so the
+                // candidate is filed fresh — age 0 and, for the same
+                // peer offered without a hint, no inherited slot hint.
+                let width = 1u64 << (level - 1);
+                for cand in [id, space.wrap(owner + width + rng.gen_range(0..width))] {
+                    let mut c = a.clone();
+                    let latency = old.latency_ms + 1.0;
+                    assert!(c.offer(cand, latency), "case {case}: re-offer {cand}");
+                    let mut expect = view(&a);
+                    expect[level as usize - 1] = Some(DhtPeerEntry {
+                        id: cand,
+                        latency_ms: latency,
+                        age: 0,
+                        slot: NO_SLOT,
+                    });
+                    assert_eq!(view(&c), expect, "case {case}: re-offer {cand}");
+                    assert_eq!(c.level(level).unwrap().slot, NO_SLOT);
+                    c.check_invariants().unwrap();
+                    for target in 0..n {
+                        assert_eq!(c.next_hop(target), c.next_hop_scan(target), "case {case}");
+                    }
+                    assert_eq!(c.closest_clockwise(), c.closest_clockwise_scan());
+                }
             }
         }
     }
@@ -525,12 +596,13 @@ mod tests {
         let mut t = table();
         t.offer(11, 1.0);
         // Manually corrupt: put a level-1 peer in the level-3 slot.
-        t.levels[2] = Some(DhtPeerEntry {
+        t.levels[2] = DhtPeerEntry {
             id: 11,
             latency_ms: 1.0,
             age: 0,
             slot: NO_SLOT,
-        });
+        };
+        t.filled |= 1 << 2;
         assert!(t.check_invariants().is_err());
     }
 }

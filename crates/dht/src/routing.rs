@@ -80,8 +80,9 @@ pub struct RouteSummary {
     pub repaired: u32,
 }
 
-/// Reusable working memory for [`route_into`] (the arena-slot hints that
-/// ride along the path). Carries capacity only — cleared on every call.
+/// Reusable working memory for [`route_into`] and [`walk_into`] (the
+/// arena-slot hints that ride along the path). Carries capacity only —
+/// cleared on every call.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
     path_slots: Vec<u32>,
@@ -129,6 +130,10 @@ pub fn route(
 /// capacity. The visited path (source first, terminal last) is left in
 /// `path`; hop decisions, repairs and overhearing are identical to
 /// [`route`], which is a thin wrapper over this.
+///
+/// This is [`walk_into`] plus the ground-truth verdict: a binary search
+/// of the ring for the key's true owner, compared with where the walk
+/// ended.
 #[allow(clippy::too_many_arguments)]
 pub fn route_into(
     net: &mut DhtNetwork,
@@ -139,15 +144,47 @@ pub fn route_into(
     scratch: &mut RouteScratch,
     path: &mut Vec<DhtId>,
 ) -> RouteSummary {
-    path.clear();
-    path.push(src);
-    let Some(src_slot) = net.resolve_slot(src, NO_SLOT) else {
+    let Some((total_latency, repaired)) =
+        walk_into(net, src, key, latency_ms, overhear, scratch, path)
+    else {
         return RouteSummary {
             latency_ms: 0.0,
             status: RouteStatus::BadSource,
             repaired: 0,
         };
     };
+    let terminal = *path.last().expect("path contains the source");
+    let status = if net.responsible_of(key) == Some(terminal) {
+        RouteStatus::Correct
+    } else {
+        RouteStatus::WrongNode
+    };
+    RouteSummary {
+        latency_ms: total_latency,
+        status,
+        repaired,
+    }
+}
+
+/// The greedy hop loop of [`route_into`] without its verdict, for
+/// callers that act on where a lookup ended rather than on whether that
+/// was the true owner (Algorithm 2 asks the terminal node itself). Fills
+/// `path` exactly as `route_into` does and returns `(latency_ms,
+/// repaired)`, or `None` when `src` is not in the network (`path` then
+/// holds just `src`).
+#[allow(clippy::too_many_arguments)]
+pub fn walk_into(
+    net: &mut DhtNetwork,
+    src: DhtId,
+    key: DhtId,
+    latency_ms: &impl Fn(DhtId, DhtId) -> f64,
+    overhear: bool,
+    scratch: &mut RouteScratch,
+    path: &mut Vec<DhtId>,
+) -> Option<(f64, u32)> {
+    path.clear();
+    path.push(src);
+    let src_slot = net.resolve_slot(src, NO_SLOT)?;
     // Arena slots parallel to `path`, so overheard offers carry hints.
     let path_slots = &mut scratch.path_slots;
     path_slots.clear();
@@ -191,17 +228,7 @@ pub fn route_into(
             break; // exact hit; cannot get closer than distance zero
         }
     }
-
-    let status = if net.responsible_of(key) == Some(current) {
-        RouteStatus::Correct
-    } else {
-        RouteStatus::WrongNode
-    };
-    RouteSummary {
-        latency_ms: total_latency,
-        status,
-        repaired,
-    }
+    Some((total_latency, repaired))
 }
 
 #[cfg(test)]

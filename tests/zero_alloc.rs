@@ -11,13 +11,17 @@
 //! perform **zero heap allocations**. Not "few": zero, for every
 //! measured round and for all three scheduling policies.
 //!
-//! The counter is global, so the measured sections are serialised with a
-//! mutex (the test harness runs tests in this binary concurrently). The
+//! The same allocator also keeps the live heap in bytes, which gates the
+//! per-node footprint: a 2000-node run must stay under a ceiling, so a
+//! per-node table that grows back fails here.
+//!
+//! The counters are global, so the measured sections are serialised with
+//! a mutex (the test harness runs tests in this binary concurrently). The
 //! file is its own test binary, so the `#[global_allocator]` swap does
 //! not affect any other test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use continustreaming::prelude::*;
@@ -26,6 +30,8 @@ struct CountingAllocator;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated, whether or not counting is on.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 /// Serialises measured sections: the counter is process-global and the
 /// harness runs the tests below on separate threads.
@@ -43,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -50,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -59,12 +67,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // Frees are not counted: dropping a value that was allocated
-        // during warm-up is fine.
+        // during warm-up is fine. They do leave the live heap.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -257,4 +268,46 @@ fn public_step_api_allocates_nothing_when_warm() {
             "round {round}: step() with telemetry disabled must not allocate ({n})"
         );
     }
+}
+
+/// Ceiling on the live heap of the 2000-node run below, in bytes.
+///
+/// The run peaks at 6 332 440 bytes (x86_64 Linux; a sum of allocation
+/// sizes, not a timing, so it repeats exactly). Per node that holds a
+/// 120-byte pre-fetch tag set (a `HashMap` would be 2 192), a 256-byte
+/// Rate Controller table (three tables were 576) and 24 bytes per DHT
+/// level (an `Option` per level is 32). The ceiling sits 9 % above the
+/// peak: the tag map coming back (~+4.2 MB) crosses it, and so do the
+/// three rate tables (measured: 7 068 440 bytes); the levels' `Option`
+/// tag alone (+192 000 over 12 levels) would not. After an intended
+/// change, run this test with `-- --nocapture`, read the printed peak
+/// and set the ceiling ~10 % above it.
+const LIVE_HEAP_CEILING: usize = 6_900_000;
+
+/// The per-node footprint gate: a 2000-node static Legacy run, stepped
+/// 40 rounds, must keep its live heap under [`LIVE_HEAP_CEILING`] after
+/// construction and after every round. The counter sees every byte the
+/// process holds, so the test measures growth over the heap already
+/// live when it took the lock.
+#[test]
+fn live_heap_stays_under_ceiling() {
+    let _guard = measure_lock();
+    let base = LIVE.load(Ordering::SeqCst);
+    let live = || LIVE.load(Ordering::SeqCst).saturating_sub(base);
+    let mut sim = SystemSim::new(SystemConfig {
+        nodes: 2000,
+        rounds: 40,
+        seed: 20080414,
+        ..SystemConfig::default()
+    });
+    let mut peak = live();
+    for _ in 0..40 {
+        assert!(sim.step());
+        peak = peak.max(live());
+    }
+    eprintln!("live heap peak: {peak} bytes");
+    assert!(
+        peak <= LIVE_HEAP_CEILING,
+        "live heap peaked at {peak} bytes, over the {LIVE_HEAP_CEILING}-byte ceiling"
+    );
 }
