@@ -56,9 +56,8 @@
 //! holds); pre-fetch checks a node's urgent line and runs its retrievals
 //! before the next node's check. The per-node algorithms are the paper's
 //! (§4.2 Algorithm 1, §4.3 Algorithm 2); there is no plan table between a
-//! decision and its effect. Parallelism lives outside the round: across
-//! runs ([`cs_sim::fork_join`] under `cs_bench::run_many`) and across the
-//! twin's per-node wire fan-out.
+//! decision and its effect. Parallelism lives outside the round, across
+//! runs ([`cs_sim::fork_join`] under `cs_bench::run_many`).
 //!
 //! Steps 5 and 7 visit every node, and a node with nothing to do costs
 //! them a few word loads: the scheduler's candidate gather returns when

@@ -11,6 +11,7 @@ use cs_obs::{EventKind, Lap, Phase as ObsPhase};
 use cs_overlay::plan_churn;
 use cs_sim::{SimDuration, SimTime};
 
+use super::schedule::legacy_window;
 use super::state::{RoundScratch, RoundTally};
 use super::twin::ExchangeViews;
 use super::SystemSim;
@@ -199,7 +200,6 @@ impl SystemSim {
         let p = self.config.demand_per_round();
         let telemetry_on = self.telemetry.is_some();
         tally.min_runway = u64::MAX;
-        let lookahead = (2 * self.config.startup_segments).max(4 * p);
         // Distribution taps: `obs_dist` gates the windowed per-node
         // continuity/runway samples, `obs_startup` the (unwindowed)
         // startup delays. Both are pure reads — no RNG, no state.
@@ -284,12 +284,9 @@ impl SystemSim {
                         tally.runway_sum += runway;
                         tally.min_runway = tally.min_runway.min(runway);
                         tally.gap_sum += self.newest_emitted.saturating_sub(np);
-                        // Mirror the scheduler's exchange-window bounds
-                        // (`plan_node`): how much of what the node will
-                        // pull over is already held.
-                        let window_end = (self.newest_emitted + 1)
-                            .min(np + lookahead)
-                            .min(np + self.config.buffer_size);
+                        // How much of the fixed exchange window the
+                        // node will pull over is already held.
+                        let (_, window_end) = legacy_window(&self.config, np, self.newest_emitted);
                         if window_end > np {
                             let held = node.buffer.count_range(np, window_end);
                             tally.occupancy_sum += held as f64 / (window_end - np) as f64;

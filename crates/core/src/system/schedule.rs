@@ -20,41 +20,64 @@ use crate::scheduler::{
 };
 use crate::SegmentId;
 
+/// The fixed (Legacy) exchange window at `play_anchor`: its width
+/// `max(2·startup_segments, 4·p)` and its end. Pulls focus on segments
+/// within a couple of buffering delays of the play point — spending
+/// inbound budget on far-future segments starves near-deadline ones (the
+/// failure the §4.2 urgency term exists to avoid; real CoolStreaming
+/// bounds its exchange window the same way). The scheduler's window, its
+/// scratch sizing and the telemetry's `window_occupancy` all start here.
+pub(super) fn legacy_window(
+    config: &SystemConfig,
+    play_anchor: SegmentId,
+    newest_emitted: SegmentId,
+) -> (u64, SegmentId) {
+    let width = (2 * config.startup_segments).max(4 * config.demand_per_round());
+    (
+        width,
+        window_end(config, play_anchor, newest_emitted, width),
+    )
+}
+
+/// The end of a `width`-segment window at `play_anchor`, capped by what
+/// has been emitted and by the buffer.
+fn window_end(
+    config: &SystemConfig,
+    play_anchor: SegmentId,
+    newest_emitted: SegmentId,
+    width: u64,
+) -> SegmentId {
+    (newest_emitted + 1)
+        .min(play_anchor + width)
+        .min(play_anchor + config.buffer_size)
+}
+
 /// The scheduler's exchange window at a given play anchor:
-/// `(window_end, occupancy)`. Pulls focus on segments within a couple of
-/// buffering delays of the play point — spending inbound budget on
-/// far-future segments starves near-deadline ones (the failure the §4.2
-/// urgency term exists to avoid; real CoolStreaming bounds its exchange
-/// window the same way). Under the adaptive policy the lookahead widens
-/// as window occupancy drops (see [`crate::policy`]); Legacy keeps the
-/// fixed window and reports occupancy 1.0.
+/// `(window_end, occupancy)`. Legacy keeps the fixed window
+/// ([`legacy_window`]) and reports occupancy 1.0; under the adaptive
+/// policy the lookahead widens as the fixed window's occupancy drops (see
+/// [`crate::policy`]).
 pub(super) fn exchange_window(
     config: &SystemConfig,
     buffer: &StreamBuffer,
     play_anchor: SegmentId,
     newest_emitted: SegmentId,
 ) -> (SegmentId, f64) {
-    let p = config.demand_per_round();
-    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
-    let (lookahead, occupancy) = match &config.policy {
-        PolicyKind::Legacy => (legacy_lookahead, 1.0),
-        PolicyKind::Adaptive(_) => {
-            let legacy_end = (newest_emitted + 1)
-                .min(play_anchor + legacy_lookahead)
-                .min(play_anchor + config.buffer_size);
-            let occ = if legacy_end > play_anchor {
-                let held = buffer.count_range(play_anchor, legacy_end);
-                held as f64 / (legacy_end - play_anchor) as f64
-            } else {
-                1.0
-            };
-            (AdaptivePolicy::lookahead(legacy_lookahead, occ), occ)
-        }
+    let (legacy_width, legacy_end) = legacy_window(config, play_anchor, newest_emitted);
+    if matches!(config.policy, PolicyKind::Legacy) {
+        return (legacy_end, 1.0);
+    }
+    let occupancy = if legacy_end > play_anchor {
+        let held = buffer.count_range(play_anchor, legacy_end);
+        held as f64 / (legacy_end - play_anchor) as f64
+    } else {
+        1.0
     };
-    let window_end = (newest_emitted + 1)
-        .min(play_anchor + lookahead)
-        .min(play_anchor + config.buffer_size);
-    (window_end, occupancy)
+    let lookahead = AdaptivePolicy::lookahead(legacy_width, occupancy);
+    (
+        window_end(config, play_anchor, newest_emitted, lookahead),
+        occupancy,
+    )
 }
 
 /// The requester's estimate of supplier `s`'s sending rate `R(j)`:
@@ -128,7 +151,6 @@ fn plan_node(
     sched: &mut SchedScratch,
     rng: &mut SimRng,
 ) -> Option<f64> {
-    let p = config.demand_per_round();
     let node = nodes.node(idx);
     if node.is_source {
         return None;
@@ -157,10 +179,10 @@ fn plan_node(
     // Sizing to the widest window the policy can ask for up front keeps
     // either from re-growing the scratch hundreds of rounds in (the
     // zero-alloc assertion pins it).
-    let legacy_lookahead = (2 * config.startup_segments).max(4 * p);
+    let (legacy_width, _) = legacy_window(config, play_anchor, newest_emitted);
     let wcap = match &config.policy {
-        PolicyKind::Legacy => legacy_lookahead,
-        PolicyKind::Adaptive(_) => AdaptivePolicy::max_lookahead(legacy_lookahead),
+        PolicyKind::Legacy => legacy_width,
+        PolicyKind::Adaptive(_) => AdaptivePolicy::max_lookahead(legacy_width),
     }
     .min(config.buffer_size) as usize;
     let words_cap = wcap.div_ceil(64);

@@ -96,6 +96,20 @@ fn select_ring_arc(ids: &[DhtId], start: usize, n: usize, out: &mut Vec<DhtId>) 
     }
 }
 
+/// `fraction` of a pool of `len`, rounded.
+fn share(len: usize, fraction: f64) -> usize {
+    (len as f64 * fraction).round() as usize
+}
+
+/// Every alive node but the source, in ring order.
+fn non_source(sim: &SystemSim) -> impl Iterator<Item = DhtId> + '_ {
+    let source = sim.source_id();
+    sim.alive_ids()
+        .iter()
+        .copied()
+        .filter(move |&id| id != source)
+}
+
 /// The deterministic scenario co-driver. See the module docs.
 pub struct ScenarioEngine {
     spec: ScenarioSpec,
@@ -317,6 +331,37 @@ impl ScenarioEngine {
         }
     }
 
+    /// Fill `self.victims` with `take(pool size)` ids of `pool` (capped at
+    /// the pool): with `arc`, a contiguous ring arc from a random start
+    /// (`pool` in ring order); otherwise uniformly without replacement
+    /// (partial Fisher–Yates). An empty pick draws nothing. Callers apply
+    /// their events after the pick: applying an event never draws from
+    /// the engine's RNG, so where they apply them cannot move a draw.
+    fn pick_victims(
+        &mut self,
+        pool: impl Iterator<Item = DhtId>,
+        take: impl FnOnce(usize) -> usize,
+        arc: bool,
+    ) {
+        self.ids.clear();
+        self.ids.extend(pool);
+        self.victims.clear();
+        let n = take(self.ids.len()).min(self.ids.len());
+        if n == 0 {
+            return;
+        }
+        if arc {
+            let start = self.rng.gen_range(0..self.ids.len());
+            select_ring_arc(&self.ids, start, n, &mut self.victims);
+        } else {
+            for k in 0..n {
+                let j = self.rng.gen_range(k..self.ids.len());
+                self.ids.swap(k, j);
+                self.victims.push(self.ids[k]);
+            }
+        }
+    }
+
     /// Fire one timed event.
     fn fire(&mut self, sim: &mut SystemSim, round: Round, kind: &ScenarioEventKind) {
         match kind {
@@ -332,87 +377,44 @@ impl ScenarioEngine {
                 correlated,
                 graceful,
             } => {
-                self.ids.clear();
-                let source = sim.source_id();
-                self.ids
-                    .extend(sim.alive_ids().iter().copied().filter(|&id| id != source));
-                let n = ((self.ids.len() as f64 * fraction).round() as usize).min(self.ids.len());
-                if n == 0 {
-                    return;
-                }
-                self.victims.clear();
-                if *correlated {
-                    // A contiguous arc of the sorted id ring: the whole
-                    // responsibility range (and its backups) vanishes at
-                    // once — the worst case for the DHT rescue path.
-                    let start = self.rng.gen_range(0..self.ids.len());
-                    select_ring_arc(&self.ids, start, n, &mut self.victims);
-                } else {
-                    // Uniform without replacement (partial Fisher–Yates).
-                    for k in 0..n {
-                        let j = self.rng.gen_range(k..self.ids.len());
-                        self.ids.swap(k, j);
-                        self.victims.push(self.ids[k]);
-                    }
-                }
-                for i in 0..self.victims.len() {
-                    let id = self.victims[i];
-                    if sim.apply_event(SystemEvent::Leave {
-                        id,
-                        graceful: *graceful,
-                    }) == EventOutcome::Applied
+                // Correlated: a contiguous arc of the sorted id ring —
+                // the whole responsibility range (and its backups)
+                // vanishes at once, the worst case for the DHT rescue
+                // path.
+                self.pick_victims(non_source(sim), |len| share(len, *fraction), *correlated);
+                let graceful = *graceful;
+                for &id in &self.victims {
+                    if sim.apply_event(SystemEvent::Leave { id, graceful }) == EventOutcome::Applied
                     {
                         self.stats.leaves += 1;
                     }
                 }
             }
             ScenarioEventKind::SeekStorm { fraction, jump } => {
-                self.ids.clear();
-                for &id in sim.alive_ids() {
-                    if let Some((Some(_), false)) = sim.play_state(id) {
-                        self.ids.push(id);
-                    }
-                }
-                let n = ((self.ids.len() as f64 * fraction).round() as usize).min(self.ids.len());
+                let playing = sim
+                    .alive_ids()
+                    .iter()
+                    .copied()
+                    .filter(|&id| matches!(sim.play_state(id), Some((Some(_), false))));
+                self.pick_victims(playing, |len| share(len, *fraction), false);
                 let target = match jump.cmp(&0) {
                     std::cmp::Ordering::Greater => SeekTarget::Forward(*jump as u64),
                     std::cmp::Ordering::Less => SeekTarget::Backward(jump.unsigned_abs()),
                     std::cmp::Ordering::Equal => SeekTarget::ToLive,
                 };
-                for k in 0..n {
-                    let j = self.rng.gen_range(k..self.ids.len());
-                    self.ids.swap(k, j);
-                    let id = self.ids[k];
+                for &id in &self.victims {
                     if sim.apply_event(SystemEvent::Seek { id, target }) == EventOutcome::Applied {
                         self.stats.seeks += 1;
                     }
                 }
             }
             ScenarioEventKind::CrashNodes { count, correlated } => {
-                self.ids.clear();
-                let source = sim.source_id();
-                self.ids
-                    .extend(sim.alive_ids().iter().copied().filter(|&id| id != source));
-                let n = (*count as usize).min(self.ids.len());
-                if n == 0 {
-                    return;
-                }
-                self.victims.clear();
-                if *correlated {
-                    // A contiguous arc of the id ring goes dark at once:
-                    // every DHT entry for the arc is left stale, and the
-                    // arc's whole backup responsibility range is lost.
-                    let start = self.rng.gen_range(0..self.ids.len());
-                    select_ring_arc(&self.ids, start, n, &mut self.victims);
-                } else {
-                    for k in 0..n {
-                        let j = self.rng.gen_range(k..self.ids.len());
-                        self.ids.swap(k, j);
-                        self.victims.push(self.ids[k]);
-                    }
-                }
-                for i in 0..self.victims.len() {
-                    let id = self.victims[i];
+                // Correlated: a contiguous arc of the id ring goes dark
+                // at once — every DHT entry for the arc is left stale,
+                // and the arc's whole backup responsibility range is
+                // lost.
+                self.pick_victims(non_source(sim), |_| *count as usize, *correlated);
+                for &id in &self.victims {
                     if sim.apply_event(SystemEvent::Crash { id }) == EventOutcome::Applied {
                         self.stats.crashes += 1;
                     }
@@ -425,18 +427,10 @@ impl ScenarioEngine {
                 // Partition a contiguous arc of the ring away from the
                 // rest. The source stays in the majority component, so
                 // the arc is the side starved of fresh segments.
-                self.ids.clear();
-                let source = sim.source_id();
-                self.ids
-                    .extend(sim.alive_ids().iter().copied().filter(|&id| id != source));
-                let n = ((self.ids.len() as f64 * fraction).round() as usize).min(self.ids.len());
-                if n == 0 {
-                    return;
+                self.pick_victims(non_source(sim), |len| share(len, *fraction), true);
+                if !self.victims.is_empty() {
+                    sim.set_partition(self.victims.clone(), *rounds);
                 }
-                let start = self.rng.gen_range(0..self.ids.len());
-                self.victims.clear();
-                select_ring_arc(&self.ids, start, n, &mut self.victims);
-                sim.set_partition(self.victims.clone(), *rounds);
             }
             ScenarioEventKind::RpOutage { rounds } => {
                 sim.set_rp_outage(*rounds);
@@ -447,15 +441,8 @@ impl ScenarioEngine {
                     .class(class)
                     .and_then(|c| c.bandwidth())
                     .expect("validated: capacity_shift class pins a rate");
-                self.ids.clear();
-                let source = sim.source_id();
-                self.ids
-                    .extend(sim.alive_ids().iter().copied().filter(|&id| id != source));
-                let n = ((self.ids.len() as f64 * fraction).round() as usize).min(self.ids.len());
-                for k in 0..n {
-                    let j = self.rng.gen_range(k..self.ids.len());
-                    self.ids.swap(k, j);
-                    let id = self.ids[k];
+                self.pick_victims(non_source(sim), |len| share(len, *fraction), false);
+                for &id in &self.victims {
                     if sim.apply_event(SystemEvent::SetBandwidth { id, bandwidth })
                         == EventOutcome::Applied
                     {

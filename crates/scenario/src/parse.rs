@@ -383,8 +383,49 @@ fn parse_phase(lineno: usize, tokens: &[&str], spec: &mut ScenarioSpec) -> Resul
     Ok(())
 }
 
-// One flat `match`, one arm per event kind: splitting it scatters the grammar.
-#[allow(clippy::too_many_lines)]
+/// One event line's `key=value` and flag tokens. A required key's errors
+/// are built from the event kind and the key: `<kind> needs key=X` when
+/// it is missing, and `<kind> <key>` labels a value that is unusable.
+struct EventArgs<'a> {
+    line: usize,
+    kind: &'a str,
+    args: &'a [&'a str],
+}
+
+impl<'a> EventArgs<'a> {
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.args
+            .iter()
+            .map(|t| kv(t))
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v)
+    }
+
+    fn flag(&self, key: &str) -> bool {
+        self.args.contains(&key)
+    }
+
+    fn need(&self, key: &str, placeholder: &str) -> Result<&'a str, ParseError> {
+        self.get(key).ok_or_else(|| ParseError {
+            line: self.line,
+            message: format!("{} needs {key}={placeholder}", self.kind),
+        })
+    }
+
+    /// A required number (`key=N`).
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, ParseError> {
+        let v = self.need(key, "N")?;
+        parse_num(self.line, &format!("{} {key}", self.kind), v)
+    }
+
+    /// A required value in [0, 1]: `loss=P` is a probability, every
+    /// other key a fraction (`key=F`).
+    fn unit(&self, key: &str) -> Result<f64, ParseError> {
+        let v = self.need(key, if key == "loss" { "P" } else { "F" })?;
+        parse_unit(self.line, &format!("{} {key}", self.kind), v)
+    }
+}
+
 fn parse_event(lineno: usize, tokens: &[&str], spec: &mut ScenarioSpec) -> Result<(), ParseError> {
     if tokens.len() < 3 {
         return err(lineno, "event: `at <round> <kind> [key=value…]`");
@@ -421,123 +462,46 @@ fn parse_event(lineno: usize, tokens: &[&str], spec: &mut ScenarioSpec) -> Resul
             return err(lineno, format!("`{k}` needs a value: `{k}=…`"));
         }
     }
-    let get = |key: &str| -> Option<&str> {
-        args.iter()
-            .map(|t| kv(t))
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
+    let ev = EventArgs {
+        line: lineno,
+        kind: tokens[2],
+        args,
     };
-    let has_flag = |key: &str| args.contains(&key);
-    let kind = match tokens[2] {
+    let kind = match ev.kind {
         "flash_crowd" => ScenarioEventKind::FlashCrowd {
-            count: parse_num(
-                lineno,
-                "flash_crowd count",
-                get("count").ok_or(ParseError {
-                    line: lineno,
-                    message: "flash_crowd needs count=N".into(),
-                })?,
-            )?,
-            class: get("class").map(str::to_string),
+            count: ev.num("count")?,
+            class: ev.get("class").map(str::to_string),
         },
         "mass_departure" => ScenarioEventKind::MassDeparture {
-            fraction: parse_unit(
-                lineno,
-                "mass_departure fraction",
-                get("fraction").ok_or(ParseError {
-                    line: lineno,
-                    message: "mass_departure needs fraction=F".into(),
-                })?,
-            )?,
-            correlated: has_flag("correlated"),
-            graceful: has_flag("graceful"),
+            fraction: ev.unit("fraction")?,
+            correlated: ev.flag("correlated"),
+            graceful: ev.flag("graceful"),
         },
         "seek_storm" => ScenarioEventKind::SeekStorm {
-            fraction: parse_unit(
-                lineno,
-                "seek_storm fraction",
-                get("fraction").ok_or(ParseError {
-                    line: lineno,
-                    message: "seek_storm needs fraction=F".into(),
-                })?,
-            )?,
-            jump: match get("jump") {
+            fraction: ev.unit("fraction")?,
+            jump: match ev.get("jump") {
                 Some(j) => parse_num(lineno, "seek_storm jump", j)?,
                 None => 0,
             },
         },
         "capacity_shift" => ScenarioEventKind::CapacityShift {
-            fraction: parse_unit(
-                lineno,
-                "capacity_shift fraction",
-                get("fraction").ok_or(ParseError {
-                    line: lineno,
-                    message: "capacity_shift needs fraction=F".into(),
-                })?,
-            )?,
-            class: get("class")
-                .ok_or(ParseError {
-                    line: lineno,
-                    message: "capacity_shift needs class=NAME".into(),
-                })?
-                .to_string(),
+            fraction: ev.unit("fraction")?,
+            class: ev.need("class", "NAME")?.to_string(),
         },
         "crash_nodes" => ScenarioEventKind::CrashNodes {
-            count: parse_num(
-                lineno,
-                "crash_nodes count",
-                get("count").ok_or(ParseError {
-                    line: lineno,
-                    message: "crash_nodes needs count=N".into(),
-                })?,
-            )?,
-            correlated: has_flag("correlated"),
+            count: ev.num("count")?,
+            correlated: ev.flag("correlated"),
         },
         "loss_burst" => ScenarioEventKind::LossBurst {
-            loss: parse_unit(
-                lineno,
-                "loss_burst loss",
-                get("loss").ok_or(ParseError {
-                    line: lineno,
-                    message: "loss_burst needs loss=P".into(),
-                })?,
-            )?,
-            rounds: parse_num(
-                lineno,
-                "loss_burst rounds",
-                get("rounds").ok_or(ParseError {
-                    line: lineno,
-                    message: "loss_burst needs rounds=N".into(),
-                })?,
-            )?,
+            loss: ev.unit("loss")?,
+            rounds: ev.num("rounds")?,
         },
         "partition_arc" => ScenarioEventKind::PartitionArc {
-            fraction: parse_unit(
-                lineno,
-                "partition_arc fraction",
-                get("fraction").ok_or(ParseError {
-                    line: lineno,
-                    message: "partition_arc needs fraction=F".into(),
-                })?,
-            )?,
-            rounds: parse_num(
-                lineno,
-                "partition_arc rounds",
-                get("rounds").ok_or(ParseError {
-                    line: lineno,
-                    message: "partition_arc needs rounds=N".into(),
-                })?,
-            )?,
+            fraction: ev.unit("fraction")?,
+            rounds: ev.num("rounds")?,
         },
         "rp_outage" => ScenarioEventKind::RpOutage {
-            rounds: parse_num(
-                lineno,
-                "rp_outage rounds",
-                get("rounds").ok_or(ParseError {
-                    line: lineno,
-                    message: "rp_outage needs rounds=N".into(),
-                })?,
-            )?,
+            rounds: ev.num("rounds")?,
         },
         other => return err(lineno, format!("unknown event kind `{other}`")),
     };
@@ -618,6 +582,43 @@ at 30 capacity_shift fraction=0.3 class=dsl
         let e = parse_scenario("at 5 flash_crowd\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert!(e.message.contains("count"));
+    }
+
+    #[test]
+    fn missing_event_keys_name_the_kind_and_the_key() {
+        for (line, message) in [
+            ("flash_crowd", "flash_crowd needs count=N"),
+            ("mass_departure", "mass_departure needs fraction=F"),
+            ("seek_storm", "seek_storm needs fraction=F"),
+            (
+                "capacity_shift class=dsl",
+                "capacity_shift needs fraction=F",
+            ),
+            (
+                "capacity_shift fraction=0.5",
+                "capacity_shift needs class=NAME",
+            ),
+            ("crash_nodes", "crash_nodes needs count=N"),
+            ("loss_burst rounds=2", "loss_burst needs loss=P"),
+            ("loss_burst loss=0.5", "loss_burst needs rounds=N"),
+            ("partition_arc rounds=2", "partition_arc needs fraction=F"),
+            ("partition_arc fraction=0.5", "partition_arc needs rounds=N"),
+            ("rp_outage", "rp_outage needs rounds=N"),
+        ] {
+            let e = parse_scenario(&format!("at 5 {line}\n")).unwrap_err();
+            assert_eq!(
+                e,
+                ParseError {
+                    line: 1,
+                    message: message.into()
+                },
+                "{line}"
+            );
+        }
+        let e = parse_scenario("at 5 crash_nodes count=x\n").unwrap_err();
+        assert_eq!(e.message, "crash_nodes count: cannot parse `x`");
+        let e = parse_scenario("at 5 loss_burst loss=2 rounds=1\n").unwrap_err();
+        assert_eq!(e.message, "loss_burst loss 2 outside [0, 1]");
     }
 
     #[test]

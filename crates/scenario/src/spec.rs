@@ -350,7 +350,14 @@ impl ScenarioSpec {
         }
         for (i, ev) in self.events.iter().enumerate() {
             match &ev.kind {
-                ScenarioEventKind::FlashCrowd { class, .. } => {
+                ScenarioEventKind::FlashCrowd { count, class } => {
+                    // Every join is attempted, like a phase's arrivals.
+                    if u64::from(*count) > IdSlotTable::MAX_IDS {
+                        return Err(SpecError(format!(
+                            "event {i} needs flash_crowd count=<n> of at most {} (the ids an ID space holds at most), got {count}",
+                            IdSlotTable::MAX_IDS
+                        )));
+                    }
                     if let Some(name) = class {
                         check_class(name, &format!("event {i}"))?;
                     }
@@ -443,6 +450,22 @@ mod tests {
             },
         });
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn flash_crowd_beyond_any_id_space_is_rejected() {
+        let crowd = |count| {
+            let mut spec = ScenarioSpec::null("crowd", base());
+            spec.events.push(TimedEvent {
+                round: 2,
+                kind: ScenarioEventKind::FlashCrowd { count, class: None },
+            });
+            spec.validate()
+        };
+        let max = IdSlotTable::MAX_IDS as u32;
+        assert!(crowd(max).is_ok());
+        let e = crowd(max + 1).unwrap_err();
+        assert!(e.0.contains("flash_crowd count"), "{e}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The workspace's one fork-join primitive.
 //!
-//! Every data-parallel step in the reproduction — the twin's per-node
-//! emit/fold, the experiment harness's run sweeps (a simulated round
-//! itself is one thread) — has the same shape: cut the work into shards
-//! whose *boundaries depend only on the input*, run the shards
-//! concurrently, merge in shard order. [`fork_join`] is that shape and
-//! the only thread fan-out in the workspace; determinism is the
+//! Its one caller is the experiment harness's run sweep
+//! (`cs_bench::run_many`); a simulated round and the twin's exchange each
+//! run on one thread. Any data-parallel step must take one shape: cut the
+//! work into shards whose *boundaries depend only on the input*, run the
+//! shards concurrently, merge in shard order. [`fork_join`] is that shape
+//! and the only thread fan-out in the workspace; determinism is the
 //! caller's half of the contract (shards must not race on anything the
 //! merge reads) and positional merging is this module's.
 
@@ -37,37 +37,6 @@ where
         }
         f(0, first);
     });
-}
-
-/// Apply `f` to every item, fanning the index range out over at most
-/// `workers` contiguous shards, and return the results in item order.
-/// `f` receives the item's global index. Shard boundaries depend only on
-/// `(items.len(), workers)` — never on timing — and the per-shard results
-/// are concatenated in shard order, so the output is positionally
-/// identical at every worker count.
-pub fn fan_out<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = items.len().div_ceil(workers.max(1)).max(1);
-    let mut parts: Vec<Vec<R>> = items
-        .chunks(chunk)
-        .map(|shard| Vec::with_capacity(shard.len()))
-        .collect();
-    fork_join(
-        parts.iter_mut().zip(items.chunks(chunk)),
-        |s, (out, shard)| {
-            let offset = s * chunk;
-            out.extend(shard.iter().enumerate().map(|(i, t)| f(offset + i, t)));
-        },
-    );
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().unwrap_or_default();
-    out.reserve(items.len() - out.len());
-    out.extend(parts.flatten());
-    out
 }
 
 #[cfg(test)]
@@ -134,29 +103,5 @@ mod tests {
     #[should_panic]
     fn a_panicking_shard_propagates() {
         fork_join(0..4u32, |_, k| assert_ne!(k, 2, "shard 2 fails"));
-    }
-
-    #[test]
-    fn all_worker_counts_agree_positionally() {
-        let items: Vec<u64> = (0..1013).collect();
-        let serial = fan_out(1, &items, |i, &x| (i as u64) * 31 + x * x);
-        for workers in [2, 3, 4, 8, 16, 2000] {
-            let par = fan_out(workers, &items, |i, &x| (i as u64) * 31 + x * x);
-            assert_eq!(serial, par, "{workers} workers diverged");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(fan_out(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(fan_out(4, &[9u32], |i, &x| (i, x)), vec![(0, 9)]);
-    }
-
-    #[test]
-    fn indices_are_global() {
-        let items = vec![(); 37];
-        let idxs = fan_out(5, &items, |i, _| i);
-        assert_eq!(idxs, (0..37).collect::<Vec<_>>());
     }
 }

@@ -10,15 +10,15 @@
 //!    microseconds, so round boundaries are exact on every platform.
 //! 2. **Bit-reproducible randomness.** All draws flow from a single
 //!    [`RngTree`], so subsystems cannot perturb each other's streams.
-//! 3. **Deterministic fork-join.** [`fork_join`] (and [`fan_out`] on top of
-//!    it) is the workspace's only thread fan-out: shard boundaries depend
-//!    on the input alone and results merge in shard order, so every
-//!    parallel step is positionally identical at any worker count.
+//! 3. **Deterministic fork-join.** [`fork_join`] is the workspace's only
+//!    thread fan-out: shard boundaries depend on the input alone and
+//!    results merge in shard order, so every parallel step is
+//!    positionally identical at any worker count.
 
 pub mod executor;
 pub mod rng;
 pub mod time;
 
-pub use executor::{fan_out, fork_join};
+pub use executor::fork_join;
 pub use rng::{splitmix64, RngTree, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -6,22 +6,22 @@
 //! protocol truth. The protocol is round-synchronous — exchange buffer
 //! maps, then decide over what arrived — so the exchange is the only
 //! seam: the twin is `cs_scenario`'s driver stepping every round with
-//! `SystemSim::step_with` and an exchange of its own. Three pieces:
+//! `SystemSim::step_with` and an exchange of its own. Two pieces,
+//! std-only (no tokio):
 //!
 //! * [`transport`] — typed protocol messages ([`WireMsg`] /
 //!   [`Envelope`]) behind a [`Transport`] trait with per-link latency,
 //!   loss and delay hooks; [`InProcTransport`] is the deterministic
 //!   in-process implementation (real sockets are a follow-up with the
 //!   same trait).
-//! * [`clock`] — a [`VirtualClock`] (time moves only at delivery
-//!   instants and round barriers). Std-only; no tokio.
-//! * [`runtime`] — the transport-backed exchange: each node announces
-//!   its buffer map to itself (loopback) and its neighbours, the
-//!   transport delivers in a unique total `(due, round, src, seq)`
-//!   order up to the round's deadline, and each node's inbox folds into
-//!   the view the simulator core decides the round over. The fold fans
-//!   out through [`cs_sim::fan_out`], whose shard-order merge makes it
-//!   positionally deterministic at any worker count.
+//! * [`runtime`] — the transport-backed exchange, one serial pass per
+//!   round: each node announces its buffer map to itself (loopback) and
+//!   its neighbours in ascending-id order, then the transport delivers
+//!   in a unique total `(due, round, src, seq)` order up to the round's
+//!   deadline and each envelope is folded as it is polled — a loopback
+//!   copy becomes its node's view, every copy is checked against its
+//!   sender's announcement. Time is virtual: it moves only to delivery
+//!   instants and round barriers, never with the wall clock.
 //!
 //! ## The equivalence contract
 //!
@@ -30,11 +30,10 @@
 //! round period, no loss), a twin run's decision log (the structured
 //! event trace), fault trace, report and metrics exports are
 //! **byte-identical** to `cs_scenario::run_scenario`'s under the same
-//! spec — at every worker count. `tests/twin_equivalence.rs` locks
-//! this down, including runs with the PR-6 fault plane armed (crashes
-//! and per-path loss/delay replay identically because the fault
-//! stream stays core-side), and proves non-vacuity with a corrupting
-//! transport that must diverge.
+//! spec. `tests/twin_equivalence.rs` locks this down, including runs
+//! with the fault plane armed (crashes and per-path loss/delay
+//! replay identically because the fault stream stays core-side), and
+//! proves non-vacuity with a corrupting transport that must diverge.
 //!
 //! ```
 //! use cs_core::SystemConfig;
@@ -52,14 +51,11 @@
 //! assert_eq!(twin.divergences, 0);
 //! ```
 
-pub mod clock;
 pub mod runtime;
 pub mod transport;
 
-pub use clock::VirtualClock;
 pub use runtime::{
-    drive_twin_over, run_twin, run_twin_observed, TwinConfig, TwinNodeStats, TwinOutcome,
-    TwinRoundStats,
+    drive_twin_over, run_twin, run_twin_observed, TwinConfig, TwinOutcome, TwinRoundStats,
 };
 pub use transport::{Envelope, InProcTransport, MsgBody, Transport, TransportStats, WireMsg};
 

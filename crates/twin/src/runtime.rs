@@ -2,9 +2,9 @@
 //!
 //! Each round, every node announces its buffer map to itself
 //! (loopback) and to every connected neighbour over the
-//! [`Transport`]; the exchange drains the
-//! transport up to the round's deadline, assembles each node's
-//! delivered view, and returns the views to the simulator core —
+//! [`Transport`]; the exchange drains the transport up to the round's
+//! deadline in one serial pass, folding each envelope into its node's
+//! view as it arrives, and returns the views to the simulator core —
 //! which makes every protocol decision (scheduling, pre-fetch,
 //! rescue, failover) exactly as it would have standalone. The sim
 //! core stays the single source of protocol truth; the twin only
@@ -19,25 +19,24 @@
 //! *unfaithful* transport (loss, late delivery, corruption) surfaces
 //! as divergence counters here and as decision-log drift there.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use cs_core::{SystemSim, TwinAnnounce, TwinViews};
 use cs_dht::DhtId;
 use cs_net::LinkCatalog;
-use cs_obs::ObsConfig;
+use cs_obs::{ObsConfig, TwinNodeRow};
 use cs_scenario::{drive, ScenarioOutcome, ScenarioSpec};
-use cs_sim::{fan_out, SimDuration, SimTime};
+use cs_sim::{SimDuration, SimTime};
 
-use crate::clock::VirtualClock;
 use crate::transport::{InProcTransport, MsgBody, Transport, TransportStats, WireMsg};
 
 /// How the twin runs a scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct TwinConfig {
-    /// Executor workers for the per-node inbox fold (0 means 1).
-    /// Results are bit-identical at any value (pinned in the
-    /// determinism suite).
+    /// Read by nothing: the exchange is one serial pass. The field stays
+    /// because the frozen benchmark builds this struct field by field
+    /// (`TwinConfig { workers: 1, links }`); it goes with the next
+    /// `[benchmark]` PR.
     pub workers: usize,
     /// Per-link wire characteristics. The equivalence profile is
     /// [`LinkCatalog::uniform`] with any latency below the round
@@ -55,23 +54,6 @@ impl Default for TwinConfig {
     }
 }
 
-/// Cumulative per-node transport accounting, keyed by node id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TwinNodeStats {
-    /// Node id.
-    pub id: DhtId,
-    /// Announcements this node handed to the transport (loopback +
-    /// one per neighbour, each round it was alive).
-    pub sent: u64,
-    /// Envelopes delivered to this node inside their round.
-    pub received: u64,
-    /// Envelopes for this node that missed their round deadline.
-    pub late: u64,
-    /// Received copies whose content differed from the sender's
-    /// canonical announcement (a faithful transport keeps this 0).
-    pub divergences: u64,
-}
-
 /// Per-round snapshot handed to the observed runner's callback.
 #[derive(Debug, Clone)]
 pub struct TwinRoundStats {
@@ -84,7 +66,7 @@ pub struct TwinRoundStats {
     /// Content divergences so far (cumulative).
     pub divergences: u64,
     /// Per-node cumulative rows, ascending by id.
-    pub nodes: Vec<TwinNodeStats>,
+    pub nodes: Vec<TwinNodeRow>,
 }
 
 /// Everything a twin run produces: the standard scenario outcome
@@ -107,53 +89,59 @@ pub struct TwinOutcome {
     pub divergences: u64,
     /// Per-node cumulative accounting, ascending by id (includes
     /// departed nodes).
-    pub node_stats: Vec<TwinNodeStats>,
+    pub node_stats: Vec<TwinNodeRow>,
 }
 
 /// One alive node's side of the round's exchange: what it announced and
-/// to how many recipients (loopback included).
+/// where its cumulative row is.
 struct Announcer {
     id: DhtId,
     slot: u32,
     announce: Arc<TwinAnnounce>,
-    sent: u64,
+    /// Index into [`TwinExchange::rows`], fixed for the round.
+    row: usize,
 }
 
-struct FoldOut {
-    canonical: Option<Arc<TwinAnnounce>>,
-    received: u64,
-    divergences: u64,
+/// The announcer with `id` this round, if it announced.
+fn announcer(announcers: &[Announcer], id: DhtId) -> Option<&Announcer> {
+    let k = announcers.binary_search_by_key(&id, |a| a.id).ok()?;
+    Some(&announcers[k])
 }
 
 /// The transport-backed buffer-map exchange — everything the twin adds
 /// to a simulator round. [`Self::run`] is the exchange
-/// `SystemSim::step_with` calls: announce, deliver up to the round's
-/// deadline, fold each node's inbox into its view.
+/// `SystemSim::step_with` calls: announce, then deliver up to the
+/// round's deadline, folding each envelope as it arrives.
 struct TwinExchange<T> {
     transport: T,
-    clock: VirtualClock,
-    workers: usize,
+    /// Virtual time: the last delivery instant or round barrier. It only
+    /// moves inside [`Self::run`], never with the wall clock, so runs are
+    /// bit-identical whatever the host load.
+    now: SimTime,
     late: u64,
     stale_dropped: u64,
     divergences: u64,
-    /// `BTreeMap`: the rows come out ascending by id without a sort.
-    totals: BTreeMap<DhtId, TwinNodeStats>,
+    /// Cumulative per-node rows, ascending by id.
+    rows: Vec<TwinNodeRow>,
+    /// This round's announcers, ascending by id; empty between rounds.
+    announcers: Vec<Announcer>,
 }
 
 impl<T: Transport> TwinExchange<T> {
     fn run(&mut self, sim: &SystemSim, round: u32, round_end: SimTime) -> TwinViews {
         // 1. Every alive node announces its buffer map to itself
-        // (loopback) and to every connected neighbour. Serial, in the
+        // (loopback) and to every connected neighbour, in the
         // simulator's ascending-id order: the transport's RNG stream
-        // position is part of the wire contract, so send order must not
-        // depend on worker scheduling.
-        let now = self.clock.now();
-        let mut nodes: Vec<Announcer> = Vec::new();
+        // position is part of the wire contract.
         sim.twin_announcements(|id, slot, announce, recipients| {
+            debug_assert!(
+                self.announcers.last().is_none_or(|a| a.id < id),
+                "announcers come in ascending-id order"
+            );
             let announce = Arc::new(announce);
             for &dst in std::iter::once(&id).chain(recipients) {
                 self.transport.send(
-                    now,
+                    self.now,
                     WireMsg {
                         src: id,
                         dst,
@@ -162,99 +150,84 @@ impl<T: Transport> TwinExchange<T> {
                     },
                 );
             }
-            nodes.push(Announcer {
+            // Ascending ids make every row index of an earlier
+            // announcer stable under this insert.
+            let rows = &mut self.rows;
+            let row = rows
+                .binary_search_by_key(&id, |r| r.node)
+                .unwrap_or_else(|k| {
+                    rows.insert(
+                        k,
+                        TwinNodeRow {
+                            node: id,
+                            ..TwinNodeRow::default()
+                        },
+                    );
+                    k
+                });
+            rows[row].sent += 1 + recipients.len() as u64;
+            self.announcers.push(Announcer {
                 id,
                 slot,
                 announce,
-                sent: 1 + recipients.len() as u64,
+                row,
             });
         });
-        let index_of: HashMap<DhtId, usize> =
-            nodes.iter().enumerate().map(|(k, n)| (n.id, k)).collect();
 
         // 2. Drain deliveries due by the round deadline, in the
-        // transport's total (due, round, src, seq) order, advancing
-        // the virtual clock to each delivery instant.
-        let mut inboxes: Vec<Vec<(DhtId, Arc<TwinAnnounce>)>> = Vec::new();
-        inboxes.resize_with(nodes.len(), Vec::new);
-        let mut late_by_node: Vec<u64> = vec![0; nodes.len()];
+        // transport's total (due, round, src, seq) order, folding each
+        // as it is polled: the loopback copy becomes its node's view,
+        // and every copy is checked content-equal against what its
+        // sender emitted.
+        let mut views = TwinViews::default();
         while let Some(env) = self.transport.poll(round_end) {
-            self.clock.advance_to(env.due);
+            assert!(
+                env.due >= self.now,
+                "virtual clock regression: {} < {}",
+                env.due,
+                self.now
+            );
+            self.now = env.due;
             let MsgBody::Announce(a) = env.msg.body;
+            let dst = announcer(&self.announcers, env.msg.dst);
             if env.round != round {
                 // Leftover from an earlier round: its decisions were
                 // already made without it.
                 self.late += 1;
-                if let Some(&k) = index_of.get(&env.msg.dst) {
-                    late_by_node[k] += 1;
+                if let Some(d) = dst {
+                    self.rows[d.row].late += 1;
                 }
                 continue;
             }
-            match index_of.get(&env.msg.dst) {
-                Some(&k) => inboxes[k].push((env.msg.src, a)),
-                None => self.stale_dropped += 1,
+            let Some(d) = dst else {
+                self.stale_dropped += 1;
+                continue;
+            };
+            let row = &mut self.rows[d.row];
+            row.received += 1;
+            // A sender that announced nothing this round is forged; a
+            // corrupted loopback copy corrupts decisions.
+            let diverged =
+                announcer(&self.announcers, env.msg.src).is_none_or(|s| *a != *s.announce);
+            if diverged {
+                row.divergences += 1;
+                self.divergences += 1;
+            }
+            if env.msg.src == d.id {
+                views.install(d.slot, a);
             }
         }
-        // The round barrier: the protocol's synchronous clock edge.
-        self.clock.advance_to(round_end);
-
-        // 3. Each node folds its inbox: the loopback copy becomes its
-        // canonical view; every neighbour copy is verified
-        // content-equal against what the sender actually emitted.
-        // Data-parallel; order restored by the executor's merge.
-        let folds: Vec<FoldOut> = fan_out(self.workers, &nodes, |k, n| {
-            let mut canonical: Option<Arc<TwinAnnounce>> = None;
-            let mut div = 0u64;
-            for (src, a) in &inboxes[k] {
-                if *src == n.id {
-                    canonical = Some(Arc::clone(a));
-                } else {
-                    match index_of.get(src) {
-                        Some(&sk) => {
-                            if **a != *nodes[sk].announce {
-                                div += 1;
-                            }
-                        }
-                        // A sender id we never emitted for: forged.
-                        None => div += 1,
-                    }
-                }
-            }
-            // The canonical copy itself must match what was emitted —
-            // a transport that corrupts loopback corrupts decisions.
-            if let Some(c) = &canonical {
-                if **c != *n.announce {
-                    div += 1;
-                }
-            }
-            FoldOut {
-                canonical,
-                received: inboxes[k].len() as u64,
-                divergences: div,
-            }
-        });
-
-        // 4. Merge (already in node order): the views the simulator
-        // core decides the round over, and the accounting.
-        let mut views = TwinViews::default();
-        for (k, (n, f)) in nodes.iter().zip(folds).enumerate() {
-            if let Some(c) = f.canonical {
-                views.install(n.slot, c);
-            }
-            self.divergences += f.divergences;
-            let t = self.totals.entry(n.id).or_default();
-            t.id = n.id;
-            t.sent += n.sent;
-            t.received += f.received;
-            t.late += late_by_node[k];
-            t.divergences += f.divergences;
-        }
+        // The round barrier: the protocol's synchronous clock edge. The
+        // announcements go with the round; the views hold the ones the
+        // simulator still reads.
+        self.now = round_end;
+        self.announcers.clear();
         views
     }
 }
 
 /// Run `spec` through the twin. Deterministic in `(spec, cfg.links)`:
-/// two calls produce byte-identical outcomes at any worker count.
+/// two calls produce byte-identical outcomes.
 pub fn run_twin(spec: &ScenarioSpec, cfg: &TwinConfig) -> TwinOutcome {
     drive_twin(spec, cfg, None, |_, _| {})
 }
@@ -286,10 +259,12 @@ fn drive_twin(
 /// equivalence harness can run a deliberately unfaithful transport and
 /// prove the harness is not vacuous. Every field of the outcome is
 /// byte-comparable against a sim run's; `on_round` fires only when
-/// `obs_cfg` arms the run.
+/// `obs_cfg` arms the run. The transport already carries the link
+/// profile, so `_cfg` is read by nothing (like [`TwinConfig::workers`],
+/// it stays for the frozen benchmark's call).
 pub fn drive_twin_over<T: Transport>(
     spec: &ScenarioSpec,
-    cfg: &TwinConfig,
+    _cfg: &TwinConfig,
     transport: T,
     obs_cfg: Option<ObsConfig>,
     on_round: &mut dyn FnMut(&SystemSim, &TwinRoundStats),
@@ -297,12 +272,12 @@ pub fn drive_twin_over<T: Transport>(
     let observed = obs_cfg.is_some();
     let mut exchange = TwinExchange {
         transport,
-        clock: VirtualClock::new(),
-        workers: cfg.workers.max(1),
+        now: SimTime::ZERO,
         late: 0,
         stale_dropped: 0,
         divergences: 0,
-        totals: BTreeMap::new(),
+        rows: Vec::new(),
+        announcers: Vec::new(),
     };
     let outcome = drive(spec, obs_cfg, |sim| {
         let stepped = sim.step_with(|sim, round, round_end| exchange.run(sim, round, round_end));
@@ -312,7 +287,7 @@ pub fn drive_twin_over<T: Transport>(
                 transport: exchange.transport.stats(),
                 late: exchange.late,
                 divergences: exchange.divergences,
-                nodes: exchange.totals.values().copied().collect(),
+                nodes: exchange.rows.clone(),
             };
             on_round(sim, &stats);
         }
@@ -324,6 +299,62 @@ pub fn drive_twin_over<T: Transport>(
         late: exchange.late,
         stale_dropped: exchange.stale_dropped,
         divergences: exchange.divergences,
-        node_stats: exchange.totals.into_values().collect(),
+        node_stats: exchange.rows,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::Envelope;
+    use cs_core::SystemConfig;
+
+    /// Hands each round's deliveries back latest first.
+    struct Reversing {
+        inner: InProcTransport,
+        held: Vec<Envelope>,
+    }
+
+    impl Transport for Reversing {
+        fn send(&mut self, now: SimTime, msg: WireMsg) {
+            self.inner.send(now, msg);
+        }
+
+        fn next_due(&self) -> Option<SimTime> {
+            self.inner.next_due()
+        }
+
+        fn poll(&mut self, deadline: SimTime) -> Option<Envelope> {
+            if self.held.is_empty() {
+                while let Some(env) = self.inner.poll(deadline) {
+                    self.held.push(env);
+                }
+            }
+            self.held.pop()
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual clock regression")]
+    fn a_delivery_due_before_the_previous_one_panics() {
+        let spec = ScenarioSpec::null(
+            "twin-reversed",
+            SystemConfig {
+                nodes: 20,
+                rounds: 2,
+                startup_segments: 20,
+                ..SystemConfig::default()
+            },
+        );
+        let cfg = TwinConfig::default();
+        let transport = Reversing {
+            inner: InProcTransport::new(cfg.links, spec.config.seed),
+            held: Vec::new(),
+        };
+        drive_twin_over(&spec, &cfg, transport, None, &mut |_, _| {});
     }
 }

@@ -6,7 +6,7 @@
 //! total and depends only on what was sent (never on thread timing),
 //! any runtime draining the transport serially observes the same
 //! delivery sequence — the foundation of the twin's bit-identical
-//! runs at every worker count.
+//! runs.
 //!
 //! [`InProcTransport`] is the v0 implementation: an in-process
 //! delay-queue with per-link latency from a [`LinkCatalog`] and

@@ -11,7 +11,7 @@
 //!     --trace trace.jsonl --profile-json profile.json \
 //!     --monitor-addr 127.0.0.1:9464
 //! cargo run --release --example scenario_runner -- scenarios/lossy_churn.scn \
-//!     --twin --workers 4 --latency-ms 50 --jitter-ms 30 \
+//!     --twin --latency-ms 50 --jitter-ms 30 \
 //!     --trace twin_trace.jsonl --compare-sim
 //! ```
 //!
@@ -26,8 +26,8 @@
 //!
 //! * `--trace FILE` — write the structured event trace — the decision
 //!   log — as JSON lines (join/leave/crash/failover/retry/rescue/rewire
-//!   events with round, node and cause). Byte-identical across re-runs,
-//!   the twin's worker counts, and between the simulator and the twin.
+//!   events with round, node and cause). Byte-identical across re-runs
+//!   and between the simulator and the twin.
 //! * `--profile-json FILE` — write the per-phase round profiler
 //!   breakdown (mean/min/max/p99 ns per phase).
 //! * `--monitor-addr ADDR` — serve live Prometheus-style text
@@ -41,8 +41,6 @@
 //! the same rounds with the buffer-map exchange moved over `cs-twin`'s
 //! deterministic in-process transport:
 //!
-//! * `--workers N` — executor workers for the per-node fan-out
-//!   (results are bit-identical at any N; see `tests/determinism.rs`).
 //! * `--latency-ms F` / `--jitter-ms F` / `--link-seed N` — the link
 //!   catalogue: every link gets `latency + [0, jitter]` of deterministic
 //!   per-pair spread (default 50 + 0). Keep `latency + jitter` below the
@@ -65,7 +63,7 @@
 //! produces byte-identical CSV/JSON/trace exports (timings excluded).
 
 use continustreaming::obs::{
-    render_prometheus, render_twin_nodes, serve, MonitorHandle, MonitorSample, TwinNodeRow,
+    render_prometheus, render_twin_nodes, serve, MonitorHandle, MonitorSample,
 };
 use continustreaming::prelude::*;
 use continustreaming::scenario::ScenarioOutcome;
@@ -78,8 +76,8 @@ fn usage() -> ! {
          \x20      [--obs] [--trace out.jsonl] [--profile-json out.json]\n\
          \x20      [--monitor-addr host:port] [--monitor-linger-secs N]\n\
          \x20      [--min-continuity F] [--min-p99-continuity F]\n\
-         \x20      [--twin [--workers N] [--latency-ms F] [--jitter-ms F]\n\
-         \x20              [--link-seed N] [--compare-sim]]"
+         \x20      [--twin [--latency-ms F] [--jitter-ms F] [--link-seed N]\n\
+         \x20              [--compare-sim]]"
     );
     std::process::exit(2);
 }
@@ -114,7 +112,6 @@ struct Args {
     min_continuity: Option<f64>,
     min_p99_continuity: Option<f64>,
     twin: bool,
-    workers: Option<usize>,
     latency_ms: Option<f64>,
     jitter_ms: Option<f64>,
     link_seed: Option<u64>,
@@ -160,7 +157,6 @@ fn parse_args(argv: &[String]) -> Args {
             "--monitor-linger-secs" => a.monitor_linger_secs = parse_or_exit(flag, &value()),
             "--min-continuity" => a.min_continuity = Some(parse_or_exit(flag, &value())),
             "--min-p99-continuity" => a.min_p99_continuity = Some(parse_or_exit(flag, &value())),
-            "--workers" => a.workers = Some(parse_or_exit(flag, &value())),
             "--latency-ms" => a.latency_ms = Some(parse_or_exit(flag, &value())),
             "--jitter-ms" => a.jitter_ms = Some(parse_or_exit(flag, &value())),
             "--link-seed" => a.link_seed = Some(parse_or_exit(flag, &value())),
@@ -181,7 +177,6 @@ fn parse_args(argv: &[String]) -> Args {
         i += 2;
     }
     let twin_only = [
-        ("--workers", a.workers.is_some()),
         ("--latency-ms", a.latency_ms.is_some()),
         ("--jitter-ms", a.jitter_ms.is_some()),
         ("--link-seed", a.link_seed.is_some()),
@@ -252,9 +247,8 @@ fn twin_config(args: &Args, spec: &ScenarioSpec) -> TwinConfig {
         LinkCatalog::jittered(latency, jitter, args.link_seed.unwrap_or(spec.config.seed))
     };
     TwinConfig {
-        // `--workers 0` means 1.
-        workers: args.workers.unwrap_or(1).max(1),
         links,
+        ..TwinConfig::default()
     }
 }
 
@@ -320,18 +314,7 @@ fn publish(
     faults.fold(sim);
     let mut body = render_prometheus(&build_sample(sim, &faults.totals));
     if let Some(t) = twin {
-        let rows: Vec<TwinNodeRow> = t
-            .nodes
-            .iter()
-            .map(|n| TwinNodeRow {
-                node: n.id,
-                sent: n.sent,
-                received: n.received,
-                late: n.late,
-                divergences: n.divergences,
-            })
-            .collect();
-        body.push_str(&render_twin_nodes(&rows));
+        body.push_str(&render_twin_nodes(&t.nodes));
     }
     monitor.publish(body);
 }
@@ -485,8 +468,8 @@ fn main() {
     );
     if let Some(cfg) = &twin_cfg {
         eprintln!(
-            "through the twin: {} workers, latency {}+[0,{}]",
-            cfg.workers, cfg.links.base, cfg.links.jitter
+            "through the twin: latency {}+[0,{}]",
+            cfg.links.base, cfg.links.jitter
         );
     }
 

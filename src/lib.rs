@@ -56,9 +56,9 @@
 //! ```
 //!
 //! A round is one thread: scheduling, supplier service and pre-fetch are
-//! each one loop in node order. Threads are spent across runs
-//! (`cs_bench::run_many`) and across the twin's per-node wire fan-out,
-//! both through [`cs_sim::fork_join`].
+//! each one loop in node order, and the twin's exchange is one serial
+//! pass. Threads are spent only across runs (`cs_bench::run_many`,
+//! through [`cs_sim::fork_join`]).
 
 pub use cs_analysis as analysis;
 pub use cs_core as core;

@@ -279,49 +279,3 @@ fn large_overlay_8k_pins_hold() {
         "8k run drift: 0x{hash:016x} != pinned 0x{RUN_PIN:016x}"
     );
 }
-
-/// Layer 4: the **live-network twin's worker matrix** — the twin
-/// runtime fans its per-node emit and fold phases out across a
-/// hand-rolled scoped executor, and the results must be byte-identical
-/// at 1, 2, 4 and 8 workers *and* byte-identical to the plain
-/// simulator. Checked on the strongest available workload (churn,
-/// scripted events and the fault plane all armed) over the decision
-/// log, the fault-trace digest, and the full report — so neither
-/// worker scheduling nor the transport hop can smuggle in drift.
-#[test]
-fn twin_worker_matrix_reproduces_the_simulator_byte_for_byte() {
-    use continustreaming::twin::{run_twin_observed, TwinConfig};
-    use cs_scenario::{parse_scenario, run_scenario_observed};
-
-    let text = std::fs::read_to_string("scenarios/lossy_churn.scn").expect("scenario file");
-    let mut spec = parse_scenario(&text).expect("scenario parses");
-    spec.config.nodes = 200;
-    spec.config.rounds = 30;
-
-    let sim = run_scenario_observed(&spec, ObsConfig::default(), |_| {});
-    let sim_trace = sim.obs.as_ref().expect("obs armed").trace_jsonl.clone();
-    assert!(!sim_trace.is_empty(), "decision log must not be vacuous");
-
-    for workers in [1usize, 2, 4, 8] {
-        let cfg = TwinConfig {
-            workers,
-            ..TwinConfig::default()
-        };
-        let twin = run_twin_observed(&spec, &cfg, ObsConfig::default(), |_, _| {});
-        assert_eq!(twin.divergences, 0, "{workers} workers: divergences");
-        let twin_trace = &twin.outcome.obs.as_ref().expect("obs armed").trace_jsonl;
-        assert_eq!(
-            &sim_trace, twin_trace,
-            "{workers} workers: decision log drifted from the simulator"
-        );
-        assert_eq!(
-            twin.outcome.fault_trace.digest(),
-            sim.fault_trace.digest(),
-            "{workers} workers: fault digest drifted"
-        );
-        assert_eq!(
-            twin.outcome.report, sim.report,
-            "{workers} workers: report drifted"
-        );
-    }
-}

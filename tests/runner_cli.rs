@@ -87,20 +87,26 @@ fn scenario_runner_usage_error_exits_2() {
     );
     // The twin's flags mean nothing to the simulator: refused, not
     // silently ignored.
-    let Some(out) = runner(&["scenarios/static.scn", "--workers", "4"]) else {
+    let Some(out) = runner(&["scenarios/static.scn", "--compare-sim"]) else {
         return;
     };
     assert_exit_2(
         &out,
         "twin flag without --twin",
-        "--workers requires --twin",
+        "--compare-sim requires --twin",
     );
+    // The twin's exchange is one serial pass: there is no worker count
+    // to set.
+    let Some(out) = runner(&["scenarios/static.scn", "--twin", "--workers", "4"]) else {
+        return;
+    };
+    assert_exit_2(&out, "removed --workers", "unknown flag `--workers`");
 }
 
 /// The link flags reach `SimDuration` arithmetic that panics on what a
 /// command line can carry — negative, non-finite, or too large for the
 /// simulated clock. The runner must refuse each with one line and exit
-/// 2; `--workers 0` is not an error (it means 1).
+/// 2.
 #[test]
 fn scenario_runner_rejects_unusable_link_flags_with_exit_2() {
     let finite = "must be finite and non-negative";
@@ -116,18 +122,6 @@ fn scenario_runner_rejects_unusable_link_flags_with_exit_2() {
         let Some(out) = runner(&args) else { return };
         assert_exit_2(&out, &format!("{flag} {value}"), needle);
     }
-    let args = [
-        "scenarios/static.scn",
-        "--twin",
-        "--nodes",
-        "40",
-        "--rounds",
-        "3",
-        "--workers",
-        "0",
-    ];
-    let Some(out) = runner(&args) else { return };
-    assert_eq!(out.status.code(), Some(0), "--workers 0 runs as 1 worker");
 }
 
 /// A spec the parser accepts token by token but that cannot run must
@@ -217,6 +211,13 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
         "poisson_huge",
         "nodes = 50\nrounds = 20\nphase 0..20 arrivals=poisson:1e300\n",
         "phase 0 needs arrivals=poisson:<rate> between 0 and 268435456",
+    );
+    // Every flash-crowd join is attempted: 4e9 ran 27 s to count
+    // rejections.
+    assert_bad_spec_exits_2(
+        "flash_crowd_huge",
+        "nodes = 50\nrounds = 6\nat 2 flash_crowd count=4000000000\n",
+        "event 0 needs flash_crowd count=<n> of at most 268435456",
     );
     // Class values reach the latency oracle and `NodeBandwidth` as given.
     for (tag, field, needle) in [

@@ -6,8 +6,7 @@
 //! announcement delivered unmodified inside its round) the two must be
 //! **indistinguishable on every deterministic export**: the decision
 //! log (structured event trace), the fault trace and its digest, the
-//! run report, and the CSV/JSON metrics — byte for byte, at every
-//! worker count.
+//! run report, and the CSV/JSON metrics — byte for byte.
 //!
 //! The harness would be vacuous if nothing *could* fail it, so the
 //! last test drives a deliberately corrupting transport and asserts
@@ -120,12 +119,12 @@ fn static_scenario_sim_and_twin_are_byte_identical() {
 fn static_scenario_equivalence_holds_under_link_jitter() {
     let spec = load_spec("scenarios/static.scn", 150, 30);
     let cfg = TwinConfig {
-        workers: 4,
         links: LinkCatalog::jittered(
             SimDuration::from_millis(50),
             SimDuration::from_millis(400),
             0xA11CE,
         ),
+        ..TwinConfig::default()
     };
     assert_equivalent(&spec, &cfg);
 }
@@ -139,10 +138,7 @@ fn static_scenario_equivalence_holds_under_link_jitter() {
 fn lossy_churn_equivalence_includes_the_fault_plane() {
     let spec = load_spec("scenarios/lossy_churn.scn", 300, 60);
     assert!(spec.config.faults.enabled(), "scenario must arm faults");
-    let cfg = TwinConfig {
-        workers: 8,
-        ..TwinConfig::default()
-    };
+    let cfg = TwinConfig::default();
     let twin = run_twin_observed(&spec, &cfg, ObsConfig::default(), |_, _| {});
     assert!(
         !twin.outcome.fault_trace.is_empty(),
@@ -160,13 +156,7 @@ fn lossy_churn_equivalence_includes_the_fault_plane() {
 fn full_scale_1000x200_equivalence() {
     for path in ["scenarios/static.scn", "scenarios/lossy_churn.scn"] {
         let spec = load_spec(path, 1000, 200);
-        for workers in [1usize, 8] {
-            let cfg = TwinConfig {
-                workers,
-                ..TwinConfig::default()
-            };
-            assert_equivalent(&spec, &cfg);
-        }
+        assert_equivalent(&spec, &TwinConfig::default());
     }
 }
 
