@@ -24,10 +24,6 @@
 //! cargo run -p cs-bench --release --bin bench_active_set
 //! cargo run -p cs-bench --release --bin bench_active_set -- \
 //!     --nodes 100000 --rounds 200 --json BENCH_active_set.json
-//! # CI smoke: deterministic output (no timings), byte-diffable across
-//! # re-runs:
-//! cargo run -p cs-bench --release --bin bench_active_set -- \
-//!     --nodes 100000 --rounds 20 --deterministic --json smoke.json
 //! ```
 
 use std::time::Instant;
@@ -199,7 +195,6 @@ fn main() {
     let rounds = arg_u64("--rounds", 200) as u32;
     let json_path = arg_str("--json");
     let skip_dense = has_flag("--skip-dense");
-    let deterministic = has_flag("--deterministic");
     let pause_frac = arg_f64("--pause-frac", 0.8);
     let pause_round = arg_u64("--pause-round", 40) as u32;
 
@@ -224,8 +219,7 @@ fn main() {
     } else {
         Some(run_workload("all-playing", &config, None))
     };
-    // `--pause-frac 0` drops the steady-audience workload (the CI
-    // large-N smoke measures the startup wave only, under a budget).
+    // `--pause-frac 0` drops the steady-audience workload.
     let steady = if pause_frac > 0.0 {
         Some(run_workload("steady-paused", &config, Some(pause)))
     } else {
@@ -233,26 +227,8 @@ fn main() {
     };
 
     let Some(path) = json_path else { return };
-    // `--deterministic` zeroes every wall-clock field so a re-run of the
-    // same binary byte-diffs clean (the CI smoke job relies on this);
-    // the occupancy columns are bit-deterministic either way.
-    let ms = |v: f64| {
-        if deterministic {
-            "0.0".to_string()
-        } else {
-            format!("{v:.2}")
-        }
-    };
-    // Phase timings are wall-clock, so `--deterministic` zeroes them
-    // like every other timing field; the counts are deterministic
-    // (rounds in the steady window) and stay.
-    let ns = |v: f64| {
-        if deterministic {
-            "0".to_string()
-        } else {
-            format!("{v:.0}")
-        }
-    };
+    let ms = |v: f64| format!("{v:.2}");
+    let ns = |v: f64| format!("{v:.0}");
     let phase_rows = |run: &TimedRun| {
         run.phases
             .iter()

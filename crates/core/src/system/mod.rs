@@ -93,7 +93,7 @@ use crate::backup::VodBackupStore;
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
 use crate::faults::FaultTrace;
-use crate::metrics::{summarize, RoundRecord, RunReport};
+use crate::metrics::{stable_tail_start, summarize, RoundRecord, RunReport};
 use crate::policy::PolicyKind;
 use crate::rate::RateController;
 use crate::telemetry::Telemetry;
@@ -225,9 +225,9 @@ pub struct SystemSim {
     /// or a scripted fault event.
     faults: FaultState,
     scratch: RoundScratch,
-    /// `(scheduling, pre-fetch)` nodes of the last stepped round that had
-    /// something to do, counted by the two planners themselves (see
-    /// [`Self::active_set_sizes`]).
+    /// `(scheduling, pre-fetch)` nodes of the current round that had
+    /// something to do, counted by the two planners themselves — the
+    /// telemetry's `active_sched` / `active_prefetch`.
     active: (usize, usize),
 }
 
@@ -549,7 +549,9 @@ impl SystemSim {
     /// profiler, which no fingerprint hashes.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         if self.obs.is_none() {
-            let mut o = Box::new(ObsState::new(&cfg, self.config.rounds));
+            let rounds = self.config.rounds;
+            let dist_start = stable_tail_start(rounds as usize) as u32;
+            let mut o = Box::new(ObsState::new(&cfg, dist_start, rounds));
             if o.dist_enabled() {
                 o.node_cont.ensure(self.nodes.slot_count());
             }
@@ -582,15 +584,6 @@ impl SystemSim {
     /// with the same seed and workload produce byte-identical traces).
     pub fn fault_trace(&self) -> &FaultTrace {
         &self.faults.trace
-    }
-
-    /// `(scheduling, pre-fetch)` active-set sizes of the last stepped
-    /// round (live-monitoring read): the nodes whose candidate gather
-    /// found something to pull, and the nodes whose urgent-line check
-    /// triggered — the `active_sched` / `active_prefetch` of
-    /// [`TelemetryRound`](crate::telemetry::TelemetryRound).
-    pub fn active_set_sizes(&self) -> (usize, usize) {
-        self.active
     }
 }
 
@@ -869,6 +862,18 @@ mod tests {
             );
             sim.dht.check_invariants().unwrap();
             assert!(sim.nodes.lookup(sim.source).is_some(), "source immortal");
+        }
+    }
+
+    #[test]
+    fn obs_window_starts_at_the_stable_tail() {
+        let mut sim = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3));
+        for n in 0..=300u32 {
+            sim.obs = None;
+            sim.config.rounds = n;
+            sim.enable_obs(ObsConfig::default());
+            let start = sim.obs().unwrap().partial_dist().window_start_round;
+            assert_eq!(start as usize, stable_tail_start(n as usize), "n = {n}");
         }
     }
 }

@@ -110,6 +110,18 @@ pub struct DistSummary {
     pub min_rounds: u32,
 }
 
+impl DistSummary {
+    /// The four distributions under their export names, in export order.
+    pub fn quantiles(&self) -> [(&'static str, &Quantiles); 4] {
+        [
+            ("continuity", &self.continuity),
+            ("runway", &self.runway),
+            ("startup_delay", &self.startup_delay),
+            ("supplier_load", &self.supplier_load),
+        ]
+    }
+}
+
 /// SoA per-node continuity accumulator, indexed by arena slot.
 pub struct NodeContinuity {
     birth: Vec<u64>,

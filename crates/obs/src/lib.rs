@@ -30,9 +30,7 @@ pub mod profiler;
 pub use dist::{DistSummary, NodeContinuity, Quantiles};
 pub use events::{EventKind, EventRing, TraceEvent};
 pub use hist::{Log2Hist, UnitHist};
-pub use monitor::{
-    render_prometheus, render_twin_nodes, serve, MonitorHandle, MonitorSample, TwinNodeRow,
-};
+pub use monitor::{render_twin_nodes, serve, MonitorHandle, TwinNodeRow};
 pub use profiler::{Lap, Phase, PhaseRow, Profiler};
 
 /// Configuration for [`ObsState`]. `Default` arms all three in-core
@@ -92,16 +90,14 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Build from config; `total_rounds` fixes the distribution
-    /// window. It mirrors the summary's stable-tail window — the last
-    /// ceil(n/3) rounds (at least one) — so warm-up buffering does not
-    /// drag per-node continuity, and a node's continuity enters the
-    /// histogram only if it was playing for at least half the window,
+    /// Build from config. The distribution window is rounds
+    /// `dist_start..total_rounds` — the simulator passes the summary's
+    /// stable tail, so warm-up buffering does not drag per-node
+    /// continuity — and a node's continuity enters the histogram only if
+    /// it was playing for at least half the window (at least one round),
     /// excluding joiners that barely sampled it.
-    pub fn new(cfg: &ObsConfig, total_rounds: u32) -> Self {
-        let tail = ((total_rounds as f64 / 3.0).ceil() as u32).clamp(1, total_rounds.max(1));
-        let dist_start = total_rounds.saturating_sub(tail);
-        let min_rounds = (tail / 2).max(1);
+    pub fn new(cfg: &ObsConfig, dist_start: u32, total_rounds: u32) -> Self {
+        let min_rounds = (total_rounds.saturating_sub(dist_start) / 2).max(1);
         Self {
             profile_on: cfg.profile,
             dist_on: cfg.dist,
@@ -214,22 +210,23 @@ mod tests {
 
     #[test]
     fn window_defaults_mirror_stable_tail() {
-        // 200 rounds -> tail ceil(200/3)=67 -> window starts at 133,
-        // min_rounds = 67/2 = 33.
-        let o = ObsState::new(&ObsConfig::default(), 200);
+        // 200 rounds -> stable tail 133..200 (67 rounds), min_rounds =
+        // 67/2 = 33.
+        let o = ObsState::new(&ObsConfig::default(), 133, 200);
         assert_eq!(o.dist_start, 133);
         assert_eq!(o.node_cont.min_rounds(), 33);
         assert!(!o.dist_active(132));
         assert!(o.dist_active(133));
         // Tiny runs stay sane.
-        let o = ObsState::new(&ObsConfig::default(), 1);
-        assert_eq!(o.dist_start, 0);
-        assert_eq!(o.node_cont.min_rounds(), 1);
+        for rounds in [0, 1] {
+            let o = ObsState::new(&ObsConfig::default(), 0, rounds);
+            assert_eq!(o.node_cont.min_rounds(), 1);
+        }
     }
 
     #[test]
     fn dist_summary_is_idempotent() {
-        let mut o = ObsState::new(&ObsConfig::default(), 10);
+        let mut o = ObsState::new(&ObsConfig::default(), 6, 10);
         o.node_cont.ensure(2);
         // 10 rounds -> window 4, min_rounds 2: two observations qualify.
         o.node_cont.observe(0, 1, true);
@@ -247,6 +244,7 @@ mod tests {
                 trace: false,
                 ..ObsConfig::default()
             },
+            6,
             10,
         );
         o.emit(1, EventKind::Leave, 5, 0, "graceful");

@@ -17,9 +17,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::dist::DistSummary;
-use crate::profiler::PhaseRow;
-
 struct Inner {
     body: Mutex<String>,
     stop: AtomicBool,
@@ -94,156 +91,6 @@ impl Drop for MonitorHandle {
     }
 }
 
-/// Point-in-time snapshot assembled by the publisher from public sim
-/// accessors. Everything optional degrades to omitted metrics.
-#[derive(Debug, Clone, Default)]
-pub struct MonitorSample {
-    pub round: u64,
-    pub alive: u64,
-    pub playing: u64,
-    /// Last round's mean continuity.
-    pub continuity: f64,
-    pub active_sched: u64,
-    pub active_prefetch: u64,
-    /// Partial distribution summary (includes still-accumulating
-    /// nodes) when distribution metrics are armed.
-    pub dist: Option<DistSummary>,
-    /// Profiler rows when profiling is armed.
-    pub phases: Vec<PhaseRow>,
-    pub faults_crashes: u64,
-    pub faults_timeouts: u64,
-    pub faults_retries: u64,
-    pub faults_failovers: u64,
-    pub faults_recoveries: u64,
-    pub trace_events: u64,
-    pub trace_dropped: u64,
-}
-
-/// Render a [`MonitorSample`] as Prometheus-style text exposition.
-pub fn render_prometheus(s: &MonitorSample) -> String {
-    fn gauge(out: &mut String, name: &str, help: &str, v: String) {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-        ));
-    }
-    let mut out = String::with_capacity(1024);
-    gauge(
-        &mut out,
-        "cs_round",
-        "Current simulation round",
-        s.round.to_string(),
-    );
-    gauge(&mut out, "cs_alive", "Alive nodes", s.alive.to_string());
-    gauge(
-        &mut out,
-        "cs_playing",
-        "Nodes in playback",
-        s.playing.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_continuity",
-        "Mean continuity of the last round",
-        format!("{:.6}", s.continuity),
-    );
-    gauge(
-        &mut out,
-        "cs_active_sched",
-        "Scheduling active-set size",
-        s.active_sched.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_active_prefetch",
-        "Pre-fetch active-set size",
-        s.active_prefetch.to_string(),
-    );
-    if let Some(d) = &s.dist {
-        gauge(
-            &mut out,
-            "cs_continuity_p50",
-            "Per-node continuity: level 50% of nodes meet",
-            format!("{:.6}", d.continuity.p50),
-        );
-        gauge(
-            &mut out,
-            "cs_continuity_p95",
-            "Per-node continuity: level 95% of nodes meet",
-            format!("{:.6}", d.continuity.p95),
-        );
-        gauge(
-            &mut out,
-            "cs_continuity_p99",
-            "Per-node continuity: level 99% of nodes meet",
-            format!("{:.6}", d.continuity.p99),
-        );
-        gauge(
-            &mut out,
-            "cs_continuity_min",
-            "Worst per-node continuity",
-            format!("{:.6}", d.continuity.min),
-        );
-        gauge(
-            &mut out,
-            "cs_continuity_nodes",
-            "Nodes in the continuity distribution",
-            d.continuity.count.to_string(),
-        );
-    }
-    if !s.phases.is_empty() {
-        out.push_str("# HELP cs_phase_mean_ns Mean wall-clock ns per round phase\n# TYPE cs_phase_mean_ns gauge\n");
-        for row in &s.phases {
-            out.push_str(&format!(
-                "cs_phase_mean_ns{{phase=\"{}\"}} {:.0}\n",
-                row.name, row.mean_ns
-            ));
-        }
-    }
-    gauge(
-        &mut out,
-        "cs_fault_crashes",
-        "Fault-plane crashes injected",
-        s.faults_crashes.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_fault_timeouts",
-        "Supplier timeouts observed",
-        s.faults_timeouts.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_fault_retries",
-        "Recovery retries issued",
-        s.faults_retries.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_fault_failovers",
-        "Supplier failovers",
-        s.faults_failovers.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_fault_recoveries",
-        "Segments recovered by retry",
-        s.faults_recoveries.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_trace_events",
-        "Events in the trace ring",
-        s.trace_events.to_string(),
-    );
-    gauge(
-        &mut out,
-        "cs_trace_dropped",
-        "Events evicted from the trace ring",
-        s.trace_dropped.to_string(),
-    );
-    out
-}
-
 /// Per-node transport counters of one live-network twin node, as
 /// rendered by [`render_twin_nodes`]. The twin runtime fills these;
 /// cs-obs only defines the row shape and the exposition so the twin's
@@ -263,8 +110,8 @@ pub struct TwinNodeRow {
 }
 
 /// Render per-twin-node transport counters as Prometheus-style text,
-/// one labelled series per node and counter. Append to a
-/// [`render_prometheus`] body to publish both through one endpoint.
+/// one labelled series per node and counter. Append to the simulator's
+/// exposition to publish both through one endpoint.
 pub fn render_twin_nodes(rows: &[TwinNodeRow]) -> String {
     if rows.is_empty() {
         return String::new();
@@ -338,31 +185,15 @@ mod tests {
     #[test]
     fn serves_latest_published_snapshot() {
         let handle = serve("127.0.0.1:0").expect("bind ephemeral port");
-        let sample = MonitorSample {
-            round: 42,
-            alive: 1000,
-            playing: 990,
-            continuity: 0.998877,
-            ..MonitorSample::default()
-        };
-        handle.publish(render_prometheus(&sample));
+        let body = "# TYPE cs_round gauge\ncs_round 42\n";
+        handle.publish("cs_round 41\n".to_string());
+        handle.publish(body.to_string());
         let mut s = TcpStream::connect(handle.addr()).expect("connect");
         s.write_all(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         let mut resp = String::new();
         s.read_to_string(&mut resp).unwrap();
         assert!(resp.starts_with("HTTP/1.0 200 OK"));
-        assert!(resp.contains("cs_round 42\n"));
-        assert!(resp.contains("cs_continuity 0.998877\n"));
-        // Every non-comment line parses as `name[{labels}] value`.
-        let body = resp.split("\r\n\r\n").nth(1).unwrap();
-        for line in body.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.rsplitn(2, ' ');
-            let value = parts.next().unwrap();
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "unparseable value in {line:?}"
-            );
-            assert!(parts.next().is_some(), "no metric name in {line:?}");
-        }
+        assert!(resp.contains(&format!("Content-Length: {}\r\n", body.len())));
+        assert_eq!(resp.split("\r\n\r\n").nth(1), Some(body));
     }
 }

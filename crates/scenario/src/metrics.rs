@@ -1,18 +1,26 @@
 //! Metrics export: the merged per-round view of a scenario run
-//! ([`RoundRecord`] + [`TelemetryRound`]) with CSV and JSON encoders, a
-//! human-readable summary, and per-round fingerprints for determinism
-//! gates.
+//! ([`RoundRecord`] + [`TelemetryRound`]) with CSV and JSON encoders, the
+//! live monitor's exposition, a human-readable summary, and per-round
+//! fingerprints for determinism gates.
 //!
-//! Encoders are hand-rolled: the build environment is offline, so no
-//! serde. Floats are written with Rust's shortest-roundtrip formatting,
-//! which is deterministic across runs and platforms for equal values —
-//! the scenario determinism suite pins exports byte for byte.
+//! Every per-round metric is named once, in [`COLUMNS`]; the CSV, the
+//! JSON rows and the monitor all loop over it. Encoders are hand-rolled:
+//! the build environment is offline, so no serde. Floats are written
+//! with Rust's shortest-roundtrip formatting, which is deterministic
+//! across runs and platforms for equal values — the scenario
+//! determinism suite pins exports byte for byte.
+
+use std::fmt::{self, Write as _};
 
 use cs_core::telemetry::mean_startup_delay;
-use cs_core::{RoundRecord, RunReport, RunSummary, StartupSample, Telemetry, TelemetryRound};
+use cs_core::{
+    DistSummary, Quantiles, RoundRecord, RunReport, RunSummary, StartupSample, SystemSim,
+    Telemetry, TelemetryRound,
+};
 
 use crate::engine::EngineStats;
 use crate::spec::{fnv1a, ScenarioSpec};
+use Cell::{Int, Real};
 
 /// JSON-safe float: non-finite values (an empty run's min, a vacuous
 /// mean) become `null` instead of bare `NaN`/`inf` tokens.
@@ -24,14 +32,198 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// `s` as a JSON string literal: `"` and `\` escaped, control characters
+/// written as `\u00XX`. (`{:?}` is not JSON: it writes `\u{7}` and
+/// escapes a leading combining mark.)
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// One exported value. Integers print with `{}` and reals with `{:?}`
+/// (shortest round-trip); JSON writes a non-finite real as `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    Int(u64),
+    Real(f64),
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Int(v) => write!(f, "{v}"),
+            Real(v) => write!(f, "{v:?}"),
+        }
+    }
+}
+
+/// Reads one column of a round.
+pub type Getter = fn(&RoundRecord, &TelemetryRound) -> Cell;
+
+/// The per-round columns of every export, in order: each scalar field of
+/// [`RoundRecord`] except `traffic`, then each [`TelemetryRound`] field
+/// not already among them. The CSV header and cells, the JSON row keys
+/// and values and the monitor's `cs_<name>` gauges all read this table,
+/// so a new per-round metric is one entry here.
+#[rustfmt::skip]
+pub const COLUMNS: &[(&str, Getter)] = &[
+    ("round", |r, _| Int(r.round as u64)),
+    ("time_secs", |r, _| Real(r.time_secs)),
+    ("alive", |r, _| Int(r.alive as u64)),
+    ("playing", |r, _| Int(r.playing as u64)),
+    ("continuous", |r, _| Int(r.continuous as u64)),
+    ("continuity", |r, _| Real(r.continuity)),
+    ("joins", |r, _| Int(r.joins as u64)),
+    ("leaves", |r, _| Int(r.leaves as u64)),
+    ("gossip_deliveries", |r, _| Int(r.gossip_deliveries)),
+    ("requests_issued", |r, _| Int(r.requests_issued)),
+    ("requests_dropped", |r, _| Int(r.requests_dropped)),
+    ("prefetch_attempts", |r, _| Int(r.prefetch_attempts as u64)),
+    ("prefetch_successes", |r, _| Int(r.prefetch_successes as u64)),
+    ("prefetch_overdue", |r, _| Int(r.prefetch_overdue as u64)),
+    ("prefetch_repeated", |r, _| Int(r.prefetch_repeated as u64)),
+    ("prefetch_suppressed", |r, _| Int(r.prefetch_suppressed as u64)),
+    ("mean_alpha", |r, _| Real(r.mean_alpha)),
+    ("newest_emitted", |_, t| Int(t.newest_emitted)),
+    ("mean_runway", |_, t| Real(t.mean_runway)),
+    ("min_runway", |_, t| Int(t.min_runway)),
+    ("mean_frontier_gap", |_, t| Real(t.mean_frontier_gap)),
+    ("window_occupancy", |_, t| Real(t.window_occupancy)),
+    ("supplier_active", |_, t| Int(t.supplier_active as u64)),
+    ("supplier_peak_load", |_, t| Int(t.supplier_peak_load)),
+    ("dht_routing_msgs", |_, t| Int(t.dht_routing_msgs)),
+    ("gc_evictions", |_, t| Int(t.gc_evictions)),
+    ("backup_segments", |_, t| Int(t.backup_segments)),
+    ("rescue_cap", |_, t| Int(t.rescue_cap)),
+    ("suppressed_nodes", |_, t| Int(t.suppressed_nodes)),
+    ("slack_used", |_, t| Int(t.slack_used)),
+    ("faults_injected", |_, t| Int(t.faults_injected)),
+    ("timeouts_detected", |_, t| Int(t.timeouts_detected)),
+    ("retries_issued", |_, t| Int(t.retries_issued)),
+    ("failovers", |_, t| Int(t.failovers)),
+    ("stale_repairs", |_, t| Int(t.stale_repairs)),
+    ("mean_time_to_recover", |_, t| Real(t.mean_time_to_recover)),
+    ("active_sched", |_, t| Int(t.active_sched)),
+    ("active_prefetch", |_, t| Int(t.active_prefetch)),
+];
+
+/// One round's cells, named, in [`COLUMNS`] order.
+pub fn cells<'a>(
+    record: &'a RoundRecord,
+    telemetry: &'a TelemetryRound,
+) -> impl Iterator<Item = (&'static str, Cell)> + 'a {
+    COLUMNS
+        .iter()
+        .map(move |&(name, get)| (name, get(record, telemetry)))
+}
+
+/// A distribution's fields, named, in export order.
+fn quantile_cells(q: &Quantiles) -> [(&'static str, Cell); 7] {
+    [
+        ("count", Int(q.count)),
+        ("min", Real(q.min)),
+        ("p50", Real(q.p50)),
+        ("p95", Real(q.p95)),
+        ("p99", Real(q.p99)),
+        ("max", Real(q.max)),
+        ("mean", Real(q.mean)),
+    ]
+}
+
+/// The distribution block's window description, named.
+fn window_cells(d: &DistSummary) -> [(&'static str, Cell); 4] {
+    [
+        ("window_start_round", Int(d.window_start_round as u64)),
+        ("min_rounds", Int(d.min_rounds as u64)),
+        ("nodes_measured", Int(d.nodes_measured)),
+        ("nodes_excluded_short", Int(d.nodes_excluded_short)),
+    ]
+}
+
+/// Append `prefix`, the items joined by commas, and a newline.
+fn csv_line<T: fmt::Display>(out: &mut String, prefix: &str, items: impl IntoIterator<Item = T>) {
+    out.push_str(prefix);
+    for (i, item) in items.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}{item}");
+    }
+    out.push('\n');
+}
+
+/// Append `"name": value` pairs joined by `, ` (no braces).
+fn json_pairs<'a>(out: &mut String, cells: impl IntoIterator<Item = (&'a str, Cell)>) {
+    for (i, (name, cell)) in cells.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = match cell {
+            Int(v) => write!(out, "{sep}\"{name}\": {v}"),
+            Real(v) => write!(out, "{sep}\"{name}\": {}", json_f64(v)),
+        };
+    }
+}
+
+/// The live monitor body for `sim`, in Prometheus text exposition: one
+/// `cs_<column>` gauge per [`COLUMNS`] entry for the last stepped round
+/// (omitted before the first round or with telemetry off), and with obs
+/// armed the partial distribution quantiles as `cs_<dist>_<field>`, the
+/// per-phase means as `cs_phase_mean_ns{phase="…"}` and the trace-ring
+/// depth as `cs_trace_events` / `cs_trace_dropped`.
+pub fn exposition(sim: &SystemSim) -> String {
+    fn gauge(out: &mut String, name: &str, v: Cell) {
+        let _ = write!(out, "# TYPE cs_{name} gauge\ncs_{name} {v}\n");
+    }
+    let mut out = String::with_capacity(4096);
+    let telemetry = sim.telemetry().and_then(|t| t.rounds.last());
+    if let Some((record, t)) = sim.records().last().zip(telemetry) {
+        for (name, v) in cells(record, t) {
+            gauge(&mut out, name, v);
+        }
+    }
+    let Some(o) = sim.obs() else { return out };
+    if o.dist_enabled() {
+        let d = o.partial_dist();
+        for (dist, q) in d.quantiles() {
+            for (field, v) in quantile_cells(q) {
+                gauge(&mut out, &format!("{dist}_{field}"), v);
+            }
+        }
+    }
+    let phases = o.profiler.rows();
+    if !phases.is_empty() {
+        out.push_str("# TYPE cs_phase_mean_ns gauge\n");
+        for row in &phases {
+            let _ = writeln!(
+                out,
+                "cs_phase_mean_ns{{phase=\"{}\"}} {:.0}",
+                row.name, row.mean_ns
+            );
+        }
+    }
+    gauge(&mut out, "trace_events", Int(o.events.len() as u64));
+    gauge(&mut out, "trace_dropped", Int(o.events.dropped()));
+    out
+}
+
 /// One merged metrics row: the paper metrics plus diagnostics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRow {
     /// The §5.3 record of the round.
     pub record: RoundRecord,
-    /// The diagnostic counters of the round (always present for runs
-    /// driven by [`crate::run_scenario`], which enables telemetry).
-    pub telemetry: Option<TelemetryRound>,
+    /// The diagnostic counters of the round.
+    pub telemetry: TelemetryRound,
 }
 
 /// The complete export of one scenario run.
@@ -53,39 +245,35 @@ pub struct MetricsLog {
     pub engine: EngineStats,
 }
 
-const CSV_HEADER: &str = "round,time_secs,alive,playing,continuous,continuity,joins,leaves,\
-gossip_deliveries,requests_issued,requests_dropped,prefetch_attempts,prefetch_successes,\
-prefetch_overdue,prefetch_repeated,prefetch_suppressed,mean_alpha,newest_emitted,\
-mean_runway,min_runway,mean_frontier_gap,window_occupancy,supplier_active,\
-supplier_peak_load,dht_routing_msgs,gc_evictions,backup_segments,rescue_cap,\
-suppressed_nodes,slack_used,faults_injected,timeouts_detected,retries_issued,\
-failovers,stale_repairs,mean_time_to_recover";
-
 impl MetricsLog {
     /// Assemble the export from a run's pieces.
+    ///
+    /// # Panics
+    /// If `telemetry` does not hold one row per round of `report` —
+    /// telemetry must be enabled before round 0.
     pub fn new(
         spec: &ScenarioSpec,
         report: &RunReport,
         telemetry: &Telemetry,
         engine: EngineStats,
     ) -> Self {
-        // Both vectors are produced one entry per stepped round in
-        // ascending order; an in-order cursor merges them in O(R)
-        // (matters for the 10k-round diagnosis runs).
-        let mut tele = telemetry.rounds.iter().peekable();
+        assert_eq!(
+            report.rounds.len(),
+            telemetry.rounds.len(),
+            "telemetry must be enabled before round 0"
+        );
         let rows = report
             .rounds
             .iter()
-            .map(|record| {
-                while tele.peek().is_some_and(|t| t.round < record.round) {
-                    tele.next();
-                }
+            .zip(&telemetry.rounds)
+            .map(|(record, t)| {
+                assert_eq!(
+                    record.round, t.round,
+                    "record and telemetry rounds disagree"
+                );
                 MetricsRow {
                     record: record.clone(),
-                    telemetry: tele
-                        .peek()
-                        .filter(|t| t.round == record.round)
-                        .map(|t| (*t).clone()),
+                    telemetry: t.clone(),
                 }
             })
             .collect();
@@ -114,92 +302,44 @@ impl MetricsLog {
         fnv1a(format!("{self:?}").as_bytes())
     }
 
-    /// CSV encoding: one line per round, diagnostics columns empty when
-    /// telemetry was off.
+    /// CSV encoding: the [`COLUMNS`] header, one line per round.
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.rows.len() * 160 + 256);
-        out.push_str(CSV_HEADER);
-        out.push('\n');
+        let mut out = String::with_capacity(self.rows.len() * 200 + 512);
+        csv_line(&mut out, "", COLUMNS.iter().map(|&(name, _)| name));
         for row in &self.rows {
-            let r = &row.record;
-            out.push_str(&format!(
-                "{},{:?},{},{},{},{:?},{},{},{},{},{},{},{},{},{},{},{:?}",
-                r.round,
-                r.time_secs,
-                r.alive,
-                r.playing,
-                r.continuous,
-                r.continuity,
-                r.joins,
-                r.leaves,
-                r.gossip_deliveries,
-                r.requests_issued,
-                r.requests_dropped,
-                r.prefetch_attempts,
-                r.prefetch_successes,
-                r.prefetch_overdue,
-                r.prefetch_repeated,
-                r.prefetch_suppressed,
-                r.mean_alpha,
-            ));
-            match &row.telemetry {
-                Some(t) => out.push_str(&format!(
-                    ",{},{:?},{},{:?},{:?},{},{},{},{},{},{},{},{},{},{},{},{},{},{:?}\n",
-                    t.newest_emitted,
-                    t.mean_runway,
-                    t.min_runway,
-                    t.mean_frontier_gap,
-                    t.window_occupancy,
-                    t.supplier_active,
-                    t.supplier_peak_load,
-                    t.dht_routing_msgs,
-                    t.gc_evictions,
-                    t.backup_segments,
-                    t.rescue_cap,
-                    t.suppressed_nodes,
-                    t.slack_used,
-                    t.faults_injected,
-                    t.timeouts_detected,
-                    t.retries_issued,
-                    t.failovers,
-                    t.stale_repairs,
-                    t.mean_time_to_recover,
-                )),
-                None => out.push_str(",,,,,,,,,,,,,,,,,,,\n"),
-            }
+            let values = cells(&row.record, &row.telemetry).map(|(_, v)| v);
+            csv_line(&mut out, "", values);
         }
         // Distribution trailer: comment lines (a `#` prefix, like the
         // header-less gnuplot idiom) so obs-off exports stay
         // byte-identical and obs-on exports stay one-file.
         if let Some(d) = &self.summary.dist {
-            out.push_str(&format!(
-                "#dist,window_start_round,{},min_rounds,{},nodes_measured,{},nodes_excluded_short,{}\n",
-                d.window_start_round, d.min_rounds, d.nodes_measured, d.nodes_excluded_short
-            ));
-            out.push_str("#dist,name,count,min,p50,p95,p99,max,mean\n");
-            for (name, q) in [
-                ("continuity", &d.continuity),
-                ("runway", &d.runway),
-                ("startup_delay", &d.startup_delay),
-                ("supplier_load", &d.supplier_load),
-            ] {
-                out.push_str(&format!(
-                    "#dist,{},{},{:?},{:?},{:?},{:?},{:?},{:?}\n",
-                    name, q.count, q.min, q.p50, q.p95, q.p99, q.max, q.mean
-                ));
+            out.push_str("#dist");
+            for (name, v) in window_cells(d) {
+                let _ = write!(out, ",{name},{v}");
+            }
+            out.push('\n');
+            let fields = quantile_cells(&Quantiles::zero()).map(|(field, _)| field);
+            csv_line(&mut out, "#dist,name,", fields);
+            for (name, q) in d.quantiles() {
+                let values = quantile_cells(q).map(|(_, v)| v);
+                csv_line(&mut out, &format!("#dist,{name},"), values);
             }
         }
         out
     }
 
     /// JSON encoding of the full export (summary, engine stats, rows,
-    /// startup samples).
+    /// startup samples). Each row carries the [`COLUMNS`] under their
+    /// CSV names, in CSV order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.rows.len() * 300 + 1024);
+        let mut out = String::with_capacity(self.rows.len() * 900 + 1024);
         out.push_str("{\n");
         out.push_str(&format!(
-            "  \"scenario\": {:?},\n  \"spec_fingerprint\": \"0x{:016x}\",\n  \"seed\": {},\n",
-            self.scenario, self.spec_fingerprint, self.seed
+            "  \"scenario\": {},\n  \"spec_fingerprint\": \"0x{:016x}\",\n  \"seed\": {},\n",
+            json_string(&self.scenario),
+            self.spec_fingerprint,
+            self.seed
         ));
         let s = &self.summary;
         out.push_str(&format!(
@@ -220,30 +360,15 @@ impl MetricsLog {
             s.min_continuity_round,
         ));
         if let Some(d) = &s.dist {
-            out.push_str(&format!(
-                "  \"distributions\": {{\"window_start_round\": {}, \"min_rounds\": {}, \
-                 \"nodes_measured\": {}, \"nodes_excluded_short\": {},\n",
-                d.window_start_round, d.min_rounds, d.nodes_measured, d.nodes_excluded_short,
-            ));
-            let q = |name: &str, q: &cs_core::Quantiles, last: bool| {
-                format!(
-                    "    \"{}\": {{\"count\": {}, \"min\": {}, \"p50\": {}, \"p95\": {}, \
-                     \"p99\": {}, \"max\": {}, \"mean\": {}}}{}\n",
-                    name,
-                    q.count,
-                    json_f64(q.min),
-                    json_f64(q.p50),
-                    json_f64(q.p95),
-                    json_f64(q.p99),
-                    json_f64(q.max),
-                    json_f64(q.mean),
-                    if last { "" } else { "," },
-                )
-            };
-            out.push_str(&q("continuity", &d.continuity, false));
-            out.push_str(&q("runway", &d.runway, false));
-            out.push_str(&q("startup_delay", &d.startup_delay, false));
-            out.push_str(&q("supplier_load", &d.supplier_load, true));
+            out.push_str("  \"distributions\": {");
+            json_pairs(&mut out, window_cells(d));
+            out.push_str(",\n");
+            let dists = d.quantiles();
+            for (i, (name, q)) in dists.iter().enumerate() {
+                let _ = write!(out, "    \"{name}\": {{");
+                json_pairs(&mut out, quantile_cells(q));
+                out.push_str(if i + 1 < dists.len() { "},\n" } else { "}\n" });
+            }
             out.push_str("  },\n");
         }
         let e = &self.engine;
@@ -266,51 +391,8 @@ impl MetricsLog {
         ));
         out.push_str("  \"rounds\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
-            let r = &row.record;
-            out.push_str(&format!(
-                "    {{\"round\": {}, \"alive\": {}, \"playing\": {}, \"continuity\": {:?}, \
-                 \"joins\": {}, \"leaves\": {}, \"deliveries\": {}, \"prefetch_attempts\": {}, \
-                 \"prefetch_successes\": {}",
-                r.round,
-                r.alive,
-                r.playing,
-                r.continuity,
-                r.joins,
-                r.leaves,
-                r.gossip_deliveries,
-                r.prefetch_attempts,
-                r.prefetch_successes,
-            ));
-            if let Some(t) = &row.telemetry {
-                out.push_str(&format!(
-                    ", \"mean_runway\": {:?}, \"min_runway\": {}, \"mean_frontier_gap\": {:?}, \
-                     \"window_occupancy\": {:?}, \"supplier_active\": {}, \
-                     \"supplier_peak_load\": {}, \"dht_routing_msgs\": {}, \
-                     \"gc_evictions\": {}, \"backup_segments\": {}, \
-                     \"rescue_cap\": {}, \"suppressed_nodes\": {}, \"slack_used\": {}, \
-                     \"faults_injected\": {}, \"timeouts_detected\": {}, \
-                     \"retries_issued\": {}, \"failovers\": {}, \"stale_repairs\": {}, \
-                     \"mean_time_to_recover\": {:?}",
-                    t.mean_runway,
-                    t.min_runway,
-                    t.mean_frontier_gap,
-                    t.window_occupancy,
-                    t.supplier_active,
-                    t.supplier_peak_load,
-                    t.dht_routing_msgs,
-                    t.gc_evictions,
-                    t.backup_segments,
-                    t.rescue_cap,
-                    t.suppressed_nodes,
-                    t.slack_used,
-                    t.faults_injected,
-                    t.timeouts_detected,
-                    t.retries_issued,
-                    t.failovers,
-                    t.stale_repairs,
-                    t.mean_time_to_recover,
-                ));
-            }
+            out.push_str("    {");
+            json_pairs(&mut out, cells(&row.record, &row.telemetry));
             out.push_str(if i + 1 < self.rows.len() {
                 "},\n"
             } else {
@@ -387,7 +469,7 @@ impl MetricsLog {
         ));
         let (mut injected, mut timeouts, mut retries, mut failovers, mut repairs) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
-        for t in self.rows.iter().filter_map(|r| r.telemetry.as_ref()) {
+        for t in self.rows.iter().map(|r| &r.telemetry) {
             injected += t.faults_injected;
             timeouts += t.timeouts_detected;
             retries += t.retries_issued;
@@ -433,8 +515,10 @@ mod tests {
         assert_eq!(lines.len(), 9, "header + 8 rounds");
         assert!(lines[0].starts_with("round,time_secs,alive"));
         let cols = lines[0].split(',').count();
-        for l in &lines[1..] {
+        for (l, t) in lines[1..].iter().zip(&outcome.telemetry.rounds) {
             assert_eq!(l.split(',').count(), cols, "ragged CSV row: {l}");
+            let occupancy = format!(",{},{}", t.active_sched, t.active_prefetch);
+            assert!(l.ends_with(&occupancy), "{l}");
         }
     }
 
@@ -454,6 +538,45 @@ mod tests {
             assert!(json.contains(key), "missing {key}");
         }
         assert!(!json.contains("NaN") && !json.contains("inf"));
+    }
+
+    #[test]
+    fn json_rows_carry_the_csv_columns() {
+        let outcome = run_scenario(&tiny());
+        let csv = outcome.log.to_csv();
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+        let json = outcome.log.to_json();
+        let rows = json.split("\"rounds\": [\n").nth(1).unwrap();
+        let mut n = 0;
+        for (csv_row, json_row) in lines.zip(rows.lines().filter(|l| l.starts_with("    {"))) {
+            let body = json_row.trim().trim_start_matches('{');
+            let body = body.trim_end_matches(',').trim_end_matches('}');
+            let pairs: Vec<(&str, &str)> = body
+                .split(", ")
+                .map(|p| p.split_once(": ").unwrap())
+                .collect();
+            let keys: Vec<String> = pairs.iter().map(|(k, _)| k.replace('"', "")).collect();
+            assert_eq!(keys, header, "JSON row keys differ from the CSV header");
+            let values: Vec<&str> = pairs.iter().map(|&(_, v)| v).collect();
+            assert_eq!(values, csv_row.split(',').collect::<Vec<_>>());
+            n += 1;
+        }
+        assert_eq!(n, 8, "one JSON row per CSV row");
+    }
+
+    #[test]
+    fn json_escapes_names_that_debug_formatting_would_not() {
+        for (name, escaped) in [("a\u{7}b", Some("\"a\\u0007b\"")), ("\u{301}x", None)] {
+            let mut spec = tiny();
+            spec.name = name.to_string();
+            let json = run_scenario(&spec).log.to_json();
+            if let Some(escaped) = escaped {
+                assert!(json.contains(escaped), "{json}");
+            }
+            assert!(!json.contains("\\u{"), "Rust escape in JSON: {json}");
+        }
+        assert_eq!(super::json_string("q\"\\\n"), "\"q\\\"\\\\\\u000a\"");
     }
 
     #[test]

@@ -62,10 +62,9 @@
 //! The run is deterministic in the spec (+ overrides): re-running
 //! produces byte-identical CSV/JSON/trace exports (timings excluded).
 
-use continustreaming::obs::{
-    render_prometheus, render_twin_nodes, serve, MonitorHandle, MonitorSample,
-};
+use continustreaming::obs::{render_twin_nodes, serve, MonitorHandle};
 use continustreaming::prelude::*;
+use continustreaming::scenario::metrics::{exposition, json_string};
 use continustreaming::scenario::ScenarioOutcome;
 use continustreaming::twin::TwinRoundStats;
 
@@ -252,67 +251,10 @@ fn twin_config(args: &Args, spec: &ScenarioSpec) -> TwinConfig {
     }
 }
 
-/// Cumulative fault counters for the monitor, folded incrementally from
-/// the fault trace (one new record per round).
-#[derive(Default)]
-struct FaultFold {
-    totals: [u64; 5],
-    folded: usize,
-}
-
-impl FaultFold {
-    fn fold(&mut self, sim: &SystemSim) {
-        for r in &sim.fault_trace().rounds[self.folded..] {
-            let round = [r.crashes, r.timeouts, r.retries, r.failovers, r.recoveries];
-            for (total, n) in self.totals.iter_mut().zip(round) {
-                *total += n as u64;
-            }
-        }
-        self.folded = sim.fault_trace().rounds.len();
-    }
-}
-
-/// Assemble a live monitoring snapshot from the simulator's public
-/// accessors plus the cumulative fault counters folded so far.
-fn build_sample(sim: &SystemSim, faults: &[u64; 5]) -> MonitorSample {
-    let mut s = MonitorSample::default();
-    if let Some(r) = sim.records().last() {
-        s.round = r.round as u64;
-        s.alive = r.alive as u64;
-        s.playing = r.playing as u64;
-        s.continuity = r.continuity;
-    }
-    let (sched, prefetch) = sim.active_set_sizes();
-    s.active_sched = sched as u64;
-    s.active_prefetch = prefetch as u64;
-    if let Some(o) = sim.obs() {
-        if o.dist_enabled() {
-            s.dist = Some(o.partial_dist());
-        }
-        s.phases = o.profiler.rows();
-        s.trace_events = o.events.len() as u64;
-        s.trace_dropped = o.events.dropped();
-    }
-    [
-        s.faults_crashes,
-        s.faults_timeouts,
-        s.faults_retries,
-        s.faults_failovers,
-        s.faults_recoveries,
-    ] = *faults;
-    s
-}
-
 /// Publish one round's snapshot; a twin round adds its per-node
 /// transport rows.
-fn publish(
-    monitor: &MonitorHandle,
-    sim: &SystemSim,
-    faults: &mut FaultFold,
-    twin: Option<&TwinRoundStats>,
-) {
-    faults.fold(sim);
-    let mut body = render_prometheus(&build_sample(sim, &faults.totals));
+fn publish(monitor: &MonitorHandle, sim: &SystemSim, twin: Option<&TwinRoundStats>) {
+    let mut body = exposition(sim);
     if let Some(t) = twin {
         body.push_str(&render_twin_nodes(&t.nodes));
     }
@@ -332,10 +274,9 @@ fn run(
     obs_on: bool,
     monitor: Option<&MonitorHandle>,
 ) -> (ScenarioOutcome, Option<TwinWire>) {
-    let mut faults = FaultFold::default();
-    let mut on_round = |sim: &SystemSim, twin: Option<&TwinRoundStats>| {
+    let on_round = |sim: &SystemSim, twin: Option<&TwinRoundStats>| {
         if let Some(m) = monitor {
-            publish(m, sim, &mut faults, twin);
+            publish(m, sim, twin);
         }
     };
     let obs = ObsConfig::default();
@@ -364,7 +305,10 @@ fn run(
 }
 
 fn profile_json(spec: &ScenarioSpec, obs_report: &ObsRunReport) -> String {
-    let mut out = format!("{{\n  \"scenario\": {:?},\n  \"phases\": [\n", spec.name);
+    let mut out = format!(
+        "{{\n  \"scenario\": {},\n  \"phases\": [\n",
+        json_string(&spec.name)
+    );
     for (i, row) in obs_report.phases.iter().enumerate() {
         let comma = if i + 1 < obs_report.phases.len() {
             ","
@@ -372,9 +316,14 @@ fn profile_json(spec: &ScenarioSpec, obs_report: &ObsRunReport) -> String {
             ""
         };
         out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"count\": {}, \"mean_ns\": {:.1}, \
+            "    {{\"phase\": {}, \"count\": {}, \"mean_ns\": {:.1}, \
              \"min_ns\": {}, \"max_ns\": {}, \"p99_ns\": {}}}{comma}\n",
-            row.name, row.count, row.mean_ns, row.min_ns, row.max_ns, row.p99_ns,
+            json_string(row.name),
+            row.count,
+            row.mean_ns,
+            row.min_ns,
+            row.max_ns,
+            row.p99_ns,
         ));
     }
     out.push_str("  ]\n}\n");

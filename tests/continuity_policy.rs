@@ -240,7 +240,10 @@ fn tuned_knobs_hold_dynamic_churn_at_reduced_size() {
 /// `active_prefetch` count the nodes that found work: again report hash
 /// 0xee60762fffd96a8f and the same 15 885 CSV bytes from a parent and a
 /// change release build; PR 24, which took the shard-count field out of
-/// the spec: the same report hash and CSV bytes again).
+/// the spec: the same report hash and CSV bytes again; and when the
+/// merged row's telemetry stopped being an `Option` and the CSV gained
+/// `active_sched,active_prefetch`: the same report hash, and the first
+/// 36 CSV columns equal to all 15 885 bytes of the parent build's CSV).
 #[test]
 fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -255,7 +258,7 @@ fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let log = run_scenario(&spec).log;
     assert_eq!(
         log.fingerprint(),
-        0x731f_d483_9a83_a63a,
+        0xaa45_bf9f_b9cd_4586,
         "bare-Adaptive reduced dynamic-churn run drifted — the joiner \
          knobs must be invisible at their 0 defaults"
     );

@@ -367,7 +367,8 @@ fn obs_trace_and_percentiles_reproduce_across_runs() {
 /// flight, every line of it well-formed.
 #[test]
 fn monitor_endpoint_serves_parseable_exposition_during_run() {
-    use continustreaming::obs::{render_prometheus, serve, MonitorSample};
+    use continustreaming::obs::serve;
+    use continustreaming::scenario::metrics::exposition;
     use std::io::{Read as _, Write as _};
 
     let handle = serve("127.0.0.1:0").expect("bind monitor");
@@ -376,24 +377,9 @@ fn monitor_endpoint_serves_parseable_exposition_during_run() {
     spec.config.rounds = 30;
     let mut mid_run_body = String::new();
     let outcome = run_scenario_observed(&spec, ObsConfig::default(), |sim| {
-        let mut s = MonitorSample::default();
-        if let Some(rec) = sim.records().last() {
-            s.round = rec.round as u64;
-            s.alive = rec.alive as u64;
-            s.playing = rec.playing as u64;
-            s.continuity = rec.continuity;
-        }
-        let (sched, prefetch) = sim.active_set_sizes();
-        s.active_sched = sched as u64;
-        s.active_prefetch = prefetch as u64;
-        if let Some(o) = sim.obs() {
-            s.dist = Some(o.partial_dist());
-            s.phases = o.profiler.rows();
-            s.trace_events = o.events.len() as u64;
-        }
-        handle.publish(render_prometheus(&s));
+        handle.publish(exposition(sim));
         // Fetch from inside the run, once, mid-stream.
-        if s.round == 15 {
+        if sim.rounds_run() == 16 {
             let mut stream = std::net::TcpStream::connect(addr).expect("connect mid-run");
             stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
             let mut resp = String::new();
@@ -408,8 +394,14 @@ fn monitor_endpoint_serves_parseable_exposition_during_run() {
     assert_eq!(outcome.report.rounds.len(), 30);
     assert!(!mid_run_body.is_empty(), "mid-run scrape returned no body");
     assert!(mid_run_body.contains("cs_round 15"), "{mid_run_body}");
-    assert!(mid_run_body.contains("cs_continuity"));
+    assert!(mid_run_body.contains("cs_continuity_p99 "));
     assert!(mid_run_body.contains("cs_phase_mean_ns{"));
+    // One gauge per CSV column, under the CSV name.
+    let csv = outcome.log.to_csv();
+    for column in csv.lines().next().unwrap().split(',') {
+        let gauge = format!("\ncs_{column} ");
+        assert!(mid_run_body.contains(&gauge), "no gauge for `{column}`");
+    }
     // Parseable exposition: every non-comment line is `name[{labels}] value`
     // with a finite numeric value.
     for line in mid_run_body.lines() {
@@ -440,7 +432,7 @@ prefetch_successes,prefetch_overdue,prefetch_repeated,prefetch_suppressed,mean_a
 newest_emitted,mean_runway,min_runway,mean_frontier_gap,window_occupancy,supplier_active,\
 supplier_peak_load,dht_routing_msgs,gc_evictions,backup_segments,rescue_cap,\
 suppressed_nodes,slack_used,faults_injected,timeouts_detected,retries_issued,\
-failovers,stale_repairs,mean_time_to_recover";
+failovers,stale_repairs,mean_time_to_recover,active_sched,active_prefetch";
     let spec = ScenarioSpec::null(
         "golden",
         SystemConfig {
@@ -466,14 +458,14 @@ failovers,stale_repairs,mean_time_to_recover";
         assert_eq!(
             lines[1],
             "0,1.0,29,0,0,0.0,0,0,50,50,0,0,0,0,0,0,0.016666666666666666,10,0.0,0,0.0,0.0,\
-             1,50,0,0,7,5,0,0,0,0,0,0,0,0.0",
+             1,50,0,0,7,5,0,0,0,0,0,0,0,0.0,5,0",
             "round-0 row drifted"
         );
         assert_eq!(
             lines[6],
             "5,6.0,29,29,29,1.0,0,0,328,349,21,3,3,3,0,0,0.01675287356321839,60,\
              19.655172413793103,10,50.37931034482759,0.7086206896551723,29,50,47,0,138,5,0,44,\
-             0,0,0,0,0,0.0",
+             0,0,0,0,0,0.0,29,3",
             "round-5 row drifted"
         );
     }
