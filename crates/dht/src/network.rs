@@ -27,7 +27,6 @@
 //!
 //! [`DhtPeerEntry`]: crate::peers::DhtPeerEntry
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use cs_sim::SimRng;
@@ -82,6 +81,49 @@ impl std::error::Error for JoinError {}
 /// its DHT peers": any in-range node is legal, we just prefer nearby ones.
 const CANDIDATES_PER_LEVEL: usize = 3;
 
+/// How many live nodes a join announces the newcomer to.
+const ANNOUNCE_SAMPLE: usize = 16;
+
+/// The indices the shim's `choose_multiple(rng, amount)` picks from a
+/// slice of `len` elements — same draws, same picks, same order, the RNG
+/// left in the same state — handed to `pick` one at a time, without its
+/// O(len) index vector: the same partial Fisher–Yates runs over a virtual
+/// identity vector, and `disp` records the at most `2·amount` entries it
+/// has displaced (`SLOTS` bounds that record).
+fn choose_indices<const SLOTS: usize>(
+    rng: &mut SimRng,
+    len: usize,
+    amount: usize,
+    mut pick: impl FnMut(usize),
+) {
+    let amount = amount.min(len);
+    assert!(2 * amount <= SLOTS, "SLOTS must hold 2·amount entries");
+    let mut disp = [(usize::MAX, 0usize); SLOTS];
+    let mut nd = 0usize;
+    let idx_at = |disp: &[(usize, usize)], nd: usize, x: usize| {
+        disp[..nd]
+            .iter()
+            .find(|d| d.0 == x)
+            .map(|d| d.1)
+            .unwrap_or(x)
+    };
+    for k in 0..amount {
+        let j = rng.gen_range(k..len);
+        let vk = idx_at(&disp, nd, k);
+        let vj = idx_at(&disp, nd, j);
+        for (x, v) in [(k, vj), (j, vk)] {
+            match disp[..nd].iter_mut().find(|d| d.0 == x) {
+                Some(d) => d.1 = v,
+                None => {
+                    disp[nd] = (x, v);
+                    nd += 1;
+                }
+            }
+        }
+        pick(vj);
+    }
+}
+
 /// The DHT overlay network.
 #[derive(Debug, Clone)]
 pub struct DhtNetwork {
@@ -127,28 +169,23 @@ impl DhtNetwork {
         rng: &mut SimRng,
     ) -> Self {
         let mut net = DhtNetwork::new(space);
-        net.slots.reserve(ids.len());
-        for &id in ids {
+        // Slot `i` holds `ids[i]`; the id table is complete before any
+        // table is built, so every candidate is filed with its slot hint.
+        for (slot, &id) in ids.iter().enumerate() {
             assert!(space.contains(id), "id {id} outside the ID space");
-            let slot = net.slots.len() as u32;
-            net.slots.push(Some(DhtNodeState {
-                peers: DhtPeerTable::new(space, id),
-            }));
-            let prev = net.by_id.insert(id, slot);
+            let prev = net.by_id.insert(id, slot as u32);
             assert!(prev.is_none(), "duplicate id {id}");
         }
+        net.slots = vec![None; ids.len()];
         net.ring = ids.to_vec();
         net.ring.sort_unstable();
         // Tables are built in ring (ascending id) order, like the
         // id-keyed implementation iterated its sorted key set.
-        let sorted = net.ring.clone();
-        for &id in &sorted {
-            let table = net.build_table(id, &sorted, latency_ms, rng);
+        for at in 0..net.ring.len() {
+            let id = net.ring[at];
+            let peers = net.build_table(id, &net.ring, latency_ms, rng);
             let slot = net.by_id.get(id).expect("just inserted");
-            net.slots[slot as usize]
-                .as_mut()
-                .expect("just inserted")
-                .peers = table;
+            net.slots[slot as usize] = Some(DhtNodeState { peers });
         }
         net
     }
@@ -163,45 +200,21 @@ impl DhtNetwork {
         let mut table = DhtPeerTable::new(self.space, owner);
         for level in 1..=self.space.bits() {
             let (from, to) = self.space.level_interval(owner, level);
-            let view = interval_view(self.space, sorted_ids, from, to, owner);
-            let len = view.len();
-            if len == 0 {
-                continue;
-            }
-            // Emulates `in_range.choose_multiple(rng, amount)` — same
-            // draws, same picks, same order — without materialising the
-            // interval (the top level alone spans half the ring, which
-            // made table construction O(N) per node, O(N²) per build).
-            let amount = CANDIDATES_PER_LEVEL.min(len);
-            let mut disp = [(usize::MAX, 0usize); 2 * CANDIDATES_PER_LEVEL];
-            let mut nd = 0usize;
-            let idx_at = |disp: &[(usize, usize)], nd: usize, x: usize| {
-                disp[..nd]
-                    .iter()
-                    .find(|d| d.0 == x)
-                    .map(|d| d.1)
-                    .unwrap_or(x)
-            };
-            for k in 0..amount {
-                // The partial Fisher–Yates of the shim's choose_multiple,
-                // over a virtual identity index vector: `disp` records
-                // the handful of displaced entries.
-                let j = rng.gen_range(k..len);
-                let vk = idx_at(&disp, nd, k);
-                let vj = idx_at(&disp, nd, j);
-                for (x, v) in [(k, vj), (j, vk)] {
-                    match disp[..nd].iter_mut().find(|d| d.0 == x) {
-                        Some(d) => d.1 = v,
-                        None => {
-                            disp[nd] = (x, v);
-                            nd += 1;
-                        }
-                    }
-                }
-                let cand = view.get(vj);
-                let hint = self.by_id.get(cand).unwrap_or(NO_SLOT);
-                table.offer_hinted(cand, latency_ms(owner, cand), hint);
-            }
+            let view = interval_view(self.space, sorted_ids, from, to);
+            // `in_range.choose_multiple(rng, CANDIDATES_PER_LEVEL)` without
+            // materialising the interval (the top level alone spans half
+            // the ring, which made table construction O(N) per node, O(N²)
+            // per build).
+            choose_indices::<{ 2 * CANDIDATES_PER_LEVEL }>(
+                rng,
+                view.len(),
+                CANDIDATES_PER_LEVEL,
+                |i| {
+                    let cand = view.get(i);
+                    let hint = self.by_id.get(cand).unwrap_or(NO_SLOT);
+                    table.offer_hinted(cand, latency_ms(owner, cand), hint);
+                },
+            );
         }
         table
     }
@@ -376,11 +389,12 @@ impl DhtNetwork {
         // from the pre-join membership, so they are taken before `id`
         // enters the ring (table draws first, then the sample's).
         let table = self.build_table(id, &self.ring, latency_ms, rng);
-        let sample: Vec<DhtId> = self
-            .ring
-            .choose_multiple(rng, 16.min(self.ring.len()))
-            .copied()
-            .collect();
+        let mut sample = [0; ANNOUNCE_SAMPLE];
+        let mut sampled = 0;
+        choose_indices::<{ 2 * ANNOUNCE_SAMPLE }>(rng, self.ring.len(), ANNOUNCE_SAMPLE, |i| {
+            sample[sampled] = self.ring[i];
+            sampled += 1;
+        });
 
         let node = Some(DhtNodeState { peers: table });
         let slot = match self.free.pop() {
@@ -408,7 +422,7 @@ impl DhtNetwork {
         }
         // Tell the sample about the newcomer; the rest will learn by
         // overhearing routed messages.
-        for other in sample {
+        for &other in &sample[..sampled] {
             let lat = latency_ms(other, id);
             if let Some(state) = self.node_mut(other) {
                 state.peers.offer_hinted(id, lat, slot);
@@ -518,43 +532,34 @@ impl DhtNetwork {
 }
 
 /// A zero-copy view of the IDs from a sorted slice lying in the (possibly
-/// wrapping) clockwise interval `[from, to)`, minus one excluded id: one
-/// or two contiguous sub-slices plus the exclusion's virtual position.
-/// Enumerates exactly the sequence the eager `ids_in_interval` helper
-/// used to collect (the wrapping `[from, N)` segment first).
+/// wrapping) clockwise interval `[from, to)`: one or two contiguous
+/// sub-slices. Enumerates exactly the sequence the eager
+/// `ids_in_interval` helper used to collect (the wrapping `[from, N)`
+/// segment first).
+///
+/// It needs no exclusion: a table owner never lies in its own level
+/// intervals (their distances from it are in `[2^(i-1), 2^i)`, never 0),
+/// and a joiner's table is built before it enters the ring.
 struct IntervalView<'a> {
     first: &'a [DhtId],
     second: &'a [DhtId],
-    /// Virtual index of the excluded id within `first ++ second`, when
-    /// the interval contains it.
-    exclude_at: Option<usize>,
 }
 
 impl IntervalView<'_> {
     fn len(&self) -> usize {
-        self.first.len() + self.second.len() - usize::from(self.exclude_at.is_some())
+        self.first.len() + self.second.len()
     }
 
     fn get(&self, i: usize) -> DhtId {
-        let j = match self.exclude_at {
-            Some(e) if i >= e => i + 1,
-            _ => i,
-        };
-        if j < self.first.len() {
-            self.first[j]
+        if i < self.first.len() {
+            self.first[i]
         } else {
-            self.second[j - self.first.len()]
+            self.second[i - self.first.len()]
         }
     }
 }
 
-fn interval_view(
-    space: IdSpace,
-    sorted_ids: &[DhtId],
-    from: DhtId,
-    to: DhtId,
-    exclude: DhtId,
-) -> IntervalView<'_> {
+fn interval_view(space: IdSpace, sorted_ids: &[DhtId], from: DhtId, to: DhtId) -> IntervalView<'_> {
     let range = |lo: DhtId, hi_excl: DhtId| {
         let start = sorted_ids.partition_point(|&x| x < lo);
         let end = sorted_ids.partition_point(|&x| x < hi_excl);
@@ -566,38 +571,20 @@ fn interval_view(
         // Wraps: [from, N) ∪ [0, to).
         (range(from, space.size()), range(0, to))
     };
-    let exclude_at = match first.binary_search(&exclude) {
-        Ok(p) => Some(p),
-        Err(_) => second.binary_search(&exclude).ok().map(|p| first.len() + p),
-    };
-    IntervalView {
-        first,
-        second,
-        exclude_at,
-    }
+    IntervalView { first, second }
 }
 
 /// All IDs from `sorted_ids` lying in the (possibly wrapping) clockwise
-/// interval `[from, to)`, excluding `exclude`. Reference model for
-/// [`interval_view`] (the hot path no longer materialises intervals).
+/// interval `[from, to)`. Reference model for [`interval_view`] (the hot
+/// path no longer materialises intervals).
 #[cfg(test)]
-fn ids_in_interval(
-    space: IdSpace,
-    sorted_ids: &[DhtId],
-    from: DhtId,
-    to: DhtId,
-    exclude: DhtId,
-) -> Vec<DhtId> {
+fn ids_in_interval(space: IdSpace, sorted_ids: &[DhtId], from: DhtId, to: DhtId) -> Vec<DhtId> {
     let mut out = Vec::new();
     let mut push_range = |lo: DhtId, hi_excl: DhtId| {
         // indices of ids in [lo, hi_excl)
         let start = sorted_ids.partition_point(|&x| x < lo);
         let end = sorted_ids.partition_point(|&x| x < hi_excl);
-        for &id in &sorted_ids[start..end] {
-            if id != exclude {
-                out.push(id);
-            }
-        }
+        out.extend_from_slice(&sorted_ids[start..end]);
     };
     if from < to {
         push_range(from, to);
@@ -613,6 +600,7 @@ fn ids_in_interval(
 mod tests {
     use super::*;
     use cs_sim::RngTree;
+    use rand::seq::SliceRandom;
 
     fn flat_latency(_: DhtId, _: DhtId) -> f64 {
         10.0
@@ -747,12 +735,10 @@ mod tests {
         let space = IdSpace::new(6);
         let ids = [1u64, 5, 20, 60, 62];
         // Wrapping interval: the [from, N) segment comes first.
-        let v = ids_in_interval(space, &ids, 58, 6, 999);
+        let v = ids_in_interval(space, &ids, 58, 6);
         assert_eq!(v, vec![60, 62, 1, 5]);
-        let v2 = ids_in_interval(space, &ids, 58, 6, 62);
-        assert_eq!(v2, vec![60, 1, 5]);
-        let v3 = ids_in_interval(space, &ids, 2, 21, 999);
-        assert_eq!(v3, vec![5, 20]);
+        let v2 = ids_in_interval(space, &ids, 2, 21);
+        assert_eq!(v2, vec![5, 20]);
     }
 
     #[test]
@@ -769,12 +755,82 @@ mod tests {
             let sorted: Vec<DhtId> = set.into_iter().collect();
             let from = rng.gen_range(0..space.size());
             let to = rng.gen_range(0..space.size());
-            // Sometimes a member, sometimes absent.
-            let exclude = rng.gen_range(0..space.size());
-            let reference = ids_in_interval(space, &sorted, from, to, exclude);
-            let view = interval_view(space, &sorted, from, to, exclude);
+            let reference = ids_in_interval(space, &sorted, from, to);
+            let view = interval_view(space, &sorted, from, to);
             let listed: Vec<DhtId> = (0..view.len()).map(|i| view.get(i)).collect();
-            assert_eq!(listed, reference, "case {case} [{from}, {to}) \\ {exclude}");
+            assert_eq!(listed, reference, "case {case} [{from}, {to})");
+        }
+    }
+
+    /// Why `interval_view` needs no exclusion: over seeded rings, sparse
+    /// to full, no owner appears in its own level intervals, and neither
+    /// does a joiner once it is in the ring (its table is built before).
+    #[test]
+    fn no_node_lies_in_its_own_level_intervals() {
+        let mut rng = RngTree::new(12).child("own-levels");
+        for case in 0..200 {
+            let bits = rng.gen_range(1u32..10);
+            let space = IdSpace::new(bits);
+            let n = space.size();
+            let mut set = std::collections::BTreeSet::new();
+            if case % 5 == 0 {
+                set.extend(0..n); // a full space
+            } else {
+                // Both ends of the space, plus a random few.
+                set.extend([0, n - 1]);
+                for _ in 0..rng.gen_range(0..n) {
+                    set.insert(rng.gen_range(0..n));
+                }
+            }
+            let ring: Vec<DhtId> = set.iter().copied().collect();
+            // Every owner, and joiners that are not (yet) in the ring:
+            // checked against the ring as it is once they have joined.
+            let joiners: Vec<DhtId> = (0..n).filter(|id| !set.contains(id)).take(8).collect();
+            for &id in ring.iter().chain(&joiners) {
+                let mut with_id = ring.clone();
+                if let Err(at) = with_id.binary_search(&id) {
+                    with_id.insert(at, id);
+                }
+                for level in 1..=bits {
+                    let (from, to) = space.level_interval(id, level);
+                    assert!(
+                        !space.in_interval(id, from, to),
+                        "case {case}: {id} level {level}"
+                    );
+                    let view = interval_view(space, &with_id, from, to);
+                    assert!(
+                        (0..view.len()).all(|i| view.get(i) != id),
+                        "case {case}: {id} listed at level {level}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `choose_indices` against the shim's `choose_multiple` over an
+    /// index slice: same picks, same order, same RNG state afterwards.
+    #[test]
+    fn choose_indices_matches_choose_multiple() {
+        let mut seeds = RngTree::new(13).child("choose");
+        for case in 0..1_000u64 {
+            let (len, amount) = match case {
+                0 => (0, 3),
+                1 => (1, 3),
+                2 => (1, 16),
+                3 => (2, 16),
+                _ => (
+                    seeds.gen_range(0usize..64),
+                    seeds.gen_range(0..=ANNOUNCE_SAMPLE),
+                ),
+            };
+            let mut shim = RngTree::new(case).child("pick");
+            let mut ours = shim.clone();
+            let all: Vec<usize> = (0..len).collect();
+            let want: Vec<usize> = all.choose_multiple(&mut shim, amount).copied().collect();
+            let mut got = Vec::new();
+            choose_indices::<{ 2 * ANNOUNCE_SAMPLE }>(&mut ours, len, amount, |i| got.push(i));
+            assert_eq!(got, want, "case {case}: len {len}, amount {amount}");
+            assert_eq!(ours, shim, "case {case}: RNG state diverged");
         }
     }
 

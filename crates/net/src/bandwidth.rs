@@ -59,36 +59,71 @@ pub enum BandwidthProfile {
 }
 
 /// Assigns per-node bandwidth according to the §5.2 recipe.
+///
+/// The heterogeneous law is fixed for the assigner's lifetime, so its
+/// constants are solved once, at construction: a draw is one uniform and
+/// one `ln`. The fields are private so the constants cannot go stale.
 #[derive(Debug, Clone, Copy)]
 pub struct BandwidthAssigner {
     /// Lower bound of the range, Kbps (paper: 300).
-    pub lo_kbps: f64,
+    lo_kbps: f64,
     /// Upper bound of the range, Kbps (paper: 1000).
-    pub hi_kbps: f64,
+    hi_kbps: f64,
     /// Target mean, Kbps (paper: 450).
-    pub mean_kbps: f64,
+    mean_kbps: f64,
     /// The assignment profile.
-    pub profile: BandwidthProfile,
+    profile: BandwidthProfile,
+    /// The truncated exponential's rate parameter μ (NaN, never read,
+    /// under `Homogeneous`).
+    mu: f64,
+    /// Its cdf at the range's top, `1 − e^(−(hi − lo)/μ)` (NaN under
+    /// `Homogeneous`).
+    cap: f64,
 }
 
 impl Default for BandwidthAssigner {
     fn default() -> Self {
-        BandwidthAssigner {
-            lo_kbps: 300.0,
-            hi_kbps: 1000.0,
-            mean_kbps: PAPER_MEAN_KBPS,
-            profile: BandwidthProfile::Heterogeneous,
-        }
+        BandwidthAssigner::paper(BandwidthProfile::Heterogeneous)
     }
 }
 
 impl BandwidthAssigner {
+    /// An assigner over `[lo, hi]` Kbps with the given mean, its law
+    /// solved here.
+    ///
+    /// # Panics
+    /// Under `Heterogeneous`, unless `lo < mean < (lo + hi) / 2`.
+    fn new(lo_kbps: f64, hi_kbps: f64, mean_kbps: f64, profile: BandwidthProfile) -> Self {
+        let (mu, cap) = match profile {
+            BandwidthProfile::Homogeneous => (f64::NAN, f64::NAN),
+            BandwidthProfile::Heterogeneous => {
+                // X = lo + E, E ~ Exp(μ) truncated to [0, hi − lo], with μ
+                // solved so that E[X] = mean: 200 bisection steps on a
+                // monotone function, once per assigner.
+                let width = hi_kbps - lo_kbps;
+                let target = mean_kbps - lo_kbps;
+                assert!(
+                    target > 0.0 && target < width / 2.0,
+                    "heterogeneous mean must lie in (lo, (lo+hi)/2) for the \
+                     exponential shape; use Homogeneous otherwise"
+                );
+                let mu = solve_truncated_exp_mu(target, width);
+                (mu, 1.0 - (-width / mu).exp())
+            }
+        };
+        BandwidthAssigner {
+            lo_kbps,
+            hi_kbps,
+            mean_kbps,
+            profile,
+            mu,
+            cap,
+        }
+    }
+
     /// The paper's configuration with the given profile.
     pub fn paper(profile: BandwidthProfile) -> Self {
-        BandwidthAssigner {
-            profile,
-            ..Default::default()
-        }
+        BandwidthAssigner::new(300.0, 1000.0, PAPER_MEAN_KBPS, profile)
     }
 
     /// Draw one rate in Kbps.
@@ -96,22 +131,10 @@ impl BandwidthAssigner {
         match self.profile {
             BandwidthProfile::Homogeneous => self.mean_kbps,
             BandwidthProfile::Heterogeneous => {
-                // X = lo + E, E ~ Exp(μ) truncated to [0, hi − lo], with μ
-                // solved so that E[X] = mean. Solved numerically once per
-                // call — a handful of Newton steps on a monotone function.
-                let width = self.hi_kbps - self.lo_kbps;
-                let target = self.mean_kbps - self.lo_kbps;
-                assert!(
-                    target > 0.0 && target < width / 2.0,
-                    "heterogeneous mean must lie in (lo, (lo+hi)/2) for the \
-                     exponential shape; use Homogeneous otherwise"
-                );
-                let mu = solve_truncated_exp_mu(target, width);
                 // Inverse-cdf sampling of the truncated exponential.
                 let u: f64 = rng.gen();
-                let cap = 1.0 - (-width / mu).exp();
-                let e = -mu * (1.0 - u * cap).ln();
-                self.lo_kbps + e.min(width)
+                let e = -self.mu * (1.0 - u * self.cap).ln();
+                self.lo_kbps + e.min(self.hi_kbps - self.lo_kbps)
             }
         }
     }
@@ -136,6 +159,8 @@ impl BandwidthAssigner {
 
 /// Solve for μ such that the mean of Exp(μ) truncated to [0, w] equals
 /// `target`: mean(μ) = μ − w/(e^{w/μ} − 1). Monotone in μ; bisection.
+/// Its bracket and step count fix μ's bits, and through them every
+/// node's bandwidth and every pinned fingerprint.
 fn solve_truncated_exp_mu(target: f64, w: f64) -> f64 {
     assert!(
         target > 0.0 && target < w / 2.0,
@@ -231,6 +256,95 @@ mod tests {
         };
         assert_eq!(draw(5), draw(5));
         assert_ne!(draw(5), draw(6));
+    }
+
+    /// `solve_truncated_exp_mu` as it stood when it ran on every draw,
+    /// verbatim, so the oracle below does not move with the solver.
+    fn solve_truncated_exp_mu_reference(target: f64, w: f64) -> f64 {
+        assert!(
+            target > 0.0 && target < w / 2.0,
+            "target must be below w/2 (exponential shape)"
+        );
+        let mean_of = |mu: f64| mu - w / ((w / mu).exp() - 1.0);
+        let (mut lo, mut hi) = (1e-6, w * 50.0);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if mean_of(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The per-draw body `sample_rate` had before the law's constants
+    /// moved to construction, verbatim: it re-solves μ on every call.
+    fn sample_rate_per_draw(a: &BandwidthAssigner, rng: &mut SimRng) -> f64 {
+        match a.profile {
+            BandwidthProfile::Homogeneous => a.mean_kbps,
+            BandwidthProfile::Heterogeneous => {
+                // X = lo + E, E ~ Exp(μ) truncated to [0, hi − lo], with μ
+                // solved so that E[X] = mean.
+                let width = a.hi_kbps - a.lo_kbps;
+                let target = a.mean_kbps - a.lo_kbps;
+                assert!(
+                    target > 0.0 && target < width / 2.0,
+                    "heterogeneous mean must lie in (lo, (lo+hi)/2) for the \
+                     exponential shape; use Homogeneous otherwise"
+                );
+                let mu = solve_truncated_exp_mu_reference(target, width);
+                // Inverse-cdf sampling of the truncated exponential.
+                let u: f64 = rng.gen();
+                let cap = 1.0 - (-width / mu).exp();
+                let e = -mu * (1.0 - u * cap).ln();
+                a.lo_kbps + e.min(width)
+            }
+        }
+    }
+
+    /// `draws` seeded draws from `a` equal the per-draw oracle's bit for
+    /// bit, and leave the RNG where the oracle leaves it.
+    fn assert_draws_match_per_draw_solve(a: &BandwidthAssigner, seed: u64, draws: usize) {
+        let width = a.hi_kbps - a.lo_kbps;
+        let mu = solve_truncated_exp_mu_reference(a.mean_kbps - a.lo_kbps, width);
+        assert_eq!(a.mu.to_bits(), mu.to_bits(), "{a:?}: μ");
+        let mut fast = RngTree::new(seed).child("bw");
+        let mut slow = fast.clone();
+        for draw in 0..draws {
+            let got = a.sample_rate(&mut fast);
+            let want = sample_rate_per_draw(a, &mut slow);
+            assert_eq!(got.to_bits(), want.to_bits(), "{a:?}: draw {draw}");
+        }
+        assert_eq!(fast, slow, "{a:?}: RNG streams diverged");
+    }
+
+    #[test]
+    fn paper_law_solved_once_matches_per_draw_solve_bit_for_bit() {
+        assert_draws_match_per_draw_solve(&BandwidthAssigner::default(), 40, 100_000);
+    }
+
+    /// Three more laws, 100 002 draws between them: a wide range, a
+    /// mean just below the shape's limit, and a μ near the bracket floor.
+    #[test]
+    fn other_laws_solved_once_match_per_draw_solve_bit_for_bit() {
+        for (seed, (lo, hi, mean)) in [
+            (100.0, 2000.0, 300.0),
+            (0.0, 1.0, 0.49),
+            (512.0, 513.0, 512.001),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let a = BandwidthAssigner::new(lo, hi, mean, BandwidthProfile::Heterogeneous);
+            assert_draws_match_per_draw_solve(&a, 41 + seed as u64, 33_334);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "heterogeneous mean must lie in (lo, (lo+hi)/2)")]
+    fn misshapen_heterogeneous_law_is_rejected_at_construction() {
+        let _ = BandwidthAssigner::new(300.0, 1000.0, 700.0, BandwidthProfile::Heterogeneous);
     }
 
     #[test]

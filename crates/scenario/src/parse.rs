@@ -58,15 +58,19 @@ use crate::spec::{
 /// A parse failure: line number (1-based) plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line the error occurred on.
-    pub line: usize,
+    /// 1-based line the error occurred on; `None` when the assembled spec
+    /// as a whole fails validation.
+    pub line: Option<usize>,
     /// What went wrong.
     pub message: String,
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        match self.line {
+            Some(line) => write!(f, "line {line}: {}", self.message),
+            None => f.write_str(&self.message),
+        }
     }
 }
 
@@ -74,14 +78,14 @@ impl std::error::Error for ParseError {}
 
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
-        line,
+        line: Some(line),
         message: message.into(),
     })
 }
 
 fn parse_num<T: std::str::FromStr>(line: usize, what: &str, s: &str) -> Result<T, ParseError> {
     s.parse().map_err(|_| ParseError {
-        line,
+        line: Some(line),
         message: format!("{what}: cannot parse `{s}`"),
     })
 }
@@ -144,7 +148,7 @@ pub fn parse_scenario(text: &str) -> Result<ScenarioSpec, ParseError> {
         }
     }
     spec.validate().map_err(|e| ParseError {
-        line: 0,
+        line: None,
         message: e.0,
     })?;
     Ok(spec)
@@ -407,7 +411,7 @@ impl<'a> EventArgs<'a> {
 
     fn need(&self, key: &str, placeholder: &str) -> Result<&'a str, ParseError> {
         self.get(key).ok_or_else(|| ParseError {
-            line: self.line,
+            line: Some(self.line),
             message: format!("{} needs {key}={placeholder}", self.kind),
         })
     }
@@ -578,9 +582,9 @@ at 30 capacity_shift fraction=0.3 class=dsl
     #[test]
     fn errors_carry_line_numbers() {
         let e = parse_scenario("nodes = 10\nbogus line here\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         let e = parse_scenario("at 5 flash_crowd\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("count"));
     }
 
@@ -609,7 +613,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
             assert_eq!(
                 e,
                 ParseError {
-                    line: 1,
+                    line: Some(1),
                     message: message.into()
                 },
                 "{line}"
@@ -639,6 +643,9 @@ at 30 capacity_shift fraction=0.3 class=dsl
     fn unknown_class_reference_fails_validation() {
         let e = parse_scenario("at 5 flash_crowd count=3 class=ghost\n").unwrap_err();
         assert!(e.message.contains("ghost"));
+        // A whole-spec error has no line to name.
+        assert_eq!(e.line, None);
+        assert_eq!(e.to_string(), e.message);
     }
 
     #[test]
@@ -683,7 +690,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         assert_eq!(spec.config.faults.delay_prob, 0.1);
         assert_eq!(spec.config.faults.delay_ms, 80.0);
         let e = parse_scenario("faults = 0.1 0.1\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("faults takes"), "{}", e.message);
     }
 
@@ -768,7 +775,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
             let text =
                 format!("nodes = 50\npolicy = adaptive inbound_slack=0.2 {name}={old_default}\n");
             let e = parse_scenario(&text).unwrap_err();
-            assert_eq!(e.line, 2, "{name}");
+            assert_eq!(e.line, Some(2), "{name}");
             assert_eq!(e.message, format!("unknown policy knob `{name}`"));
         }
     }
@@ -800,7 +807,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         // produce nonsense membership; now each names its component and
         // the offending line.
         let e = parse_scenario("nodes = 50\nchurn = 1.5 0.05\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(
             e.message
                 .contains("churn leave fraction 1.5 outside [0, 1]"),
@@ -808,7 +815,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
             e.message
         );
         let e = parse_scenario("churn = 0.05 -0.1\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("churn join"), "{}", e.message);
         let e = parse_scenario("churn = 0.05 0.05 -2\n").unwrap_err();
         assert!(e.message.contains("churn graceful"), "{}", e.message);
@@ -826,19 +833,19 @@ at 30 capacity_shift fraction=0.3 class=dsl
         // used to slip through to the spec validator, which reports no
         // line number.
         let e = parse_scenario("nodes = 50\nphase 0..5 loss=1.5\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(
             e.message.contains("phase loss rate 1.5 outside [0, 1]"),
             "{}",
             e.message
         );
         let e = parse_scenario("phase 0..5 crash=-0.1\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("phase crash rate"), "{}", e.message);
         // The faults config line: every probability column is checked
         // (delay_ms is a duration, not a probability, and is exempt).
         let e = parse_scenario("nodes = 50\nfaults = 1.5 0.0 0.0 0.0 0.0\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(e.message.contains("faults crash"), "{}", e.message);
         let e = parse_scenario("faults = 0.0 -0.2 0.0 0.0 0.0\n").unwrap_err();
         assert!(e.message.contains("faults data_loss"), "{}", e.message);
@@ -868,7 +875,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
             ),
         ] {
             let e = parse_scenario(&format!("nodes = 50\n{line}\n")).unwrap_err();
-            assert_eq!(e.line, 2, "{line}");
+            assert_eq!(e.line, Some(2), "{line}");
             assert!(
                 e.message.contains(key) && e.message.contains("outside [0, 1]"),
                 "`{line}`: {}",
@@ -882,7 +889,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
     #[test]
     fn duplicate_keys_are_rejected_everywhere() {
         let e = parse_scenario("at 5 flash_crowd count=3 count=5\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("duplicate"), "{}", e.message);
         let e = parse_scenario("phase 0..5 pause=0.1 pause=0.2\n").unwrap_err();
         assert!(e.message.contains("duplicate"), "{}", e.message);
@@ -896,7 +903,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         // would run 60 nodes here without a word); whitespace around the
         // key does not hide the repeat.
         let e = parse_scenario("nodes = 50\nrounds = 5\n  nodes=60\n").unwrap_err();
-        assert_eq!(e.line, 3);
+        assert_eq!(e.line, Some(3));
         assert!(
             e.message.contains("duplicate key `nodes`") && e.message.contains("line 1"),
             "{}",
@@ -953,7 +960,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         // and it must fail at the offending line — not later in
         // `validate`, which cannot name the line.
         let e = parse_scenario("nodes = 50\nrounds = 40\nphase 5..5 pause=0.1\n").unwrap_err();
-        assert_eq!(e.line, 3);
+        assert_eq!(e.line, Some(3));
         assert!(
             e.message.contains("empty") && e.message.contains("5..5"),
             "{}",
@@ -961,7 +968,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         );
         // Inverted ranges take the same path.
         let e = parse_scenario("phase 9..3\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("empty"), "{}", e.message);
         // One round is the smallest legal phase.
         assert!(parse_scenario("rounds = 40\nphase 5..6 pause=0.1\n").is_ok());
@@ -973,7 +980,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         // the line number — pinned here so a future lenient parser
         // cannot silently truncate.
         let e = parse_scenario("nodes = 50\nphase 0..40x\n").unwrap_err();
-        assert_eq!(e.line, 2);
+        assert_eq!(e.line, Some(2));
         assert!(
             e.message.contains("phase end") && e.message.contains("40x"),
             "{}",
@@ -982,7 +989,7 @@ at 30 capacity_shift fraction=0.3 class=dsl
         let e = parse_scenario("phase 0x..40\n").unwrap_err();
         assert!(e.message.contains("phase start"), "{}", e.message);
         let e = parse_scenario("nodes = 50abc\n").unwrap_err();
-        assert_eq!(e.line, 1);
+        assert_eq!(e.line, Some(1));
         assert!(e.message.contains("nodes"), "{}", e.message);
         let e = parse_scenario("at 5x flash_crowd count=3\n").unwrap_err();
         assert!(e.message.contains("event round"), "{}", e.message);

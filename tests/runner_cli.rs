@@ -250,6 +250,26 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
     }
 }
 
+/// A spec that parses line by line but fails as a whole has no line to
+/// name: the one stderr line is `<path>: <message>`, never `line 0: …`.
+#[test]
+fn scenario_runner_names_the_file_not_a_line_for_a_whole_spec_error() {
+    let message = "M = 5 must be below the node count 2";
+    let path = std::env::temp_dir().join(format!(
+        "cs_runner_cli_{}_whole_spec.scn",
+        std::process::id()
+    ));
+    std::fs::write(&path, "nodes = 2\nneighbors = 5\n").expect("write spec");
+    let path = path.to_str().expect("utf-8 temp path").to_string();
+    let out = runner(&[&path]);
+    std::fs::remove_file(&path).ok();
+    let Some(out) = out else { return };
+    assert_exit_2(&out, "whole-spec error", message);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, format!("{path}: {message}\n"));
+    assert!(!stderr.contains("line 0"), "{stderr}");
+}
+
 #[test]
 fn runners_reject_a_duplicated_key_with_exit_2() {
     assert_bad_spec_exits_2(
