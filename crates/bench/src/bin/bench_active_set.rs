@@ -17,8 +17,10 @@
 //!
 //! The per-round tables (time, nodes that scheduled / pre-fetched) make
 //! the scaling visible in data rather than as a single averaged claim;
-//! each workload's `RunReport` fingerprint is printed and recorded, which
-//! is what CI's bench-smoke job pins.
+//! each workload's `RunReport` fingerprint is printed and recorded. At
+//! `--nodes 2000 --rounds 60 --pause-round 30` they are the two
+//! `active_set_*` rows of `cs_bench::fingerprint::PINS`, which the
+//! `fingerprint` binary computes with the same `PausePlan`.
 //!
 //! ```text
 //! cargo run -p cs-bench --release --bin bench_active_set
@@ -28,10 +30,8 @@
 
 use std::time::Instant;
 
-use cs_bench::fingerprint::fingerprint;
-use cs_core::{
-    ObsConfig, PhaseRow, SchedulerKind, SystemConfig, SystemEvent, SystemSim, Telemetry,
-};
+use cs_bench::fingerprint::{fingerprint, PausePlan};
+use cs_core::{ObsConfig, PhaseRow, SchedulerKind, SystemConfig, SystemSim, Telemetry};
 
 fn arg_u64(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
@@ -71,15 +71,6 @@ fn has_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// A steady-state audience: before round `round`, pause every alive
-/// non-source viewer except each `keep_every`-th (deterministic in the
-/// arena id order).
-#[derive(Clone, Copy)]
-struct PausePlan {
-    round: u32,
-    keep_every: usize,
-}
-
 struct TimedRun {
     total_ms: f64,
     round_ms: Vec<f64>,
@@ -89,7 +80,7 @@ struct TimedRun {
     phases: Vec<PhaseRow>,
 }
 
-fn timed_run(config: &SystemConfig, pause: Option<PausePlan>) -> TimedRun {
+fn timed_run(config: &SystemConfig, pause: PausePlan) -> TimedRun {
     let mut sim = SystemSim::new(config.clone());
     sim.enable_telemetry();
     // Profiler only: the phase breakdown rides along without arming
@@ -101,27 +92,10 @@ fn timed_run(config: &SystemConfig, pause: Option<PausePlan>) -> TimedRun {
     });
     let mut round_ms = Vec::with_capacity(config.rounds as usize);
     let mut paused = 0usize;
-    let mut round = 0u32;
     let t0 = Instant::now();
     loop {
-        if let Some(plan) = pause {
-            if round == plan.round {
-                let source = sim.source_id();
-                let ids: Vec<_> = sim
-                    .alive_ids()
-                    .iter()
-                    .copied()
-                    .filter(|&id| id != source)
-                    .collect();
-                for (i, id) in ids.into_iter().enumerate() {
-                    if i % plan.keep_every != 0 {
-                        sim.apply_event(SystemEvent::Pause { id });
-                        paused += 1;
-                    }
-                }
-            }
-        }
-        if round == config.rounds / 2 {
+        paused += pause.apply(&mut sim);
+        if sim.rounds_run() == config.rounds / 2 {
             // Steady-window means: drop warm-up (and the pause wave)
             // from the profiler, matching `steady_mean`'s last-half
             // convention.
@@ -134,7 +108,6 @@ fn timed_run(config: &SystemConfig, pause: Option<PausePlan>) -> TimedRun {
             break;
         }
         round_ms.push(r0.elapsed().as_secs_f64() * 1000.0);
-        round += 1;
     }
     let total_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let telemetry = sim.take_telemetry().expect("telemetry enabled");
@@ -174,7 +147,7 @@ fn active_sched(run: &TimedRun) -> Vec<f64> {
         .collect()
 }
 
-fn run_workload(name: &'static str, config: &SystemConfig, pause: Option<PausePlan>) -> Workload {
+fn run_workload(name: &'static str, config: &SystemConfig, pause: PausePlan) -> Workload {
     let nodes = config.nodes;
     let rounds = config.rounds;
     eprintln!("bench_active_set [{name}]: {nodes} nodes x {rounds} rounds");
@@ -217,11 +190,15 @@ fn main() {
     let dense = if skip_dense {
         None
     } else {
-        Some(run_workload("all-playing", &config, None))
+        let everyone = PausePlan {
+            keep_every: 1,
+            ..pause
+        };
+        Some(run_workload("all-playing", &config, everyone))
     };
     // `--pause-frac 0` drops the steady-audience workload.
     let steady = if pause_frac > 0.0 {
-        Some(run_workload("steady-paused", &config, Some(pause)))
+        Some(run_workload("steady-paused", &config, pause))
     } else {
         None
     };

@@ -1,12 +1,13 @@
 //! Print the behavioural fingerprint of every pinned scenario (see
 //! `cs_bench::fingerprint`), followed by the DHT routing fingerprints
-//! (hop sequences + table states of fixed lookup batches), and exit 1 if
-//! any differs from its row of `PINS` — on x86_64 Linux only, like
-//! `tests/determinism.rs` (the system hashes involve libm).
+//! (hop sequences + table states of fixed lookup batches) and the two
+//! 2000-node active-set runs, and exit 1 if any differs from its row of
+//! `PINS` — on x86_64 Linux only, like `tests/determinism.rs` (the system
+//! hashes involve libm). The active-set rows are checked here only.
 
 use std::process::ExitCode;
 
-use cs_bench::fingerprint::{dht, fingerprint, round0_fingerprint, scenarios, PINS};
+use cs_bench::fingerprint::{active_set, dht, fingerprint, round0_fingerprint, scenarios, PINS};
 use cs_core::SystemSim;
 
 fn main() -> ExitCode {
@@ -31,6 +32,19 @@ fn main() -> ExitCode {
     for (name, routes, tables) in dht::fingerprints() {
         println!("{name}: routes 0x{routes:016x}  tables 0x{tables:016x}");
         check(name, routes, tables);
+    }
+    for (name, config, pause) in active_set() {
+        let mut sim = SystemSim::new(config);
+        let round0 = round0_fingerprint(&sim);
+        loop {
+            pause.apply(&mut sim);
+            if !sim.step() {
+                break;
+            }
+        }
+        let run = fingerprint(&sim.finish());
+        println!("{name}: 0x{run:016x}  round0 0x{round0:016x}");
+        check(name, run, round0);
     }
     if drift {
         ExitCode::FAILURE

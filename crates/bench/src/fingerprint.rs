@@ -10,8 +10,12 @@
 //! `random_static` pins the Random scheduler: its candidates are built in
 //! ascending segment order and its draws come from the seeded scheduler
 //! stream, so it reproduces like the others.
+//!
+//! The two [`active_set`] runs are pinned in the same table but checked
+//! by the `fingerprint` binary only: at ~4 s each in debug they stay out
+//! of [`scenarios`], which the test suite runs several times over.
 
-use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemSim};
+use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemEvent, SystemSim};
 use cs_net::BandwidthProfile;
 
 /// FNV-1a over a textual serialisation; the single hash implementation
@@ -35,8 +39,8 @@ pub fn round0_fingerprint(sim: &SystemSim) -> u64 {
 
 /// The pinned drift-gate values: per [`scenarios`] entry its run and
 /// round-0 hash, per [`dht::fingerprints`] batch its routes and tables
-/// hash, in that order. The system hashes involve libm, so they are held
-/// only on x86_64 Linux.
+/// hash, per [`active_set`] run its run and round-0 hash, in that order.
+/// The system hashes involve libm, so they are held only on x86_64 Linux.
 #[rustfmt::skip]
 pub const PINS: &[(&str, u64, u64)] = &[
     ("continustreaming_static", 0xe477cc07219c469e, 0x670ce83d36f0ef91),
@@ -50,6 +54,8 @@ pub const PINS: &[(&str, u64, u64)] = &[
     ("dht_greedy_600", 0xa3d3f8871b0fae4e, 0x7883805ec6c3da99),
     ("dht_overhear_400", 0xf96cd39fae554ffd, 0x8f45647ab3fc68d4),
     ("dht_overhear_800", 0x11f6772d78683832, 0x08a33e3bd7af7b9d),
+    ("active_set_all_playing", 0xa11b25c590738d0e, 0xecf08667d1c01a36),
+    ("active_set_steady_paused", 0xb46d069af8a31f9e, 0xecf08667d1c01a36),
 ];
 
 /// The pinned scenario set. Includes a homogeneous-bandwidth case on
@@ -160,6 +166,54 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 ..SystemConfig::default()
             },
         ),
+    ]
+}
+
+/// A steady-state audience: before round `round`, pause every alive
+/// non-source viewer but each `keep_every`-th, in ascending id order
+/// (`keep_every` 1 pauses nobody).
+#[derive(Debug, Clone, Copy)]
+pub struct PausePlan {
+    pub round: u32,
+    pub keep_every: usize,
+}
+
+impl PausePlan {
+    /// Pause the audience if `sim`'s next round is the plan's; returns
+    /// how many viewers it paused.
+    pub fn apply(&self, sim: &mut SystemSim) -> usize {
+        if sim.rounds_run() != self.round {
+            return 0;
+        }
+        let source = sim.source_id();
+        let viewers = sim.alive_ids().to_vec();
+        let mut paused = 0;
+        for (i, id) in viewers.into_iter().filter(|&id| id != source).enumerate() {
+            if i % self.keep_every != 0 {
+                sim.apply_event(SystemEvent::Pause { id });
+                paused += 1;
+            }
+        }
+        paused
+    }
+}
+
+/// The active-set runs, 2000 × 60 on the default config: every viewer
+/// playing, and all but every 5th paused before round 30 — the
+/// paused-majority shape no [`scenarios`] entry has.
+pub fn active_set() -> [(&'static str, SystemConfig, PausePlan); 2] {
+    let config = SystemConfig {
+        nodes: 2000,
+        rounds: 60,
+        ..SystemConfig::default()
+    };
+    let keep = |keep_every| PausePlan {
+        round: 30,
+        keep_every,
+    };
+    [
+        ("active_set_all_playing", config.clone(), keep(1)),
+        ("active_set_steady_paused", config, keep(5)),
     ]
 }
 

@@ -452,13 +452,13 @@ fn routing(n: usize, seed: u64) -> Routing {
 }
 
 /// Jain's fairness index (1.0 = perfectly balanced) of the replica
-/// positions of one buffer's worth of consecutive segments (600, k = 4)
+/// positions of one buffer's worth of consecutive segments (`B`, k = 4)
 /// over 256 equal ring arcs.
 fn placement_jain(targets: fn(IdSpace, u64, u32) -> Vec<u64>) -> f64 {
     const ARCS: usize = 256;
     let space = IdSpace::new(FIG3_BITS);
     let mut counts = [0.0f64; ARCS];
-    for segment in 1..=600 {
+    for segment in 1..=SystemConfig::BUFFER_SEGMENTS {
         for pos in targets(space, segment, 4) {
             counts[pos as usize * ARCS / space.size() as usize] += 1.0;
         }
@@ -631,9 +631,9 @@ fn figs_7_8(rows: &mut Vec<Row>) {
 }
 
 fn fig_9(rows: &mut Vec<Row>) {
-    let playback_rate = f64::from(SystemConfig::default().playback_rate);
+    let sizes = MessageSizes::for_buffer(SystemConfig::BUFFER_SEGMENTS);
     for m in [4u32, 5, 6] {
-        let ideal = MessageSizes::default().ideal_control_overhead(m, playback_rate);
+        let ideal = sizes.ideal_control_overhead(m, f64::from(SystemConfig::PLAYBACK_RATE));
         for n in SIZES {
             let config = SystemConfig {
                 neighbors: m as usize,

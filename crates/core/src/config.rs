@@ -22,7 +22,10 @@ pub enum SchedulerKind {
 }
 
 /// Full-system simulation parameters. Defaults are the paper's §5.2
-/// values, each noted on its field.
+/// values, each noted on its field. The §5.2 values no run varies are
+/// constants: `B`, `p`, `τ` and `l` below, the segment size
+/// [`cs_net::SEGMENT_KBITS`] and the overheard-list capacity `H`
+/// ([`cs_overlay::overheard::DEFAULT_H`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of overlay nodes, excluding nothing — the source is one of
@@ -32,20 +35,8 @@ pub struct SystemConfig {
     pub rounds: u32,
     /// Connected-neighbour count `M` (paper: 5).
     pub neighbors: usize,
-    /// Overheard-list capacity `H` (paper: 20).
-    pub overheard: usize,
-    /// Buffer capacity `B` in segments (paper: 600 = 60 s).
-    pub buffer_size: u64,
-    /// Playback rate `p`, segments per second (paper: 10).
-    pub playback_rate: u32,
-    /// Scheduling period `τ` in seconds (paper: 1.0).
-    pub period_secs: f64,
-    /// Segment size in kilobits (paper: 30).
-    pub segment_kbits: f64,
     /// Replicas per segment `k` (paper: 4).
     pub replicas: u32,
-    /// Pre-fetch cap per period `l` (paper: 5).
-    pub prefetch_cap: usize,
     /// Bandwidth distribution across nodes.
     pub bandwidth: BandwidthProfile,
     /// Churn model (static or dynamic environment).
@@ -90,13 +81,7 @@ impl Default for SystemConfig {
             nodes: 1000,
             rounds: 30,
             neighbors: 5,
-            overheard: 20,
-            buffer_size: 600,
-            playback_rate: 10,
-            period_secs: 1.0,
-            segment_kbits: 30.0,
             replicas: 4,
-            prefetch_cap: 5,
             bandwidth: BandwidthProfile::Heterogeneous,
             churn: ChurnConfig::STATIC,
             scheduler: SchedulerKind::ContinuStreaming,
@@ -112,6 +97,17 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
+    /// Buffer capacity `B` in segments (paper: 600 = 60 s).
+    pub const BUFFER_SEGMENTS: u64 = 600;
+    /// Playback rate `p`, segments per second (paper: 10).
+    pub const PLAYBACK_RATE: u32 = 10;
+    /// Scheduling period `τ` in seconds (paper: 1.0).
+    pub const PERIOD_SECS: f64 = 1.0;
+    /// Segments consumed per round, `p·τ`.
+    pub const DEMAND_PER_ROUND: u64 = (Self::PLAYBACK_RATE as f64 * Self::PERIOD_SECS) as u64;
+    /// Pre-fetch cap per period `l` (paper: 5).
+    pub const PREFETCH_CAP: usize = 5;
+
     /// The paper's ContinuStreaming configuration at a given size/seed.
     pub fn continustreaming(nodes: usize, seed: u64) -> Self {
         SystemConfig {
@@ -160,39 +156,20 @@ impl SystemConfig {
             "M = {}: a node has at most 64 neighbours",
             self.neighbors
         );
-        ensure!(self.buffer_size > 0, "need a non-empty buffer");
-        // Buffers and maps are allocated at `B` bits per node, and the
-        // §5.4.2 buffer map's 20-bit head id names 2^20 segments.
+        // The exchange window is sized from it; it cannot use more than
+        // the buffer holds.
         ensure!(
-            self.buffer_size <= 1 << 20,
-            "buffer_size = {}: a buffer holds at most 1048576 (2^20) segments",
-            self.buffer_size
+            self.startup_segments <= Self::BUFFER_SEGMENTS,
+            "startup_segments = {} exceeds the {}-segment buffer",
+            self.startup_segments,
+            Self::BUFFER_SEGMENTS
         );
-        // The exchange window and the pre-fetch miss list are sized from
-        // these; neither can use more than the buffer holds.
-        for (key, v) in [
-            ("startup_segments", self.startup_segments),
-            ("prefetch_cap", self.prefetch_cap as u64),
-        ] {
-            ensure!(
-                v <= self.buffer_size,
-                "{key} = {v} exceeds the {}-segment buffer",
-                self.buffer_size
-            );
-        }
-        ensure!(self.playback_rate > 0, "playback rate must be positive");
-        ensure!(self.period_secs > 0.0, "period must be positive");
-        ensure!(self.segment_kbits > 0.0, "segment size must be positive");
         ensure!(self.id_space_slack >= 1, "ID space must fit all nodes");
         ensure!(
             self.id_capacity() <= IdSlotTable::MAX_IDS,
             "(nodes + expected joins) x id_space_slack asks for {} ids; the ID space holds at most {} (2^28)",
             self.id_capacity(),
             IdSlotTable::MAX_IDS
-        );
-        ensure!(
-            (self.playback_rate as u64) < self.buffer_size,
-            "buffer must hold more than one period of playback"
         );
         // Every stored segment walks its `k` replica positions.
         ensure!(
@@ -207,12 +184,12 @@ impl SystemConfig {
             // tables are pre-sized from, grows with it without bound.
             ensure!(
                 p.target_runway_rounds
-                    .checked_mul(self.demand_per_round())
-                    .is_some_and(|runway| runway <= self.buffer_size),
+                    .checked_mul(Self::DEMAND_PER_ROUND)
+                    .is_some_and(|runway| runway <= Self::BUFFER_SEGMENTS),
                 "target_runway_rounds = {} asks for more runway than the {}-segment buffer holds at {} segments per round",
                 p.target_runway_rounds,
-                self.buffer_size,
-                self.demand_per_round()
+                Self::BUFFER_SEGMENTS,
+                Self::DEMAND_PER_ROUND
             );
         }
         self.faults.validate()?;
@@ -231,12 +208,21 @@ impl SystemConfig {
             .saturating_add(self.expected_joins())
             .saturating_mul(self.id_space_slack as u64)
     }
-
-    /// Segments consumed per round (`p·τ`).
-    pub fn demand_per_round(&self) -> u64 {
-        (self.playback_rate as f64 * self.period_secs).floor() as u64
-    }
 }
+
+// What `validate` checked while these constants were fields, now held at
+// compile time: buffers and maps are allocated at `B` bits per node and
+// the §5.4.2 buffer map's 20-bit head id names 2^20 segments; the
+// pre-fetch miss list is sized from `l`; a round consumes at least one
+// segment, and the buffer holds more than one period of playback.
+const _: () = {
+    assert!(SystemConfig::BUFFER_SEGMENTS > 0 && SystemConfig::BUFFER_SEGMENTS <= 1 << 20);
+    assert!(SystemConfig::PREFETCH_CAP as u64 <= SystemConfig::BUFFER_SEGMENTS);
+    assert!(SystemConfig::PLAYBACK_RATE > 0 && SystemConfig::PERIOD_SECS > 0.0);
+    assert!(cs_net::SEGMENT_KBITS > 0.0);
+    assert!(SystemConfig::DEMAND_PER_ROUND >= 1);
+    assert!((SystemConfig::PLAYBACK_RATE as u64) < SystemConfig::BUFFER_SEGMENTS);
+};
 
 #[cfg(test)]
 mod tests {
@@ -246,14 +232,14 @@ mod tests {
     fn defaults_match_paper() {
         let c = SystemConfig::default();
         assert_eq!(c.neighbors, 5);
-        assert_eq!(c.buffer_size, 600);
-        assert_eq!(c.playback_rate, 10);
-        assert_eq!(c.segment_kbits, 30.0);
+        assert_eq!(SystemConfig::BUFFER_SEGMENTS, 600);
+        assert_eq!(SystemConfig::PLAYBACK_RATE, 10);
+        assert_eq!(cs_net::SEGMENT_KBITS, 30.0);
         assert_eq!(c.replicas, 4);
-        assert_eq!(c.prefetch_cap, 5);
-        assert_eq!(c.overheard, 20);
-        assert_eq!(c.period_secs, 1.0);
-        assert_eq!(c.demand_per_round(), 10);
+        assert_eq!(SystemConfig::PREFETCH_CAP, 5);
+        assert_eq!(cs_overlay::overheard::DEFAULT_H, 20);
+        assert_eq!(SystemConfig::PERIOD_SECS, 1.0);
+        assert_eq!(SystemConfig::DEMAND_PER_ROUND, 10);
         c.validate().unwrap();
     }
 
@@ -320,31 +306,19 @@ mod tests {
 
     #[test]
     fn buffer_bounds_rejected() {
-        let with = |buffer_size, startup_segments, prefetch_cap| SystemConfig {
-            buffer_size,
+        let with = |startup_segments| SystemConfig {
             startup_segments,
-            prefetch_cap,
             ..Default::default()
         };
-        with(1 << 20, 1 << 20, 1 << 20).validate().unwrap();
-        with(600, 600, 600).validate().unwrap();
-        for (config, needle) in [
+        with(600).validate().unwrap();
+        for (startup, needle) in [
             (
-                with(100_000_000_000, 100, 5),
-                "buffer_size = 100000000000: a buffer holds at most 1048576 (2^20) segments",
-            ),
-            (
-                with(600, 1 << 63, 5),
+                1 << 63,
                 "startup_segments = 9223372036854775808 exceeds the 600-segment buffer",
             ),
-            (
-                with(600, 100, 1_000_000_000_000),
-                "prefetch_cap = 1000000000000 exceeds the 600-segment buffer",
-            ),
-            (with(600, 601, 5), "startup_segments = 601 exceeds"),
-            (with(600, 100, 601), "prefetch_cap = 601 exceeds"),
+            (601, "startup_segments = 601 exceeds"),
         ] {
-            let err = config.validate().unwrap_err();
+            let err = with(startup).validate().unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
     }

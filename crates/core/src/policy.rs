@@ -67,8 +67,8 @@
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PolicyKind {
     /// The original fixed-parameter behaviour: fixed Case-3 cutoff at
-    /// `prefetch_cap`, fixed exchange-window lookahead, inbound budget
-    /// exactly `I·τ`.
+    /// `l` (`SystemConfig::PREFETCH_CAP`), fixed exchange-window
+    /// lookahead, inbound budget exactly `I·τ`.
     #[default]
     Legacy,
     /// The adaptive rescue / window-diversity layer.
@@ -233,7 +233,7 @@ impl AdaptivePolicy {
     }
 
     /// Segments of runway deficit that buy one extra pre-fetch slot on
-    /// top of the configured `prefetch_cap`.
+    /// top of `l` (`SystemConfig::PREFETCH_CAP`).
     pub const DEFICIT_PER_EXTRA_FETCH: u64 = 4;
 
     /// Hard ceiling on the per-node, per-round pre-fetch cap — the
@@ -257,7 +257,7 @@ impl AdaptivePolicy {
     }
 
     /// Extra predicted-miss head room per segment of deficit before
-    /// Case-3 suppression re-engages (`threshold = prefetch_cap +
+    /// Case-3 suppression re-engages (`threshold = l +
     /// SUPPRESS_SLOPE · deficit`, and never below the effective cap).
     pub const SUPPRESS_SLOPE: usize = 8;
 

@@ -19,8 +19,7 @@ impl SystemSim {
                     first,
                     first.map(|f| n.buffer.contiguous_from(f)).unwrap_or(0),
                     n.connected.len(),
-                    n.bandwidth
-                        .inbound_segments_per_sec(self.config.segment_kbits),
+                    n.bandwidth.inbound_segments_per_sec(),
                 )
             })
             .collect()

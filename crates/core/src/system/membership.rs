@@ -5,13 +5,14 @@
 use rand::Rng;
 
 use cs_dht::DhtId;
-use cs_net::NodeBandwidth;
+use cs_net::{NodeBandwidth, SEGMENT_KBITS};
 use cs_obs::EventKind;
 use cs_trace::derive_latency;
 
 use super::schedule::exchange_window;
 use super::state::{fresh_neighbor, NodeIdx, PeerRef, RoundScratch, INVALID_SLOT};
 use super::{EventOutcome, SeekTarget, SystemEvent, SystemSim};
+use crate::config::SystemConfig;
 
 impl SystemSim {
     /// Apply one workload event between rounds. See [`SystemEvent`] for
@@ -264,7 +265,7 @@ impl SystemSim {
             let starving = {
                 let node = self.nodes.node(idx);
                 node.next_play.is_some_and(|anchor| {
-                    (node.last_inflow as u64) < self.config.demand_per_round()
+                    (node.last_inflow as u64) < SystemConfig::DEMAND_PER_ROUND
                         && (round as u64 + self_id).is_multiple_of(3)
                         && {
                             let (window_end, _) = exchange_window(
@@ -287,8 +288,7 @@ impl SystemSim {
                         node.connected
                             .weakest()
                             .filter(|w| {
-                                (starving
-                                    || w.recent_supply_kbps < 0.05 * self.config.segment_kbits)
+                                (starving || w.recent_supply_kbps < 0.05 * SEGMENT_KBITS)
                                     && w.id.id != self.source
                             })
                             .map(|w| w.id)

@@ -85,6 +85,7 @@ use rand::Rng;
 use cs_dht::{DhtId, DhtNetwork, IdSpace};
 use cs_net::{BandwidthAssigner, MessageSizes, NodeBandwidth};
 use cs_obs::{ObsConfig, ObsRunReport, ObsState};
+use cs_overlay::overheard::DEFAULT_H;
 use cs_overlay::{ConnectedNeighbors, OverheardList, RpServer};
 use cs_sim::{RngTree, SimRng};
 use cs_trace::{augment_to_min_degree, derive_latency, TraceGenConfig, TraceGenerator};
@@ -114,6 +115,9 @@ pub use twin::{ExchangeViews, LocalExchange, TwinAnnounce, TwinViews};
 
 use recovery::FaultState;
 use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, PrefetchTags, RoundScratch};
+
+/// The §5.4.2 message sizes of the paper's buffer, for traffic accounting.
+const SIZES: MessageSizes = MessageSizes::for_buffer(SystemConfig::BUFFER_SEGMENTS);
 
 /// A workload event applied between rounds — the hook API the
 /// `cs-scenario` engine (and any other external driver) uses to change
@@ -195,7 +199,6 @@ pub struct SystemSim {
     order_idx: Vec<NodeIdx>,
     source: DhtId,
     source_idx: NodeIdx,
-    sizes: MessageSizes,
     bw_assigner: BandwidthAssigner,
     /// Ping-time pool for joiners, drawn from the same distribution as
     /// the initial trace.
@@ -265,14 +268,13 @@ impl SystemSim {
         let mut bw_rng = tree.child("bandwidth");
 
         // 4. Node states in the arena. Index 0 of the trace is the source.
-        let sizes = MessageSizes::for_buffer(config.buffer_size);
         let t_fetch = cs_analysis::t_fetch(config.nodes as u64, config.t_hop_secs);
         let mut nodes = NodeArena::new(space, config.nodes);
         let pings: Vec<f64> = topo.records().iter().map(|r| r.ping_ms).collect();
         for (idx, &id) in ids.iter().enumerate() {
             let is_source = idx == 0;
             let bandwidth = if is_source {
-                bw_assigner.source_node(config.segment_kbits)
+                bw_assigner.source_node()
             } else {
                 bw_assigner.sample_node(&mut bw_rng)
             };
@@ -351,7 +353,6 @@ impl SystemSim {
             order_idx: Vec::new(),
             source,
             source_idx,
-            sizes,
             bw_assigner,
             joiner_pings,
             newest_emitted: 0,
@@ -380,22 +381,21 @@ impl SystemSim {
         t_fetch: f64,
         is_source: bool,
     ) -> NodeSim {
-        let prior = (bandwidth.inbound_segments_per_sec(config.segment_kbits)
-            / config.neighbors as f64)
-            .max(0.5);
+        let prior = (bandwidth.inbound_segments_per_sec() / config.neighbors as f64).max(0.5);
         NodeSim {
             id,
             birth: 0, // assigned by NodeArena::insert
             bandwidth,
             connected: ConnectedNeighbors::new(config.neighbors),
-            overheard: OverheardList::new(config.overheard),
-            buffer: StreamBuffer::new(config.buffer_size),
+            overheard: OverheardList::new(DEFAULT_H),
+            buffer: StreamBuffer::new(SystemConfig::BUFFER_SEGMENTS),
             backup: VodBackupStore::new(space, id, config.replicas).with_capacity_hint(
                 // ≈ 4× the expected share of the live stream window that
                 // hashes into this node's responsibility range, so
                 // steady-state `maybe_store` calls never grow the vector
                 // (the zero-alloc round-loop assertion pins this).
-                (((config.buffer_size as usize + 20 * config.playback_rate as usize)
+                (((SystemConfig::BUFFER_SEGMENTS as usize
+                    + 20 * SystemConfig::PLAYBACK_RATE as usize)
                     * config.replicas as usize
                     * 4)
                     / config.nodes.max(1))
@@ -403,9 +403,9 @@ impl SystemSim {
             ),
             rate: RateController::with_capacity(prior, config.neighbors + 3),
             urgent: UrgentLine::new(
-                config.playback_rate as f64,
-                config.buffer_size,
-                config.period_secs,
+                SystemConfig::PLAYBACK_RATE as f64,
+                SystemConfig::BUFFER_SEGMENTS,
+                SystemConfig::PERIOD_SECS,
                 t_fetch,
                 config.t_hop_secs,
             ),
@@ -421,9 +421,9 @@ impl SystemSim {
             // tags are bounded by the rescue probe depth: twice the
             // policy's horizon.
             prefetch_tags: PrefetchTags::with_capacity(match &config.policy {
-                PolicyKind::Legacy => 3 * config.prefetch_cap,
+                PolicyKind::Legacy => 3 * SystemConfig::PREFETCH_CAP,
                 PolicyKind::Adaptive(ap) => {
-                    64.max(2 * ap.rescue_horizon(config.demand_per_round().max(1)) as usize)
+                    64.max(2 * ap.rescue_horizon(SystemConfig::DEMAND_PER_ROUND) as usize)
                 }
             }),
             last_inflow: 0,

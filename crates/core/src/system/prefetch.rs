@@ -3,18 +3,23 @@
 //! nothing to fetch) and then its DHT retrievals, before the next node's.
 
 use cs_dht::DhtId;
-use cs_net::{TrafficClass, TrafficCounter};
+use cs_net::{TrafficClass, TrafficCounter, PAPER_MEAN_KBPS, SEGMENT_KBITS};
 use cs_trace::derive_latency;
 
 use super::recovery::ControlFault;
 use super::state::{MapStore, NodeArena, NodeIdx, RoundScratch, RoundTally};
-use super::SystemSim;
+use super::{SystemSim, SIZES};
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
 use crate::policy::{AdaptivePolicy, PolicyKind};
 use crate::retrieval::{retrieve_one_into, RetrievalSummary};
 use crate::urgent::PrefetchCheck;
 use crate::SegmentId;
+
+/// Time to download one segment at the paper's mean rate, in ms: the
+/// transfer part of a rescue fetch (UDP direct download, §4.3) and of an
+/// origin fallback.
+pub(super) const SEGMENT_TRANSFER_MS: f64 = SEGMENT_KBITS / PAPER_MEAN_KBPS * 1000.0;
 
 /// The urgent-line parameters the active policy grants a node at this
 /// anchor: `(fetch_cap, suppression_threshold, min_horizon)`. Legacy is
@@ -37,29 +42,30 @@ fn rescue_params(
     config: &SystemConfig,
     buffer: &StreamBuffer,
     anchor: SegmentId,
-    p: u64,
     round: u32,
     spawn_round: u32,
 ) -> (usize, usize, u64) {
+    const L: usize = SystemConfig::PREFETCH_CAP;
+    let p = SystemConfig::DEMAND_PER_ROUND;
     match &config.policy {
-        PolicyKind::Legacy => (config.prefetch_cap, config.prefetch_cap, 0),
+        PolicyKind::Legacy => (L, L, 0),
         PolicyKind::Adaptive(ap) => {
             let window = (buffer.head() + buffer.capacity()).saturating_sub(anchor);
             if ap.in_join_grace(round, spawn_round) {
                 // The cap stays inside the scratch pre-sizing bound
-                // (`RESCUE_CAP_MAX.max(prefetch_cap)`), so grace never
-                // regrows the miss list.
+                // (`RESCUE_CAP_MAX.max(l)`), so grace never regrows the
+                // miss list.
                 return (
-                    AdaptivePolicy::RESCUE_CAP_MAX.max(config.prefetch_cap),
+                    AdaptivePolicy::RESCUE_CAP_MAX.max(L),
                     usize::MAX / 2,
-                    ap.rescue_horizon(p.max(1)).min(window),
+                    ap.rescue_horizon(p).min(window),
                 );
             }
-            let deficit = ap.runway_deficit(buffer.contiguous_from(anchor), p.max(1));
+            let deficit = ap.runway_deficit(buffer.contiguous_from(anchor), p);
             (
-                AdaptivePolicy::rescue_cap(config.prefetch_cap, deficit),
-                AdaptivePolicy::suppression_threshold(config.prefetch_cap, deficit),
-                ap.rescue_horizon(p.max(1)).min(window),
+                AdaptivePolicy::rescue_cap(L, deficit),
+                AdaptivePolicy::suppression_threshold(L, deficit),
+                ap.rescue_horizon(p).min(window),
             )
         }
     }
@@ -82,7 +88,7 @@ enum Rescue {
 /// round's snapshots, and the inbound budget. Reads only the owning
 /// node's state plus round-stable facts. Leaves the predicted-missed
 /// segments in `missed` and returns, with the outcome, the effective
-/// fetch cap the check ran with (`prefetch_cap` under Legacy,
+/// fetch cap the check ran with (`l` under Legacy,
 /// deficit-scaled under Adaptive; 0 when the node never reached the
 /// check) for telemetry.
 fn check_node(
@@ -107,7 +113,6 @@ fn check_node(
         return (0, Rescue::Idle);
     };
     let started = node.next_play.is_some();
-    let p = config.demand_per_round();
     // Deficit-scaled rescue (the policy layer): under Adaptive the
     // fetch cap, the Case-3 cutoff and the probe horizon all grow with
     // the node's runway deficit, so a stressed swarm's rescue
@@ -115,12 +120,11 @@ fn check_node(
     // once — and holes start getting healed while they are still many
     // rounds from their deadline. See [`rescue_params`].
     let (cap, threshold, horizon) =
-        rescue_params(config, &node.buffer, anchor, p, round, node.spawn_round);
+        rescue_params(config, &node.buffer, anchor, round, node.spawn_round);
     let check = node.urgent.decide_scaled_into(
         &node.buffer,
         anchor,
         newest_emitted,
-        |_| false, // deliveries already committed this round
         missed,
         cap,
         threshold,
@@ -143,7 +147,7 @@ fn check_node(
     // out to strand segments whose pulls kept losing the budget race).
     let mut repeated = 0;
     for &seg in missed.iter() {
-        let deadline_far = !started || seg >= anchor + p;
+        let deadline_far = !started || seg >= anchor + SystemConfig::DEMAND_PER_ROUND;
         let neighbour_has = deadline_far
             && node.connected.ids().any(|nref| {
                 nodes
@@ -157,10 +161,7 @@ fn check_node(
     }
     // Pre-fetch shares the inbound rate with the scheduler (§4.3); the
     // adaptive policy's slack over-provision applies here too.
-    let base_room = node
-        .bandwidth
-        .inbound_segments_per_sec(config.segment_kbits)
-        * config.period_secs;
+    let base_room = node.bandwidth.inbound_segments_per_sec() * SystemConfig::PERIOD_SECS;
     let inbound_room = node.inbound_carry + config.policy.provisioned_inbound(base_room);
     let max_fetches = missed.len().min(inbound_room.floor().max(0.0) as usize);
     (
@@ -194,8 +195,10 @@ impl SystemSim {
         // never regrows it (zero-alloc pin).
         let mut missed = std::mem::take(&mut scratch.missed);
         let cap_max = match &self.config.policy {
-            PolicyKind::Legacy => self.config.prefetch_cap,
-            PolicyKind::Adaptive(_) => AdaptivePolicy::RESCUE_CAP_MAX.max(self.config.prefetch_cap),
+            PolicyKind::Legacy => SystemConfig::PREFETCH_CAP,
+            PolicyKind::Adaptive(_) => {
+                AdaptivePolicy::RESCUE_CAP_MAX.max(SystemConfig::PREFETCH_CAP)
+            }
         };
         missed.clear();
         missed.reserve(cap_max);
@@ -269,17 +272,12 @@ impl SystemSim {
                 nodes
                     .lookup(n)
                     .map(|i| {
-                        let cap = nodes
-                            .node(i)
-                            .bandwidth
-                            .outbound_segments_per_sec(config.segment_kbits);
+                        let cap = nodes.node(i).bandwidth.outbound_segments_per_sec();
                         let used = spent.get(i.0 as usize).copied().unwrap_or(0.0);
                         (cap - used).max(0.0)
                     })
                     .unwrap_or(0.0)
             };
-            // UDP direct download at the supplier's outbound share.
-            let transfer_ms = config.segment_kbits / 450.0 * 1000.0;
             retrieve_one_into(
                 &mut self.dht,
                 requester_id,
@@ -288,13 +286,13 @@ impl SystemSim {
                 &has_backup,
                 &available_rate,
                 config.replicas,
-                transfer_ms,
+                SEGMENT_TRANSFER_MS,
                 &mut scratch.retrieval,
             )
         };
         traffic.add(
             TrafficClass::PrefetchRouting,
-            outcome.routing_messages as u64 * self.sizes.routing_message_bits,
+            outcome.routing_messages as u64 * SIZES.routing_message_bits,
         );
         if self.faults.crashed_any {
             self.repair_stale_routes(&scratch.retrieval.located);
@@ -333,8 +331,8 @@ impl SystemSim {
                 .expect("checked node had an anchor");
             (node.id, anchor, node.next_play.is_some())
         };
-        let p = self.config.demand_per_round();
-        let period_ms = self.config.period_secs * 1000.0;
+        let p = SystemConfig::DEMAND_PER_ROUND;
+        let period_ms = SystemConfig::PERIOD_SECS * 1000.0;
         let source_cap = self
             .config
             .policy
@@ -376,9 +374,9 @@ impl SystemSim {
                 }
                 tally
                     .traffic
-                    .add(TrafficClass::PrefetchData, self.sizes.segment_bits);
+                    .add(TrafficClass::PrefetchData, SIZES.segment_bits);
                 if let Some(sup_idx) = self.nodes.lookup(supplier) {
-                    scratch.add_spent(sup_idx, 1.0 / self.config.period_secs);
+                    scratch.add_spent(sup_idx, 1.0 / SystemConfig::PERIOD_SECS);
                 }
                 self.receive_direct(idx, requester_id, seg);
                 outcome.fetch_latency_ms.unwrap_or(period_ms) + extra_delay_ms

@@ -11,8 +11,10 @@ use cs_obs::EventKind;
 use cs_sim::SimRng;
 use cs_trace::derive_latency;
 
+use super::prefetch::SEGMENT_TRANSFER_MS;
 use super::state::{NodeIdx, RoundScratch};
-use super::SystemSim;
+use super::{SystemSim, SIZES};
+use crate::config::SystemConfig;
 use crate::faults::{FaultPlan, FaultRoundRecord, FaultTrace};
 use crate::policy::AdaptivePolicy;
 use crate::SegmentId;
@@ -368,10 +370,8 @@ impl SystemSim {
         if self.faults.pending.is_empty() {
             return;
         }
-        if self.config.policy.as_adaptive().is_none() {
-            self.faults.pending.clear();
-            return;
-        }
+        // Only `note_lost_pull` fills `pending`, and never under Legacy.
+        debug_assert!(self.config.policy.as_adaptive().is_some());
         let mut kept = 0usize;
         for i in 0..self.faults.pending.len() {
             let mut e = self.faults.pending[i];
@@ -513,9 +513,9 @@ impl SystemSim {
         if let ControlFault::Lost = self.control_fetch_fault(round, requester_id, supplier) {
             return false;
         }
-        traffic.add(TrafficClass::PrefetchData, self.sizes.segment_bits);
+        traffic.add(TrafficClass::PrefetchData, SIZES.segment_bits);
         if let Some(sup_idx) = self.nodes.lookup(supplier) {
-            scratch.add_spent(sup_idx, 1.0 / self.config.period_secs);
+            scratch.add_spent(sup_idx, 1.0 / SystemConfig::PERIOD_SECS);
         }
         self.receive_direct(idx, requester_id, seg);
         true
@@ -527,11 +527,7 @@ impl SystemSim {
     /// swarm cannot mint bandwidth.
     fn source_uplink_spent(&self, scratch: &RoundScratch) -> bool {
         let src = self.source_idx;
-        let cap = self
-            .nodes
-            .node(src)
-            .bandwidth
-            .outbound_segments_per_sec(self.config.segment_kbits);
+        let cap = self.nodes.node(src).bandwidth.outbound_segments_per_sec();
         let used = scratch
             .outbound_spent
             .get(src.0 as usize)
@@ -552,8 +548,8 @@ impl SystemSim {
         scratch: &mut RoundScratch,
         traffic: &mut TrafficCounter,
     ) -> bool {
-        scratch.add_spent(self.source_idx, 1.0 / self.config.period_secs);
-        traffic.add(TrafficClass::Data, self.sizes.segment_bits);
+        scratch.add_spent(self.source_idx, 1.0 / SystemConfig::PERIOD_SECS);
+        traffic.add(TrafficClass::Data, SIZES.segment_bits);
         if self.faults.active && self.data_delivery_lost(round, self.source, id) {
             return false;
         }
@@ -693,10 +689,7 @@ impl SystemSim {
             return None;
         }
         // One request message to a known address, then the payload.
-        traffic.add(
-            TrafficClass::PrefetchRouting,
-            self.sizes.routing_message_bits,
-        );
+        traffic.add(TrafficClass::PrefetchRouting, SIZES.routing_message_bits);
         let mut extra_delay_ms = 0.0;
         if self.faults.active {
             match self.control_fetch_fault(round, requester_id, self.source) {
@@ -706,14 +699,13 @@ impl SystemSim {
             }
         }
         self.faults.counters.failovers += 1;
-        traffic.add(TrafficClass::PrefetchData, self.sizes.segment_bits);
-        scratch.add_spent(src_idx, 1.0 / self.config.period_secs);
+        traffic.add(TrafficClass::PrefetchData, SIZES.segment_bits);
+        scratch.add_spent(src_idx, 1.0 / SystemConfig::PERIOD_SECS);
         let rtt = {
             let req_ping = self.nodes.ping_at(idx);
             let src_ping = self.nodes.ping_at(src_idx);
             derive_latency(req_ping, src_ping) * 2.0
         };
-        let transfer_ms = self.config.segment_kbits / 450.0 * 1000.0;
         self.receive_direct(idx, requester_id, seg);
         self.obs_emit(
             round,
@@ -722,6 +714,6 @@ impl SystemSim {
             seg,
             "replicas_exhausted",
         );
-        Some(rtt + transfer_ms + extra_delay_ms)
+        Some(rtt + SEGMENT_TRANSFER_MS + extra_delay_ms)
     }
 }

@@ -14,7 +14,8 @@ use cs_sim::{SimDuration, SimTime};
 use super::schedule::legacy_window;
 use super::state::{RoundScratch, RoundTally};
 use super::twin::ExchangeViews;
-use super::SystemSim;
+use super::{SystemSim, SIZES};
+use crate::config::SystemConfig;
 use crate::faults::FaultRoundRecord;
 use crate::metrics::RoundRecord;
 use crate::telemetry::{StartupSample, TelemetryRound};
@@ -46,7 +47,7 @@ impl SystemSim {
             return false;
         }
         let round = self.next_round;
-        let tau = SimDuration::from_secs_f64(self.config.period_secs);
+        let tau = SimDuration::from_secs_f64(SystemConfig::PERIOD_SECS);
         let round_end = SimTime::ZERO + tau * (round as u64 + 1);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut tally = RoundTally::default();
@@ -137,7 +138,7 @@ impl SystemSim {
     /// Phase 2 — the source emits this round's `p` segments.
     fn emit_phase(&mut self, tally: &mut RoundTally) {
         tally.first_new = self.newest_emitted + 1;
-        self.newest_emitted += self.config.demand_per_round();
+        self.newest_emitted += SystemConfig::DEMAND_PER_ROUND;
         let successor = self.believed_successor(self.source);
         let src = self.nodes.node_mut(self.source_idx);
         for seg in tally.first_new..=self.newest_emitted {
@@ -165,7 +166,7 @@ impl SystemSim {
                 o.node_cont.ensure(self.nodes.slot_count());
             }
         }
-        let bufmap_bits = self.sizes.bufmap_bits();
+        let bufmap_bits = SIZES.bufmap_bits();
         for &idx in &self.order_idx {
             let node = self.nodes.node(idx);
             let view = views
@@ -197,7 +198,7 @@ impl SystemSim {
     /// delay has passed, check every playing node's deadline, advance the
     /// play points and close the per-node rate/inflow period.
     fn playback_phase(&mut self, round: u32, tally: &mut RoundTally) {
-        let p = self.config.demand_per_round();
+        let p = SystemConfig::DEMAND_PER_ROUND;
         let telemetry_on = self.telemetry.is_some();
         tally.min_runway = u64::MAX;
         // Distribution taps: `obs_dist` gates the windowed per-node
@@ -301,7 +302,7 @@ impl SystemSim {
                     node.prefetch_tags.prune_below(next);
                 }
             }
-            node.rate.end_period(self.config.period_secs);
+            node.rate.end_period(SystemConfig::PERIOD_SECS);
             node.last_inflow = node.round_inflow;
             node.round_inflow = 0;
         }
@@ -459,7 +460,7 @@ impl SystemSim {
             .filter_map(|&idx| self.nodes.node(idx).next_play)
             .min()
             .unwrap_or(1)
-            .saturating_sub(self.config.demand_per_round())
+            .saturating_sub(SystemConfig::DEMAND_PER_ROUND)
             .max(1)
     }
 }

@@ -32,24 +32,16 @@ pub(super) fn legacy_window(
     play_anchor: SegmentId,
     newest_emitted: SegmentId,
 ) -> (u64, SegmentId) {
-    let width = (2 * config.startup_segments).max(4 * config.demand_per_round());
-    (
-        width,
-        window_end(config, play_anchor, newest_emitted, width),
-    )
+    let width = (2 * config.startup_segments).max(4 * SystemConfig::DEMAND_PER_ROUND);
+    (width, window_end(play_anchor, newest_emitted, width))
 }
 
 /// The end of a `width`-segment window at `play_anchor`, capped by what
 /// has been emitted and by the buffer.
-fn window_end(
-    config: &SystemConfig,
-    play_anchor: SegmentId,
-    newest_emitted: SegmentId,
-    width: u64,
-) -> SegmentId {
+fn window_end(play_anchor: SegmentId, newest_emitted: SegmentId, width: u64) -> SegmentId {
     (newest_emitted + 1)
         .min(play_anchor + width)
-        .min(play_anchor + config.buffer_size)
+        .min(play_anchor + SystemConfig::BUFFER_SEGMENTS)
 }
 
 /// The scheduler's exchange window at a given play anchor:
@@ -75,7 +67,7 @@ pub(super) fn exchange_window(
     };
     let lookahead = AdaptivePolicy::lookahead(legacy_width, occupancy);
     (
-        window_end(config, play_anchor, newest_emitted, lookahead),
+        window_end(play_anchor, newest_emitted, lookahead),
         occupancy,
     )
 }
@@ -94,10 +86,7 @@ fn supplier_rate_estimate(
     s: &NbrView,
 ) -> f64 {
     let observed = requester.rate.rate(s.peer);
-    let outbound = nodes
-        .node(s.slot)
-        .bandwidth
-        .outbound_segments_per_sec(config.segment_kbits);
+    let outbound = nodes.node(s.slot).bandwidth.outbound_segments_per_sec();
     let advertised_share = outbound / config.neighbors as f64;
     // The estimate can never exceed what the supplier could physically
     // send even with no other requester; without this cap the
@@ -184,7 +173,7 @@ fn plan_node(
         PolicyKind::Legacy => legacy_width,
         PolicyKind::Adaptive(_) => AdaptivePolicy::max_lookahead(legacy_width),
     }
-    .min(config.buffer_size) as usize;
+    .min(SystemConfig::BUFFER_SEGMENTS) as usize;
     let words_cap = wcap.div_ceil(64);
     if sched.wanted.len() < words_cap {
         sched.wanted.resize(words_cap, 0);
@@ -217,10 +206,7 @@ fn plan_node(
     // the per-round allotment by the slack fraction (the steady-state
     // slack knob: a budget exactly equal to demand lets every
     // inefficiency compound into permanent holes).
-    let base_budget = node
-        .bandwidth
-        .inbound_segments_per_sec(config.segment_kbits)
-        * config.period_secs;
+    let base_budget = node.bandwidth.inbound_segments_per_sec() * SystemConfig::PERIOD_SECS;
     let budget_f = config.policy.provisioned_inbound(base_budget) + node.inbound_carry;
     let budget = budget_f.floor().max(0.0) as u32;
     order_and_assign(config, node, round, budget, sched, rng);
@@ -328,7 +314,6 @@ fn prioritise(
         SchedulerKind::GreedyWithPolicy(p) => Some(p),
         SchedulerKind::CoolStreaming | SchedulerKind::Random => None,
     };
-    let playback_rate = config.demand_per_round() as f64;
     let (view, rates) = (&sched.view, &sched.rates);
     let priority = |policy: PriorityPolicy, seg: SegmentId, suppliers: u64| {
         let mut max_rate = 0.0f64;
@@ -341,7 +326,7 @@ fn prioritise(
         let terms = PriorityTerms {
             id: seg,
             play_id: play_anchor,
-            playback_rate,
+            playback_rate: SystemConfig::DEMAND_PER_ROUND as f64,
             max_rate,
             rarity_product,
             supplier_count: suppliers.count_ones() as usize,
@@ -406,9 +391,11 @@ fn order_and_assign(
 ) {
     let mut ctx = ScheduleContext {
         inbound_budget: budget,
-        period_secs: config.period_secs,
+        period_secs: SystemConfig::PERIOD_SECS,
         supplier_rates: std::mem::take(&mut sched.rates),
-        deadline_cutoff: node.next_play.map(|np| np + 2 * config.demand_per_round()),
+        deadline_cutoff: node
+            .next_play
+            .map(|np| np + 2 * SystemConfig::DEMAND_PER_ROUND),
     };
     let (candidates, algo, out) = (
         &mut sched.candidates,

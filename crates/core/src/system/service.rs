@@ -2,10 +2,11 @@
 //! order that sorts each pending queue, then decides and delivers request
 //! by request against the supplier's live buffer.
 
-use cs_net::{TrafficClass, TrafficCounter};
+use cs_net::{TrafficClass, TrafficCounter, SEGMENT_KBITS};
 
 use super::state::{PeerRef, PullRequest, RoundScratch, ServiceCounters};
-use super::SystemSim;
+use super::{SystemSim, SIZES};
+use crate::config::SystemConfig;
 
 impl SystemSim {
     /// Step 6: bucket the round's requests by supplier slot, then serve
@@ -34,10 +35,7 @@ impl SystemSim {
             let start = scratch.queue_start[slot] as usize;
             let (sup_ref, mut sends) = {
                 let sup = self.nodes.node_mut(sidx);
-                let budget = sup
-                    .bandwidth
-                    .outbound_segments_per_sec(self.config.segment_kbits)
-                    * self.config.period_secs
+                let budget = sup.bandwidth.outbound_segments_per_sec() * SystemConfig::PERIOD_SECS
                     + sup.outbound_carry;
                 let sends = budget.floor();
                 sup.outbound_carry = budget - sends;
@@ -113,15 +111,13 @@ impl SystemSim {
         svc: &mut ServiceCounters,
     ) {
         svc.deliveries += 1;
-        traffic.add(TrafficClass::Data, self.sizes.segment_bits);
+        traffic.add(TrafficClass::Data, SIZES.segment_bits);
         let newly = {
             let receiver = self.nodes.node_mut(req.requester);
             let newly = receiver.buffer.insert(req.segment);
             receiver.round_inflow += 1;
             receiver.rate.record_delivery(sup_ref);
-            receiver
-                .connected
-                .record_supply(sup_ref, self.config.segment_kbits);
+            receiver.connected.record_supply(sup_ref, SEGMENT_KBITS);
             newly
         };
         if !newly {

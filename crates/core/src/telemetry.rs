@@ -61,7 +61,7 @@ pub struct TelemetryRound {
     /// Total backed-up segments across all alive nodes at end of round.
     pub backup_segments: u64,
     /// Largest effective per-node pre-fetch cap this round: the policy
-    /// layer's deficit-scaled throttle (constant `prefetch_cap` under
+    /// layer's deficit-scaled throttle (the constant `l` under
     /// `PolicyKind::Legacy` whenever any node reached the urgent-line
     /// check; 0 when none did or pre-fetch is disabled).
     pub rescue_cap: u64,

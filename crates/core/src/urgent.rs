@@ -116,28 +116,26 @@ impl UrgentLine {
     /// min_horizon))`, clamped to the emitted stream: the adaptive rescue
     /// watches the whole runway target, not just the α-window, so it
     /// starts healing holes long before they become deadline-critical. A
-    /// segment in it is predicted missed when it is neither in the buffer
-    /// nor excluded by `expected` (segments the scheduler already
-    /// arranged to receive this period). Up to `fetch_cap` missed ids
-    /// (the most urgent first — ascending from the play point) are
+    /// segment in it is predicted missed when it is not in the buffer
+    /// (the round's deliveries are already in). Up to `fetch_cap` missed
+    /// ids (the most urgent first — ascending from the play point) are
     /// written into the caller-owned `missed` (cleared first; populated
     /// only in the `Fetch` case), so the check allocates nothing;
     /// retrieval is suppressed only when the *total* predicted miss count
     /// exceeds `suppress_above`, so a deficit between the two throttles
     /// the rescue to the cap rather than switching it off.
     ///
-    /// The scan is a word at a time — `holes = !buffer & window`, a
-    /// popcount for `N_miss`, `expected` asked about hole bits only — so
-    /// a node with a full probe, which is most of them, costs
-    /// ⌈len/64⌉ loads and gets its `NotTriggered` from the check itself:
-    /// the pre-fetch phase needs no separate "anything to do?" test.
+    /// The scan is a word at a time — `holes = !buffer & window` and a
+    /// popcount for `N_miss` — so a node with a full probe, which is most
+    /// of them, costs ⌈len/64⌉ loads and gets its `NotTriggered` from the
+    /// check itself: the pre-fetch phase needs no separate "anything to
+    /// do?" test.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_scaled_into(
         &self,
         buffer: &StreamBuffer,
         play_from: SegmentId,
         newest_available: SegmentId,
-        expected: impl Fn(SegmentId) -> bool,
         missed: &mut Vec<SegmentId>,
         fetch_cap: usize,
         suppress_above: usize,
@@ -148,12 +146,7 @@ impl UrgentLine {
         let mut count = 0usize;
         let mut base = play_from;
         while base < urgent_end {
-            let mut holes = !buffer.window_word(base) & low_bits(urgent_end - base);
-            for b in BitIter(holes) {
-                if expected(base + u64::from(b)) {
-                    holes ^= 1 << b;
-                }
-            }
+            let holes = !buffer.window_word(base) & low_bits(urgent_end - base);
             let room = fetch_cap.saturating_sub(count);
             missed.extend(BitIter(holes).take(room).map(|b| base + u64::from(b)));
             count += holes.count_ones() as usize;
@@ -202,29 +195,26 @@ mod tests {
         l: &UrgentLine,
         buf: &StreamBuffer,
         newest: SegmentId,
-        expected: impl Fn(SegmentId) -> bool,
     ) -> (PrefetchCheck, Vec<SegmentId>) {
         let mut missed = Vec::new();
-        let check = l.decide_scaled_into(buf, 100, newest, expected, &mut missed, 5, 5, 0);
+        let check = l.decide_scaled_into(buf, 100, newest, &mut missed, 5, 5, 0);
         (check, missed)
     }
 
-    /// The check by its definition, one `contains` and one `expected`
-    /// per id of the probe window — the oracle of the word-level scan.
-    #[allow(clippy::too_many_arguments)]
+    /// The check by its definition, one `contains` per id of the probe
+    /// window — the oracle of the word-level scan.
     fn decide_per_id(
         l: &UrgentLine,
         buffer: &StreamBuffer,
         play_from: SegmentId,
         newest_available: SegmentId,
-        expected: impl Fn(SegmentId) -> bool,
         fetch_cap: usize,
         suppress_above: usize,
         min_horizon: u64,
     ) -> (PrefetchCheck, Vec<SegmentId>) {
         let end = l.probe_end(play_from, newest_available, min_horizon);
         let holes: Vec<SegmentId> = (play_from..end)
-            .filter(|&id| !buffer.contains(id) && !expected(id))
+            .filter(|&id| !buffer.contains(id))
             .collect();
         if holes.is_empty() {
             (PrefetchCheck::NotTriggered, holes)
@@ -259,7 +249,7 @@ mod tests {
             buf.insert(id);
         }
         assert_eq!(
-            decide(&l, &buf, 1000, |_| false),
+            decide(&l, &buf, 1000),
             (PrefetchCheck::NotTriggered, vec![])
         );
     }
@@ -274,24 +264,8 @@ mod tests {
             }
         }
         assert_eq!(
-            decide(&l, &buf, 1000, |_| false),
+            decide(&l, &buf, 1000),
             (PrefetchCheck::Fetch, vec![103, 107])
-        );
-    }
-
-    #[test]
-    fn expected_segments_are_not_missed() {
-        let l = line();
-        let mut buf = StreamBuffer::with_head(600, 100);
-        for id in 100..120 {
-            if id != 103 && id != 107 {
-                buf.insert(id);
-            }
-        }
-        // 103 is already scheduled for this period: only 107 is missed.
-        assert_eq!(
-            decide(&l, &buf, 1000, |id| id == 103),
-            (PrefetchCheck::Fetch, vec![107])
         );
     }
 
@@ -300,10 +274,7 @@ mod tests {
         let l = line();
         let buf = StreamBuffer::with_head(600, 100); // nothing present
                                                      // All 10 in-window segments missing; l = 5 → suppressed.
-        assert_eq!(
-            decide(&l, &buf, 1000, |_| false),
-            (PrefetchCheck::TooMany(10), vec![])
-        );
+        assert_eq!(decide(&l, &buf, 1000), (PrefetchCheck::TooMany(10), vec![]));
     }
 
     #[test]
@@ -313,7 +284,7 @@ mod tests {
         let l = line();
         let buf = StreamBuffer::with_head(600, 100);
         assert_eq!(
-            decide(&l, &buf, 104, |_| false),
+            decide(&l, &buf, 104),
             (PrefetchCheck::Fetch, vec![100, 101, 102, 103, 104])
         );
     }
@@ -332,9 +303,8 @@ mod tests {
         for id in 101..139 {
             buf.insert(id);
         }
-        let check = |buf: &StreamBuffer| {
-            l.decide_scaled_into(buf, 100, 1000, |_| false, &mut Vec::new(), 5, 5, 40)
-        };
+        let check =
+            |buf: &StreamBuffer| l.decide_scaled_into(buf, 100, 1000, &mut Vec::new(), 5, 5, 40);
         assert_eq!(check(&buf), PrefetchCheck::Fetch);
         buf.insert(100);
         assert_eq!(check(&buf), PrefetchCheck::Fetch);
@@ -343,11 +313,11 @@ mod tests {
         assert_eq!(check(&buf), PrefetchCheck::NotTriggered);
     }
 
-    /// Seeded random buffers, α, horizons, caps and `expected` sets: the
-    /// word-level scan and the per-id loop agree on the outcome and on
-    /// every missed id — over windows that straddle a word, start below
-    /// the buffer's head, end past the emitted stream (so the frontier
-    /// clamps them, sometimes to nothing), and reach past the buffer.
+    /// Seeded random buffers, α, horizons and caps: the word-level scan
+    /// and the per-id loop agree on the outcome and on every missed id —
+    /// over windows that straddle a word, start below the buffer's head,
+    /// end past the emitted stream (so the frontier clamps them,
+    /// sometimes to nothing), and reach past the buffer.
     #[test]
     fn word_level_scan_matches_per_id_loop() {
         let mut outcomes = [0usize; 3];
@@ -373,28 +343,16 @@ mod tests {
             let horizon = [0, 1, 63, 64, 65, rng.gen_range(0..400u64)][rng.gen_range(0..6usize)];
             let cap = rng.gen_range(0..40usize);
             let above = cap + rng.gen_range(0..80usize);
-            let salt: u64 = rng.gen();
-            let every = [0u64, 2, 7][rng.gen_range(0..3usize)];
-            let expected =
-                |id: SegmentId| every != 0 && cs_sim::splitmix64(id ^ salt).is_multiple_of(every);
 
             let mut missed = vec![u64::MAX; 3]; // stale content must go
-            let check = l.decide_scaled_into(
-                &buf,
-                play_from,
-                newest,
-                expected,
-                &mut missed,
-                cap,
-                above,
-                horizon,
-            );
-            let oracle = decide_per_id(&l, &buf, play_from, newest, expected, cap, above, horizon);
+            let check =
+                l.decide_scaled_into(&buf, play_from, newest, &mut missed, cap, above, horizon);
+            let oracle = decide_per_id(&l, &buf, play_from, newest, cap, above, horizon);
             assert_eq!(
                 (check, missed),
                 oracle,
                 "case {case}: B={capacity} head={head} fill={fill} α={} from={play_from} \
-                 newest={newest} horizon={horizon} cap={cap} above={above} every={every}",
+                 newest={newest} horizon={horizon} cap={cap} above={above}",
                 l.alpha()
             );
             outcomes[match check {
@@ -452,7 +410,7 @@ mod tests {
         while l.urgent_id(100) < 120 {
             l.on_overdue();
         }
-        match decide(&l, &buf, 1000, |_| false).0 {
+        match decide(&l, &buf, 1000).0 {
             PrefetchCheck::TooMany(n) => assert!(n >= 20),
             other => panic!("expected TooMany, got {other:?}"),
         }

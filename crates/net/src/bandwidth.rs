@@ -16,6 +16,8 @@ use rand::Rng;
 
 use cs_sim::SimRng;
 
+use crate::message::SEGMENT_KBITS;
+
 /// The source's outbound capacity in segments per second ("usually its
 /// I = 100" — the paper reuses the letter I for the source's outbound).
 pub const SOURCE_OUTBOUND_SEGMENTS: f64 = 100.0;
@@ -36,14 +38,14 @@ pub struct NodeBandwidth {
 }
 
 impl NodeBandwidth {
-    /// Inbound capacity in segments per second for a given segment size.
-    pub fn inbound_segments_per_sec(&self, segment_kbits: f64) -> f64 {
-        self.inbound_kbps / segment_kbits
+    /// Inbound capacity in segments per second.
+    pub fn inbound_segments_per_sec(&self) -> f64 {
+        self.inbound_kbps / SEGMENT_KBITS
     }
 
-    /// Outbound capacity in segments per second for a given segment size.
-    pub fn outbound_segments_per_sec(&self, segment_kbits: f64) -> f64 {
-        self.outbound_kbps / segment_kbits
+    /// Outbound capacity in segments per second.
+    pub fn outbound_segments_per_sec(&self) -> f64 {
+        self.outbound_kbps / SEGMENT_KBITS
     }
 }
 
@@ -149,10 +151,10 @@ impl BandwidthAssigner {
     }
 
     /// The source's bandwidth: zero inbound, large outbound.
-    pub fn source_node(&self, segment_kbits: f64) -> NodeBandwidth {
+    pub fn source_node(&self) -> NodeBandwidth {
         NodeBandwidth {
             inbound_kbps: 0.0,
-            outbound_kbps: SOURCE_OUTBOUND_SEGMENTS * segment_kbits,
+            outbound_kbps: SOURCE_OUTBOUND_SEGMENTS * SEGMENT_KBITS,
         }
     }
 }
@@ -221,7 +223,6 @@ mod tests {
     #[test]
     fn paper_segment_rates() {
         // §5.2: 30 Kb segments → I ∈ [10, 33], mean 15.
-        let seg = 30.0;
         let lo = NodeBandwidth {
             inbound_kbps: 300.0,
             outbound_kbps: 300.0,
@@ -234,17 +235,17 @@ mod tests {
             inbound_kbps: 450.0,
             outbound_kbps: 450.0,
         };
-        assert_eq!(lo.inbound_segments_per_sec(seg), 10.0);
-        assert!((hi.inbound_segments_per_sec(seg) - 33.3).abs() < 0.1);
-        assert_eq!(mean.inbound_segments_per_sec(seg), 15.0);
+        assert_eq!(lo.inbound_segments_per_sec(), 10.0);
+        assert!((hi.inbound_segments_per_sec() - 33.3).abs() < 0.1);
+        assert_eq!(mean.inbound_segments_per_sec(), 15.0);
     }
 
     #[test]
     fn source_shape() {
         let a = BandwidthAssigner::default();
-        let src = a.source_node(30.0);
+        let src = a.source_node();
         assert_eq!(src.inbound_kbps, 0.0);
-        assert_eq!(src.outbound_segments_per_sec(30.0), 100.0);
+        assert_eq!(src.outbound_segments_per_sec(), 100.0);
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub use bandwidth::{
     BandwidthAssigner, BandwidthProfile, NodeBandwidth, PAPER_MEAN_KBPS, SOURCE_OUTBOUND_SEGMENTS,
 };
 pub use link::{LinkCatalog, LinkSpec};
-pub use message::{MessageSizes, SEGMENT_BITS_DEFAULT};
+pub use message::{MessageSizes, SEGMENT_BITS, SEGMENT_KBITS};

@@ -11,9 +11,13 @@
 //! * pre-fetching one segment costs about `k·(log₂(n)/2 + 1) + 1` routing
 //!   messages plus the payload.
 
-/// Bits per data segment at the paper's default rate (30 Kb counted as
-/// 30 × 1024 bits, as in the §5.4.2 overhead arithmetic).
-pub const SEGMENT_BITS_DEFAULT: u64 = 30 * 1024;
+/// Segment size in kilobits (paper: 30). The bandwidth-to-segments/s
+/// rates divide by it and the traffic accounting counts it in bits.
+pub const SEGMENT_KBITS: f64 = 30.0;
+
+/// Bits per data segment (30 Kb counted as 30 × 1024 bits, as in the
+/// §5.4.2 overhead arithmetic).
+pub const SEGMENT_BITS: u64 = SEGMENT_KBITS as u64 * 1024;
 
 /// Size catalogue used by the byte accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,29 +34,20 @@ pub struct MessageSizes {
     pub ping_bits: u64,
 }
 
-impl Default for MessageSizes {
-    fn default() -> Self {
+impl MessageSizes {
+    /// The paper's sizes for a buffer of capacity `b` segments.
+    pub const fn for_buffer(b: u64) -> Self {
         MessageSizes {
-            segment_bits: SEGMENT_BITS_DEFAULT,
+            segment_bits: SEGMENT_BITS,
             bufmap_head_bits: 20,
-            bufmap_window_bits: 600,
+            bufmap_window_bits: b,
             routing_message_bits: 80,
             ping_bits: 64,
         }
     }
-}
-
-impl MessageSizes {
-    /// The paper's sizes for a buffer of capacity `b` segments.
-    pub fn for_buffer(b: u64) -> Self {
-        MessageSizes {
-            bufmap_window_bits: b,
-            ..Default::default()
-        }
-    }
 
     /// Total bits of one buffer-map exchange message (`20 + B` = 620 for
-    /// the default buffer).
+    /// the paper's buffer).
     pub fn bufmap_bits(&self) -> u64 {
         self.bufmap_head_bits + self.bufmap_window_bits
     }
@@ -65,7 +60,7 @@ impl MessageSizes {
     }
 
     /// The paper's closed-form control overhead for perfect playback:
-    /// `(bufmap · M) / (segment · p)` ≈ `M/495` with the defaults
+    /// `(bufmap · M) / (segment · p)` ≈ `M/495` with the paper's sizes
     /// (§5.4.2).
     pub fn ideal_control_overhead(&self, m: u32, playback_rate: f64) -> f64 {
         (self.bufmap_bits() * m as u64) as f64 / (self.segment_bits as f64 * playback_rate)
@@ -76,9 +71,14 @@ impl MessageSizes {
 mod tests {
     use super::*;
 
+    /// The paper's sizes: a 600-segment buffer.
+    fn paper() -> MessageSizes {
+        MessageSizes::for_buffer(600)
+    }
+
     #[test]
     fn default_bufmap_is_620_bits() {
-        assert_eq!(MessageSizes::default().bufmap_bits(), 620);
+        assert_eq!(paper().bufmap_bits(), 620);
     }
 
     #[test]
@@ -91,19 +91,19 @@ mod tests {
         // §5.4.2's justification: 3600·10·24 segments/day ∈ (2^19, 2^20).
         let per_day: u64 = 3600 * 10 * 24;
         assert!(per_day > 1 << 19 && per_day < 1 << 20);
-        assert_eq!(MessageSizes::default().bufmap_head_bits, 20);
+        assert_eq!(paper().bufmap_head_bits, 20);
     }
 
     #[test]
     fn prefetch_routing_message_count() {
-        let s = MessageSizes::default();
+        let s = paper();
         // n = 1024: log₂ = 10 → k(10/2 + 1) + 1 = 4·6 + 1 = 25.
         assert_eq!(s.prefetch_routing_messages(4, 1024), 25.0);
     }
 
     #[test]
     fn ideal_control_overhead_matches_m_over_495() {
-        let s = MessageSizes::default();
+        let s = paper();
         for m in [4u32, 5, 6] {
             let oh = s.ideal_control_overhead(m, 10.0);
             let paper = m as f64 / 495.0;
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn control_overhead_below_two_percent() {
         // Figure 9's headline: all below 0.02 for M ≤ 6.
-        let s = MessageSizes::default();
+        let s = paper();
         assert!(s.ideal_control_overhead(6, 10.0) < 0.02);
     }
 }

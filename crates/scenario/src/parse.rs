@@ -11,8 +11,9 @@
 //! rounds = 60
 //! seed = 99
 //! scheduler = continustreaming        # continustreaming|coolstreaming|random
-//! startup_segments = 100              # any of: neighbors, buffer_size,
-//! id_space_slack = 8                  # playback_rate, replicas, prefetch_cap
+//! prefetch = 0                        # 1|0; default 1 iff continustreaming
+//! startup_segments = 100              # also: neighbors, replicas
+//! id_space_slack = 8
 //! churn = 0.05 0.05 0.5               # baseline leave/join[/graceful] fractions
 //! faults = 0.005 0.01 0.01 0.0 0.0    # crash data_loss control_loss delay_prob delay_ms
 //! policy = adaptive inbound_slack=0.2 # legacy (default) | adaptive [knob=value…]
@@ -46,7 +47,9 @@
 //! `key=value` token repeated inside one statement) are line-numbered
 //! parse errors, never silently ignored — a typo must not quietly
 //! change the workload being studied. The assembled run configuration
-//! is validated too, so a spec that parses is a spec that runs.
+//! is validated too, so a spec that parses is a spec that runs. The
+//! §5.2 values no run varies (`B`, `p`, `τ`, the segment size, `H`,
+//! `l`) are constants, not keys.
 
 use cs_core::{FaultPlan, PolicyKind, SchedulerKind, SystemConfig};
 use cs_overlay::ChurnConfig;
@@ -180,10 +183,7 @@ fn parse_config_line<'a>(
         "rounds" => c.rounds = parse_num(lineno, key, value)?,
         "seed" => c.seed = parse_num(lineno, key, value)?,
         "neighbors" => c.neighbors = parse_num(lineno, key, value)?,
-        "buffer_size" => c.buffer_size = parse_num(lineno, key, value)?,
-        "playback_rate" => c.playback_rate = parse_num(lineno, key, value)?,
         "replicas" => c.replicas = parse_num(lineno, key, value)?,
-        "prefetch_cap" => c.prefetch_cap = parse_num(lineno, key, value)?,
         "startup_segments" => c.startup_segments = parse_num(lineno, key, value)?,
         "id_space_slack" => c.id_space_slack = parse_num(lineno, key, value)?,
         "prefetch" => c.prefetch_enabled = parse_num::<u8>(lineno, key, value)? != 0,
@@ -228,7 +228,11 @@ fn parse_config_line<'a>(
                 "random" => SchedulerKind::Random,
                 other => return err(lineno, format!("unknown scheduler `{other}`")),
             };
-            c.prefetch_enabled = matches!(c.scheduler, SchedulerKind::ContinuStreaming);
+            // The scheduler's default, unless a `prefetch` line (above
+            // or below this one) says otherwise.
+            if !seen.iter().any(|(k, _)| *k == "prefetch") {
+                c.prefetch_enabled = matches!(c.scheduler, SchedulerKind::ContinuStreaming);
+            }
         }
         "churn" => {
             let parts: Vec<&str> = value.split_whitespace().collect();
@@ -675,10 +679,39 @@ at 30 capacity_shift fraction=0.3 class=dsl
 
     #[test]
     fn scheduler_sets_prefetch() {
-        let spec = parse_scenario("scheduler = coolstreaming\n").unwrap();
-        assert!(!spec.config.prefetch_enabled);
-        let spec = parse_scenario("scheduler = continustreaming\n").unwrap();
-        assert!(spec.config.prefetch_enabled);
+        // The scheduler's default, and a `prefetch` line overriding it
+        // whichever of the two lines comes first.
+        for (text, want) in [
+            ("scheduler = coolstreaming\n", false),
+            ("scheduler = continustreaming\n", true),
+            ("prefetch = 0\nscheduler = continustreaming\n", false),
+            ("scheduler = continustreaming\nprefetch = 0\n", false),
+            ("prefetch = 1\nscheduler = coolstreaming\n", true),
+            ("scheduler = coolstreaming\nprefetch = 1\n", true),
+        ] {
+            let spec = parse_scenario(text).unwrap();
+            assert_eq!(spec.config.prefetch_enabled, want, "{text}");
+        }
+    }
+
+    #[test]
+    fn section_5_2_constants_are_not_keys() {
+        // B, p and l are constants of `SystemConfig`: a spec that still
+        // sets one fails at its line, even with the value it holds.
+        for (key, value) in [
+            ("buffer_size", "600"),
+            ("playback_rate", "0"),
+            ("prefetch_cap", "5"),
+        ] {
+            let e = parse_scenario(&format!("nodes = 50\n{key} = {value}\n")).unwrap_err();
+            assert_eq!(
+                e,
+                ParseError {
+                    line: Some(2),
+                    message: format!("unknown configuration key `{key}`")
+                }
+            );
+        }
     }
 
     #[test]
@@ -921,7 +954,6 @@ at 30 capacity_shift fraction=0.3 class=dsl
             // The scheduler carries a node's suppliers as a 64-bit mask.
             ("nodes = 100\nneighbors = 65\n", "at most 64 neighbours"),
             ("rounds = 0\n", "at least one round"),
-            ("playback_rate = 0\n", "playback rate"),
             ("policy = adaptive inbound_slack=NaN\n", "inbound_slack"),
             (
                 "policy = adaptive join_seed=1 target_runway_rounds=0\n",

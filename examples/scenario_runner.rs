@@ -228,7 +228,7 @@ fn twin_config(args: &Args, spec: &ScenarioSpec) -> TwinConfig {
     };
     let latency = link_ms("--latency-ms", args.latency_ms, 50.0);
     let jitter = link_ms("--jitter-ms", args.jitter_ms, 0.0);
-    let run = SimDuration::from_secs_f64(spec.config.period_secs)
+    let run = SimDuration::from_secs_f64(SystemConfig::PERIOD_SECS)
         .saturating_mul(spec.config.rounds as u64);
     let fits = latency
         .as_micros()

@@ -243,7 +243,9 @@ fn tuned_knobs_hold_dynamic_churn_at_reduced_size() {
 /// the spec: the same report hash and CSV bytes again; and when the
 /// merged row's telemetry stopped being an `Option` and the CSV gained
 /// `active_sched,active_prefetch`: the same report hash, and the first
-/// 36 CSV columns equal to all 15 885 bytes of the parent build's CSV).
+/// 36 CSV columns equal to all 15 885 bytes of the parent build's CSV;
+/// and when the six §5.2 fields became constants: report hash
+/// 0xee60762fffd96a8f and the same 16 547 CSV bytes again).
 #[test]
 fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -258,7 +260,7 @@ fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let log = run_scenario(&spec).log;
     assert_eq!(
         log.fingerprint(),
-        0xaa45_bf9f_b9cd_4586,
+        0x60dd_2d98_8fb2_f647,
         "bare-Adaptive reduced dynamic-churn run drifted — the joiner \
          knobs must be invisible at their 0 defaults"
     );

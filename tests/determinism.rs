@@ -20,7 +20,7 @@
 use continustreaming::prelude::*;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use cs_bench::fingerprint::round0_fingerprint;
-use cs_bench::fingerprint::{dht, fingerprint, scenarios, PINS};
+use cs_bench::fingerprint::{active_set, dht, fingerprint, scenarios, PINS};
 
 /// Layer 1: same seed ⇒ identical report, different seed ⇒ different.
 #[test]
@@ -133,15 +133,16 @@ fn init_path_causes_no_round0_drift() {
     }
 }
 
-/// The pin table holds exactly one row per system scenario and per DHT
-/// batch, in the order the `fingerprint` binary prints them — no
-/// scenario goes unpinned and no pin goes unchecked.
+/// The pin table holds exactly one row per system scenario, per DHT
+/// batch and per active-set run, in the order the `fingerprint` binary
+/// prints them — no scenario goes unpinned and no pin goes unchecked.
 #[test]
 fn pin_table_matches_the_fingerprint_set() {
     let names: Vec<&str> = scenarios()
         .iter()
         .map(|(name, _)| *name)
         .chain(dht::fingerprints().iter().map(|(name, ..)| *name))
+        .chain(active_set().iter().map(|(name, ..)| *name))
         .collect();
     let pin_names: Vec<&str> = PINS.iter().map(|(name, ..)| *name).collect();
     assert_eq!(names, pin_names);

@@ -395,7 +395,7 @@ fn routing_bound_holds_over_many_networks() {
 /// base caps: as a node's runway drains from the full target to
 /// nothing, the effective rescue cap is monotone non-decreasing in the
 /// runway deficit, never below 1 while the deficit is positive, never
-/// above the ceiling, and exactly the legacy `prefetch_cap` at zero
+/// above the ceiling, and exactly the legacy cap `l` at zero
 /// deficit.
 #[test]
 fn policy_rescue_cap_is_monotone_and_bounded() {

@@ -182,28 +182,25 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
             &format!("replicas = {k}: a segment has between 1 and 64 replicas"),
         );
     }
-    // Buffer-sized values: the pre-fetch miss list pre-sized to a 1e12
-    // cap aborted on an 8 TB allocation (exit 134), a 2^63 startup
-    // overflowed the exchange window (exit 101 in debug), and a 1e11
-    // buffer was OOM-killed (exit 137).
-    for (tag, line, needle) in [
-        (
-            "prefetch_cap_huge",
-            "prefetch_cap = 1000000000000",
-            "prefetch_cap = 1000000000000 exceeds the 600-segment buffer",
-        ),
-        (
-            "startup_huge",
-            "startup_segments = 9223372036854775808",
-            "startup_segments = 9223372036854775808 exceeds the 600-segment buffer",
-        ),
-        (
-            "buffer_huge",
-            "buffer_size = 100000000000",
-            "buffer_size = 100000000000: a buffer holds at most 1048576 (2^20) segments",
-        ),
+    // A 2^63 startup overflowed the exchange window (exit 101 in debug).
+    assert_bad_spec_exits_2(
+        "startup_huge",
+        "nodes = 50\nrounds = 20\nstartup_segments = 9223372036854775808\n",
+        "startup_segments = 9223372036854775808 exceeds the 600-segment buffer",
+    );
+    // B, p and l are constants, not keys: a 1e11 buffer was OOM-killed
+    // (exit 137) and a 1e12 pre-fetch cap aborted on an 8 TB allocation
+    // (exit 134) while they were settable.
+    for (key, value) in [
+        ("buffer_size", "100000000000"),
+        ("playback_rate", "0"),
+        ("prefetch_cap", "1000000000000"),
     ] {
-        assert_bad_spec_exits_2(tag, &format!("nodes = 50\nrounds = 20\n{line}\n"), needle);
+        assert_bad_spec_exits_2(
+            key,
+            &format!("nodes = 50\nrounds = 20\n{key} = {value}\n"),
+            &format!("line 3: unknown configuration key `{key}`"),
+        );
     }
     // An arrival rate no ID space can admit saturated the Poisson draw
     // to `u64::MAX` joins a round and spun.

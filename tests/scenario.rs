@@ -476,18 +476,16 @@ failovers,stale_repairs,mean_time_to_recover,active_sched,active_prefetch";
 #[test]
 fn committed_scenario_files_parse() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "scn"))
+        .collect();
+    files.sort();
     let mut names = Vec::new();
-    for file in [
-        "static.scn",
-        "flash_crowd.scn",
-        "heavy_vcr.scn",
-        "dynamic_churn.scn",
-        "lossy_churn.scn",
-        "crash_heavy.scn",
-        "rp_outage.scn",
-    ] {
-        let text = std::fs::read_to_string(format!("{dir}/{file}"))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
+    for path in &files {
+        let file = path.display();
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{file}: {e}"));
         let spec = parse_scenario(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
         names.push(spec.name.clone());
         match spec.name.as_str() {
@@ -516,12 +514,17 @@ fn committed_scenario_files_parse() {
                     .iter()
                     .any(|e| matches!(e.kind, ScenarioEventKind::SeekStorm { .. })));
             }
-            "dynamic-churn" => {
+            "dynamic-churn" | "dynamic-churn-tuned" => {
                 assert!(!spec.config.churn.is_static(), "5%+5% churn");
                 assert!(spec
                     .events
                     .iter()
                     .any(|e| matches!(e.kind, ScenarioEventKind::MassDeparture { .. })));
+                assert_eq!(
+                    spec.config.policy.as_adaptive().is_some(),
+                    spec.name == "dynamic-churn-tuned",
+                    "only the tuned spec commits a policy line"
+                );
             }
             "lossy-churn" => {
                 assert!(spec.config.faults.enabled(), "steady loss + crashes");
@@ -571,13 +574,14 @@ fn committed_scenario_files_parse() {
     assert_eq!(
         names,
         [
-            "static",
+            "crash-heavy",
+            "dynamic-churn",
+            "dynamic-churn-tuned",
             "flash-crowd",
             "heavy-vcr",
-            "dynamic-churn",
             "lossy-churn",
-            "crash-heavy",
-            "rp-outage"
+            "rp-outage",
+            "static"
         ]
     );
 }
