@@ -1,13 +1,16 @@
 //! Print the behavioural fingerprint of every pinned scenario (see
 //! `cs_bench::fingerprint`), followed by the DHT routing fingerprints
-//! (hop sequences + table states of fixed lookup batches) and the two
-//! 2000-node active-set runs, and exit 1 if any differs from its row of
-//! `PINS` — on x86_64 Linux only, like `tests/determinism.rs` (the system
-//! hashes involve libm). The active-set rows are checked here only.
+//! (hop sequences + table states of fixed lookup batches), the two
+//! 2000-node active-set runs and the 8000-node overlay run, and exit 1
+//! if any differs from its row of `PINS` — on x86_64 Linux only, like
+//! `tests/determinism.rs` (the system hashes involve libm). The
+//! active-set rows are checked here only.
 
 use std::process::ExitCode;
 
-use cs_bench::fingerprint::{active_set, dht, fingerprint, round0_fingerprint, scenarios, PINS};
+use cs_bench::fingerprint::{
+    active_set, dht, fingerprint, overlay_8k, round0_fingerprint, scenarios, PINS,
+};
 use cs_core::SystemSim;
 
 fn main() -> ExitCode {
@@ -46,6 +49,12 @@ fn main() -> ExitCode {
         println!("{name}: 0x{run:016x}  round0 0x{round0:016x}");
         check(name, run, round0);
     }
+    let (name, config) = overlay_8k();
+    let sim = SystemSim::new(config);
+    let round0 = round0_fingerprint(&sim);
+    let run = fingerprint(&sim.run());
+    println!("{name}: 0x{run:016x}  round0 0x{round0:016x}");
+    check(name, run, round0);
     if drift {
         ExitCode::FAILURE
     } else {

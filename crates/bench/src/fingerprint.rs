@@ -13,7 +13,9 @@
 //!
 //! The two [`active_set`] runs are pinned in the same table but checked
 //! by the `fingerprint` binary only: at ~4 s each in debug they stay out
-//! of [`scenarios`], which the test suite runs several times over.
+//! of [`scenarios`], which the test suite runs several times over. The
+//! [`overlay_8k`] run stays out of it for the same reason; the binary
+//! and one test (`large_overlay_8k_pins_hold`) check its row.
 
 use cs_core::{PriorityPolicy, RunReport, SchedulerKind, SystemConfig, SystemEvent, SystemSim};
 use cs_net::BandwidthProfile;
@@ -39,7 +41,8 @@ pub fn round0_fingerprint(sim: &SystemSim) -> u64 {
 
 /// The pinned drift-gate values: per [`scenarios`] entry its run and
 /// round-0 hash, per [`dht::fingerprints`] batch its routes and tables
-/// hash, per [`active_set`] run its run and round-0 hash, in that order.
+/// hash, per [`active_set`] run and for [`overlay_8k`] its run and
+/// round-0 hash, in that order.
 /// The system hashes involve libm, so they are held only on x86_64 Linux.
 #[rustfmt::skip]
 pub const PINS: &[(&str, u64, u64)] = &[
@@ -56,6 +59,7 @@ pub const PINS: &[(&str, u64, u64)] = &[
     ("dht_overhear_800", 0x11f6772d78683832, 0x08a33e3bd7af7b9d),
     ("active_set_all_playing", 0xa11b25c590738d0e, 0xecf08667d1c01a36),
     ("active_set_steady_paused", 0xb46d069af8a31f9e, 0xecf08667d1c01a36),
+    ("overlay_8k", 0x47aba547e8915add, 0xdb1748b72400ddb7),
 ];
 
 /// The pinned scenario set. Includes a homogeneous-bandwidth case on
@@ -215,6 +219,22 @@ pub fn active_set() -> [(&'static str, SystemConfig, PausePlan); 2] {
         ("active_set_all_playing", config.clone(), keep(1)),
         ("active_set_steady_paused", config, keep(5)),
     ]
+}
+
+/// The large-overlay run: 8,000 nodes for five rounds, far above the
+/// [`scenarios`] sizes. Its row was recorded from a round loop that ran
+/// every planning step for every node.
+pub fn overlay_8k() -> (&'static str, SystemConfig) {
+    let config = SystemConfig {
+        nodes: 8000,
+        rounds: 5,
+        startup_segments: 30,
+        scheduler: SchedulerKind::ContinuStreaming,
+        prefetch_enabled: true,
+        seed: 8008,
+        ..SystemConfig::default()
+    };
+    ("overlay_8k", config)
 }
 
 /// DHT routing fingerprints: the exact hop sequences and final table

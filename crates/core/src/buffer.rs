@@ -1,4 +1,4 @@
-//! The FIFO segment buffer and its wire encoding.
+//! The FIFO segment buffer, which is also the buffer map it advertises.
 //!
 //! Each node buffers a sliding window of `B` segments (paper default 600,
 //! i.e. 60 s of media). Replacement is FIFO: the window slides forward as
@@ -6,7 +6,8 @@
 //! algorithms read off a buffer:
 //!
 //! * the **availability bitmap** exchanged each period — `20 + B` bits on
-//!   the wire (§5.4.2);
+//!   the wire (§5.4.2). A received map is a [`StreamBuffer`] too, filled
+//!   by [`StreamBuffer::install_wire`];
 //! * a segment's **replacement probability** `p_ij / B` (eq. 2), where
 //!   `p_ij` is the segment's distance from the buffer tail (the insertion
 //!   end): a segment that has traversed most of the FIFO is about to be
@@ -22,10 +23,9 @@ use crate::SegmentId;
 pub struct StreamBuffer {
     head: SegmentId,
     capacity: u64,
-    /// Bit `i` of the window = presence of segment `head + i`.
+    /// Bit `i` of the window = presence of segment `head + i`; bits at
+    /// or past `capacity` are always zero.
     words: Vec<u64>,
-    /// Number of present segments (kept incrementally).
-    len: u64,
     /// Mutation counter: bumped on every change to the window contents or
     /// position. Lets snapshot consumers (the round loop's buffer-map
     /// exchange) skip re-copying bitmaps of unchanged buffers.
@@ -47,7 +47,6 @@ impl StreamBuffer {
             head,
             capacity,
             words,
-            len: 0,
             epoch: 0,
         }
     }
@@ -75,14 +74,16 @@ impl StreamBuffer {
         self.head + self.capacity
     }
 
-    /// Number of segments present.
+    /// Number of segments present: a popcount of the window. Only debug
+    /// dumps and tests ask, so no count is kept through inserts, slides
+    /// and installs.
     pub fn len(&self) -> u64 {
-        self.len
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// True when no segments are present.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.words.iter().all(|&w| w == 0)
     }
 
     #[inline]
@@ -105,10 +106,29 @@ impl StreamBuffer {
 
     /// The 64 presence bits of segments `start .. start + 64` (bit `i` =
     /// segment `start + i`), zero outside the window — `start` need not
-    /// be word-aligned or inside the window.
+    /// be word-aligned or inside the window. Bits at or past `capacity`
+    /// are zero in every buffer (`mask_tail`), so no end mask is needed.
     #[inline]
     pub(crate) fn window_word(&self, start: SegmentId) -> u64 {
-        window_word(self.head, self.capacity, &self.words, start)
+        if start < self.head {
+            let below = self.head - start;
+            return match self.words.first() {
+                Some(&w) if below < 64 => w << below,
+                _ => 0,
+            };
+        }
+        let off = start - self.head;
+        if off >= self.capacity {
+            return 0;
+        }
+        let (wi, b) = ((off / 64) as usize, (off % 64) as u32);
+        let mut word = self.words[wi] >> b;
+        if b > 0 {
+            if let Some(&next) = self.words.get(wi + 1) {
+                word |= next << (64 - b);
+            }
+        }
+        word
     }
 
     /// Insert segment `id`. IDs older than the window are rejected
@@ -128,7 +148,6 @@ impl StreamBuffer {
             return false;
         }
         self.words[w] |= mask;
-        self.len += 1;
         self.epoch += 1;
         true
     }
@@ -141,45 +160,31 @@ impl StreamBuffer {
         }
         self.epoch += 1;
         let shift = new_head - self.head;
+        self.head = new_head;
         if shift >= self.capacity {
             self.words.fill(0);
-            self.len = 0;
-            self.head = new_head;
             return;
         }
-        // Count and drop the evicted bits by shifting the whole bitset
-        // right by `shift`.
+        // Drop the evicted bits by shifting the whole bitset right by
+        // `shift`.
         let word_shift = (shift / 64) as usize;
         let bit_shift = (shift % 64) as u32;
         let n = self.words.len();
-        let mut evicted = 0u32;
-        for i in 0..word_shift.min(n) {
-            evicted += self.words[i].count_ones();
-        }
         if word_shift > 0 {
-            self.words.rotate_left(word_shift.min(n));
-            for w in &mut self.words[n - word_shift.min(n)..] {
-                *w = 0;
-            }
+            self.words.rotate_left(word_shift);
+            self.words[n - word_shift..].fill(0);
         }
         if bit_shift > 0 {
-            let mut carry_mask_count = 0u32;
-            // Bits below bit_shift of word 0 are evicted.
-            carry_mask_count += (self.words[0] & ((1u64 << bit_shift) - 1)).count_ones();
             for i in 0..n {
                 let hi = if i + 1 < n { self.words[i + 1] } else { 0 };
                 self.words[i] = (self.words[i] >> bit_shift) | (hi << (64 - bit_shift));
             }
-            evicted += carry_mask_count;
         }
-        // Bits beyond the capacity within the top word were never valid.
-        self.len -= evicted as u64;
-        self.head = new_head;
         self.mask_tail();
     }
 
-    /// Zero any bits at or past `capacity` in the top word (they can be
-    /// produced transiently by shifts).
+    /// Zero any bits at or past `capacity` in the top word (shifts and
+    /// wire words can set them).
     fn mask_tail(&mut self) {
         let valid = self.capacity % 64;
         if valid != 0 {
@@ -308,19 +313,60 @@ impl StreamBuffer {
 
     /// The advertised window as raw wire parts: `(head, capacity,
     /// bitmap words)` — what the round's buffer-map exchange installs via
-    /// [`BufferMap::install_wire`], whether read in place (the simulator)
-    /// or carried by the live-network twin's `Announce` messages.
+    /// [`Self::install_wire`], whether read in place (the simulator) or
+    /// carried by the live-network twin's `Announce` messages.
     pub fn wire_parts(&self) -> (SegmentId, u64, &[u64]) {
         (self.head, self.capacity, &self.words)
     }
 
-    /// Snapshot the availability bitmap for the wire.
-    pub fn to_map(&self) -> BufferMap {
-        BufferMap {
-            head: self.head,
-            capacity: self.capacity,
-            words: self.words.clone(),
-        }
+    /// Overwrite this buffer with a received map's wire parts
+    /// ([`Self::wire_parts`]), reusing the word allocation — the
+    /// allocation-free path the round's buffer-map exchange uses. The
+    /// words are resized to `⌈capacity/64⌉` and bits at or past
+    /// `capacity` cleared: they come off the wire, and every read here
+    /// relies on them being zero.
+    pub fn install_wire(&mut self, head: SegmentId, capacity: u64, words: &[u64]) {
+        let n = capacity.div_ceil(64) as usize;
+        self.head = head;
+        self.capacity = capacity;
+        self.words.clear();
+        self.words.extend_from_slice(&words[..n.min(words.len())]);
+        self.words.resize(n, 0);
+        self.mask_tail();
+        self.epoch += 1;
+    }
+
+    /// A copy of this buffer as the map it advertises (what a receiver's
+    /// [`Self::install_wire`] ends up holding). Nothing in the round
+    /// calls it; the benchmark's `fresh_for` kernel builds its map with
+    /// it.
+    pub fn to_map(&self) -> StreamBuffer {
+        self.clone()
+    }
+
+    /// IDs present in this map but absent from `buffer`, within
+    /// `[lo, hi)` — the "fresh to the local node" candidate set of §4.2,
+    /// in increasing order.
+    ///
+    /// Borrows both sides (no clones) and works a word at a time:
+    /// `theirs & !mine` over 64-segment steps from `lo`, clamped to this
+    /// map's window, so a narrow exchange window over a wide buffer skips
+    /// most of the bitmap. The round's scheduler gathers these words
+    /// itself; `fresh_for` stays as the word-level op the tests hold to a
+    /// per-bit reference and the benchmark kernel times.
+    pub fn fresh_for<'a>(
+        &'a self,
+        buffer: &'a StreamBuffer,
+        lo: SegmentId,
+        hi: SegmentId,
+    ) -> impl Iterator<Item = SegmentId> + 'a {
+        let lo = lo.max(self.head);
+        let hi = hi.min(self.end());
+        // An empty or inverted range is zero steps.
+        (lo..hi).step_by(64).flat_map(move |base| {
+            let word = self.window_word(base) & !buffer.window_word(base) & low_bits(hi - base);
+            BitIter(word).map(move |b| base + b as u64)
+        })
     }
 }
 
@@ -332,38 +378,6 @@ impl PartialEq for StreamBuffer {
     }
 }
 impl Eq for StreamBuffer {}
-
-/// The 64 availability bits of segments `start .. start + 64` read from a
-/// head-aligned bitmap (bit `i` of `words` = segment `head + i`), zero
-/// outside the window `[head, head + capacity)` — the word primitive under
-/// [`StreamBuffer::window_word`] and [`BufferMap::window_word`]. Bits at
-/// or past `capacity` in the top word are masked here rather than trusted
-/// to be zero: a map's words come off the wire.
-#[inline]
-fn window_word(head: SegmentId, capacity: u64, words: &[u64], start: SegmentId) -> u64 {
-    // `valid`: how many low bits of the result lie below the window end.
-    let (word, valid) = if start >= head {
-        let off = start - head;
-        if off >= capacity {
-            return 0;
-        }
-        let (wi, b) = ((off / 64) as usize, (off % 64) as u32);
-        let mut word = words[wi] >> b;
-        if b > 0 {
-            if let Some(&next) = words.get(wi + 1) {
-                word |= next << (64 - b);
-            }
-        }
-        (word, capacity - off)
-    } else {
-        let below = head - start;
-        if below >= 64 || capacity == 0 {
-            return 0;
-        }
-        (words[0] << below, below + capacity)
-    };
-    word & low_bits(valid)
-}
 
 /// A mask of the low `n` bits; all 64 from `n = 64` up.
 #[inline]
@@ -388,119 +402,6 @@ impl Iterator for BitIter {
         let b = self.0.trailing_zeros();
         self.0 &= self.0 - 1;
         Some(b)
-    }
-}
-
-/// A snapshot of a peer's buffer availability: what travels in the 620-bit
-/// buffer-map exchange (20-bit head id + `B` availability bits).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BufferMap {
-    head: SegmentId,
-    capacity: u64,
-    words: Vec<u64>,
-}
-
-impl BufferMap {
-    /// An empty placeholder map (window `[1, 1)`), for pre-allocating
-    /// snapshot slots that are later filled by [`Self::install_wire`].
-    pub fn placeholder() -> Self {
-        BufferMap {
-            head: 1,
-            capacity: 0,
-            words: Vec::new(),
-        }
-    }
-
-    /// The window start carried in the map header.
-    pub fn head(&self) -> SegmentId {
-        self.head
-    }
-
-    /// The window size (= the sender's buffer capacity).
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// One past the newest representable ID.
-    pub fn end(&self) -> SegmentId {
-        self.head + self.capacity
-    }
-
-    /// Overwrite this map from raw wire parts
-    /// ([`StreamBuffer::wire_parts`]), reusing the word allocation — the
-    /// allocation-free path the round loop's buffer-map exchange uses.
-    pub fn install_wire(&mut self, head: SegmentId, capacity: u64, words: &[u64]) {
-        self.head = head;
-        self.capacity = capacity;
-        self.words.clear();
-        self.words.extend_from_slice(words);
-    }
-
-    /// Whether the peer advertises segment `id`.
-    #[inline]
-    pub fn contains(&self, id: SegmentId) -> bool {
-        if id < self.head || id >= self.end() {
-            return false;
-        }
-        let off = id - self.head;
-        self.words[(off / 64) as usize] >> (off % 64) & 1 == 1
-    }
-
-    /// The advertised IDs, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = SegmentId> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let head = self.head;
-            let base = wi as u64 * 64;
-            BitIter(w).map(move |b| head + base + b as u64)
-        })
-    }
-
-    /// Size of this map on the wire in bits: `head_bits + B` (§5.4.2's
-    /// `20 + 600 = 620`).
-    pub fn wire_bits(&self, head_bits: u64) -> u64 {
-        head_bits + self.capacity
-    }
-
-    /// The §4.2 replacement-probability factor as seen from this
-    /// advertisement (eq. 2's `p_ij / B`).
-    pub fn replacement_probability(&self, id: SegmentId) -> f64 {
-        if id < self.head {
-            return 1.0;
-        }
-        if id >= self.end() {
-            return 0.0;
-        }
-        (self.end() - id) as f64 / self.capacity as f64
-    }
-
-    /// The 64 availability bits of segments `start .. start + 64` (bit
-    /// `i` = segment `start + i`), zero outside the advertised window.
-    #[inline]
-    pub(crate) fn window_word(&self, start: SegmentId) -> u64 {
-        window_word(self.head, self.capacity, &self.words, start)
-    }
-
-    /// IDs present in this map but absent from `buffer`, within
-    /// `[lo, hi)` — the "fresh to the local node" candidate set of §4.2,
-    /// in increasing order.
-    ///
-    /// Borrows both sides (no clones) and works a word at a time:
-    /// `theirs & !mine` over 64-segment steps from `lo`, clamped to this
-    /// map's window, so a narrow exchange window over a wide buffer skips
-    /// most of the bitmap.
-    pub fn fresh_for<'a>(
-        &'a self,
-        buffer: &'a StreamBuffer,
-        lo: SegmentId,
-        hi: SegmentId,
-    ) -> impl Iterator<Item = SegmentId> + 'a {
-        let lo = lo.max(self.head);
-        let hi = hi.min(self.end());
-        // An empty or inverted range is zero steps.
-        (lo..hi).step_by(64).flat_map(move |base| {
-            let word = self.window_word(base) & !buffer.window_word(base) & low_bits(hi - base);
-            BitIter(word).map(move |b| base + b as u64)
-        })
     }
 }
 
@@ -686,12 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn map_wire_size_is_620_bits_for_paper_buffer() {
-        let b = StreamBuffer::new(600);
-        assert_eq!(b.to_map().wire_bits(20), 620);
-    }
-
-    #[test]
     fn fresh_for_filters_window_and_local() {
         let mut theirs = StreamBuffer::new(50);
         for id in 1..=30 {
@@ -704,20 +599,6 @@ mod tests {
         let m = theirs.to_map();
         let fresh: Vec<u64> = m.fresh_for(&mine, 5, 25).collect();
         assert_eq!(fresh, (11..25).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn map_replacement_probability_matches_buffer() {
-        let mut b = StreamBuffer::new(100);
-        b.insert(42);
-        let m = b.to_map();
-        for id in [0u64, 1, 42, 100, 101] {
-            assert_eq!(
-                m.replacement_probability(id),
-                b.replacement_probability(id),
-                "id {id}"
-            );
-        }
     }
 
     #[test]
@@ -748,7 +629,7 @@ mod tests {
 
     /// `fresh_for` by its definition, one `contains` pair per id.
     fn fresh_for_ref(
-        map: &BufferMap,
+        map: &StreamBuffer,
         buffer: &StreamBuffer,
         lo: SegmentId,
         hi: SegmentId,
@@ -821,26 +702,63 @@ mod tests {
             (600, 1000),
         ] {
             let b = seeded_buffer(capacity, head, 1);
-            let m = b.to_map();
             for start in head.saturating_sub(70)..head + capacity + 70 {
                 let expect = (0..64).fold(0u64, |w, i| w | u64::from(b.contains(start + i)) << i);
                 assert_eq!(
                     b.window_word(start),
                     expect,
-                    "buffer word at {start}, cap={capacity} head={head}"
-                );
-                assert_eq!(
-                    m.window_word(start),
-                    expect,
-                    "map word at {start}, cap={capacity} head={head}"
+                    "word at {start}, cap={capacity} head={head}"
                 );
             }
         }
-        // Wire words may carry set bits past `capacity`; `contains` does
-        // not see them and neither may the word.
-        let mut m = BufferMap::placeholder();
-        assert_eq!(m.window_word(0), 0, "the placeholder advertises nothing");
+    }
+
+    #[test]
+    fn wire_bits_past_capacity_are_masked_on_install() {
+        // Wire words may carry set bits past `capacity` (a 600-bit window
+        // arrives as 640 bits); the installed map must read exactly like
+        // the one with them cleared, through every read of a map.
+        for (capacity, head) in [(70u64, 100u64), (600, 1), (600, 1000), (1, 5), (130, 7)] {
+            let masked = seeded_buffer(capacity, head, 2);
+            let (_, _, words) = masked.wire_parts();
+            let mut dirty = words.to_vec();
+            let valid = capacity % 64;
+            if valid != 0 {
+                *dirty.last_mut().unwrap() |= !0u64 << valid;
+            }
+            let mut m = StreamBuffer::new(1);
+            m.install_wire(head, capacity, &dirty);
+            assert_eq!(m, masked, "cap={capacity} head={head}");
+            assert_eq!(m.len(), masked.len());
+            assert_eq!(
+                m.iter().collect::<Vec<_>>(),
+                masked.iter().collect::<Vec<_>>()
+            );
+            let mine = seeded_buffer(capacity + 30, head.saturating_sub(10).max(1), 3);
+            for start in head.saturating_sub(70)..head + capacity + 70 {
+                assert_eq!(
+                    m.contains(start),
+                    masked.contains(start),
+                    "contains({start})"
+                );
+                assert_eq!(
+                    m.window_word(start),
+                    masked.window_word(start),
+                    "word at {start}"
+                );
+                assert_eq!(
+                    m.fresh_for(&mine, start, start + 90).collect::<Vec<_>>(),
+                    masked
+                        .fresh_for(&mine, start, start + 90)
+                        .collect::<Vec<_>>(),
+                    "fresh_for from {start}"
+                );
+            }
+        }
+        // Two full words for a 70-bit window: six bits of the second.
+        let mut m = StreamBuffer::new(1);
         m.install_wire(100, 70, &[!0, !0]);
+        assert_eq!(m.len(), 70);
         assert_eq!(m.window_word(164), 0b11_1111);
         assert_eq!(m.window_word(90), !0u64 << 10);
         assert_eq!(m.window_word(170), 0);
@@ -948,11 +866,14 @@ mod tests {
         for id in (1..=600u64).filter(|i| i % 5 == 0) {
             b.insert(id);
         }
-        let install = |b: &StreamBuffer, map: &mut BufferMap| {
+        let install = |b: &StreamBuffer, map: &mut StreamBuffer| {
             let (head, capacity, words) = b.wire_parts();
+            let epoch = map.epoch();
             map.install_wire(head, capacity, words);
+            assert_ne!(map.epoch(), epoch, "an install is a mutation");
+            assert_eq!(map.len(), b.len());
         };
-        let mut reused = BufferMap::placeholder();
+        let mut reused = StreamBuffer::new(1);
         install(&b, &mut reused);
         assert_eq!(reused, b.to_map());
         // Refreshing after mutations keeps it in sync.

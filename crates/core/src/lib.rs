@@ -69,7 +69,7 @@ pub mod urgent;
 pub mod system;
 
 pub use backup::VodBackupStore;
-pub use buffer::{BufferMap, StreamBuffer};
+pub use buffer::StreamBuffer;
 pub use config::{SchedulerKind, SystemConfig};
 pub use cs_obs::{DistSummary, ObsConfig, ObsRunReport, ObsState, PhaseRow, Quantiles};
 pub use faults::{FaultPlan, FaultRoundRecord, FaultTrace};
@@ -81,10 +81,7 @@ pub use retrieval::{RetrievalScratch, RetrievalSummary};
 pub use scheduler::{
     Assignment, MaskCandidate, ScheduleContext, SchedulerScratch, SegmentCandidate,
 };
-pub use system::{
-    EventOutcome, ExchangeViews, LocalExchange, SeekTarget, SystemEvent, SystemSim, TwinAnnounce,
-    TwinViews,
-};
+pub use system::{EventOutcome, MapStore, SeekTarget, SystemEvent, SystemSim, TwinAnnounce};
 pub use telemetry::{StartupSample, Telemetry, TelemetryRound};
 pub use urgent::{PrefetchCheck, UrgentLine};
 

@@ -115,8 +115,7 @@ impl SystemSim {
             );
             if snap.epoch == node.buffer.epoch() {
                 assert_eq!(
-                    snap.map,
-                    node.buffer.to_map(),
+                    snap.map, node.buffer,
                     "slot {slot}: equal epochs but diverged bitmaps"
                 );
             }

@@ -71,9 +71,11 @@
 //!
 //! ## Module map
 //!
-//! `state` holds the arena, scratch and tally types; `round` the round
-//! driver ([`SystemSim::step_with`], the one round entry) and the phases
-//! it keeps to itself (churn, emission, exchange, playback, finalise);
+//! `state` holds the arena, scratch and tally types, among them
+//! [`MapStore`], the round's one table of advertised maps, which the
+//! exchange fills; `round` the round driver ([`SystemSim::step_with`],
+//! the one round entry) and the phases it keeps to itself (churn,
+//! emission, exchange, playback, finalise);
 //! `schedule`, `service` and `prefetch` steps 5, 6 and 7; `membership`
 //! neighbour maintenance, joins, leaves and workload events; `recovery`
 //! the fault plane, the recovery plane and source seeding; `twin` the
@@ -111,7 +113,8 @@ mod service;
 mod state;
 mod twin;
 
-pub use twin::{ExchangeViews, LocalExchange, TwinAnnounce, TwinViews};
+pub use state::MapStore;
+pub use twin::TwinAnnounce;
 
 use recovery::FaultState;
 use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, PrefetchTags, RoundScratch};
@@ -459,11 +462,16 @@ impl SystemSim {
     /// Execute the next scheduling round. Returns `false` (without doing
     /// anything) once the configured number of rounds has run.
     ///
-    /// [`Self::step_with`] the [`LocalExchange`]: every node's view of a
-    /// neighbour is that neighbour's live buffer. The live-network twin
-    /// differs only in the exchange it passes.
+    /// [`Self::step_with`] an exchange that installs every alive node's
+    /// own announcement, read in place: every node's view of a neighbour
+    /// is that neighbour's live buffer. The live-network twin differs
+    /// only in the exchange it passes.
     pub fn step(&mut self) -> bool {
-        self.step_with(|_, _, _| LocalExchange)
+        self.step_with(|sim, _, _, maps| {
+            for &idx in &sim.order_idx {
+                maps.install(idx.0, sim.nodes.node(idx).announce());
+            }
+        })
     }
 
     /// Rounds executed so far — equivalently, the index of the round the

@@ -12,8 +12,7 @@ use cs_overlay::plan_churn;
 use cs_sim::{SimDuration, SimTime};
 
 use super::schedule::legacy_window;
-use super::state::{RoundScratch, RoundTally};
-use super::twin::ExchangeViews;
+use super::state::{MapStore, RoundScratch, RoundTally};
 use super::{SystemSim, SIZES};
 use crate::config::SystemConfig;
 use crate::faults::FaultRoundRecord;
@@ -26,22 +25,23 @@ impl SystemSim {
     /// `false` (without doing anything) once the configured number of
     /// rounds has run. `exchange` is called exactly once, after churn,
     /// source emission and neighbour maintenance and before anything
-    /// reads a neighbour's state, with the simulator, the round index
-    /// and the round's end — the delivery deadline: round `r` ends at
+    /// reads a neighbour's state, with the simulator, the round index,
+    /// the round's end — the delivery deadline: round `r` ends at
     /// simulated time `(r + 1)·τ` exactly (integer microseconds, so the
-    /// deadline and the record's timestamp agree on every platform). The
-    /// views it returns are what every decision of the round reads as
-    /// the nodes' advertised maps, so any loss, late delivery or
-    /// corruption between [`Self::twin_announcements`] and those views
-    /// shows up as decision-log divergence from [`Self::step`].
+    /// deadline and the record's timestamp agree on every platform) —
+    /// and the round's [`MapStore`]. The views it installs there are
+    /// what every decision of the round reads as the nodes' advertised
+    /// maps, so any loss, late delivery or corruption between
+    /// [`Self::twin_announcements`] and those installs shows up as
+    /// decision-log divergence from [`Self::step`].
     ///
     /// # Panics
-    /// If the views lack an alive node ("no delivered view for slot") or
-    /// carry another node lifetime's announcement for it ("stale view
-    /// for slot … (arena slot reuse)").
-    pub fn step_with<V: ExchangeViews>(
+    /// If the exchange installed no view for an alive node ("no
+    /// delivered view for slot") or installed another node lifetime's
+    /// announcement for it ("stale view for slot … (arena slot reuse)").
+    pub fn step_with(
         &mut self,
-        exchange: impl FnOnce(&SystemSim, u32, SimTime) -> V,
+        exchange: impl FnOnce(&SystemSim, u32, SimTime, &mut MapStore),
     ) -> bool {
         if self.next_round >= self.config.rounds {
             return false;
@@ -67,8 +67,9 @@ impl SystemSim {
         self.obs_phase(ObsPhase::Maintain, &mut lap);
 
         // --- 4. buffer-map exchange (the exchange's own time included) --
-        let views = exchange(self, round, round_end);
-        self.exchange_phase(round, &views, &mut scratch, &mut tally);
+        scratch.begin_round(round, self.nodes.slot_count());
+        exchange(self, round, round_end, &mut scratch.maps);
+        self.exchange_phase(round, &mut scratch, &mut tally);
         self.obs_phase(ObsPhase::Exchange, &mut lap);
 
         // --- 5. scheduling ----------------------------------------------
@@ -147,18 +148,11 @@ impl SystemSim {
         }
     }
 
-    /// Phase 4 — install the exchange's views as the round's buffer-map
-    /// snapshots and charge the announcements, then the two source
-    /// seeding passes that must see the snapshots taken and precede
-    /// scheduling.
-    fn exchange_phase(
-        &mut self,
-        round: u32,
-        views: &impl ExchangeViews,
-        scratch: &mut RoundScratch,
-        tally: &mut RoundTally,
-    ) {
-        scratch.begin_round(round, self.nodes.slot_count());
+    /// Phase 4 — check that the exchange installed a view of this node
+    /// lifetime for every alive node and charge the announcements, then
+    /// the two source seeding passes that must see the snapshots taken
+    /// and precede scheduling.
+    fn exchange_phase(&mut self, round: u32, scratch: &mut RoundScratch, tally: &mut RoundTally) {
         if let Some(o) = self.obs.as_deref_mut() {
             if o.dist_enabled() {
                 // Amortised growth, like the scratch: a no-op once the
@@ -169,15 +163,17 @@ impl SystemSim {
         let bufmap_bits = SIZES.bufmap_bits();
         for &idx in &self.order_idx {
             let node = self.nodes.node(idx);
-            let view = views
-                .view(idx.0, node.announce())
-                .unwrap_or_else(|| panic!("round {round}: no delivered view for slot {}", idx.0));
+            let snap = &scratch.maps.snaps[idx.0 as usize];
+            assert!(
+                snap.stamp == scratch.maps.stamp,
+                "round {round}: no delivered view for slot {}",
+                idx.0
+            );
             assert_eq!(
-                view.birth, node.birth,
+                snap.birth, node.birth,
                 "round {round}: stale view for slot {} (arena slot reuse)",
                 idx.0
             );
-            scratch.maps.install(idx, &view);
             if !node.is_source {
                 tally.traffic.add(
                     TrafficClass::Control,

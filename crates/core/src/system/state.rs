@@ -8,7 +8,8 @@ use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
 use cs_trace::derive_latency;
 
 use crate::backup::VodBackupStore;
-use crate::buffer::{BufferMap, StreamBuffer};
+use crate::buffer::StreamBuffer;
+use crate::config::SystemConfig;
 use crate::rate::RateController;
 use crate::retrieval::RetrievalScratch;
 use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch};
@@ -316,17 +317,22 @@ pub(super) struct MapSnap {
     /// and slots are both reusable; the birth stamp is not, so an equal
     /// `(birth, epoch)` pair guarantees an identical bitmap.
     pub(super) birth: u64,
-    /// The buffer's mutation epoch at snapshot time; equal epoch ⇒ the
-    /// bitmap is unchanged and need not be re-copied.
+    /// The announcing buffer's mutation epoch at snapshot time; equal
+    /// epoch ⇒ the bitmap is unchanged and need not be re-copied.
     pub(super) epoch: u64,
     /// Round stamp: snapshots not refreshed this round are invisible.
     pub(super) stamp: u64,
-    pub(super) map: BufferMap,
+    pub(super) map: StreamBuffer,
 }
 
-/// The buffer-map exchange store, indexed by arena slot.
+/// The round's advertised buffer maps, one snapshot slot per arena slot
+/// — the one table every decision of the round reads a neighbour's map
+/// from. The exchange of
+/// [`SystemSim::step_with`](super::SystemSim::step_with) fills it through
+/// [`Self::install`], its only public operation; a snapshot not installed
+/// this round is invisible.
 #[derive(Default)]
-pub(super) struct MapStore {
+pub struct MapStore {
     pub(super) snaps: Vec<MapSnap>,
     /// The stamp marking snapshots taken this round.
     pub(super) stamp: u64,
@@ -340,18 +346,23 @@ impl MapStore {
                 birth: u64::MAX,
                 epoch: u64::MAX,
                 stamp: 0,
-                map: BufferMap::placeholder(),
+                // Sized like every node's buffer, so the first install
+                // copies into place instead of growing the words.
+                map: StreamBuffer::new(SystemConfig::BUFFER_SEGMENTS),
             });
         }
     }
 
-    /// Install the view the exchange delivered for `idx` as its
-    /// snapshot, copying bitmap words only when the `(birth, epoch)` key
+    /// Install `view` as this round's advertised map of the node in arena
+    /// `slot`, copying bitmap words only when the `(birth, epoch)` key
     /// says the bitmap changed since the last copy — the delta shape a
     /// real network would use, and what keeps the exchange of unchanged
     /// buffers free.
-    pub(super) fn install(&mut self, idx: NodeIdx, view: &TwinAnnounce<&[u64]>) {
-        let snap = &mut self.snaps[idx.0 as usize];
+    ///
+    /// # Panics
+    /// If `slot` is past the arena.
+    pub fn install(&mut self, slot: u32, view: TwinAnnounce<&[u64]>) {
+        let snap = &mut self.snaps[slot as usize];
         if snap.birth != view.birth || snap.epoch != view.epoch {
             snap.map.install_wire(view.head, view.capacity, view.words);
             snap.birth = view.birth;
@@ -363,13 +374,13 @@ impl MapStore {
     /// The map in `idx`'s slot, whatever round it is from — for a slot
     /// [`Self::get`] already vouched for this round.
     #[inline]
-    pub(super) fn map_at(&self, idx: NodeIdx) -> &BufferMap {
+    pub(super) fn map_at(&self, idx: NodeIdx) -> &StreamBuffer {
         &self.snaps[idx.0 as usize].map
     }
 
     /// The advertised map of `idx`, if it was snapshotted this round.
     #[inline]
-    pub(super) fn get(&self, idx: NodeIdx) -> Option<&BufferMap> {
+    pub(super) fn get(&self, idx: NodeIdx) -> Option<&StreamBuffer> {
         self.snaps
             .get(idx.0 as usize)
             .filter(|s| s.stamp == self.stamp)

@@ -1,13 +1,11 @@
 //! The buffer-map exchange seam — the one place the simulator and the
 //! live-network twin differ. [`SystemSim::step_with`] calls its exchange
 //! once per round, between neighbour maintenance and the exchange phase,
-//! and installs whatever [`ExchangeViews`] it returns: the simulator's
-//! [`LocalExchange`] hands every node its own announcement back (nothing
-//! moves), `cs-twin` sends the announcements of
-//! [`SystemSim::twin_announcements`] over a transport and returns the
-//! [`TwinViews`] that arrived.
-
-use std::sync::Arc;
+//! with the round's [`MapStore`](crate::MapStore): the exchange installs
+//! each alive node's view into it. [`SystemSim::step`] installs every
+//! node's own announcement, read in place (nothing moves); `cs-twin`
+//! sends the announcements of [`SystemSim::twin_announcements`] over a
+//! transport and installs each loopback copy as it arrives.
 
 use cs_dht::DhtId;
 
@@ -18,8 +16,9 @@ use crate::SegmentId;
 /// One node's per-round buffer-map announcement — the protocol's only
 /// continuous all-to-neighbours state flow. Owned (`W = Vec<u64>`, the
 /// default) it is the payload of the twin's `Announce` messages;
-/// borrowed (`W = &[u64]`) it is a node's live buffer read in place,
-/// which is how the exchange phase sees it. `(birth, epoch)` is the
+/// borrowed (`W = &[u64]`) it is what
+/// [`MapStore::install`](crate::MapStore::install) takes — a node's live
+/// buffer read in place, or a received copy. `(birth, epoch)` is the
 /// snapshot-reuse key: an equal pair guarantees an identical bitmap, so
 /// the install path skips the word copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,8 +42,10 @@ pub struct TwinAnnounce<W = Vec<u64>> {
 }
 
 impl<W> TwinAnnounce<W> {
-    /// The same header over another representation of the bitmap.
-    fn with_words<V>(&self, words: V) -> TwinAnnounce<V> {
+    /// The same header over another representation of the bitmap —
+    /// `a.with_words(a.words.as_slice())` is a received announcement as
+    /// [`MapStore::install`](crate::MapStore::install) takes it.
+    pub fn with_words<V>(&self, words: V) -> TwinAnnounce<V> {
         TwinAnnounce {
             birth: self.birth,
             epoch: self.epoch,
@@ -71,70 +72,6 @@ impl NodeSim {
     }
 }
 
-/// What one round's buffer-map exchange delivered: per alive node, the
-/// announcement this round's scheduling and pre-fetch decisions read as
-/// that node's advertised map.
-pub trait ExchangeViews {
-    /// The view delivered for the node in arena `slot`, which would
-    /// itself announce `own` right now. `None` — nothing arrived for an
-    /// alive node — is a broken transport, not a protocol condition: a
-    /// faithful one always self-delivers (the loopback copy), so the
-    /// round panics on it, as it does on a view from another `birth`.
-    fn view<'a>(
-        &'a self,
-        slot: u32,
-        own: TwinAnnounce<&'a [u64]>,
-    ) -> Option<TwinAnnounce<&'a [u64]>>;
-}
-
-/// The simulator's exchange: nothing moves, so every node's view is
-/// what it holds.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalExchange;
-
-impl ExchangeViews for LocalExchange {
-    #[inline]
-    fn view<'a>(
-        &'a self,
-        _slot: u32,
-        own: TwinAnnounce<&'a [u64]>,
-    ) -> Option<TwinAnnounce<&'a [u64]>> {
-        Some(own)
-    }
-}
-
-/// Exchange views assembled from *received messages*, indexed by arena
-/// slot. If the transport drops, delays past the round deadline, or
-/// corrupts an announcement, the installed view differs from the live
-/// state and the decision log diverges from the simulator's — which is
-/// exactly what the sim-vs-live equivalence harness detects.
-#[derive(Debug, Default, Clone)]
-pub struct TwinViews {
-    by_slot: Vec<Option<Arc<TwinAnnounce>>>,
-}
-
-impl TwinViews {
-    /// Install the delivered announcement for `slot`.
-    pub fn install(&mut self, slot: u32, announce: Arc<TwinAnnounce>) {
-        let slot = slot as usize;
-        if self.by_slot.len() <= slot {
-            self.by_slot.resize(slot + 1, None);
-        }
-        self.by_slot[slot] = Some(announce);
-    }
-}
-
-impl ExchangeViews for TwinViews {
-    fn view<'a>(
-        &'a self,
-        slot: u32,
-        _own: TwinAnnounce<&'a [u64]>,
-    ) -> Option<TwinAnnounce<&'a [u64]>> {
-        let delivered = self.by_slot.get(slot as usize)?.as_deref()?;
-        Some(delivered.with_words(delivered.words.as_slice()))
-    }
-}
-
 impl SystemSim {
     /// Visit every alive node's announcement in the deterministic
     /// ascending-id round order: `(id, arena slot, announcement,
@@ -142,8 +79,8 @@ impl SystemSim {
     /// neighbours in the overlay's order. Meant to be called from the
     /// exchange of [`Self::step_with`]: phases 1–3 have run by then, so
     /// the announcements carry this round's emission and the
-    /// post-maintenance neighbour sets — exactly what the
-    /// [`LocalExchange`] reads.
+    /// post-maintenance neighbour sets — exactly what [`Self::step`]
+    /// installs.
     pub fn twin_announcements(&self, mut visit: impl FnMut(DhtId, u32, TwinAnnounce, &[DhtId])) {
         let mut recipients: Vec<DhtId> = Vec::new();
         for &idx in &self.order_idx {
@@ -165,6 +102,7 @@ impl SystemSim {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::MapStore;
     use cs_sim::SimTime;
 
     fn churny() -> SystemConfig {
@@ -179,19 +117,18 @@ mod tests {
     }
 
     /// The loopback exchange: this round's announcements, straight from
-    /// the visitor, handed back as the views — each through `tamper`
+    /// the visitor, installed as the views — each through `tamper`
     /// first, which may edit or withhold it.
     fn loopback(
         sim: &SystemSim,
+        maps: &mut MapStore,
         mut tamper: impl FnMut(u32, TwinAnnounce) -> Option<TwinAnnounce>,
-    ) -> TwinViews {
-        let mut views = TwinViews::default();
+    ) {
         sim.twin_announcements(|_, slot, announce, _| {
             if let Some(a) = tamper(slot, announce) {
-                views.install(slot, Arc::new(a));
+                maps.install(slot, a.with_words(a.words.as_slice()));
             }
         });
-        views
     }
 
     #[test]
@@ -200,36 +137,35 @@ mod tests {
         let mut looped = SystemSim::new(churny());
         for round in 0..20u32 {
             assert!(local.step());
-            assert!(looped.step_with(|sim, r, deadline| {
+            assert!(looped.step_with(|sim, r, deadline, maps| {
                 assert_eq!(r, round);
                 assert_eq!(deadline, SimTime::from_secs(round as u64 + 1));
-                loopback(sim, |_, a| Some(a))
+                loopback(sim, maps, |_, a| Some(a));
             }));
+            local.debug_check_scratch();
+            looped.debug_check_scratch();
             assert_eq!(local.records(), looped.records(), "round {round}");
             assert_eq!(local.debug_states(), looped.debug_states(), "round {round}");
         }
         let churned = |f: fn(&crate::RoundRecord) -> usize| local.records().iter().map(f).sum();
         let (joins, leaves): (usize, usize) = (churned(|r| r.joins), churned(|r| r.leaves));
         assert!(joins > 0 && leaves > 0, "slots must actually be reused");
-        assert!(
-            !looped.step_with(|_, _, _| LocalExchange),
-            "rounds are spent"
-        );
+        assert!(!looped.step_with(|_, _, _, _| {}), "rounds are spent");
     }
 
     #[test]
     #[should_panic(expected = "round 0: no delivered view for slot 7")]
     fn withheld_view_panics() {
         let mut sim = SystemSim::new(churny());
-        sim.step_with(|sim, _, _| loopback(sim, |slot, a| (slot != 7).then_some(a)));
+        sim.step_with(|sim, _, _, maps| loopback(sim, maps, |slot, a| (slot != 7).then_some(a)));
     }
 
     #[test]
     #[should_panic(expected = "round 0: stale view for slot 7 (arena slot reuse)")]
     fn view_from_another_node_lifetime_panics() {
         let mut sim = SystemSim::new(churny());
-        sim.step_with(|sim, _, _| {
-            loopback(sim, |slot, mut a| {
+        sim.step_with(|sim, _, _, maps| {
+            loopback(sim, maps, |slot, mut a| {
                 a.birth += u64::from(slot == 7);
                 Some(a)
             })

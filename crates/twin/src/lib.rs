@@ -19,8 +19,9 @@
 //!   its neighbours in ascending-id order, then the transport delivers
 //!   in a unique total `(due, round, src, seq)` order up to the round's
 //!   deadline and each envelope is folded as it is polled — a loopback
-//!   copy becomes its node's view, every copy is checked against its
-//!   sender's announcement. Time is virtual: it moves only to delivery
+//!   copy is installed as its node's view in the round's
+//!   `cs_core::MapStore`, every copy is checked against its sender's
+//!   announcement. Time is virtual: it moves only to delivery
 //!   instants and round barriers, never with the wall clock.
 //!
 //! ## The equivalence contract

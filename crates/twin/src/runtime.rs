@@ -3,11 +3,11 @@
 //! Each round, every node announces its buffer map to itself
 //! (loopback) and to every connected neighbour over the
 //! [`Transport`]; the exchange drains the transport up to the round's
-//! deadline in one serial pass, folding each envelope into its node's
-//! view as it arrives, and returns the views to the simulator core —
-//! which makes every protocol decision (scheduling, pre-fetch,
-//! rescue, failover) exactly as it would have standalone. The sim
-//! core stays the single source of protocol truth; the twin only
+//! deadline in one serial pass, installing each loopback envelope as
+//! its node's view in the round's [`MapStore`] as it arrives; the
+//! simulator core then makes every protocol decision (scheduling,
+//! pre-fetch, rescue, failover) exactly as it would have standalone.
+//! The sim core stays the single source of protocol truth; the twin only
 //! changes *how state moves between nodes*. Everything around the
 //! exchange — events, telemetry, the outcome — is `cs_scenario`'s
 //! driver, unchanged.
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use cs_core::{SystemSim, TwinAnnounce, TwinViews};
+use cs_core::{MapStore, SystemSim, TwinAnnounce};
 use cs_dht::DhtId;
 use cs_net::LinkCatalog;
 use cs_obs::{ObsConfig, TwinNodeRow};
@@ -111,7 +111,7 @@ fn announcer(announcers: &[Announcer], id: DhtId) -> Option<&Announcer> {
 /// The transport-backed buffer-map exchange — everything the twin adds
 /// to a simulator round. [`Self::run`] is the exchange
 /// `SystemSim::step_with` calls: announce, then deliver up to the
-/// round's deadline, folding each envelope as it arrives.
+/// round's deadline, folding each envelope into `maps` as it arrives.
 struct TwinExchange<T> {
     transport: T,
     /// Virtual time: the last delivery instant or round barrier. It only
@@ -128,7 +128,7 @@ struct TwinExchange<T> {
 }
 
 impl<T: Transport> TwinExchange<T> {
-    fn run(&mut self, sim: &SystemSim, round: u32, round_end: SimTime) -> TwinViews {
+    fn run(&mut self, sim: &SystemSim, round: u32, round_end: SimTime, maps: &mut MapStore) {
         // 1. Every alive node announces its buffer map to itself
         // (loopback) and to every connected neighbour, in the
         // simulator's ascending-id order: the transport's RNG stream
@@ -176,10 +176,9 @@ impl<T: Transport> TwinExchange<T> {
 
         // 2. Drain deliveries due by the round deadline, in the
         // transport's total (due, round, src, seq) order, folding each
-        // as it is polled: the loopback copy becomes its node's view,
-        // and every copy is checked content-equal against what its
+        // as it is polled: the loopback copy is installed as its node's
+        // view, and every copy is checked content-equal against what its
         // sender emitted.
-        let mut views = TwinViews::default();
         while let Some(env) = self.transport.poll(round_end) {
             assert!(
                 env.due >= self.now,
@@ -214,15 +213,14 @@ impl<T: Transport> TwinExchange<T> {
                 self.divergences += 1;
             }
             if env.msg.src == d.id {
-                views.install(d.slot, a);
+                maps.install(d.slot, a.with_words(a.words.as_slice()));
             }
         }
         // The round barrier: the protocol's synchronous clock edge. The
-        // announcements go with the round; the views hold the ones the
-        // simulator still reads.
+        // announcements go with the round; the installed views are what
+        // the simulator still reads.
         self.now = round_end;
         self.announcers.clear();
-        views
     }
 }
 
@@ -280,7 +278,8 @@ pub fn drive_twin_over<T: Transport>(
         announcers: Vec::new(),
     };
     let outcome = drive(spec, obs_cfg, |sim| {
-        let stepped = sim.step_with(|sim, round, round_end| exchange.run(sim, round, round_end));
+        let stepped =
+            sim.step_with(|sim, round, round_end, maps| exchange.run(sim, round, round_end, maps));
         if stepped && observed {
             let stats = TwinRoundStats {
                 round: sim.rounds_run() - 1,

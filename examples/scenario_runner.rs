@@ -34,8 +34,9 @@
 //!   exposition (`curl http://ADDR/` mid-run); one snapshot per round,
 //!   under `--twin` with per-node transport counters
 //!   (`cs_twin_node_{sent,received,late,divergences}{node="…"}`).
-//!   `--monitor-linger-secs N` keeps serving the final snapshot for N
-//!   seconds after the run so a scraper can catch the end state.
+//!   `--monitor-linger-secs N` (a usage error without `--monitor-addr`)
+//!   keeps serving the final snapshot for N seconds after the run so a
+//!   scraper can catch the end state.
 //!
 //! The twin (`--twin`; the flags below are usage errors without it) runs
 //! the same rounds with the buffer-map exchange moved over `cs-twin`'s
@@ -50,7 +51,9 @@
 //!   exports (arms obs).
 //!
 //! Exit codes: 0 ok; 1 a gate, the `--compare-sim` comparison or the
-//! twin's wire-content check failed; 2 usage or spec error. The gates
+//! twin's wire-content check failed; 2 usage or spec error, an
+//! unbindable `--monitor-addr` or an export path that cannot be created,
+//! each found before the first round. The gates
 //! **fail closed** — a run whose gated quantity is undefined, e.g. a
 //! stable window with no playing node ever, fails instead of vacuously
 //! passing:
@@ -58,6 +61,8 @@
 //! * `--min-continuity F` — the run's mean continuity must be ≥ F.
 //! * `--min-p99-continuity F` — 99 % of measured nodes must keep
 //!   per-node continuity ≥ F over the distribution window (arms obs).
+//!
+//! A threshold outside `[0, 1]` (NaN included) is a usage error.
 //!
 //! The run is deterministic in the spec (+ overrides): re-running
 //! produces byte-identical CSV/JSON/trace exports (timings excluded).
@@ -107,7 +112,7 @@ struct Args {
     trace: Option<String>,
     profile_json: Option<String>,
     monitor_addr: Option<String>,
-    monitor_linger_secs: u64,
+    monitor_linger_secs: Option<u64>,
     min_continuity: Option<f64>,
     min_p99_continuity: Option<f64>,
     twin: bool,
@@ -153,7 +158,7 @@ fn parse_args(argv: &[String]) -> Args {
             "--trace" => a.trace = Some(value()),
             "--profile-json" => a.profile_json = Some(value()),
             "--monitor-addr" => a.monitor_addr = Some(value()),
-            "--monitor-linger-secs" => a.monitor_linger_secs = parse_or_exit(flag, &value()),
+            "--monitor-linger-secs" => a.monitor_linger_secs = Some(parse_or_exit(flag, &value())),
             "--min-continuity" => a.min_continuity = Some(parse_or_exit(flag, &value())),
             "--min-p99-continuity" => a.min_p99_continuity = Some(parse_or_exit(flag, &value())),
             "--latency-ms" => a.latency_ms = Some(parse_or_exit(flag, &value())),
@@ -184,7 +189,45 @@ fn parse_args(argv: &[String]) -> Args {
     if let Some((flag, _)) = twin_only.iter().find(|(_, given)| *given && !a.twin) {
         exit_2(format_args!("{flag} requires --twin"));
     }
+    if a.monitor_linger_secs.is_some() && a.monitor_addr.is_none() {
+        exit_2("--monitor-linger-secs requires --monitor-addr");
+    }
+    // A continuity is a ratio: a gate outside [0, 1] (or NaN) could only
+    // ever fail, after the whole run.
+    let gates = [
+        ("--min-continuity", a.min_continuity),
+        ("--min-p99-continuity", a.min_p99_continuity),
+    ];
+    for (flag, threshold) in gates {
+        if let Some(t) = threshold.filter(|t| !(0.0..=1.0).contains(t)) {
+            exit_2(format_args!("{flag} `{t}`: must be between 0 and 1"));
+        }
+    }
     a
+}
+
+/// Open every export path for writing before the run (creating, not
+/// truncating): one that cannot be created is a usage error then, like
+/// an unbindable `--monitor-addr`, rather than a panic after the whole
+/// run.
+fn check_exports(args: &Args) {
+    let exports = [
+        ("--csv", &args.csv),
+        ("--json", &args.json),
+        ("--trace", &args.trace),
+        ("--profile-json", &args.profile_json),
+    ];
+    for (flag, path) in exports {
+        let Some(path) = path else { continue };
+        let opened = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path);
+        if let Err(e) = opened {
+            exit_2(format_args!("{flag} `{path}`: {e}"));
+        }
+    }
 }
 
 /// Read, parse and override the spec; every way it can be unusable is a
@@ -406,6 +449,7 @@ fn main() {
     let Some(path) = &args.spec_path else { usage() };
     let spec = load_spec(path, &args);
     let twin_cfg = args.twin.then(|| twin_config(&args, &spec));
+    check_exports(&args);
 
     eprintln!(
         "running `{}`: {} nodes x {} rounds, seed {}, spec 0x{:016x}",
@@ -448,14 +492,10 @@ fn main() {
         );
     }
     write_exports(&args, &spec, &outcome);
-    if let Some(m) = &monitor {
-        if args.monitor_linger_secs > 0 {
-            eprintln!(
-                "monitor lingering {}s on http://{}/",
-                args.monitor_linger_secs,
-                m.addr()
-            );
-            std::thread::sleep(std::time::Duration::from_secs(args.monitor_linger_secs));
+    if let (Some(m), Some(secs)) = (&monitor, args.monitor_linger_secs) {
+        if secs > 0 {
+            eprintln!("monitor lingering {secs}s on http://{}/", m.addr());
+            std::thread::sleep(std::time::Duration::from_secs(secs));
         }
     }
 

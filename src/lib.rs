@@ -75,9 +75,9 @@ pub use cs_twin as twin;
 pub mod prelude {
     pub use cs_analysis::{ContinuityModel, ContinuityPrediction};
     pub use cs_core::{
-        AdaptivePolicy, BufferMap, EventOutcome, FaultPlan, FaultRoundRecord, FaultTrace,
-        PolicyKind, PriorityPolicy, RoundRecord, RunReport, RunSummary, SchedulerKind, SeekTarget,
-        SegmentId, StreamBuffer, SystemConfig, SystemEvent, SystemSim, Telemetry, TelemetryRound,
+        AdaptivePolicy, EventOutcome, FaultPlan, FaultRoundRecord, FaultTrace, PolicyKind,
+        PriorityPolicy, RoundRecord, RunReport, RunSummary, SchedulerKind, SeekTarget, SegmentId,
+        StreamBuffer, SystemConfig, SystemEvent, SystemSim, Telemetry, TelemetryRound,
     };
     pub use cs_dht::{DhtId, DhtNetwork, IdSpace};
     pub use cs_net::{BandwidthProfile, NodeBandwidth, TrafficClass, TrafficCounter};

@@ -20,7 +20,7 @@
 use continustreaming::prelude::*;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use cs_bench::fingerprint::round0_fingerprint;
-use cs_bench::fingerprint::{active_set, dht, fingerprint, scenarios, PINS};
+use cs_bench::fingerprint::{active_set, dht, fingerprint, overlay_8k, scenarios, PINS};
 
 /// Layer 1: same seed ⇒ identical report, different seed ⇒ different.
 #[test]
@@ -134,8 +134,9 @@ fn init_path_causes_no_round0_drift() {
 }
 
 /// The pin table holds exactly one row per system scenario, per DHT
-/// batch and per active-set run, in the order the `fingerprint` binary
-/// prints them — no scenario goes unpinned and no pin goes unchecked.
+/// batch, per active-set run and for the 8k overlay, in the order the
+/// `fingerprint` binary prints them — no scenario goes unpinned and no
+/// pin goes unchecked.
 #[test]
 fn pin_table_matches_the_fingerprint_set() {
     let names: Vec<&str> = scenarios()
@@ -143,6 +144,7 @@ fn pin_table_matches_the_fingerprint_set() {
         .map(|(name, _)| *name)
         .chain(dht::fingerprints().iter().map(|(name, ..)| *name))
         .chain(active_set().iter().map(|(name, ..)| *name))
+        .chain([overlay_8k().0])
         .collect();
     let pin_names: Vec<&str> = PINS.iter().map(|(name, ..)| *name).collect();
     assert_eq!(names, pin_names);
@@ -250,33 +252,25 @@ fn armed_obs_layer_causes_no_behavioural_drift() {
 }
 
 /// Layer 2e: a **large-overlay pin** — 8,000 nodes, five rounds — far
-/// above the legacy scenario sizes. Recorded from a round loop that ran
-/// every planning step for every node; the loop whose planners return
-/// at their first "nothing to do" must reproduce both the round-0 state
-/// hash and the run hash bit for bit.
+/// above the legacy scenario sizes, held to the `overlay_8k` row of
+/// `PINS`. Recorded from a round loop that ran every planning step for
+/// every node; the loop whose planners return at their first "nothing to
+/// do" must reproduce both the round-0 state hash and the run hash bit
+/// for bit.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn large_overlay_8k_pins_hold() {
-    const ROUND0_PIN: u64 = 0xdb1748b72400ddb7;
-    const RUN_PIN: u64 = 0x47aba547e8915add;
-    let config = SystemConfig {
-        nodes: 8000,
-        rounds: 5,
-        startup_segments: 30,
-        scheduler: SchedulerKind::ContinuStreaming,
-        prefetch_enabled: true,
-        seed: 8008,
-        ..SystemConfig::default()
-    };
+    let (name, config) = overlay_8k();
+    let (run_pin, round0_pin) = pin(name);
     let sim = SystemSim::new(config);
     let round0 = round0_fingerprint(&sim);
     assert_eq!(
-        round0, ROUND0_PIN,
-        "8k round-0 drift: 0x{round0:016x} != pinned 0x{ROUND0_PIN:016x}"
+        round0, round0_pin,
+        "8k round-0 drift: 0x{round0:016x} != pinned 0x{round0_pin:016x}"
     );
     let hash = fingerprint(&sim.run());
     assert_eq!(
-        hash, RUN_PIN,
-        "8k run drift: 0x{hash:016x} != pinned 0x{RUN_PIN:016x}"
+        hash, run_pin,
+        "8k run drift: 0x{hash:016x} != pinned 0x{run_pin:016x}"
     );
 }

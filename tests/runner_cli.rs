@@ -77,30 +77,80 @@ fn scenario_runner_rejects_unbindable_monitor_addr() {
 
 #[test]
 fn scenario_runner_usage_error_exits_2() {
-    let Some(out) = runner(&["scenarios/static.scn", "--monitor-addr"]) else {
-        return;
-    };
-    assert_exit_2(
-        &out,
-        "flag without value",
-        "--monitor-addr requires a value",
-    );
-    // The twin's flags mean nothing to the simulator: refused, not
-    // silently ignored.
-    let Some(out) = runner(&["scenarios/static.scn", "--compare-sim"]) else {
-        return;
-    };
-    assert_exit_2(
-        &out,
-        "twin flag without --twin",
-        "--compare-sim requires --twin",
-    );
-    // The twin's exchange is one serial pass: there is no worker count
-    // to set.
-    let Some(out) = runner(&["scenarios/static.scn", "--twin", "--workers", "4"]) else {
-        return;
-    };
-    assert_exit_2(&out, "removed --workers", "unknown flag `--workers`");
+    let between = "must be between 0 and 1";
+    for (args, what, needle) in [
+        (
+            &["--monitor-addr"][..],
+            "flag without value",
+            "--monitor-addr requires a value",
+        ),
+        // The twin's flags mean nothing to the simulator: refused, not
+        // silently ignored.
+        (
+            &["--compare-sim"],
+            "twin flag without --twin",
+            "--compare-sim requires --twin",
+        ),
+        // The twin's exchange is one serial pass: there is no worker
+        // count to set.
+        (
+            &["--twin", "--workers", "4"],
+            "removed --workers",
+            "unknown flag `--workers`",
+        ),
+        // Nothing to linger on without a monitor.
+        (
+            &["--monitor-linger-secs", "5"],
+            "linger without a monitor",
+            "--monitor-linger-secs requires --monitor-addr",
+        ),
+        // A continuity gate outside [0, 1] could only fail, after the
+        // whole run (NaN printed `FAIL: … < required NaN`, exit 1).
+        (&["--min-continuity", "nan"], "NaN mean gate", between),
+        (&["--min-continuity", "2"], "mean gate above 1", between),
+        (&["--min-p99-continuity", "nan"], "NaN p99 gate", between),
+        (&["--min-p99-continuity", "-1"], "p99 gate below 0", between),
+    ] {
+        let argv: Vec<&str> = std::iter::once("scenarios/static.scn")
+            .chain(args.iter().copied())
+            .collect();
+        let Some(out) = runner(&argv) else { return };
+        assert_exit_2(&out, what, needle);
+    }
+}
+
+/// An export path that cannot be written used to panic after the whole
+/// run (`write csv: Os { code: 2, … }`, exit 101). Each export flag's
+/// path is checked before the first round: one line naming it, exit 2.
+#[test]
+fn scenario_runner_rejects_an_unwritable_export_path_before_the_run() {
+    let missing =
+        std::env::temp_dir().join(format!("cs_runner_cli_{}_missing", std::process::id()));
+    for flag in ["--csv", "--json", "--trace", "--profile-json"] {
+        let path = missing.join("out");
+        let path = path.to_str().expect("utf-8 temp path");
+        let args = [
+            "scenarios/static.scn",
+            "--nodes",
+            "40",
+            "--rounds",
+            "5",
+            flag,
+            path,
+        ];
+        let Some(out) = runner(&args) else { return };
+        assert_exit_2(
+            &out,
+            &format!("unwritable {flag}"),
+            &format!("{flag} `{path}`: "),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{flag}: one line, got:\n{stderr}"
+        );
+    }
 }
 
 /// The link flags reach `SimDuration` arithmetic that panics on what a

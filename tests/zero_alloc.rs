@@ -272,7 +272,7 @@ fn public_step_api_allocates_nothing_when_warm() {
 
 /// Ceiling on the live heap of the 2000-node run below, in bytes.
 ///
-/// The run peaks at 6 332 440 bytes (x86_64 Linux; a sum of allocation
+/// The run peaks at 6 333 724 bytes (x86_64 Linux; a sum of allocation
 /// sizes, not a timing, so it repeats exactly). Per node that holds a
 /// 120-byte pre-fetch tag set (a `HashMap` would be 2 192), a 256-byte
 /// Rate Controller table (three tables were 576) and 24 bytes per DHT
