@@ -82,14 +82,9 @@ struct TimedRun {
 
 fn timed_run(config: &SystemConfig, pause: PausePlan) -> TimedRun {
     let mut sim = SystemSim::new(config.clone());
-    sim.enable_telemetry();
-    // Profiler only: the phase breakdown rides along without arming
-    // the distribution or trace pillars this bench doesn't report.
-    sim.enable_obs(ObsConfig {
-        profile: true,
-        dist: false,
-        trace: false,
-    });
+    // For the phase breakdown; the distributions and the event trace
+    // that arm with it go unreported.
+    sim.enable_obs(ObsConfig::default());
     let mut round_ms = Vec::with_capacity(config.rounds as usize);
     let mut paused = 0usize;
     let t0 = Instant::now();
@@ -110,7 +105,7 @@ fn timed_run(config: &SystemConfig, pause: PausePlan) -> TimedRun {
         round_ms.push(r0.elapsed().as_secs_f64() * 1000.0);
     }
     let total_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    let telemetry = sim.take_telemetry().expect("telemetry enabled");
+    let telemetry = sim.telemetry().clone();
     let phases = sim.take_obs_report().map(|r| r.phases).unwrap_or_default();
     let report = sim.finish();
     TimedRun {

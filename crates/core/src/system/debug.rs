@@ -66,11 +66,11 @@ impl SystemSim {
         // every node that issued any was counted into `active_sched`.
         let mut requesters: Vec<u32> = scratch.requests.iter().map(|r| r.requester.0).collect();
         requesters.dedup();
+        let active = self.telemetry.rounds.last().map_or(0, |t| t.active_sched);
         assert!(
-            requesters.len() <= self.active.0,
-            "{} nodes issued requests but only {} were counted active",
+            requesters.len() as u64 <= active,
+            "{} nodes issued requests but only {active} were counted active",
             requesters.len(),
-            self.active.0
         );
         // Buckets: contiguous, disjoint, in ascending slot order.
         let mut expected_start = 0u32;

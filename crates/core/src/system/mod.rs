@@ -217,24 +217,23 @@ pub struct SystemSim {
     scenario_rng: SimRng,
     /// Next round index for the manual stepping API ([`Self::step`]).
     next_round: u32,
-    /// Diagnostic collector; `None` (the default) costs one branch per
-    /// tap and allocates nothing.
-    telemetry: Option<Box<Telemetry>>,
-    /// Observability layer (profiler + distributions + event trace);
-    /// `None` (the default) costs one branch per tap. Like telemetry,
-    /// it is purely observational: it consumes no RNG and mutates no
-    /// protocol state, so arming it cannot move a behavioural
-    /// fingerprint (its wall-clock readings are Debug-hidden).
+    /// The per-round diagnostic counters, always recorded: one row per
+    /// stepped round, one sample per node that started playback. Sized
+    /// at construction (`rounds` rows, `nodes` startups), so a warm
+    /// round appends without allocating.
+    telemetry: Telemetry,
+    /// Observability layer (profiler + distributions + event trace),
+    /// armed as one unit by [`Self::enable_obs`]; `None` (the default)
+    /// costs one branch per tap. It is purely observational: it
+    /// consumes no RNG and mutates no protocol state, so arming it
+    /// cannot move a behavioural fingerprint (its wall-clock readings
+    /// are Debug-hidden).
     obs: Option<Box<ObsState>>,
     /// Fault-injection / failure-recovery state; inert (one branch per
     /// gate, no draws, no allocations) unless armed by the config plan
     /// or a scripted fault event.
     faults: FaultState,
     scratch: RoundScratch,
-    /// `(scheduling, pre-fetch)` nodes of the current round that had
-    /// something to do, counted by the two planners themselves — the
-    /// telemetry's `active_sched` / `active_prefetch`.
-    active: (usize, usize),
 }
 
 /// Debug introspection record: `(id, next_play, buffer_len, first_id,
@@ -365,11 +364,13 @@ impl SystemSim {
             join_rng: tree.child("join"),
             scenario_rng: tree.child("scenario"),
             next_round: 0,
-            telemetry: None,
+            telemetry: Telemetry {
+                rounds: Vec::with_capacity(config.rounds as usize),
+                startups: Vec::with_capacity(config.nodes),
+            },
             obs: None,
             faults: FaultState::new(tree.child("faults"), config.faults),
             scratch: RoundScratch::default(),
-            active: (0, 0),
             config,
         };
         sim.rebuild_order();
@@ -401,8 +402,8 @@ impl SystemSim {
                     + 20 * SystemConfig::PLAYBACK_RATE as usize)
                     * config.replicas as usize
                     * 4)
-                    / config.nodes.max(1))
-                .clamp(16, 512),
+                    / config.nodes)
+                    .clamp(16, 512),
             ),
             rate: RateController::with_capacity(prior, config.neighbors + 3),
             urgent: UrgentLine::new(
@@ -488,9 +489,7 @@ impl SystemSim {
     pub fn finish(mut self) -> RunReport {
         let mut summary = summarize(&self.records);
         if let Some(o) = self.obs.as_deref_mut() {
-            if o.dist_enabled() {
-                summary.dist = Some(o.dist_summary());
-            }
+            summary.dist = Some(o.dist_summary());
         }
         RunReport {
             rounds: self.records,
@@ -529,40 +528,35 @@ impl SystemSim {
         Some((node.next_play, node.paused))
     }
 
-    /// Turn on the diagnostic telemetry collector (idempotent). Purely
-    /// observational: enabling it changes no RNG stream and no simulated
-    /// behaviour, only records more.
-    pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(Box::default());
-        }
+    /// A no-op: telemetry is always recorded. Kept for the benchmark
+    /// harness (`benchmark/`), which still calls it.
+    pub fn enable_telemetry(&mut self) {}
+
+    /// The telemetry recorded so far: one row per stepped round.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
     }
 
-    /// The telemetry collected so far, if enabled.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
-    }
-
-    /// Take ownership of the collected telemetry (collection continues
-    /// into a fresh collector if more rounds are stepped).
+    /// Take ownership of the recorded telemetry (recording continues
+    /// into a fresh collector if more rounds are stepped). Always
+    /// `Some`; the `Option` is kept for the benchmark harness.
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+        Some(std::mem::take(&mut self.telemetry))
     }
 
-    /// Arm the observability layer (idempotent; the first call's config
-    /// wins). Like telemetry, purely observational: it draws from no
-    /// RNG stream and mutates no protocol state, so every behavioural
-    /// fingerprint reproduces bit-for-bit whether obs is off, on, or
-    /// was never compiled in. Wall-clock readings live only in the
-    /// profiler, which no fingerprint hashes.
-    pub fn enable_obs(&mut self, cfg: ObsConfig) {
+    /// Arm the observability layer — profiler, per-node distributions
+    /// and event trace, as one unit (idempotent; `ObsConfig` carries no
+    /// settings — the argument stays because `benchmark/` passes one).
+    /// Purely observational: it draws from no RNG stream and mutates no
+    /// protocol state, so every behavioural fingerprint reproduces
+    /// bit-for-bit whether obs is armed or not. Wall-clock readings live
+    /// only in the profiler, which no fingerprint hashes.
+    pub fn enable_obs(&mut self, _cfg: ObsConfig) {
         if self.obs.is_none() {
             let rounds = self.config.rounds;
             let dist_start = stable_tail_start(rounds as usize) as u32;
-            let mut o = Box::new(ObsState::new(&cfg, dist_start, rounds));
-            if o.dist_enabled() {
-                o.node_cont.ensure(self.nodes.slot_count());
-            }
+            let mut o = Box::new(ObsState::new(dist_start, rounds));
+            o.node_cont.ensure(self.nodes.slot_count());
             self.obs = Some(o);
         }
     }

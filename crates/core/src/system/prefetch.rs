@@ -217,14 +217,14 @@ impl SystemSim {
             match rescue {
                 Rescue::Idle => {}
                 Rescue::Suppressed => {
-                    self.active.1 += 1;
+                    tally.active_prefetch += 1;
                     tally.prefetch_suppressed += 1;
                 }
                 Rescue::Fetch {
                     repeated,
                     max_fetches,
                 } => {
-                    self.active.1 += 1;
+                    tally.active_prefetch += 1;
                     for _ in 0..repeated {
                         self.nodes.node_mut(idx).urgent.on_repeated();
                     }

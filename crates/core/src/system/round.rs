@@ -51,12 +51,10 @@ impl SystemSim {
         let round_end = SimTime::ZERO + tau * (round as u64 + 1);
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut tally = RoundTally::default();
-        self.active = (0, 0);
-        // Profiler lap: one `Instant::now()` per phase boundary when
-        // armed, one `Option` check per boundary otherwise. Wall-clock
+        // Profiler lap: one `Instant::now()` per phase boundary when obs
+        // is armed, one `Option` check per boundary otherwise. Wall-clock
         // never feeds back into simulation state.
-        let profiling = self.obs.as_deref().is_some_and(|o| o.profiling());
-        let mut lap = Lap::start(profiling);
+        let mut lap = Lap::start(self.obs.is_some());
 
         // --- 1–3. churn, source emission, neighbour maintenance ---------
         self.churn_phase(round, &mut tally);
@@ -73,7 +71,7 @@ impl SystemSim {
         self.obs_phase(ObsPhase::Exchange, &mut lap);
 
         // --- 5. scheduling ----------------------------------------------
-        self.run_schedule_phase(round, &mut scratch);
+        self.run_schedule_phase(round, &mut scratch, &mut tally);
         self.obs_phase(ObsPhase::Schedule, &mut lap);
 
         // --- 6. supplier service ----------------------------------------
@@ -154,11 +152,9 @@ impl SystemSim {
     /// and precede scheduling.
     fn exchange_phase(&mut self, round: u32, scratch: &mut RoundScratch, tally: &mut RoundTally) {
         if let Some(o) = self.obs.as_deref_mut() {
-            if o.dist_enabled() {
-                // Amortised growth, like the scratch: a no-op once the
-                // arena is at steady size.
-                o.node_cont.ensure(self.nodes.slot_count());
-            }
+            // Amortised growth, like the scratch: a no-op once the arena
+            // is at steady size.
+            o.node_cont.ensure(self.nodes.slot_count());
         }
         let bufmap_bits = SIZES.bufmap_bits();
         for &idx in &self.order_idx {
@@ -195,13 +191,12 @@ impl SystemSim {
     /// play points and close the per-node rate/inflow period.
     fn playback_phase(&mut self, round: u32, tally: &mut RoundTally) {
         let p = SystemConfig::DEMAND_PER_ROUND;
-        let telemetry_on = self.telemetry.is_some();
+        let startup_rounds = (self.config.startup_segments / p).max(1) as u32;
         tally.min_runway = u64::MAX;
         // Distribution taps: `obs_dist` gates the windowed per-node
-        // continuity/runway samples, `obs_startup` the (unwindowed)
-        // startup delays. Both are pure reads — no RNG, no state.
+        // continuity/runway samples; startup delays are recorded
+        // whenever obs is armed. Both are pure reads — no RNG, no state.
         let obs_dist = self.obs.as_deref().is_some_and(|o| o.dist_active(round));
-        let obs_startup = self.obs.as_deref().is_some_and(|o| o.dist_enabled());
         for k in 0..self.order_idx.len() {
             let idx = self.order_idx[k];
             let node = self.nodes.node_mut(idx);
@@ -210,9 +205,7 @@ impl SystemSim {
             }
             tally.alive += 1;
             tally.alpha_sum += node.urgent.alpha();
-            if telemetry_on {
-                tally.backup_total += node.backup.len() as u64;
-            }
+            tally.backup_total += node.backup.len() as u64;
             match node.next_play {
                 None => {
                     // Startup: like a real player, buffer for a fixed
@@ -222,27 +215,18 @@ impl SystemSim {
                     if node.first_data_round.is_none() && !node.buffer.is_empty() {
                         node.first_data_round = Some(round);
                     }
-                    let startup_rounds = (self.config.startup_segments / p.max(1)).max(1) as u32;
                     if let Some(fdr) = node.first_data_round {
                         if round >= fdr + startup_rounds {
                             node.next_play = node.buffer.iter().next();
                             if node.next_play.is_some() {
-                                if telemetry_on {
-                                    let sample = StartupSample {
-                                        id: node.id,
-                                        spawn_round: node.spawn_round,
-                                        first_data_round: fdr,
-                                        start_round: round,
-                                    };
-                                    if let Some(t) = self.telemetry.as_deref_mut() {
-                                        t.startups.push(sample);
-                                    }
-                                }
-                                if obs_startup {
-                                    let delay = (round - node.spawn_round) as u64;
-                                    if let Some(o) = self.obs.as_deref_mut() {
-                                        o.startup_delay.record(delay);
-                                    }
+                                self.telemetry.startups.push(StartupSample {
+                                    id: node.id,
+                                    spawn_round: node.spawn_round,
+                                    first_data_round: fdr,
+                                    start_round: round,
+                                });
+                                if let Some(o) = self.obs.as_deref_mut() {
+                                    o.startup_delay.record((round - node.spawn_round) as u64);
                                 }
                             }
                         }
@@ -262,32 +246,28 @@ impl SystemSim {
                     if on_time {
                         tally.continuous += 1;
                     }
+                    let runway = node.buffer.contiguous_from(np);
                     if obs_dist {
                         // Per-node samples inside the measurement window:
                         // runway now, continuity accumulated per slot
                         // (birth-guarded against arena slot reuse).
-                        let runway = node.buffer.contiguous_from(np);
-                        let birth = node.birth;
                         if let Some(o) = self.obs.as_deref_mut() {
                             o.runway.record(runway);
-                            o.node_cont.observe(idx.0 as usize, birth, on_time);
+                            o.node_cont.observe(idx.0 as usize, node.birth, on_time);
                         }
                     }
-                    if telemetry_on {
-                        // Inflow beyond per-round demand: how much slack
-                        // the node actually used to heal holes.
-                        tally.slack_used += (node.round_inflow as u64).saturating_sub(p);
-                        let runway = node.buffer.contiguous_from(np);
-                        tally.runway_sum += runway;
-                        tally.min_runway = tally.min_runway.min(runway);
-                        tally.gap_sum += self.newest_emitted.saturating_sub(np);
-                        // How much of the fixed exchange window the
-                        // node will pull over is already held.
-                        let (_, window_end) = legacy_window(&self.config, np, self.newest_emitted);
-                        if window_end > np {
-                            let held = node.buffer.count_range(np, window_end);
-                            tally.occupancy_sum += held as f64 / (window_end - np) as f64;
-                        }
+                    // Inflow beyond per-round demand: how much slack the
+                    // node actually used to heal holes.
+                    tally.slack_used += (node.round_inflow as u64).saturating_sub(p);
+                    tally.runway_sum += runway;
+                    tally.min_runway = tally.min_runway.min(runway);
+                    tally.gap_sum += self.newest_emitted.saturating_sub(np);
+                    // How much of the fixed exchange window the node will
+                    // pull over is already held.
+                    let (_, window_end) = legacy_window(&self.config, np, self.newest_emitted);
+                    if window_end > np {
+                        let held = node.buffer.count_range(np, window_end);
+                        tally.occupancy_sum += held as f64 / (window_end - np) as f64;
                     }
                     let next = np + p;
                     node.next_play = Some(next);
@@ -378,41 +358,39 @@ impl SystemSim {
         } else {
             FaultRoundRecord::default()
         };
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.rounds.push(TelemetryRound {
-                round,
-                playing,
-                newest_emitted: self.newest_emitted,
-                mean_runway: per_playing(tally.runway_sum as f64),
-                min_runway: if playing > 0 { tally.min_runway } else { 0 },
-                mean_frontier_gap: per_playing(tally.gap_sum as f64),
-                window_occupancy: per_playing(tally.occupancy_sum),
-                supplier_active: tally.svc.supplier_active,
-                supplier_peak_load: tally.svc.supplier_peak,
-                dht_routing_msgs: tally.prefetch_routing_msgs,
-                gc_evictions: tally.gc_evictions,
-                backup_segments: tally.backup_total,
-                rescue_cap: tally.rescue_cap_peak as u64,
-                suppressed_nodes: tally.prefetch_suppressed as u64,
-                slack_used: tally.slack_used,
-                faults_injected: frec.injected() as u64,
-                timeouts_detected: frec.timeouts as u64,
-                retries_issued: frec.retries as u64,
-                failovers: frec.failovers as u64,
-                stale_repairs: frec.stale_repairs as u64,
-                mean_time_to_recover: if frec.recoveries > 0 {
-                    frec.recovery_rounds as f64 / frec.recoveries as f64
-                } else {
-                    0.0
-                },
-                active_sched: self.active.0 as u64,
-                active_prefetch: self.active.1 as u64,
-            });
-        }
+        self.telemetry.rounds.push(TelemetryRound {
+            round,
+            playing,
+            newest_emitted: self.newest_emitted,
+            mean_runway: per_playing(tally.runway_sum as f64),
+            min_runway: if playing > 0 { tally.min_runway } else { 0 },
+            mean_frontier_gap: per_playing(tally.gap_sum as f64),
+            window_occupancy: per_playing(tally.occupancy_sum),
+            supplier_active: tally.svc.supplier_active,
+            supplier_peak_load: tally.svc.supplier_peak,
+            dht_routing_msgs: tally.prefetch_routing_msgs,
+            gc_evictions: tally.gc_evictions,
+            backup_segments: tally.backup_total,
+            rescue_cap: tally.rescue_cap_peak as u64,
+            suppressed_nodes: tally.prefetch_suppressed as u64,
+            slack_used: tally.slack_used,
+            faults_injected: frec.injected() as u64,
+            timeouts_detected: frec.timeouts as u64,
+            retries_issued: frec.retries as u64,
+            failovers: frec.failovers as u64,
+            stale_repairs: frec.stale_repairs as u64,
+            mean_time_to_recover: if frec.recoveries > 0 {
+                frec.recovery_rounds as f64 / frec.recoveries as f64
+            } else {
+                0.0
+            },
+            active_sched: tally.active_sched,
+            active_prefetch: tally.active_prefetch,
+        });
     }
 
-    /// Close the current profiler lap into `phase` (no-op when the
-    /// profiler is unarmed — `lap_ns` is `None` and nothing is read).
+    /// Close the current profiler lap into `phase` (no-op when obs
+    /// is unarmed — `lap_ns` is `None` and nothing is read).
     #[inline]
     fn obs_phase(&mut self, phase: ObsPhase, lap: &mut Lap) {
         if let Some(ns) = lap.lap_ns() {
@@ -423,7 +401,7 @@ impl SystemSim {
     }
 
     /// Push a typed protocol event into the trace ring (no-op when
-    /// tracing is unarmed). Every call site is deterministic round code
+    /// obs is unarmed). Every call site is deterministic round code
     /// — which is what makes traces byte-identical across re-runs.
     #[inline]
     pub(super) fn obs_emit(

@@ -6,7 +6,7 @@
 use cs_sim::SimRng;
 
 use super::state::{
-    MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch,
+    MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch, RoundTally,
     SchedScratch,
 };
 use super::SystemSim;
@@ -458,7 +458,12 @@ impl SystemSim {
     /// accounting, queueing at the suppliers. A node [`plan_node`] found
     /// nothing to pull for has no plan to apply; the ones that have are
     /// the round's `active_sched`.
-    pub(super) fn run_schedule_phase(&mut self, round: u32, scratch: &mut RoundScratch) {
+    pub(super) fn run_schedule_phase(
+        &mut self,
+        round: u32,
+        scratch: &mut RoundScratch,
+        tally: &mut RoundTally,
+    ) {
         // Taken out for the phase so `apply_plan` can read the plan while
         // it pushes into the scratch's request arena.
         let mut sched = std::mem::take(&mut scratch.sched);
@@ -474,7 +479,7 @@ impl SystemSim {
                 &mut sched,
                 &mut self.sched_rng,
             ) {
-                self.active.0 += 1;
+                tally.active_sched += 1;
                 self.apply_plan(idx, carry, &sched.assignments, scratch);
             }
         }

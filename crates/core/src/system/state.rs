@@ -440,9 +440,8 @@ pub(super) struct ServiceCounters {
 
 /// Everything one round counts, from its first phase to its record: the
 /// traffic ledger, the [`RoundRecord`](crate::metrics::RoundRecord)
-/// fields and the telemetry accumulators (dead weight while telemetry is
-/// off: a handful of untouched fields). Starts at `default()` each round;
-/// the finalise phase turns it into the round's records.
+/// fields and the telemetry accumulators. Starts at `default()` each
+/// round; the finalise phase turns it into the round's records.
 #[derive(Default)]
 pub(super) struct RoundTally {
     pub(super) traffic: TrafficCounter,
@@ -480,6 +479,10 @@ pub(super) struct RoundTally {
     pub(super) slack_used: u64,
     pub(super) backup_total: u64,
     pub(super) gc_evictions: u64,
+    /// Nodes whose step-5 planner / step-7 urgent-line check found
+    /// something to do, counted by the planners themselves.
+    pub(super) active_sched: u64,
+    pub(super) active_prefetch: u64,
 }
 
 /// Persistent per-round working memory: everything the round loop used to

@@ -3,12 +3,11 @@
 //! [`SystemSim`](crate::SystemSim) exposes the paper's §5.3 metrics in
 //! every [`RoundRecord`](crate::RoundRecord); this module records the
 //! *diagnostic* counters underneath them — why continuity moved, not
-//! just where it landed. Collection is strictly opt-in
-//! ([`SystemSim::enable_telemetry`](crate::SystemSim::enable_telemetry)):
-//! when disabled the round loop pays one branch per tap and performs no
-//! extra work and **no allocations** (the zero-alloc suite pins this);
-//! when enabled the collector grows `Vec`s, which is fine — diagnosis
-//! runs are not benchmark runs.
+//! just where it landed. Every run records them
+//! ([`SystemSim::telemetry`](crate::SystemSim::telemetry)): the taps are
+//! pure reads — no RNG, no protocol state — and the collector's rows
+//! are sized when the simulator is built, so a warm round still
+//! performs **no allocations** (the zero-alloc suite pins this).
 //!
 //! The counters deliberately cover the ROADMAP's two open continuity
 //! questions:

@@ -1,9 +1,9 @@
 //! `cs-obs` — observability layer for the ContinuStreaming simulator.
 //!
-//! Four pillars, all opt-in and all invisible to behavioural
-//! fingerprints when disabled (and — by construction — when enabled:
-//! obs consumes no RNG, mutates no protocol state, and its wall-clock
-//! readings never enter a `Debug` fingerprint):
+//! Four pillars, armed together and invisible to behavioural
+//! fingerprints whether armed or not (by construction: obs consumes no
+//! RNG, mutates no protocol state, and its wall-clock readings never
+//! enter a `Debug` fingerprint):
 //!
 //! 1. [`profiler`] — per-phase monotonic-clock spans of the round
 //!    loop into fixed-slot log₂ aggregates, allocation-free after
@@ -18,8 +18,9 @@
 //!    serving live snapshots published by the runner.
 //!
 //! The simulator owns one [`ObsState`] behind
-//! `SystemSim::enable_obs`; every tap in the round loop is a single
-//! `Option` check when obs is off.
+//! `SystemSim::enable_obs` — one switch for the three in-core pillars;
+//! every tap in the round loop is a single `Option` check when obs is
+//! off.
 
 pub mod dist;
 pub mod events;
@@ -33,33 +34,17 @@ pub use hist::{Log2Hist, UnitHist};
 pub use monitor::{render_twin_nodes, serve, MonitorHandle, TwinNodeRow};
 pub use profiler::{Lap, Phase, PhaseRow, Profiler};
 
-/// Configuration for [`ObsState`]. `Default` arms all three in-core
-/// pillars (the monitor is external — it is driven by a publisher,
-/// not armed here).
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Arm the per-phase round profiler.
-    pub profile: bool,
-    /// Arm the per-node distribution metrics (measured over the run's
-    /// stable tail, see [`ObsState::new`]).
-    pub dist: bool,
-    /// Arm the structured event trace (a ring of 65 536 events).
-    pub trace: bool,
-}
+/// The argument of `SystemSim::enable_obs`. It carries no settings:
+/// arming obs arms the profiler, the per-node distributions (measured
+/// over the run's stable tail, see [`ObsState::new`]) and the event
+/// trace (a ring of 65 536 events) as one unit. The monitor is external
+/// — it is driven by a publisher, not armed here.
+#[derive(Debug, Clone, Default)]
+pub struct ObsConfig {}
 
 /// Event-ring capacity (overwrite-oldest once full; the run report
 /// counts what was dropped).
 const TRACE_RING_EVENTS: usize = 65_536;
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self {
-            profile: true,
-            dist: true,
-            trace: true,
-        }
-    }
-}
 
 /// Everything obs-related a finished run exports. Plain data so
 /// scenario outcomes can carry and compare it; `trace_jsonl` and
@@ -67,6 +52,8 @@ impl Default for ObsConfig {
 /// byte-diffed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsRunReport {
+    /// Always `Some`: the distributions arm with obs. The `Option` stays
+    /// because the benchmark harness (`benchmark/`) reads one.
     pub dist: Option<DistSummary>,
     pub trace_jsonl: String,
     pub trace_events: u64,
@@ -76,9 +63,6 @@ pub struct ObsRunReport {
 
 /// Live observability state owned by the simulator.
 pub struct ObsState {
-    profile_on: bool,
-    dist_on: bool,
-    trace_on: bool,
     dist_start: u32,
     pub profiler: Profiler,
     pub events: EventRing,
@@ -90,18 +74,15 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Build from config. The distribution window is rounds
+    /// Arm every pillar. The distribution window is rounds
     /// `dist_start..total_rounds` — the simulator passes the summary's
     /// stable tail, so warm-up buffering does not drag per-node
     /// continuity — and a node's continuity enters the histogram only if
     /// it was playing for at least half the window (at least one round),
     /// excluding joiners that barely sampled it.
-    pub fn new(cfg: &ObsConfig, dist_start: u32, total_rounds: u32) -> Self {
+    pub fn new(dist_start: u32, total_rounds: u32) -> Self {
         let min_rounds = (total_rounds.saturating_sub(dist_start) / 2).max(1);
         Self {
-            profile_on: cfg.profile,
-            dist_on: cfg.dist,
-            trace_on: cfg.trace,
             dist_start,
             profiler: Profiler::new(),
             events: EventRing::new(TRACE_RING_EVENTS),
@@ -113,39 +94,22 @@ impl ObsState {
         }
     }
 
-    #[inline]
-    pub fn profiling(&self) -> bool {
-        self.profile_on
-    }
-
-    #[inline]
-    pub fn tracing(&self) -> bool {
-        self.trace_on
-    }
-
-    #[inline]
-    pub fn dist_enabled(&self) -> bool {
-        self.dist_on
-    }
-
     /// Whether `round` is inside the distribution measurement window.
     #[inline]
     pub fn dist_active(&self, round: u32) -> bool {
-        self.dist_on && round >= self.dist_start
+        round >= self.dist_start
     }
 
-    /// Push a protocol event (no-op when tracing is off).
+    /// Push a protocol event.
     #[inline]
     pub fn emit(&mut self, round: u32, kind: EventKind, node: u64, aux: u64, cause: &'static str) {
-        if self.trace_on {
-            self.events.push(TraceEvent {
-                round,
-                kind,
-                node,
-                aux,
-                cause,
-            });
-        }
+        self.events.push(TraceEvent {
+            round,
+            kind,
+            node,
+            aux,
+            cause,
+        });
     }
 
     /// Finalise and cache the distribution summary. Idempotent: the
@@ -187,9 +151,8 @@ impl ObsState {
 
     /// Export everything a finished run reports.
     pub fn run_report(&mut self) -> ObsRunReport {
-        let dist = self.dist_on.then(|| self.dist_summary());
         ObsRunReport {
-            dist,
+            dist: Some(self.dist_summary()),
             trace_jsonl: self.events.to_jsonl(),
             trace_events: self.events.len() as u64,
             trace_dropped: self.events.dropped(),
@@ -212,21 +175,21 @@ mod tests {
     fn window_defaults_mirror_stable_tail() {
         // 200 rounds -> stable tail 133..200 (67 rounds), min_rounds =
         // 67/2 = 33.
-        let o = ObsState::new(&ObsConfig::default(), 133, 200);
+        let o = ObsState::new(133, 200);
         assert_eq!(o.dist_start, 133);
         assert_eq!(o.node_cont.min_rounds(), 33);
         assert!(!o.dist_active(132));
         assert!(o.dist_active(133));
         // Tiny runs stay sane.
         for rounds in [0, 1] {
-            let o = ObsState::new(&ObsConfig::default(), 0, rounds);
+            let o = ObsState::new(0, rounds);
             assert_eq!(o.node_cont.min_rounds(), 1);
         }
     }
 
     #[test]
     fn dist_summary_is_idempotent() {
-        let mut o = ObsState::new(&ObsConfig::default(), 6, 10);
+        let mut o = ObsState::new(6, 10);
         o.node_cont.ensure(2);
         // 10 rounds -> window 4, min_rounds 2: two observations qualify.
         o.node_cont.observe(0, 1, true);
@@ -235,19 +198,5 @@ mod tests {
         let b = o.dist_summary();
         assert_eq!(a, b);
         assert_eq!(a.nodes_measured, 1);
-    }
-
-    #[test]
-    fn emit_respects_trace_flag() {
-        let mut o = ObsState::new(
-            &ObsConfig {
-                trace: false,
-                ..ObsConfig::default()
-            },
-            6,
-            10,
-        );
-        o.emit(1, EventKind::Leave, 5, 0, "graceful");
-        assert!(o.events.is_empty());
     }
 }

@@ -142,7 +142,7 @@ impl Profiler {
 
 /// Phase-boundary stopwatch: one `Instant::now()` per boundary, so
 /// the profiler's own cost is a single clock read per phase. Inactive
-/// laps (profiling off) cost one `Option` check.
+/// laps (obs unarmed) cost one `Option` check.
 pub struct Lap(Option<Instant>);
 
 impl Lap {
@@ -151,7 +151,7 @@ impl Lap {
     }
 
     /// Nanoseconds since the previous boundary; restarts the lap.
-    /// `None` when profiling is off.
+    /// `None` when the lap is inactive.
     #[inline]
     pub fn lap_ns(&mut self) -> Option<u64> {
         self.0.map(|t| {

@@ -65,7 +65,7 @@ use cs_core::{FaultTrace, ObsConfig, ObsRunReport, RunReport, SystemSim, Telemet
 pub struct ScenarioOutcome {
     /// The standard run report (per-round records + summary).
     pub report: RunReport,
-    /// The diagnostic telemetry (always collected for scenario runs).
+    /// The diagnostic telemetry (every run records it).
     pub telemetry: Telemetry,
     /// The merged, exportable metrics log.
     pub log: MetricsLog,
@@ -78,8 +78,8 @@ pub struct ScenarioOutcome {
 }
 
 /// Run a scenario end to end: build the simulator from the spec's
-/// config, enable telemetry, and let the [`ScenarioEngine`] drive every
-/// round. Deterministic in the spec (two calls produce byte-identical
+/// config and let the [`ScenarioEngine`] drive every round.
+/// Deterministic in the spec (two calls produce byte-identical
 /// outcomes).
 ///
 /// # Panics
@@ -90,8 +90,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
 
 /// [`run_scenario`] with the observability layer armed: the simulator
 /// collects per-phase timings, per-node distributions and the event
-/// trace per `obs_cfg`, and `on_round` fires after every stepped round
-/// (the live-monitor publish hook — it sees the simulator read-only).
+/// trace, and `on_round` fires after every stepped round (the
+/// live-monitor publish hook — it sees the simulator read-only).
 ///
 /// Observation never perturbs behaviour: the `report` is bit-identical
 /// to the unobserved run's (obs consumes no RNG and mutates no
@@ -111,9 +111,9 @@ pub fn run_scenario_observed(
 }
 
 /// The scenario driver — the workspace's only one: build the simulator
-/// from the spec's config with telemetry (and, with `obs_cfg`, the
-/// observability layer) on, let the [`ScenarioEngine`] apply each
-/// round's events, run the round with `step`, and assemble the outcome.
+/// from the spec's config (with `obs_cfg`, the observability layer
+/// armed), let the [`ScenarioEngine`] apply each round's events, run
+/// the round with `step`, and assemble the outcome.
 /// `step` is "how to step a round": [`SystemSim::step`] for the
 /// simulator, a `SystemSim::step_with` over a transport for the
 /// live-network twin (`cs-twin`), either wrapped with whatever should
@@ -127,8 +127,6 @@ pub fn drive(
     mut step: impl FnMut(&mut SystemSim) -> bool,
 ) -> ScenarioOutcome {
     let mut sim = SystemSim::new(spec.config.clone());
-    sim.enable_telemetry();
-    let observed = obs_cfg.is_some();
     if let Some(cfg) = obs_cfg {
         sim.enable_obs(cfg);
     }
@@ -142,9 +140,9 @@ pub fn drive(
             break;
         }
     }
-    let telemetry = sim.take_telemetry().unwrap_or_default();
+    let telemetry = sim.telemetry().clone();
     let fault_trace = sim.fault_trace().clone();
-    let obs = observed.then(|| sim.take_obs_report()).flatten();
+    let obs = sim.take_obs_report();
     // `finish` attaches the same cached distribution summary to
     // `report.summary.dist`, so the exporters and the obs report agree.
     let report = sim.finish();
@@ -176,10 +174,17 @@ mod tests {
     #[test]
     fn null_scenario_matches_plain_run() {
         let config = base(60, 12, 11);
-        let plain = SystemSim::new(config.clone()).run();
+        // A bare simulator, stepped with no enable call, records one
+        // telemetry row per round — the same rows the driver exports.
+        let mut sim = SystemSim::new(config.clone());
+        while sim.step() {}
+        let telemetry = sim.telemetry().clone();
+        let plain = sim.finish();
         let outcome = run_scenario(&ScenarioSpec::null("null", config));
         assert_eq!(plain.rounds, outcome.report.rounds);
         assert_eq!(plain.summary, outcome.report.summary);
+        assert_eq!(telemetry.rounds.len(), 12);
+        assert_eq!(telemetry, outcome.telemetry);
     }
 
     #[test]

@@ -177,28 +177,24 @@ fn json_pairs<'a>(out: &mut String, cells: impl IntoIterator<Item = (&'a str, Ce
 
 /// The live monitor body for `sim`, in Prometheus text exposition: one
 /// `cs_<column>` gauge per [`COLUMNS`] entry for the last stepped round
-/// (omitted before the first round or with telemetry off), and with obs
-/// armed the partial distribution quantiles as `cs_<dist>_<field>`, the
-/// per-phase means as `cs_phase_mean_ns{phase="…"}` and the trace-ring
-/// depth as `cs_trace_events` / `cs_trace_dropped`.
+/// (omitted before the first round), and with obs armed the partial
+/// distribution quantiles as `cs_<dist>_<field>`, the per-phase means
+/// as `cs_phase_mean_ns{phase="…"}` and the trace-ring depth as
+/// `cs_trace_events` / `cs_trace_dropped`.
 pub fn exposition(sim: &SystemSim) -> String {
     fn gauge(out: &mut String, name: &str, v: Cell) {
         let _ = write!(out, "# TYPE cs_{name} gauge\ncs_{name} {v}\n");
     }
     let mut out = String::with_capacity(4096);
-    let telemetry = sim.telemetry().and_then(|t| t.rounds.last());
-    if let Some((record, t)) = sim.records().last().zip(telemetry) {
+    if let Some((record, t)) = sim.records().last().zip(sim.telemetry().rounds.last()) {
         for (name, v) in cells(record, t) {
             gauge(&mut out, name, v);
         }
     }
     let Some(o) = sim.obs() else { return out };
-    if o.dist_enabled() {
-        let d = o.partial_dist();
-        for (dist, q) in d.quantiles() {
-            for (field, v) in quantile_cells(q) {
-                gauge(&mut out, &format!("{dist}_{field}"), v);
-            }
+    for (dist, q) in o.partial_dist().quantiles() {
+        for (field, v) in quantile_cells(q) {
+            gauge(&mut out, &format!("{dist}_{field}"), v);
         }
     }
     let phases = o.profiler.rows();
@@ -249,8 +245,8 @@ impl MetricsLog {
     /// Assemble the export from a run's pieces.
     ///
     /// # Panics
-    /// If `telemetry` does not hold one row per round of `report` —
-    /// telemetry must be enabled before round 0.
+    /// If `telemetry` does not hold one row per round of `report` — the
+    /// two must come from the same simulator's rounds.
     pub fn new(
         spec: &ScenarioSpec,
         report: &RunReport,
@@ -260,7 +256,7 @@ impl MetricsLog {
         assert_eq!(
             report.rounds.len(),
             telemetry.rounds.len(),
-            "telemetry must be enabled before round 0"
+            "telemetry and report cover different rounds"
         );
         let rows = report
             .rounds

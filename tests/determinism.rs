@@ -217,11 +217,15 @@ fn default_fault_plan_is_invisible() {
 /// the reference platform that is the pre-refactor pinned hash. The
 /// obs data itself lives outside the report's `Debug` surface (the
 /// summary's manual impl hides `dist`), so this also guards against
-/// anyone accidentally widening the fingerprint.
+/// anyone accidentally widening the fingerprint. The telemetry, which
+/// every run records, is equal too: obs moves no diagnostic counter.
 #[test]
 fn armed_obs_layer_causes_no_behavioural_drift() {
     for (name, config) in scenarios() {
-        let plain = fingerprint(&SystemSim::new(config.clone()).run());
+        let mut plain_sim = SystemSim::new(config.clone());
+        while plain_sim.step() {}
+        let plain_telemetry = plain_sim.telemetry().clone();
+        let plain = fingerprint(&plain_sim.finish());
         let mut sim = SystemSim::new(config);
         sim.enable_obs(ObsConfig::default());
         while sim.step() {}
@@ -229,6 +233,10 @@ fn armed_obs_layer_causes_no_behavioural_drift() {
         assert!(
             obs.phases.iter().any(|p| p.count > 0),
             "`{name}`: the armed profiler recorded no spans"
+        );
+        assert!(
+            *sim.telemetry() == plain_telemetry,
+            "`{name}`: armed obs moved the telemetry"
         );
         let report = sim.finish();
         assert!(

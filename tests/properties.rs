@@ -591,7 +591,6 @@ fn paused_majority_leaves_only_playing_viewers_scheduling() {
         rounds: 120,
         ..SystemConfig::default()
     });
-    sim.enable_telemetry();
     for round in 0..120 {
         if round == 30 {
             let source = sim.source_id();
@@ -608,7 +607,7 @@ fn paused_majority_leaves_only_playing_viewers_scheduling() {
         assert!(sim.step());
         sim.debug_check_scratch();
     }
-    let telemetry = sim.take_telemetry().expect("telemetry enabled");
+    let telemetry = sim.telemetry().clone();
     let report = sim.finish();
     for (t, r) in telemetry.rounds.iter().zip(&report.rounds).skip(100) {
         assert_eq!((r.alive, r.playing), (299, 60), "round {}", r.round);

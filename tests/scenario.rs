@@ -151,8 +151,9 @@ fn scenario_exports_are_byte_identical_across_runs() {
     assert!(a.log.engine.capacity_changes > 0, "capacity shift");
 }
 
-/// Layer 2b: telemetry is purely observational — a run with the
-/// collector enabled produces the same records as one without.
+/// Layer 2b: telemetry is purely observational and always on — a
+/// stepped simulator, with no enable call, records real diagnostics
+/// beside the same records as the plain `run()`.
 #[test]
 fn telemetry_collection_causes_no_drift() {
     let config = SystemConfig {
@@ -165,9 +166,8 @@ fn telemetry_collection_causes_no_drift() {
     .with_dynamic_churn();
     let plain = SystemSim::new(config.clone()).run();
     let mut sim = SystemSim::new(config);
-    sim.enable_telemetry();
     while sim.step() {}
-    let telemetry = sim.take_telemetry().expect("enabled");
+    let telemetry = sim.telemetry().clone();
     let observed = sim.finish();
     assert_eq!(plain.rounds, observed.rounds);
     assert_eq!(telemetry.rounds.len(), 15);
