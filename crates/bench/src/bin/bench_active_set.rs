@@ -170,7 +170,6 @@ fn main() {
         nodes,
         rounds,
         scheduler: SchedulerKind::ContinuStreaming,
-        prefetch_enabled: true,
         seed: 20080414,
         ..SystemConfig::default()
     };

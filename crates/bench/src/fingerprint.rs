@@ -75,7 +75,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 25,
                 startup_segments: 30,
                 scheduler: SchedulerKind::ContinuStreaming,
-                prefetch_enabled: true,
                 seed: 11,
                 ..SystemConfig::default()
             },
@@ -87,7 +86,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 30,
                 startup_segments: 30,
                 scheduler: SchedulerKind::ContinuStreaming,
-                prefetch_enabled: true,
                 seed: 7,
                 ..SystemConfig::default()
             }
@@ -100,7 +98,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 20,
                 startup_segments: 30,
                 scheduler: SchedulerKind::CoolStreaming,
-                prefetch_enabled: false,
                 seed: 3,
                 ..SystemConfig::default()
             },
@@ -112,7 +109,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 15,
                 startup_segments: 20,
                 scheduler: SchedulerKind::GreedyWithPolicy(PriorityPolicy::RarestFirst),
-                prefetch_enabled: true,
                 seed: 9,
                 ..SystemConfig::default()
             },
@@ -125,7 +121,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 startup_segments: 20,
                 bandwidth: BandwidthProfile::Homogeneous,
                 scheduler: SchedulerKind::ContinuStreaming,
-                prefetch_enabled: true,
                 seed: 5,
                 ..SystemConfig::default()
             },
@@ -138,7 +133,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 25,
                 startup_segments: 30,
                 scheduler: SchedulerKind::ContinuStreaming,
-                prefetch_enabled: true,
                 seed: 17,
                 ..SystemConfig::default()
             }
@@ -152,7 +146,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 startup_segments: 20,
                 bandwidth: BandwidthProfile::Homogeneous,
                 scheduler: SchedulerKind::CoolStreaming,
-                prefetch_enabled: false,
                 seed: 13,
                 ..SystemConfig::default()
             }
@@ -165,7 +158,6 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
                 rounds: 20,
                 startup_segments: 30,
                 scheduler: SchedulerKind::Random,
-                prefetch_enabled: false,
                 seed: 21,
                 ..SystemConfig::default()
             },
@@ -230,7 +222,6 @@ pub fn overlay_8k() -> (&'static str, SystemConfig) {
         rounds: 5,
         startup_segments: 30,
         scheduler: SchedulerKind::ContinuStreaming,
-        prefetch_enabled: true,
         seed: 8008,
         ..SystemConfig::default()
     };

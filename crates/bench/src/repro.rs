@@ -756,17 +756,16 @@ fn ablations_k_m(rows: &mut Vec<Row>) {
 fn ablations_priority_alpha_placement(rows: &mut Vec<Row>) {
     use PriorityPolicy::{RarestFirst, RarityOnly, UrgencyOnly, UrgencyRarity};
     let greedy = SchedulerKind::GreedyWithPolicy;
-    for (name, scheduler, prefetch_enabled) in [
-        ("urgency_rarity", greedy(UrgencyRarity), true),
-        ("urgency_only", greedy(UrgencyOnly), true),
-        ("rarity_only", greedy(RarityOnly), true),
-        ("rarest_first", greedy(RarestFirst), true),
-        ("coolstreaming", SchedulerKind::CoolStreaming, false),
-        ("random", SchedulerKind::Random, false),
+    for (name, scheduler) in [
+        ("urgency_rarity", greedy(UrgencyRarity)),
+        ("urgency_only", greedy(UrgencyOnly)),
+        ("rarity_only", greedy(RarityOnly)),
+        ("rarest_first", greedy(RarestFirst)),
+        ("coolstreaming", SchedulerKind::CoolStreaming),
+        ("random", SchedulerKind::Random),
     ] {
         let other = SystemConfig {
             scheduler,
-            prefetch_enabled,
             ..continu(1000)
         };
         rows.push(row(

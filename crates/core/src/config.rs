@@ -21,6 +21,18 @@ pub enum SchedulerKind {
     GreedyWithPolicy(PriorityPolicy),
 }
 
+impl SchedulerKind {
+    /// Whether the run pre-fetches through the DHT (Algorithm 2, step 7
+    /// of a round): the Algorithm 1 schedulers do, the gossip baselines
+    /// do not.
+    pub fn prefetches(self) -> bool {
+        matches!(
+            self,
+            SchedulerKind::ContinuStreaming | SchedulerKind::GreedyWithPolicy(_)
+        )
+    }
+}
+
 /// Full-system simulation parameters. Defaults are the paper's §5.2
 /// values, each noted on its field. The §5.2 values no run varies are
 /// constants: `B`, `p`, `τ` and `l` below, the segment size
@@ -41,11 +53,10 @@ pub struct SystemConfig {
     pub bandwidth: BandwidthProfile,
     /// Churn model (static or dynamic environment).
     pub churn: ChurnConfig,
-    /// The scheduling policy under test.
+    /// The scheduling policy under test; it also decides whether the
+    /// DHT-assisted on-demand retrieval runs
+    /// ([`SchedulerKind::prefetches`]).
     pub scheduler: SchedulerKind,
-    /// Whether the DHT-assisted on-demand retrieval runs (the
-    /// ContinuStreaming-vs-CoolStreaming toggle).
-    pub prefetch_enabled: bool,
     /// Segments of contiguous data a node buffers before starting
     /// playback.
     pub startup_segments: u64,
@@ -85,7 +96,6 @@ impl Default for SystemConfig {
             bandwidth: BandwidthProfile::Heterogeneous,
             churn: ChurnConfig::STATIC,
             scheduler: SchedulerKind::ContinuStreaming,
-            prefetch_enabled: true,
             startup_segments: 100,
             id_space_slack: 2,
             t_hop_secs: 0.05,
@@ -114,7 +124,6 @@ impl SystemConfig {
             nodes,
             seed,
             scheduler: SchedulerKind::ContinuStreaming,
-            prefetch_enabled: true,
             ..Default::default()
         }
     }
@@ -125,7 +134,6 @@ impl SystemConfig {
             nodes,
             seed,
             scheduler: SchedulerKind::CoolStreaming,
-            prefetch_enabled: false,
             ..Default::default()
         }
     }
@@ -248,9 +256,9 @@ mod tests {
         let cool = SystemConfig::coolstreaming(500, 9);
         let cont = SystemConfig::continustreaming(500, 9);
         assert_eq!(cool.scheduler, SchedulerKind::CoolStreaming);
-        assert!(!cool.prefetch_enabled);
+        assert!(!cool.scheduler.prefetches());
         assert_eq!(cont.scheduler, SchedulerKind::ContinuStreaming);
-        assert!(cont.prefetch_enabled);
+        assert!(cont.scheduler.prefetches());
         assert_eq!(cool.nodes, cont.nodes);
         assert_eq!(cool.seed, cont.seed);
     }

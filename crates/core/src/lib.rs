@@ -33,7 +33,6 @@
 //!     rounds: 15,
 //!     startup_segments: 20, // short player buffering delay for the demo
 //!     scheduler: SchedulerKind::ContinuStreaming,
-//!     prefetch_enabled: true,
 //!     seed: 1,
 //!     ..SystemConfig::default()
 //! };

@@ -596,13 +596,12 @@ mod tests {
     use crate::priority::PriorityPolicy;
     use cs_net::TrafficClass;
 
-    fn tiny(scheduler: SchedulerKind, prefetch: bool, seed: u64) -> SystemConfig {
+    fn tiny(scheduler: SchedulerKind, seed: u64) -> SystemConfig {
         SystemConfig {
             nodes: 40,
             rounds: 18,
             startup_segments: 30,
             scheduler,
-            prefetch_enabled: prefetch,
             seed,
             ..Default::default()
         }
@@ -610,7 +609,7 @@ mod tests {
 
     #[test]
     fn run_produces_one_record_per_round() {
-        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 1)).run();
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 1)).run();
         assert_eq!(report.rounds.len(), 18);
         for (i, r) in report.rounds.iter().enumerate() {
             assert_eq!(r.round as usize, i);
@@ -620,7 +619,7 @@ mod tests {
 
     #[test]
     fn continuity_ramps_up() {
-        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 2)).run();
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 2)).run();
         let first = report.rounds.first().unwrap().continuity;
         let last = report.rounds.last().unwrap().continuity;
         assert!(last > first, "continuity should rise: {first} → {last}");
@@ -632,10 +631,10 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3)).run();
-        let b = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3)).run();
+        let a = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 3)).run();
+        let b = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 3)).run();
         assert_eq!(a.rounds, b.rounds);
-        let c = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 4)).run();
+        let c = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 4)).run();
         assert_ne!(a.rounds, c.rounds);
     }
 
@@ -643,14 +642,14 @@ mod tests {
     fn random_scheduler_is_deterministic_too() {
         // The candidate sets are built in ascending segment order (not
         // hash-map order), so even the shuffling scheduler reproduces.
-        let a = SystemSim::new(tiny(SchedulerKind::Random, false, 21)).run();
-        let b = SystemSim::new(tiny(SchedulerKind::Random, false, 21)).run();
+        let a = SystemSim::new(tiny(SchedulerKind::Random, 21)).run();
+        let b = SystemSim::new(tiny(SchedulerKind::Random, 21)).run();
         assert_eq!(a.rounds, b.rounds);
     }
 
     #[test]
     fn coolstreaming_never_prefetches() {
-        let report = SystemSim::new(tiny(SchedulerKind::CoolStreaming, false, 5)).run();
+        let report = SystemSim::new(tiny(SchedulerKind::CoolStreaming, 5)).run();
         for r in &report.rounds {
             assert_eq!(r.prefetch_attempts, 0);
             assert_eq!(r.traffic.bits(TrafficClass::PrefetchData), 0);
@@ -660,14 +659,45 @@ mod tests {
 
     #[test]
     fn continustreaming_prefetches_something() {
-        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 6)).run();
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 6)).run();
         let attempts: u32 = report.rounds.iter().map(|r| r.prefetch_attempts).sum();
         assert!(attempts > 0, "some pre-fetch should trigger in 12 rounds");
     }
 
+    /// Step 7 (Algorithm 2) runs exactly under the schedulers that
+    /// pre-fetch: their runs record attempts and DHT routing bits, the
+    /// gossip baselines' record none.
+    #[test]
+    fn prefetch_runs_iff_the_scheduler_prefetches() {
+        for scheduler in [
+            SchedulerKind::ContinuStreaming,
+            SchedulerKind::CoolStreaming,
+            SchedulerKind::Random,
+            SchedulerKind::GreedyWithPolicy(PriorityPolicy::UrgencyOnly),
+        ] {
+            let report = SystemSim::new(tiny(scheduler, 6)).run();
+            let attempts: u32 = report.rounds.iter().map(|r| r.prefetch_attempts).sum();
+            let routing: u64 = report
+                .rounds
+                .iter()
+                .map(|r| r.traffic.bits(TrafficClass::PrefetchRouting))
+                .sum();
+            let data: u64 = report
+                .rounds
+                .iter()
+                .map(|r| r.traffic.bits(TrafficClass::PrefetchData))
+                .sum();
+            if scheduler.prefetches() {
+                assert!(attempts > 0 && routing > 0, "{scheduler:?}");
+            } else {
+                assert_eq!((attempts, routing, data), (0, 0, 0), "{scheduler:?}");
+            }
+        }
+    }
+
     #[test]
     fn control_overhead_is_small_and_present() {
-        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 7)).run();
+        let report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 7)).run();
         let oh = report.summary.control_overhead;
         assert!(oh > 0.0, "buffer maps are exchanged");
         assert!(oh < 0.1, "control overhead {oh} should be small");
@@ -675,7 +705,7 @@ mod tests {
 
     #[test]
     fn dynamic_churn_changes_membership() {
-        let cfg = tiny(SchedulerKind::ContinuStreaming, true, 8).with_dynamic_churn();
+        let cfg = tiny(SchedulerKind::ContinuStreaming, 8).with_dynamic_churn();
         let report = SystemSim::new(cfg).run();
         let joins: usize = report.rounds.iter().map(|r| r.joins).sum();
         let leaves: usize = report.rounds.iter().map(|r| r.leaves).sum();
@@ -696,7 +726,7 @@ mod tests {
                 join_seed: usize::MAX,
                 ..Default::default()
             }),
-            ..tiny(SchedulerKind::ContinuStreaming, true, 8).with_dynamic_churn()
+            ..tiny(SchedulerKind::ContinuStreaming, 8).with_dynamic_churn()
         };
         let report = SystemSim::new(cfg).run();
         assert_eq!(report.rounds.len(), 18);
@@ -714,7 +744,7 @@ mod tests {
             nodes: 6,
             neighbors: 3,
             id_space_slack: 1,
-            ..tiny(SchedulerKind::ContinuStreaming, true, 15)
+            ..tiny(SchedulerKind::ContinuStreaming, 15)
         };
         let join = SystemEvent::Join {
             ping_ms: None,
@@ -762,7 +792,7 @@ mod tests {
                 join_fraction: 0.0,
                 graceful_fraction: 0.5,
             },
-            ..tiny(SchedulerKind::ContinuStreaming, true, 9)
+            ..tiny(SchedulerKind::ContinuStreaming, 9)
         };
         let report = SystemSim::new(cfg).run();
         let first = report.rounds.first().unwrap().alive;
@@ -780,7 +810,7 @@ mod tests {
                 join_fraction: 0.0,
                 graceful_fraction: 0.0,
             },
-            ..tiny(SchedulerKind::ContinuStreaming, true, 10)
+            ..tiny(SchedulerKind::ContinuStreaming, 10)
         };
         let sim = SystemSim::new(cfg);
         let source = sim.source;
@@ -797,7 +827,7 @@ mod tests {
             PriorityPolicy::RarityOnly,
             PriorityPolicy::RarestFirst,
         ] {
-            let cfg = tiny(SchedulerKind::GreedyWithPolicy(policy), true, 11);
+            let cfg = tiny(SchedulerKind::GreedyWithPolicy(policy), 11);
             let report = SystemSim::new(cfg).run();
             assert_eq!(report.rounds.len(), 18);
         }
@@ -805,8 +835,8 @@ mod tests {
 
     #[test]
     fn random_scheduler_runs_and_underperforms_eventually() {
-        let rand_report = SystemSim::new(tiny(SchedulerKind::Random, false, 12)).run();
-        let cont_report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 12)).run();
+        let rand_report = SystemSim::new(tiny(SchedulerKind::Random, 12)).run();
+        let cont_report = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 12)).run();
         assert!(
             cont_report.summary.stable_continuity >= rand_report.summary.stable_continuity,
             "ContinuStreaming ({}) should not lose to random ({})",
@@ -829,7 +859,7 @@ mod tests {
                 join_fraction: 0.15,
                 graceful_fraction: 0.5,
             },
-            ..tiny(SchedulerKind::ContinuStreaming, true, 14)
+            ..tiny(SchedulerKind::ContinuStreaming, 14)
         };
         let mut sim = SystemSim::new(cfg);
         for round in 0..25 {
@@ -869,7 +899,7 @@ mod tests {
 
     #[test]
     fn obs_window_starts_at_the_stable_tail() {
-        let mut sim = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, true, 3));
+        let mut sim = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 3));
         for n in 0..=300u32 {
             sim.obs = None;
             sim.config.rounds = n;

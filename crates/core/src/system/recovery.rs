@@ -59,10 +59,7 @@ pub(super) struct FaultState {
     /// child consumes nothing from the sibling streams, so creating it
     /// unconditionally is free.
     pub(super) rng: SimRng,
-    /// Steady-state config baseline (phase overlays stack on top).
-    pub(super) base: FaultPlan,
-    /// Effective steady-state rates: `base` plus the scenario's current
-    /// per-phase overlay.
+    /// The config's steady-state rates, for the whole run.
     pub(super) plan: FaultPlan,
     /// Scripted transient loss burst: extra loss probability while
     /// `round < burst_until`.
@@ -95,17 +92,16 @@ pub(super) struct FaultState {
 }
 
 impl FaultState {
-    pub(super) fn new(rng: SimRng, base: FaultPlan) -> Self {
+    pub(super) fn new(rng: SimRng, plan: FaultPlan) -> Self {
         FaultState {
             rng,
-            base,
-            plan: base,
+            plan,
             burst_loss: 0.0,
             burst_until: 0,
             partition: Vec::new(),
             partition_until: 0,
             rp_outage_until: 0,
-            active: base.enabled(),
+            active: plan.enabled(),
             crashed_any: false,
             victims: Vec::new(),
             dead_until: Vec::new(),
@@ -152,28 +148,6 @@ impl FaultState {
 }
 
 impl SystemSim {
-    /// Stack a scenario phase's steady-state fault rates on top of the
-    /// config baseline: `loss` raises both the data- and control-path
-    /// loss probability, `crash` the per-node per-round crash
-    /// probability. Passing zeros restores the baseline.
-    pub fn set_phase_fault_rates(&mut self, loss: f64, crash: f64) {
-        assert!(
-            (0.0..=1.0).contains(&loss),
-            "phase loss must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&crash),
-            "phase crash must be a probability"
-        );
-        let f = &mut self.faults;
-        f.plan.crash_rate = (f.base.crash_rate + crash).min(1.0);
-        f.plan.data_loss = (f.base.data_loss + loss).min(1.0);
-        f.plan.control_loss = (f.base.control_loss + loss).min(1.0);
-        if f.plan.enabled() {
-            f.active = true;
-        }
-    }
-
     /// Script a transient loss burst: `loss` extra loss probability on
     /// every message path for the next `rounds` rounds.
     pub fn begin_loss_burst(&mut self, loss: f64, rounds: u32) {

@@ -79,7 +79,7 @@ impl SystemSim {
         self.obs_phase(ObsPhase::ServiceApply, &mut lap);
 
         // --- 7. on-demand pre-fetch (Algorithm 2) -----------------------
-        if self.config.prefetch_enabled {
+        if self.config.scheduler.prefetches() {
             self.prefetch_phase(round, &mut scratch, &mut tally);
         }
         self.obs_phase(ObsPhase::PrefetchExec, &mut lap);

@@ -62,7 +62,8 @@ pub struct TelemetryRound {
     /// Largest effective per-node pre-fetch cap this round: the policy
     /// layer's deficit-scaled throttle (the constant `l` under
     /// `PolicyKind::Legacy` whenever any node reached the urgent-line
-    /// check; 0 when none did or pre-fetch is disabled).
+    /// check; 0 when none did or under a scheduler that does not
+    /// prefetch).
     pub rescue_cap: u64,
     /// Nodes whose Case-3 check suppressed retrieval this round
     /// (mirrors `RoundRecord::prefetch_suppressed` into the diagnostic
@@ -95,8 +96,8 @@ pub struct TelemetryRound {
     /// and neither is the source; every node that issued a request is.
     pub active_sched: u64,
     /// Nodes whose step-7 urgent-line check triggered this round — it
-    /// fetched (§4.3 Case 2) or was suppressed (Case 3); 0 when
-    /// pre-fetch is disabled.
+    /// fetched (§4.3 Case 2) or was suppressed (Case 3); 0 under a
+    /// scheduler that does not prefetch.
     pub active_prefetch: u64,
 }
 

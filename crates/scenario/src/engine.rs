@@ -20,7 +20,7 @@ use rand::Rng;
 
 use cs_core::{EventOutcome, SeekTarget, SystemEvent, SystemSim};
 use cs_dht::DhtId;
-use cs_sim::rng::{sample_exponential, sample_poisson};
+use cs_sim::rng::sample_poisson;
 use cs_sim::{RngTree, SimRng};
 
 use crate::spec::{NodeClass, Round, ScenarioEventKind, ScenarioSpec, SessionModel};
@@ -48,19 +48,10 @@ pub struct EngineStats {
     pub crashes: u64,
 }
 
-/// One standard-normal draw (Box–Muller, cosine branch — the same shape
-/// the trace generator uses).
-fn box_muller(rng: &mut SimRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// Draw a session length in rounds (≥ 1) from the phase's model.
 fn sample_session(model: SessionModel, rng: &mut SimRng) -> Option<u32> {
     let rounds = match model {
         SessionModel::Forever => return None,
-        SessionModel::Exponential { mean_rounds } => sample_exponential(rng, mean_rounds),
         SessionModel::Weibull {
             shape,
             scale_rounds,
@@ -69,7 +60,6 @@ fn sample_session(model: SessionModel, rng: &mut SimRng) -> Option<u32> {
             let u: f64 = 1.0 - rng.gen::<f64>();
             scale_rounds * (-u.ln()).powf(1.0 / shape)
         }
-        SessionModel::LogNormal { mu, sigma } => (mu + sigma * box_muller(rng)).exp(),
     };
     Some(rounds.ceil().max(1.0).min(u32::MAX as f64) as u32)
 }
@@ -123,10 +113,6 @@ pub struct ScenarioEngine {
     ids: Vec<DhtId>,
     victims: Vec<DhtId>,
     stats: EngineStats,
-    /// The `(loss, crash)` phase overlay last pushed to the simulator;
-    /// the overlay is only re-sent when it changes, so a spec with no
-    /// fault phases never touches the fault plane at all.
-    fault_overlay: (f64, f64),
 }
 
 impl ScenarioEngine {
@@ -146,7 +132,6 @@ impl ScenarioEngine {
             ids: Vec::new(),
             victims: Vec::new(),
             stats: EngineStats::default(),
-            fault_overlay: (0.0, 0.0),
         }
     }
 
@@ -165,22 +150,6 @@ impl ScenarioEngine {
     /// timed events, then phase VCR behaviour.
     pub fn drive_round(&mut self, sim: &mut SystemSim) {
         let round = sim.rounds_run();
-
-        // 0. Phase fault overlay: the summed steady-state loss/crash
-        // rates of every covering phase, pushed only on change (a spec
-        // with no fault phases never arms the fault plane).
-        let mut overlay = (0.0f64, 0.0f64);
-        for phase in &self.spec.phases {
-            if phase.covers(round) {
-                overlay.0 += phase.loss;
-                overlay.1 += phase.crash;
-            }
-        }
-        overlay = (overlay.0.min(1.0), overlay.1.min(1.0));
-        if overlay != self.fault_overlay {
-            sim.set_phase_fault_rates(overlay.0, overlay.1);
-            self.fault_overlay = overlay;
-        }
 
         // 1. Session expiries of scenario-spawned nodes.
         while let Some(&Reverse((due, id, graceful))) = self.departures.peek() {
@@ -478,27 +447,6 @@ mod tests {
         let mean = sum / n as f64;
         // Ceil + max(1) bias the mean up by ~0.5.
         assert!((mean - 12.5).abs() < 0.5, "mean {mean}");
-    }
-
-    #[test]
-    fn lognormal_sampling_is_positive_and_spread() {
-        let mut rng = RngTree::new(8).child("t");
-        let mut min = u32::MAX;
-        let mut max = 0;
-        for _ in 0..1000 {
-            let s = sample_session(
-                SessionModel::LogNormal {
-                    mu: 2.0,
-                    sigma: 0.7,
-                },
-                &mut rng,
-            )
-            .unwrap();
-            min = min.min(s);
-            max = max.max(s);
-        }
-        assert!(min >= 1);
-        assert!(max > min, "distribution should spread: {min}..{max}");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! internals:
 //!
 //! * **[`ScenarioSpec`]** — a declarative, deterministic timeline of
-//!   workload: phased churn models (Poisson arrivals; exponential,
-//!   Weibull or log-normal session lengths), flash-crowd bursts,
+//!   workload: phased churn models (Poisson arrivals, Weibull session
+//!   lengths), flash-crowd bursts,
 //!   correlated mass departures, VCR behaviour (seek, pause, resume),
 //!   and heterogeneous node classes (capacity tiers, latency classes).
 //!   Specs are plain values, buildable in code or parsed from the small
@@ -206,8 +206,6 @@ mod tests {
                 pause_prob: 0.01,
                 resume_prob: 0.3,
             },
-            loss: 0.0,
-            crash: 0.0,
         });
         spec.events.push(TimedEvent {
             round: 6,
@@ -349,8 +347,6 @@ mod tests {
                 pause_prob: 0.3,
                 resume_prob: 0.2,
             },
-            loss: 0.0,
-            crash: 0.0,
         });
         let outcome = run_scenario(&spec);
         assert!(outcome.log.engine.pauses > 0, "someone paused");

@@ -11,7 +11,7 @@
 //! rounds = 60
 //! seed = 99
 //! scheduler = continustreaming        # continustreaming|coolstreaming|random
-//! prefetch = 0                        # 1|0; default 1 iff continustreaming
+//!                                     # (continustreaming alone pre-fetches)
 //! startup_segments = 100              # also: neighbors, replicas
 //! id_space_slack = 8
 //! churn = 0.05 0.05 0.5               # baseline leave/join[/graceful] fractions
@@ -27,9 +27,8 @@
 //! class fiber inbound=2000 outbound=1000 ping=40 weight=1
 //!
 //! # phases: models active over [start, end) rounds
-//! phase 0..60 arrivals=poisson:2.0 session=lognormal:2.5,0.8 classes=dsl,fiber
+//! phase 0..60 arrivals=poisson:2.0 session=weibull:0.7,25 classes=dsl,fiber
 //! phase 20..40 seek=0.05:30 pause=0.01 resume=0.25
-//! phase 50..60 loss=0.02 crash=0.002  # steady fault rates over the phase
 //!
 //! # timed events
 //! at 15 flash_crowd count=50 class=dsl
@@ -186,7 +185,6 @@ fn parse_config_line<'a>(
         "replicas" => c.replicas = parse_num(lineno, key, value)?,
         "startup_segments" => c.startup_segments = parse_num(lineno, key, value)?,
         "id_space_slack" => c.id_space_slack = parse_num(lineno, key, value)?,
-        "prefetch" => c.prefetch_enabled = parse_num::<u8>(lineno, key, value)? != 0,
         "policy" => {
             let mut parts = value.split_whitespace();
             let kind = parts.next().unwrap_or("");
@@ -228,11 +226,6 @@ fn parse_config_line<'a>(
                 "random" => SchedulerKind::Random,
                 other => return err(lineno, format!("unknown scheduler `{other}`")),
             };
-            // The scheduler's default, unless a `prefetch` line (above
-            // or below this one) says otherwise.
-            if !seen.iter().any(|(k, _)| *k == "prefetch") {
-                c.prefetch_enabled = matches!(c.scheduler, SchedulerKind::ContinuStreaming);
-            }
         }
         "churn" => {
             let parts: Vec<&str> = value.split_whitespace().collect();
@@ -315,18 +308,13 @@ fn parse_session(lineno: usize, v: &str) -> Result<SessionModel, ParseError> {
         .map(|p| parse_num(lineno, "session parameter", p))
         .collect::<Result<_, _>>()?;
     match (kind, nums.as_slice()) {
-        ("exp", [mean]) => Ok(SessionModel::Exponential { mean_rounds: *mean }),
         ("weibull", [shape, scale]) => Ok(SessionModel::Weibull {
             shape: *shape,
             scale_rounds: *scale,
         }),
-        ("lognormal", [mu, sigma]) => Ok(SessionModel::LogNormal {
-            mu: *mu,
-            sigma: *sigma,
-        }),
         _ => err(
             lineno,
-            format!("session `{v}`: expected exp:MEAN, weibull:SHAPE,SCALE or lognormal:MU,SIGMA"),
+            format!("session `{v}`: expected forever or weibull:SHAPE,SCALE"),
         ),
     }
 }
@@ -382,8 +370,6 @@ fn parse_phase(lineno: usize, tokens: &[&str], spec: &mut ScenarioSpec) -> Resul
             }
             "pause" => phase.vcr.pause_prob = parse_num(lineno, k, v)?,
             "resume" => phase.vcr.resume_prob = parse_num(lineno, k, v)?,
-            "loss" => phase.loss = parse_unit(lineno, "phase loss rate", v)?,
-            "crash" => phase.crash = parse_unit(lineno, "phase crash rate", v)?,
             other => return err(lineno, format!("unknown phase key `{other}`")),
         }
     }
@@ -678,20 +664,63 @@ at 30 capacity_shift fraction=0.3 class=dsl
     }
 
     #[test]
-    fn scheduler_sets_prefetch() {
-        // The scheduler's default, and a `prefetch` line overriding it
-        // whichever of the two lines comes first.
-        for (text, want) in [
-            ("scheduler = coolstreaming\n", false),
-            ("scheduler = continustreaming\n", true),
-            ("prefetch = 0\nscheduler = continustreaming\n", false),
-            ("scheduler = continustreaming\nprefetch = 0\n", false),
-            ("prefetch = 1\nscheduler = coolstreaming\n", true),
-            ("scheduler = coolstreaming\nprefetch = 1\n", true),
-        ] {
-            let spec = parse_scenario(text).unwrap();
-            assert_eq!(spec.config.prefetch_enabled, want, "{text}");
+    fn removed_keys_and_session_laws_are_rejected() {
+        // The scheduler decides whether a run pre-fetches: `prefetch`
+        // is no key, whichever value it names.
+        for value in ["0", "1"] {
+            let e = parse_scenario(&format!("nodes = 50\nprefetch = {value}\n")).unwrap_err();
+            assert_eq!(
+                e,
+                ParseError {
+                    line: Some(2),
+                    message: "unknown configuration key `prefetch`".into()
+                }
+            );
         }
+        // Steady-state fault rates live on the `faults` line only.
+        for key in ["loss", "crash"] {
+            let e = parse_scenario(&format!("phase 0..5 {key}=0.1\n")).unwrap_err();
+            assert_eq!(e.line, Some(1));
+            assert_eq!(e.message, format!("unknown phase key `{key}`"));
+        }
+        // Forever and Weibull are the session laws; Weibull with shape 1
+        // is the exponential one.
+        for session in ["exp:5", "lognormal:1,1"] {
+            let e = parse_scenario(&format!("phase 0..5 session={session}\n")).unwrap_err();
+            assert_eq!(e.line, Some(1));
+            assert!(e.message.contains("weibull:SHAPE,SCALE"), "{}", e.message);
+        }
+        let spec = parse_scenario("phase 0..5 session=weibull:1,5\n").unwrap();
+        assert_eq!(
+            spec.phases[0].session,
+            SessionModel::Weibull {
+                shape: 1.0,
+                scale_rounds: 5.0
+            }
+        );
+    }
+
+    #[test]
+    fn class_weights_must_stay_finite() {
+        // An infinite weight makes the arrival draw NaN, and two weights
+        // summing past f64::MAX make it infinite: either way every
+        // arrival would fall through to the last listed class.
+        let e = parse_scenario("class a weight=inf\n").unwrap_err();
+        assert!(
+            e.message.contains("finite positive weight"),
+            "{}",
+            e.message
+        );
+        let e = parse_scenario(
+            "class a weight=1e308\nclass b weight=1e308\nphase 0..5 arrivals=poisson:1 classes=a,b\n",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("must be finite"), "{}", e.message);
+        // Each class alone, or both in separate phases, is fine.
+        assert!(parse_scenario(
+            "class a weight=1e308\nclass b weight=1e308\nphase 0..5 classes=a\nphase 0..5 classes=b\n",
+        )
+        .is_ok());
     }
 
     #[test]
@@ -728,18 +757,15 @@ at 30 capacity_shift fraction=0.3 class=dsl
     }
 
     #[test]
-    fn fault_events_and_phase_rates_parse() {
+    fn fault_events_parse() {
         let spec = parse_scenario(
             "rounds = 100\n\
-             phase 20..60 loss=0.02 crash=0.001\n\
              at 10 crash_nodes count=8 correlated\n\
              at 30 loss_burst loss=0.4 rounds=5\n\
              at 50 partition_arc fraction=0.25 rounds=10\n\
              at 70 rp_outage rounds=15\n",
         )
         .unwrap();
-        assert_eq!(spec.phases[0].loss, 0.02);
-        assert_eq!(spec.phases[0].crash, 0.001);
         assert_eq!(
             spec.events[0].kind,
             ScenarioEventKind::CrashNodes {
@@ -859,23 +885,9 @@ at 30 capacity_shift fraction=0.3 class=dsl
     #[test]
     fn out_of_range_fault_rates_are_rejected_with_line_numbers() {
         // Boundaries still parse (a rate of exactly 0 or 1 is legal).
-        let spec = parse_scenario("phase 0..5 loss=0.0 crash=1.0\n").unwrap();
-        assert_eq!(spec.phases[0].loss, 0.0);
-        assert_eq!(spec.phases[0].crash, 1.0);
-        // Phase rates: each names its key and the offending line — these
-        // used to slip through to the spec validator, which reports no
-        // line number.
-        let e = parse_scenario("nodes = 50\nphase 0..5 loss=1.5\n").unwrap_err();
-        assert_eq!(e.line, Some(2));
-        assert!(
-            e.message.contains("phase loss rate 1.5 outside [0, 1]"),
-            "{}",
-            e.message
-        );
-        let e = parse_scenario("phase 0..5 crash=-0.1\n").unwrap_err();
-        assert_eq!(e.line, Some(1));
-        assert!(e.message.contains("phase crash rate"), "{}", e.message);
-        // The faults config line: every probability column is checked
+        let spec = parse_scenario("faults = 1.0 0.0 0.0 0.0 0.0\n").unwrap();
+        assert_eq!(spec.config.faults.crash_rate, 1.0);
+        // Every probability column names itself and the offending line
         // (delay_ms is a duration, not a probability, and is exempt).
         let e = parse_scenario("nodes = 50\nfaults = 1.5 0.0 0.0 0.0 0.0\n").unwrap_err();
         assert_eq!(e.line, Some(2));
@@ -983,7 +995,6 @@ at 30 capacity_shift fraction=0.3 class=dsl
         assert!(parse_scenario("at 5 loss_burst loss=0.5 rounds=0\n").is_err());
         assert!(parse_scenario("at 5 partition_arc fraction=2.0 rounds=3\n").is_err());
         assert!(parse_scenario("at 5 rp_outage rounds=0\n").is_err());
-        assert!(parse_scenario("phase 0..5 loss=1.5\n").is_err());
     }
 
     #[test]

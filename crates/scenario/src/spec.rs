@@ -55,8 +55,14 @@ impl NodeClass {
     /// latency oracle and `NodeBandwidth` as given.
     fn validate(&self) -> Result<(), SpecError> {
         let name = &self.name;
-        if self.weight <= 0.0 || self.weight.is_nan() {
-            return Err(SpecError(format!("class `{name}` needs a positive weight")));
+        // The arrival draw subtracts weights from `u · total`: an
+        // infinite weight turns it into NaN and every arrival into the
+        // last listed class.
+        if !(self.weight.is_finite() && self.weight > 0.0) {
+            return Err(SpecError(format!(
+                "class `{name}` needs a finite positive weight, got {}",
+                self.weight
+            )));
         }
         if let Some(ping) = self.ping_ms.filter(|p| !p.is_finite() || *p <= 0.0) {
             return Err(SpecError(format!(
@@ -95,14 +101,11 @@ impl NodeClass {
 pub enum SessionModel {
     /// Never departs on its own.
     Forever,
-    /// Exponential session length with the given mean (rounds).
-    Exponential { mean_rounds: f64 },
     /// Weibull(shape, scale) session length (rounds). Shape < 1 gives
     /// the heavy-tailed "most leave fast, some stay forever" shape
-    /// measured in real P2P streaming systems.
+    /// measured in real P2P streaming systems; shape 1 is the
+    /// exponential law with mean `scale_rounds`.
     Weibull { shape: f64, scale_rounds: f64 },
-    /// Log-normal session length: `exp(μ + σ·Z)` rounds.
-    LogNormal { mu: f64, sigma: f64 },
 }
 
 /// Stochastic arrivals for one phase.
@@ -144,13 +147,6 @@ pub struct Phase {
     pub classes: Vec<String>,
     /// VCR behaviour of playing nodes during this phase.
     pub vcr: VcrModel,
-    /// Steady-state message-loss probability (data *and* control paths)
-    /// stacked on the config's [`FaultPlan`](cs_core::FaultPlan) while
-    /// the phase is active.
-    pub loss: f64,
-    /// Steady-state per-node per-round crash probability stacked on the
-    /// config plan while the phase is active.
-    pub crash: f64,
 }
 
 impl Phase {
@@ -164,8 +160,6 @@ impl Phase {
             graceful_fraction: 0.5,
             classes: Vec::new(),
             vcr: VcrModel::default(),
-            loss: 0.0,
-            crash: 0.0,
         }
     }
 
@@ -296,8 +290,6 @@ impl ScenarioSpec {
                 phase.vcr.pause_prob,
                 phase.vcr.resume_prob,
                 phase.graceful_fraction,
-                phase.loss,
-                phase.crash,
             ] {
                 if !(0.0..=1.0).contains(&prob) {
                     return Err(SpecError(format!(
@@ -322,9 +314,6 @@ impl ScenarioSpec {
             // would make every session 1 round or u32::MAX rounds).
             let session_ok = match phase.session {
                 SessionModel::Forever => true,
-                SessionModel::Exponential { mean_rounds } => {
-                    mean_rounds.is_finite() && mean_rounds > 0.0
-                }
                 SessionModel::Weibull {
                     shape,
                     scale_rounds,
@@ -333,9 +322,6 @@ impl ScenarioSpec {
                         && shape > 0.0
                         && scale_rounds.is_finite()
                         && scale_rounds > 0.0
-                }
-                SessionModel::LogNormal { mu, sigma } => {
-                    mu.is_finite() && sigma.is_finite() && sigma >= 0.0
                 }
             };
             if !session_ok {
@@ -346,6 +332,19 @@ impl ScenarioSpec {
             }
             for name in &phase.classes {
                 check_class(name, &format!("phase {i}"))?;
+            }
+            // Each weight is finite, but their sum may not be: the draw
+            // `u · total` would then be infinite and pick the last class.
+            let total: f64 = phase
+                .classes
+                .iter()
+                .filter_map(|n| self.class(n))
+                .map(|c| c.weight)
+                .sum();
+            if !total.is_finite() {
+                return Err(SpecError(format!(
+                    "phase {i}'s class weights sum to {total}; the total must be finite"
+                )));
             }
         }
         for (i, ev) in self.events.iter().enumerate() {
@@ -486,10 +485,9 @@ mod tests {
                 shape: -0.7,
                 scale_rounds: 20.0,
             },
-            SessionModel::Exponential { mean_rounds: -5.0 },
-            SessionModel::LogNormal {
-                mu: f64::NAN,
-                sigma: 0.5,
+            SessionModel::Weibull {
+                shape: 1.0,
+                scale_rounds: -5.0,
             },
         ] {
             let mut spec = ScenarioSpec::null("bad", base());

@@ -9,7 +9,10 @@
 //!
 //! The generator itself is `rand`'s `SmallRng` (xoshiro-family), which is
 //! plenty for simulation workloads; the tree derivation uses SplitMix64,
-//! the standard seed-expansion function.
+//! the standard seed-expansion function. The two samplers `rand` lacks
+//! without `rand_distr` live here too: [`standard_normal`] (the one
+//! Box–Muller, behind the trace's log-normal pings and the large-λ
+//! Poisson) and [`sample_poisson`] (scenario arrivals).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -91,14 +94,12 @@ impl RngTree {
     }
 }
 
-/// Sample an exponentially distributed duration with the given mean, via
-/// inversion. Exposed here because several crates model inter-arrival
-/// times and `rand`'s distribution types would pull in `rand_distr`.
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
-    assert!(mean > 0.0, "exponential mean must be positive");
-    // 1 - u in (0, 1]: avoids ln(0).
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -mean * u.ln()
+/// One standard-normal draw: Box–Muller, cosine branch. Takes two
+/// uniforms, `1 − u1` first (in (0, 1], so the log is finite), then `u2`.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Sample a Poisson-distributed count with the given mean λ.
@@ -127,11 +128,8 @@ pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
             k += 1;
         }
     } else {
-        // Normal approximation N(λ, λ); Box–Muller.
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let x = lambda + lambda.sqrt() * z + 0.5;
+        // Normal approximation N(λ, λ).
+        let x = lambda + lambda.sqrt() * standard_normal(rng) + 0.5;
         if x < 0.0 {
             0
         } else {
@@ -179,16 +177,25 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_is_close() {
-        let mut rng = RngTree::new(1).child("exp");
-        let n = 20_000;
-        let mean = 0.05;
-        let sum: f64 = (0..n).map(|_| sample_exponential(&mut rng, mean)).sum();
-        let observed = sum / n as f64;
-        assert!(
-            (observed - mean).abs() < 0.002,
-            "observed exponential mean {observed} too far from {mean}"
-        );
+    fn standard_normal_is_the_inline_box_muller_draw_for_draw() {
+        // The Box–Muller every pinned trace and large-λ Poisson count
+        // was drawn with, written out as the reference.
+        let inline = |rng: &mut SimRng| {
+            let u1: f64 = 1.0 - rng.gen::<f64>();
+            let u2: f64 = rng.gen();
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        };
+        let mut a = RngTree::new(5).child("normal");
+        let mut b = RngTree::new(5).child("normal");
+        let mut sum = 0.0;
+        for _ in 0..10_000 {
+            let z = standard_normal(&mut a);
+            assert_eq!(z.to_bits(), inline(&mut b).to_bits());
+            sum += z;
+        }
+        // Both streams sit at the same position afterwards.
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        assert!((sum / 10_000.0).abs() < 0.05, "mean {}", sum / 10_000.0);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::net::Ipv4Addr;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use cs_sim::rng::standard_normal;
 use cs_sim::SimRng;
 
 use crate::edgeset::EdgeSet;
@@ -113,7 +114,7 @@ impl TraceGenerator {
 
     fn gen_record(&self, id: u32, rng: &mut SimRng) -> NodeRecord {
         // Log-normal ping: exp(N(ln median, σ)).
-        let z = box_muller(rng);
+        let z = standard_normal(rng);
         let ping_ms = (self.config.ping_median_ms.ln() + self.config.ping_sigma * z).exp();
 
         let class = self.sample_speed_class(rng);
@@ -185,13 +186,6 @@ impl TraceGenerator {
         }
         topo.add_edges_bulk(&edges);
     }
-}
-
-/// One standard-normal draw (Box–Muller, cosine branch).
-fn box_muller(rng: &mut SimRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -75,8 +75,6 @@ fn main() {
         graceful_fraction: 0.5,
         classes: vec!["dsl".into(), "fiber".into()],
         vcr: VcrModel::default(),
-        loss: 0.0,
-        crash: 0.0,
     }];
     flash.events = vec![
         TimedEvent {

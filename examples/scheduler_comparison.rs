@@ -11,40 +11,29 @@ use continustreaming::prelude::*;
 fn main() {
     let nodes = 250;
     let rounds = 30;
-    let variants: Vec<(&str, SchedulerKind, bool)> = vec![
+    let greedy = SchedulerKind::GreedyWithPolicy;
+    let variants = [
+        ("ContinuStreaming", SchedulerKind::ContinuStreaming),
         (
-            "ContinuStreaming (full)",
-            SchedulerKind::ContinuStreaming,
-            true,
+            "greedy, urgency + rarity",
+            greedy(PriorityPolicy::UrgencyRarity),
         ),
-        (
-            "ContinuStreaming, prefetch off",
-            SchedulerKind::ContinuStreaming,
-            false,
-        ),
-        (
-            "CoolStreaming (rarest-first)",
-            SchedulerKind::CoolStreaming,
-            false,
-        ),
-        (
-            "CoolStreaming + prefetch",
-            SchedulerKind::CoolStreaming,
-            true,
-        ),
-        ("naive random gossip", SchedulerKind::Random, false),
+        ("greedy, urgency only", greedy(PriorityPolicy::UrgencyOnly)),
+        ("greedy, rarity only", greedy(PriorityPolicy::RarityOnly)),
+        ("greedy, rarest first", greedy(PriorityPolicy::RarestFirst)),
+        ("CoolStreaming (rarest-first)", SchedulerKind::CoolStreaming),
+        ("naive random gossip", SchedulerKind::Random),
     ];
 
     println!(
         "{:<34} {:>9} {:>9} {:>10} {:>10}",
         "policy", "stable", "mean", "ctrl oh", "pf oh"
     );
-    for (name, scheduler, prefetch) in variants {
+    for (name, scheduler) in variants {
         let config = SystemConfig {
             nodes,
             rounds,
             scheduler,
-            prefetch_enabled: prefetch,
             ..SystemConfig::continustreaming(nodes, 31)
         };
         let r = SystemSim::new(config).run();
@@ -57,8 +46,4 @@ fn main() {
             r.summary.stable_prefetch_overhead,
         );
     }
-    println!(
-        "\nthe pre-fetch toggle isolates the paper's contribution: the same scheduler\n\
-         with and without the DHT rescue path."
-    );
 }

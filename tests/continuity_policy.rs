@@ -245,7 +245,10 @@ fn tuned_knobs_hold_dynamic_churn_at_reduced_size() {
 /// `active_sched,active_prefetch`: the same report hash, and the first
 /// 36 CSV columns equal to all 15 885 bytes of the parent build's CSV;
 /// and when the six §5.2 fields became constants: report hash
-/// 0xee60762fffd96a8f and the same 16 547 CSV bytes again).
+/// 0xee60762fffd96a8f and the same 16 547 CSV bytes again; and when
+/// the scheduler came to decide pre-fetch and the phase fault rates
+/// left `Phase`: report hash 0xee60762fffd96a8f and the same 16 547
+/// CSV bytes from a parent and a change release build).
 #[test]
 fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
@@ -260,7 +263,7 @@ fn joiner_knobs_off_reproduce_the_bare_adaptive_run() {
     let log = run_scenario(&spec).log;
     assert_eq!(
         log.fingerprint(),
-        0x60dd_2d98_8fb2_f647,
+        0xaadb_04d2_273f_1383,
         "bare-Adaptive reduced dynamic-churn run drifted — the joiner \
          knobs must be invisible at their 0 defaults"
     );

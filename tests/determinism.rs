@@ -35,7 +35,6 @@ fn same_seed_reports_are_byte_identical() {
             rounds: 15,
             startup_segments: 30,
             scheduler,
-            prefetch_enabled: matches!(scheduler, SchedulerKind::ContinuStreaming),
             seed,
             ..SystemConfig::default()
         };

@@ -17,13 +17,11 @@ fn base(nodes: usize, seed: u64) -> SystemConfig {
 fn continustreaming_beats_coolstreaming_static() {
     let cool = SystemSim::new(SystemConfig {
         scheduler: SchedulerKind::CoolStreaming,
-        prefetch_enabled: false,
         ..base(150, 5)
     })
     .run();
     let cont = SystemSim::new(SystemConfig {
         scheduler: SchedulerKind::ContinuStreaming,
-        prefetch_enabled: true,
         ..base(150, 5)
     })
     .run();
@@ -38,6 +36,24 @@ fn continustreaming_beats_coolstreaming_static() {
         "a 150-node static ContinuStreaming net should mostly play: {:.3}",
         cont.summary.stable_continuity
     );
+}
+
+/// A scheduler that does not pre-fetch never runs Algorithm 2, so a
+/// full run carries no DHT rescue traffic at all.
+#[test]
+fn prefetch_disabled_means_no_dht_traffic() {
+    let cfg = SystemConfig {
+        scheduler: SchedulerKind::CoolStreaming,
+        ..base(100, 13)
+    };
+    assert!(!cfg.scheduler.prefetches());
+    let report = SystemSim::new(cfg).run();
+    let mut total = TrafficCounter::new();
+    for r in &report.rounds {
+        total.merge(&r.traffic);
+    }
+    assert_eq!(total.bits(TrafficClass::PrefetchRouting), 0);
+    assert_eq!(total.bits(TrafficClass::PrefetchData), 0);
 }
 
 #[test]
@@ -119,19 +135,4 @@ fn theory_brackets_small_static_simulation() {
         cont.summary.stable_continuity,
         lo.pc_new
     );
-}
-
-#[test]
-fn prefetch_disabled_means_no_dht_traffic() {
-    let cfg = SystemConfig {
-        prefetch_enabled: false,
-        ..base(100, 13)
-    };
-    let report = SystemSim::new(cfg).run();
-    let mut total = TrafficCounter::new();
-    for r in &report.rounds {
-        total.merge(&r.traffic);
-    }
-    assert_eq!(total.bits(TrafficClass::PrefetchRouting), 0);
-    assert_eq!(total.bits(TrafficClass::PrefetchData), 0);
 }

@@ -270,17 +270,16 @@ fn dht_arena_survives_churn() {
 /// does not — via the `debug_check_scratch` hook after every round.
 #[test]
 fn round_scratch_reuse_leaves_no_stale_state() {
-    for (scheduler, prefetch) in [
-        (SchedulerKind::ContinuStreaming, true),
-        (SchedulerKind::CoolStreaming, false),
-        (SchedulerKind::Random, false),
+    for scheduler in [
+        SchedulerKind::ContinuStreaming,
+        SchedulerKind::CoolStreaming,
+        SchedulerKind::Random,
     ] {
         let config = SystemConfig {
             nodes: 60,
             rounds: 30,
             startup_segments: 30,
             scheduler,
-            prefetch_enabled: prefetch,
             seed: 0xA110C,
             ..SystemConfig::default()
         };

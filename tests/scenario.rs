@@ -71,9 +71,9 @@ fn rich_spec(seed: u64) -> ScenarioSpec {
         start: 2,
         end: 25,
         arrivals: ArrivalModel { poisson_rate: 1.2 },
-        session: SessionModel::LogNormal {
-            mu: 2.2,
-            sigma: 0.8,
+        session: SessionModel::Weibull {
+            shape: 0.8,
+            scale_rounds: 10.0,
         },
         graceful_fraction: 0.6,
         classes: vec!["dsl".into(), "fiber".into()],
@@ -83,8 +83,6 @@ fn rich_spec(seed: u64) -> ScenarioSpec {
             pause_prob: 0.01,
             resume_prob: 0.25,
         },
-        loss: 0.0,
-        crash: 0.0,
     }];
     spec.events = vec![
         TimedEvent {

@@ -92,12 +92,11 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) -> SystemConfig {
+fn steady_state_config(scheduler: SchedulerKind, rounds: u32) -> SystemConfig {
     SystemConfig {
         nodes: 300,
         rounds,
         scheduler,
-        prefetch_enabled: prefetch,
         seed: 20080414,
         // Faults-off invisibility canary: the explicit all-zero fault
         // plan must leave the fault plane a dead branch — every
@@ -115,11 +114,7 @@ fn steady_state_config(scheduler: SchedulerKind, prefetch: bool, rounds: u32) ->
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     let _guard = measure_lock();
-    let mut sim = SystemSim::new(steady_state_config(
-        SchedulerKind::ContinuStreaming,
-        true,
-        100,
-    ));
+    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::ContinuStreaming, 100));
     // Warm up past startup buffering and past every buffer/queue/scratch
     // high-water mark (the first rounds grow capacities; growth stops
     // once the workload shape repeats).
@@ -140,11 +135,7 @@ fn steady_state_rounds_allocate_nothing() {
 #[test]
 fn coolstreaming_steady_state_allocates_nothing() {
     let _guard = measure_lock();
-    let mut sim = SystemSim::new(steady_state_config(
-        SchedulerKind::CoolStreaming,
-        false,
-        100,
-    ));
+    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::CoolStreaming, 100));
     for _ in 0..60 {
         assert!(sim.step());
     }
@@ -159,7 +150,7 @@ fn coolstreaming_steady_state_allocates_nothing() {
 #[test]
 fn random_scheduler_steady_state_allocates_nothing() {
     let _guard = measure_lock();
-    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::Random, false, 100));
+    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::Random, 100));
     for _ in 0..60 {
         assert!(sim.step());
     }
@@ -180,7 +171,7 @@ fn adaptive_policy_steady_state_allocates_nothing() {
     let _guard = measure_lock();
     let mut sim = SystemSim::new(SystemConfig {
         policy: PolicyKind::adaptive(),
-        ..steady_state_config(SchedulerKind::ContinuStreaming, true, 100)
+        ..steady_state_config(SchedulerKind::ContinuStreaming, 100)
     });
     for _ in 0..60 {
         assert!(sim.step());
@@ -205,11 +196,7 @@ fn adaptive_policy_steady_state_allocates_nothing() {
 #[test]
 fn obs_armed_steady_state_allocates_nothing() {
     let _guard = measure_lock();
-    let mut sim = SystemSim::new(steady_state_config(
-        SchedulerKind::ContinuStreaming,
-        true,
-        100,
-    ));
+    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::ContinuStreaming, 100));
     sim.enable_obs(ObsConfig::default());
     for _ in 0..70 {
         assert!(sim.step());
@@ -235,11 +222,7 @@ fn obs_armed_steady_state_allocates_nothing() {
 fn counter_detects_allocations() {
     let _guard = measure_lock();
     let n = count_allocs(|| {
-        let sim = SystemSim::new(steady_state_config(
-            SchedulerKind::ContinuStreaming,
-            true,
-            4,
-        ));
+        let sim = SystemSim::new(steady_state_config(SchedulerKind::ContinuStreaming, 4));
         assert!(sim.alive() > 0);
     });
     assert!(n > 0, "constructing a simulator must allocate");
@@ -252,11 +235,7 @@ fn counter_detects_allocations() {
 #[test]
 fn public_step_api_allocates_nothing_when_warm() {
     let _guard = measure_lock();
-    let mut sim = SystemSim::new(steady_state_config(
-        SchedulerKind::ContinuStreaming,
-        true,
-        100,
-    ));
+    let mut sim = SystemSim::new(steady_state_config(SchedulerKind::ContinuStreaming, 100));
     for _ in 0..60 {
         assert!(sim.step());
     }
