@@ -28,47 +28,64 @@
 //!     --nodes 100000 --rounds 200 --json BENCH_active_set.json
 //! ```
 
+use std::fs::File;
+use std::io::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use cs_bench::fingerprint::{fingerprint, PausePlan};
 use cs_core::{ObsConfig, PhaseRow, SchedulerKind, SystemConfig, SystemSim, Telemetry};
 
-fn arg_u64(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name && i + 1 < args.len() {
-            return args[i + 1]
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} takes an integer"));
-        }
-    }
-    default
+/// The command line, parsed and checked before any run.
+struct Args {
+    nodes: usize,
+    rounds: u32,
+    json: Option<(String, File)>,
+    skip_dense: bool,
+    pause_frac: f64,
+    pause_round: u32,
 }
 
-fn arg_f64(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name && i + 1 < args.len() {
-            return args[i + 1]
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} takes a number"));
+const USAGE: &str = "usage: bench_active_set [--nodes N] [--rounds R] [--pause-frac F] \
+                     [--pause-round R] [--skip-dense] [--json PATH]";
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> Result<T, String> {
+        let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+        raw.parse()
+            .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
+    }
+    let mut parsed = Args {
+        nodes: 100_000,
+        rounds: 200,
+        json: None,
+        skip_dense: false,
+        pause_frac: 0.8,
+        pause_round: 40,
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--nodes" => parsed.nodes = value(&arg, args.next())?,
+            "--rounds" => parsed.rounds = value(&arg, args.next())?,
+            "--pause-round" => parsed.pause_round = value(&arg, args.next())?,
+            "--pause-frac" => {
+                let frac: f64 = value(&arg, args.next())?;
+                if !(0.0..1.0).contains(&frac) {
+                    return Err(format!("--pause-frac {frac} is outside [0, 1)"));
+                }
+                parsed.pause_frac = frac;
+            }
+            "--skip-dense" => parsed.skip_dense = true,
+            "--json" => {
+                let path = args.next().ok_or("--json needs a path")?;
+                // Created up front so a bad path fails before the runs, not after.
+                let file = File::create(&path).map_err(|e| format!("cannot write {path}: {e}"))?;
+                parsed.json = Some((path, file));
+            }
+            _ => return Err(format!("unknown argument `{arg}` ({USAGE})")),
         }
     }
-    default
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name && i + 1 < args.len() {
-            return Some(args[i + 1].clone());
-        }
-    }
-    None
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+    Ok(parsed)
 }
 
 struct TimedRun {
@@ -158,14 +175,16 @@ fn run_workload(name: &'static str, config: &SystemConfig, pause: PausePlan) -> 
     Workload { name, run }
 }
 
-fn main() {
-    let nodes = arg_u64("--nodes", 100_000) as usize;
-    let rounds = arg_u64("--rounds", 200) as u32;
-    let json_path = arg_str("--json");
-    let skip_dense = has_flag("--skip-dense");
-    let pause_frac = arg_f64("--pause-frac", 0.8);
-    let pause_round = arg_u64("--pause-round", 40) as u32;
-
+/// Run both legs and write the record, or say why the invocation is bad.
+fn run(args: Args) -> Result<(), String> {
+    let Args {
+        nodes,
+        rounds,
+        json,
+        skip_dense,
+        pause_frac,
+        pause_round,
+    } = args;
     let config = SystemConfig {
         nodes,
         rounds,
@@ -173,9 +192,10 @@ fn main() {
         seed: 20080414,
         ..SystemConfig::default()
     };
+    config.validate()?;
 
     // keep_every: keep 1-in-k playing => paused fraction ~ 1 - 1/k.
-    let keep_every = (1.0 / (1.0 - pause_frac).max(1e-9)).round().max(1.0) as usize;
+    let keep_every = (1.0 / (1.0 - pause_frac)).round().max(1.0) as usize;
     let pause = PausePlan {
         round: pause_round.min(rounds.saturating_sub(1)),
         keep_every,
@@ -197,7 +217,9 @@ fn main() {
         None
     };
 
-    let Some(path) = json_path else { return };
+    let Some((path, mut file)) = json else {
+        return Ok(());
+    };
     let ms = |v: f64| format!("{v:.2}");
     let ns = |v: f64| format!("{v:.0}");
     let phase_rows = |run: &TimedRun| {
@@ -254,10 +276,21 @@ fn main() {
         .map(workload_block)
         .collect::<Vec<_>>()
         .join(",\n  ");
-    let json = format!(
-        "{{\n  \"bench\": \"bench_active_set\",\n  \"config\": {{ \"nodes\": {nodes}, \"rounds\": {rounds}, \"scheduler\": \"ContinuStreaming\", \"prefetch\": true, \"churn\": \"default-static\", \"policy\": \"legacy\", \"faults\": \"inert\", \"seed\": 20080414, \"pause_frac\": {pause_frac}, \"pause_round\": {pause_round} }},\n  \"workloads\": [\n  {}\n  ]\n}}\n",
+    let record = format!(
+        "{{\n  \"bench\": \"bench_active_set\",\n  \"config\": {{ \"nodes\": {nodes}, \"rounds\": {rounds}, \"scheduler\": \"ContinuStreaming\", \"churn\": \"default-static\", \"policy\": \"legacy\", \"faults\": \"inert\", \"seed\": 20080414, \"pause_frac\": {pause_frac}, \"pause_round\": {pause_round} }},\n  \"workloads\": [\n  {}\n  ]\n}}\n",
         workloads,
     );
-    std::fs::write(&path, json).expect("write json record");
+    let written = file.write_all(record.as_bytes());
+    written.map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("wrote {path}");
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let outcome = parse_args(std::env::args().skip(1)).and_then(run);
+    if let Err(message) = outcome {
+        eprintln!("bench_active_set: {message}");
+        return ExitCode::from(2);
+    }
+    ExitCode::SUCCESS
 }

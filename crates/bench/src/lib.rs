@@ -3,34 +3,32 @@
 //! [`repro`] is the reproduction scorecard: every claim of the paper
 //! this tree tests as one table of predicates, evaluated by the `repro`
 //! binary into the committed `REPRODUCTION.md` / `REPRODUCTION.json`.
-//! [`sweep`] is the knob sweep, [`fingerprint`] the drift hashes; this
-//! module holds what they share — many runs in parallel through
-//! [`cs_sim::fork_join`] (each run is itself deterministic) and table
-//! formatting. Performance is measured in `benchmark/`, not here.
+//! [`fingerprint`] holds the drift hashes; this module holds what they
+//! share — many runs in parallel through [`cs_sim::fork_join`] (each run
+//! is itself deterministic) and table formatting. Performance is
+//! measured in `benchmark/`, not here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use continustreaming::scenario::{run_scenario, ScenarioOutcome, ScenarioSpec};
 use cs_core::{RunReport, SystemConfig, SystemSim};
 
 pub mod fingerprint;
 pub mod repro;
-pub mod sweep;
 
 /// Run one full-system simulation.
 pub fn run_system(config: SystemConfig) -> RunReport {
     SystemSim::new(config).run()
 }
 
-/// Run `run` over every input in parallel (one OS thread per available
+/// Run many configurations in parallel (one OS thread per available
 /// core, work-stealing via an index counter — runs differ wildly in
 /// cost, so static shards would idle). Each run is itself deterministic,
-/// and results come back in input order, so a sweep's output is
-/// byte-identical at any core count.
-fn run_indexed<T: Sync, R: Send>(inputs: &[T], run: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = inputs.len();
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+/// and results come back in input order, so the output is byte-identical
+/// at any core count.
+pub fn run_many(configs: Vec<SystemConfig>) -> Vec<RunReport> {
+    let n = configs.len();
+    let results: Mutex<Vec<Option<RunReport>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -41,8 +39,8 @@ fn run_indexed<T: Sync, R: Send>(inputs: &[T], run: impl Fn(&T) -> R + Sync) -> 
         if i >= n {
             break;
         }
-        let result = run(&inputs[i]);
-        results.lock().expect("results mutex poisoned")[i] = Some(result);
+        let report = run_system(configs[i].clone());
+        results.lock().expect("results mutex poisoned")[i] = Some(report);
     });
     results
         .into_inner()
@@ -50,16 +48,6 @@ fn run_indexed<T: Sync, R: Send>(inputs: &[T], run: impl Fn(&T) -> R + Sync) -> 
         .into_iter()
         .map(|r| r.expect("every index was filled"))
         .collect()
-}
-
-/// Run many configurations in parallel. Results come back in input order.
-pub fn run_many(configs: Vec<SystemConfig>) -> Vec<RunReport> {
-    run_indexed(&configs, |c| run_system(c.clone()))
-}
-
-/// Run many scenario specs in parallel. Results come back in input order.
-pub fn run_scenarios(specs: Vec<ScenarioSpec>) -> Vec<ScenarioOutcome> {
-    run_indexed(&specs, run_scenario)
 }
 
 /// Render an aligned markdown table, under its own heading, to stdout.

@@ -22,6 +22,7 @@
 use std::fmt;
 
 use continustreaming::scenario::mean_continuity_gate;
+use continustreaming::scenario::metrics::json_string;
 use cs_analysis::{
     expected_routing_hops, prefetch_success_probability, routing_hop_upper_bound, ContinuityModel,
 };
@@ -35,7 +36,6 @@ use cs_sim::RngTree;
 use rand::Rng as _;
 
 use crate::fingerprint::dht::{build_net, latency};
-use crate::sweep::json_f64;
 use crate::{f4, print_table};
 
 /// Whether the tree is known to meet a row's claim.
@@ -247,12 +247,13 @@ pub fn evaluate<'a>(
     }
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
+/// A measurement at the record's fixed precision; undefined or
+/// non-finite is `null`.
 fn json_opt(v: Option<f64>) -> String {
-    v.map_or("null".into(), json_f64)
+    match v {
+        Some(x) if x.is_finite() => format!("{x:.6}"),
+        _ => "null".to_string(),
+    }
 }
 
 impl Record<'_> {
@@ -302,10 +303,10 @@ impl Record<'_> {
                 "    {{\"id\": {}, \"artefact\": {}, \"paper\": {}, \"claim\": {}, \
                  \"status\": \"{:?}\", \"median\": {}, \"worst\": {}, \"worst_seed\": {}, \
                  \"meets\": {}, \"values\": [{}]}}{}\n",
-                json_str(&row.id),
-                json_str(row.artefact()),
-                json_str(&row.paper),
-                json_str(&row.claim.to_string()),
+                json_string(&row.id),
+                json_string(row.artefact()),
+                json_string(&row.paper),
+                json_string(&row.claim.to_string()),
                 row.status,
                 json_opt(o.median),
                 json_opt(o.values[o.worst]),

@@ -267,11 +267,6 @@ impl DhtNetwork {
             .map(|n| n.peers.owner())
     }
 
-    /// Borrow a node's state by arena handle.
-    pub fn node_at(&self, idx: DhtIdx) -> Option<&DhtNodeState> {
-        self.slots.get(idx.index()).and_then(|s| s.as_ref())
-    }
-
     /// Borrow a node's state.
     pub fn node(&self, id: DhtId) -> Option<&DhtNodeState> {
         self.by_id.get(id).map(|s| {
@@ -876,7 +871,6 @@ mod tests {
         for id in net.ids().collect::<Vec<_>>() {
             let idx = net.lookup(id).expect("live id resolves");
             assert_eq!(net.id_at(idx), Some(id));
-            assert_eq!(net.node_at(idx).unwrap().peers.owner(), id);
         }
     }
 }

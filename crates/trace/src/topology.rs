@@ -4,7 +4,7 @@
 //! trace-assigned `NodeRecord::id` is preserved separately so serialised
 //! traces keep their original identifiers.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::record::NodeRecord;
 
@@ -40,8 +40,6 @@ pub struct Topology {
     /// Adjacency lists by dense index; kept sorted for deterministic
     /// iteration and O(log d) membership checks.
     adjacency: Vec<Vec<usize>>,
-    /// Trace ID → dense index.
-    id_index: HashMap<u32, usize>,
     edge_count: usize,
 }
 
@@ -51,9 +49,9 @@ impl Topology {
     /// # Errors
     /// [`TopologyError::DuplicateNodeId`] if two records share an ID.
     pub fn new(records: Vec<NodeRecord>) -> Result<Self, TopologyError> {
-        let mut id_index = HashMap::with_capacity(records.len());
-        for (i, r) in records.iter().enumerate() {
-            if id_index.insert(r.id, i).is_some() {
+        let mut seen = HashSet::with_capacity(records.len());
+        for r in &records {
+            if !seen.insert(r.id) {
                 return Err(TopologyError::DuplicateNodeId(r.id));
             }
         }
@@ -61,7 +59,6 @@ impl Topology {
         Ok(Topology {
             records,
             adjacency: vec![Vec::new(); n],
-            id_index,
             edge_count: 0,
         })
     }
@@ -98,11 +95,6 @@ impl Topology {
     /// All records, in dense-index order.
     pub fn records(&self) -> &[NodeRecord] {
         &self.records
-    }
-
-    /// Dense index of the record with trace ID `id`, if present.
-    pub fn index_of(&self, id: u32) -> Option<usize> {
-        self.id_index.get(&id).copied()
     }
 
     /// The sorted adjacency list of node `i`.
@@ -323,12 +315,5 @@ mod tests {
         t.add_edge(3, 1).unwrap();
         t.add_edge(0, 2).unwrap();
         assert_eq!(t.edges(), vec![(0, 2), (1, 3)]);
-    }
-
-    #[test]
-    fn index_lookup() {
-        let t = Topology::new(vec![rec(100), rec(42)]).unwrap();
-        assert_eq!(t.index_of(42), Some(1));
-        assert_eq!(t.index_of(7), None);
     }
 }

@@ -171,10 +171,10 @@ fn adaptive_beats_legacy_under_dynamic_churn() {
     );
 }
 
-/// The committed *tuned* dynamic-churn spec (the PR-7 knob-sweep
-/// winner from `BENCH_knob_frontier.json`) at reduced size: the swept
-/// recovery + joiner knobs must clear a pinned mean-continuity floor
-/// and beat Legacy by a pinned margin. The full-size (1000×200)
+/// The committed *tuned* dynamic-churn spec (the recovery + joiner
+/// knobs on its policy line, hand-set until a derivation replaces
+/// them) at reduced size: the tuned knobs must clear a pinned
+/// mean-continuity floor and beat Legacy by a pinned margin. The full-size (1000×200)
 /// ≥ 0.90 mean gate runs in the CI chaos-smoke matrix.
 ///
 /// Measured (release, x86_64, 300 nodes × 80 rounds, spike at 50):
