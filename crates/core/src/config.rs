@@ -151,6 +151,16 @@ impl SystemConfig {
     pub fn validate(&self) -> Result<(), String> {
         ensure!(self.nodes >= 2, "need at least a source and one receiver");
         ensure!(self.rounds > 0, "need at least one round");
+        // The §5.4.2 buffer map's 20-bit head id names 2^20 segments, so
+        // the stream ends there — and the per-round rows are sized from
+        // `rounds` at construction.
+        ensure!(
+            self.rounds as u64 * Self::DEMAND_PER_ROUND <= 1 << 20,
+            "rounds = {}: the 20-bit segment id covers at most {} rounds at {} segments per round",
+            self.rounds,
+            (1u64 << 20) / Self::DEMAND_PER_ROUND,
+            Self::DEMAND_PER_ROUND
+        );
         ensure!(self.neighbors > 0, "need at least one neighbour");
         ensure!(
             self.neighbors < self.nodes,

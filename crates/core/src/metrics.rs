@@ -14,7 +14,7 @@
 use cs_net::TrafficCounter;
 
 /// Everything recorded at the end of one scheduling round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: u32,

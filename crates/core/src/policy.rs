@@ -125,8 +125,9 @@ pub struct AdaptivePolicy {
     /// fetches — when every §4.3 replica lookup comes up empty (the
     /// holders crashed, or the epidemic wave broke and *nobody* has the
     /// segment yet), the node may fetch directly from the source, which
-    /// always holds the full stream. Bounded by the source's shared
-    /// outbound-spend ledger, so desperate rounds cannot mint bandwidth:
+    /// always holds the full stream. Bounded by the source's
+    /// outbound-spend ledger, which the source-side transfers and rescue
+    /// uploads share (step-6 gossip service is budgeted apart from it):
     /// the fallback re-seeds a broken distribution wave (the gossip
     /// plane re-amplifies from the seeded copies) rather than serving
     /// the swarm. `0` (the default) disables the fallback and reproduces
@@ -134,7 +135,8 @@ pub struct AdaptivePolicy {
     pub source_rescue_cap: usize,
     /// Frontier push seeding: copies of each newly emitted segment the
     /// source pushes to deterministic ring-spread positions, charged to
-    /// the same shared outbound ledger as every other source transfer.
+    /// the same outbound ledger as every other source-side transfer
+    /// (not the step-6 gossip budget).
     /// Without it a fresh segment can only enter the swarm through the
     /// source's handful of gossip neighbours, and under sustained loss
     /// that narrow injection funnel saturates and the fresh-segment
@@ -160,11 +162,12 @@ pub struct AdaptivePolicy {
     /// Joiner integration: segments of initial runway the source pushes
     /// directly to each freshly-admitted node — the frontier push
     /// seeding extended to joiners. The seed starts at the joiner's
-    /// adopted play anchor and is charged to the source's shared
-    /// outbound ledger (a saturated uplink seeds less), so a join storm
-    /// cannot mint bandwidth; what it buys is joiners that start
-    /// playback with contiguous content instead of pulling their whole
-    /// catch-up window from neighbours who are themselves at budget.
+    /// adopted play anchor and is charged to the source's outbound
+    /// ledger (a spent ledger seeds less), which the other source-side
+    /// transfers share but step-6 gossip does not; what it buys is
+    /// joiners that start playback with contiguous content instead of
+    /// pulling their whole catch-up window from neighbours who are
+    /// themselves at budget.
     /// `0` (the default) disables joiner seeding and reproduces the
     /// pre-knob behaviour bit for bit.
     pub join_seed: usize,

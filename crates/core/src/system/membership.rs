@@ -457,14 +457,8 @@ impl SystemSim {
             .as_adaptive()
             .map_or(0, |p| p.join_sponsors);
         if sponsors > 0 && !self.order_ids.is_empty() {
-            let space = self.dht.space().size();
             for i in 0..sponsors as u64 {
-                let pos = cs_sim::splitmix64(id.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i) % space;
-                let k = match self.order_ids.binary_search(&pos) {
-                    Ok(k) => k,
-                    Err(k) => k % self.order_ids.len(),
-                };
-                let sid = self.order_ids[k];
+                let sid = self.order_ids[self.ring_spread(id, i)];
                 // The order arrays are rebuilt only after the whole
                 // churn batch, so mid-batch entries can be stale: skip
                 // departed sponsors (and never sponsor through the

@@ -73,9 +73,11 @@
 //!
 //! `state` holds the arena, scratch and tally types, among them
 //! [`MapStore`], the round's one table of advertised maps, which the
-//! exchange fills; `round` the round driver ([`SystemSim::step_with`],
-//! the one round entry) and the phases it keeps to itself (churn,
-//! emission, exchange, playback, finalise);
+//! exchange fills, and `RoundTally`, which carries the round's
+//! [`RoundRecord`] and [`TelemetryRound`](crate::TelemetryRound) rows
+//! for the phases to count into in place; `round` the round driver
+//! ([`SystemSim::step_with`], the one round entry) and the phases it
+//! keeps to itself (churn, emission, exchange, playback, finalise);
 //! `schedule`, `service` and `prefetch` steps 5, 6 and 7; `membership`
 //! neighbour maintenance, joins, leaves and workload events; `recovery`
 //! the fault plane, the recovery plane and source seeding; `twin` the
@@ -895,6 +897,26 @@ mod tests {
             sim.dht.check_invariants().unwrap();
             assert!(sim.nodes.lookup(sim.source).is_some(), "source immortal");
         }
+    }
+
+    #[test]
+    fn ring_spread_picks_the_first_alive_id_clockwise() {
+        let sim = SystemSim::new(tiny(SchedulerKind::ContinuStreaming, 5));
+        let space = sim.dht.space().size();
+        let alive: Vec<DhtId> = sim.nodes.iter_pairs().map(|(id, _)| id).collect();
+        let mut wrapped = 0;
+        for key in 0..2000u64 {
+            for i in 0..3u64 {
+                let pos = cs_sim::splitmix64(key.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i) % space;
+                // Linear scan: the first alive id at or after `pos`, else
+                // the lowest id (the ring wraps past its top).
+                let expected = alive.iter().copied().find(|&id| id >= pos);
+                wrapped += usize::from(expected.is_none());
+                let picked = sim.order_ids[sim.ring_spread(key, i)];
+                assert_eq!(picked, expected.unwrap_or(alive[0]), "key {key}, copy {i}");
+            }
+        }
+        assert!(wrapped > 0, "no position fell past the highest id");
     }
 
     #[test]

@@ -213,22 +213,22 @@ impl SystemSim {
                 idx,
                 &mut missed,
             );
-            tally.rescue_cap_peak = tally.rescue_cap_peak.max(cap);
+            tally.telemetry.rescue_cap = tally.telemetry.rescue_cap.max(cap as u64);
             match rescue {
                 Rescue::Idle => {}
                 Rescue::Suppressed => {
-                    tally.active_prefetch += 1;
-                    tally.prefetch_suppressed += 1;
+                    tally.telemetry.active_prefetch += 1;
+                    tally.record.prefetch_suppressed += 1;
                 }
                 Rescue::Fetch {
                     repeated,
                     max_fetches,
                 } => {
-                    tally.active_prefetch += 1;
+                    tally.telemetry.active_prefetch += 1;
                     for _ in 0..repeated {
                         self.nodes.node_mut(idx).urgent.on_repeated();
                     }
-                    tally.prefetch_repeated += repeated;
+                    tally.record.prefetch_repeated += repeated;
                     self.fetch_missed(idx, &missed[..max_fetches], round, scratch, tally);
                 }
             }
@@ -341,9 +341,10 @@ impl SystemSim {
         let mut source_fallbacks = 0usize;
 
         for &seg in missed {
-            tally.prefetch_attempts += 1;
-            let outcome = self.dht_retrieve(requester_id, seg, false, scratch, &mut tally.traffic);
-            tally.prefetch_routing_msgs += outcome.routing_messages as u64;
+            tally.record.prefetch_attempts += 1;
+            let outcome =
+                self.dht_retrieve(requester_id, seg, false, scratch, &mut tally.record.traffic);
+            tally.telemetry.dht_routing_msgs += outcome.routing_messages as u64;
             // The requester overhears every node its lookups reached
             // (the located list stayed in the retrieval scratch).
             {
@@ -373,6 +374,7 @@ impl SystemSim {
                     }
                 }
                 tally
+                    .record
                     .traffic
                     .add(TrafficClass::PrefetchData, SIZES.segment_bits);
                 if let Some(sup_idx) = self.nodes.lookup(supplier) {
@@ -385,8 +387,8 @@ impl SystemSim {
                 // re-seed the copy from the source so the gossip plane
                 // can re-amplify it (see [`Self::source_fetch`]).
                 source_fallbacks += 1;
-                tally.prefetch_routing_msgs += 1;
-                let traffic = &mut tally.traffic;
+                tally.telemetry.dht_routing_msgs += 1;
+                let traffic = &mut tally.record.traffic;
                 match self.source_fetch(round, idx, requester_id, seg, scratch, traffic) {
                     Some(fetch_ms) => fetch_ms,
                     None => continue,
@@ -394,7 +396,7 @@ impl SystemSim {
             } else {
                 continue;
             };
-            tally.prefetch_successes += 1;
+            tally.record.prefetch_successes += 1;
             // Deadline: the start of the round in which `seg` plays.
             // Buffering nodes have no deadline yet.
             let deadline_ms = if !started {
@@ -410,7 +412,7 @@ impl SystemSim {
                 // Case 1: arrived after (or perilously at) its
                 // deadline round.
                 node.urgent.on_overdue();
-                tally.prefetch_overdue += 1;
+                tally.record.prefetch_overdue += 1;
             }
         }
     }

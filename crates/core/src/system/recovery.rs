@@ -1,7 +1,8 @@
 //! The fault plane, the recovery plane and source seeding: crash/loss
 //! injection, the scripted-fault API, timeout → retry → failover for
 //! lost pulls, and the source-side pushes (frontier, joiner runway,
-//! origin fallback) that share the source's outbound ledger.
+//! origin fallback) that share the source's outbound ledger with the
+//! round's rescue uploads (step-6 gossip service budgets apart from it).
 
 use rand::Rng;
 
@@ -495,10 +496,13 @@ impl SystemSim {
         true
     }
 
-    /// Whether the source's outbound budget for this round is used up.
+    /// Whether the source's outbound ledger for this round is used up.
     /// Frontier pushes, joiner seeds, origin fallbacks and the source's
-    /// own rescue uploads all draw on this one ledger, so a desperate
-    /// swarm cannot mint bandwidth.
+    /// own rescue uploads all draw on this one ledger, so together they
+    /// stay within one outbound rate. Step-6 gossip service does not:
+    /// it budgets each supplier from `outbound·τ` plus carry and never
+    /// reads the ledger, so a source (like any node) can upload up to
+    /// about twice its outbound rate in one round.
     fn source_uplink_spent(&self, scratch: &RoundScratch) -> bool {
         let src = self.source_idx;
         let cap = self.nodes.node(src).bandwidth.outbound_segments_per_sec();
@@ -536,7 +540,8 @@ impl SystemSim {
     /// this round to deterministic ring-spread positions (the node
     /// closest clockwise to `hash(segment, i)`, the same
     /// position-hashing idea as the §4.2 backup placement). Charged to
-    /// the source's shared outbound ledger and subject to data-path
+    /// the source's outbound ledger (shared with the other source-side
+    /// transfers, not with step-6 gossip) and subject to data-path
     /// loss, like any other data transfer. Returns the copies that
     /// arrived (they count as gossip-plane deliveries). RNG-free; with
     /// the knob at 0 (the default) it is a single branch.
@@ -555,20 +560,14 @@ impl SystemSim {
         if fanout == 0 {
             return 0;
         }
-        let space = self.dht.space().size();
         let mut pushed = 0u64;
         for seg in first_new..=self.newest_emitted {
             for i in 0..fanout as u64 {
                 if self.source_uplink_spent(scratch) {
-                    // The origin's uplink is spent: seeding yields to the
-                    // pull traffic it shares the ledger with.
+                    // The ledger is spent: pushing stops for the round.
                     return pushed;
                 }
-                let pos = cs_sim::splitmix64(seg.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i) % space;
-                let k = match self.order_ids.binary_search(&pos) {
-                    Ok(k) => k,
-                    Err(k) => k % self.order_ids.len(),
-                };
+                let k = self.ring_spread(seg, i);
                 let id = self.order_ids[k];
                 if id == self.source || self.nodes.node(self.order_idx[k]).buffer.contains(seg) {
                     continue;
@@ -584,9 +583,9 @@ impl SystemSim {
     /// nodes — the frontier push extended to joiners. Every node
     /// admitted *this* round gets up to `join_seed` segments of its
     /// initial runway pushed straight from the source, starting at its
-    /// adopted play anchor, charged to the same shared outbound ledger
-    /// as every other source transfer (a saturated uplink seeds less —
-    /// a join storm cannot mint bandwidth) and subject to data-path
+    /// adopted play anchor, charged to the same outbound ledger as every
+    /// other source-side transfer (a spent ledger seeds less; step-6
+    /// gossip is budgeted apart from it) and subject to data-path
     /// loss. Without it a joiner pulls its whole catch-up window from
     /// neighbours who are themselves at budget, and under 5 %-per-round
     /// churn that steady catch-up tax is what drags the swarm below the
@@ -621,8 +620,7 @@ impl SystemSim {
             };
             for seg in anchor..anchor.saturating_add(seed).min(self.newest_emitted + 1) {
                 if self.source_uplink_spent(scratch) {
-                    // The origin's uplink is spent: seeding yields to
-                    // the pull traffic it shares the ledger with.
+                    // The ledger is spent: seeding stops for the round.
                     return pushed;
                 }
                 if self.nodes.node(idx).buffer.contains(seg) {
@@ -638,12 +636,13 @@ impl SystemSim {
     /// `seg` came up empty or dark, so the §4.3 rescue cannot succeed no
     /// matter how often it retries — but the source always holds the
     /// full stream. A direct unicast fetch to the bootstrap address (no
-    /// DHT routing), charged against the source's shared outbound-spend
-    /// ledger: when the origin's uplink is spent, the fallback fails
-    /// like any saturated supplier, so a desperate swarm cannot mint
-    /// bandwidth. The point is not to serve the swarm from the origin —
-    /// one uplink cannot — but to re-seed a broken distribution wave
-    /// with copies the gossip plane then re-amplifies. Rides the
+    /// DHT routing), charged against the source's outbound-spend ledger:
+    /// when the ledger is spent, the fallback fails like any saturated
+    /// supplier, so fallbacks, pushes, seeds and rescue uploads together
+    /// stay within one outbound rate (step-6 gossip is budgeted apart
+    /// from the ledger). The point is not to serve the swarm from the
+    /// origin — one uplink cannot — but to re-seed a broken distribution
+    /// wave with copies the gossip plane then re-amplifies. Rides the
     /// control path (the fault plane can swallow or delay it). Returns
     /// the eq. 6-style fetch time when the segment arrived.
     pub(super) fn source_fetch(

@@ -16,8 +16,7 @@ use super::state::{MapStore, RoundScratch, RoundTally};
 use super::{SystemSim, SIZES};
 use crate::config::SystemConfig;
 use crate::faults::FaultRoundRecord;
-use crate::metrics::RoundRecord;
-use crate::telemetry::{StartupSample, TelemetryRound};
+use crate::telemetry::StartupSample;
 use crate::SegmentId;
 
 impl SystemSim {
@@ -75,7 +74,7 @@ impl SystemSim {
         self.obs_phase(ObsPhase::Schedule, &mut lap);
 
         // --- 6. supplier service ----------------------------------------
-        self.service_phase(round, &mut scratch, &mut tally.traffic, &mut tally.svc);
+        self.service_phase(round, &mut scratch, &mut tally);
         self.obs_phase(ObsPhase::ServiceApply, &mut lap);
 
         // --- 7. on-demand pre-fetch (Algorithm 2) -----------------------
@@ -89,7 +88,7 @@ impl SystemSim {
         // for pulls the fault plane swallowed. Runs before playback so a
         // successful retry still counts toward this round's continuity.
         if self.faults.active {
-            self.run_recovery_phase(round, &mut scratch, &mut tally.traffic);
+            self.run_recovery_phase(round, &mut scratch, &mut tally.record.traffic);
         }
         self.obs_phase(ObsPhase::Recovery, &mut lap);
 
@@ -112,7 +111,7 @@ impl SystemSim {
                 self.source,
                 &mut self.churn_rng,
             );
-            tally.leaves = plan.leavers();
+            tally.record.leaves = plan.leavers();
             for &id in &plan.graceful_leaves {
                 self.graceful_leave(id);
             }
@@ -121,7 +120,7 @@ impl SystemSim {
             }
             for _ in 0..plan.joins {
                 if self.join_one(round) {
-                    tally.joins += 1;
+                    tally.record.joins += 1;
                 }
             }
             self.rebuild_order();
@@ -171,7 +170,7 @@ impl SystemSim {
                 idx.0
             );
             if !node.is_source {
-                tally.traffic.add(
+                tally.record.traffic.add(
                     TrafficClass::Control,
                     bufmap_bits * node.connected.len() as u64,
                 );
@@ -179,11 +178,14 @@ impl SystemSim {
         }
         // 4b, frontier push seeding (recovery plane), and 4c, joiner
         // runway seeding: after the snapshots so the seeded copies are
-        // advertised (and gossip-amplified) from next round, before
-        // scheduling so the source's ledger reflects them when pulls are
-        // served.
-        tally.seeded = self.push_frontier(round, tally.first_new, scratch, &mut tally.traffic)
-            + self.seed_joiners(round, scratch, &mut tally.traffic);
+        // advertised (and gossip-amplified) from next round. They draw
+        // on the source's outbound ledger, which step-6 service does not
+        // read. The copies that arrive open the round's gossip-delivery
+        // count.
+        let traffic = &mut tally.record.traffic;
+        let seeded = self.push_frontier(round, tally.first_new, scratch, traffic)
+            + self.seed_joiners(round, scratch, traffic);
+        tally.record.gossip_deliveries = seeded;
     }
 
     /// Phase 8 — playback and continuity: start players whose buffering
@@ -192,7 +194,7 @@ impl SystemSim {
     fn playback_phase(&mut self, round: u32, tally: &mut RoundTally) {
         let p = SystemConfig::DEMAND_PER_ROUND;
         let startup_rounds = (self.config.startup_segments / p).max(1) as u32;
-        tally.min_runway = u64::MAX;
+        tally.telemetry.min_runway = u64::MAX;
         // Distribution taps: `obs_dist` gates the windowed per-node
         // continuity/runway samples; startup delays are recorded
         // whenever obs is armed. Both are pure reads — no RNG, no state.
@@ -203,9 +205,9 @@ impl SystemSim {
             if node.is_source {
                 continue;
             }
-            tally.alive += 1;
+            tally.record.alive += 1;
             tally.alpha_sum += node.urgent.alpha();
-            tally.backup_total += node.backup.len() as u64;
+            tally.telemetry.backup_segments += node.backup.len() as u64;
             match node.next_play {
                 None => {
                     // Startup: like a real player, buffer for a fixed
@@ -241,10 +243,10 @@ impl SystemSim {
                     tally.paused += 1;
                 }
                 Some(np) => {
-                    tally.playing += 1;
+                    tally.record.playing += 1;
                     let on_time = node.buffer.has_range(np, p);
                     if on_time {
-                        tally.continuous += 1;
+                        tally.record.continuous += 1;
                     }
                     let runway = node.buffer.contiguous_from(np);
                     if obs_dist {
@@ -258,9 +260,9 @@ impl SystemSim {
                     }
                     // Inflow beyond per-round demand: how much slack the
                     // node actually used to heal holes.
-                    tally.slack_used += (node.round_inflow as u64).saturating_sub(p);
+                    tally.telemetry.slack_used += (node.round_inflow as u64).saturating_sub(p);
                     tally.runway_sum += runway;
-                    tally.min_runway = tally.min_runway.min(runway);
+                    tally.telemetry.min_runway = tally.telemetry.min_runway.min(runway);
                     tally.gap_sum += self.newest_emitted.saturating_sub(np);
                     // How much of the fixed exchange window the node will
                     // pull over is already held.
@@ -291,7 +293,7 @@ impl SystemSim {
         if round % 10 == 9 {
             let horizon = self.global_play_floor();
             for k in 0..self.order_idx.len() {
-                tally.gc_evictions += self
+                tally.telemetry.gc_evictions += self
                     .nodes
                     .node_mut(self.order_idx[k])
                     .backup
@@ -299,53 +301,15 @@ impl SystemSim {
             }
             self.dht.tick_tables();
         }
-        let RoundTally {
-            alive,
-            playing,
-            paused,
-            continuous,
-            ..
-        } = tally;
-        // Mean over the playing nodes the telemetry sums ran over.
-        let per_playing = |sum: f64| {
-            if playing > 0 {
-                sum / playing as f64
-            } else {
-                0.0
-            }
-        };
-        self.records.push(RoundRecord {
-            round,
-            time_secs: round_end.as_secs_f64(),
-            alive,
-            playing,
-            continuous,
-            // Paused nodes are excluded from the ratio (see the pause
-            // arm of the playback phase); with none paused this is
-            // exactly `continuous / alive`, the pinned historical
-            // definition.
-            continuity: if alive > paused {
-                continuous as f64 / (alive - paused) as f64
-            } else {
-                0.0
-            },
-            traffic: tally.traffic,
-            prefetch_attempts: tally.prefetch_attempts,
-            prefetch_successes: tally.prefetch_successes,
-            prefetch_overdue: tally.prefetch_overdue,
-            prefetch_repeated: tally.svc.repeated + tally.prefetch_repeated,
-            prefetch_suppressed: tally.prefetch_suppressed,
-            mean_alpha: if alive > 0 {
-                tally.alpha_sum / alive as f64
-            } else {
-                0.0
-            },
-            gossip_deliveries: tally.svc.deliveries + tally.seeded,
-            requests_issued: tally.svc.issued,
-            requests_dropped: tally.svc.dropped,
-            joins: tally.joins,
-            leaves: tally.leaves,
-        });
+        let (alive, playing) = (tally.record.alive, tally.record.playing);
+        let record = &mut tally.record;
+        record.round = round;
+        record.time_secs = round_end.as_secs_f64();
+        // Paused nodes are excluded from the ratio (see the pause arm of
+        // the playback phase); with none paused this is exactly
+        // `continuous / alive`, the pinned historical definition.
+        record.continuity = mean(record.continuous as f64, alive.saturating_sub(tally.paused));
+        record.mean_alpha = mean(tally.alpha_sum, alive);
         // Fault plane: drain the round's counters into the trace. While
         // inert this is one branch — the trace stays empty and the
         // counters are never touched.
@@ -358,35 +322,26 @@ impl SystemSim {
         } else {
             FaultRoundRecord::default()
         };
-        self.telemetry.rounds.push(TelemetryRound {
-            round,
-            playing,
-            newest_emitted: self.newest_emitted,
-            mean_runway: per_playing(tally.runway_sum as f64),
-            min_runway: if playing > 0 { tally.min_runway } else { 0 },
-            mean_frontier_gap: per_playing(tally.gap_sum as f64),
-            window_occupancy: per_playing(tally.occupancy_sum),
-            supplier_active: tally.svc.supplier_active,
-            supplier_peak_load: tally.svc.supplier_peak,
-            dht_routing_msgs: tally.prefetch_routing_msgs,
-            gc_evictions: tally.gc_evictions,
-            backup_segments: tally.backup_total,
-            rescue_cap: tally.rescue_cap_peak as u64,
-            suppressed_nodes: tally.prefetch_suppressed as u64,
-            slack_used: tally.slack_used,
-            faults_injected: frec.injected() as u64,
-            timeouts_detected: frec.timeouts as u64,
-            retries_issued: frec.retries as u64,
-            failovers: frec.failovers as u64,
-            stale_repairs: frec.stale_repairs as u64,
-            mean_time_to_recover: if frec.recoveries > 0 {
-                frec.recovery_rounds as f64 / frec.recoveries as f64
-            } else {
-                0.0
-            },
-            active_sched: tally.active_sched,
-            active_prefetch: tally.active_prefetch,
-        });
+        let t = &mut tally.telemetry;
+        t.round = round;
+        t.playing = playing;
+        t.newest_emitted = self.newest_emitted;
+        // Means over the playing nodes the sums ran over.
+        t.mean_runway = mean(tally.runway_sum as f64, playing);
+        if playing == 0 {
+            t.min_runway = 0;
+        }
+        t.mean_frontier_gap = mean(tally.gap_sum as f64, playing);
+        t.window_occupancy = mean(tally.occupancy_sum, playing);
+        t.suppressed_nodes = tally.record.prefetch_suppressed as u64;
+        t.faults_injected = frec.injected() as u64;
+        t.timeouts_detected = frec.timeouts as u64;
+        t.retries_issued = frec.retries as u64;
+        t.failovers = frec.failovers as u64;
+        t.stale_repairs = frec.stale_repairs as u64;
+        t.mean_time_to_recover = mean(frec.recovery_rounds as f64, frec.recoveries as usize);
+        self.records.push(tally.record);
+        self.telemetry.rounds.push(tally.telemetry);
     }
 
     /// Close the current profiler lap into `phase` (no-op when obs
@@ -427,6 +382,20 @@ impl SystemSim {
             .unwrap_or(id)
     }
 
+    /// Ring-spread placement: the index in `order_ids` of the first id at
+    /// or clockwise after position `hash(key, i)` of the ring, wrapping
+    /// past the top — where the frontier push sends copy `i` of segment
+    /// `key`, and where a joiner `key` finds sponsor `i`. `order_ids` must
+    /// not be empty.
+    pub(super) fn ring_spread(&self, key: u64, i: u64) -> usize {
+        let pos = cs_sim::splitmix64(key.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i)
+            % self.dht.space().size();
+        match self.order_ids.binary_search(&pos) {
+            Ok(k) => k,
+            Err(k) => k % self.order_ids.len(),
+        }
+    }
+
     /// Oldest play point across alive nodes (for backup GC).
     fn global_play_floor(&self) -> SegmentId {
         self.order_idx
@@ -436,5 +405,14 @@ impl SystemSim {
             .unwrap_or(1)
             .saturating_sub(SystemConfig::DEMAND_PER_ROUND)
             .max(1)
+    }
+}
+
+/// `sum / n`, or 0 over no samples.
+fn mean(sum: f64, n: usize) -> f64 {
+    if n > 0 {
+        sum / n as f64
+    } else {
+        0.0
     }
 }

@@ -479,7 +479,7 @@ impl SystemSim {
                 &mut sched,
                 &mut self.sched_rng,
             ) {
-                tally.active_sched += 1;
+                tally.telemetry.active_sched += 1;
                 self.apply_plan(idx, carry, &sched.assignments, scratch);
             }
         }

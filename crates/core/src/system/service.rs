@@ -2,9 +2,9 @@
 //! order that sorts each pending queue, then decides and delivers request
 //! by request against the supplier's live buffer.
 
-use cs_net::{TrafficClass, TrafficCounter, SEGMENT_KBITS};
+use cs_net::{TrafficClass, SEGMENT_KBITS};
 
-use super::state::{PeerRef, PullRequest, RoundScratch, ServiceCounters};
+use super::state::{PeerRef, PullRequest, RoundScratch, RoundTally};
 use super::{SystemSim, SIZES};
 use crate::config::SystemConfig;
 
@@ -19,8 +19,7 @@ impl SystemSim {
         &mut self,
         round: u32,
         scratch: &mut RoundScratch,
-        traffic: &mut TrafficCounter,
-        svc: &mut ServiceCounters,
+        tally: &mut RoundTally,
     ) {
         scratch.bucket_requests();
         let salt = cs_sim::splitmix64(round as u64 ^ self.config.seed);
@@ -35,6 +34,8 @@ impl SystemSim {
             let start = scratch.queue_start[slot] as usize;
             let (sup_ref, mut sends) = {
                 let sup = self.nodes.node_mut(sidx);
+                // The outbound-spend ledger (pushes, seeds, fallbacks,
+                // rescue uploads) is not read here: the two budgets add.
                 let budget = sup.bandwidth.outbound_segments_per_sec() * SystemConfig::PERIOD_SECS
                     + sup.outbound_carry;
                 let sends = budget.floor();
@@ -60,12 +61,12 @@ impl SystemSim {
                     })
                     .then(a.segment.cmp(&b.segment))
             });
-            svc.issued += len as u64;
+            tally.record.requests_issued += len as u64;
             let mut delivered_here = 0u64;
             for ri in start..start + len {
                 if sends <= 0 {
                     // Out of budget: the rest of the queue is refused.
-                    svc.dropped += (start + len - ri) as u64;
+                    tally.record.requests_dropped += (start + len - ri) as u64;
                     break;
                 }
                 let req = scratch.requests_sorted[ri];
@@ -85,12 +86,13 @@ impl SystemSim {
                     self.note_lost_pull(round, req.requester_id, req.segment, Some(sup_ref.id));
                     continue;
                 }
-                self.deliver_one(sup_ref, req, traffic, svc);
+                self.deliver_one(sup_ref, req, tally);
                 delivered_here += 1;
             }
             if delivered_here > 0 {
-                svc.supplier_active += 1;
-                svc.supplier_peak = svc.supplier_peak.max(delivered_here);
+                let t = &mut tally.telemetry;
+                t.supplier_active += 1;
+                t.supplier_peak_load = t.supplier_peak_load.max(delivered_here);
                 if let Some(o) = self.obs.as_deref_mut() {
                     if o.dist_active(round) {
                         o.supplier_load.record(delivered_here);
@@ -103,15 +105,10 @@ impl SystemSim {
     /// Deliver one accepted request: payload accounting, receiver buffer
     /// insert, rate/supply bookkeeping, the §4.3 Case-2 check for tagged
     /// repeats, and backup placement of newly received segments.
-    fn deliver_one(
-        &mut self,
-        sup_ref: PeerRef,
-        req: PullRequest,
-        traffic: &mut TrafficCounter,
-        svc: &mut ServiceCounters,
-    ) {
-        svc.deliveries += 1;
-        traffic.add(TrafficClass::Data, SIZES.segment_bits);
+    fn deliver_one(&mut self, sup_ref: PeerRef, req: PullRequest, tally: &mut RoundTally) {
+        let record = &mut tally.record;
+        record.gossip_deliveries += 1;
+        record.traffic.add(TrafficClass::Data, SIZES.segment_bits);
         let newly = {
             let receiver = self.nodes.node_mut(req.requester);
             let newly = receiver.buffer.insert(req.segment);
@@ -128,7 +125,7 @@ impl SystemSim {
                 && receiver.next_play.is_none_or(|np| req.segment >= np)
             {
                 receiver.urgent.on_repeated();
-                svc.repeated += 1;
+                tally.record.prefetch_repeated += 1;
             }
             return;
         }

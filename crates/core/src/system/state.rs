@@ -3,16 +3,18 @@
 //! them lives in a sibling module.
 
 use cs_dht::{DhtId, IdSlotTable, IdSpace};
-use cs_net::{NodeBandwidth, TrafficCounter};
+use cs_net::NodeBandwidth;
 use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
 use cs_trace::derive_latency;
 
 use crate::backup::VodBackupStore;
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
+use crate::metrics::RoundRecord;
 use crate::rate::RateController;
 use crate::retrieval::RetrievalScratch;
 use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch};
+use crate::telemetry::TelemetryRound;
 use crate::urgent::UrgentLine;
 use crate::SegmentId;
 
@@ -424,65 +426,30 @@ pub(super) struct SchedScratch {
     pub(super) assignments: Vec<Assignment<PeerRef>>,
 }
 
-/// Step-6 outcome counters.
-#[derive(Default)]
-pub(super) struct ServiceCounters {
-    pub(super) deliveries: u64,
-    pub(super) issued: u64,
-    pub(super) dropped: u64,
-    /// §4.3 Case-2 repetitions detected on delivery of tagged segments.
-    pub(super) repeated: u32,
-    /// Suppliers that delivered ≥ 1 segment this round (telemetry).
-    pub(super) supplier_active: usize,
-    /// Largest delivery count by a single supplier this round (telemetry).
-    pub(super) supplier_peak: u64,
-}
-
-/// Everything one round counts, from its first phase to its record: the
-/// traffic ledger, the [`RoundRecord`](crate::metrics::RoundRecord)
-/// fields and the telemetry accumulators. Starts at `default()` each
-/// round; the finalise phase turns it into the round's records.
+/// Everything one round counts, from its first phase to its records:
+/// the round's [`RoundRecord`] and [`TelemetryRound`] themselves, which
+/// the phases increment where each event happens (the record's `traffic`
+/// is the round's ledger), plus what the finalise phase derives the rest
+/// from — the first segment emitted, the paused count and the four sums
+/// the per-node means divide. A per-round counter is declared once, as a
+/// field of the record type it is exported from. Starts at `default()`
+/// each round; the finalise phase fills in the derived values and pushes
+/// the two rows.
 #[derive(Default)]
 pub(super) struct RoundTally {
-    pub(super) traffic: TrafficCounter,
-    /// Churn joins admitted / nodes that left (gracefully or not).
-    pub(super) joins: usize,
-    pub(super) leaves: usize,
+    pub(super) record: RoundRecord,
+    pub(super) telemetry: TelemetryRound,
     /// First segment the source emitted this round.
     pub(super) first_new: SegmentId,
-    /// Frontier-push and joiner-seed copies that arrived (they count as
-    /// gossip-plane deliveries).
-    pub(super) seeded: u64,
-    pub(super) svc: ServiceCounters,
-    pub(super) prefetch_attempts: u32,
-    pub(super) prefetch_successes: u32,
-    pub(super) prefetch_overdue: u32,
-    pub(super) prefetch_suppressed: u32,
-    /// §4.3 Case-2 repetitions seen by the pre-fetch planner (the record
-    /// adds the ones step 6 detected on delivery, `svc.repeated`).
-    pub(super) prefetch_repeated: u32,
-    pub(super) prefetch_routing_msgs: u64,
-    /// Telemetry: the largest effective per-node fetch cap this round
-    /// (watches the policy layer's deficit-scaled throttle ramp).
-    pub(super) rescue_cap_peak: usize,
-    pub(super) alive: usize,
-    pub(super) playing: usize,
-    pub(super) continuous: usize,
+    /// Playing nodes frozen by a VCR pause (left out of the continuity
+    /// ratio).
     pub(super) paused: usize,
+    /// Urgent ratio α summed over alive nodes.
     pub(super) alpha_sum: f64,
-    // Telemetry, summed over playing nodes.
+    // Summed over playing nodes.
     pub(super) runway_sum: u64,
-    /// Meaningful only once a playing node was seen.
-    pub(super) min_runway: u64,
     pub(super) gap_sum: u64,
     pub(super) occupancy_sum: f64,
-    pub(super) slack_used: u64,
-    pub(super) backup_total: u64,
-    pub(super) gc_evictions: u64,
-    /// Nodes whose step-5 planner / step-7 urgent-line check found
-    /// something to do, counted by the planners themselves.
-    pub(super) active_sched: u64,
-    pub(super) active_prefetch: u64,
 }
 
 /// Persistent per-round working memory: everything the round loop used to

@@ -966,6 +966,9 @@ at 30 capacity_shift fraction=0.3 class=dsl
             // The scheduler carries a node's suppliers as a 64-bit mask.
             ("nodes = 100\nneighbors = 65\n", "at most 64 neighbours"),
             ("rounds = 0\n", "at least one round"),
+            // Past the 20-bit segment id; the per-round rows sized from
+            // it used to abort the process at construction.
+            ("rounds = 4000000000\n", "at most 104857 rounds"),
             ("policy = adaptive inbound_slack=NaN\n", "inbound_slack"),
             (
                 "policy = adaptive join_seed=1 target_runway_rounds=0\n",

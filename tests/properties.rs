@@ -758,3 +758,77 @@ fn crashed_nodes_never_remain_connected_after_the_round() {
     let crashes: u32 = sim.fault_trace().rounds.iter().map(|r| r.crashes).sum();
     assert!(crashes > 0, "no crash was ever injected");
 }
+
+/// The round's two rows agree where they overlap, and the values the
+/// finalise phase derives hold: `lossy_churn.scn` (crashes, loss,
+/// Poisson arrivals) at 200 × 40 with leave/join churn on top, once as
+/// committed plus joiner seeding (frontier push and joiner seeds on the
+/// source's ledger) and once under Legacy (where Case-3 suppression
+/// fires, so its mirror is exercised).
+#[test]
+fn round_rows_carry_consistent_derived_and_mirrored_values() {
+    let text = std::fs::read_to_string("scenarios/lossy_churn.scn").expect("scenario file");
+    let mut spec = parse_scenario(&text).expect("scenario parses");
+    spec.config.nodes = 200;
+    spec.config.rounds = 40;
+    spec.config.churn = ChurnConfig {
+        leave_fraction: 0.03,
+        join_fraction: 0.03,
+        graceful_fraction: 0.5,
+    };
+    let PolicyKind::Adaptive(policy) = &mut spec.config.policy else {
+        panic!("lossy_churn.scn runs the adaptive policy");
+    };
+    assert!(policy.source_push > 0, "frontier push armed");
+    policy.join_seed = 4;
+    let mut legacy = spec.clone();
+    legacy.config.policy = PolicyKind::Legacy;
+    let mut suppressed = 0;
+    for spec in [spec, legacy] {
+        let out = run_scenario(&spec);
+        let (records, rows) = (&out.report.rounds, &out.telemetry.rounds);
+        assert_eq!(records.len(), 40);
+        assert_eq!(rows.len(), 40);
+        assert_eq!(out.fault_trace.rounds.len(), 40);
+        let mut idle_rounds = 0;
+        for ((r, t), f) in records.iter().zip(rows).zip(&out.fault_trace.rounds) {
+            let round = r.round;
+            assert_eq!(t.round, round);
+            assert_eq!(t.playing, r.playing, "round {round}");
+            assert_eq!(
+                t.suppressed_nodes, r.prefetch_suppressed as u64,
+                "round {round}"
+            );
+            suppressed += r.prefetch_suppressed;
+            if r.playing == 0 {
+                idle_rounds += 1;
+                assert_eq!(t.min_runway, 0, "round {round}");
+                assert_eq!(t.mean_runway, 0.0, "round {round}");
+                assert_eq!(t.mean_frontier_gap, 0.0, "round {round}");
+                assert_eq!(t.window_occupancy, 0.0, "round {round}");
+            }
+            assert!(r.prefetch_successes <= r.prefetch_attempts, "round {round}");
+            assert!(t.supplier_peak_load <= r.gossip_deliveries, "round {round}");
+            assert_eq!(f.round, round);
+            assert_eq!(t.faults_injected, f.injected() as u64, "round {round}");
+            assert_eq!(t.timeouts_detected, f.timeouts as u64, "round {round}");
+            assert_eq!(t.retries_issued, f.retries as u64, "round {round}");
+            assert_eq!(t.failovers, f.failovers as u64, "round {round}");
+            assert_eq!(t.stale_repairs, f.stale_repairs as u64, "round {round}");
+            let mttr = if f.recoveries > 0 {
+                f.recovery_rounds as f64 / f.recoveries as f64
+            } else {
+                0.0
+            };
+            assert_eq!(t.mean_time_to_recover, mttr, "round {round}");
+        }
+        // Neither branch of the per-playing means may go untested.
+        assert!(
+            idle_rounds > 0 && idle_rounds < 40,
+            "{idle_rounds} idle rounds"
+        );
+        assert!(records.iter().any(|r| r.joins > 0 && r.leaves > 0));
+        assert!(rows.iter().any(|t| t.faults_injected > 0));
+    }
+    assert!(suppressed > 0, "no Case-3 suppression to mirror");
+}

@@ -232,6 +232,14 @@ fn runners_reject_an_invalid_run_configuration_with_exit_2() {
             &format!("replicas = {k}: a segment has between 1 and 64 replicas"),
         );
     }
+    // The per-round rows are sized from `rounds` at construction: 4e9
+    // aborted on a 608 GB allocation (exit 134). The 20-bit segment id
+    // ends the stream at 2^20 segments.
+    assert_bad_spec_exits_2(
+        "rounds_huge",
+        "nodes = 50\nrounds = 4000000000\n",
+        "rounds = 4000000000: the 20-bit segment id covers at most 104857 rounds at 10 segments per round",
+    );
     // A 2^63 startup overflowed the exchange window (exit 101 in debug).
     assert_bad_spec_exits_2(
         "startup_huge",
