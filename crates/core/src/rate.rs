@@ -38,8 +38,8 @@ const MAX_RATE: f64 = 500.0;
 
 /// Per-neighbour receiving-rate estimator (segments per second).
 ///
-/// Generic over the neighbour key `K` (default [`DhtId`]); the simulator
-/// uses its dense arena handles. A node tracks at most `M` (≈ 5)
+/// Generic over the neighbour key `K` (default [`DhtId`], the key the
+/// simulator uses). A node tracks at most `M` (≈ 5)
 /// neighbours, so the controller is one flat table of rows with
 /// linear probes — no hashing on the round loop's hottest read path
 /// (`rate()` is called once per candidate-supplier pair per round).
@@ -53,7 +53,7 @@ pub struct RateController<K = DhtId> {
 
 /// One neighbour's row: its estimate and this period's counts.
 #[derive(Debug, Clone, Copy)]
-struct RateRow<K> {
+pub(crate) struct RateRow<K> {
     key: K,
     /// Current estimate, segments/s; `prior` until the first probe.
     estimate: f64,

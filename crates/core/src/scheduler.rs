@@ -27,8 +27,8 @@
 //! The keyed `schedule_*_into` over [`SegmentCandidate`]s fold each list
 //! into a mask and forward; the frozen benchmark kernels call them.
 //!
-//! The supplier key `K` (default [`DhtId`]) lets the simulator schedule
-//! against its arena handles. Keys are copied out of the table, never
+//! The supplier key `K` defaults to [`DhtId`], the key the simulator
+//! schedules against. Keys are copied out of the table, never
 //! compared: a supplier tie-break ("lower id wins") goes to the lower
 //! table index, so callers keep the table in ascending-key order.
 //!
@@ -605,8 +605,8 @@ mod tests {
     #[test]
     fn generic_key_type_schedules_identically() {
         // The same scenario keyed by DhtId and by a newtype must produce
-        // the same assignments (modulo key mapping) — the simulator
-        // relies on this when scheduling over arena handles.
+        // the same assignments (modulo key mapping): the key is never
+        // compared, only copied out.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         struct Key(u64);
         let by_id = [

@@ -1,6 +1,8 @@
 //! Test hooks: per-node state dumps and the scratch / neighbour
 //! invariant checkers.
 
+use cs_dht::DhtId;
+
 use super::{NodeDebugState, SystemSim};
 
 impl SystemSim {
@@ -64,7 +66,7 @@ impl SystemSim {
         }
         // Requests are queued in node order, so one node's are adjacent:
         // every node that issued any was counted into `active_sched`.
-        let mut requesters: Vec<u32> = scratch.requests.iter().map(|r| r.requester.0).collect();
+        let mut requesters: Vec<DhtId> = scratch.requests.iter().map(|r| r.requester_id).collect();
         requesters.dedup();
         let active = self.telemetry.rounds.last().map_or(0, |t| t.active_sched);
         assert!(
@@ -72,16 +74,32 @@ impl SystemSim {
             "{} nodes issued requests but only {active} were counted active",
             requesters.len(),
         );
-        // Buckets: contiguous, disjoint, in ascending slot order.
+        // Queues: contiguous, disjoint ranges of `order` in ascending slot
+        // order, each pointing only at requests queued at its slot; the
+        // ranges together are a permutation of the request indices.
         let mut expected_start = 0u32;
+        let mut seen = vec![false; scratch.requests.len()];
         let mut sorted = scratch.touched_suppliers.clone();
         sorted.sort_unstable();
         for &slot in &sorted {
+            let start = scratch.queue_start[slot as usize];
             assert_eq!(
-                scratch.queue_start[slot as usize], expected_start,
-                "bucket for slot {slot} is not laid out contiguously"
+                start, expected_start,
+                "queue for slot {slot} is not laid out contiguously"
             );
             expected_start += scratch.queue_count[slot as usize];
+            for &i in &scratch.order[start as usize..expected_start as usize] {
+                let req = scratch
+                    .requests
+                    .get(i as usize)
+                    .unwrap_or_else(|| panic!("slot {slot}: order index {i} past the arena"));
+                assert_eq!(
+                    req.supplier_slot, slot,
+                    "slot {slot}'s queue points at request {i}, queued at another slot"
+                );
+                assert!(!seen[i as usize], "request {i} queued twice");
+                seen[i as usize] = true;
+            }
         }
         // Outbound pre-fetch ledger: nonzero spend only on touched-spent
         // slots (anything else would leak into later rounds' rate caps).
@@ -133,7 +151,7 @@ impl SystemSim {
                 .node(idx)
                 .connected
                 .ids()
-                .all(|r| self.nodes.resolve(r).is_some())
+                .all(|r| self.nodes.lookup(r).is_some())
         })
     }
 }

@@ -7,10 +7,9 @@ use rand::Rng;
 use cs_dht::DhtId;
 use cs_net::{NodeBandwidth, SEGMENT_KBITS};
 use cs_obs::EventKind;
-use cs_trace::derive_latency;
 
 use super::schedule::exchange_window;
-use super::state::{fresh_neighbor, NodeIdx, PeerRef, RoundScratch, INVALID_SLOT};
+use super::state::{fresh_neighbor, RoundScratch};
 use super::{EventOutcome, SeekTarget, SystemEvent, SystemSim};
 use crate::config::SystemConfig;
 
@@ -147,16 +146,6 @@ impl SystemSim {
         EventOutcome::Applied
     }
 
-    /// Latency from a live node to a peer handle (dead peers default to a
-    /// 50 ms ping).
-    fn latency_ref(&self, from: NodeIdx, to: PeerRef) -> f64 {
-        let pb = self
-            .nodes
-            .resolve(to)
-            .map_or(50.0, |i| self.nodes.ping_at(i));
-        derive_latency(self.nodes.ping_at(from), pb)
-    }
-
     pub(super) fn rebuild_order(&mut self) {
         // The arena's id table enumerates in ascending id order.
         self.order_ids.clear();
@@ -177,8 +166,7 @@ impl SystemSim {
             // Drop dead neighbours.
             scratch.tmp_refs.clear();
             for nref in self.nodes.node(idx).connected.ids() {
-                if self.nodes.resolve(nref).is_none() || (evict_on && self.faults.evicted(nref.id))
-                {
+                if self.nodes.lookup(nref).is_none() || (evict_on && self.faults.evicted(nref)) {
                     scratch.tmp_refs.push(nref);
                 }
             }
@@ -195,18 +183,18 @@ impl SystemSim {
             scratch
                 .tmp_refs
                 .extend(self.nodes.node(idx).connected.ids());
-            let heard: Option<(PeerRef, f64)> = if scratch.tmp_refs.is_empty() {
+            let heard: Option<(DhtId, f64)> = if scratch.tmp_refs.is_empty() {
                 None
             } else {
                 let via = scratch.tmp_refs[self.sched_rng.gen_range(0..scratch.tmp_refs.len())];
                 scratch.tmp_refs2.clear();
-                if let Some(vidx) = self.nodes.resolve(via) {
+                if let Some(vidx) = self.nodes.lookup(via) {
                     scratch.tmp_refs2.extend(
                         self.nodes
                             .node(vidx)
                             .connected
                             .ids()
-                            .filter(|x| x.id != self_id),
+                            .filter(|&x| x != self_id),
                     );
                 }
                 if scratch.tmp_refs2.is_empty() {
@@ -214,7 +202,7 @@ impl SystemSim {
                 } else {
                     let pick =
                         scratch.tmp_refs2[self.sched_rng.gen_range(0..scratch.tmp_refs2.len())];
-                    Some((pick, self.latency_ref(idx, pick)))
+                    Some((pick, self.nodes.latency(self_id, pick)))
                 }
             };
             if let Some((pick, lat)) = heard {
@@ -227,10 +215,10 @@ impl SystemSim {
                 scratch.tmp_pairs.clear();
                 let node = self.nodes.node(idx);
                 for e in node.overheard.entries() {
-                    if e.id.id != self_id
-                        && self.nodes.resolve(e.id).is_some()
+                    if e.id != self_id
+                        && self.nodes.lookup(e.id).is_some()
                         && !node.connected.contains(e.id)
-                        && !(evict_on && self.faults.evicted(e.id.id))
+                        && !(evict_on && self.faults.evicted(e.id))
                     {
                         scratch.tmp_pairs.push((e.id, e.latency_ms));
                     }
@@ -280,7 +268,7 @@ impl SystemSim {
                 })
             };
             if starving || round % 5 == 4 {
-                let weak: Option<PeerRef> = {
+                let weak: Option<DhtId> = {
                     let node = self.nodes.node(idx);
                     if !node.connected.is_full() {
                         None
@@ -289,21 +277,21 @@ impl SystemSim {
                             .weakest()
                             .filter(|w| {
                                 (starving || w.recent_supply_kbps < 0.05 * SEGMENT_KBITS)
-                                    && w.id.id != self.source
+                                    && w.id != self.source
                             })
                             .map(|w| w.id)
                     }
                 };
                 if let Some(w) = weak {
-                    let replacement: Option<(PeerRef, f64)> = {
+                    let replacement: Option<(DhtId, f64)> = {
                         let node = self.nodes.node(idx);
                         node.overheard
                             .best_candidate(|c| {
-                                c.id == self_id
+                                c == self_id
                                     || c == w
-                                    || self.nodes.resolve(c).is_none()
+                                    || self.nodes.lookup(c).is_none()
                                     || node.connected.contains(c)
-                                    || (evict_on && self.faults.evicted(c.id))
+                                    || (evict_on && self.faults.evicted(c))
                             })
                             .map(|e| (e.id, e.latency_ms))
                     };
@@ -316,7 +304,7 @@ impl SystemSim {
                                 round,
                                 EventKind::StarvationRewire,
                                 self_id,
-                                w.id,
+                                w,
                                 "starving",
                             );
                         }
@@ -414,17 +402,12 @@ impl SystemSim {
         // their overheard list either way. Without this, nobody ever
         // points at joiners, in-degree concentrates on long-lived nodes,
         // and the swarm's aggregate upload capacity decays under churn.
-        // (The joiner's ref resolves through the id table once inserted.)
-        let new_ref = PeerRef {
-            id,
-            slot: INVALID_SLOT,
-        };
         for &(lat, c) in &alive {
             if let Some(cidx) = self.nodes.lookup(c) {
                 let peer = self.nodes.node_mut(cidx);
-                peer.overheard.record(new_ref, lat);
+                peer.overheard.record(id, lat);
                 if !peer.connected.is_full() {
-                    peer.connected.add(fresh_neighbor(new_ref, lat));
+                    peer.connected.add(fresh_neighbor(id, lat));
                 }
             }
         }
@@ -436,8 +419,7 @@ impl SystemSim {
         // itself and a couple of its neighbours, then overheard fill.
         for &(lat, c) in &alive {
             if c != id && !node.connected.is_full() {
-                node.connected
-                    .add(fresh_neighbor(self.nodes.make_ref(c), lat));
+                node.connected.add(fresh_neighbor(c, lat));
             }
         }
 
@@ -471,24 +453,22 @@ impl SystemSim {
                 };
                 let lat = self.nodes.latency(id, sid);
                 let sponsor = self.nodes.node_mut(sidx);
-                sponsor.overheard.record(new_ref, lat);
+                sponsor.overheard.record(id, lat);
                 if !sponsor.connected.is_full() {
-                    sponsor.connected.add(fresh_neighbor(new_ref, lat));
+                    sponsor.connected.add(fresh_neighbor(id, lat));
                 }
-                let sref = self.nodes.make_ref(sid);
                 if !node.connected.is_full() {
-                    node.connected.add(fresh_neighbor(sref, lat));
+                    node.connected.add(fresh_neighbor(sid, lat));
                 } else {
-                    node.overheard.record(sref, lat);
+                    node.overheard.record(sid, lat);
                 }
             }
         }
         {
             let base_idx = self.nodes.lookup(base).expect("base is alive");
             let base_node = self.nodes.node(base_idx);
-            let adopt_connected: Vec<PeerRef> = base_node.connected.ids().collect();
-            let adopt_overheard: Vec<PeerRef> =
-                base_node.overheard.entries().map(|e| e.id).collect();
+            let adopt_connected: Vec<DhtId> = base_node.connected.ids().collect();
+            let adopt_overheard: Vec<DhtId> = base_node.overheard.entries().map(|e| e.id).collect();
             // Follow the base's play point only if the base is actually
             // playing; otherwise the joiner buffers up and starts like any
             // fresh node. (Following a synthetic frontier position pins
@@ -496,20 +476,18 @@ impl SystemSim {
             // yet — it would never receive anything.)
             let follow_play = base_node.next_play;
             for nref in adopt_connected {
-                if nref.id != id && !node.connected.is_full() {
+                if nref != id && !node.connected.is_full() {
                     node.connected
-                        .add(fresh_neighbor(nref, self.nodes.latency(id, nref.id)));
+                        .add(fresh_neighbor(nref, self.nodes.latency(id, nref)));
                 }
             }
             if !node.connected.is_full() {
-                node.connected.add(fresh_neighbor(
-                    self.nodes.make_ref(base),
-                    self.nodes.latency(id, base),
-                ));
+                node.connected
+                    .add(fresh_neighbor(base, self.nodes.latency(id, base)));
             }
             for nref in adopt_overheard {
-                if nref.id != id {
-                    node.overheard.record(nref, self.nodes.latency(id, nref.id));
+                if nref != id {
+                    node.overheard.record(nref, self.nodes.latency(id, nref));
                 }
             }
             // "A new joining node ... starts its media playback by

@@ -27,23 +27,24 @@
 //! — routing, joins, retrieval, and above all the latency oracle the DHT
 //! calls for every overheard offer, some 80 times per retrieval — costs
 //! array loads: id → slot → the arena's slot-indexed ping array. Inside
-//! the round loop everything — neighbour tables, pull requests, supplier
-//! queues — carries `PeerRef` handles (`DhtId` identity + cached arena
-//! slot), so per-node access is an index load too. `PeerRef` equality
-//! and ordering are **by `DhtId`**: every tie-break is a function of ids
-//! alone, so the arena's slot reuse under churn never reorders a
-//! decision (pinned by the behavioural fingerprints in
-//! `tests/determinism.rs`).
+//! the round loop everything that outlives a phase — neighbour,
+//! overheard and Rate Controller tables, pull requests — holds peers by
+//! their `DhtId` alone, 8 bytes, and per-node access is that same
+//! id-table load. Every tie-break is a function of ids alone, so the
+//! arena's slot reuse under churn never reorders a decision (pinned by
+//! the behavioural fingerprints in `tests/determinism.rs`).
 //!
 //! Per-round allocations are gone entirely: a persistent `RoundScratch`
 //! owns the buffer-map snapshots (refreshed only when a buffer's
 //! [`StreamBuffer::epoch`] moved — the generation-stamped exchange), the
-//! flat pull-request arena (one `Vec`, counting-scattered into
-//! per-supplier buckets), the pre-fetch miss list, outbound ledger and
-//! retrieval route buffers, and the scheduling scratch (including the
-//! schedulers' own `_into` working memory). A warmed-up steady-state
-//! round performs **zero heap allocations** across every phase — pinned
-//! by the counting-allocator suite in `tests/zero_alloc.rs`.
+//! flat pull-request arena (one `Vec` in node order, plus the `u32`
+//! indices step 6 counting-scatters into per-supplier ranges and sorts
+//! there, so no request is copied), the pre-fetch miss list, outbound
+//! ledger and retrieval route buffers, and the scheduling scratch
+//! (including the schedulers' own `_into` working memory). A warmed-up
+//! steady-state round performs **zero heap allocations** across every
+//! phase — pinned by the counting-allocator suite in
+//! `tests/zero_alloc.rs`.
 //!
 //! ## One body per phase
 //!
@@ -301,12 +302,11 @@ impl SystemSim {
             adj.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let own = nodes.lookup(id).expect("node exists");
             for (lat, nid) in adj {
-                let nref = nodes.make_ref(nid);
                 let node = nodes.node_mut(own);
                 if node.connected.is_full() {
                     break;
                 }
-                node.connected.add(fresh_neighbor(nref, lat));
+                node.connected.add(fresh_neighbor(nid, lat));
             }
             // Seed the overheard list with a few random members so
             // neighbour repair has material from round one. The member's
@@ -317,13 +317,12 @@ impl SystemSim {
             for _ in 0..4 {
                 let other = ids[seed_rng.gen_range(0..ids.len())];
                 if other != id {
-                    let oref = nodes.make_ref(other);
-                    let oidx = nodes.resolve(oref).expect("member");
+                    let oidx = nodes.lookup(other).expect("member");
                     let other_ping = nodes.ping_at(oidx);
                     nodes
                         .node_mut(own)
                         .overheard
-                        .record(oref, derive_latency(pings[idx], other_ping));
+                        .record(other, derive_latency(pings[idx], other_ping));
                 }
             }
         }
@@ -878,8 +877,7 @@ mod tests {
             for (id, idx) in sim.nodes.iter_pairs() {
                 let node = sim.nodes.get(idx).expect("mapped slot occupied");
                 assert_eq!(node.id, id, "round {round}: slot/id mismatch");
-                let r = sim.nodes.make_ref(id);
-                assert_eq!(sim.nodes.resolve(r), Some(idx));
+                assert_eq!(sim.nodes.lookup(id), Some(idx));
                 assert_eq!(sim.nodes.ping_of(id), sim.nodes.ping_at(idx));
             }
             // The table enumerates in ascending id order: the round order

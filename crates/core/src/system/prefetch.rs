@@ -151,7 +151,7 @@ fn check_node(
         let neighbour_has = deadline_far
             && node.connected.ids().any(|nref| {
                 nodes
-                    .resolve(nref)
+                    .lookup(nref)
                     .and_then(|ni| maps.get(ni))
                     .is_some_and(|m| m.contains(seg))
             });
@@ -352,9 +352,8 @@ impl SystemSim {
                 for li in 0..scratch.retrieval.located.len() {
                     let l = scratch.retrieval.located[li];
                     if l != requester_id {
-                        let lref = self.nodes.make_ref(l);
                         let lat = derive_latency(local_ping, self.nodes.ping_of(l));
-                        self.nodes.node_mut(idx).overheard.record(lref, lat);
+                        self.nodes.node_mut(idx).overheard.record(l, lat);
                     }
                 }
             }

@@ -3,10 +3,11 @@
 //! is also the proof that a node has nothing to pull), and the phase —
 //! one loop in node order that plans a node and queues its requests.
 
+use cs_dht::DhtId;
 use cs_sim::SimRng;
 
 use super::state::{
-    MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PeerRef, PullRequest, RoundScratch, RoundTally,
+    MapStore, NbrView, NodeArena, NodeIdx, NodeSim, PullRequest, RoundScratch, RoundTally,
     SchedScratch,
 };
 use super::SystemSim;
@@ -220,7 +221,7 @@ fn plan_node(
 fn resolve_view(nodes: &NodeArena, maps: &MapStore, node: &NodeSim, sched: &mut SchedScratch) {
     sched.view.clear();
     for peer in node.connected.ids() {
-        if let Some(slot) = nodes.resolve(peer).filter(|&ni| maps.get(ni).is_some()) {
+        if let Some(slot) = nodes.lookup(peer).filter(|&ni| maps.get(ni).is_some()) {
             sched.view.push(NbrView { peer, slot });
         }
     }
@@ -492,7 +493,7 @@ impl SystemSim {
         &mut self,
         idx: NodeIdx,
         new_carry: f64,
-        assignments: &[Assignment<PeerRef>],
+        assignments: &[Assignment<DhtId>],
         scratch: &mut RoundScratch,
     ) {
         let node_id = {
@@ -504,13 +505,12 @@ impl SystemSim {
             self.nodes.node_mut(idx).rate.record_request(a.supplier);
             let sup_slot = self
                 .nodes
-                .resolve(a.supplier)
+                .lookup(a.supplier)
                 .expect("scheduled suppliers are alive this round");
             scratch.push_request(PullRequest {
-                requester: idx,
                 requester_id: node_id,
-                segment: a.segment,
                 priority: a.priority,
+                segment: u32::try_from(a.segment).expect("validate bounds segment ids by 2^20"),
                 supplier_slot: sup_slot.0,
             });
         }

@@ -2,11 +2,13 @@
 //! order that sorts each pending queue, then decides and delivers request
 //! by request against the supplier's live buffer.
 
+use cs_dht::DhtId;
 use cs_net::{TrafficClass, SEGMENT_KBITS};
 
-use super::state::{PeerRef, PullRequest, RoundScratch, RoundTally};
+use super::state::{NodeIdx, PullRequest, RoundScratch, RoundTally};
 use super::{SystemSim, SIZES};
 use crate::config::SystemConfig;
+use crate::SegmentId;
 
 impl SystemSim {
     /// Step 6: bucket the round's requests by supplier slot, then serve
@@ -31,8 +33,7 @@ impl SystemSim {
             if len == 0 {
                 continue;
             }
-            let start = scratch.queue_start[slot] as usize;
-            let (sup_ref, mut sends) = {
+            let (sup_id, mut sends) = {
                 let sup = self.nodes.node_mut(sidx);
                 // The outbound-spend ledger (pushes, seeds, fallbacks,
                 // rescue uploads) is not read here: the two budgets add.
@@ -40,53 +41,37 @@ impl SystemSim {
                     + sup.outbound_carry;
                 let sends = budget.floor();
                 sup.outbound_carry = budget - sends;
-                let sup_ref = PeerRef {
-                    id: sup.id,
-                    slot: sidx.0,
-                };
-                (sup_ref, sends as i64)
+                (sup.id, sends as i64)
             };
-            // Most urgent first. Ties break on a per-round hash of the
-            // requester — deterministic, but not the same node winning
-            // every round (a fixed tie-break starves whoever sorts last).
-            // Unstable sort: the (priority, requester-hash, segment) key
-            // is unique per request (splitmix64 is a bijection), so the
-            // order matches a stable sort.
-            scratch.requests_sorted[start..start + len].sort_unstable_by(|a, b| {
-                b.priority
-                    .total_cmp(&a.priority)
-                    .then_with(|| {
-                        cs_sim::splitmix64(a.requester_id ^ salt)
-                            .cmp(&cs_sim::splitmix64(b.requester_id ^ salt))
-                    })
-                    .then(a.segment.cmp(&b.segment))
-            });
+            let queue = scratch.sort_queue(slot, salt);
             tally.record.requests_issued += len as u64;
             let mut delivered_here = 0u64;
-            for ri in start..start + len {
+            for ri in queue.clone() {
                 if sends <= 0 {
                     // Out of budget: the rest of the queue is refused.
-                    tally.record.requests_dropped += (start + len - ri) as u64;
+                    tally.record.requests_dropped += (queue.end - ri) as u64;
                     break;
                 }
-                let req = scratch.requests_sorted[ri];
+                let req = scratch.requests[scratch.order[ri] as usize];
+                let segment = SegmentId::from(req.segment);
                 // The supplier must (still) hold the segment, and the
                 // requester must be alive to receive it.
-                if !self.nodes.node(sidx).buffer.contains(req.segment)
-                    || self.nodes.get(req.requester).is_none()
-                {
+                if !self.nodes.node(sidx).buffer.contains(segment) {
                     continue;
                 }
+                let Some(ridx) = self.nodes.lookup(req.requester_id) else {
+                    continue;
+                };
                 sends -= 1;
                 // Fault plane: the supplier sent, but the segment never
                 // arrives — the requester cannot tell a lost delivery
                 // from a silent supplier, which is what the recovery
                 // plane's timeout exists to resolve.
-                if faults_on && self.data_delivery_lost(round, sup_ref.id, req.requester_id) {
-                    self.note_lost_pull(round, req.requester_id, req.segment, Some(sup_ref.id));
+                if faults_on && self.data_delivery_lost(round, sup_id, req.requester_id) {
+                    self.note_lost_pull(round, req.requester_id, segment, Some(sup_id));
                     continue;
                 }
-                self.deliver_one(sup_ref, req, tally);
+                self.deliver_one(sup_id, ridx, req, tally);
                 delivered_here += 1;
             }
             if delivered_here > 0 {
@@ -102,27 +87,35 @@ impl SystemSim {
         }
     }
 
-    /// Deliver one accepted request: payload accounting, receiver buffer
+    /// Deliver one accepted request to the requester in arena slot `ridx`:
+    /// payload accounting, receiver buffer
     /// insert, rate/supply bookkeeping, the §4.3 Case-2 check for tagged
     /// repeats, and backup placement of newly received segments.
-    fn deliver_one(&mut self, sup_ref: PeerRef, req: PullRequest, tally: &mut RoundTally) {
+    fn deliver_one(
+        &mut self,
+        sup_id: DhtId,
+        ridx: NodeIdx,
+        req: PullRequest,
+        tally: &mut RoundTally,
+    ) {
+        let segment = SegmentId::from(req.segment);
         let record = &mut tally.record;
         record.gossip_deliveries += 1;
         record.traffic.add(TrafficClass::Data, SIZES.segment_bits);
         let newly = {
-            let receiver = self.nodes.node_mut(req.requester);
-            let newly = receiver.buffer.insert(req.segment);
+            let receiver = self.nodes.node_mut(ridx);
+            let newly = receiver.buffer.insert(segment);
             receiver.round_inflow += 1;
-            receiver.rate.record_delivery(sup_ref);
-            receiver.connected.record_supply(sup_ref, SEGMENT_KBITS);
+            receiver.rate.record_delivery(sup_id);
+            receiver.connected.record_supply(sup_id, SEGMENT_KBITS);
             newly
         };
         if !newly {
             // Already present: if it carries a pre-fetch tag and its
             // deadline has not passed, this is §4.3 Case 2.
-            let receiver = self.nodes.node_mut(req.requester);
-            if receiver.prefetch_tags.take(req.segment)
-                && receiver.next_play.is_none_or(|np| req.segment >= np)
+            let receiver = self.nodes.node_mut(ridx);
+            if receiver.prefetch_tags.take(segment)
+                && receiver.next_play.is_none_or(|np| segment >= np)
             {
                 receiver.urgent.on_repeated();
                 tally.record.prefetch_repeated += 1;
@@ -130,7 +123,7 @@ impl SystemSim {
             return;
         }
         let successor = self.believed_successor(req.requester_id);
-        let receiver = self.nodes.node_mut(req.requester);
-        receiver.backup.maybe_store(req.segment, successor);
+        let receiver = self.nodes.node_mut(ridx);
+        receiver.backup.maybe_store(segment, successor);
     }
 }

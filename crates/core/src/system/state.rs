@@ -23,46 +23,14 @@ use super::twin::TwinAnnounce;
 /// Dense handle into the node arena. Plain slot index — the arena's
 /// free-list may reuse slots across churn, so a bare `NodeIdx` is only
 /// meaningful while the node it was created for is alive; longer-lived
-/// references use [`PeerRef`].
+/// references (partner, overheard and Rate Controller tables, pull
+/// requests) hold the peer's `DhtId` and look it up in the arena's id
+/// table, one array load, when they need its state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(super) struct NodeIdx(pub(super) u32);
 
-pub(super) const INVALID_SLOT: u32 = u32::MAX;
-
-/// A peer handle: `DhtId` identity plus a cached arena slot.
-///
-/// Equality and ordering are **by id only** — the slot is a lookup
-/// accelerator that may go stale under churn (the arena re-resolves it
-/// through the id table when it does). So every comparison and
-/// tie-break is a function of ids, whichever slot a node occupies.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct PeerRef {
-    pub(super) id: DhtId,
-    pub(super) slot: u32,
-}
-
-impl PartialEq for PeerRef {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-    }
-}
-impl Eq for PeerRef {}
-impl PartialOrd for PeerRef {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PeerRef {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.id.cmp(&other.id)
-    }
-}
-
 /// A partner-table entry for a peer that has supplied nothing yet.
-pub(super) fn fresh_neighbor(id: PeerRef, latency_ms: f64) -> NeighborEntry<PeerRef> {
+pub(super) fn fresh_neighbor(id: DhtId, latency_ms: f64) -> NeighborEntry {
     NeighborEntry {
         id,
         latency_ms,
@@ -72,9 +40,8 @@ pub(super) fn fresh_neighbor(id: PeerRef, latency_ms: f64) -> NeighborEntry<Peer
 
 /// Per-node simulation state.
 pub(super) struct NodeSim {
-    /// The node's DHT identifier; also the generation check for arena
-    /// slot reuse (a stale `PeerRef` whose slot now holds a different id
-    /// falls back to the id table).
+    /// The node's DHT identifier: the handle every other node's tables
+    /// hold it by.
     pub(super) id: DhtId,
     /// Unique lifetime stamp assigned by the arena on insertion. Ids can
     /// be reassigned (the RP server frees departed ids) and slots are
@@ -82,11 +49,11 @@ pub(super) struct NodeSim {
     /// this does; the buffer-map exchange keys its snapshot reuse on it.
     pub(super) birth: u64,
     pub(super) bandwidth: NodeBandwidth,
-    pub(super) connected: ConnectedNeighbors<PeerRef>,
-    pub(super) overheard: OverheardList<PeerRef>,
+    pub(super) connected: ConnectedNeighbors,
+    pub(super) overheard: OverheardList,
     pub(super) buffer: StreamBuffer,
     pub(super) backup: VodBackupStore,
-    pub(super) rate: RateController<PeerRef>,
+    pub(super) rate: RateController,
     pub(super) urgent: UrgentLine,
     /// Next segment to play; `None` until playback starts.
     pub(super) next_play: Option<SegmentId>,
@@ -220,34 +187,10 @@ impl NodeArena {
         node
     }
 
+    /// The arena slot of `id`; `None` when the id is not alive.
     #[inline]
     pub(super) fn lookup(&self, id: DhtId) -> Option<NodeIdx> {
         self.by_id.get(id).map(NodeIdx)
-    }
-
-    /// A `PeerRef` for a node that may or may not be alive; dead ids get
-    /// an invalid cached slot and resolve to `None` until (unless) the id
-    /// comes alive again.
-    #[inline]
-    pub(super) fn make_ref(&self, id: DhtId) -> PeerRef {
-        PeerRef {
-            id,
-            slot: self.by_id.get(id).unwrap_or(INVALID_SLOT),
-        }
-    }
-
-    /// Resolve a peer handle to its current arena slot: fast path checks
-    /// the cached slot's identity, slow path re-consults the id table (the
-    /// id may live in a different slot after leave + rejoin). `None`
-    /// means the id is not currently alive.
-    #[inline]
-    pub(super) fn resolve(&self, r: PeerRef) -> Option<NodeIdx> {
-        if let Some(Some(n)) = self.slots.get(r.slot as usize) {
-            if n.id == r.id {
-                return Some(NodeIdx(r.slot));
-            }
-        }
-        self.lookup(r.id)
     }
 
     #[inline]
@@ -295,22 +238,43 @@ impl NodeArena {
     }
 }
 
-/// One gossip pull request, queued at its supplier. Carries the dense
-/// requester handle for state access plus the requester's `DhtId` for the
-/// deterministic per-round tie-break hash (keyed on the id, so a reused
-/// slot never changes the service order).
+/// One gossip pull request, queued at its supplier. The requester is
+/// held by its `DhtId` — step 6 looks it up in the arena's id table, and
+/// the id keys the per-round tie-break hash, so a reused slot never
+/// changes the service order.
 ///
-/// Requests live in one flat arena bucketed by supplier slot (see
+/// Requests live in one flat arena in scheduling order (see
 /// [`RoundScratch::requests`]); the supplier slot rides along for the
-/// bucketing scatter.
-#[derive(Debug, Clone, Copy)]
+/// bucketing scatter. 24 bytes: the segment id fits a `u32` because
+/// `SystemConfig::validate` bounds the run's segments by 2^20.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct PullRequest {
-    pub(super) requester: NodeIdx,
     pub(super) requester_id: DhtId,
-    pub(super) segment: SegmentId,
     pub(super) priority: f64,
+    pub(super) segment: u32,
     /// The supplier's arena slot this request is queued at.
     pub(super) supplier_slot: u32,
+}
+
+impl PullRequest {
+    /// Step 6's service order within one supplier's queue: most urgent
+    /// first, ties broken on a per-round hash of the requester —
+    /// deterministic, but not the same node winning every round (a fixed
+    /// tie-break starves whoever sorts last) — then by segment. The key
+    /// is unique per request (splitmix64 is a bijection and a requester
+    /// asks a supplier for a segment at most once), so an unstable sort
+    /// gives the order a stable one would.
+    #[inline]
+    pub(super) fn service_cmp(&self, other: &Self, salt: u64) -> std::cmp::Ordering {
+        other
+            .priority
+            .total_cmp(&self.priority)
+            .then_with(|| {
+                cs_sim::splitmix64(self.requester_id ^ salt)
+                    .cmp(&cs_sim::splitmix64(other.requester_id ^ salt))
+            })
+            .then(self.segment.cmp(&other.segment))
+    }
 }
 
 /// A per-node buffer-map snapshot slot: the generation-stamped exchange.
@@ -394,7 +358,7 @@ impl MapStore {
 /// only if it advertised a map this round.
 #[derive(Clone, Copy)]
 pub(super) struct NbrView {
-    pub(super) peer: PeerRef,
+    pub(super) peer: DhtId,
     /// The arena slot `peer` resolved to — also its [`MapStore`] slot.
     pub(super) slot: NodeIdx,
 }
@@ -407,7 +371,7 @@ pub(super) struct SchedScratch {
     pub(super) view: Vec<NbrView>,
     /// `(supplier, R(j))` in `view` order — the scheduler context's rate
     /// table (moved in and out to keep its allocation).
-    pub(super) rates: Vec<(PeerRef, f64)>,
+    pub(super) rates: Vec<(DhtId, f64)>,
     /// Per window word (64 segments from the play anchor): after the
     /// gather's first pass the segments the node lacks, after its second
     /// those of them some neighbour advertises — the candidates, in
@@ -421,9 +385,9 @@ pub(super) struct SchedScratch {
     pub(super) candidates: Vec<MaskCandidate>,
     /// The scheduling algorithms' own working memory (supplier lanes,
     /// ordering buffer, feasible list) for the mask-form entry points.
-    pub(super) algo: SchedulerScratch<PeerRef>,
+    pub(super) algo: SchedulerScratch<DhtId>,
     /// The resulting assignments of the last pass.
-    pub(super) assignments: Vec<Assignment<PeerRef>>,
+    pub(super) assignments: Vec<Assignment<DhtId>>,
 }
 
 /// Everything one round counts, from its first phase to its records:
@@ -459,20 +423,20 @@ pub(super) struct RoundScratch {
     pub(super) maps: MapStore,
     /// Step 5's planning scratch: one node's pass at a time.
     pub(super) sched: SchedScratch,
-    /// The round's pull requests, flat in scheduling order. One shared
-    /// arena instead of a `Vec` per supplier: per-slot queues re-grow
-    /// from zero capacity whenever a slot sees a new high-water mark,
-    /// which kept the service phase allocating for hundreds of rounds;
-    /// the flat arena's capacity converges to the total-requests
-    /// high-water after a handful of rounds.
+    /// The round's pull requests, flat in scheduling order (node
+    /// order). One shared arena instead of a `Vec` per supplier: per-slot
+    /// queues re-grow from zero capacity whenever a slot sees a new
+    /// high-water mark, which kept the service phase allocating for
+    /// hundreds of rounds; the flat arena's capacity converges to the
+    /// total-requests high-water after a handful of rounds.
     pub(super) requests: Vec<PullRequest>,
-    /// `requests` scattered into contiguous per-supplier buckets laid
-    /// out in ascending slot order (counting sort, stable), then sorted
-    /// within each bucket by the service policy.
-    pub(super) requests_sorted: Vec<PullRequest>,
-    /// Per-slot bucket sizes; nonzero only for `touched_suppliers`.
+    /// Indices into `requests`, counting-scattered into contiguous
+    /// per-supplier ranges laid out in ascending slot order; step 6
+    /// sorts each range into service order, so no request is copied.
+    pub(super) order: Vec<u32>,
+    /// Per-slot queue sizes; nonzero only for `touched_suppliers`.
     pub(super) queue_count: Vec<u32>,
-    /// Per-slot bucket start offsets into `requests_sorted`.
+    /// Per-slot range start offsets into `order`.
     pub(super) queue_start: Vec<u32>,
     /// Per-slot scatter cursors (consumed during bucketing).
     pub(super) queue_cursor: Vec<u32>,
@@ -487,9 +451,9 @@ pub(super) struct RoundScratch {
     /// Route/locate buffers reused by every Algorithm 2 retrieval.
     pub(super) retrieval: RetrievalScratch,
     /// General-purpose peer-list scratch (neighbour maintenance).
-    pub(super) tmp_refs: Vec<PeerRef>,
-    pub(super) tmp_refs2: Vec<PeerRef>,
-    pub(super) tmp_pairs: Vec<(PeerRef, f64)>,
+    pub(super) tmp_refs: Vec<DhtId>,
+    pub(super) tmp_refs2: Vec<DhtId>,
+    pub(super) tmp_pairs: Vec<(DhtId, f64)>,
 }
 
 impl RoundScratch {
@@ -523,9 +487,9 @@ impl RoundScratch {
         self.requests.push(req);
     }
 
-    /// Scatter `requests` into contiguous per-slot buckets in
-    /// `requests_sorted` (ascending slot order, stable within a slot).
-    /// Returns nothing; bucket ranges are `queue_start[s] ..
+    /// Counting-scatter the indices of `requests` into contiguous
+    /// per-slot ranges of `order` (ascending slot order, node order
+    /// within a slot). A slot's range is `queue_start[s] ..
     /// queue_start[s] + queue_count[s]`.
     pub(super) fn bucket_requests(&mut self) {
         self.touched_suppliers.sort_unstable();
@@ -535,22 +499,32 @@ impl RoundScratch {
             self.queue_cursor[s as usize] = start;
             start += self.queue_count[s as usize];
         }
-        if self.requests_sorted.len() < self.requests.len() {
-            let dummy = PullRequest {
-                requester: NodeIdx(0),
-                requester_id: 0,
-                segment: 0,
-                priority: 0.0,
-                supplier_slot: 0,
-            };
-            self.requests_sorted.resize(self.requests.len(), dummy);
+        if self.order.len() < self.requests.len() {
+            self.order.resize(self.requests.len(), 0);
         }
-        for i in 0..self.requests.len() {
-            let req = self.requests[i];
+        for (i, req) in self.requests.iter().enumerate() {
             let cursor = &mut self.queue_cursor[req.supplier_slot as usize];
-            self.requests_sorted[*cursor as usize] = req;
+            self.order[*cursor as usize] = i as u32;
             *cursor += 1;
         }
+    }
+
+    /// Sort supplier `slot`'s range of `order` into service order
+    /// ([`PullRequest::service_cmp`]) and return it.
+    pub(super) fn sort_queue(&mut self, slot: usize, salt: u64) -> std::ops::Range<usize> {
+        let start = self.queue_start[slot] as usize;
+        let range = start..start + self.queue_count[slot] as usize;
+        let requests = &self.requests;
+        // Load every queued request once up front. These loads are
+        // independent, so their cache misses overlap; the sort's own
+        // loads wait on its comparisons and would take them one by one.
+        for &i in &self.order[range.clone()] {
+            std::hint::black_box(requests[i as usize].priority);
+        }
+        self.order[range.clone()].sort_unstable_by(|&a, &b| {
+            requests[a as usize].service_cmp(&requests[b as usize], salt)
+        });
+        range
     }
 
     pub(super) fn add_spent(&mut self, supplier: NodeIdx, amount: f64) {
@@ -605,6 +579,101 @@ mod tests {
                 let mut keys: Vec<SegmentId> = model.keys().copied().collect();
                 keys.sort_unstable();
                 assert_eq!(tags.0, keys, "case {case}, round {round}");
+            }
+        }
+    }
+
+    /// The hot per-node and per-request records at their packed sizes: a
+    /// field that creeps back fails here instead of showing up as RSS.
+    #[test]
+    fn hot_records_keep_their_sizes() {
+        use cs_overlay::OverheardEntry;
+        use std::mem::size_of;
+        assert_eq!(size_of::<PullRequest>(), 24);
+        // The peer handle every table holds is the id itself.
+        assert_eq!(size_of::<DhtId>(), 8);
+        assert_eq!(size_of::<OverheardEntry>(), 16);
+        assert_eq!(size_of::<NeighborEntry>(), 24);
+        assert_eq!(size_of::<crate::rate::RateRow<DhtId>>(), 24);
+    }
+
+    /// Step 6's index scatter + per-range sort against the bucketed copy
+    /// it replaced: scatter the requests themselves into per-slot buckets
+    /// (ascending slot, stable), then sort each bucket by the service
+    /// key. Both must give every supplier the same request sequence.
+    #[test]
+    fn index_scatter_matches_bucketed_copy() {
+        fn reference(requests: &[PullRequest], slots: usize, salt: u64) -> Vec<Vec<PullRequest>> {
+            let mut buckets = vec![Vec::new(); slots];
+            for req in requests {
+                buckets[req.supplier_slot as usize].push(*req);
+            }
+            for bucket in &mut buckets {
+                bucket.sort_unstable_by(|a, b| {
+                    b.priority
+                        .total_cmp(&a.priority)
+                        .then_with(|| {
+                            cs_sim::splitmix64(a.requester_id ^ salt)
+                                .cmp(&cs_sim::splitmix64(b.requester_id ^ salt))
+                        })
+                        .then(a.segment.cmp(&b.segment))
+                });
+            }
+            buckets
+        }
+
+        let mut scratch = RoundScratch::default();
+        for case in 0..400u64 {
+            let mut rng = RngTree::new(0x5E7F).child_indexed("service-order", case);
+            let slots = match case % 4 {
+                0 => 1,
+                1 => rng.gen_range(2usize..6),
+                _ => rng.gen_range(2usize..64),
+            };
+            // Only some slots serve: the rest keep empty queues.
+            let suppliers: Vec<u32> = (0..slots as u32)
+                .filter(|_| slots == 1 || rng.gen_range(0u32..3) > 0)
+                .collect();
+            // Half the cases draw priorities from three values, so the
+            // requester hash decides most ties.
+            let tied = case % 2 == 0;
+            let salt = cs_sim::splitmix64(case);
+            scratch.begin_round(case as u32, slots);
+            let mut id = 0u64;
+            for _ in 0..rng.gen_range(0u32..40) {
+                if suppliers.is_empty() {
+                    break;
+                }
+                // Node order: ascending requester ids, each asking for a
+                // run of distinct segments, several often at one supplier.
+                id += rng.gen_range(1u64..1000);
+                let first = rng.gen_range(0u32..500);
+                for k in 0..rng.gen_range(1u32..8) {
+                    let priority = if tied {
+                        [0.25, 1.0, 2.5][rng.gen_range(0usize..3)]
+                    } else {
+                        rng.gen_range(0.0f64..3.0)
+                    };
+                    scratch.push_request(PullRequest {
+                        requester_id: id,
+                        priority,
+                        segment: first + 3 * k,
+                        supplier_slot: suppliers[rng.gen_range(0..suppliers.len())],
+                    });
+                }
+            }
+            let expected = reference(&scratch.requests, slots, salt);
+            scratch.bucket_requests();
+            for (slot, bucket) in expected.iter().enumerate() {
+                let got: Vec<PullRequest> = if scratch.queue_count[slot] == 0 {
+                    Vec::new()
+                } else {
+                    scratch
+                        .sort_queue(slot, salt)
+                        .map(|i| scratch.requests[scratch.order[i] as usize])
+                        .collect()
+                };
+                assert_eq!(&got, bucket, "case {case}, slot {slot}");
             }
         }
     }

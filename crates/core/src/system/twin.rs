@@ -86,7 +86,7 @@ impl SystemSim {
         for &idx in &self.order_idx {
             let node = self.nodes.node(idx);
             recipients.clear();
-            recipients.extend(node.connected.ids().map(|p| p.id));
+            recipients.extend(node.connected.ids());
             let own = node.announce();
             visit(
                 node.id,

@@ -9,10 +9,10 @@ use cs_dht::DhtId;
 
 /// One connected neighbour (a row of Figure 2's first table).
 ///
-/// Generic over the peer identifier `I` (default [`DhtId`]): the
-/// full-system simulator keys its tables by dense node-arena handles so
-/// that neighbour walks are index loads rather than hash probes, while
-/// stand-alone overlay users keep plain DHT ids.
+/// Generic over the peer identifier `I` (default [`DhtId`]). The
+/// full-system simulator keys its tables by plain ids and looks each up
+/// in a dense id table, so a neighbour walk is index loads rather than
+/// hash probes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborEntry<I = DhtId> {
     /// The neighbour's overlay identifier.

@@ -16,8 +16,8 @@ pub const DEFAULT_H: usize = 20;
 
 /// One overheard node.
 ///
-/// Generic over the peer identifier `I` (default [`DhtId`]), for the same
-/// reason as `NeighborEntry`: the simulator keys by arena handles.
+/// Generic over the peer identifier `I` (default [`DhtId`]), like
+/// `NeighborEntry`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheardEntry<I = DhtId> {
     /// The overheard node's identifier.
