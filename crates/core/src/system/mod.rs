@@ -206,8 +206,10 @@ pub struct SystemSim {
     source: DhtId,
     source_idx: NodeIdx,
     bw_assigner: BandwidthAssigner,
-    /// Ping-time pool for joiners, drawn from the same distribution as
-    /// the initial trace.
+    /// Ping-time pool for joiners, drawn as bare pings from the same
+    /// distribution as the initial trace (`expected_joins + 16` of them).
+    /// Its length is behaviour: a churn join takes entry
+    /// `(round·31 + live) mod len`, a scenario join a uniform one.
     joiner_pings: Vec<f64>,
     newest_emitted: SegmentId,
     records: Vec<RoundRecord>,
@@ -260,7 +262,6 @@ impl SystemSim {
         augment_to_min_degree(&mut topo, config.neighbors, &mut aug_rng);
 
         // 2. IDs from the RP server.
-        let expected_joins = config.expected_joins();
         let space = IdSpace::for_capacity(config.id_capacity());
         let mut rp = RpServer::new(space);
         let mut rp_rng = tree.child("rp");
@@ -335,17 +336,12 @@ impl SystemSim {
             DhtNetwork::build(space, &ids, &latency, &mut dht_rng)
         };
 
-        // 7. A ping pool for joiners, same distribution as the trace.
-        let mut pool_rng = tree.child("joiner-pings");
-        let pool_gen = TraceGenerator::new(TraceGenConfig::with_nodes(
-            (expected_joins as usize + 16).max(16),
-        ));
-        let joiner_pings: Vec<f64> = pool_gen
-            .generate(&mut pool_rng)
-            .records()
-            .iter()
-            .map(|r| r.ping_ms)
-            .collect();
+        // 7. A ping pool for joiners, same distribution as the trace:
+        //    the trace generator's per-record draws with only the pings
+        //    kept (no records, no edges). Its length is behaviour (see
+        //    `joiner_pings`), so it stays `expected_joins + 16`.
+        let pool = TraceGenConfig::with_nodes(config.expected_joins() as usize + 16);
+        let joiner_pings = TraceGenerator::new(pool).pings(&mut tree.child("joiner-pings"));
 
         let mut sim = SystemSim {
             space,
@@ -605,6 +601,41 @@ mod tests {
             scheduler,
             seed,
             ..Default::default()
+        }
+    }
+
+    /// The joiner pool drawn as bare pings against the construction it
+    /// replaced: a whole trace of `expected_joins + 16` nodes, edges
+    /// and all, of which only the records' pings were kept.
+    #[test]
+    fn joiner_pings_match_a_generated_trace() {
+        let churn = SystemConfig {
+            nodes: 200,
+            rounds: 40,
+            seed: 9,
+            ..Default::default()
+        }
+        .with_dynamic_churn();
+        for config in [tiny(SchedulerKind::ContinuStreaming, 8), churn] {
+            let tree = RngTree::new(config.seed);
+            let expected: Vec<f64> = TraceGenerator::new(TraceGenConfig::with_nodes(
+                (config.expected_joins() as usize + 16).max(16),
+            ))
+            .generate(&mut tree.child("joiner-pings"))
+            .records()
+            .iter()
+            .map(|r| r.ping_ms)
+            .collect();
+            let sim = SystemSim::new(config);
+            assert_eq!(sim.joiner_pings.len(), expected.len());
+            assert!(
+                sim.joiner_pings
+                    .iter()
+                    .zip(&expected)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "pool of {} differs from the generated trace's pings",
+                expected.len()
+            );
         }
     }
 

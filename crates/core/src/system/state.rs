@@ -86,16 +86,22 @@ pub(super) struct NodeSim {
 /// [`VodBackupStore`] pattern). A node holds a handful of tags at a time
 /// — the round's fetches until the play point passes them — so binary
 /// search plus shift beats hashing, and nothing allocates while the tags
-/// fit the capacity the node was built with.
-pub(super) struct PrefetchTags(Vec<SegmentId>);
+/// fit the capacity the node was built with. A tag is a `u32`:
+/// `validate` bounds segment ids by 2^20, as for [`PullRequest::segment`].
+pub(super) struct PrefetchTags(Vec<u32>);
 
 impl PrefetchTags {
     pub(super) fn with_capacity(tags: usize) -> Self {
         PrefetchTags(Vec::with_capacity(tags))
     }
 
+    fn tag(seg: SegmentId) -> u32 {
+        u32::try_from(seg).expect("validate bounds segment ids by 2^20")
+    }
+
     /// Tag `seg` (a no-op when it is already tagged).
     pub(super) fn insert(&mut self, seg: SegmentId) {
+        let seg = Self::tag(seg);
         if let Err(pos) = self.0.binary_search(&seg) {
             self.0.insert(pos, seg);
         }
@@ -103,7 +109,7 @@ impl PrefetchTags {
 
     /// Untag `seg`; whether it was tagged.
     pub(super) fn take(&mut self, seg: SegmentId) -> bool {
-        match self.0.binary_search(&seg) {
+        match self.0.binary_search(&Self::tag(seg)) {
             Ok(pos) => {
                 self.0.remove(pos);
                 true
@@ -114,7 +120,7 @@ impl PrefetchTags {
 
     /// Drop every tag below `floor`.
     pub(super) fn prune_below(&mut self, floor: SegmentId) {
-        let k = self.0.partition_point(|&s| s < floor);
+        let k = self.0.partition_point(|&s| SegmentId::from(s) < floor);
         self.0.drain(..k);
     }
 }
@@ -576,7 +582,7 @@ mod tests {
                         model.retain(|&seg, _| seg >= play);
                     }
                 }
-                let mut keys: Vec<SegmentId> = model.keys().copied().collect();
+                let mut keys: Vec<u32> = model.keys().map(|&seg| seg as u32).collect();
                 keys.sort_unstable();
                 assert_eq!(tags.0, keys, "case {case}, round {round}");
             }

@@ -11,6 +11,11 @@
 //!   (`|ping_a − ping_b|`) yields a mean pair latency ≈ 50 ms, the paper's
 //!   `t_hop`.
 //! * **Speeds**: the modem/ISDN/broadband/LAN mix of 2000-era crawls.
+//!
+//! [`TraceGenerator::generate`] builds the whole topology;
+//! [`TraceGenerator::pings`] makes the same per-record draws and keeps
+//! only the ping times, for a caller that needs the ping distribution
+//! and not the graph (the simulator's pool of joiner pings).
 
 use std::net::Ipv4Addr;
 
@@ -71,6 +76,9 @@ impl TraceGenConfig {
 #[derive(Debug)]
 pub struct TraceGenerator {
     config: TraceGenConfig,
+    /// `ln(ping_median_ms)`, the log-normal's location: one value per
+    /// generator, so it is computed once rather than per record.
+    ln_median: f64,
 }
 
 impl TraceGenerator {
@@ -94,7 +102,8 @@ impl TraceGenerator {
             (mix_sum - 1.0).abs() < 1e-6,
             "speed mix must sum to 1, got {mix_sum}"
         );
-        TraceGenerator { config }
+        let ln_median = config.ping_median_ms.ln();
+        TraceGenerator { config, ln_median }
     }
 
     /// The configuration in use.
@@ -112,10 +121,26 @@ impl TraceGenerator {
         topo
     }
 
+    /// The ping times alone: the same per-record draws as
+    /// [`Self::generate`] makes before its edge pass (speed class,
+    /// jitter, address and port included, so `rng` ends where the
+    /// record loop leaves it), keeping only each record's `ping_ms`.
+    /// No record vector and no topology are built: the result is 8
+    /// bytes per node, and `pings(rng)[i]` equals the `ping_ms` of
+    /// `generate(rng).records()[i]` for an equal starting `rng`.
+    pub fn pings(&self, rng: &mut SimRng) -> Vec<f64> {
+        (0..self.config.nodes)
+            .map(|i| self.gen_record(i as u32, rng).ping_ms)
+            .collect()
+    }
+
+    /// One record's draws, in stream order: the ping, the speed class,
+    /// the speed jitter, the address and the port. [`Self::generate`]
+    /// and [`Self::pings`] both call it, so they cannot drift apart.
     fn gen_record(&self, id: u32, rng: &mut SimRng) -> NodeRecord {
         // Log-normal ping: exp(N(ln median, σ)).
         let z = standard_normal(rng);
-        let ping_ms = (self.config.ping_median_ms.ln() + self.config.ping_sigma * z).exp();
+        let ping_ms = (self.ln_median + self.config.ping_sigma * z).exp();
 
         let class = self.sample_speed_class(rng);
         // Jitter the advertised speed a little around the nominal value,
@@ -297,6 +322,69 @@ mod tests {
             max_deg as f64 > 4.0 * avg,
             "preferential attachment should create hubs: max {max_deg}, avg {avg}"
         );
+    }
+
+    /// The record loop `generate` ran before `pings` existed, with
+    /// `ln(median)` taken inside the loop: the bit-for-bit oracle for
+    /// the pool the simulator draws for its joiners.
+    fn reference_pings(config: &TraceGenConfig, rng: &mut SimRng) -> Vec<f64> {
+        (0..config.nodes)
+            .map(|_| {
+                let z = standard_normal(rng);
+                let ping_ms = (config.ping_median_ms.ln() + config.ping_sigma * z).exp();
+                // The speed class, the jitter, the address and the port.
+                let _class: f64 = rng.gen();
+                let _jitter: f64 = rng.gen_range(0.8..1.2);
+                let _ip = rng.gen::<u32>();
+                let _port = rng.gen_range(1024..=u16::MAX);
+                ping_ms
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pings_match_the_record_loop_bit_for_bit() {
+        let configs = [
+            TraceGenConfig::default(),
+            TraceGenConfig {
+                ping_median_ms: 37.5,
+                ping_sigma: 1.3,
+                speed_mix: [0.7, 0.1, 0.1, 0.1],
+                ..Default::default()
+            },
+            TraceGenConfig {
+                ping_median_ms: 250.0,
+                ping_sigma: 0.05,
+                speed_mix: [0.0, 0.0, 0.0, 1.0],
+                ..Default::default()
+            },
+        ];
+        for (c, base) in configs.iter().enumerate() {
+            for nodes in [1, 2, 16, 1000, 10_016] {
+                for seed in [0u64, 7, 20080414] {
+                    let config = TraceGenConfig {
+                        nodes,
+                        ..base.clone()
+                    };
+                    let tree = RngTree::new(seed);
+                    let mut rng = tree.child("joiner-pings");
+                    let mut oracle_rng = tree.child("joiner-pings");
+                    let got = TraceGenerator::new(config.clone()).pings(&mut rng);
+                    let want = reference_pings(&config, &mut oracle_rng);
+                    assert_eq!(got.len(), nodes);
+                    let got_bits: Vec<u64> = got.iter().map(|p| p.to_bits()).collect();
+                    let want_bits: Vec<u64> = want.iter().map(|p| p.to_bits()).collect();
+                    assert!(
+                        got_bits == want_bits,
+                        "config {c}, {nodes} nodes, seed {seed}: pings differ"
+                    );
+                    assert_eq!(
+                        rng, oracle_rng,
+                        "config {c}, {nodes} nodes, seed {seed}: the stream ends elsewhere"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,15 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes currently allocated, whether or not counting is on.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of [`LIVE`], raised after every grow; a test resets
+/// it to the current [`LIVE`] before the section it measures.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Add `size` bytes to [`LIVE`] and raise [`PEAK`] to the new total.
+fn grow_live(size: usize) {
+    let now = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+}
 
 /// Serialises measured sections: the counter is process-global and the
 /// harness runs the tests below on separate threads.
@@ -50,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow_live(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -58,7 +67,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow_live(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -68,7 +77,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        grow_live(new_size);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -249,10 +258,11 @@ fn public_step_api_allocates_nothing_when_warm() {
 
 /// Ceiling on the live heap of the 2000-node run below, in bytes.
 ///
-/// The run peaks at 4 720 816 bytes when this test runs alone (x86_64
+/// The run peaks at 4 600 816 bytes when this test runs alone (x86_64
 /// Linux; a sum of allocation sizes, not a timing, so it repeats
 /// exactly; with the whole file it reads ~1 kB more). Per node that holds a
-/// 120-byte pre-fetch tag set (a `HashMap` would be 2 192), a 192-byte
+/// 60-byte pre-fetch tag set of 15 `u32` tags (8-byte tags were 120, a
+/// `HashMap` would be 2 192), a 192-byte
 /// Rate Controller table (three tables would be 576), a 320-byte
 /// overheard list and a 120-byte partner table — every peer held by its
 /// 8-byte id (with a cached arena slot beside it the three tables were
@@ -264,10 +274,11 @@ fn public_step_api_allocates_nothing_when_warm() {
 /// higher). The ceiling sits 10 % above the peak: the tag map coming
 /// back (~+4.2 MB) crosses it, and so do the request copy, three rate
 /// tables (+768 000) and the cached slot (+528 000); the levels'
-/// `Option` tag alone (+192 000 over 12 levels) would not. After an
-/// intended change, run this test with `-- --nocapture`, read the
-/// printed peak and set the ceiling ~10 % above it.
-const LIVE_HEAP_CEILING: usize = 5_200_000;
+/// `Option` tag alone (+192 000 over 12 levels) and 8-byte tags
+/// (+120 000) would not. After an intended change, run this test with
+/// `-- --nocapture`, read the printed peak and set the ceiling ~10 %
+/// above it.
+const LIVE_HEAP_CEILING: usize = 5_060_000;
 
 /// The per-node footprint gate: a 2000-node static Legacy run, stepped
 /// 40 rounds, must keep its live heap under [`LIVE_HEAP_CEILING`] after
@@ -294,5 +305,47 @@ fn live_heap_stays_under_ceiling() {
     assert!(
         peak <= LIVE_HEAP_CEILING,
         "live heap peaked at {peak} bytes, over the {LIVE_HEAP_CEILING}-byte ceiling"
+    );
+}
+
+/// Ceiling on the heap high-water mark of `SystemSim::new` for the
+/// churn run below, in bytes.
+///
+/// Construction peaks at 1 123 368 bytes (x86_64 Linux; a sum of
+/// allocation sizes, so it repeats exactly). 80 128 of it is the
+/// joiner ping pool, drawn as 10 016 bare pings. Built as a whole
+/// trace of 10 016 nodes (records, preferential-attachment edges, an
+/// edge set and adjacency lists) and then reduced to its pings, the
+/// pool peaked the setup at 2 385 704 bytes (with 8-byte pre-fetch
+/// tags); the ceiling sits 10 % above the current peak, so a pool that
+/// becomes a topology again fails here. After an intended change, run
+/// this test with `-- --nocapture`, read the printed peak and set the
+/// ceiling ~10 % above it.
+const SETUP_PEAK_CEILING: usize = 1_240_000;
+
+/// The setup footprint gate: building a 200-node, 1000-round run under
+/// the paper's 5 % + 5 % churn (10 000 expected joins, so a
+/// 10 016-entry joiner ping pool) must keep the heap's high-water mark
+/// under [`SETUP_PEAK_CEILING`].
+#[test]
+fn setup_peak_heap_stays_under_ceiling() {
+    let _guard = measure_lock();
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let sim = SystemSim::new(
+        SystemConfig {
+            nodes: 200,
+            rounds: 1000,
+            seed: 20080414,
+            ..SystemConfig::default()
+        }
+        .with_dynamic_churn(),
+    );
+    let peak = PEAK.load(Ordering::SeqCst) - base;
+    drop(sim);
+    eprintln!("setup heap peak: {peak} bytes");
+    assert!(
+        peak <= SETUP_PEAK_CEILING,
+        "SystemSim::new peaked at {peak} bytes, over the {SETUP_PEAK_CEILING}-byte ceiling"
     );
 }
