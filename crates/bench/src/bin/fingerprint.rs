@@ -1,6 +1,7 @@
 //! Print the behavioural fingerprint of every pinned scenario (see
 //! `cs_bench::fingerprint`), followed by the DHT routing fingerprints
-//! (hop sequences + table states of fixed lookup batches), the two
+//! (hop sequences + table states of fixed lookup batches, two of them
+//! after churn), the two
 //! 2000-node active-set runs and the 8000-node overlay run, and exit 1
 //! if any differs from its row of `PINS` — on x86_64 Linux only, like
 //! `tests/determinism.rs` (the system hashes involve libm). The

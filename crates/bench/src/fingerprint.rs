@@ -57,6 +57,8 @@ pub const PINS: &[(&str, u64, u64)] = &[
     ("dht_greedy_600", 0xa3d3f8871b0fae4e, 0x7883805ec6c3da99),
     ("dht_overhear_400", 0xf96cd39fae554ffd, 0x8f45647ab3fc68d4),
     ("dht_overhear_800", 0x11f6772d78683832, 0x08a33e3bd7af7b9d),
+    ("dht_churn_300", 0xa7d88ee363731398, 0x8331edd76c83b3f6),
+    ("dht_churn_500", 0xc61b4d400c2d2b57, 0x804c5b7599973a1e),
     ("active_set_all_playing", 0xa11b25c590738d0e, 0xecf08667d1c01a36),
     ("active_set_steady_paused", 0xb46d069af8a31f9e, 0xecf08667d1c01a36),
     ("overlay_8k", 0x47aba547e8915add, 0xdb1748b72400ddb7),
@@ -229,10 +231,10 @@ pub fn overlay_8k() -> (&'static str, SystemConfig) {
 }
 
 /// DHT routing fingerprints: the exact hop sequences and final table
-/// states of greedy-lookup batches over fixed networks. Shared between
-/// the `fingerprint` drift-gate binary and `tests/dht_routing.rs`, which
-/// pins the values recorded from the pre-arena (`BTreeMap`-keyed)
-/// implementation.
+/// states of greedy-lookup batches over fixed networks, some of them
+/// after churn. Shared between the `fingerprint` drift-gate binary and
+/// `tests/dht_routing.rs`; the pins were recorded from the pre-arena
+/// (`BTreeMap`-keyed) implementation.
 pub mod dht {
     use std::fmt::Write as _;
 
@@ -261,6 +263,42 @@ pub mod dht {
         DhtNetwork::build(space, &ids, &latency, &mut rng)
     }
 
+    /// The churn cases `(name, nodes, bits, seed)`: [`build_net`], then
+    /// [`churn`], then a 400-lookup overhearing batch.
+    pub const CHURN: [(&str, usize, u32, u64); 2] =
+        [("dht_churn_300", 300, 10, 7), ("dht_churn_500", 500, 12, 4)];
+
+    /// Abrupt churn: kill ~15 % of the nodes with no handover, leaving
+    /// dangling entries in other tables, then join half as many fresh
+    /// ids, which the arena files in the freed slots.
+    pub fn churn(net: &mut DhtNetwork, seed: u64) {
+        let mut rng = RngTree::new(seed).child("dht-routing-churn");
+        let victims: Vec<DhtId> = net
+            .ids()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .filter(|_| rng.gen_bool(0.15))
+            .collect();
+        for v in &victims {
+            assert!(net.leave(*v));
+        }
+        let mut joined = 0;
+        while joined < victims.len() / 2 {
+            let id = rng.gen_range(0..net.space().size());
+            if net.join(id, &latency, &mut rng).is_ok() {
+                joined += 1;
+            }
+        }
+    }
+
+    /// One [`CHURN`] case: the churned network and its lookup batch.
+    pub fn churn_batch(n: usize, bits: u32, seed: u64) -> (DhtNetwork, String) {
+        let mut net = build_net(n, bits, seed);
+        churn(&mut net, seed);
+        let batch = route_batch(&mut net, seed ^ 0xC0FFEE, 400, true);
+        (net, batch)
+    }
+
     /// Run `count` lookups and serialise every route outcome exactly.
     pub fn route_batch(net: &mut DhtNetwork, seed: u64, count: usize, overhear: bool) -> String {
         let mut rng = RngTree::new(seed).child("dht-routing-lookups");
@@ -284,7 +322,7 @@ pub mod dht {
     pub fn table_state(net: &DhtNetwork) -> String {
         let mut out = String::new();
         for id in net.ids() {
-            let peers = &net.node(id).expect("live node").peers;
+            let peers = net.node(id).expect("live node");
             write!(out, "{id}:").unwrap();
             for level in 1..=net.space().bits() {
                 match peers.level(level) {
@@ -313,6 +351,14 @@ pub mod dht {
             let overhear = name.contains("overhear");
             let mut net = build_net(n, bits, seed);
             let batch = route_batch(&mut net, seed, 400, overhear);
+            out.push((
+                name,
+                super::fnv1a(batch.as_bytes()),
+                super::fnv1a(table_state(&net).as_bytes()),
+            ));
+        }
+        for (name, n, bits, seed) in CHURN {
+            let (net, batch) = churn_batch(n, bits, seed);
             out.push((
                 name,
                 super::fnv1a(batch.as_bytes()),

@@ -38,23 +38,22 @@ const MAX_RATE: f64 = 500.0;
 
 /// Per-neighbour receiving-rate estimator (segments per second).
 ///
-/// Generic over the neighbour key `K` (default [`DhtId`], the key the
-/// simulator uses). A node tracks at most `M` (≈ 5)
+/// Keyed by the neighbour's [`DhtId`]. A node tracks at most `M` (≈ 5)
 /// neighbours, so the controller is one flat table of rows with
 /// linear probes — no hashing on the round loop's hottest read path
 /// (`rate()` is called once per candidate-supplier pair per round).
 #[derive(Debug, Clone)]
-pub struct RateController<K = DhtId> {
+pub struct RateController {
     /// Estimate used for neighbours never probed, segments/s.
     prior: f64,
     /// One row per neighbour seen since it was last forgotten.
-    rows: Vec<RateRow<K>>,
+    rows: Vec<RateRow>,
 }
 
 /// One neighbour's row: its estimate and this period's counts.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RateRow<K> {
-    key: K,
+pub(crate) struct RateRow {
+    key: DhtId,
     /// Current estimate, segments/s; `prior` until the first probe.
     estimate: f64,
     /// Segments requested from the neighbour this period.
@@ -63,7 +62,7 @@ pub(crate) struct RateRow<K> {
     got: u32,
 }
 
-impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
+impl RateController {
     /// A controller whose unprobed-neighbour estimate is `prior`
     /// segments/s (a sensible default is the node's inbound capacity
     /// divided by `M`).
@@ -86,7 +85,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
 
     /// The row of `key`, appended at the prior if absent.
     #[inline]
-    fn row(&mut self, key: K) -> &mut RateRow<K> {
+    fn row(&mut self, key: DhtId) -> &mut RateRow {
         let i = match self.rows.iter().position(|r| r.key == key) {
             Some(i) => i,
             None => {
@@ -103,12 +102,12 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
     }
 
     /// Record one segment requested from `from` during this period.
-    pub fn record_request(&mut self, from: K) {
+    pub fn record_request(&mut self, from: DhtId) {
         self.row(from).asked += 1;
     }
 
     /// Record one segment delivered by `from` during this period.
-    pub fn record_delivery(&mut self, from: K) {
+    pub fn record_delivery(&mut self, from: DhtId) {
         self.row(from).got += 1;
     }
 
@@ -143,7 +142,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
 
     /// The estimated receiving rate from `id`, segments/s (`R_ij`).
     #[inline]
-    pub fn rate(&self, id: K) -> f64 {
+    pub fn rate(&self, id: DhtId) -> f64 {
         self.rows
             .iter()
             .find(|r| r.key == id)
@@ -151,7 +150,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug> RateController<K> {
     }
 
     /// Forget a departed neighbour.
-    pub fn forget(&mut self, id: K) {
+    pub fn forget(&mut self, id: DhtId) {
         self.rows.retain(|r| r.key != id);
     }
 }
@@ -283,6 +282,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_prior_panics() {
-        let _ = RateController::<DhtId>::new(0.0);
+        let _ = RateController::new(0.0);
     }
 }

@@ -13,7 +13,7 @@
 //! forwarding hop, one reply per located backup node, one request to the
 //! chosen supplier, plus the segment payload.
 
-use cs_dht::{backup_target, walk_into, DhtId, DhtNetwork, RouteScratch};
+use cs_dht::{backup_target, walk_into, DhtId, DhtNetwork};
 
 use crate::SegmentId;
 
@@ -35,13 +35,12 @@ pub struct RetrievalSummary {
     pub fetch_latency_ms: Option<f64>,
 }
 
-/// Reusable working memory for [`retrieve_one_into`]: the route scratch
-/// and path buffer shared by the `k` lookups, plus the deduplicated list
-/// of located terminal nodes (left populated for the caller's
-/// overhearing accounting). Carries capacity only between calls.
+/// Reusable working memory for [`retrieve_one_into`]: the path buffer
+/// shared by the `k` lookups, plus the deduplicated list of located
+/// terminal nodes (left populated for the caller's overhearing
+/// accounting). Carries capacity only between calls.
 #[derive(Debug, Default)]
 pub struct RetrievalScratch {
-    route: RouteScratch,
     path: Vec<DhtId>,
     /// Every node where a lookup terminated (one per replica position,
     /// deduplicated) during the most recent call.
@@ -83,16 +82,8 @@ pub fn retrieve_one_into(
         // Where the lookup ended is what counts: the terminal node
         // answers for its own backup, so the route's verdict against the
         // ring's true owner is never computed.
-        let route_ms = walk_into(
-            net,
-            requester,
-            target,
-            latency_ms,
-            true,
-            &mut scratch.route,
-            &mut scratch.path,
-        )
-        .map_or(0.0, |(ms, _)| ms);
+        let route_ms = walk_into(net, requester, target, latency_ms, true, &mut scratch.path)
+            .map_or(0.0, |(ms, _)| ms);
         let hops = scratch.path.len().saturating_sub(1) as u32;
         routing_messages += hops;
         // Lookups run in parallel: locate time is the slowest route plus

@@ -377,7 +377,7 @@ impl SystemSim {
     pub(super) fn believed_successor(&self, id: DhtId) -> DhtId {
         self.dht
             .node(id)
-            .and_then(|s| s.peers.closest_clockwise())
+            .and_then(|t| t.closest_clockwise())
             .map(|p| p.id)
             .unwrap_or(id)
     }

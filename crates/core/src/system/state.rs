@@ -600,7 +600,7 @@ mod tests {
         assert_eq!(size_of::<DhtId>(), 8);
         assert_eq!(size_of::<OverheardEntry>(), 16);
         assert_eq!(size_of::<NeighborEntry>(), 24);
-        assert_eq!(size_of::<crate::rate::RateRow<DhtId>>(), 24);
+        assert_eq!(size_of::<crate::rate::RateRow>(), 24);
     }
 
     /// Step 6's index scatter + per-range sort against the bucketed copy

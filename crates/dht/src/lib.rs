@@ -27,11 +27,9 @@ pub mod placement;
 pub mod routing;
 
 pub use id::{DhtId, IdSlotTable, IdSpace};
-pub use network::{DhtIdx, DhtNetwork, DhtNodeState, JoinError};
+pub use network::{DhtNetwork, JoinError};
 pub use peers::{DhtPeerEntry, DhtPeerTable};
-pub use placement::{
-    backup_target, backup_targets, common_hash, responsible_for, ResponsibilityRange,
-};
+pub use placement::{backup_target, backup_targets, common_hash, ResponsibilityRange};
 pub use routing::{
     route, route_into, walk_into, RouteOutcome, RouteScratch, RouteStatus, RouteSummary,
 };

@@ -8,53 +8,28 @@
 //!
 //! ## Data layout: the node arena
 //!
-//! Node state lives in a dense arena (`Vec<Option<DhtNodeState>>` + free
-//! list) addressed by [`DhtIdx`] slot handles, mirroring the node arena of
-//! the full-system simulator. Ring membership is a sorted `Vec<DhtId>`
-//! (binary-searched by `responsible_of`/`successor_of`/`predecessor_of`),
-//! and ids resolve to slots through a dense [`IdSlotTable`] — one `u32`
-//! per id of the space, allocated once in [`DhtNetwork::new`] and never
-//! grown, so `lookup`/`contains` and the stale-hint fallback of the
-//! routing loop are a single array load, not a hash probe. Inside the
-//! routing loop every hop moves slot-to-slot through the slot hints
-//! cached in [`DhtPeerEntry`], and the greedy next hop is read straight
-//! off the level the target's distance falls in (see
-//! [`DhtPeerTable::next_hop`]). Every decision (greedy next hop,
-//! tie-breaks, table replacement, RNG consumption in `build`/`join`) is
-//! keyed on `DhtId` exactly as in the `BTreeMap`-keyed implementation
-//! this replaced, so routes are bit-identical (pinned by
-//! `tests/dht_routing.rs`).
-//!
-//! [`DhtPeerEntry`]: crate::peers::DhtPeerEntry
+//! Peer tables live in a dense arena (`Vec<Option<DhtPeerTable>>` + free
+//! list), mirroring the node arena of the full-system simulator. A node
+//! is named by its [`DhtId`] alone, inside the arena and out: ids resolve
+//! to slots through a dense [`IdSlotTable`] — one `u32` per id of the
+//! space, allocated once in [`DhtNetwork::new`] and never grown, so
+//! `contains`, `node` and every hop of the routing loop are a single
+//! array load, not a hash probe. Ring membership is a sorted `Vec<DhtId>`
+//! (binary-searched by `responsible_of`/`successor_of`/`predecessor_of`).
+//! The greedy next hop is read straight off the level the target's
+//! distance falls in (see [`DhtPeerTable::next_hop`]). Every decision
+//! (greedy next hop, tie-breaks, table replacement, RNG consumption in
+//! `build`/`join`) is keyed on `DhtId` exactly as in the
+//! `BTreeMap`-keyed implementation this replaced, so routes are
+//! bit-identical and independent of which slot a node occupies (pinned
+//! by `tests/dht_routing.rs`).
 
 use rand::Rng;
 
 use cs_sim::SimRng;
 
 use crate::id::{DhtId, IdSlotTable, IdSpace};
-use crate::peers::{DhtPeerTable, NO_SLOT};
-use crate::placement::ResponsibilityRange;
-
-/// Dense handle into the DHT node arena. Plain slot index — the free
-/// list reuses slots across churn, so a bare `DhtIdx` is only meaningful
-/// while the node it was resolved for is alive; longer-lived references
-/// carry the `DhtId` and re-resolve at the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DhtIdx(pub(crate) u32);
-
-impl DhtIdx {
-    /// The raw slot index (for parallel bookkeeping structures).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Per-node DHT state.
-#[derive(Debug, Clone)]
-pub struct DhtNodeState {
-    /// The node's level-constrained peer table.
-    pub peers: DhtPeerTable,
-}
+use crate::peers::DhtPeerTable;
 
 /// Errors joining a node into the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +103,9 @@ fn choose_indices<const SLOTS: usize>(
 #[derive(Debug, Clone)]
 pub struct DhtNetwork {
     space: IdSpace,
-    /// The node arena: `slots[i]` holds the node whose handle is
-    /// `DhtIdx(i)`, `None` for vacant slots awaiting reuse.
-    slots: Vec<Option<DhtNodeState>>,
+    /// The node arena: each live node's peer table, `None` for vacant
+    /// slots awaiting reuse.
+    slots: Vec<Option<DhtPeerTable>>,
     /// Vacant slot indices, reused LIFO by `join`.
     free: Vec<u32>,
     /// Live id → occupied slot.
@@ -169,8 +144,7 @@ impl DhtNetwork {
         rng: &mut SimRng,
     ) -> Self {
         let mut net = DhtNetwork::new(space);
-        // Slot `i` holds `ids[i]`; the id table is complete before any
-        // table is built, so every candidate is filed with its slot hint.
+        // Slot `i` holds `ids[i]`.
         for (slot, &id) in ids.iter().enumerate() {
             assert!(space.contains(id), "id {id} outside the ID space");
             let prev = net.by_id.insert(id, slot as u32);
@@ -183,9 +157,9 @@ impl DhtNetwork {
         // id-keyed implementation iterated its sorted key set.
         for at in 0..net.ring.len() {
             let id = net.ring[at];
-            let peers = net.build_table(id, &net.ring, latency_ms, rng);
+            let table = net.build_table(id, &net.ring, latency_ms, rng);
             let slot = net.by_id.get(id).expect("just inserted");
-            net.slots[slot as usize] = Some(DhtNodeState { peers });
+            net.slots[slot as usize] = Some(table);
         }
         net
     }
@@ -211,8 +185,7 @@ impl DhtNetwork {
                 CANDIDATES_PER_LEVEL,
                 |i| {
                     let cand = view.get(i);
-                    let hint = self.by_id.get(cand).unwrap_or(NO_SLOT);
-                    table.offer_hinted(cand, latency_ms(owner, cand), hint);
+                    table.offer(cand, latency_ms(owner, cand));
                 },
             );
         }
@@ -254,21 +227,9 @@ impl DhtNetwork {
         self.ring.iter().copied()
     }
 
-    /// The arena handle of a live node (the boundary id → slot step).
-    pub fn lookup(&self, id: DhtId) -> Option<DhtIdx> {
-        self.by_id.get(id).map(DhtIdx)
-    }
-
-    /// The id occupying an arena slot, if it is live.
-    pub fn id_at(&self, idx: DhtIdx) -> Option<DhtId> {
-        self.slots
-            .get(idx.index())
-            .and_then(|s| s.as_ref())
-            .map(|n| n.peers.owner())
-    }
-
-    /// Borrow a node's state.
-    pub fn node(&self, id: DhtId) -> Option<&DhtNodeState> {
+    /// Borrow a live node's peer table.
+    #[inline]
+    pub fn node(&self, id: DhtId) -> Option<&DhtPeerTable> {
         self.by_id.get(id).map(|s| {
             self.slots[s as usize]
                 .as_ref()
@@ -276,42 +237,14 @@ impl DhtNetwork {
         })
     }
 
-    /// Mutably borrow a node's state.
-    pub fn node_mut(&mut self, id: DhtId) -> Option<&mut DhtNodeState> {
-        match self.by_id.get(id) {
-            Some(s) => self.slots[s as usize].as_mut(),
-            None => None,
-        }
-    }
-
-    /// Direct slot access for the routing hot loop (slot must be live).
+    /// Mutably borrow a live node's peer table.
     #[inline]
-    pub(crate) fn state_at(&self, slot: u32) -> &DhtNodeState {
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("routing slot is live")
-    }
-
-    /// Mutable direct slot access for the routing hot loop.
-    #[inline]
-    pub(crate) fn state_at_mut(&mut self, slot: u32) -> &mut DhtNodeState {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("routing slot is live")
-    }
-
-    /// Resolve an id to its current slot: fast path verifies the cached
-    /// hint's occupant, slow path consults the id table (the id may
-    /// occupy a different slot after leave + rejoin). `None` means the id
-    /// is not currently alive.
-    #[inline]
-    pub(crate) fn resolve_slot(&self, id: DhtId, hint: u32) -> Option<u32> {
-        if let Some(Some(n)) = self.slots.get(hint as usize) {
-            if n.peers.owner() == id {
-                return Some(hint);
-            }
-        }
-        self.by_id.get(id)
+    pub fn node_mut(&mut self, id: DhtId) -> Option<&mut DhtPeerTable> {
+        self.by_id.get(id).map(|s| {
+            self.slots[s as usize]
+                .as_mut()
+                .expect("mapped slot occupied")
+        })
     }
 
     /// Ground truth: the node *counter-clockwise closest* to `key` — the
@@ -355,15 +288,6 @@ impl DhtNetwork {
         })
     }
 
-    /// The responsibility range of a live node, derived from its *actual*
-    /// ring successor (ground truth, used by tests and by the storage
-    /// layer when redistributing after churn).
-    pub fn responsibility_of(&self, id: DhtId) -> Option<ResponsibilityRange> {
-        let succ = self.successor_of(id).unwrap_or(id);
-        self.contains(id)
-            .then(|| ResponsibilityRange::new(self.space, id, succ))
-    }
-
     /// Join a new node: build its table from the live membership and
     /// advertise it to a handful of nodes that would file it (the nodes
     /// whose level intervals contain it), mimicking the announcement the
@@ -391,7 +315,7 @@ impl DhtNetwork {
             sampled += 1;
         });
 
-        let node = Some(DhtNodeState { peers: table });
+        let node = Some(table);
         let slot = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.slots[s as usize].is_none(), "free slot occupied");
@@ -411,16 +335,16 @@ impl DhtNetwork {
         // peer bounds the predecessor's backup range [n, n₁).
         if let Some(pred) = self.predecessor_of(id) {
             let lat = latency_ms(pred, id);
-            if let Some(state) = self.node_mut(pred) {
-                state.peers.offer_closer_hinted(id, lat, slot);
+            if let Some(table) = self.node_mut(pred) {
+                table.offer_closer(id, lat);
             }
         }
         // Tell the sample about the newcomer; the rest will learn by
         // overhearing routed messages.
         for &other in &sample[..sampled] {
             let lat = latency_ms(other, id);
-            if let Some(state) = self.node_mut(other) {
-                state.peers.offer_hinted(id, lat, slot);
+            if let Some(table) = self.node_mut(other) {
+                table.offer(id, lat);
             }
         }
         Ok(())
@@ -447,8 +371,8 @@ impl DhtNetwork {
     /// Age every table by one maintenance period (stale entries become
     /// replaceable by any overheard candidate).
     pub fn tick_tables(&mut self) {
-        for state in self.slots.iter_mut().flatten() {
-            state.peers.tick();
+        for table in self.slots.iter_mut().flatten() {
+            table.tick();
         }
     }
 
@@ -508,17 +432,16 @@ impl DhtNetwork {
             if id != ring_id {
                 return Err(format!("id table lists {id} where the ring has {ring_id}"));
             }
-            let Some(Some(state)) = self.slots.get(slot as usize) else {
+            let Some(Some(table)) = self.slots.get(slot as usize) else {
                 return Err(format!("id {id} maps to vacant slot {slot}"));
             };
-            if state.peers.owner() != id {
+            if table.owner() != id {
                 return Err(format!(
                     "id {id} maps to slot {slot} owned by {}",
-                    state.peers.owner()
+                    table.owner()
                 ));
             }
-            state
-                .peers
+            table
                 .check_invariants()
                 .map_err(|e| format!("node {id}: {e}"))?;
         }
@@ -594,6 +517,7 @@ fn ids_in_interval(space: IdSpace, sorted_ids: &[DhtId], from: DhtId, to: DhtId)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::ResponsibilityRange;
     use cs_sim::RngTree;
     use rand::seq::SliceRandom;
 
@@ -625,7 +549,7 @@ mod tests {
         // usually empty.
         let avg_filled: f64 = net
             .ids()
-            .map(|id| net.node(id).unwrap().peers.filled() as f64)
+            .map(|id| net.node(id).unwrap().filled() as f64)
             .sum::<f64>()
             / net.len() as f64;
         assert!(
@@ -663,7 +587,8 @@ mod tests {
         let space = net.space();
         for key in (0..space.size()).step_by(7) {
             let owner = net.responsible_of(key).unwrap();
-            let range = net.responsibility_of(owner).unwrap();
+            let succ = net.successor_of(owner).unwrap_or(owner);
+            let range = ResponsibilityRange::new(space, owner, succ);
             assert!(range.contains(key), "key {key} not in its owner's range");
         }
     }
@@ -678,7 +603,7 @@ mod tests {
             .unwrap();
         net.join(free, &flat_latency, &mut rng).unwrap();
         assert!(net.contains(free));
-        assert!(net.node(free).unwrap().peers.filled() > 0);
+        assert!(net.node(free).unwrap().filled() > 0);
         assert_eq!(
             net.join(free, &flat_latency, &mut rng),
             Err(JoinError::IdTaken(free))
@@ -720,7 +645,7 @@ mod tests {
         // At minimum the ring predecessor must have filed the newcomer:
         // its backup-responsibility range depends on it.
         assert!(
-            net.node(pred).unwrap().peers.peers().any(|p| p.id == free),
+            net.node(pred).unwrap().peers().any(|p| p.id == free),
             "predecessor {pred} should have filed the newcomer {free}"
         );
     }
@@ -863,14 +788,5 @@ mod tests {
         assert_eq!(net.slot_count(), before, "rejoins must reuse freed slots");
         assert_eq!(net.free_count(), 0);
         net.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lookup_and_id_at_roundtrip() {
-        let net = build_net(40, 9, 10);
-        for id in net.ids().collect::<Vec<_>>() {
-            let idx = net.lookup(id).expect("live id resolves");
-            assert_eq!(net.id_at(idx), Some(id));
-        }
     }
 }

@@ -15,12 +15,9 @@
 
 use crate::id::{DhtId, IdSpace};
 
-/// Sentinel for "no cached arena slot" in a peer entry's slot hint.
-pub(crate) const NO_SLOT: u32 = u32::MAX;
-
 /// One DHT peer: identity plus the latency estimate used to choose among
 /// candidates for the same level.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DhtPeerEntry {
     /// The peer's DHT identifier.
     pub id: DhtId,
@@ -30,30 +27,6 @@ pub struct DhtPeerEntry {
     /// Age counter: bumped by [`DhtPeerTable::tick`], reset on refresh.
     /// Stale entries lose to fresh candidates even at higher latency.
     pub age: u32,
-    /// Cached arena slot of the peer in the owning [`DhtNetwork`]
-    /// (`NO_SLOT` when unknown). A pure lookup accelerator: it may go
-    /// stale under churn and is always verified against the slot's
-    /// current occupant before use, so it carries no semantic state —
-    /// which is why `PartialEq` and `Debug` ignore it.
-    ///
-    /// [`DhtNetwork`]: crate::network::DhtNetwork
-    pub(crate) slot: u32,
-}
-
-impl PartialEq for DhtPeerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id && self.latency_ms == other.latency_ms && self.age == other.age
-    }
-}
-
-impl std::fmt::Debug for DhtPeerEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DhtPeerEntry")
-            .field("id", &self.id)
-            .field("latency_ms", &self.latency_ms)
-            .field("age", &self.age)
-            .finish()
-    }
 }
 
 /// Age after which an entry is considered stale and replaced by any fresh
@@ -65,7 +38,6 @@ const VACANT: DhtPeerEntry = DhtPeerEntry {
     id: 0,
     latency_ms: 0.0,
     age: 0,
-    slot: NO_SLOT,
 };
 
 /// The level-indexed DHT peer table of a single node.
@@ -145,14 +117,6 @@ impl DhtPeerTable {
     /// level if the slot is empty, the incumbent is stale, or the
     /// candidate's latency is lower. Returns `true` if the table changed.
     pub fn offer(&mut self, id: DhtId, latency_ms: f64) -> bool {
-        self.offer_hinted(id, latency_ms, NO_SLOT)
-    }
-
-    /// [`offer`](Self::offer) with a cached arena slot for the candidate
-    /// (used by the network/routing layers, which know where the
-    /// candidate lives). Acceptance is decided exactly as in `offer` —
-    /// the hint never influences the outcome.
-    pub(crate) fn offer_hinted(&mut self, id: DhtId, latency_ms: f64, slot_hint: u32) -> bool {
         if id == self.owner || !self.space.contains(id) {
             return false;
         }
@@ -161,8 +125,7 @@ impl DhtPeerTable {
             .level_of(self.owner, id)
             .expect("non-owner id always has a level") as usize
             - 1;
-        let incumbent = self.at(level);
-        let replace = match incumbent {
+        let replace = match self.at(level) {
             None => true,
             Some(cur) => {
                 cur.id == id // refresh of the same peer: always take it
@@ -171,20 +134,10 @@ impl DhtPeerTable {
             }
         };
         if replace {
-            let hint = if slot_hint != NO_SLOT {
-                slot_hint
-            } else {
-                // A same-peer refresh without a hint keeps the old one.
-                match incumbent {
-                    Some(cur) if cur.id == id => cur.slot,
-                    _ => NO_SLOT,
-                }
-            };
             self.levels[level] = DhtPeerEntry {
                 id,
                 latency_ms,
                 age: 0,
-                slot: hint,
             };
             self.filled |= 1 << level;
         }
@@ -198,16 +151,6 @@ impl DhtPeerTable {
     /// peer bounds its backup-responsibility range (§4.3), so it must
     /// learn about closer successors promptly. Returns `true` on change.
     pub fn offer_closer(&mut self, id: DhtId, latency_ms: f64) -> bool {
-        self.offer_closer_hinted(id, latency_ms, NO_SLOT)
-    }
-
-    /// [`offer_closer`](Self::offer_closer) with a cached arena slot.
-    pub(crate) fn offer_closer_hinted(
-        &mut self,
-        id: DhtId,
-        latency_ms: f64,
-        slot_hint: u32,
-    ) -> bool {
         if id == self.owner || !self.space.contains(id) {
             return false;
         }
@@ -228,7 +171,6 @@ impl DhtPeerTable {
                 id,
                 latency_ms,
                 age: 0,
-                slot: slot_hint,
             };
             self.filled |= 1 << level;
         }
@@ -508,10 +450,8 @@ mod tests {
                 _ => 4 * n,
             };
             for _ in 0..offers {
-                // Hinted like the network layer's offers, so a stale
-                // entry behind a cleared bit has a slot hint to leak.
                 let id = rng.gen_range(0..n);
-                t.offer_hinted(id, rng.gen_range(1.0..100.0), id as u32);
+                t.offer(id, rng.gen_range(1.0..100.0));
                 if rng.gen_bool(0.1) {
                     t.tick();
                 }
@@ -565,8 +505,7 @@ mod tests {
 
                 // Re-offer at the same level, at a latency the stale
                 // entry would have beaten: the level is empty, so the
-                // candidate is filed fresh — age 0 and, for the same
-                // peer offered without a hint, no inherited slot hint.
+                // candidate is filed fresh, at age 0.
                 let width = 1u64 << (level - 1);
                 for cand in [id, space.wrap(owner + width + rng.gen_range(0..width))] {
                     let mut c = a.clone();
@@ -577,10 +516,8 @@ mod tests {
                         id: cand,
                         latency_ms: latency,
                         age: 0,
-                        slot: NO_SLOT,
                     });
                     assert_eq!(view(&c), expect, "case {case}: re-offer {cand}");
-                    assert_eq!(c.level(level).unwrap().slot, NO_SLOT);
                     c.check_invariants().unwrap();
                     for target in 0..n {
                         assert_eq!(c.next_hop(target), c.next_hop_scan(target), "case {case}");
@@ -600,7 +537,6 @@ mod tests {
             id: 11,
             latency_ms: 1.0,
             age: 0,
-            slot: NO_SLOT,
         };
         t.filled |= 1 << 2;
         assert!(t.check_invariants().is_err());

@@ -80,19 +80,8 @@ impl ResponsibilityRange {
     /// Whether this node must back up replica `i` (1-based) of
     /// `segment_id` under the paper's multiplicative placement.
     pub fn responsible_for_replica(&self, segment_id: u64, i: u32) -> bool {
-        let pos = self
-            .space
-            .wrap(common_hash(segment_id.wrapping_mul(i as u64)));
-        self.contains(pos)
+        self.contains(backup_target(self.space, segment_id, i))
     }
-}
-
-/// Whether a node with the given responsibility interval must store any of
-/// the `k` replicas of `segment_id`. Returns the matching replica indices.
-pub fn responsible_for(range: &ResponsibilityRange, segment_id: u64, k: u32) -> Vec<u32> {
-    (1..=k)
-        .filter(|&i| range.responsible_for_replica(segment_id, i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -213,7 +202,9 @@ mod tests {
         let s = IdSpace::new(4); // tiny ring: N = 16, collisions certain
         let r = ResponsibilityRange::new(s, 0, 8); // owns half the ring
         let seg = 42;
-        let mine = responsible_for(&r, seg, 8);
+        let mine: Vec<u32> = (1..=8)
+            .filter(|&i| r.responsible_for_replica(seg, i))
+            .collect();
         // Each of the 8 replica positions is in [0, 8) with p = 1/2;
         // verify against direct computation.
         let direct: Vec<u32> = (1..=8u32)

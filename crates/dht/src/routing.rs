@@ -20,7 +20,6 @@
 
 use crate::id::DhtId;
 use crate::network::DhtNetwork;
-use crate::peers::NO_SLOT;
 
 /// How a route ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,13 +79,11 @@ pub struct RouteSummary {
     pub repaired: u32,
 }
 
-/// Reusable working memory for [`route_into`] and [`walk_into`] (the
-/// arena-slot hints that ride along the path). Carries capacity only —
-/// cleared on every call.
+/// The working-memory argument of [`route_into`]. Routing needs none
+/// beyond the caller's path buffer, so it holds nothing; it stays only
+/// because the benchmark of record passes one.
 #[derive(Debug, Default)]
-pub struct RouteScratch {
-    path_slots: Vec<u32>,
-}
+pub struct RouteScratch;
 
 /// Route a lookup for ring position `key` starting at node `src`.
 ///
@@ -94,16 +91,14 @@ pub struct RouteScratch {
 /// experiments). When `overhear` is set, every node on the path offers all
 /// earlier path nodes to its DHT peer table — the paper's free maintenance.
 ///
-/// The loop moves slot-to-slot through the arena: the source id is
-/// resolved through the network's dense id table once, and every
-/// subsequent hop rides the slot hint cached in its peer entry (verified
-/// against the slot's occupant, with a table load as the fallback when
-/// churn staled it). Each hop is picked in O(1) from the level the
-/// remaining distance falls in ([`DhtPeerTable::next_hop`]). With
-/// `overhear` set, `latency_ms` is called once per (hop, earlier path
-/// node) pair — O(path²) per route — so it must be cheap. All decisions
-/// are keyed on ids, so routes are bit-identical to the id-keyed
-/// implementation (pinned in `tests/dht_routing.rs`).
+/// Peers are held by id: each hop looks its next hop's id up in the
+/// network's dense id table (one array load; a miss means the peer is
+/// dead). Each hop is picked in O(1) from the level the remaining
+/// distance falls in ([`DhtPeerTable::next_hop`]). With `overhear` set,
+/// `latency_ms` is called once per (hop, earlier path node) pair —
+/// O(path²) per route — so it must be cheap. All decisions are keyed on
+/// ids, so routes are bit-identical to the id-keyed implementation
+/// (pinned in `tests/dht_routing.rs`).
 ///
 /// [`DhtPeerTable::next_hop`]: crate::peers::DhtPeerTable::next_hop
 pub fn route(
@@ -113,9 +108,16 @@ pub fn route(
     latency_ms: &impl Fn(DhtId, DhtId) -> f64,
     overhear: bool,
 ) -> RouteOutcome {
-    let mut scratch = RouteScratch::default();
     let mut path = Vec::new();
-    let summary = route_into(net, src, key, latency_ms, overhear, &mut scratch, &mut path);
+    let summary = route_into(
+        net,
+        src,
+        key,
+        latency_ms,
+        overhear,
+        &mut RouteScratch,
+        &mut path,
+    );
     RouteOutcome {
         path,
         latency_ms: summary.latency_ms,
@@ -124,28 +126,26 @@ pub fn route(
     }
 }
 
-/// [`route`] writing into a caller-owned path buffer (cleared first),
-/// with working memory drawn from a caller-owned [`RouteScratch`] —
-/// allocation-free once both have reached the workload's high-water
-/// capacity. The visited path (source first, terminal last) is left in
-/// `path`; hop decisions, repairs and overhearing are identical to
-/// [`route`], which is a thin wrapper over this.
+/// [`route`] writing into a caller-owned path buffer (cleared first) —
+/// allocation-free once it has reached the workload's high-water
+/// capacity; `_scratch` is unused (see [`RouteScratch`]). The visited
+/// path (source first, terminal last) is left in `path`; hop decisions,
+/// repairs and overhearing are identical to [`route`], which is a thin
+/// wrapper over this.
 ///
 /// This is [`walk_into`] plus the ground-truth verdict: a binary search
 /// of the ring for the key's true owner, compared with where the walk
 /// ended.
-#[allow(clippy::too_many_arguments)]
 pub fn route_into(
     net: &mut DhtNetwork,
     src: DhtId,
     key: DhtId,
     latency_ms: &impl Fn(DhtId, DhtId) -> f64,
     overhear: bool,
-    scratch: &mut RouteScratch,
+    _scratch: &mut RouteScratch,
     path: &mut Vec<DhtId>,
 ) -> RouteSummary {
-    let Some((total_latency, repaired)) =
-        walk_into(net, src, key, latency_ms, overhear, scratch, path)
+    let Some((total_latency, repaired)) = walk_into(net, src, key, latency_ms, overhear, path)
     else {
         return RouteSummary {
             latency_ms: 0.0,
@@ -172,58 +172,46 @@ pub fn route_into(
 /// `path` exactly as `route_into` does and returns `(latency_ms,
 /// repaired)`, or `None` when `src` is not in the network (`path` then
 /// holds just `src`).
-#[allow(clippy::too_many_arguments)]
 pub fn walk_into(
     net: &mut DhtNetwork,
     src: DhtId,
     key: DhtId,
     latency_ms: &impl Fn(DhtId, DhtId) -> f64,
     overhear: bool,
-    scratch: &mut RouteScratch,
     path: &mut Vec<DhtId>,
 ) -> Option<(f64, u32)> {
     path.clear();
     path.push(src);
-    let src_slot = net.resolve_slot(src, NO_SLOT)?;
-    // Arena slots parallel to `path`, so overheard offers carry hints.
-    let path_slots = &mut scratch.path_slots;
-    path_slots.clear();
-    path_slots.push(src_slot);
     let mut total_latency = 0.0;
     let mut repaired = 0u32;
     let mut current = src;
-    let mut current_slot = src_slot;
 
     loop {
         let next = loop {
-            let candidate = net.state_at(current_slot).peers.next_hop(key);
-            match candidate {
-                None => break None,
-                Some(p) => match net.resolve_slot(p.id, p.slot) {
-                    Some(slot) => break Some((p.id, slot)),
-                    None => {
-                        // Lazy repair: drop the dead entry and retry.
-                        net.state_at_mut(current_slot).peers.remove(p.id);
-                        repaired += 1;
-                    }
-                },
+            // Every hop is checked live, so only `src` can miss here.
+            let Some(p) = net.node(current)?.next_hop(key) else {
+                break None;
+            };
+            if net.contains(p.id) {
+                break Some(p.id);
             }
+            // Lazy repair: drop the dead entry and retry.
+            net.node_mut(current).expect("current is live").remove(p.id);
+            repaired += 1;
         };
-        let Some((hop, hop_slot)) = next else { break };
+        let Some(hop) = next else { break };
         total_latency += latency_ms(current, hop);
         if overhear {
             // The receiving node overhears everyone already on the path.
-            let state = net.state_at_mut(hop_slot);
-            for (&q, &q_slot) in path.iter().zip(path_slots.iter()) {
+            let table = net.node_mut(hop).expect("next hops are live");
+            for &q in path.iter() {
                 if q != hop {
-                    state.peers.offer_hinted(q, latency_ms(hop, q), q_slot);
+                    table.offer(q, latency_ms(hop, q));
                 }
             }
         }
         path.push(hop);
-        path_slots.push(hop_slot);
         current = hop;
-        current_slot = hop_slot;
         if current == key {
             break; // exact hit; cannot get closer than distance zero
         }
@@ -384,19 +372,13 @@ mod tests {
     fn overhearing_fills_tables() {
         let mut net = build(400, 12, 8);
         let mut rng = RngTree::new(8).child("lookups");
-        let filled_before: usize = net
-            .ids()
-            .map(|id| net.node(id).unwrap().peers.filled())
-            .sum();
+        let filled_before: usize = net.ids().map(|id| net.node(id).unwrap().filled()).sum();
         for _ in 0..500 {
             let src = net.random_id(&mut rng).unwrap();
             let key = rng.gen_range(0..net.space().size());
             let _ = route(&mut net, src, key, &flat, true);
         }
-        let filled_after: usize = net
-            .ids()
-            .map(|id| net.node(id).unwrap().peers.filled())
-            .sum();
+        let filled_after: usize = net.ids().map(|id| net.node(id).unwrap().filled()).sum();
         assert!(
             filled_after >= filled_before,
             "overhearing must never shrink tables"

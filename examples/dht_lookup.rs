@@ -1,8 +1,9 @@
 //! Drive the loose DHT directly: build a sparse overlay in an 8192-slot
 //! ID space, route lookups, watch the hop counts against the paper's
 //! appendix bound, place segment backups, and exercise the node arena
-//! under churn (slot reuse + lazy repair). Asserts its claims, so CI runs
-//! it as a smoke test rather than merely compiling it.
+//! under churn: peers are held by id, so the entries of departed nodes
+//! are repaired lazily, and joiners reuse the freed slots. Asserts its
+//! claims, so CI runs it as a smoke test rather than merely compiling it.
 //!
 //! ```text
 //! cargo run --release --example dht_lookup
@@ -38,13 +39,6 @@ fn main() {
     assert_eq!(net.len(), n);
     assert_eq!(net.slot_count(), n, "build allocates exactly n slots");
     net.check_invariants().expect("fresh network is consistent");
-
-    // The boundary map: every live id resolves to an arena handle that
-    // round-trips back to the id.
-    for &id in ids.iter().take(5) {
-        let idx = net.lookup(id).expect("live id resolves to a slot");
-        assert_eq!(net.id_at(idx), Some(id));
-    }
 
     // Route a few lookups.
     let mut lrng = tree.child("lookups");

@@ -45,8 +45,8 @@
 //! The round loop keeps node state in a dense arena (index handles, no
 //! per-round hashing) and reuses all working memory across rounds; buffer
 //! bitmap operations are word-level. The loose DHT uses the same layout
-//! (dense slots + `DhtIdx` handles, slot hints cached in peer entries, the
-//! id map consulted only at the boundary), so greedy routing is
+//! (dense slots, peers held by id, every id resolved through a dense
+//! id → slot table in one array load), so greedy routing is
 //! index-chasing rather than tree walking. The benchmark of record in
 //! `benchmark/` measures all of it — four workloads spec-in to
 //! report-out, every layer timed from outside:

@@ -151,8 +151,9 @@ fn pin_table_matches_the_fingerprint_set() {
 
 /// Layer 2g: the DHT batches the `fingerprint` binary prints (the
 /// 400-lookup overhearing batches are pinned nowhere else;
-/// `tests/dht_routing.rs` pins 500-lookup ones). Integer latencies, no
-/// libm: held on every platform.
+/// `tests/dht_routing.rs` pins 500-lookup ones and also checks the
+/// `dht_churn_*` rows). Integer latencies, no libm: held on every
+/// platform.
 #[test]
 fn dht_fingerprints_match_pins() {
     for (name, routes, tables) in dht::fingerprints() {

@@ -1,25 +1,33 @@
 //! DHT routing regression suite: pinned greedy-route fingerprints.
 //!
-//! The arena rewrite of `cs-dht` (dense node slots + `DhtIdx` handles
-//! replacing the id-keyed `BTreeMap`) must leave every observable routing
-//! decision bit-identical: greedy next-hop selection, id-ordered
-//! tie-breaks, lazy repair, overhearing updates along the path, and the
-//! RNG streams consumed by `build`/`join`. This suite pins all of it:
+//! `cs-dht` names every peer by its `DhtId`; node state sits in a dense
+//! slot arena that replaced an id-keyed `BTreeMap`. Every observable
+//! routing decision must stay bit-identical to that map's: greedy
+//! next-hop selection, id-ordered tie-breaks, lazy repair, overhearing
+//! updates along the path, and the RNG streams consumed by
+//! `build`/`join`. This suite pins all of it:
 //!
 //! * **hop sequences** — the exact `(src, key, path, status, repaired,
 //!   latency)` tuples of lookup batches over several seeds;
 //! * **table states** — every node's full level table (peer id, latency,
 //!   age per level) after overhearing-enabled lookup batches;
-//! * **churn routes** — paths and repair counts after abrupt failures.
+//! * **churn routes** — paths and repair counts after abrupt failures
+//!   and rejoins into reused arena slots (the `dht_churn_*` rows of
+//!   `cs_bench::fingerprint::PINS`, which CI's release `fingerprint`
+//!   step also gates);
+//! * **slot blindness** — the same ids filed in different arena slots
+//!   route and fill their tables identically.
 //!
 //! All pinned values were recorded from the pre-arena (`BTreeMap`-keyed)
 //! implementation. The latency oracles below are exact in f64 (integer
 //! xor/mod arithmetic, no libm), so the hashes are platform-independent.
 
-use continustreaming::dht::{route, DhtId};
+use continustreaming::dht::{route, DhtId, DhtNetwork};
 use continustreaming::prelude::*;
-use cs_bench::fingerprint::dht::{build_net, latency, route_batch, table_state};
-use cs_bench::fingerprint::fnv1a;
+use cs_bench::fingerprint::dht::{
+    build_net, churn, churn_batch, latency, route_batch, table_state, CHURN,
+};
+use cs_bench::fingerprint::{fnv1a, PINS};
 use rand::Rng as _;
 
 /// Pinned hop sequences, overhearing off: pure greedy forwarding with
@@ -70,47 +78,78 @@ fn pinned_overhearing_updates() {
 
 /// Pinned routing under churn: abrupt failures leave dangling table
 /// entries that lazy repair must drop in the exact same order; joins must
-/// consume the same RNG stream and advertise to the same sample.
+/// consume the same RNG stream and advertise to the same sample. The
+/// pins are the `dht_churn_*` rows of `PINS`.
 #[test]
 fn pinned_churn_routing() {
-    let pinned: &[(usize, u32, u64, u64, u64)] = &[
-        (300, 10, 7, 0xa7d88ee363731398, 0x8331edd76c83b3f6),
-        (500, 12, 4, 0xc61b4d400c2d2b57, 0x804c5b7599973a1e),
-    ];
-    for &(n, bits, seed, pin_routes, pin_tables) in pinned {
-        let mut net = build_net(n, bits, seed);
-        let mut churn_rng = RngTree::new(seed).child("dht-routing-churn");
-        // Kill 15% abruptly (no handover): dangling entries everywhere.
-        let victims: Vec<DhtId> = net
-            .ids()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter(|_| churn_rng.gen_bool(0.15))
-            .collect();
-        for v in &victims {
-            assert!(net.leave(*v));
-        }
-        // Rejoin half as many fresh ids (free-list reuse on the arena).
-        let rejoin = victims.len() / 2;
-        let mut joined = 0;
-        while joined < rejoin {
-            let id = churn_rng.gen_range(0..net.space().size());
-            if net.join(id, &latency, &mut churn_rng).is_ok() {
-                joined += 1;
-            }
-        }
-        let batch = route_batch(&mut net, seed ^ 0xC0FFEE, 400, true);
+    for (name, n, bits, seed) in CHURN {
+        let (net, batch) = churn_batch(n, bits, seed);
         let routes = fnv1a(batch.as_bytes());
         let tables = fnv1a(table_state(&net).as_bytes());
-        assert_eq!(
-            routes, pin_routes,
-            "churn route drift (n={n}, seed={seed}): 0x{routes:016x}"
-        );
-        assert_eq!(
-            tables, pin_tables,
-            "churn table drift (n={n}, seed={seed}): 0x{tables:016x}"
+        assert!(
+            PINS.contains(&(name, routes, tables)),
+            "churn drift in `{name}`: routes 0x{routes:016x} tables 0x{tables:016x}"
         );
         net.check_invariants().unwrap();
+    }
+}
+
+/// Slot numbering is invisible: a network built from an id list and one
+/// built from the same list reversed and rotated hold every id in a
+/// different arena slot. After the same leaves and joins (departed ids
+/// rejoin into whichever slot the free list hands out) both must route
+/// the same paths and end with the same tables.
+#[test]
+fn behaviour_does_not_depend_on_slot_assignment() {
+    for (_, n, bits, seed) in CHURN {
+        let space = IdSpace::new(bits);
+        let mut rng = RngTree::new(seed).child("slot-blind");
+        let mut used = std::collections::HashSet::new();
+        let mut ids = Vec::with_capacity(n);
+        while ids.len() < n {
+            let id = rng.gen_range(0..space.size());
+            if used.insert(id) {
+                ids.push(id);
+            }
+        }
+        // `build` files `ids[i]` in slot `i`. With `n` even, the id at
+        // position `j` moves to `(n - 3 - j) mod n`, never `j`.
+        let mut permuted = ids.clone();
+        permuted.reverse();
+        permuted.rotate_left(2);
+        let slot_in_permuted: std::collections::HashMap<DhtId, usize> = permuted
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i))
+            .collect();
+        assert!(ids
+            .iter()
+            .enumerate()
+            .all(|(i, id)| slot_in_permuted[id] != i));
+
+        let run = |list: &[DhtId]| {
+            let mut net = DhtNetwork::build(space, list, &latency, &mut rng.clone());
+            let built = table_state(&net);
+            churn(&mut net, seed);
+            // Departed ids rejoin, each into a slot the free list picks.
+            let mut jrng = RngTree::new(seed).child("slot-blind-rejoin");
+            let departed: Vec<DhtId> = ids
+                .iter()
+                .copied()
+                .filter(|&id| !net.contains(id))
+                .collect();
+            for &id in departed.iter().step_by(3) {
+                net.join(id, &latency, &mut jrng).unwrap();
+            }
+            net.check_invariants().unwrap();
+            let routes = route_batch(&mut net, seed ^ 0x5107, 400, true);
+            (built, routes, table_state(&net))
+        };
+        let (built_a, routes_a, tables_a) = run(&ids);
+        let (built_b, routes_b, tables_b) = run(&permuted);
+        assert_eq!(built_a, built_b, "n={n}: built tables differ");
+        assert_eq!(routes_a, routes_b, "n={n}: routes differ");
+        assert_eq!(tables_a, tables_b, "n={n}: final tables differ");
     }
 }
 

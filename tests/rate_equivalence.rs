@@ -118,7 +118,7 @@ const ABSENT: DhtId = 99;
 
 /// Every key's rate, bit for bit, on both sides.
 fn assert_rates_eq(
-    ours: &RateController<DhtId>,
+    ours: &RateController,
     oracle: &reference::RateController<DhtId>,
     case: u64,
     step: usize,
