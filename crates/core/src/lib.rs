@@ -14,12 +14,14 @@
 //!   segments from DHT-located backups;
 //! * [`backup`] — the VoD Data Backup store with `hash(id·i) % N ∈ [n, n₁)`
 //!   responsibility and graceful-leave handover;
-//! * [`rate`] — the Rate Controller (per-neighbour receiving-rate
-//!   estimates feeding `R_i` in the urgency formula);
 //! * [`system`] — the full-system simulator that reproduces the paper's
 //!   §5 methodology end to end;
 //! * [`metrics`] — playback continuity, control overhead and pre-fetch
 //!   overhead (§5.3), per round and per stable phase.
+//!
+//! The Rate Controller (per-neighbour receiving-rate estimates feeding
+//! `R_i` in the urgency formula) is columns of each node's partner
+//! table, [`cs_overlay::ConnectedNeighbors`].
 //!
 //! ## Quick start
 //!
@@ -59,7 +61,6 @@ pub mod faults;
 pub mod metrics;
 pub mod policy;
 pub mod priority;
-pub mod rate;
 pub mod retrieval;
 pub mod scheduler;
 pub mod telemetry;
@@ -75,7 +76,6 @@ pub use faults::{FaultPlan, FaultRoundRecord, FaultTrace};
 pub use metrics::{stable_tail_start, RoundRecord, RunReport, RunSummary};
 pub use policy::{AdaptivePolicy, PolicyKind};
 pub use priority::{PriorityPolicy, PriorityTerms};
-pub use rate::RateController;
 pub use retrieval::{RetrievalScratch, RetrievalSummary};
 pub use scheduler::{
     Assignment, MaskCandidate, ScheduleContext, SchedulerScratch, SegmentCandidate,

@@ -9,7 +9,7 @@ use cs_net::{NodeBandwidth, SEGMENT_KBITS};
 use cs_obs::EventKind;
 
 use super::schedule::exchange_window;
-use super::state::{fresh_neighbor, RoundScratch};
+use super::state::RoundScratch;
 use super::{EventOutcome, SeekTarget, SystemEvent, SystemSim};
 use crate::config::SystemConfig;
 
@@ -175,7 +175,6 @@ impl SystemSim {
                 let node = self.nodes.node_mut(idx);
                 node.connected.remove(d);
                 node.overheard.remove(d);
-                node.rate.forget(d);
             }
             // Membership gossip: overhear one neighbour-of-neighbour,
             // keeping the overheard list warm at (near) zero cost.
@@ -233,7 +232,7 @@ impl SystemSim {
                     if node.connected.is_full() {
                         break;
                     }
-                    node.connected.add(fresh_neighbor(cref, lat));
+                    node.connected.add(cref, lat);
                 }
             }
             // Replace a weak neighbour ("supplied little data") with an
@@ -297,8 +296,7 @@ impl SystemSim {
                     };
                     if let Some((rref, lat)) = replacement {
                         let node = self.nodes.node_mut(idx);
-                        node.connected.replace(w, fresh_neighbor(rref, lat));
-                        node.rate.forget(w);
+                        node.connected.replace(w, rref, lat);
                         if starving {
                             self.obs_emit(
                                 round,
@@ -407,7 +405,7 @@ impl SystemSim {
                 let peer = self.nodes.node_mut(cidx);
                 peer.overheard.record(id, lat);
                 if !peer.connected.is_full() {
-                    peer.connected.add(fresh_neighbor(id, lat));
+                    peer.connected.add(id, lat);
                 }
             }
         }
@@ -419,7 +417,7 @@ impl SystemSim {
         // itself and a couple of its neighbours, then overheard fill.
         for &(lat, c) in &alive {
             if c != id && !node.connected.is_full() {
-                node.connected.add(fresh_neighbor(c, lat));
+                node.connected.add(c, lat);
             }
         }
 
@@ -455,10 +453,10 @@ impl SystemSim {
                 let sponsor = self.nodes.node_mut(sidx);
                 sponsor.overheard.record(id, lat);
                 if !sponsor.connected.is_full() {
-                    sponsor.connected.add(fresh_neighbor(id, lat));
+                    sponsor.connected.add(id, lat);
                 }
                 if !node.connected.is_full() {
-                    node.connected.add(fresh_neighbor(sid, lat));
+                    node.connected.add(sid, lat);
                 } else {
                     node.overheard.record(sid, lat);
                 }
@@ -477,13 +475,11 @@ impl SystemSim {
             let follow_play = base_node.next_play;
             for nref in adopt_connected {
                 if nref != id && !node.connected.is_full() {
-                    node.connected
-                        .add(fresh_neighbor(nref, self.nodes.latency(id, nref)));
+                    node.connected.add(nref, self.nodes.latency(id, nref));
                 }
             }
             if !node.connected.is_full() {
-                node.connected
-                    .add(fresh_neighbor(base, self.nodes.latency(id, base)));
+                node.connected.add(base, self.nodes.latency(id, base));
             }
             for nref in adopt_overheard {
                 if nref != id {

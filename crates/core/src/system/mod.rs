@@ -27,12 +27,13 @@
 //! — routing, joins, retrieval, and above all the latency oracle the DHT
 //! calls for every overheard offer, some 80 times per retrieval — costs
 //! array loads: id → slot → the arena's slot-indexed ping array. Inside
-//! the round loop everything that outlives a phase — neighbour,
-//! overheard and Rate Controller tables, pull requests — holds peers by
-//! their `DhtId` alone, 8 bytes, and per-node access is that same
-//! id-table load. Every tie-break is a function of ids alone, so the
-//! arena's slot reuse under churn never reorders a decision (pinned by
-//! the behavioural fingerprints in `tests/determinism.rs`).
+//! the round loop everything that outlives a phase — the partner table
+//! (whose rows carry the Rate Controller's estimates), the overheard
+//! list, pull requests — holds peers by their `DhtId` alone, 8 bytes,
+//! and per-node access is that same id-table load. Every tie-break is a
+//! function of ids alone, so the arena's slot reuse under churn never
+//! reorders a decision (pinned by the behavioural fingerprints in
+//! `tests/determinism.rs`).
 //!
 //! Per-round allocations are gone entirely: a persistent `RoundScratch`
 //! owns the buffer-map snapshots (refreshed only when a buffer's
@@ -101,7 +102,6 @@ use crate::config::SystemConfig;
 use crate::faults::FaultTrace;
 use crate::metrics::{stable_tail_start, summarize, RoundRecord, RunReport};
 use crate::policy::PolicyKind;
-use crate::rate::RateController;
 use crate::telemetry::Telemetry;
 use crate::urgent::UrgentLine;
 use crate::SegmentId;
@@ -120,7 +120,7 @@ pub use state::MapStore;
 pub use twin::TwinAnnounce;
 
 use recovery::FaultState;
-use state::{fresh_neighbor, NodeArena, NodeIdx, NodeSim, PrefetchTags, RoundScratch};
+use state::{NodeArena, NodeIdx, NodeSim, PrefetchTags, RoundScratch};
 
 /// The §5.4.2 message sizes of the paper's buffer, for traffic accounting.
 const SIZES: MessageSizes = MessageSizes::for_buffer(SystemConfig::BUFFER_SEGMENTS);
@@ -307,7 +307,7 @@ impl SystemSim {
                 if node.connected.is_full() {
                     break;
                 }
-                node.connected.add(fresh_neighbor(nid, lat));
+                node.connected.add(nid, lat);
             }
             // Seed the overheard list with a few random members so
             // neighbour repair has material from round one. The member's
@@ -387,7 +387,7 @@ impl SystemSim {
             id,
             birth: 0, // assigned by NodeArena::insert
             bandwidth,
-            connected: ConnectedNeighbors::new(config.neighbors),
+            connected: ConnectedNeighbors::new(config.neighbors, prior),
             overheard: OverheardList::new(DEFAULT_H),
             buffer: StreamBuffer::new(SystemConfig::BUFFER_SEGMENTS),
             backup: VodBackupStore::new(space, id, config.replicas).with_capacity_hint(
@@ -402,7 +402,6 @@ impl SystemSim {
                     / config.nodes)
                     .clamp(16, 512),
             ),
-            rate: RateController::with_capacity(prior, config.neighbors + 3),
             urgent: UrgentLine::new(
                 SystemConfig::PLAYBACK_RATE as f64,
                 SystemConfig::BUFFER_SEGMENTS,

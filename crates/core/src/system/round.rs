@@ -280,7 +280,7 @@ impl SystemSim {
                     node.prefetch_tags.prune_below(next);
                 }
             }
-            node.rate.end_period(SystemConfig::PERIOD_SECS);
+            node.connected.end_period(SystemConfig::PERIOD_SECS);
             node.last_inflow = node.round_inflow;
             node.round_inflow = 0;
         }

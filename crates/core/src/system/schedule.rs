@@ -74,7 +74,8 @@ pub(super) fn exchange_window(
 }
 
 /// The requester's estimate of supplier `s`'s sending rate `R(j)`:
-/// the larger of the observed delivery EWMA and the supplier's
+/// the larger of the Rate Controller's estimate (the supplier's row in
+/// the requester's partner table) and the supplier's
 /// advertised per-neighbour outbound share. Without the advertised
 /// component, a neighbour that was never asked decays to an estimated
 /// rate of zero and is then never asked — a death spiral the real
@@ -86,7 +87,7 @@ fn supplier_rate_estimate(
     requester: &NodeSim,
     s: &NbrView,
 ) -> f64 {
-    let observed = requester.rate.rate(s.peer);
+    let observed = requester.connected.rate(s.peer);
     let outbound = nodes.node(s.slot).bandwidth.outbound_segments_per_sec();
     let advertised_share = outbound / config.neighbors as f64;
     // The estimate can never exceed what the supplier could physically
@@ -487,8 +488,9 @@ impl SystemSim {
         scratch.sched = sched;
     }
 
-    /// Apply one node's plan: update the inbound carry, account the
-    /// requests in the Rate Controller, queue them at the suppliers.
+    /// Apply one node's plan: update the inbound carry, count the
+    /// requests in the partner table's Rate Controller columns, queue
+    /// them at the suppliers.
     fn apply_plan(
         &mut self,
         idx: NodeIdx,
@@ -502,7 +504,10 @@ impl SystemSim {
             node.id
         };
         for &a in assignments {
-            self.nodes.node_mut(idx).rate.record_request(a.supplier);
+            self.nodes
+                .node_mut(idx)
+                .connected
+                .record_request(a.supplier);
             let sup_slot = self
                 .nodes
                 .lookup(a.supplier)

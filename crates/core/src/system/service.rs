@@ -88,9 +88,10 @@ impl SystemSim {
     }
 
     /// Deliver one accepted request to the requester in arena slot `ridx`:
-    /// payload accounting, receiver buffer
-    /// insert, rate/supply bookkeeping, the §4.3 Case-2 check for tagged
-    /// repeats, and backup placement of newly received segments.
+    /// payload accounting, receiver buffer insert, the supplier's row in
+    /// the receiver's partner table (delivery count and supply step, one
+    /// find), the §4.3 Case-2 check for tagged repeats, and backup
+    /// placement of newly received segments.
     fn deliver_one(
         &mut self,
         sup_id: DhtId,
@@ -106,8 +107,7 @@ impl SystemSim {
             let receiver = self.nodes.node_mut(ridx);
             let newly = receiver.buffer.insert(segment);
             receiver.round_inflow += 1;
-            receiver.rate.record_delivery(sup_id);
-            receiver.connected.record_supply(sup_id, SEGMENT_KBITS);
+            receiver.connected.record_delivery(sup_id, SEGMENT_KBITS);
             newly
         };
         if !newly {

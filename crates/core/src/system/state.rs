@@ -4,14 +4,13 @@
 
 use cs_dht::{DhtId, IdSlotTable, IdSpace};
 use cs_net::NodeBandwidth;
-use cs_overlay::{ConnectedNeighbors, NeighborEntry, OverheardList};
+use cs_overlay::{ConnectedNeighbors, OverheardList};
 use cs_trace::derive_latency;
 
 use crate::backup::VodBackupStore;
 use crate::buffer::StreamBuffer;
 use crate::config::SystemConfig;
 use crate::metrics::RoundRecord;
-use crate::rate::RateController;
 use crate::retrieval::RetrievalScratch;
 use crate::scheduler::{Assignment, MaskCandidate, SchedulerScratch};
 use crate::telemetry::TelemetryRound;
@@ -23,20 +22,12 @@ use super::twin::TwinAnnounce;
 /// Dense handle into the node arena. Plain slot index — the arena's
 /// free-list may reuse slots across churn, so a bare `NodeIdx` is only
 /// meaningful while the node it was created for is alive; longer-lived
-/// references (partner, overheard and Rate Controller tables, pull
-/// requests) hold the peer's `DhtId` and look it up in the arena's id
-/// table, one array load, when they need its state.
+/// references (the partner table with its Rate Controller columns, the
+/// overheard list, pull requests) hold the peer's `DhtId` and look it
+/// up in the arena's id table, one array load, when they need its
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(super) struct NodeIdx(pub(super) u32);
-
-/// A partner-table entry for a peer that has supplied nothing yet.
-pub(super) fn fresh_neighbor(id: DhtId, latency_ms: f64) -> NeighborEntry {
-    NeighborEntry {
-        id,
-        latency_ms,
-        recent_supply_kbps: 0.0,
-    }
-}
 
 /// Per-node simulation state.
 pub(super) struct NodeSim {
@@ -53,7 +44,6 @@ pub(super) struct NodeSim {
     pub(super) overheard: OverheardList,
     pub(super) buffer: StreamBuffer,
     pub(super) backup: VodBackupStore,
-    pub(super) rate: RateController,
     pub(super) urgent: UrgentLine,
     /// Next segment to play; `None` until playback starts.
     pub(super) next_play: Option<SegmentId>,
@@ -593,14 +583,15 @@ mod tests {
     /// field that creeps back fails here instead of showing up as RSS.
     #[test]
     fn hot_records_keep_their_sizes() {
-        use cs_overlay::OverheardEntry;
+        use cs_overlay::{NeighborEntry, OverheardEntry};
         use std::mem::size_of;
         assert_eq!(size_of::<PullRequest>(), 24);
         // The peer handle every table holds is the id itself.
         assert_eq!(size_of::<DhtId>(), 8);
         assert_eq!(size_of::<OverheardEntry>(), 16);
-        assert_eq!(size_of::<NeighborEntry>(), 24);
-        assert_eq!(size_of::<crate::rate::RateRow>(), 24);
+        // Partner, latency, supply and the Rate Controller's estimate
+        // and this period's two counts.
+        assert_eq!(size_of::<NeighborEntry>(), 40);
     }
 
     /// Step 6's index scatter + per-range sort against the bucketed copy

@@ -50,9 +50,15 @@ pub struct TelemetryRound {
     pub supplier_active: usize,
     /// Largest number of segments delivered by a single supplier.
     pub supplier_peak_load: u64,
-    /// DHT routing messages spent by Algorithm 2 retrievals this round
-    /// (divide by `RoundRecord::prefetch_attempts` for mean hops per
-    /// retrieval).
+    /// DHT routing messages spent by step 7 (Algorithm 2) this round:
+    /// each retrieval's routing messages plus one per origin fallback
+    /// step 7 tried, sent or not (a fallback the spent source uplink
+    /// refuses sends no request and charges no traffic). Divide by
+    /// `RoundRecord::prefetch_attempts` for mean hops per retrieval.
+    /// Step 7 only: the recovery plane's retries (`retry_fetch`) and
+    /// their origin fallbacks spend routing messages too, and those are
+    /// counted in `RoundRecord::traffic`'s `PrefetchRouting` bits but
+    /// not here, so the two disagree in faulted runs.
     pub dht_routing_msgs: u64,
     /// Backup segments evicted by GC this round (nonzero only on GC
     /// rounds — every 10th).

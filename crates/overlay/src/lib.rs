@@ -5,7 +5,8 @@
 //! simulator's node state holds them next to the node's DHT peers:
 //!
 //! 1. **Connected Neighbors** ([`ConnectedNeighbors`]) — `M` gossip
-//!    partners over TCP, with latency and recent-supply-rate columns;
+//!    partners over TCP, with latency and supply columns and the Rate
+//!    Controller's per-neighbour receiving-rate estimate (§3, Figure 1);
 //!    weak or failed neighbours are replaced by the lowest-latency
 //!    overheard node.
 //! 2. **DHT Peers** — `log N` level-constrained peers, implemented in

@@ -15,13 +15,10 @@ use cs_dht::DhtId;
 pub const DEFAULT_H: usize = 20;
 
 /// One overheard node.
-///
-/// Generic over the peer identifier `I` (default [`DhtId`]), like
-/// `NeighborEntry`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheardEntry<I = DhtId> {
+pub struct OverheardEntry {
     /// The overheard node's identifier.
-    pub id: I,
+    pub id: DhtId,
     /// Latency estimate, milliseconds (from the overheard message's
     /// timing or a subsequent probe).
     pub latency_ms: f64,
@@ -29,19 +26,19 @@ pub struct OverheardEntry<I = DhtId> {
 
 /// A bounded most-recently-overheard list.
 #[derive(Debug, Clone)]
-pub struct OverheardList<I = DhtId> {
+pub struct OverheardList {
     /// Front = most recent.
-    entries: VecDeque<OverheardEntry<I>>,
+    entries: VecDeque<OverheardEntry>,
     capacity: usize,
 }
 
-impl<I: Copy + PartialEq + Ord> Default for OverheardList<I> {
+impl Default for OverheardList {
     fn default() -> Self {
         Self::new(DEFAULT_H)
     }
 }
 
-impl<I: Copy + PartialEq + Ord> OverheardList<I> {
+impl OverheardList {
     /// An empty list with capacity `h`.
     pub fn new(h: usize) -> Self {
         assert!(h > 0, "overheard list needs positive capacity");
@@ -69,7 +66,7 @@ impl<I: Copy + PartialEq + Ord> OverheardList<I> {
     /// Record an overheard node. Re-hearing an already-listed node moves
     /// it to the front and refreshes its latency; otherwise the oldest
     /// entry falls off when at capacity.
-    pub fn record(&mut self, id: I, latency_ms: f64) {
+    pub fn record(&mut self, id: DhtId, latency_ms: f64) {
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             self.entries.remove(pos);
         } else if self.entries.len() >= self.capacity {
@@ -79,7 +76,7 @@ impl<I: Copy + PartialEq + Ord> OverheardList<I> {
     }
 
     /// Remove a node known to have failed. Returns `true` if present.
-    pub fn remove(&mut self, id: I) -> bool {
+    pub fn remove(&mut self, id: DhtId) -> bool {
         match self.entries.iter().position(|e| e.id == id) {
             Some(pos) => {
                 self.entries.remove(pos);
@@ -90,7 +87,7 @@ impl<I: Copy + PartialEq + Ord> OverheardList<I> {
     }
 
     /// Entries from most to least recent.
-    pub fn entries(&self) -> impl Iterator<Item = OverheardEntry<I>> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = OverheardEntry> + '_ {
         self.entries.iter().copied()
     }
 
@@ -98,7 +95,7 @@ impl<I: Copy + PartialEq + Ord> OverheardList<I> {
     /// replacement candidate for a failed or weak connected neighbour
     /// ("it will be replaced by an overheard node which has the lowest
     /// latency").
-    pub fn best_candidate(&self, exclude: impl Fn(I) -> bool) -> Option<OverheardEntry<I>> {
+    pub fn best_candidate(&self, exclude: impl Fn(DhtId) -> bool) -> Option<OverheardEntry> {
         self.entries
             .iter()
             .filter(|e| !exclude(e.id))
@@ -167,6 +164,6 @@ mod tests {
 
     #[test]
     fn default_capacity_is_paper_h() {
-        assert_eq!(OverheardList::<DhtId>::default().capacity(), 20);
+        assert_eq!(OverheardList::default().capacity(), 20);
     }
 }

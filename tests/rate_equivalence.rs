@@ -1,13 +1,18 @@
 //! The Rate Controller against an oracle.
 //!
-//! `RateController` keeps one row per neighbour — estimate, requests and
-//! deliveries together. The three parallel tables it replaced (estimates,
-//! this period's requests, this period's deliveries) live on below as the
-//! `reference` oracle, verbatim, and over seeded random sequences of
-//! every public operation the two must report bit-identical rates for
-//! every key after every operation.
+//! The Rate Controller's state is three columns of the partner table
+//! (`cs_overlay::ConnectedNeighbors`): each connected neighbour's row
+//! holds its estimate and this period's requests and deliveries beside
+//! its id, latency and supply. The three parallel tables the state once
+//! lived in (estimates, this period's requests, this period's
+//! deliveries) live on below as the `reference` oracle, verbatim, and
+//! over seeded random sequences of every operation the two must report
+//! bit-identical rates for every key after every operation. Every drawn
+//! key is connected up front; the oracle's `forget` is a `remove`
+//! followed by a re-`add`, as when a partner leaves and later returns.
 
-use continustreaming::core::RateController;
+use continustreaming::net::SEGMENT_KBITS;
+use continustreaming::overlay::ConnectedNeighbors;
 use continustreaming::prelude::*;
 use rand::Rng as _;
 
@@ -112,13 +117,13 @@ mod reference {
     }
 }
 
-/// Keys the sequences draw from; [`ABSENT`] is never recorded.
+/// Keys the sequences draw from; [`ABSENT`] is never connected.
 const KEYS: u64 = 6;
 const ABSENT: DhtId = 99;
 
 /// Every key's rate, bit for bit, on both sides.
 fn assert_rates_eq(
-    ours: &RateController,
+    ours: &ConnectedNeighbors,
     oracle: &reference::RateController<DhtId>,
     case: u64,
     step: usize,
@@ -144,12 +149,10 @@ fn one_table_matches_three_tables() {
     for case in 0..1200u64 {
         let mut rng = RngTree::new(0x7A7E).child_indexed("rate-equiv", case);
         let prior = rng.gen_range(0.5..20.0);
-        // Half the cases pre-reserve, as the simulator does.
-        let mut ours = if case % 2 == 0 {
-            RateController::new(prior)
-        } else {
-            RateController::with_capacity(prior, KEYS as usize)
-        };
+        let mut ours = ConnectedNeighbors::new(KEYS as usize, prior);
+        for key in 0..KEYS {
+            assert!(ours.add(key, 5.0));
+        }
         let mut oracle = reference::RateController::new(prior);
         // Requests per key since the last `end_period` (or `forget`).
         let mut asked_now = [0u32; KEYS as usize];
@@ -164,7 +167,7 @@ fn one_table_matches_three_tables() {
                     "request"
                 }
                 30..=54 => {
-                    ours.record_delivery(key);
+                    ours.record_delivery(key, SEGMENT_KBITS);
                     oracle.record_delivery(key);
                     "delivery"
                 }
@@ -179,7 +182,7 @@ fn one_table_matches_three_tables() {
                     }
                     asked_now[key as usize] += asked;
                     for _ in 0..got {
-                        ours.record_delivery(key);
+                        ours.record_delivery(key, SEGMENT_KBITS);
                         oracle.record_delivery(key);
                     }
                     "burst"
@@ -205,7 +208,9 @@ fn one_table_matches_three_tables() {
                     "end_period"
                 }
                 90..=96 => {
-                    ours.forget(key);
+                    // The partner leaves and later returns.
+                    assert!(ours.remove(key));
+                    assert!(ours.add(key, 5.0));
                     oracle.forget(key);
                     asked_now[key as usize] = 0;
                     "forget"

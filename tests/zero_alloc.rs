@@ -258,27 +258,29 @@ fn public_step_api_allocates_nothing_when_warm() {
 
 /// Ceiling on the live heap of the 2000-node run below, in bytes.
 ///
-/// The run peaks at 4 600 816 bytes when this test runs alone (x86_64
+/// The run peaks at 4 328 752 bytes when this test runs alone (x86_64
 /// Linux; a sum of allocation sizes, not a timing, so it repeats
 /// exactly; with the whole file it reads ~1 kB more). Per node that holds a
 /// 60-byte pre-fetch tag set of 15 `u32` tags (8-byte tags were 120, a
-/// `HashMap` would be 2 192), a 192-byte
-/// Rate Controller table (three tables would be 576), a 320-byte
-/// overheard list and a 120-byte partner table — every peer held by its
-/// 8-byte id (with a cached arena slot beside it the three tables were
-/// 264 bytes larger), 24 bytes per DHT level (an `Option` per level is
-/// 32) and a 24-byte telemetry startup sample; the telemetry's 40 round
-/// rows add 7 360 (55 360 in all). The round's pull requests sit in one
-/// 24-byte-a-request arena that step 6 sorts through 4-byte indices
-/// (a 32-byte copy beside 32-byte requests peaked 1 139 368 bytes
-/// higher). The ceiling sits 10 % above the peak: the tag map coming
-/// back (~+4.2 MB) crosses it, and so do the request copy, three rate
-/// tables (+768 000) and the cached slot (+528 000); the levels'
-/// `Option` tag alone (+192 000 over 12 levels) and 8-byte tags
-/// (+120 000) would not. After an intended change, run this test with
-/// `-- --nocapture`, read the printed peak and set the ceiling ~10 %
-/// above it.
-const LIVE_HEAP_CEILING: usize = 5_060_000;
+/// `HashMap` would be 2 192), a 320-byte overheard list and a 200-byte
+/// partner table of five 40-byte rows that carry the Rate Controller's
+/// estimate and period counts (a separate 192-byte rate table beside a
+/// 120-byte partner table, with its 24-byte header inline in the node,
+/// was 136 bytes more) — every peer held by its 8-byte id (with a
+/// cached arena slot beside it the partner, overheard and rate tables
+/// were 264 bytes larger), 24 bytes per DHT level (an `Option` per
+/// level is 32) and a 24-byte telemetry startup sample; the telemetry's
+/// 40 round rows add 7 360 (55 360 in all). The round's pull requests
+/// sit in one 24-byte-a-request arena that step 6 sorts through 4-byte
+/// indices (a 32-byte copy beside 32-byte requests peaked 1 139 368
+/// bytes higher). The ceiling sits 10 % above the peak: the tag map
+/// coming back (~+4.2 MB) crosses it, and so do the request copy and
+/// the cached slot (+528 000); a rate table beside the partner table
+/// again (+272 000), the levels' `Option` tag alone (+192 000 over 12
+/// levels) and 8-byte tags (+120 000) would not. After an intended
+/// change, run this test with `-- --nocapture`, read the printed peak
+/// and set the ceiling ~10 % above it.
+const LIVE_HEAP_CEILING: usize = 4_760_000;
 
 /// The per-node footprint gate: a 2000-node static Legacy run, stepped
 /// 40 rounds, must keep its live heap under [`LIVE_HEAP_CEILING`] after
@@ -311,7 +313,7 @@ fn live_heap_stays_under_ceiling() {
 /// Ceiling on the heap high-water mark of `SystemSim::new` for the
 /// churn run below, in bytes.
 ///
-/// Construction peaks at 1 123 368 bytes (x86_64 Linux; a sum of
+/// Construction peaks at 1 096 168 bytes (x86_64 Linux; a sum of
 /// allocation sizes, so it repeats exactly). 80 128 of it is the
 /// joiner ping pool, drawn as 10 016 bare pings. Built as a whole
 /// trace of 10 016 nodes (records, preferential-attachment edges, an
@@ -321,7 +323,7 @@ fn live_heap_stays_under_ceiling() {
 /// becomes a topology again fails here. After an intended change, run
 /// this test with `-- --nocapture`, read the printed peak and set the
 /// ceiling ~10 % above it.
-const SETUP_PEAK_CEILING: usize = 1_240_000;
+const SETUP_PEAK_CEILING: usize = 1_210_000;
 
 /// The setup footprint gate: building a 200-node, 1000-round run under
 /// the paper's 5 % + 5 % churn (10 000 expected joins, so a
