@@ -19,17 +19,13 @@ use crate::SegmentId;
 ///
 /// The window covers `[head, head + capacity)`. Inserting an ID at or past
 /// the end slides the window forward (FIFO eviction of the oldest IDs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamBuffer {
     head: SegmentId,
     capacity: u64,
     /// Bit `i` of the window = presence of segment `head + i`; bits at
     /// or past `capacity` are always zero.
     words: Vec<u64>,
-    /// Mutation counter: bumped on every change to the window contents or
-    /// position. Lets snapshot consumers (the round loop's buffer-map
-    /// exchange) skip re-copying bitmaps of unchanged buffers.
-    epoch: u64,
 }
 
 impl StreamBuffer {
@@ -47,16 +43,7 @@ impl StreamBuffer {
             head,
             capacity,
             words,
-            epoch: 0,
         }
-    }
-
-    /// The buffer's mutation epoch: changes whenever the contents or the
-    /// window position change. Equal epochs on the same buffer guarantee
-    /// an identical bitmap, so snapshots can be reused across rounds.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The buffer capacity `B`.
@@ -148,7 +135,6 @@ impl StreamBuffer {
             return false;
         }
         self.words[w] |= mask;
-        self.epoch += 1;
         true
     }
 
@@ -158,7 +144,6 @@ impl StreamBuffer {
         if new_head <= self.head {
             return;
         }
-        self.epoch += 1;
         let shift = new_head - self.head;
         self.head = new_head;
         if shift >= self.capacity {
@@ -333,7 +318,6 @@ impl StreamBuffer {
         self.words.extend_from_slice(&words[..n.min(words.len())]);
         self.words.resize(n, 0);
         self.mask_tail();
-        self.epoch += 1;
     }
 
     /// A copy of this buffer as the map it advertises (what a receiver's
@@ -369,15 +353,6 @@ impl StreamBuffer {
         })
     }
 }
-
-// Logical equality: two buffers are equal when they cover the same window
-// with the same contents. The mutation epoch is bookkeeping, not state.
-impl PartialEq for StreamBuffer {
-    fn eq(&self, other: &Self) -> bool {
-        self.head == other.head && self.capacity == other.capacity && self.words == other.words
-    }
-}
-impl Eq for StreamBuffer {}
 
 /// A mask of the low `n` bits; all 64 from `n = 64` up.
 #[inline]
@@ -843,24 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_tracks_mutations() {
-        let mut b = StreamBuffer::new(100);
-        let e0 = b.epoch();
-        assert!(!b.insert(0), "below-window insert is rejected");
-        assert_eq!(b.epoch(), e0, "rejected insert must not bump the epoch");
-        b.insert(5);
-        let e1 = b.epoch();
-        assert_ne!(e0, e1);
-        assert!(!b.insert(5), "duplicate");
-        assert_eq!(b.epoch(), e1, "duplicate insert must not bump the epoch");
-        b.slide_to(50);
-        assert_ne!(b.epoch(), e1);
-        let e2 = b.epoch();
-        b.slide_to(40); // backwards: no-op
-        assert_eq!(b.epoch(), e2);
-    }
-
-    #[test]
     fn install_wire_matches_to_map() {
         let mut b = StreamBuffer::new(600);
         for id in (1..=600u64).filter(|i| i % 5 == 0) {
@@ -868,9 +825,7 @@ mod tests {
         }
         let install = |b: &StreamBuffer, map: &mut StreamBuffer| {
             let (head, capacity, words) = b.wire_parts();
-            let epoch = map.epoch();
             map.install_wire(head, capacity, words);
-            assert_ne!(map.epoch(), epoch, "an install is a mutation");
             assert_eq!(map.len(), b.len());
         };
         let mut reused = StreamBuffer::new(1);

@@ -28,42 +28,20 @@ impl SystemSim {
     }
 
     /// Verify the persistent round-scratch invariants (test hook; panics
-    /// on violation). Stale state in the reused buffers must be
-    /// *invisible*: every lazily-cleared structure is only reachable
-    /// through a generation stamp, a touched-list entry or a per-round
-    /// count that was refreshed this round.
+    /// on violation): the round's queues partition its request arena,
+    /// and every snapshot stamped this round belongs to its slot's
+    /// current occupant.
     #[doc(hidden)]
     pub fn debug_check_scratch(&self) {
         let scratch = &self.scratch;
-        // Request arena: per-slot counts are nonzero only for touched
-        // slots, and they partition the flat request list exactly.
-        let mut touched_total = 0u64;
-        for &slot in &scratch.touched_suppliers {
-            let count = scratch.queue_count[slot as usize];
-            assert!(count > 0, "touched slot {slot} has an empty bucket");
-            touched_total += count as u64;
-        }
-        for (slot, &count) in scratch.queue_count.iter().enumerate() {
-            if !scratch.touched_suppliers.contains(&(slot as u32)) {
-                assert_eq!(
-                    count, 0,
-                    "slot {slot} holds a stale queue count without a touched entry \
-                     (it would never be cleared)"
-                );
-            }
-        }
+        // Request arena: the per-slot counts partition the flat request
+        // list exactly.
+        let total: u64 = scratch.queue_count.iter().map(|&c| c as u64).sum();
         assert_eq!(
-            touched_total,
+            total,
             scratch.requests.len() as u64,
             "request counts out of sync with the flat arena"
         );
-        for req in &scratch.requests {
-            assert!(
-                scratch.touched_suppliers.contains(&req.supplier_slot),
-                "request queued at slot {} which is not touched",
-                req.supplier_slot
-            );
-        }
         // Requests are queued in node order, so one node's are adjacent:
         // every node that issued any was counted into `active_sched`.
         let mut requesters: Vec<DhtId> = scratch.requests.iter().map(|r| r.requester_id).collect();
@@ -79,43 +57,31 @@ impl SystemSim {
         // ranges together are a permutation of the request indices.
         let mut expected_start = 0u32;
         let mut seen = vec![false; scratch.requests.len()];
-        let mut sorted = scratch.touched_suppliers.clone();
-        sorted.sort_unstable();
-        for &slot in &sorted {
-            let start = scratch.queue_start[slot as usize];
+        for (slot, &count) in scratch.queue_count.iter().enumerate() {
+            let end = scratch.queue_cursor[slot];
             assert_eq!(
-                start, expected_start,
+                end.checked_sub(count),
+                Some(expected_start),
                 "queue for slot {slot} is not laid out contiguously"
             );
-            expected_start += scratch.queue_count[slot as usize];
-            for &i in &scratch.order[start as usize..expected_start as usize] {
+            for &i in &scratch.order[expected_start as usize..end as usize] {
                 let req = scratch
                     .requests
                     .get(i as usize)
                     .unwrap_or_else(|| panic!("slot {slot}: order index {i} past the arena"));
                 assert_eq!(
-                    req.supplier_slot, slot,
+                    req.supplier_slot as usize, slot,
                     "slot {slot}'s queue points at request {i}, queued at another slot"
                 );
                 assert!(!seen[i as usize], "request {i} queued twice");
                 seen[i as usize] = true;
             }
-        }
-        // Outbound pre-fetch ledger: nonzero spend only on touched-spent
-        // slots (anything else would leak into later rounds' rate caps).
-        for (slot, &spent) in scratch.outbound_spent.iter().enumerate() {
-            if spent != 0.0 {
-                assert!(
-                    scratch.touched_spent.contains(&(slot as u32)),
-                    "slot {slot} carries untracked outbound spend {spent}"
-                );
-            }
+            expected_start = end;
         }
         // Buffer-map snapshots: every stamped-this-round snapshot must
-        // belong to a currently alive node lifetime, with its epoch
-        // trailing (never leading) the live buffer, and bitmap equality
-        // whenever the epochs match. A snapshot whose birth stamp does
-        // not match the slot's current occupant must not be stamped.
+        // belong to a currently alive node lifetime. A snapshot whose
+        // birth stamp does not match the slot's current occupant must
+        // not be stamped.
         for (slot, snap) in scratch.maps.snaps.iter().enumerate() {
             if snap.stamp != scratch.maps.stamp {
                 continue; // stale snapshot: invisible by construction
@@ -127,16 +93,6 @@ impl SystemSim {
                 snap.birth, node.birth,
                 "slot {slot}: stamped snapshot of a previous lifetime"
             );
-            assert!(
-                snap.epoch <= node.buffer.epoch(),
-                "slot {slot}: snapshot epoch leads the live buffer"
-            );
-            if snap.epoch == node.buffer.epoch() {
-                assert_eq!(
-                    snap.map, node.buffer,
-                    "slot {slot}: equal epochs but diverged bitmaps"
-                );
-            }
         }
     }
 

@@ -36,8 +36,8 @@
 //! `tests/determinism.rs`).
 //!
 //! Per-round allocations are gone entirely: a persistent `RoundScratch`
-//! owns the buffer-map snapshots (refreshed only when a buffer's
-//! [`StreamBuffer::epoch`] moved — the generation-stamped exchange), the
+//! owns the buffer-map snapshots (every advertised map copied whole each
+//! round, round-stamped so last round's copy is invisible), the
 //! flat pull-request arena (one `Vec` in node order, plus the `u32`
 //! indices step 6 counting-scatters into per-supplier ranges and sorts
 //! there, so no request is copied), the pre-fetch miss list, outbound
@@ -464,11 +464,7 @@ impl SystemSim {
     /// is that neighbour's live buffer. The live-network twin differs
     /// only in the exchange it passes.
     pub fn step(&mut self) -> bool {
-        self.step_with(|sim, _, _, maps| {
-            for &idx in &sim.order_idx {
-                maps.install(idx.0, sim.nodes.node(idx).announce());
-            }
-        })
+        self.step_with(|sim, _, _, maps| sim.install_announcements(maps))
     }
 
     /// Rounds executed so far — equivalently, the index of the round the

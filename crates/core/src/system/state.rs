@@ -37,7 +37,8 @@ pub(super) struct NodeSim {
     /// Unique lifetime stamp assigned by the arena on insertion. Ids can
     /// be reassigned (the RP server frees departed ids) and slots are
     /// reused, so `(slot, id)` does not identify a node *lifetime* —
-    /// this does; the buffer-map exchange keys its snapshot reuse on it.
+    /// this does; every buffer-map snapshot records the one it was
+    /// installed for.
     pub(super) birth: u64,
     pub(super) bandwidth: NodeBandwidth,
     pub(super) connected: ConnectedNeighbors,
@@ -273,15 +274,12 @@ impl PullRequest {
     }
 }
 
-/// A per-node buffer-map snapshot slot: the generation-stamped exchange.
+/// A per-node buffer-map snapshot slot.
 pub(super) struct MapSnap {
     /// Birth stamp of the node lifetime the snapshot was taken from. Ids
-    /// and slots are both reusable; the birth stamp is not, so an equal
-    /// `(birth, epoch)` pair guarantees an identical bitmap.
+    /// and slots are both reusable; the birth stamp is not, so the
+    /// exchange phase can tell another lifetime's view from this one's.
     pub(super) birth: u64,
-    /// The announcing buffer's mutation epoch at snapshot time; equal
-    /// epoch ⇒ the bitmap is unchanged and need not be re-copied.
-    pub(super) epoch: u64,
     /// Round stamp: snapshots not refreshed this round are invisible.
     pub(super) stamp: u64,
     pub(super) map: StreamBuffer,
@@ -306,7 +304,6 @@ impl MapStore {
         while self.snaps.len() < slot_count {
             self.snaps.push(MapSnap {
                 birth: u64::MAX,
-                epoch: u64::MAX,
                 stamp: 0,
                 // Sized like every node's buffer, so the first install
                 // copies into place instead of growing the words.
@@ -316,20 +313,15 @@ impl MapStore {
     }
 
     /// Install `view` as this round's advertised map of the node in arena
-    /// `slot`, copying bitmap words only when the `(birth, epoch)` key
-    /// says the bitmap changed since the last copy — the delta shape a
-    /// real network would use, and what keeps the exchange of unchanged
-    /// buffers free.
+    /// `slot`: its words are copied into the slot's snapshot whole, as
+    /// the paper's exchange sends the whole map every period (§5.4.2).
     ///
     /// # Panics
     /// If `slot` is past the arena.
     pub fn install(&mut self, slot: u32, view: TwinAnnounce<&[u64]>) {
         let snap = &mut self.snaps[slot as usize];
-        if snap.birth != view.birth || snap.epoch != view.epoch {
-            snap.map.install_wire(view.head, view.capacity, view.words);
-            snap.birth = view.birth;
-            snap.epoch = view.epoch;
-        }
+        snap.map.install_wire(view.head, view.capacity, view.words);
+        snap.birth = view.birth;
         snap.stamp = self.stamp;
     }
 
@@ -430,20 +422,19 @@ pub(super) struct RoundScratch {
     /// per-supplier ranges laid out in ascending slot order; step 6
     /// sorts each range into service order, so no request is copied.
     pub(super) order: Vec<u32>,
-    /// Per-slot queue sizes; nonzero only for `touched_suppliers`.
+    /// Per-slot queue sizes, zeroed whole each round.
     pub(super) queue_count: Vec<u32>,
-    /// Per-slot range start offsets into `order`.
-    pub(super) queue_start: Vec<u32>,
-    /// Per-slot scatter cursors (consumed during bucketing).
+    /// Per-slot scatter cursors: once [`Self::bucket_requests`] has run,
+    /// one past the end of the slot's range of `order`.
     pub(super) queue_cursor: Vec<u32>,
-    /// Slots with pending requests this round.
-    pub(super) touched_suppliers: Vec<u32>,
     /// Step 7's miss list: the predicted-missed segments of the node
     /// whose urgent-line check ran last.
     pub(super) missed: Vec<SegmentId>,
-    /// Outbound budget already spent on pre-fetch uploads, per slot.
+    /// The source-side outbound ledger, per slot, zeroed whole each
+    /// round: what frontier pushes, joiner seeds, origin fallbacks and
+    /// rescue uploads have spent of a node's outbound rate (step-6
+    /// gossip service budgets apart and never reads it).
     pub(super) outbound_spent: Vec<f64>,
-    pub(super) touched_spent: Vec<u32>,
     /// Route/locate buffers reused by every Algorithm 2 retrieval.
     pub(super) retrieval: RetrievalScratch,
     /// General-purpose peer-list scratch (neighbour maintenance).
@@ -455,45 +446,28 @@ pub(super) struct RoundScratch {
 impl RoundScratch {
     pub(super) fn begin_round(&mut self, round: u32, slot_count: usize) {
         self.maps.begin_round(round, slot_count);
-        if self.queue_count.len() < slot_count {
-            self.queue_count.resize(slot_count, 0);
-            self.queue_start.resize(slot_count, 0);
-            self.queue_cursor.resize(slot_count, 0);
-        }
-        for &s in &self.touched_suppliers {
-            self.queue_count[s as usize] = 0;
-        }
-        self.touched_suppliers.clear();
+        self.queue_count.clear();
+        self.queue_count.resize(slot_count, 0);
+        self.queue_cursor.resize(slot_count, 0);
         self.requests.clear();
-        if self.outbound_spent.len() < slot_count {
-            self.outbound_spent.resize(slot_count, 0.0);
-        }
-        for &s in &self.touched_spent {
-            self.outbound_spent[s as usize] = 0.0;
-        }
-        self.touched_spent.clear();
+        self.outbound_spent.clear();
+        self.outbound_spent.resize(slot_count, 0.0);
     }
 
     pub(super) fn push_request(&mut self, req: PullRequest) {
-        let count = &mut self.queue_count[req.supplier_slot as usize];
-        if *count == 0 {
-            self.touched_suppliers.push(req.supplier_slot);
-        }
-        *count += 1;
+        self.queue_count[req.supplier_slot as usize] += 1;
         self.requests.push(req);
     }
 
     /// Counting-scatter the indices of `requests` into contiguous
     /// per-slot ranges of `order` (ascending slot order, node order
-    /// within a slot). A slot's range is `queue_start[s] ..
-    /// queue_start[s] + queue_count[s]`.
+    /// within a slot). A slot's range ends at `queue_cursor[s]` and
+    /// holds `queue_count[s]` indices.
     pub(super) fn bucket_requests(&mut self) {
-        self.touched_suppliers.sort_unstable();
         let mut start = 0u32;
-        for &s in &self.touched_suppliers {
-            self.queue_start[s as usize] = start;
-            self.queue_cursor[s as usize] = start;
-            start += self.queue_count[s as usize];
+        for (cursor, &count) in self.queue_cursor.iter_mut().zip(&self.queue_count) {
+            *cursor = start;
+            start += count;
         }
         if self.order.len() < self.requests.len() {
             self.order.resize(self.requests.len(), 0);
@@ -508,8 +482,8 @@ impl RoundScratch {
     /// Sort supplier `slot`'s range of `order` into service order
     /// ([`PullRequest::service_cmp`]) and return it.
     pub(super) fn sort_queue(&mut self, slot: usize, salt: u64) -> std::ops::Range<usize> {
-        let start = self.queue_start[slot] as usize;
-        let range = start..start + self.queue_count[slot] as usize;
+        let end = self.queue_cursor[slot] as usize;
+        let range = end - self.queue_count[slot] as usize..end;
         let requests = &self.requests;
         // Load every queued request once up front. These loads are
         // independent, so their cache misses overlap; the sort's own
@@ -524,11 +498,7 @@ impl RoundScratch {
     }
 
     pub(super) fn add_spent(&mut self, supplier: NodeIdx, amount: f64) {
-        let slot = &mut self.outbound_spent[supplier.0 as usize];
-        if *slot == 0.0 {
-            self.touched_spent.push(supplier.0);
-        }
-        *slot += amount;
+        self.outbound_spent[supplier.0 as usize] += amount;
     }
 }
 

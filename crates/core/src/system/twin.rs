@@ -9,7 +9,7 @@
 
 use cs_dht::DhtId;
 
-use super::state::NodeSim;
+use super::state::{MapStore, NodeSim};
 use super::SystemSim;
 use crate::SegmentId;
 
@@ -18,14 +18,16 @@ use crate::SegmentId;
 /// default) it is the payload of the twin's `Announce` messages;
 /// borrowed (`W = &[u64]`) it is what
 /// [`MapStore::install`](crate::MapStore::install) takes — a node's live
-/// buffer read in place, or a received copy. `(birth, epoch)` is the
-/// snapshot-reuse key: an equal pair guarantees an identical bitmap, so
-/// the install path skips the word copy.
+/// buffer read in place, or a received copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwinAnnounce<W = Vec<u64>> {
     /// Arena lifetime stamp of the announcing node (slot reuse guard).
     pub birth: u64,
-    /// The announcing buffer's mutation epoch at emission time.
+    /// Read by nothing, and `0` in every announcement the simulator
+    /// makes: buffers keep no mutation epoch, and every install copies
+    /// the whole map. The field stays because the frozen benchmark
+    /// kernel builds this struct field by field; it goes with
+    /// `is_empty`.
     pub epoch: u64,
     /// Window start of the advertised bitmap.
     pub head: SegmentId,
@@ -63,7 +65,7 @@ impl NodeSim {
         let (head, capacity, words) = self.buffer.wire_parts();
         TwinAnnounce {
             birth: self.birth,
-            epoch: self.buffer.epoch(),
+            epoch: 0,
             head,
             capacity,
             words,
@@ -73,6 +75,14 @@ impl NodeSim {
 }
 
 impl SystemSim {
+    /// [`Self::step`]'s exchange: install every alive node's own
+    /// announcement, read in place.
+    pub(super) fn install_announcements(&self, maps: &mut MapStore) {
+        for &idx in &self.order_idx {
+            maps.install(idx.0, self.nodes.node(idx).announce());
+        }
+    }
+
     /// Visit every alive node's announcement in the deterministic
     /// ascending-id round order: `(id, arena slot, announcement,
     /// recipients)`, the recipients being the node's connected
@@ -102,7 +112,6 @@ impl SystemSim {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::MapStore;
     use cs_sim::SimTime;
 
     fn churny() -> SystemConfig {
@@ -151,6 +160,58 @@ mod tests {
         let (joins, leaves): (usize, usize) = (churned(|r| r.joins), churned(|r| r.leaves));
         assert!(joins > 0 && leaves > 0, "slots must actually be reused");
         assert!(!looped.step_with(|_, _, _, _| {}), "rounds are spent");
+    }
+
+    /// Inside the exchange, right after the installs, every snapshot
+    /// stamped this round is a copy of its node's live buffer — through
+    /// [`SystemSim::step`]'s local exchange and through the loopback one,
+    /// under churn that hands freed arena slots to joiners.
+    #[test]
+    fn installed_snapshots_equal_the_live_buffers() {
+        // Counts the slots whose old snapshot is another lifetime's.
+        fn reused(sim: &SystemSim, maps: &MapStore) -> usize {
+            sim.order_idx
+                .iter()
+                .filter(|&&idx| {
+                    let birth = maps.snaps[idx.0 as usize].birth;
+                    birth != u64::MAX && birth != sim.nodes.node(idx).birth
+                })
+                .count()
+        }
+        fn check(sim: &SystemSim, maps: &MapStore, round: u32) {
+            let mut stamped = 0;
+            for (slot, snap) in maps.snaps.iter().enumerate() {
+                if snap.stamp != maps.stamp {
+                    continue;
+                }
+                let node = sim.nodes.slots[slot]
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("round {round}: slot {slot} is stamped but dead"));
+                assert_eq!(snap.birth, node.birth, "round {round}, slot {slot}");
+                assert_eq!(snap.map, node.buffer, "round {round}, slot {slot}");
+                stamped += 1;
+            }
+            assert_eq!(stamped, sim.order_idx.len(), "round {round}");
+        }
+        let mut local = SystemSim::new(churny());
+        let mut looped = SystemSim::new(churny());
+        let (mut local_reused, mut looped_reused) = (0, 0);
+        for round in 0..20u32 {
+            assert!(local.step_with(|sim, _, _, maps| {
+                local_reused += reused(sim, maps);
+                sim.install_announcements(maps);
+                check(sim, maps, round);
+            }));
+            assert!(looped.step_with(|sim, _, _, maps| {
+                looped_reused += reused(sim, maps);
+                loopback(sim, maps, |_, a| Some(a));
+                check(sim, maps, round);
+            }));
+        }
+        assert!(
+            local_reused > 0 && looped_reused > 0,
+            "slots must actually be reused"
+        );
     }
 
     #[test]

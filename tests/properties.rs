@@ -259,14 +259,12 @@ fn dht_arena_survives_churn() {
 }
 
 /// Back-to-back rounds reusing the persistent `RoundScratch` leave no
-/// *visible* stale state: per-slot queue counts are refreshed or zero,
-/// the flat request arena partitions exactly into the touched buckets,
-/// serve plans are re-planned for every bucket, the outbound-spend
-/// ledger tracks its touched list, and generation-stamped buffer-map
-/// snapshots either carry this round's stamp (alive node, matching
-/// birth, epoch not ahead of the live buffer, bitmap equal on equal
-/// epochs) or are invisible. Mirrors the PR-1 snapshot-epoch tests, now
-/// over the whole scratch. Exercised across all three schedulers in the
+/// *visible* stale state: the per-slot queue counts partition the flat
+/// request arena exactly, the queues are contiguous ranges of the index
+/// array in ascending slot order that each point only at requests queued
+/// at their slot and together permute the arena, and every buffer-map
+/// snapshot either carries this round's stamp (alive node, matching
+/// birth) or is invisible. Exercised across all three schedulers in the
 /// static environment — where buffers mutate every round but membership
 /// does not — via the `debug_check_scratch` hook after every round.
 #[test]
@@ -523,14 +521,11 @@ fn adaptive_policy_state_resets_with_scratch_reuse() {
 /// Same-round slot reuse must not leak the previous occupant: an abrupt
 /// `Leave` frees the departed node's arena slot and an immediately
 /// following `Join` hands that slot to the newcomer (LIFO free list), so
-/// everything the scratch keeps per slot — above all the buffer-map
-/// snapshot, whose epoch belongs to the *previous* buffer — still
-/// describes the node that left. The exchange keys snapshot reuse on the
-/// arena birth stamp, not the slot, so the joiner must be advertised by
-/// its own (empty) map: `debug_check_scratch` after every round requires
-/// each visible snapshot to carry its occupant's birth, an epoch that
-/// never leads the live buffer, and the live bitmap whenever the epochs
-/// match.
+/// the slot's buffer-map snapshot still holds the map of the node that
+/// left until the exchange installs the joiner's own. A snapshot records
+/// the arena birth stamp of the lifetime it was installed for, not just
+/// the slot: `debug_check_scratch` after every round requires each
+/// visible snapshot to carry its occupant's birth.
 #[test]
 fn same_round_slot_reuse_keeps_snapshots_keyed_by_birth() {
     for case in 0..12u64 {

@@ -258,7 +258,7 @@ fn public_step_api_allocates_nothing_when_warm() {
 
 /// Ceiling on the live heap of the 2000-node run below, in bytes.
 ///
-/// The run peaks at 4 328 752 bytes when this test runs alone (x86_64
+/// The run peaks at 4 263 280 bytes when this test runs alone (x86_64
 /// Linux; a sum of allocation sizes, not a timing, so it repeats
 /// exactly; with the whole file it reads ~1 kB more). Per node that holds a
 /// 60-byte pre-fetch tag set of 15 `u32` tags (8-byte tags were 120, a
@@ -313,7 +313,7 @@ fn live_heap_stays_under_ceiling() {
 /// Ceiling on the heap high-water mark of `SystemSim::new` for the
 /// churn run below, in bytes.
 ///
-/// Construction peaks at 1 096 168 bytes (x86_64 Linux; a sum of
+/// Construction peaks at 1 094 568 bytes (x86_64 Linux; a sum of
 /// allocation sizes, so it repeats exactly). 80 128 of it is the
 /// joiner ping pool, drawn as 10 016 bare pings. Built as a whole
 /// trace of 10 016 nodes (records, preferential-attachment edges, an
