@@ -167,7 +167,7 @@ pub fn scenarios() -> Vec<(&'static str, SystemConfig)> {
     ]
 }
 
-/// A steady-state audience: before round `round`, pause every alive
+/// A paused-majority audience: before round `round`, pause every alive
 /// non-source viewer but each `keep_every`-th, in ascending id order
 /// (`keep_every` 1 pauses nobody).
 #[derive(Debug, Clone, Copy)]
@@ -177,28 +177,26 @@ pub struct PausePlan {
 }
 
 impl PausePlan {
-    /// Pause the audience if `sim`'s next round is the plan's; returns
-    /// how many viewers it paused.
-    pub fn apply(&self, sim: &mut SystemSim) -> usize {
+    /// Pause the audience if `sim`'s next round is the plan's.
+    pub fn apply(&self, sim: &mut SystemSim) {
         if sim.rounds_run() != self.round {
-            return 0;
+            return;
         }
         let source = sim.source_id();
         let viewers = sim.alive_ids().to_vec();
-        let mut paused = 0;
         for (i, id) in viewers.into_iter().filter(|&id| id != source).enumerate() {
             if i % self.keep_every != 0 {
                 sim.apply_event(SystemEvent::Pause { id });
-                paused += 1;
             }
         }
-        paused
     }
 }
 
 /// The active-set runs, 2000 × 60 on the default config: every viewer
 /// playing, and all but every 5th paused before round 30 — the
-/// paused-majority shape no [`scenarios`] entry has.
+/// paused-majority shape no [`scenarios`] entry has. It pins behaviour,
+/// not a healthy swarm: the paused run's 400 players starve from round
+/// 50 on.
 pub fn active_set() -> [(&'static str, SystemConfig, PausePlan); 2] {
     let config = SystemConfig {
         nodes: 2000,

@@ -558,12 +558,6 @@ impl SystemSim {
         self.obs.as_deref()
     }
 
-    /// Mutable observability state (e.g. to reset profiler timings
-    /// after a warm-up window).
-    pub fn obs_mut(&mut self) -> Option<&mut ObsState> {
-        self.obs.as_deref_mut()
-    }
-
     /// Export the observability run report (trace JSONL, distribution
     /// summary, phase breakdown). The distribution summary is finalised
     /// and cached on first call, so a later [`Self::finish`] attaches

@@ -344,7 +344,6 @@ impl SystemSim {
             tally.record.prefetch_attempts += 1;
             let outcome =
                 self.dht_retrieve(requester_id, seg, false, scratch, &mut tally.record.traffic);
-            tally.telemetry.dht_routing_msgs += outcome.routing_messages as u64;
             // The requester overhears every node its lookups reached
             // (the located list stayed in the retrieval scratch).
             {
@@ -386,7 +385,6 @@ impl SystemSim {
                 // re-seed the copy from the source so the gossip plane
                 // can re-amplify it (see [`Self::source_fetch`]).
                 source_fallbacks += 1;
-                tally.telemetry.dht_routing_msgs += 1;
                 let traffic = &mut tally.record.traffic;
                 match self.source_fetch(round, idx, requester_id, seg, scratch, traffic) {
                     Some(fetch_ms) => fetch_ms,

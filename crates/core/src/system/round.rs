@@ -334,6 +334,8 @@ impl SystemSim {
         t.mean_frontier_gap = mean(tally.gap_sum as f64, playing);
         t.window_occupancy = mean(tally.occupancy_sum, playing);
         t.suppressed_nodes = tally.record.prefetch_suppressed as u64;
+        t.dht_routing_msgs =
+            tally.record.traffic.bits(TrafficClass::PrefetchRouting) / SIZES.routing_message_bits;
         t.faults_injected = frec.injected() as u64;
         t.timeouts_detected = frec.timeouts as u64;
         t.retries_issued = frec.retries as u64;

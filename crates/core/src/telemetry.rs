@@ -50,15 +50,11 @@ pub struct TelemetryRound {
     pub supplier_active: usize,
     /// Largest number of segments delivered by a single supplier.
     pub supplier_peak_load: u64,
-    /// DHT routing messages spent by step 7 (Algorithm 2) this round:
-    /// each retrieval's routing messages plus one per origin fallback
-    /// step 7 tried, sent or not (a fallback the spent source uplink
-    /// refuses sends no request and charges no traffic). Divide by
-    /// `RoundRecord::prefetch_attempts` for mean hops per retrieval.
-    /// Step 7 only: the recovery plane's retries (`retry_fetch`) and
-    /// their origin fallbacks spend routing messages too, and those are
-    /// counted in `RoundRecord::traffic`'s `PrefetchRouting` bits but
-    /// not here, so the two disagree in faulted runs.
+    /// DHT routing messages sent this round: `RoundRecord::traffic`'s
+    /// `PrefetchRouting` bits over the routing message size. That
+    /// covers every DHT retrieval's routing messages and one request
+    /// per origin fallback actually sent, from step 7 (Algorithm 2) and
+    /// from the recovery plane's retries alike.
     pub dht_routing_msgs: u64,
     /// Backup segments evicted by GC this round (nonzero only on GC
     /// rounds — every 10th).

@@ -115,10 +115,6 @@ impl Log2Hist {
         self.max
     }
 
-    pub fn reset(&mut self) {
-        *self = Self::new();
-    }
-
     /// Raw bucket counts (index = sample bit length).
     pub fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
         &self.buckets

@@ -159,12 +159,6 @@ impl ObsState {
             phases: self.profiler.rows(),
         }
     }
-
-    /// Zero the profiler's timing aggregates (after warm-up, so
-    /// exported means cover only the steady window).
-    pub fn reset_timings(&mut self) {
-        self.profiler.reset();
-    }
 }
 
 #[cfg(test)]

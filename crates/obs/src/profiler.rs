@@ -111,14 +111,6 @@ impl Profiler {
         self.agg[phase as usize].record(ns);
     }
 
-    /// Zero all timing aggregates (e.g. after warm-up, so exported
-    /// means cover only the steady window).
-    pub fn reset(&mut self) {
-        for h in &mut self.agg {
-            h.reset();
-        }
-    }
-
     /// Export one row per phase with at least one sample.
     pub fn rows(&self) -> Vec<PhaseRow> {
         let mut out = Vec::new();
@@ -188,7 +180,5 @@ mod tests {
         assert_eq!(sched.mean_ns, 200.0);
         assert_eq!(sched.min_ns, 100);
         assert_eq!(sched.max_ns, 300);
-        p.reset();
-        assert!(p.rows().is_empty());
     }
 }

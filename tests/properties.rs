@@ -828,3 +828,33 @@ fn round_rows_carry_consistent_derived_and_mirrored_values() {
     }
     assert!(suppressed > 0, "no Case-3 suppression to mirror");
 }
+
+/// The telemetry's DHT routing count is the round's `PrefetchRouting`
+/// ledger in messages, on every round of three specs (reduced to
+/// 200 × 60) that between them route step 7's lookups, the recovery
+/// plane's retries and origin fallbacks, some refused by a spent source.
+#[test]
+fn routing_message_count_matches_the_routing_ledger() {
+    let mut retries = 0;
+    for name in ["lossy_churn", "crash_heavy", "dynamic_churn_tuned"] {
+        let path = format!("scenarios/{name}.scn");
+        let text = std::fs::read_to_string(&path).expect("scenario file");
+        let mut spec = parse_scenario(&text).expect("scenario parses");
+        spec.config.nodes = 200;
+        spec.config.rounds = 60;
+        let out = run_scenario(&spec);
+        let mut routed = 0;
+        for (r, t) in out.report.rounds.iter().zip(&out.telemetry.rounds) {
+            assert_eq!(
+                t.dht_routing_msgs * 80,
+                r.traffic.bits(TrafficClass::PrefetchRouting),
+                "{name} round {}",
+                r.round
+            );
+            routed += t.dht_routing_msgs;
+            retries += t.retries_issued;
+        }
+        assert!(routed > 0, "{name} sent no routing message");
+    }
+    assert!(retries > 0, "no recovery retry routed over the DHT");
+}
